@@ -129,7 +129,7 @@ class CongestionRecorder:
         st = self._stats.get(link)
         if st is None:
             st = self._make(link)
-        depth = link.channel.queue_length + 1  # including this packet
+        depth = link.queue_length + 1  # including this packet
         self._pending[(packet.packet_id, link)] = now
         series = st.depth
         if series is None:
@@ -156,7 +156,7 @@ class CongestionRecorder:
                 st.wait_ns += wait
                 st.waits += 1
                 # The grant drains one waiter; sample the shrinking queue.
-                st.depth.append(now, float(link.channel.queue_length))
+                st.depth.append(now, float(link.queue_length))
                 if m is not None:
                     m.histogram("congestion.hol_wait_ns").observe(wait)
                     m.counter("congestion.waits").inc()

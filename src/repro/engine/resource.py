@@ -1,10 +1,12 @@
 """FCFS resources and stores.
 
-:class:`Resource` models a server with fixed capacity (a torus link
-direction, a processing-slice core, an HTIS pipeline front-end): requests
-are granted strictly in arrival order.  :class:`Store` is an unbounded
-FIFO of items with blocking ``get``, used for hardware message FIFOs and
-for handing packets between pipeline stages.
+:class:`Resource` models a server with fixed capacity (a processing-slice
+core, an HTIS pipeline front-end, a cluster node's CPU or NIC): requests
+are granted strictly in arrival order.  Torus link directions carry
+their own allocation-free channel with the same grant semantics (see
+:mod:`repro.network.link`).  :class:`Store` is an unbounded FIFO of
+items with blocking ``get``, used for hardware message FIFOs and for
+handing packets between pipeline stages.
 """
 
 from __future__ import annotations

@@ -149,6 +149,10 @@ class Simulator:
         self._crashes: list[tuple[Process, BaseException]] = []
         #: Events executed by :meth:`run` — the engine's own telemetry.
         self.events_executed: int = 0
+        #: Host wall-clock ns spent inside :meth:`run` (one clock read
+        #: at entry and one at exit, none per event): the denominator
+        #: of a run's events-per-second.
+        self.loop_wall_ns: int = 0
         #: Set by :meth:`repro.trace.metrics.MetricsRegistry.attach`.
         self.metrics: "Optional[MetricsRegistry]" = None
         #: Optional per-event observer, see :meth:`set_event_hook`.
@@ -174,6 +178,15 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         self._seq += 1
         self._sched.push(self.now + delay, self._seq, fn, args)
+
+    def schedule_now(self, fn: Callable[..., None], args: tuple) -> None:
+        """Run ``fn(*args)`` at the current instant, after every entry
+        already scheduled for it: :meth:`schedule` with zero delay, but
+        taking ``args`` as one tuple, so a caller holding a stored
+        continuation pays no star-args repacking (the link grant's hot
+        path)."""
+        self._seq += 1
+        self._sched.push(self.now, self._seq, fn, args)
 
     def schedule_batch(
         self, delay: float, pairs: Sequence[tuple[Callable[..., None], tuple]]
@@ -380,6 +393,7 @@ class Simulator:
         # is guaranteed by the construction hooks, and a local keeps
         # the per-event cost of the common disabled case at one test.
         profiler = self._profiler
+        loop_t0 = perf_counter_ns()
         if profiler is not None:
             # Hot-path state, bound once per run() call: the phase-
             # keyed rec cache maps a stable per-call-site key (a code
@@ -389,7 +403,6 @@ class Simulator:
             cache_get = profiler.rec_cache.get
             rec_slow = profiler.rec_for
             pc = perf_counter_ns
-            loop_t0 = pc()
             t_prev = loop_t0
         try:
             while sched.size:
@@ -566,8 +579,10 @@ class Simulator:
                 if stop_time is not None:
                     self.now = stop_time
         finally:
+            loop_ns = perf_counter_ns() - loop_t0
+            self.loop_wall_ns += loop_ns
             if profiler is not None:
-                profiler.account_loop(perf_counter_ns() - loop_t0)
+                profiler.account_loop(loop_ns)
         if stop_event is not None and not stop_event.triggered:
             raise RuntimeError(
                 "simulation ran out of events before the awaited event "

@@ -436,7 +436,7 @@ class InvariantWatchdogs:
         worst_depth = 0
         worst = None
         for link in self.network.links():
-            depth = link.channel.peak_queue_length
+            depth = link.peak_queue_length
             if depth > worst_depth:
                 worst_depth = depth
                 worst = link

@@ -3,19 +3,34 @@
 Each node connects to its six immediate neighbours via bidirectional
 links; each direction of each link is an independent 50.6 Gbit/s
 channel with 36.8 Gbit/s effective data bandwidth (§III.A).  A link
-direction is modelled as a FCFS :class:`~repro.engine.resource.Resource`
-whose occupancy per packet equals the serialization time, giving
-bandwidth contention and head-of-line queueing; head latency is charged
-separately from the calibrated segment constants (virtual cut-through;
-see DESIGN.md §5).
+direction is a single-slot FCFS channel whose occupancy per packet
+equals the serialization time, giving bandwidth contention and
+head-of-line queueing; head latency is charged separately from the
+calibrated segment constants (virtual cut-through; see DESIGN.md §5).
+
+The channel is owned by the link rather than built on the engine's
+:class:`~repro.engine.resource.Resource`: a packet that finds the link
+busy queues a ``(fn, args)`` continuation in a deque, with no event and
+no closure.  On release the head continuation is scheduled at the
+current instant, taking the next sequence number: exactly the one entry
+``Event.succeed`` pushed for a ``Resource`` grant.  The grant goes
+through the scheduler rather than running inline so that everything
+already scheduled for that instant runs first; same-instant order,
+grant order and every result byte stay those of the ``Resource`` model.
+
+Each link direction also carries the per-hop constants the transport
+needs, computed once when the link is created: the neighbour it leads
+to and the unicast/multicast head latencies of a first hop and of a
+through hop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.engine.resource import Resource
+from repro.constants import LINK_COST_NS, MULTICAST_LOOKUP_NS, THROUGH_RING_NS
 from repro.topology.torus import NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,12 +60,42 @@ class LinkId:
 
 
 class TorusLink:
-    """One direction of one inter-node torus link."""
+    """One direction of one inter-node torus link: a single-slot FCFS
+    channel plus the per-hop constants of its direction."""
 
-    def __init__(self, sim: "Simulator", link_id: LinkId) -> None:
+    # Slots: the transit reads several of these on every hop.
+    __slots__ = (
+        "sim", "link_id", "neighbor",
+        "ucast_first_ns", "ucast_through_ns",
+        "mcast_first_ns", "mcast_through_ns",
+        "_waiters", "peak_queue_length", "total_busy_ns",
+        "_busy_since", "packets_carried", "bytes_carried", "retransmissions",
+    )
+
+    def __init__(
+        self, sim: "Simulator", link_id: LinkId, neighbor: NodeCoord
+    ) -> None:
         self.sim = sim
         self.link_id = link_id
-        self.channel = Resource(sim, capacity=1, name=repr(link_id))
+        dim = link_id.dim
+        #: The node this direction leads to.
+        self.neighbor = neighbor
+        # Head latency of a hop over this direction, before payload
+        # serialization (first hop), faults and jitter.  The sums keep
+        # the association the pinned result bytes were computed with:
+        # float addition is not associative.
+        link_ns = LINK_COST_NS[dim]
+        self.ucast_first_ns = link_ns
+        self.ucast_through_ns = link_ns + THROUGH_RING_NS[dim]
+        self.mcast_first_ns = link_ns + MULTICAST_LOOKUP_NS
+        self.mcast_through_ns = self.mcast_first_ns + THROUGH_RING_NS[dim]
+        self._waiters: deque[tuple[Callable[..., None], tuple]] = deque()
+        #: Deepest wait queue ever observed (head-of-line telemetry).
+        self.peak_queue_length = 0
+        self.total_busy_ns = 0.0
+        #: Start of the open busy interval; ``None`` while the channel
+        #: is free.
+        self._busy_since: Optional[float] = None
         self.packets_carried = 0
         self.bytes_carried = 0
         #: Link-level retransmissions charged to this direction by the
@@ -62,21 +107,41 @@ class TorusLink:
         """The ``z+``-style direction tag of this link direction."""
         return self.link_id.direction
 
-    def record(self, wire_bytes: int) -> None:
-        """Account one packet's traffic on this link direction."""
-        self.packets_carried += 1
-        self.bytes_carried += wire_bytes
+    # -- the channel ------------------------------------------------------
+    def try_acquire(self) -> bool:
+        """Take the channel if it is free; pair with :meth:`release`."""
+        if self._busy_since is not None:
+            return False
+        self._busy_since = self.sim.now
+        return True
 
-    @property
-    def peak_queue_length(self) -> int:
-        """Deepest head-of-line queue ever observed on this direction."""
-        return self.channel.peak_queue_length
+    def wait(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Queue for the busy channel: ``fn(*args)`` runs once the
+        channel is granted to this waiter, in arrival order."""
+        waiters = self._waiters
+        waiters.append((fn, args))
+        if len(waiters) > self.peak_queue_length:
+            self.peak_queue_length = len(waiters)
 
+    def release(self) -> None:
+        """Hand the channel to the head waiter, or free it."""
+        if self._busy_since is None:
+            raise RuntimeError(f"release() of idle {self.link_id!r}")
+        if self._waiters:
+            # One scheduler entry at the current instant, behind every
+            # entry already there (see the module docstring).
+            fn, args = self._waiters.popleft()
+            self.sim.schedule_now(fn, args)
+        else:
+            self.total_busy_ns += self.sim.now - self._busy_since
+            self._busy_since = None
+
+    # -- telemetry --------------------------------------------------------
     @property
     def queue_length(self) -> int:
         """Packets currently waiting for this direction (instantaneous
         depth probe for the continuous-monitoring sampler)."""
-        return self.channel.queue_length
+        return len(self._waiters)
 
     @property
     def busy_ns(self) -> float:
@@ -87,18 +152,18 @@ class TorusLink:
         into a ring-buffer series and derive per-window busy fractions
         from consecutive deltas.
         """
-        busy = self.channel.total_busy_ns
-        since = self.channel._busy_since
-        if since is not None:
-            busy += self.sim.now - since
+        busy = self.total_busy_ns
+        if self._busy_since is not None:
+            busy += self.sim.now - self._busy_since
         return busy
 
     def utilization(self, elapsed_ns: float | None = None) -> float:
         """Fraction of time the channel was streaming bits.
 
-        Returns 0.0 for a zero-length window (``elapsed_ns == 0`` or a
+        Returns 0.0 for a zero-length window (``elapsed_ns <= 0`` or a
         query at simulated time 0) instead of dividing by zero.
         """
-        if elapsed_ns is not None and elapsed_ns <= 0:
+        horizon = elapsed_ns if elapsed_ns is not None else self.sim.now
+        if horizon <= 0:
             return 0.0
-        return self.channel.utilization(elapsed_ns)
+        return self.busy_ns / horizon

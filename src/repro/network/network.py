@@ -29,6 +29,15 @@ passing style (callbacks on the event queue) rather than as generator
 processes — an MD time step moves hundreds of thousands of packets and
 the per-process machinery dominated the run time of the first
 implementation.  Client-side code keeps the friendlier generator API.
+A link direction (:class:`~repro.network.link.TorusLink`) is a
+link-owned FCFS queue of those continuations: a packet that finds the
+link busy queues ``(self._granted, args)`` and allocates no event and no
+closure.  The release still grants through the scheduler, as one entry
+at the current instant, so same-instant order — and with it every
+result byte — is that of an engine ``Resource``.  Each hop does one
+link lookup; the neighbour and head latencies come precomputed on the
+link.  Faults, jitter and the in-order flag stay inline in the one
+transit path.
 """
 
 from __future__ import annotations
@@ -39,11 +48,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.constants import (
     DST_RING_NS,
     HEADER_BYTES,
-    LINK_COST_NS,
     MAX_MULTICAST_PATTERNS,
-    MULTICAST_LOOKUP_NS,
     SRC_RING_NS,
-    THROUGH_RING_NS,
     TORUS_LINK_EFFECTIVE_GBPS,
 )
 from repro.congestion.recorder import (
@@ -57,7 +63,7 @@ from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
 from repro.network.multicast import MulticastPattern
 from repro.network.packet import Packet
-from repro.topology.torus import Hop, NodeCoord, Torus3D
+from repro.topology.torus import NodeCoord, Torus3D
 from repro.trace.flight import FlightRecorder, NullFlightRecorder, active_flight
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -176,8 +182,9 @@ class Network:
             raise KeyError(f"no client {name!r} at node {key[0]}") from None
 
     def link(self, node: "NodeCoord | int", dim: str, sign: int) -> TorusLink:
-        """The link direction leaving ``node`` along ``dim``/``sign``
-        (created on first use; keyed by plain tuple — hot path)."""
+        """The link direction leaving ``node`` along ``dim``/``sign``,
+        created on first use.  Keyed by plain tuple: the transits look
+        up ``_links`` directly and call this only on a miss."""
         key = (node, dim, sign)
         link = self._links.get(key)
         if link is None:
@@ -185,7 +192,8 @@ class Network:
             key = (coord, dim, sign)
             link = self._links.get(key)
             if link is None:
-                link = TorusLink(self.sim, LinkId(coord, dim, sign))
+                link = TorusLink(self.sim, LinkId(coord, dim, sign),
+                                 self.torus.neighbor(coord, dim, sign))
                 self._links[key] = link
         return link
 
@@ -264,9 +272,11 @@ class Network:
         return prev, mine
 
     def _jitter(self, packet: Packet) -> float:
-        if self.reorder_jitter_ns > 0.0 and not packet.in_order:
-            return self._rng.uniform(0.0, self.reorder_jitter_ns)
-        return 0.0
+        """One hop's reordering delay; hops call it only while
+        ``reorder_jitter_ns > 0``, so a jitter-free run draws nothing."""
+        if packet.in_order:
+            return 0.0
+        return self._rng.uniform(0.0, self.reorder_jitter_ns)
 
     def _deliver(self, packet: Packet, node: NodeCoord, client_name: str) -> None:
         client = self._clients.get((node, client_name))
@@ -305,69 +315,69 @@ class _UcastTransit:
 
     def _next_hop(self) -> None:
         net = self.net
-        if self.idx >= len(self.route):
-            delay = DST_RING_NS if self.route else 0.0
-            net.sim.schedule(delay, self._arrive)
+        sim = net.sim
+        route = self.route
+        if self.idx >= len(route):
+            sim.schedule(DST_RING_NS if route else 0.0, self._arrive)
             return
-        hop = self.route[self.idx]
+        dim, sign = route[self.idx]
+        cur = self.cur
         fa = net.faults
         if fa is not None:
-            until = fa.transit_blocked_until(
-                self.cur, hop.dim, hop.sign, net.sim.now
-            )
-            if until > net.sim.now:
+            until = fa.transit_blocked_until(cur, dim, sign, sim.now)
+            if until > sim.now:
                 # Link down or node stalled: re-arm at the window's end
                 # (re-checked there — windows may be back to back).
-                net.sim.schedule(until - net.sim.now, self._next_hop)
+                sim.schedule(until - sim.now, self._next_hop)
                 return
-        link = net.link(self.cur, hop.dim, hop.sign)
-        if link.channel.try_acquire():
-            self._granted(link, hop)
+        link = net._links.get((cur, dim, sign)) or net.link(cur, dim, sign)
+        if link.try_acquire():
+            self._granted(link)
         else:
             fl = net.flight
             if fl.enabled:
-                fl.hop_enqueued(self.packet, link, net.sim.now)
+                fl.hop_enqueued(self.packet, link, sim.now)
             cg = net.congestion
             if cg.enabled:
-                cg.hop_enqueued(self.packet, link, net.sim.now)
-            req = link.channel.request()
-            req.add_callback(lambda _ev, link=link, hop=hop: self._granted(link, hop))
+                cg.hop_enqueued(self.packet, link, sim.now)
+            link.wait(self._granted, (link,))
 
-    def _granted(self, link: TorusLink, hop: Hop) -> None:
+    def _granted(self, link: TorusLink) -> None:
         net = self.net
+        sim = net.sim
         packet = self.packet
-        link.record(packet.wire_bytes)
+        link.packets_carried += 1
+        link.bytes_carried += packet.wire_bytes
         net.link_traversals += 1
         fl = net.flight
         if fl.enabled:
-            fl.hop_granted(packet, link, net.sim.now)
+            fl.hop_granted(packet, link, sim.now)
         cg = net.congestion
         if cg.enabled:
-            cg.hop_granted(packet, link, net.sim.now)
+            cg.hop_granted(packet, link, sim.now)
+        if self.idx == 0:
+            latency = link.ucast_first_ns + self.payload_extra
+        else:
+            latency = link.ucast_through_ns
         fa = net.faults
         if fa is None:
-            net.sim.schedule(packet.serialization_ns, link.channel.release)
-            fault_extra = 0.0
+            sim.schedule(packet.serialization_ns, link.release)
         else:
-            out = fa.transmit(packet, link, hop.dim, hop.sign, net.sim.now)
-            net.sim.schedule(out.hold_ns, link.channel.release)
+            lid = link.link_id
+            out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
+            sim.schedule(out.hold_ns, link.release)
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
             if out.lost:
                 self._lost()
                 return
-            fault_extra = out.extra_ns
-        latency = LINK_COST_NS[hop.dim]
-        if self.idx == 0:
-            latency += self.payload_extra
-        else:
-            latency += THROUGH_RING_NS[hop.dim]
-        latency += fault_extra
-        latency += net._jitter(packet)
-        self.cur = net.torus.neighbor(self.cur, hop.dim, hop.sign)
+            latency += out.extra_ns
+        if net.reorder_jitter_ns > 0.0:
+            latency += net._jitter(packet)
+        self.cur = link.neighbor
         self.idx += 1
-        net.sim.schedule(latency, self._next_hop)
+        sim.schedule(latency, self._next_hop)
 
     def _lost(self) -> None:
         """Drop escalation: account the loss loudly and complete the
@@ -434,67 +444,67 @@ class _McastTransit:
         net.deliveries_expected += self.outstanding
         net.sim.schedule(SRC_RING_NS, self._visit, packet.src_node, True)
 
-    def _visit(self, node: NodeCoord, first_link: bool) -> None:
+    def _visit(self, node: NodeCoord, first_link: bool,
+               forward: Optional[tuple] = None) -> None:
+        """Deliver to ``node``'s local clients and forward along its
+        outgoing links.  A ``forward`` tuple re-arms only those
+        directions (a branch that waited out a downed link): no local
+        deliveries, no stall check."""
         net = self.net
+        sim = net.sim
         fa = net.faults
-        if fa is not None:
-            until = fa.stall_until(node, net.sim.now)
-            if until > net.sim.now:
-                # Stalled node: the whole visit (local deliveries and
-                # forwarding) waits out the window.
-                net.sim.schedule(until - net.sim.now, self._visit,
-                                 node, first_link)
-                return
-        entry = self.pattern.entries[node]
         packet = self.packet
-        # All local deliveries of one node visit land on the same tick
-        # (DST_RING_NS past the ring, or immediately at the source), so
-        # they go out as one batched entry — a visit costs ~1 scheduler
-        # entry instead of one per client.  Client order, and for
-        # in-order packets the gate-creation order, is unchanged.
-        delay = DST_RING_NS if node != packet.src_node else 0.0
-        if packet.in_order:
-            pairs = []
-            for client_name in entry.local_clients:
-                order_prev, order_mine = net._inorder_gate(packet, node)
-                pairs.append((
-                    self._deliver_local,
-                    (node, client_name, order_prev, order_mine),
-                ))
-        else:
-            pairs = [
-                (self._finish_local, (node, client_name, None))
-                for client_name in entry.local_clients
-            ]
-        net.sim.schedule_batch(delay, pairs)
-        for dim, sign in entry.forward:
-            self._forward(node, dim, sign, first_link)
-
-    def _forward(self, node: NodeCoord, dim: str, sign: int,
-                 first_link: bool) -> None:
-        net = self.net
-        fa = net.faults
-        if fa is not None:
-            until = fa.down_until(dim, sign, net.sim.now)
-            if until > net.sim.now:
-                net.sim.schedule(until - net.sim.now, self._forward,
-                                 node, dim, sign, first_link)
-                return
-        link = net.link(node, dim, sign)
-        if link.channel.try_acquire():
-            self._granted(node, dim, sign, link, first_link)
-        else:
-            fl = net.flight
-            if fl.enabled:
-                fl.hop_enqueued(self.packet, link, net.sim.now)
-            cg = net.congestion
-            if cg.enabled:
-                cg.hop_enqueued(self.packet, link, net.sim.now)
-            req = link.channel.request()
-            req.add_callback(
-                lambda _ev, node=node, dim=dim, sign=sign, link=link,
-                first=first_link: self._granted(node, dim, sign, link, first)
-            )
+        if forward is None:
+            if fa is not None:
+                until = fa.stall_until(node, sim.now)
+                if until > sim.now:
+                    # Stalled node: the whole visit (local deliveries
+                    # and forwarding) waits out the window.
+                    sim.schedule(until - sim.now, self._visit,
+                                 node, first_link)
+                    return
+            entry = self.pattern.entries[node]
+            # All local deliveries of one node visit land on the same
+            # tick (DST_RING_NS past the ring, or immediately at the
+            # source), so they go out as one batched entry — a visit
+            # costs ~1 scheduler entry instead of one per client.
+            # Client order, and for in-order packets the gate-creation
+            # order, is unchanged.
+            delay = DST_RING_NS if node != packet.src_node else 0.0
+            if packet.in_order:
+                pairs = []
+                for client_name in entry.local_clients:
+                    order_prev, order_mine = net._inorder_gate(packet, node)
+                    pairs.append((
+                        self._deliver_local,
+                        (node, client_name, order_prev, order_mine),
+                    ))
+            else:
+                pairs = [
+                    (self._finish_local, (node, client_name, None))
+                    for client_name in entry.local_clients
+                ]
+            sim.schedule_batch(delay, pairs)
+            forward = entry.forward
+        links = net._links
+        for dim, sign in forward:
+            if fa is not None:
+                until = fa.down_until(dim, sign, sim.now)
+                if until > sim.now:
+                    sim.schedule(until - sim.now, self._visit,
+                                 node, first_link, ((dim, sign),))
+                    continue
+            link = links.get((node, dim, sign)) or net.link(node, dim, sign)
+            if link.try_acquire():
+                self._granted(link, first_link)
+            else:
+                fl = net.flight
+                if fl.enabled:
+                    fl.hop_enqueued(packet, link, sim.now)
+                cg = net.congestion
+                if cg.enabled:
+                    cg.hop_enqueued(packet, link, sim.now)
+                link.wait(self._granted, (link, first_link))
 
     def _deliver_local(
         self,
@@ -522,42 +532,40 @@ class _McastTransit:
             net.packets_completed += 1
             self.done.succeed(net.sim.now)
 
-    def _granted(
-        self, node: NodeCoord, dim: str, sign: int, link: TorusLink, first_link: bool
-    ) -> None:
+    def _granted(self, link: TorusLink, first_link: bool) -> None:
         net = self.net
+        sim = net.sim
         packet = self.packet
-        link.record(packet.wire_bytes)
+        link.packets_carried += 1
+        link.bytes_carried += packet.wire_bytes
         net.link_traversals += 1
         fl = net.flight
         if fl.enabled:
-            fl.hop_granted(packet, link, net.sim.now)
+            fl.hop_granted(packet, link, sim.now)
         cg = net.congestion
         if cg.enabled:
-            cg.hop_granted(packet, link, net.sim.now)
-        nxt = net.torus.neighbor(node, dim, sign)
+            cg.hop_granted(packet, link, sim.now)
+        if first_link:
+            latency = link.mcast_first_ns + self.payload_extra
+        else:
+            latency = link.mcast_through_ns
         fa = net.faults
         if fa is None:
-            net.sim.schedule(packet.serialization_ns, link.channel.release)
-            fault_extra = 0.0
+            sim.schedule(packet.serialization_ns, link.release)
         else:
-            out = fa.transmit(packet, link, dim, sign, net.sim.now)
-            net.sim.schedule(out.hold_ns, link.channel.release)
+            lid = link.link_id
+            out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
+            sim.schedule(out.hold_ns, link.release)
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
             if out.lost:
-                self._lost_branch(nxt)
+                self._lost_branch(link.neighbor)
                 return
-            fault_extra = out.extra_ns
-        latency = LINK_COST_NS[dim] + MULTICAST_LOOKUP_NS
-        if first_link:
-            latency += self.payload_extra
-        else:
-            latency += THROUGH_RING_NS[dim]
-        latency += fault_extra
-        latency += net._jitter(packet)
-        net.sim.schedule(latency, self._visit, nxt, False)
+            latency += out.extra_ns
+        if net.reorder_jitter_ns > 0.0:
+            latency += net._jitter(packet)
+        sim.schedule(latency, self._visit, link.neighbor, False)
 
     def _lost_branch(self, root: NodeCoord) -> None:
         """Drop escalation on one multicast branch: every delivery in

@@ -165,7 +165,8 @@ def build_provenance(
     if spec is not None:
         doc["spec_hash"] = spec.spec_hash
     for key in (
-        "wall_time_s", "events_per_second", "peak_rss_bytes", "scheduler"
+        "wall_time_s", "loop_wall_s", "events_per_second",
+        "peak_rss_bytes", "scheduler",
     ):
         if meta and key in meta:
             doc[key] = meta[key]

@@ -103,11 +103,12 @@ class RunResult:
         default=None, repr=False, compare=False
     )
     #: Wall-clock facts about how this run executed (wall_time_s,
-    #: events_executed, events_per_second, peak_rss_bytes).  Host- and
-    #: load-dependent, so deliberately OUTSIDE the serializable core:
-    #: cached results and sweep checkpoints must stay byte-identical
-    #: regardless of where and how fast a point computed.  Sweep
-    #: workers ship it separately, via the telemetry stream.
+    #: loop_wall_s, events_executed, events_per_second, peak_rss_bytes).
+    #: Host- and load-dependent, so deliberately OUTSIDE the
+    #: serializable core: cached results and sweep checkpoints must stay
+    #: byte-identical regardless of where and how fast a point
+    #: computed.  Sweep workers ship it separately, via the telemetry
+    #: stream.
     meta: dict = field(default_factory=dict, repr=False, compare=False)
     #: The live :class:`~repro.profile.profiler.EngineProfiler` when
     #: the run was profiled (``Captures(profile=True)``).
@@ -246,8 +247,9 @@ def run_experiment(
     equivalent ``Captures`` (passing both forms is an error).
 
     Every run also gets wall-clock execution facts on ``result.meta``
-    (events/sec, peak RSS, wall seconds, the scheduler that ran it) —
-    observed from outside the simulation, never serialized with it.
+    (run-loop events/sec, peak RSS, wall and run-loop seconds, the
+    scheduler that ran it) — observed from outside the simulation,
+    never serialized with it.
     """
     import warnings
 
@@ -323,11 +325,14 @@ def run_experiment(
     from repro.profile.telemetry import peak_rss_bytes
 
     events_executed = sum(sim.events_executed for sim in sims)
-    wall_s = wall_ns / 1e9
+    # Events per second of the run loops alone: machine build, MD
+    # numerics between steps and analysis are not event execution.
+    loop_s = sum(sim.loop_wall_ns for sim in sims) / 1e9
     meta = {
-        "wall_time_s": wall_s,
+        "wall_time_s": wall_ns / 1e9,
+        "loop_wall_s": loop_s,
         "events_executed": events_executed,
-        "events_per_second": events_executed / wall_s if wall_s > 0 else 0.0,
+        "events_per_second": events_executed / loop_s if loop_s > 0 else 0.0,
         "peak_rss_bytes": peak_rss_bytes(),
         # Engine provenance: which scheduler produced this run.  The
         # schedulers are proven byte-equivalent, so this rides in meta

@@ -292,7 +292,7 @@ class FlightRecorder:
         """The packet found the link busy and joined its queue."""
         name = repr(link.link_id)
         # Depth observed just before this packet joins the waiters.
-        depth = link.channel.queue_length
+        depth = link.queue_length
         self._pending[(packet.packet_id, name)] = (now, depth)
         self.queue_depth_series.setdefault(name, []).append((now, depth + 1))
         m = self.metrics
@@ -325,7 +325,7 @@ class FlightRecorder:
         if enqueue_ns != now:
             # The grant drains one waiter; sample the shrinking queue.
             self.queue_depth_series.setdefault(name, []).append(
-                (now, link.channel.queue_length)
+                (now, link.queue_length)
             )
         m = self.metrics
         if m is not None:

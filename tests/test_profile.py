@@ -145,6 +145,36 @@ def test_run_result_meta_execution_facts():
     assert set(meta) & set(result.to_dict()) == set()
 
 
+def test_events_per_second_excludes_time_outside_run_loop():
+    """A slow build must not dilute the run loop's event rate."""
+    import time
+
+    from repro.runner.result import Measurement, Outcome
+    from repro.runner.spec import _REGISTRY, register_experiment
+
+    @register_experiment("_slow_build_test")
+    def _slow_build(spec):
+        time.sleep(0.2)  # stands in for machine build and MD numerics
+        sim = Simulator()
+        for i in range(2000):
+            sim.schedule(float(i), lambda: None)
+        sim.run()
+        return Outcome("slow build", sim.now, (Measurement("t_ns", sim.now),))
+
+    try:
+        meta = run_experiment(ExperimentSpec("_slow_build_test")).meta
+    finally:
+        _REGISTRY.pop("_slow_build_test")
+    assert meta["events_executed"] == 2000
+    assert 0 < meta["loop_wall_s"] < meta["wall_time_s"] - 0.2
+    assert meta["events_per_second"] == pytest.approx(
+        meta["events_executed"] / meta["loop_wall_s"]
+    )
+    assert meta["events_per_second"] >= (
+        meta["events_executed"] / meta["wall_time_s"]
+    )
+
+
 def test_peak_rss_bytes_is_plausible():
     rss = peak_rss_bytes()
     # A running CPython interpreter needs at least a few MB.

@@ -76,11 +76,15 @@ class TestBeginEndPairing:
 
 class TestUtilizationGuards:
     def test_link_utilization_zero_window(self, sim):
-        link = TorusLink(sim, LinkId((0, 0, 0), "x", +1))
+        link = TorusLink(sim, LinkId((0, 0, 0), "x", +1), (1, 0, 0))
         assert link.utilization(0.0) == 0.0
         assert link.utilization(-1.0) == 0.0
         # Implicit window at simulated time 0 is also zero-length.
         assert link.utilization() == 0.0
+        # A channel held since time 0 still reports a zero window as 0.
+        assert link.try_acquire()
+        assert link.utilization() == 0.0
+        assert link.utilization(0.0) == 0.0
 
     def test_resource_utilization_zero_window(self, sim):
         res = Resource(sim, capacity=1, name="r")

@@ -1,0 +1,207 @@
+"""Golden digests of the network transport's observable bytes.
+
+Each case runs a fixed spec (or a direct :class:`~repro.network.network.Network`
+exchange) and pins the sha256 of its canonical JSON.  The cases cover
+every path a transport change can disturb: the uncontended unicast hop
+(``latency``, ``fig5``), the contended unicast hop (the 26-to-1
+incast), multicast transit under contention (``mdstep``), all-reduce
+trees (``allreduce``), the link-level retry path (``fault_sensitivity``
+at a BER above zero), the flight and congestion probes' view of the
+incast, reordering jitter mixed with in-order packets, and link-down,
+node-stall and bit-error faults on both transits.
+
+A digest change means result bytes changed.  Update the digest only
+together with the model change that explains it.  Print the current
+values with ``PYTHONPATH=src python tests/test_transport_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.bench.results import canonical_json
+from repro.runner import Captures, ExperimentSpec, run_experiment
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+#: name -> spec whose canonical ``RunResult.to_dict()`` is pinned.
+SPECS = {
+    "latency": ExperimentSpec("latency", shape=(4, 4, 4), rounds=2),
+    "fig5": ExperimentSpec("fig5", shape=(4, 4, 4), rounds=2, hops=3),
+    "congestion": ExperimentSpec(
+        "congestion", shape=(3, 3, 3), rounds=2
+    ).with_extras(senders=26),
+    "mdstep": ExperimentSpec("mdstep", shape=(2, 2, 2), rounds=2),
+    "allreduce": ExperimentSpec("allreduce", shape=(4, 4, 4), payload=32),
+    "fault_sensitivity": ExperimentSpec(
+        "fault_sensitivity", shape=(3, 3, 3), rounds=2
+    ).with_extras(ber=0.0003, max_retries=64),
+}
+
+DIGESTS = {
+    "latency":
+        "c1dc20a8533ed57824fcfd68e21f51c0dd29075fb9b8a712a7569b2fb720d8ad",
+    "fig5":
+        "eef8085dea2622bd34caaa5dd50febf72140b83475e82c6e8a3f280cee101e5d",
+    "congestion":
+        "3b43e5b2b772458f7fffdf61f23bca4c5af5c549576db7052dc4746ddf3d1297",
+    "mdstep":
+        "739af852c59da63db2f67cf17253a2199b38edbc2aa8663c354a3be45b38e726",
+    "allreduce":
+        "6229bfd3fac90e8d877adede2bde2116ae24896ea36c1fd03fb109cb7f300e26",
+    "fault_sensitivity":
+        "243058bbfe41dfc372df2b6fed7855426a803565019b5cddc7f110f8ddf041de",
+    "incast_probes":
+        "a23519a8392bee81833975858269ffa5b111d3fcdca83a243c00244bbd10a78f",
+    "jitter_exchange":
+        "77d22986e83d82aec300b0c741a8d0ea3f1cf1e327ef8e3cfeae6c2300e54245",
+    "fault_exchange":
+        "248b235127a56a73daf3e80124b4c47258aa452db995946bc2b31d28a3bd097f",
+}
+
+
+def result_digest(name: str) -> str:
+    return _sha(run_experiment(SPECS[name]).to_dict())
+
+
+def incast_probes_digest() -> str:
+    """The incast's exported flight trace plus the congestion
+    recorder's per-link statistics, both probes attached at once."""
+    from repro.trace.export import dumps_chrome_trace
+
+    result = run_experiment(
+        SPECS["congestion"], Captures(flight=True, congestion=True)
+    )
+    cg = result.congestion
+    congestion = {
+        "wait_ns": cg.wait_ns,
+        "waits": cg.waits,
+        "grants": cg.grants,
+        "peak_depth": cg.peak_depth,
+        "occupied_ns": cg.occupied_ns,
+        "directions": cg.directions,
+        "depth": {k: s.samples() for k, s in cg.depth_series.items()},
+        "occupancy": {
+            k: s.samples() for k, s in cg.occupancy_series.items()
+        },
+    }
+    return _sha({
+        "trace": dumps_chrome_trace(result.flight),
+        "congestion": congestion,
+        "result": result.to_dict(),
+    })
+
+
+class _Sink:
+    """A bare network client that logs what it receives."""
+
+    def __init__(self, sim, node, name, log) -> None:
+        self.sim = sim
+        self.node = node
+        self.name = name
+        self.log = log
+
+    def receive(self, packet) -> None:
+        self.log.append(
+            [self.sim.now, list(self.node), self.name, packet.payload]
+        )
+
+
+def exchange_digest(**network_kwargs) -> str:
+    """A direct Network exchange: contended unicast and multicast
+    bursts, half of them flagged in-order."""
+    from repro.engine import Simulator
+    from repro.network.multicast import compile_pattern
+    from repro.network.network import Network
+    from repro.network.packet import Packet
+    from repro.topology.torus import Torus3D
+
+    sim = Simulator()
+    torus = Torus3D(4, 2, 2)
+    net = Network(sim, torus, **network_kwargs)
+    log: list = []
+    for node in torus.nodes():
+        for name in ("a", "b"):
+            net.attach(_Sink(sim, node, name, log))
+    src = torus.coord((0, 0, 0))
+    far = torus.coord((2, 1, 1))
+    pid = net.register_pattern(compile_pattern(torus, src, {
+        (1, 0, 0): ["a"], (2, 0, 0): ["a", "b"], (3, 1, 0): ["b"],
+        (2, 1, 1): ["a"],
+    }))
+    seq = 0
+
+    def burst() -> None:
+        nonlocal seq
+        for k in range(6):
+            seq += 1
+            net.inject(Packet(src, "a", far, "a", payload_bytes=64 * (k % 3),
+                              payload=seq, in_order=bool(k % 2)))
+            seq += 1
+            net.inject(Packet(src, "b", far, "b", payload_bytes=256,
+                              payload=seq, in_order=bool(k % 2),
+                              pattern_id=pid))
+
+    for t in (0.0, 40.0, 41.0, 300.0):
+        sim.schedule(t, burst)
+    sim.run()
+    links = [
+        [repr(link.link_id), link.packets_carried, link.bytes_carried,
+         link.peak_queue_length, link.busy_ns]
+        for link in net.links()
+    ]
+    return _sha({
+        "log": log,
+        "links": links,
+        "counts": [net.packets_injected, net.packets_delivered,
+                   net.packets_completed, net.link_traversals],
+        "now": sim.now,
+    })
+
+
+def fault_exchange_digest() -> str:
+    """The exchange with a downed link, a stalled transit node and bit
+    errors: the re-arm and retry paths of both transits."""
+    from repro.faults.plan import BitError, FaultPlan, LinkDown, NodeStall
+    from repro.faults.session import FaultSession
+
+    plan = FaultPlan(
+        seed=5,
+        max_retries=64,
+        bit_errors=(BitError(links="*", ber=2e-4),),
+        link_downs=(LinkDown(links="x+", start_ns=30.0, end_ns=400.0),),
+        # The stall outlasts the outage: a branch re-armed at 400 ns
+        # forwards from the stalled node (only whole visits wait).
+        node_stalls=(NodeStall(node=(1, 0, 0), start_ns=300.0,
+                               end_ns=600.0),),
+    )
+    return exchange_digest(faults=FaultSession(plan))
+
+
+def _digest(name: str) -> str:
+    if name == "incast_probes":
+        return incast_probes_digest()
+    if name == "jitter_exchange":
+        return exchange_digest(reorder_jitter_ns=120.0, seed=11)
+    if name == "fault_exchange":
+        return fault_exchange_digest()
+    return result_digest(name)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_transport_digest(name):
+    assert _digest(name) == DIGESTS[name], (
+        f"{name}: result bytes changed; if a model change explains it, "
+        "update DIGESTS in the same commit"
+    )
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: _digest(name) for name in sorted(DIGESTS)},
+                     indent=4))
