@@ -48,10 +48,9 @@ with the ledger on or off.
 
 Every measurement subcommand shares the same canonical flags —
 ``--shape``, ``--rounds``, ``--payload``, ``--seed`` — built from one
-argparse parent parser (old spellings survive as hidden deprecated
-aliases that print a one-line warning), plus ``--metrics``, which runs
-it with the telemetry layer attached and prints the metrics registry
-(counters / gauges / latency percentiles) after the result.
+argparse parent parser, plus ``--metrics``, which runs it with the
+telemetry layer attached and prints the metrics registry (counters /
+gauges / latency percentiles) after the result.
 """
 
 from __future__ import annotations
@@ -69,37 +68,6 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(
             f"shape must look like 8x8x8, got {text!r}"
         ) from None
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Accept an old spelling, emit a removal notice, store normally.
-
-    The old spellings (``--payload-bytes``, positional all-reduce
-    shapes) parse identically to their canonical replacements
-    (``--payload``, ``--shape``) but are on a removal timeline: each
-    use raises a :class:`DeprecationWarning` naming the replacement
-    (so test suites and ``-W error`` runs catch stragglers) and prints
-    the same notice to stderr (DeprecationWarnings are hidden by
-    default outside ``__main__``, and CLI users must still see it).
-    """
-
-    def __init__(self, option_strings, dest, replacement="", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self._replacement = replacement
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values in (None, []):
-            return
-        import warnings
-
-        name = option_string or self.metavar or self.dest
-        msg = f"{name} is deprecated and will be removed in a future release"
-        if self._replacement:
-            msg += f"; use {self._replacement} instead"
-        warnings.warn(msg, DeprecationWarning, stacklevel=2)
-        print(f"warning: {msg}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
 
 
 def _canonical_parent(
@@ -121,9 +89,6 @@ def _canonical_parent(
                    help=f"repetitions inside the experiment (default {rounds})")
     p.add_argument("--payload", type=int, default=0,
                    help="payload bytes where applicable (default 0)")
-    # Old spelling kept as a hidden deprecated alias.
-    p.add_argument("--payload-bytes", dest="payload", type=int,
-                   action=_DeprecatedAlias, replacement="--payload")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed mixed into every run (default 0)")
     p.add_argument(
@@ -481,7 +446,7 @@ def _run_allreduce(args, registry) -> int:
     from repro.analysis import render_table
     from repro.runner import ExperimentSpec, run_sweep
 
-    shapes = args.shape_list or args.shapes or [(4, 4, 4), (8, 8, 8)]
+    shapes = args.shape_list or [(4, 4, 4), (8, 8, 8)]
     specs = [
         ExperimentSpec(
             "allreduce", shape=s, rounds=args.rounds, seed=args.seed,
@@ -1043,10 +1008,6 @@ def main(argv: list[str] | None = None) -> int:
                       action="append", default=None, metavar="SHAPE",
                       help="machine shape, repeatable "
                            "(default 4x4x4 and 8x8x8)")
-    # Old spelling: positional shapes, kept as a deprecated alias.
-    p_ar.add_argument("shapes", nargs="*", type=_parse_shape, default=[],
-                      action=_DeprecatedAlias, replacement="--shape",
-                      metavar="shapes")
 
     p_sw = sub.add_parser(
         "sweep",

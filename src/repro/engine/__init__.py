@@ -8,9 +8,11 @@ synchronization-counter thresholds.
 
 Design notes
 ------------
-* Simulated time is a float in **nanoseconds**.  All orderings are made
-  deterministic by breaking time ties with a monotonically increasing
-  sequence number, so repeated runs produce identical traces.
+* Simulated time is a float in **nanoseconds**.  Events run in
+  ``(time, scheduling order)`` order — the event queue is a calendar of
+  FIFO buckets keyed on exact timestamps (see
+  :mod:`repro.engine.simulator`) — so repeated runs produce identical
+  traces.
 * Processes are plain Python generators that ``yield`` waitables
   (:class:`Event`, :class:`Timeout`, another :class:`Process`, or an
   :class:`AllOf` / :class:`AnyOf` combinator).  This keeps the hot loop
@@ -25,17 +27,6 @@ Design notes
 from repro.engine.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.engine.process import Process
 from repro.engine.resource import Resource, Store
-from repro.engine.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_NAMES,
-    HeapScheduler,
-    Scheduler,
-    TimeWheelScheduler,
-    engine_config,
-    make_scheduler,
-    resolve_scheduler,
-    use_scheduler,
-)
 from repro.engine.simulator import (
     EventHistory,
     Simulator,
@@ -46,23 +37,14 @@ from repro.engine.simulator import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_SCHEDULER",
     "Event",
     "EventHistory",
-    "HeapScheduler",
     "Interrupt",
     "Process",
     "Resource",
-    "SCHEDULER_NAMES",
-    "Scheduler",
     "Simulator",
     "Store",
-    "TimeWheelScheduler",
     "Timeout",
     "add_new_sim_hook",
-    "engine_config",
-    "make_scheduler",
     "remove_new_sim_hook",
-    "resolve_scheduler",
-    "use_scheduler",
 ]

@@ -16,8 +16,8 @@ construct their own machinery (e.g. :class:`~repro.md.machine.AntonMD`)
 are monitored without plumbing.
 
 Everything the monitor does is read-only against simulation state, and
-the monitor hook lives outside the event queue (no sequence numbers
-consumed, no events scheduled), so a monitored run is bit-identical to
+the monitor hook lives outside the event queue (no queue entries, no
+events scheduled), so a monitored run is bit-identical to
 an unmonitored one.
 """
 

@@ -12,10 +12,10 @@ The channel is owned by the link rather than built on the engine's
 :class:`~repro.engine.resource.Resource`: a packet that finds the link
 busy queues a ``(fn, args)`` continuation in a deque, with no event and
 no closure.  On release the head continuation is scheduled at the
-current instant, taking the next sequence number: exactly the one entry
-``Event.succeed`` pushed for a ``Resource`` grant.  The grant goes
-through the scheduler rather than running inline so that everything
-already scheduled for that instant runs first; same-instant order,
+current instant, behind every entry already queued for it: exactly the
+one entry ``Event.succeed`` pushed for a ``Resource`` grant.  The grant
+goes through the event queue rather than running inline so that
+everything already scheduled for that instant runs first; same-instant order,
 grant order and every result byte stay those of the ``Resource`` model.
 
 Each link direction also carries the per-hop constants the transport
@@ -128,7 +128,7 @@ class TorusLink:
         if self._busy_since is None:
             raise RuntimeError(f"release() of idle {self.link_id!r}")
         if self._waiters:
-            # One scheduler entry at the current instant, behind every
+            # One queue entry at the current instant, behind every
             # entry already there (see the module docstring).
             fn, args = self._waiters.popleft()
             self.sim.schedule_now(fn, args)

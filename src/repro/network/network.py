@@ -32,8 +32,8 @@ implementation.  Client-side code keeps the friendlier generator API.
 A link direction (:class:`~repro.network.link.TorusLink`) is a
 link-owned FCFS queue of those continuations: a packet that finds the
 link busy queues ``(self._granted, args)`` and allocates no event and no
-closure.  The release still grants through the scheduler, as one entry
-at the current instant, so same-instant order — and with it every
+closure.  The release still grants through the event queue, as one
+entry at the current instant, so same-instant order — and with it every
 result byte — is that of an engine ``Resource``.  Each hop does one
 link lookup; the neighbour and head latencies come precomputed on the
 link.  Faults, jitter and the in-order flag stay inline in the one
@@ -464,27 +464,20 @@ class _McastTransit:
                                  node, first_link)
                     return
             entry = self.pattern.entries[node]
-            # All local deliveries of one node visit land on the same
+            # Local deliveries go out in client order, each at the same
             # tick (DST_RING_NS past the ring, or immediately at the
-            # source), so they go out as one batched entry — a visit
-            # costs ~1 scheduler entry instead of one per client.
-            # Client order, and for in-order packets the gate-creation
-            # order, is unchanged.
+            # source); for in-order packets the gates are taken in that
+            # order too.
             delay = DST_RING_NS if node != packet.src_node else 0.0
             if packet.in_order:
-                pairs = []
                 for client_name in entry.local_clients:
                     order_prev, order_mine = net._inorder_gate(packet, node)
-                    pairs.append((
-                        self._deliver_local,
-                        (node, client_name, order_prev, order_mine),
-                    ))
+                    sim.schedule(delay, self._deliver_local, node,
+                                 client_name, order_prev, order_mine)
             else:
-                pairs = [
-                    (self._finish_local, (node, client_name, None))
-                    for client_name in entry.local_clients
-                ]
-            sim.schedule_batch(delay, pairs)
+                for client_name in entry.local_clients:
+                    sim.schedule(delay, self._finish_local, node,
+                                 client_name, None)
             forward = entry.forward
         links = net._links
         for dim, sign in forward:

@@ -26,13 +26,13 @@ Two profiles come out:
   ``perf_counter_ns``, host-dependent, whose per-component totals tile
   the run loop's measured wall time *exactly*.  Timing is chained (one
   clock read per event), so an event's wall is *dispatch-inclusive*:
-  it covers the heap pop, hook dispatch, and profiler bookkeeping that
+  it covers the queue walk, hook dispatch, and profiler bookkeeping that
   delivered it as well as its body.  The residual the loop spends
   outside any event (startup, stop checks, teardown) is surfaced as
   its own ``engine/(scheduler)`` row.
 
 Profiling is a passive wall-clock observer: it reads no simulated
-state, schedules nothing, and consumes no sequence numbers, so a
+state, schedules nothing, and occupies no queue entry, so a
 profiled run is bit-identical to a bare one (property-tested).
 """
 

@@ -168,26 +168,12 @@ class ResultCache:
         """Store ``result`` atomically; returns the entry path."""
         key = self.key(result.spec)
         path = self.path(key)
-        from repro.engine.scheduler import engine_config
-
-        engine = engine_config()
-        if result.meta.get("scheduler"):
-            # Prefer the recorded fact over ambient resolution: sweep
-            # workers may have computed this result in another process.
-            engine["scheduler"] = result.meta["scheduler"]
         payload = result.to_dict()
         doc = {
             "schema": CACHE_SCHEMA,
             "key": key,
             "payload": payload,
             "payload_sha256": _payload_sha256(payload),
-            # Engine provenance (which scheduler computed this entry).
-            # Deliberately outside the key and the payload hash: the
-            # equivalence suite proves results byte-identical across
-            # schedulers, so an entry is valid under either — this
-            # records how it was produced, it does not partition the
-            # cache.
-            "engine": engine,
         }
         atomic_write_json(path, doc)
         self.stats.writes += 1

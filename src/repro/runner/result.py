@@ -215,21 +215,8 @@ class Captures:
         )
 
 
-_LEGACY_FLAGS_MSG = (
-    "run_experiment(flight=/registry=/profile=/congestion=) is deprecated; "
-    "pass captures=Captures(...) instead (see the runner migration note in "
-    "README.md)"
-)
-
-
 def run_experiment(
-    spec: ExperimentSpec,
-    captures: Optional[Captures] = None,
-    *,
-    flight: Optional[bool] = None,
-    registry: Optional[MetricsRegistry] = None,
-    profile: Optional[bool] = None,
-    congestion: Optional[bool] = None,
+    spec: ExperimentSpec, captures: Optional[Captures] = None
 ) -> RunResult:
     """Execute one spec through the registry and wrap the outcome.
 
@@ -241,33 +228,12 @@ def run_experiment(
     recorder, engine self-profiler, congestion X-ray, caller-owned
     metrics registry) — see :class:`Captures`.
 
-    The keyword flags ``flight=``/``registry=``/``profile=``/
-    ``congestion=`` are deprecated shims for the pre-``Captures`` API:
-    they emit :class:`DeprecationWarning` and translate onto an
-    equivalent ``Captures`` (passing both forms is an error).
-
     Every run also gets wall-clock execution facts on ``result.meta``
-    (run-loop events/sec, peak RSS, wall and run-loop seconds, the
-    scheduler that ran it) — observed from outside the simulation,
-    never serialized with it.
+    (run-loop events/sec, peak RSS, wall and run-loop seconds) —
+    observed from outside the simulation, never serialized with it.
     """
-    import warnings
-
     from repro.engine.simulator import add_new_sim_hook, remove_new_sim_hook
 
-    if (flight, registry, profile, congestion) != (None, None, None, None):
-        warnings.warn(_LEGACY_FLAGS_MSG, DeprecationWarning, stacklevel=2)
-        if captures is not None:
-            raise TypeError(
-                "pass either captures=Captures(...) or the legacy "
-                "flight=/registry=/profile=/congestion= flags, not both"
-            )
-        captures = Captures(
-            flight=bool(flight),
-            profile=bool(profile),
-            congestion=bool(congestion),
-            registry=registry,
-        )
     caps = captures if captures is not None else Captures()
     flight = caps.flight
     profile = caps.profile
@@ -321,7 +287,6 @@ def run_experiment(
             f"experiment {spec.experiment!r} returned {type(outcome)}, "
             "expected Outcome"
         )
-    from repro.engine.scheduler import resolve_scheduler
     from repro.profile.telemetry import peak_rss_bytes
 
     events_executed = sum(sim.events_executed for sim in sims)
@@ -334,14 +299,6 @@ def run_experiment(
         "events_executed": events_executed,
         "events_per_second": events_executed / loop_s if loop_s > 0 else 0.0,
         "peak_rss_bytes": peak_rss_bytes(),
-        # Engine provenance: which scheduler produced this run.  The
-        # schedulers are proven byte-equivalent, so this rides in meta
-        # (outside the cacheable core and the cache key) — recorded so
-        # ledger entries and sweep telemetry can attribute wall-clock
-        # deltas to the engine configuration that produced them.
-        "scheduler": (
-            sims[0].scheduler_name if sims else resolve_scheduler()
-        ),
     }
     return RunResult(
         spec=spec,

@@ -3,8 +3,8 @@
 A monitored run and a bare run of the same experiment must agree on
 *every* simulated observable — final clock, packet books, events
 executed, delivered payloads — for any shape, interval, and payload.
-The monitor hook lives outside the event queue (it never consumes a
-scheduling sequence number), so this holds exactly, not just
+The monitor hook lives outside the event queue (it never occupies a
+queue entry), so this holds exactly, not just
 statistically.
 """
 

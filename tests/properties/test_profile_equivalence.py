@@ -1,8 +1,8 @@
 """Property-based test: the engine profiler is a passive observer.
 
 The profiler wraps event execution with wall-clock accounting but
-reads no simulated state, schedules nothing, and consumes no
-scheduling sequence numbers — so a profiled run and a bare run of the
+reads no simulated state, schedules nothing, and occupies no queue
+entry — so a profiled run and a bare run of the
 same experiment must agree on *every* simulated observable, exactly.
 The same holds one level up: ``run_experiment(Captures(profile=True))`` and the
 sweep telemetry must leave serialized result/checkpoint bytes

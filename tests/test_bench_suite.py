@@ -20,10 +20,10 @@ class TestRunSuite:
         rs = run_suite(shape=SHAPE)
         assert {r.benchmark for r in rs} == set(SUITE_BENCHMARKS)
         for r in rs:
-            # The monitor perturbation and scheduler equivalence gates
-            # are *meant* to be exactly zero (zero baseline = any
-            # drift is an infinite regression).
-            if r.benchmark in ("monitor", "scheduler") and r.better == "lower":
+            # The monitor perturbation gates are *meant* to be exactly
+            # zero (zero baseline = any drift is an infinite
+            # regression).
+            if r.benchmark == "monitor" and r.better == "lower":
                 assert r.value == 0.0
             else:
                 assert r.value > 0

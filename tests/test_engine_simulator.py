@@ -80,3 +80,91 @@ def test_determinism_across_runs():
         return seen
 
     assert build_and_run() == build_and_run()
+
+
+def test_stop_event_mid_bucket_resumes_the_instant_in_order(sim):
+    seen = []
+    ev = sim.event()
+    sim.schedule(1.0, seen.append, "a")
+    sim.schedule(1.0, ev.succeed, "stop")
+    sim.schedule(1.0, seen.append, "b")
+    sim.schedule(1.0, seen.append, "c")
+    sim.schedule(2.0, seen.append, "later")
+    assert sim.run(until=ev) == "stop"
+    assert seen == ["a"]
+    assert sim.now == 1.0
+    assert sim.pending == 3
+    # A same-instant schedule between runs queues behind the remainder.
+    sim.schedule(0.0, seen.append, "d")
+    sim.run()
+    assert seen == ["a", "b", "c", "d", "later"]
+    assert sim.pending == 0
+
+
+def test_crash_mid_bucket_leaves_the_remainder_pending(sim):
+    seen = []
+
+    def crasher():
+        raise ValueError("boom")
+        yield  # pragma: no cover
+
+    sim.schedule(0.0, seen.append, "a")
+    sim.process(crasher())
+    sim.schedule(0.0, seen.append, "b")
+    sim.schedule(0.0, seen.append, "c")
+    with pytest.raises(RuntimeError, match="unhandled exception"):
+        sim.run()
+    assert seen == ["a"]
+    assert sim.pending == 2
+    assert sim.events_executed == 2
+    sim.run()
+    assert seen == ["a", "b", "c"]
+    assert sim.events_executed == 4
+
+
+def test_exception_mid_bucket_leaves_the_remainder_pending(sim):
+    seen = []
+
+    def fail():
+        raise KeyError("escaped")
+
+    sim.schedule(1.0, seen.append, "a")
+    sim.schedule(1.0, fail)
+    sim.schedule(1.0, seen.append, "b")
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.pending == 1
+    sim.run()
+    assert seen == ["a", "b"]
+
+
+def test_monitor_hook_reads_logical_pending_mid_bucket(sim):
+    """Before each event the hook sees what a queue that removes each
+    event as it runs would hold: the event itself is no longer pending
+    and is already counted as executed."""
+    observed = []
+
+    def hook(when):
+        observed.append((when, sim.pending, sim.events_executed))
+        return when  # due again at the next event
+
+    def first():
+        sim.schedule(0.0, lambda: None)  # appended behind e2..e5
+
+    sim.schedule(1.0, first)
+    for _ in range(4):
+        sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.set_monitor_hook(hook)
+    sim.run()
+    assert observed == [
+        (1.0, 5, 1),  # e2..e5 and the t=2 event
+        (1.0, 5, 2),  # e3..e5, the appended event, t=2
+        (1.0, 4, 3),
+        (1.0, 3, 4),
+        (1.0, 2, 5),
+        (1.0, 1, 6),  # only t=2 remains
+        (2.0, 0, 7),
+    ]
+    assert sim.pending == 0
+    assert sim.events_executed == 7

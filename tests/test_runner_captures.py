@@ -1,4 +1,4 @@
-"""Tests for the consolidated ``Captures`` run API (and its shims)."""
+"""Tests for the consolidated ``Captures`` run API."""
 
 import json
 
@@ -54,37 +54,26 @@ class TestCaptures:
         with pytest.raises(AttributeError):
             Captures().flight = True
 
-    def test_meta_records_scheduler(self):
-        from repro.engine import use_scheduler
 
-        for name in ("heap", "wheel"):
-            with use_scheduler(name):
-                assert run_experiment(SPEC).meta["scheduler"] == name
+class TestLegacyKwargsRejected:
+    """The pre-``Captures`` keyword flags are gone: each one is an
+    unexpected keyword argument, alone or next to ``captures``."""
 
-
-class TestLegacyShims:
-    def test_legacy_kwargs_warn_and_behave_identically(self):
-        with pytest.warns(DeprecationWarning, match="captures=Captures"):
-            legacy = run_experiment(SPEC, flight=True, profile=True)
-        new = run_experiment(SPEC, Captures(flight=True, profile=True))
-        assert legacy.flight is not None and legacy.profile is not None
-        assert _canon(legacy) == _canon(new)
-
-    def test_legacy_congestion_and_registry(self):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning):
-            result = run_experiment(SPEC, congestion=True, registry=registry)
-        assert result.congestion is not None
-        assert result.registry is registry
-
-    def test_both_forms_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="not both"):
-                run_experiment(SPEC, Captures(), flight=True)
+    @pytest.mark.parametrize("kwarg", [
+        {"flight": True},
+        {"profile": True},
+        {"congestion": True},
+        {"registry": MetricsRegistry()},
+    ], ids=["flight", "profile", "congestion", "registry"])
+    def test_legacy_kwarg_is_a_type_error(self, kwarg):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_experiment(SPEC, **kwarg)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_experiment(SPEC, Captures(), **kwarg)
 
     def test_wrappers_do_not_warn(self, recwarn):
-        """The CLI-facing helpers are rewired onto Captures internally
-        — using them must not trip the deprecation shim."""
+        """The CLI-facing helpers run on Captures and emit no
+        DeprecationWarning."""
         import warnings
 
         from repro.congestion.capture import run_congested

@@ -8,7 +8,9 @@ incast), multicast transit under contention (``mdstep``), all-reduce
 trees (``allreduce``), the link-level retry path (``fault_sensitivity``
 at a BER above zero), the flight and congestion probes' view of the
 incast, reordering jitter mixed with in-order packets, and link-down,
-node-stall and bit-error faults on both transits.
+node-stall and bit-error faults on both transits.  The ``monitor_*``
+cases pin every health monitor's full sampler series, which includes
+``engine.pending_events`` read mid-run.
 
 A digest change means result bytes changed.  Update the digest only
 together with the model change that explains it.  Print the current
@@ -63,6 +65,19 @@ DIGESTS = {
         "77d22986e83d82aec300b0c741a8d0ea3f1cf1e327ef8e3cfeae6c2300e54245",
     "fault_exchange":
         "248b235127a56a73daf3e80124b4c47258aa452db995946bc2b31d28a3bd097f",
+    "monitor_congestion":
+        "1a468e6f02086df5223acfe5d8e8cc7fdc4807f3e3afeaa88b01920fe09d7c89",
+    "monitor_mdstep":
+        "1433e4bedb816c5d55d39fcf369ecbe1f3b246fedad65834ec08f55d4a75de32",
+    "monitor_allreduce":
+        "6b29f873b05d2089b12d84732fd8e9bcc933172e678a176f0040ff1c5e5046f9",
+}
+
+#: name -> (experiment, shape) run under continuous monitoring.
+MONITORED = {
+    "monitor_congestion": ("congestion", (3, 3, 3)),
+    "monitor_mdstep": ("mdstep", (2, 2, 2)),
+    "monitor_allreduce": ("allreduce", (4, 4, 4)),
 }
 
 
@@ -184,7 +199,21 @@ def fault_exchange_digest() -> str:
     return exchange_digest(faults=FaultSession(plan))
 
 
+def monitor_digest(name: str) -> str:
+    """Every monitor's full sampler series from a monitored run."""
+    from repro.monitor.capture import run_monitored
+
+    experiment, shape = MONITORED[name]
+    cap = run_monitored(experiment, shape, rounds=2, interval_ns=50.0)
+    return _sha([
+        {series.name: series.samples() for series in monitor.sampler}
+        for monitor in cap.monitors
+    ])
+
+
 def _digest(name: str) -> str:
+    if name in MONITORED:
+        return monitor_digest(name)
     if name == "incast_probes":
         return incast_probes_digest()
     if name == "jitter_exchange":
