@@ -1162,8 +1162,8 @@ def main(argv: list[str] | None = None) -> int:
         "congest", parents=[_canonical_parent(), _ledger_parent()],
         help="the congestion X-ray: queue telemetry, per-packet delay "
              "decomposition, backpressure attribution",
-        description="Runs one experiment with the flight recorder and "
-                    "the congestion recorder attached, then prints the "
+        description="Runs one experiment with the flight recorder "
+                    "attached, then prints the "
                     "backpressure congestion tree (links ranked by "
                     "contributed head-of-line wait), the worst link's "
                     "feeders, blocking episodes, and the exact "

@@ -340,7 +340,7 @@ def measure_attribution(
     from repro.analysis.latency import _destination_for_hops
     from repro.asic.node import build_machine
     from repro.engine.simulator import Simulator
-    from repro.trace.flight import FlightRecorder, use_flight
+    from repro.trace.flight import FlightRecorder, active_flight, use_flight
 
     dst_coord = _destination_for_hops(shape, hops)
     sim = Simulator()
@@ -368,6 +368,11 @@ def measure_attribution(
     sim.run(until=sim.all_of([p1, p2]))
     [flight] = fl.packets()
     attr = attribute_flight(flight, fl)
+    # The write's own recorder keeps the analysis to this one packet; a
+    # capture around the call (``Captures(flight=True)``) still sees it.
+    outer = active_flight()
+    if outer.enabled:
+        outer.absorb(fl)
     return AttributionMeasurement(
         hops=hops,
         shape=shape,

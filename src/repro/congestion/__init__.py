@@ -1,11 +1,11 @@
-"""Congestion X-ray: queue telemetry, delay decomposition, attribution.
+"""Congestion X-ray: queue timelines, delay decomposition, attribution.
 
-Three layers over the network's head-of-line queues:
+Three views over the flight recorder's record of the network's
+head-of-line queues (the flight recorder is the one transport probe):
 
-* :mod:`repro.congestion.recorder` — zero-perturbation event hooks
-  that sample per-link-direction queue depth and occupancy into
-  fixed-capacity ring buffers (off by default, ambient like the
-  flight recorder);
+* :mod:`repro.congestion.view` — per-link-direction queue-depth and
+  occupancy timelines in fixed-capacity ring buffers, replayed from
+  the record after the run;
 * :mod:`repro.congestion.decompose` — per-packet queueing-delay
   decomposition that tiles each delivery's end-to-end latency exactly
   into serialization / wire / HOL wait / retry / through-node /
@@ -19,20 +19,9 @@ Rendering lives in :mod:`repro.congestion.report`; CLI capture in
 package stays import-cycle-free, like :mod:`repro.trace`).
 """
 
-from repro.congestion.recorder import (
-    NULL_CONGESTION,
-    CongestionRecorder,
-    NullCongestionRecorder,
-    active_congestion,
-    direction_label,
-    use_congestion,
-)
+from repro.congestion.view import CongestionView, direction_label
 
 __all__ = [
-    "NULL_CONGESTION",
-    "CongestionRecorder",
-    "NullCongestionRecorder",
-    "active_congestion",
+    "CongestionView",
     "direction_label",
-    "use_congestion",
 ]

@@ -2,13 +2,13 @@
 
 This is the machinery behind ``python -m repro congest <experiment>``:
 it dispatches an :class:`~repro.runner.spec.ExperimentSpec` through
-the experiment registry with both the flight recorder (per-packet
-causal spans, which the decomposition and the congestion tree are
-derived from) and the :class:`~repro.congestion.recorder.
-CongestionRecorder` (per-link-direction ring-buffered timelines)
-installed, and hands back the unified
-:class:`~repro.runner.result.RunResult` whose ``flight`` and
-``congestion`` attributes carry the live recorders.
+the experiment registry with the flight recorder installed (the one
+transport probe: per-packet causal spans, from which the
+decomposition, the congestion tree and the per-link timelines are all
+derived) and hands back the unified
+:class:`~repro.runner.result.RunResult`, whose ``flight`` attribute
+carries the live recorder and whose ``congestion`` attribute is the
+:class:`~repro.congestion.view.CongestionView` over it.
 
 Kept out of ``repro.congestion.__init__`` for the same reason as
 :mod:`repro.trace.capture`: the registered experiments import the
@@ -37,7 +37,7 @@ def run_congested(
     hops: Optional[int] = None,
     senders: Optional[int] = None,
 ) -> RunResult:
-    """Capture one experiment with flight + congestion recording on.
+    """Capture one experiment with the congestion X-ray on.
 
     ``senders`` (when given) rides along as a spec extra — the
     ``congestion`` incast experiment reads it to widen the many-to-one

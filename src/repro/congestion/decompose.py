@@ -24,7 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.attribution import Component, hop_components, payload_extra_ns
-from repro.congestion.recorder import direction_label
+from repro.congestion.view import direction_label
 from repro.trace.flight import Delivery, HopRecord, PacketFlight
 
 if TYPE_CHECKING:  # pragma: no cover

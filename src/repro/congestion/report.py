@@ -6,15 +6,18 @@ Four views of one :class:`~repro.congestion.tree.CongestionTree`:
   ranked by contributed wait, the feeder breakdown of the worst link,
   and the episode list);
 * :func:`congestion_section` — the HTML fragment the monitor health
-  report embeds (queue-depth sparklines per link direction from the
-  congestion recorder's ring-buffered timelines, congestion-tree
-  table, episode list), built from the shared
+  report embeds (congestion-tree table with optional queue-depth
+  sparklines per link direction, episode list), built from the shared
   :mod:`repro.report_common` blocks;
 * :func:`render_congestion_html` — a standalone page around that
   section for ``python -m repro congest --html``;
 * :func:`render_congestion_prometheus` — ``congestion.*`` metric
   families with one labelled sample per link direction (label values
   like ``z+`` exercise the exposition escaping rules).
+
+The tree and the sparklines' queue-depth timelines
+(:class:`~repro.congestion.view.CongestionView`) are both derived from
+the flight recorder, the one transport probe.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.report_common import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congestion.recorder import CongestionRecorder
+    from repro.congestion.view import CongestionView
     from repro.monitor.series import RingSeries
 
 
@@ -126,9 +129,9 @@ def congestion_section(
     """The congestion X-ray as an HTML fragment (embeddable).
 
     ``series`` maps link name → queue-depth
-    :class:`~repro.monitor.series.RingSeries` (the congestion
-    recorder's ``depth_series``); omitted, the tree table renders
-    without sparklines.
+    :class:`~repro.monitor.series.RingSeries` (a
+    :class:`~repro.congestion.view.CongestionView`'s ``depth_series``);
+    omitted, the tree table renders without sparklines.
     """
     worst = tree.worst
     tiles = stat_tiles([
@@ -238,13 +241,13 @@ def render_congestion_html(
 
 def render_congestion_prometheus(
     tree: CongestionTree,
-    recorder: "Optional[CongestionRecorder]" = None,
+    view: "Optional[CongestionView]" = None,
 ) -> str:
     """``congestion.*`` metric families, one sample per link direction.
 
     Label values carry the raw link name and the ``z+``-style direction
-    tag (exercising the exposition's escaping rules); the recorder,
-    when given, contributes the telemetry-loss counter so dropped ring
+    tag (exercising the exposition's escaping rules); the view, when
+    given, contributes the telemetry-loss counter so dropped ring
     samples are never silent.
     """
     from repro.monitor.report import PromText, prom_labels
@@ -287,11 +290,11 @@ def render_congestion_prometheus(
         "Link directions that caused at least one HOL wait.",
         [("", len(tree.links))],
     )
-    if recorder is not None:
+    if view is not None:
         out.metric(
             "repro_congestion_samples_dropped", "counter",
             "Timeline samples overwritten by ring-buffer capacity.",
-            [("", recorder.total_dropped())],
+            [("", view.total_dropped())],
         )
     return out.text()
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.congestion.recorder import direction_label
+from repro.congestion.view import direction_label
 from repro.trace.flight import FlightRecorder, PacketFlight
 
 if TYPE_CHECKING:  # pragma: no cover

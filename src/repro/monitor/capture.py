@@ -88,10 +88,6 @@ class MonitorCapture:
 
     def html(self, title: str = "Continuous health report") -> str:
         monitor = self.monitor
-        congestion = self.congestion_tree()
-        series = None
-        if self.result is not None and self.result.congestion is not None:
-            series = self.result.congestion.depth_series
         return render_html_report(
             self.verdict,
             monitor.sampler,
@@ -99,8 +95,7 @@ class MonitorCapture:
             registry=self.metrics,
             title=title,
             experiment=f"{self.experiment} — {self.description}",
-            congestion=congestion,
-            congestion_series=series,
+            congestion=self.congestion_tree(),
         )
 
     def prometheus(self) -> str:
@@ -125,7 +120,6 @@ def run_monitored(
     flight: Optional[bool] = None,
     payload: int = 0,
     seed: int = 0,
-    congestion: bool = False,
 ) -> MonitorCapture:
     """Drive ``experiment`` with continuous monitoring attached.
 
@@ -133,11 +127,10 @@ def run_monitored(
     :class:`~repro.trace.flight.FlightRecorder` for experiments the
     registry marks traceable — it feeds the per-packet latency
     histograms the sketch-vs-exact report compares — but not for
-    ``mdstep``, whose per-packet record would dwarf the run.
-    ``congestion=True`` additionally attaches the congestion X-ray
-    recorder, whose queue-depth timelines feed the HTML report's
-    sparklines.  Monitoring itself is passive either way: simulated
-    results are bit-identical with the monitor on or off.
+    ``mdstep``, whose per-packet record would dwarf the run; with it
+    the HTML report carries the congestion tree.  Monitoring itself is
+    passive either way: simulated results are bit-identical with the
+    monitor on or off.
     """
     from repro.runner.spec import get_experiment
 
@@ -170,7 +163,7 @@ def run_monitored(
         )
         result = run_experiment(
             spec,
-            Captures(flight=flight, congestion=congestion, registry=metrics),
+            Captures(flight=flight, registry=metrics),
         )
     if not session.monitors:
         raise RuntimeError(

@@ -336,15 +336,13 @@ def render_html_report(
     title: str = "Continuous health report",
     experiment: str = "",
     congestion: "Optional[CongestionTree]" = None,
-    congestion_series: Optional[dict] = None,
 ) -> str:
     """Render the full self-contained HTML health report.
 
-    When the run carried the congestion X-ray, pass its
-    :class:`~repro.congestion.tree.CongestionTree` (and optionally the
-    congestion recorder's depth timelines) to append the congestion
-    section: occupancy sparklines per link direction, the
-    congestion-tree table, and the HOL-blocking episode list.
+    When the run carried the flight recorder, pass its
+    :class:`~repro.congestion.tree.CongestionTree` to append the
+    congestion section: the congestion-tree table and the HOL-blocking
+    episode list.
     """
     from repro.report_common import html_page
 
@@ -368,7 +366,7 @@ def render_html_report(
     if congestion is not None:
         from repro.congestion.report import congestion_section
 
-        body += congestion_section(congestion, congestion_series)
+        body += congestion_section(congestion)
     return html_page(title, subtitle, body)
 
 

@@ -52,11 +52,6 @@ from repro.constants import (
     SRC_RING_NS,
     TORUS_LINK_EFFECTIVE_GBPS,
 )
-from repro.congestion.recorder import (
-    CongestionRecorder,
-    NullCongestionRecorder,
-    active_congestion,
-)
 from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.faults.session import FaultSession, active_faults
@@ -96,13 +91,10 @@ class Network:
         every packet's causal spans.  Defaults to the ambient recorder
         (:func:`~repro.trace.flight.active_flight`), which is the
         zero-cost null recorder unless telemetry was switched on; the
-        transport guards every hook behind ``flight.enabled``.
-    congestion:
-        Optional :class:`~repro.congestion.recorder.CongestionRecorder`
-        sampling per-link-direction queue depth and occupancy at every
-        contended hop.  Same ambient/null discipline as ``flight``:
-        defaults to :func:`~repro.congestion.recorder.active_congestion`
-        and every hook is guarded behind ``congestion.enabled``.
+        transport guards every hook behind ``flight.enabled``.  It is
+        the one transport probe: the congestion X-ray's per-link
+        timelines are derived from its record after the run
+        (:class:`~repro.congestion.view.CongestionView`).
     """
 
     def __init__(
@@ -113,14 +105,10 @@ class Network:
         seed: int = 0,
         flight: "FlightRecorder | NullFlightRecorder | None" = None,
         faults: "FaultSession | None" = None,
-        congestion: "CongestionRecorder | NullCongestionRecorder | None" = None,
     ) -> None:
         self.sim = sim
         self.torus = torus
         self.flight = flight if flight is not None else active_flight()
-        self.congestion = (
-            congestion if congestion is not None else active_congestion()
-        )
         #: Fault-injection session (see :mod:`repro.faults`); defaults
         #: to the ambient session, which is ``None`` — and a disabled
         #: session is never consulted — so fault-free runs take the
@@ -337,9 +325,6 @@ class _UcastTransit:
             fl = net.flight
             if fl.enabled:
                 fl.hop_enqueued(self.packet, link, sim.now)
-            cg = net.congestion
-            if cg.enabled:
-                cg.hop_enqueued(self.packet, link, sim.now)
             link.wait(self._granted, (link,))
 
     def _granted(self, link: TorusLink) -> None:
@@ -352,9 +337,6 @@ class _UcastTransit:
         fl = net.flight
         if fl.enabled:
             fl.hop_granted(packet, link, sim.now)
-        cg = net.congestion
-        if cg.enabled:
-            cg.hop_granted(packet, link, sim.now)
         if self.idx == 0:
             latency = link.ucast_first_ns + self.payload_extra
         else:
@@ -494,9 +476,6 @@ class _McastTransit:
                 fl = net.flight
                 if fl.enabled:
                     fl.hop_enqueued(packet, link, sim.now)
-                cg = net.congestion
-                if cg.enabled:
-                    cg.hop_enqueued(packet, link, sim.now)
                 link.wait(self._granted, (link, first_link))
 
     def _deliver_local(
@@ -535,9 +514,6 @@ class _McastTransit:
         fl = net.flight
         if fl.enabled:
             fl.hop_granted(packet, link, sim.now)
-        cg = net.congestion
-        if cg.enabled:
-            cg.hop_granted(packet, link, sim.now)
         if first_link:
             latency = link.mcast_first_ns + self.payload_extra
         else:

@@ -19,6 +19,7 @@ import math
 import random
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -27,7 +28,7 @@ from repro.runner.spec import ExperimentSpec, get_experiment
 from repro.trace.metrics import MetricsRegistry, use_registry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congestion.recorder import CongestionRecorder
+    from repro.congestion.view import CongestionView
     from repro.profile.profiler import EngineProfiler
     from repro.trace.flight import FlightRecorder
 
@@ -88,7 +89,8 @@ class Outcome:
 class RunResult:
     """One completed run.  ``metrics`` is a plain-data registry
     snapshot (serializable); ``registry`` and ``flight`` are the live
-    in-process objects and are dropped on serialization."""
+    in-process objects and are dropped on serialization.  ``flight`` is
+    the run's one transport probe: ``congestion`` is a view of it."""
 
     spec: ExperimentSpec
     elapsed_ns: float
@@ -115,12 +117,16 @@ class RunResult:
     profile: "Optional[EngineProfiler]" = field(
         default=None, repr=False, compare=False
     )
-    #: The live :class:`~repro.congestion.recorder.CongestionRecorder`
-    #: when the run carried the congestion X-ray
-    #: (``Captures(congestion=True)``).
-    congestion: "Optional[CongestionRecorder]" = field(
-        default=None, repr=False, compare=False
-    )
+
+    @cached_property
+    def congestion(self) -> "Optional[CongestionView]":
+        """The congestion X-ray's per-link timelines, derived from
+        ``flight`` on first access (``None`` without a flight record)."""
+        if self.flight is None:
+            return None
+        from repro.congestion.view import CongestionView
+
+        return CongestionView(self.flight)
 
     @property
     def experiment(self) -> str:
@@ -191,9 +197,11 @@ class Captures:
       (per-packet causal spans); hands it back on ``result.flight``.
     * ``profile`` — attach the engine self-profiler to every simulator
       the experiment builds; hands it back on ``result.profile``.
-    * ``congestion`` — attach the congestion X-ray recorder
-      (per-link-direction queue timelines); back on
-      ``result.congestion``.
+    * ``congestion`` — attach the flight recorder for the congestion
+      X-ray: ``result.flight`` is set and ``result.congestion`` derives
+      the per-link-direction queue timelines from it.  The flight
+      recorder is the one transport probe, so both flags on still
+      attach one recorder.
     * ``registry`` — accumulate metrics into a caller-owned
       :class:`~repro.trace.metrics.MetricsRegistry` instead of a fresh
       run-owned one (the monitor's Prometheus path).
@@ -225,8 +233,8 @@ def run_experiment(
     bit-for-bit in any process), and a fresh metrics registry is
     installed unless the caller supplies one to accumulate into.
     ``captures`` selects the live observers to attach (flight
-    recorder, engine self-profiler, congestion X-ray, caller-owned
-    metrics registry) — see :class:`Captures`.
+    recorder, engine self-profiler, caller-owned metrics registry) —
+    see :class:`Captures`.
 
     Every run also gets wall-clock execution facts on ``result.meta``
     (run-loop events/sec, peak RSS, wall and run-loop seconds) —
@@ -235,9 +243,7 @@ def run_experiment(
     from repro.engine.simulator import add_new_sim_hook, remove_new_sim_hook
 
     caps = captures if captures is not None else Captures()
-    flight = caps.flight
     profile = caps.profile
-    congestion = caps.congestion
     registry = caps.registry
 
     defn = get_experiment(spec)
@@ -247,32 +253,22 @@ def run_experiment(
     random.seed(spec.derived_seed())
     recorder = None
     profiler = None
-    congestion_recorder = None
     sims: list = []
     hook = add_new_sim_hook(sims.append)
     try:
         with ExitStack() as stack:
             stack.enter_context(use_registry(registry))
-            if flight:
+            if caps.flight or caps.congestion:
                 from repro.trace.flight import FlightRecorder, use_flight
 
-                recorder = FlightRecorder(metrics=registry)
-                stack.enter_context(use_flight(recorder))
-            if congestion:
-                from repro.congestion.recorder import (
-                    CongestionRecorder,
-                    use_congestion,
-                )
-
-                # congestion.* metrics flow only into a caller-supplied
-                # registry (the monitor's Prometheus path); the
+                # net.* metrics flow only with a flight capture: the
                 # run-owned registry serializes into the cacheable
                 # snapshot, which must stay byte-identical with the
-                # X-ray on or off.
-                congestion_recorder = CongestionRecorder(
-                    metrics=None if own_registry else registry
+                # congestion X-ray on or off.
+                recorder = FlightRecorder(
+                    metrics=registry if caps.flight else None
                 )
-                stack.enter_context(use_congestion(congestion_recorder))
+                stack.enter_context(use_flight(recorder))
             if profile:
                 from repro.profile.profiler import use_profiling
 
@@ -310,7 +306,6 @@ def run_experiment(
         flight=recorder,
         meta=meta,
         profile=profiler,
-        congestion=congestion_recorder,
     )
 
 

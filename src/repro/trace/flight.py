@@ -260,6 +260,10 @@ class FlightRecorder:
         self.queue_depth_series: dict[str, list[tuple[float, int]]] = {}
         #: (packet_id, link name) → (enqueue_ns, observed queue depth).
         self._pending: dict[tuple[int, str], tuple[float, int]] = {}
+        #: [(link name, len(queue_depth_series[link]), grant_ns, waiting)]
+        #: for each packet queued and granted at one instant: a
+        #: zero-length wait whose grant ``queue_depth_series`` skips.
+        self.instant_waits: list[tuple[str, int, float, int]] = []
         #: Successful counter polls, in completion order.
         self.polls: list[PollRecord] = []
         #: Marked phases, in begin order.
@@ -304,7 +308,11 @@ class FlightRecorder:
         """The packet acquired the channel and starts streaming."""
         name = repr(link.link_id)
         lid = link.link_id
-        enqueue_ns, depth = self._pending.pop((packet.packet_id, name), (now, 0))
+        pending = self._pending.pop((packet.packet_id, name), None)
+        if pending is None:
+            enqueue_ns, depth = now, 0
+        else:
+            enqueue_ns, depth = pending
         release = now + packet.serialization_ns
         hop = HopRecord(
             link=name,
@@ -327,6 +335,11 @@ class FlightRecorder:
             self.queue_depth_series.setdefault(name, []).append(
                 (now, link.queue_length)
             )
+        elif pending is not None:
+            self.instant_waits.append((
+                name, len(self.queue_depth_series[name]), now,
+                link.queue_length,
+            ))
         m = self.metrics
         if m is not None:
             m.counter("net.link_traversals").inc()
@@ -543,11 +556,27 @@ class FlightRecorder:
         rank = math.ceil(p / 100.0 * len(samples))
         return samples[max(0, rank - 1)]
 
+    def absorb(self, other: "FlightRecorder") -> None:
+        """Append ``other``'s record to this one, as if this recorder
+        had been attached in its place (its metrics excepted): a nested
+        private capture stays visible to the capture around it."""
+        for name, at, grant_ns, waiting in other.instant_waits:
+            at += len(self.queue_depth_series.get(name, ()))
+            self.instant_waits.append((name, at, grant_ns, waiting))
+        self.flights.update(other.flights)
+        for name, grants in other.link_occupancy.items():
+            self.link_occupancy.setdefault(name, []).extend(grants)
+        for name, samples in other.queue_depth_series.items():
+            self.queue_depth_series.setdefault(name, []).extend(samples)
+        self.polls.extend(other.polls)
+        self.phases.extend(other.phases)
+
     def clear(self) -> None:
         self.flights.clear()
         self.link_occupancy.clear()
         self.queue_depth_series.clear()
         self._pending.clear()
+        self.instant_waits.clear()
         self.polls.clear()
         self.phases.clear()
 

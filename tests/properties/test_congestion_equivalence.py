@@ -1,10 +1,9 @@
 """Property-based test: the congestion X-ray is a passive observer.
 
-The congestion recorder samples queue depth and occupancy into ring
-buffers but schedules nothing, consumes no scheduling sequence
-numbers, and reads no state the transport did not already touch — so a
-congestion-instrumented run and a bare run of the same experiment must
-agree on *every* simulated observable, exactly.  One level up,
+The X-ray's one probe is the flight recorder, which records hops but
+schedules nothing and reads no state the transport did not already
+touch — so an instrumented run and a bare run of the same experiment
+must agree on *every* simulated observable, exactly.  One level up,
 ``run_experiment(Captures(congestion=True))`` must leave serialized result bytes
 untouched.  And whenever instrumentation is on, the per-packet delay
 decomposition must tile each delivery's end-to-end latency exactly —
@@ -19,11 +18,12 @@ from repro.asic import build_machine
 from repro.bench.results import canonical_json
 from repro.comm.collectives import AllReduce
 from repro.congestion.decompose import DelayBucket, decompose_run
-from repro.congestion.recorder import use_congestion
+from repro.congestion import CongestionView
 from repro.engine import Simulator
 from repro.runner.result import Captures, run_experiment
 from repro.runner.spec import ExperimentSpec, ensure_registered
 from repro.topology.torus import Torus3D
+from repro.trace.flight import FlightRecorder, use_flight
 from tests.conftest import run_exchange
 
 ensure_registered()
@@ -47,18 +47,17 @@ coords = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 @given(coords, st.integers(0, 128))
 @settings(max_examples=20, deadline=None)
 def test_instrumented_exchange_bit_identical(dst, payload):
-    """One-way exchange: congestion recording changes nothing
-    observable."""
+    """One-way exchange: hop recording changes nothing observable."""
     results = []
     for instrumented in (False, True):
         if instrumented:
-            with use_congestion() as recorder:
+            with use_flight(FlightRecorder()) as recorder:
                 sim = Simulator()
                 machine = build_machine(sim, 3, 3, 3)
                 src = machine.node((0, 0, 0)).slice(0)
                 rcv = machine.node(dst).slice(1 if dst == (0, 0, 0) else 0)
                 elapsed = run_exchange(sim, src, rcv, payload_bytes=payload)
-            assert recorder.enabled
+            assert recorder.flights, "recorder saw no packet"
         else:
             sim = Simulator()
             machine = build_machine(sim, 3, 3, 3)
@@ -74,17 +73,16 @@ def test_instrumented_exchange_bit_identical(dst, payload):
 @settings(max_examples=10, deadline=None)
 def test_instrumented_allreduce_bit_identical(shape, payload_bytes):
     """A full collective stays bit-identical through the ambient
-    ``use_congestion()`` entry point (the network picks the recorder
-    up at construction)."""
+    ``use_flight()`` entry point (the network picks the recorder up at
+    construction)."""
     results = []
     for instrumented in (False, True):
         if instrumented:
-            with use_congestion() as recorder:
+            with use_flight(FlightRecorder()) as recorder:
                 sim = Simulator()
                 machine = build_machine(sim, *shape)
                 report = AllReduce(machine, payload_bytes=payload_bytes).run()
-            # The reduce phase funnels writes, so something queued.
-            assert recorder.grants or not recorder.wait_ns
+            assert CongestionView(recorder).grants, "recorder saw no traffic"
         else:
             sim = Simulator()
             machine = build_machine(sim, *shape)

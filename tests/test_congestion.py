@@ -1,4 +1,4 @@
-"""Unit tests for the congestion X-ray package: recorder behavior,
+"""Unit tests for the congestion X-ray package: the per-link view,
 backpressure tree construction and ranking, episode merging, blocker
 identification, and the text/HTML/Prometheus renderers."""
 
@@ -9,13 +9,7 @@ import pytest
 from tests.conftest import run_exchange
 
 from repro.asic import build_machine
-from repro.congestion import (
-    NULL_CONGESTION,
-    CongestionRecorder,
-    active_congestion,
-    direction_label,
-    use_congestion,
-)
+from repro.congestion import CongestionView, direction_label
 from repro.congestion.capture import run_congested
 from repro.congestion.decompose import (
     DelayBucket,
@@ -38,9 +32,12 @@ from repro.congestion.tree import (
     blocked_behind,
     build_congestion_tree,
 )
+from repro.congestion.view import SERIES_CAPACITY
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
+from repro.runner import Captures, ExperimentSpec, run_experiment
 from repro.topology.torus import Torus3D
+from repro.trace.flight import FlightRecorder, use_flight
 
 
 @pytest.fixture(scope="module")
@@ -63,41 +60,29 @@ def incast():
 # Recorder
 # ---------------------------------------------------------------------------
 class TestRecorder:
-    def test_null_recorder_is_disabled_default(self):
-        assert NULL_CONGESTION.enabled is False
-        assert active_congestion() is NULL_CONGESTION
-        sim = Simulator()
-        machine = build_machine(sim, 2, 2, 2)
-        assert machine.network.congestion is NULL_CONGESTION
-
-    def test_ambient_recorder_attaches_and_restores(self):
-        with use_congestion() as recorder:
-            assert active_congestion() is recorder
-            assert recorder.enabled
-            machine = build_machine(Simulator(), 2, 2, 2)
-            assert machine.network.congestion is recorder
-        assert active_congestion() is NULL_CONGESTION
+    """The congestion view over the flight recorder, the one probe."""
 
     def test_direction_label(self):
         assert direction_label("z", 1) == "z+"
         assert direction_label("x", -1) == "x-"
 
     def test_uncontended_exchange_records_grants_no_waits(self):
-        with use_congestion() as recorder:
+        with use_flight(FlightRecorder()) as recorder:
             sim = Simulator()
             machine = build_machine(sim, 3, 3, 3)
             run_exchange(sim, machine.node((0, 0, 0)).slice(0),
                          machine.node((2, 0, 0)).slice(0))
-        assert recorder.links()  # the traversed link appears
-        assert sum(recorder.grants.values()) > 0
-        assert recorder.total_wait_ns() == 0.0
-        assert not recorder.waits
+        view = CongestionView(recorder)
+        assert view.links()  # the traversed link appears
+        assert sum(view.grants.values()) > 0
+        assert view.total_wait_ns() == 0.0
+        assert not view.waits
         # Occupancy timeline exists per granted link; depth timeline
         # only appears when something actually queued.
-        for link in recorder.links():
-            assert recorder.direction(link) in DIRECTION_ORDER
-        assert recorder.occupancy_series
-        assert not recorder.depth_series
+        for link in view.links():
+            assert view.direction(link) in DIRECTION_ORDER
+        assert view.occupancy_series
+        assert not view.depth_series
 
     def test_contended_run_records_waits_and_depths(self, incast):
         result, _tree = incast
@@ -112,54 +97,63 @@ class TestRecorder:
             assert peak >= 1
             assert max(series.values()) <= peak
 
-    def test_clear_and_len(self, incast):
-        recorder = CongestionRecorder()
-        result, _ = incast
-        # Drive it by hand through another tiny run instead of
-        # mutating the shared fixture recorder.
-        with use_congestion(recorder):
-            sim = Simulator()
-            machine = build_machine(sim, 2, 2, 2)
-            run_exchange(sim, machine.node(0).slice(0),
-                         machine.node(1).slice(0))
-        assert len(recorder) > 0
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.total_dropped() == 0
-        assert recorder.total_wait_ns() == 0.0
-
     def test_ring_buffers_bound_memory(self):
-        recorder = CongestionRecorder(series_capacity=4)
-        with use_congestion(recorder):
-            sim = Simulator()
-            machine = build_machine(sim, 2, 2, 2)
-            for i in range(8):
-                run_exchange(sim, machine.node(0).slice(0),
-                             machine.node(1).slice(0), slot=0,
-                             counter=f"c{i}")
-        for series in recorder.occupancy_series.values():
-            assert len(series) <= 4
-        assert recorder.total_dropped() > 0
+        """The benchmark-scale incast overflows the 512-sample rings:
+        each keeps its newest 512 samples and counts the rest."""
+        result = run_congested(
+            "congestion", shape=(3, 3, 3), rounds=100, payload=256, seed=0,
+            senders=26,
+        )
+        view = result.congestion
+        timelines = [*view.depth_series.values(),
+                     *view.occupancy_series.values()]
+        for series in timelines:
+            assert len(series) == min(series.total_seen, SERIES_CAPACITY)
+        assert any(series.dropped for series in timelines)
+        assert view.total_dropped() == 3864
 
-    def test_metrics_feed(self, incast):
-        from repro.trace.metrics import MetricsRegistry
+    def test_view_is_built_once_on_access(self, incast):
+        result, _tree = incast
+        assert result.congestion is result.congestion
+        assert run_experiment(
+            ExperimentSpec("latency", shape=(3, 3, 3), hops=1)
+        ).congestion is None
 
-        registry = MetricsRegistry()
-        recorder = CongestionRecorder(metrics=registry)
-        with use_congestion(recorder):
-            sim = Simulator()
-            machine = build_machine(sim, 3, 3, 3)
-            senders = [n for n in machine if n.coord != (0, 0, 0)][:6]
-            dst = machine.node((0, 0, 0))
-            for i, node in enumerate(senders):
-                run_exchange(sim, node.slice(0), dst.slice(0),
-                             counter=f"c{i}", payload_bytes=32)
-        snap = registry.snapshot()
-        assert snap["congestion.grants"]["value"] > 0
-        if recorder.total_wait_ns() > 0:
-            assert snap["congestion.waits"]["value"] > 0
-            assert snap["congestion.hol_wait_ns"]["count"] > 0
-            assert snap["congestion.queue_depth"]["value"] >= 1
+    def test_absorbed_record_matches_one_shared_recorder(self):
+        """A nested capture absorbed into the outer recorder gives the
+        outer view exactly what attaching the outer recorder directly
+        gives, zero-length waits (which ``mdstep`` has) included."""
+        spec = ExperimentSpec("mdstep", shape=(2, 2, 2), rounds=1)
+        shared = FlightRecorder()
+        with use_flight(shared):
+            run_experiment(spec)
+            run_experiment(spec)
+        absorbed = FlightRecorder()
+        for _ in range(2):
+            absorbed.absorb(
+                run_experiment(spec, Captures(congestion=True)).flight
+            )
+        assert shared.instant_waits
+        assert absorbed.instant_waits == shared.instant_waits
+        assert _stats(CongestionView(absorbed)) == _stats(
+            CongestionView(shared)
+        )
+
+
+def _stats(view: CongestionView) -> dict:
+    return {
+        "wait_ns": view.wait_ns,
+        "waits": view.waits,
+        "grants": view.grants,
+        "peak_depth": view.peak_depth,
+        "occupied_ns": view.occupied_ns,
+        "directions": view.directions,
+        "depth": {k: s.samples() for k, s in view.depth_series.items()},
+        "occupancy": {
+            k: s.samples() for k, s in view.occupancy_series.items()
+        },
+        "dropped": view.total_dropped(),
+    }
 
 
 # ---------------------------------------------------------------------------

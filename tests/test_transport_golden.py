@@ -7,7 +7,8 @@ every path a transport change can disturb: the uncontended unicast hop
 incast), multicast transit under contention (``mdstep``), all-reduce
 trees (``allreduce``), the link-level retry path (``fault_sensitivity``
 at a BER above zero), the flight and congestion probes' view of the
-incast, reordering jitter mixed with in-order packets, and link-down,
+incast and the congestion view of ``mdstep`` (zero-length waits
+included), reordering jitter mixed with in-order packets, and link-down,
 node-stall and bit-error faults on both transits.  The ``monitor_*``
 cases pin every health monitor's full sampler series, which includes
 ``engine.pending_events`` read mid-run.
@@ -61,6 +62,8 @@ DIGESTS = {
         "243058bbfe41dfc372df2b6fed7855426a803565019b5cddc7f110f8ddf041de",
     "incast_probes":
         "a23519a8392bee81833975858269ffa5b111d3fcdca83a243c00244bbd10a78f",
+    "mdstep_probes":
+        "e6675a5951cdd7fd70bf4ccbcc35ace26c3d1f14c390a80af9253ad85bf30e83",
     "jitter_exchange":
         "77d22986e83d82aec300b0c741a8d0ea3f1cf1e327ef8e3cfeae6c2300e54245",
     "fault_exchange":
@@ -110,6 +113,26 @@ def incast_probes_digest() -> str:
         "trace": dumps_chrome_trace(result.flight),
         "congestion": congestion,
         "result": result.to_dict(),
+    })
+
+
+def mdstep_probes_digest() -> str:
+    """The congestion view's per-link statistics on ``mdstep`` 2×2×2:
+    multicast transit under contention, and the only pinned run with
+    zero-length waits (a packet queued and granted at one instant)."""
+    result = run_experiment(SPECS["mdstep"], Captures(congestion=True))
+    cg = result.congestion
+    return _sha({
+        "wait_ns": cg.wait_ns,
+        "waits": cg.waits,
+        "grants": cg.grants,
+        "peak_depth": cg.peak_depth,
+        "occupied_ns": cg.occupied_ns,
+        "directions": cg.directions,
+        "depth": {k: s.samples() for k, s in cg.depth_series.items()},
+        "occupancy": {
+            k: s.samples() for k, s in cg.occupancy_series.items()
+        },
     })
 
 
@@ -216,6 +239,8 @@ def _digest(name: str) -> str:
         return monitor_digest(name)
     if name == "incast_probes":
         return incast_probes_digest()
+    if name == "mdstep_probes":
+        return mdstep_probes_digest()
     if name == "jitter_exchange":
         return exchange_digest(reorder_jitter_ns=120.0, seed=11)
     if name == "fault_exchange":
