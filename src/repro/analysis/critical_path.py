@@ -41,7 +41,6 @@ from repro.trace.flight import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.simulator import EventHistory
     from repro.topology.torus import Torus3D
     from repro.trace.metrics import MetricsRegistry
 
@@ -128,9 +127,6 @@ class PhaseReport:
     critical_delivery: Optional[Delivery]
     #: Component attribution of the critical packet's causal chain.
     critical_attribution: Optional[Attribution]
-    #: Simulator events executed inside the window, when an
-    #: :class:`~repro.engine.simulator.EventHistory` was supplied.
-    events: Optional[int] = None
 
     @property
     def name(self) -> str:
@@ -169,7 +165,6 @@ def critical_flight(
 def phase_reports(
     recorder: FlightRecorder,
     torus: "Torus3D",
-    history: "Optional[EventHistory]" = None,
 ) -> list[PhaseReport]:
     """One :class:`PhaseReport` per closed phase, in begin order."""
     local = recorder.local_ids()
@@ -211,7 +206,6 @@ def phase_reports(
                 critical_local_id=crit_id,
                 critical_delivery=crit_delivery,
                 critical_attribution=attribution,
-                events=None if history is None else history.count_in(begin, end),
             )
         )
     return out

@@ -28,7 +28,6 @@ from repro.engine.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.engine.process import Process
 from repro.engine.resource import Resource, Store
 from repro.engine.simulator import (
-    EventHistory,
     Simulator,
     add_new_sim_hook,
     remove_new_sim_hook,
@@ -38,7 +37,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "EventHistory",
     "Interrupt",
     "Process",
     "Resource",

@@ -16,6 +16,15 @@ at the current instant appends to the bucket being drained, behind
 every entry already there.  This determinism makes every simulation in
 this package fully reproducible — a requirement for the trace-diffing
 tests and the committed result digests.
+
+Observation: two run-loop observers exist, the periodic monitor hook
+(:meth:`Simulator.set_monitor_hook`) and the per-event engine profiler
+(:meth:`Simulator.set_profiler`).  :meth:`Simulator.run` binds both
+once on entry and then executes one of two loop bodies: the bare body
+when neither is attached, which per event only calls the action and
+tests for the stop event and a crash, or the observed body otherwise.
+Construction observers (:func:`add_new_sim_hook`) are how ambient
+sessions attach those observers to every simulator they see built.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from repro.engine.process import Coroutine, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
-    from repro.trace.metrics import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -69,61 +77,6 @@ def remove_new_sim_hook(hook: Callable[["Simulator"], None]) -> None:
         pass
 
 
-class EventHistory:
-    """Bounded record of executed engine events: ``(time, action name)``.
-
-    Installed on a simulator with :meth:`Simulator.set_event_hook` (or
-    the :meth:`install` convenience), it gives the critical-path
-    analyzer a view of *engine* activity — how many scheduled actions
-    fired inside a phase window, and where the event storm peaks —
-    without instrumenting any subsystem.  Recording is bounded so a
-    runaway simulation cannot exhaust memory; overflow is counted, not
-    silently dropped.
-    """
-
-    def __init__(self, capacity: int = 200_000) -> None:
-        self.capacity = capacity
-        self.samples: list[tuple[float, str]] = []
-        #: Events seen after the capacity was reached.  Analyses (and
-        #: the health verdict, which surfaces this as telemetry loss)
-        #: must treat a nonzero value as "the window is truncated",
-        #: not "the run had this many events".
-        self.dropped = 0
-
-    @property
-    def total_seen(self) -> int:
-        """Every event offered to the history, recorded or dropped."""
-        return len(self.samples) + self.dropped
-
-    def record(self, when: float, fn: Callable[..., None]) -> None:
-        if len(self.samples) < self.capacity:
-            name = getattr(fn, "__qualname__", None) or repr(fn)
-            self.samples.append((when, name))
-        else:
-            self.dropped += 1
-
-    def install(self, sim: "Simulator") -> "EventHistory":
-        sim.set_event_hook(self.record)
-        return self
-
-    def count_in(self, start_ns: float, end_ns: float) -> int:
-        """Events executed inside a time window (inclusive)."""
-        return sum(1 for t, _ in self.samples if start_ns <= t <= end_ns)
-
-    def density(self, bucket_ns: float) -> list[tuple[float, int]]:
-        """Events per fixed-width time bucket, sorted by bucket start."""
-        if bucket_ns <= 0:
-            raise ValueError(f"bucket_ns must be positive, got {bucket_ns}")
-        buckets: dict[float, int] = {}
-        for t, _ in self.samples:
-            start = (t // bucket_ns) * bucket_ns
-            buckets[start] = buckets.get(start, 0) + 1
-        return sorted(buckets.items())
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class Simulator:
     """Discrete-event simulator with nanosecond float time."""
 
@@ -143,10 +96,6 @@ class Simulator:
         #: at entry and one at exit, none per event): the denominator
         #: of a run's events-per-second.
         self.loop_wall_ns: int = 0
-        #: Set by :meth:`repro.trace.metrics.MetricsRegistry.attach`.
-        self.metrics: "Optional[MetricsRegistry]" = None
-        #: Optional per-event observer, see :meth:`set_event_hook`.
-        self._event_hook: Optional[Callable[[float, Callable[..., None]], None]] = None
         #: Optional periodic observer, see :meth:`set_monitor_hook`.
         self._monitor_hook: Optional[Callable[[float], float]] = None
         self._monitor_due: float = 0.0
@@ -213,23 +162,6 @@ class Simulator:
         self._crashes.append((process, error))
 
     # -- observation -------------------------------------------------------
-    def set_event_hook(
-        self, hook: Optional[Callable[[float, Callable[..., None]], None]]
-    ) -> Optional[Callable[[float, Callable[..., None]], None]]:
-        """Install an observer called as ``hook(when, fn)`` just before
-        each event executes; returns the previous hook.
-
-        The hook is passive telemetry (an :class:`EventHistory`, a
-        progress meter): it must not schedule events or mutate
-        simulation state, and the disabled fast path costs one ``None``
-        test per event.  Pass ``None`` to uninstall.  Install before
-        :meth:`run`: the run loop binds observer presence once per
-        timestamp.
-        """
-        prev = self._event_hook
-        self._event_hook = hook
-        return prev
-
     def set_monitor_hook(
         self,
         hook: Optional[Callable[[float], float]],
@@ -250,9 +182,10 @@ class Simulator:
 
         The hook must be a passive observer: reading simulator,
         network, or client state is fine; scheduling events or mutating
-        state breaks the monitoring-is-bit-identical guarantee.  The
-        disabled fast path costs one ``None`` test per event.  Returns
-        the previous hook; pass ``None`` to uninstall.
+        state breaks the monitoring-is-bit-identical guarantee.  Install
+        before :meth:`run`: the run loop binds the hook at entry, and a
+        run with no observer executes the bare loop body, which tests
+        for none.  Returns the previous hook; pass ``None`` to uninstall.
         """
         prev = self._monitor_hook
         self._monitor_hook = hook
@@ -269,9 +202,8 @@ class Simulator:
         event type, owning component, and open simulation phase.  The
         profiler is a passive wall-clock observer — it never touches
         simulated time or the queue, so profiled runs are bit-identical
-        to unprofiled ones.  Attach before
-        calling :meth:`run`; the run loop binds the profiler at entry.
-        The disabled fast path costs one ``None`` test per event.
+        to unprofiled ones.  Attach before calling :meth:`run`; the run
+        loop binds the profiler at entry, like the monitor hook.
         Returns the previous profiler.
         """
         prev = self._profiler
@@ -323,13 +255,19 @@ class Simulator:
             a float
                 run until simulated time reaches that many ns.
             an :class:`Event`
-                run until the event triggers; returns its value.
+                run until the event fires; returns its value, or raises
+                its exception if it failed.  An event that has already
+                fired returns (or raises) at once, before any event runs.
 
-        The loop drains the earliest bucket in place.  However it leaves
-        a bucket — drained, stop event triggered, process crashed, an
-        exception escaping an action — it deletes only the executed
-        prefix, so the rest of that instant runs first, in order, on the
-        next call.
+        The monitor hook and the profiler are bound once, on entry.
+        With neither attached the run executes the bare loop body
+        (:meth:`_run_bare`), which per event only calls the action and
+        tests for the stop event and a crash; otherwise it executes the
+        observed body (:meth:`_run_observed`).  Both drain the earliest
+        bucket in place.  However they leave a bucket — drained, stop
+        event fired, process crashed, an exception escaping an action —
+        they delete only the executed prefix, so the rest of that
+        instant runs first, in order, on the next call.
 
         Raises
         ------
@@ -342,6 +280,10 @@ class Simulator:
         stop_event: Optional[Event] = None
         if isinstance(until, Event):
             stop_event = until
+            # An event has fired once its callbacks are spent.  A
+            # Timeout carries its value from creation but fires later.
+            if until.callbacks is None:
+                return _outcome(until)
         elif until is not None:
             stop_time = float(until)
             if stop_time < self.now:
@@ -349,106 +291,145 @@ class Simulator:
                     f"until={stop_time} is in the past (now={self.now})"
                 )
 
-        buckets = self._buckets
-        times = self._times
-        crashes = self._crashes
-        # The profiler is bound once per run() call: attach-before-run
-        # is guaranteed by the construction hooks, and a local keeps
-        # the per-event cost of the common disabled case at one test.
+        monitor_hook = self._monitor_hook
         profiler = self._profiler
         loop_t0 = perf_counter_ns()
-        if profiler is not None:
-            # Hot-path state, bound once per run() call: the phase-
-            # keyed rec cache maps a stable per-call-site key (a code
-            # object) straight to the [count, wall_ns] accumulator for
-            # the current phase; rec_for is the cold path that
-            # classifies and primes it.
-            cache_get = profiler.rec_cache.get
-            rec_slow = profiler.rec_for
-            pc = perf_counter_ns
-            t_prev = loop_t0
         try:
-            while times:
-                when = times[0]
-                if stop_time is not None and when > stop_time:
-                    self.now = stop_time
-                    break
-                self.now = when
-                bucket = buckets[when]
-                event_hook = self._event_hook
-                monitor_hook = self._monitor_hook
-                # Entries of this bucket executed so far; the iterator
-                # also visits entries appended while the bucket drains.
-                done = 0
-                try:
-                    for fn, args in bucket:
-                        done += 1
-                        if event_hook is not None:
-                            event_hook(when, fn)
-                        if (monitor_hook is not None
-                                and when >= self._monitor_due):
-                            self._monitor_due = self._observe(
-                                monitor_hook, when, done)
-                        if profiler is None:
-                            fn(*args)
-                        else:
-                            # Inline key derivation for the two common
-                            # callable shapes (bound python method,
-                            # plain function); everything else takes the
-                            # cold path.  Timing is chained — one clock
-                            # read per event — so an event's wall is
-                            # dispatch-inclusive: it covers the queue
-                            # walk, hook dispatch, and this bookkeeping
-                            # that delivered it, not just its body.
-                            fcls = fn.__class__
-                            if fcls is MethodType:
-                                obj = fn.__self__
-                                ocls = obj.__class__
-                                if ocls is Process:
-                                    key = obj.generator.gi_code
-                                elif ocls is Simulator:
-                                    key = None  # _fire: resolve the waiter cold
-                                else:
-                                    key = fn.__func__.__code__
-                            elif fcls is FunctionType:
-                                key = fn.__code__
-                            else:
-                                key = None
-                            rec = cache_get(key) if key is not None else None
-                            if rec is None:
-                                rec = rec_slow(fn, args, key)
-                            fn(*args)
-                            t_now = pc()
-                            rec[0] += 1
-                            rec[1] += t_now - t_prev
-                            t_prev = t_now
-                        if stop_event is not None and stop_event.triggered:
-                            if stop_event.ok:
-                                return stop_event.value
-                            raise stop_event._value  # type: ignore[misc]
-                        if crashes:
-                            self._raise_crash()
-                finally:
-                    self.events_executed += done
-                    if done < len(bucket):
-                        del bucket[:done]
-                    else:
-                        del buckets[when]
-                        heappop(times)
+            if monitor_hook is None and profiler is None:
+                stopped = self._run_bare(stop_time, stop_event)
             else:
-                if stop_time is not None:
-                    self.now = stop_time
+                stopped = self._run_observed(
+                    stop_time, stop_event, monitor_hook, profiler, loop_t0)
         finally:
             loop_ns = perf_counter_ns() - loop_t0
             self.loop_wall_ns += loop_ns
             if profiler is not None:
                 profiler.account_loop(loop_ns)
-        if stop_event is not None and not stop_event.triggered:
+        if stopped:
+            return _outcome(stop_event)
+        if stop_event is not None:
             raise RuntimeError(
                 "simulation ran out of events before the awaited event "
                 f"{stop_event!r} triggered (deadlock?)"
             )
+        if stop_time is not None:
+            self.now = stop_time
         return None
+
+    def _run_bare(self, stop_time: Optional[float],
+                  stop_event: Optional[Event]) -> bool:
+        """The loop body with no observer; True when ``stop_event``
+        fired, False when the queue ran dry or ``stop_time`` was
+        reached."""
+        buckets = self._buckets
+        times = self._times
+        crashes = self._crashes
+        while times:
+            when = times[0]
+            if stop_time is not None and when > stop_time:
+                return False
+            self.now = when
+            bucket = buckets[when]
+            # Entries of this bucket executed so far; the iterator also
+            # visits entries appended while the bucket drains.
+            done = 0
+            try:
+                for fn, args in bucket:
+                    done += 1
+                    fn(*args)
+                    if stop_event is not None and stop_event.callbacks is None:
+                        return True
+                    if crashes:
+                        self._raise_crash()
+            finally:
+                self._leave(when, bucket, done)
+        return False
+
+    def _run_observed(
+        self,
+        stop_time: Optional[float],
+        stop_event: Optional[Event],
+        monitor_hook: Optional[Callable[[float], float]],
+        profiler: "Optional[EngineProfiler]",
+        t_prev: int,
+    ) -> bool:
+        """:meth:`_run_bare` plus the monitor hook and the profiler's
+        per-event accounting, either of which may be ``None``."""
+        buckets = self._buckets
+        times = self._times
+        crashes = self._crashes
+        if profiler is not None:
+            # Hot-path state: the phase-keyed rec cache maps a stable
+            # per-call-site key (a code object) straight to the
+            # [count, wall_ns] accumulator for the current phase;
+            # rec_for is the cold path that classifies and primes it.
+            cache_get = profiler.rec_cache.get
+            rec_slow = profiler.rec_for
+            pc = perf_counter_ns
+        while times:
+            when = times[0]
+            if stop_time is not None and when > stop_time:
+                return False
+            self.now = when
+            bucket = buckets[when]
+            done = 0
+            try:
+                for fn, args in bucket:
+                    done += 1
+                    if (monitor_hook is not None
+                            and when >= self._monitor_due):
+                        self._monitor_due = self._observe(
+                            monitor_hook, when, done)
+                    if profiler is None:
+                        fn(*args)
+                    else:
+                        # Inline key derivation for the two common
+                        # callable shapes (bound python method, plain
+                        # function); everything else takes the cold
+                        # path.  Timing is chained — one clock read per
+                        # event — so an event's wall is dispatch-
+                        # inclusive: it covers the queue walk, hook
+                        # dispatch, and this bookkeeping that delivered
+                        # it, not just its body.
+                        fcls = fn.__class__
+                        if fcls is MethodType:
+                            obj = fn.__self__
+                            ocls = obj.__class__
+                            if ocls is Process:
+                                key = obj.generator.gi_code
+                            elif ocls is Simulator:
+                                key = None  # _fire: resolve the waiter cold
+                            else:
+                                key = fn.__func__.__code__
+                        elif fcls is FunctionType:
+                            key = fn.__code__
+                        else:
+                            key = None
+                        rec = cache_get(key) if key is not None else None
+                        if rec is None:
+                            rec = rec_slow(fn, args, key)
+                        fn(*args)
+                        t_now = pc()
+                        rec[0] += 1
+                        rec[1] += t_now - t_prev
+                        t_prev = t_now
+                    if stop_event is not None and stop_event.callbacks is None:
+                        return True
+                    if crashes:
+                        self._raise_crash()
+            finally:
+                self._leave(when, bucket, done)
+        return False
+
+    def _leave(self, when: float, bucket: list, done: int) -> None:
+        """Count the ``done`` executed entries of the head bucket and
+        delete them, dropping the bucket once it is drained."""
+        self.events_executed += done
+        if done < len(bucket):
+            del bucket[:done]
+        else:
+            del self._buckets[when]
+            heappop(self._times)
 
     def _observe(self, hook: Callable[[float], float], when: float,
                  done: int) -> float:
@@ -467,3 +448,10 @@ class Simulator:
         proc, err = self._crashes.pop(0)
         self._crashes.clear()
         raise RuntimeError(f"unhandled exception in process {proc.name!r}") from err
+
+
+def _outcome(event: Event) -> Any:
+    """A fired event's value, or its exception raised."""
+    if event.ok:
+        return event.value
+    raise event._value  # type: ignore[misc]

@@ -37,7 +37,7 @@ from repro.monitor.watchdog import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asic.node import Machine
-    from repro.engine.simulator import EventHistory, Simulator
+    from repro.engine.simulator import Simulator
     from repro.trace.metrics import MetricsRegistry
 
 #: Default no-progress window before the stall detector fires, in
@@ -75,7 +75,6 @@ class HealthMonitor:
         self.watchdogs = InvariantWatchdogs(
             machine, self.log, stall_ns=stall_ns, queue_limit=queue_limit
         )
-        self._histories: list["EventHistory"] = []
         self._finalized = False
         self._register_probes()
         self._prev_hook = sim.set_monitor_hook(self._tick, due=sim.now)
@@ -149,16 +148,6 @@ class HealthMonitor:
                 wd.check_queue_growth(now)
         return now + self.sampler.interval_ns
 
-    def watch_event_history(self, history: "EventHistory") -> "EventHistory":
-        """Surface ``history.dropped`` in the verdict's telemetry-loss
-        accounting (satellite of the bounded-memory discipline)."""
-        self._histories.append(history)
-        return history
-
-    @property
-    def dropped_events(self) -> int:
-        return sum(h.dropped for h in self._histories)
-
     # -- verdict -------------------------------------------------------------
     def finalize(self) -> HealthVerdict:
         """Run quiescence checks, detach from the simulator, and return
@@ -181,8 +170,6 @@ class HealthMonitor:
         lost = []
         if self.sampler.dropped_samples:
             lost.append(f"{self.sampler.dropped_samples} ring-buffer samples")
-        if self.dropped_events:
-            lost.append(f"{self.dropped_events} history events")
         if self.log.dropped:
             lost.append(f"{self.log.dropped} diagnostics")
         if not lost:
@@ -212,7 +199,6 @@ class HealthMonitor:
             packets_in_flight=net.packets_in_flight,
             samples_recorded=self.sampler.samples_recorded,
             dropped_samples=self.sampler.dropped_samples,
-            dropped_events=self.dropped_events,
             dropped_diagnostics=self.log.dropped,
             diagnostic_counts=dict(self.log.counts),
             peak_queue_by_direction=peaks,

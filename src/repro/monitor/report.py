@@ -501,9 +501,6 @@ def render_prometheus(
     emit("repro_monitor_samples_dropped", "counter",
          "Samples evicted by ring-buffer capacity.",
          [("", verdict.dropped_samples)])
-    emit("repro_monitor_events_dropped", "counter",
-         "Engine events evicted by EventHistory capacity.",
-         [("", verdict.dropped_events)])
     emit("repro_monitor_diagnostics", "counter",
          "Diagnostics emitted by level.",
          [(prom_labels(level=lvl), verdict.diagnostic_counts.get(lvl, 0))

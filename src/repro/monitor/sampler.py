@@ -1,7 +1,9 @@
 """The time-series sampler: periodic snapshots of live machine state.
 
-Driven by the simulator's monitor hook
-(:meth:`~repro.engine.simulator.Simulator.set_monitor_hook`), the
+Driven by :class:`~repro.monitor.health.HealthMonitor`, whose tick is
+the simulator's monitor hook
+(:meth:`~repro.engine.simulator.Simulator.set_monitor_hook`, run by the
+observed loop body of :meth:`~repro.engine.simulator.Simulator.run`), the
 sampler walks its registered probes every ``interval_ns`` of simulated
 time and appends one ``(now, value)`` sample per probe into a
 fixed-capacity :class:`~repro.monitor.series.RingSeries`.  Probes are

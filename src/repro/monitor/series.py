@@ -1,13 +1,12 @@
 """Fixed-capacity time-series storage for the continuous sampler.
 
 A monitored run must never grow without bound, whatever its length —
-the same discipline the engine's :class:`~repro.engine.simulator.
-EventHistory` and the sketch-backed histograms follow.  A
-:class:`RingSeries` keeps the most recent ``capacity`` samples in two
-preallocated ``array('d')`` buffers (unboxed doubles: a 4×4×4 machine
-carries 384 link-direction series without megabytes of boxed floats)
-and counts every overwritten sample in :attr:`dropped` so telemetry
-loss is always visible, never silent.
+the same discipline the sketch-backed histograms and the diagnostic
+log follow.  A :class:`RingSeries` keeps the most recent ``capacity``
+samples in two preallocated ``array('d')`` buffers (unboxed doubles: a
+4×4×4 machine carries 384 link-direction series without megabytes of
+boxed floats) and counts every overwritten sample in :attr:`dropped` so
+telemetry loss is always visible, never silent.
 """
 
 from __future__ import annotations

@@ -137,8 +137,6 @@ class HealthVerdict:
     packets_in_flight: int
     samples_recorded: int
     dropped_samples: int
-    #: Events evicted by an attached EventHistory (0 when none watched).
-    dropped_events: int
     dropped_diagnostics: int
     diagnostic_counts: dict[str, int]
     #: Deepest head-of-line queue ever observed per link direction
@@ -176,8 +174,7 @@ class HealthVerdict:
             f"{self.packets_delivered} delivered / "
             f"{self.packets_in_flight} in flight; "
             f"{self.samples_recorded} samples retained "
-            f"({self.dropped_samples} dropped), "
-            f"{self.dropped_events} events evicted; diagnostics "
+            f"({self.dropped_samples} dropped); diagnostics "
             + ", ".join(f"{self.diagnostic_counts[k]} {k}" for k in LEVELS)
         )
         if self.peak_queue_by_direction:

@@ -274,7 +274,6 @@ class SweepReport:
             packets_in_flight=0,
             samples_recorded=done,
             dropped_samples=0,
-            dropped_events=0,
             dropped_diagnostics=0,
             diagnostic_counts={level: 0 for level in LEVELS},
         )

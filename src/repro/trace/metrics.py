@@ -14,12 +14,11 @@ primitives.  This module provides them for the simulated machine:
   percentile queries (p50/p90/p99 end-to-end packet latency,
   per-hop queue wait).
 
-A :class:`MetricsRegistry` names and owns the metrics.  It can be
-attached to any :class:`~repro.engine.simulator.Simulator` (the
-simulator then carries it as ``sim.metrics``), or installed as the
-ambient registry with :func:`use_registry` so that instrumented
-subsystems (the network flight recorder, the collectives, the
-migration protocol) find it without parameter threading.
+A :class:`MetricsRegistry` names and owns the metrics.  It is passed
+explicitly or installed as the ambient registry with
+:func:`use_registry`, so that instrumented subsystems (the network
+flight recorder, the collectives, the migration protocol) find it
+without parameter threading.
 
 All of this is pull-based bookkeeping on plain Python numbers: no
 clocks are read, no events are scheduled, and recording never perturbs
@@ -32,12 +31,9 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.trace.sketch import QuantileSketch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.simulator import Simulator
 
 
 class Counter:
@@ -294,7 +290,7 @@ Metric = Union[Counter, Gauge, Histogram, QuantileSketch]
 
 
 class MetricsRegistry:
-    """Named metrics for one run, attachable to any simulator.
+    """Named metrics for one run.
 
     Metrics are created on first use (``registry.counter("x").inc()``),
     mirroring how :class:`~repro.asic.client.NetworkClient` creates
@@ -303,23 +299,12 @@ class MetricsRegistry:
     source of truth for what a name means.
     """
 
-    def __init__(
-        self,
-        sim: "Optional[Simulator]" = None,
-        histogram_max_samples: Optional[int] = None,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, histogram_max_samples: Optional[int] = None) -> None:
         #: Cap applied to histograms created through this registry;
         #: ``None`` keeps them exact (the historical behaviour).  The
         #: monitoring harness sets this so always-on runs are bounded.
         self.histogram_max_samples = histogram_max_samples
         self._metrics: dict[str, Metric] = {}
-
-    def attach(self, sim: "Simulator") -> "MetricsRegistry":
-        """Bind to a simulator; the simulator carries ``sim.metrics``."""
-        self.sim = sim
-        sim.metrics = self
-        return self
 
     # -- creation / lookup -------------------------------------------------
     def _get_or_create(self, cls: type, name: str, help: str) -> Metric:

@@ -3,6 +3,29 @@
 import pytest
 
 from repro.engine import Simulator
+from repro.profile.profiler import EngineProfiler
+
+#: How to equip a fresh simulator so :meth:`Simulator.run` takes each
+#: of its loop bodies: bare, observed by the profiler, and observed by
+#: a no-op monitor hook due at every event.
+BODIES = {
+    "bare": lambda sim: None,
+    "profiled": lambda sim: EngineProfiler().attach(sim),
+    "monitored": lambda sim: sim.set_monitor_hook(lambda when: when),
+}
+
+
+def bodies():
+    """Yield ``(name, sim)``: one fresh simulator per loop body."""
+    for name, equip in BODIES.items():
+        sim = Simulator()
+        equip(sim)
+        yield name, sim
+
+
+def snapshot(sim, seen):
+    """What every loop body must leave identical."""
+    return list(seen), sim.pending, sim.events_executed, sim.now
 
 
 def test_schedule_runs_in_time_order(sim):
@@ -28,14 +51,14 @@ def test_schedule_into_past_rejected(sim):
         sim.schedule(-0.1, lambda: None)
 
 
-def test_run_until_time_stops_clock_exactly(sim):
-    seen = []
-    sim.schedule(10.0, seen.append, "late")
-    sim.run(until=4.0)
-    assert seen == []
-    assert sim.now == 4.0
-    sim.run()
-    assert seen == ["late"]
+def test_run_until_time_stops_clock_exactly():
+    for body, sim in bodies():
+        seen = []
+        sim.schedule(10.0, seen.append, "late")
+        sim.run(until=4.0)
+        assert snapshot(sim, seen) == ([], 1, 0, 4.0), body
+        sim.run()
+        assert snapshot(sim, seen) == (["late"], 0, 1, 10.0), body
 
 
 def test_run_until_past_time_rejected(sim):
@@ -82,60 +105,90 @@ def test_determinism_across_runs():
     assert build_and_run() == build_and_run()
 
 
-def test_stop_event_mid_bucket_resumes_the_instant_in_order(sim):
+def test_run_until_fired_event_returns_before_running_anything():
+    """A stop event that already fired yields its value (or raises its
+    exception) at once, leaving the queue and the clock untouched."""
+    for body, sim in bodies():
+        seen = []
+        done = sim.event()
+        sim.schedule(1.0, done.succeed, "value")
+        sim.run()
+        sim.schedule(2.0, seen.append, "unrelated")
+        # Succeeded and drained.
+        assert sim.run(until=done) == "value", body
+        assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
+        failed = sim.event()
+        failed.fail(KeyError("failed"))
+        with pytest.raises(KeyError, match="failed"):
+            sim.run(until=failed)
+        assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
+        # An empty all_of succeeds as it is built.
+        assert sim.run(until=sim.all_of([])) == {}, body
+        assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
+        sim.run()
+        assert snapshot(sim, seen) == (["unrelated"], 0, 2, 3.0), body
+
+
+def test_run_until_timeout_runs_to_its_firing(sim):
+    """A Timeout carries its value from creation but fires later."""
     seen = []
-    ev = sim.event()
-    sim.schedule(1.0, seen.append, "a")
-    sim.schedule(1.0, ev.succeed, "stop")
-    sim.schedule(1.0, seen.append, "b")
-    sim.schedule(1.0, seen.append, "c")
-    sim.schedule(2.0, seen.append, "later")
-    assert sim.run(until=ev) == "stop"
-    assert seen == ["a"]
-    assert sim.now == 1.0
-    assert sim.pending == 3
-    # A same-instant schedule between runs queues behind the remainder.
-    sim.schedule(0.0, seen.append, "d")
-    sim.run()
-    assert seen == ["a", "b", "c", "d", "later"]
-    assert sim.pending == 0
+    timeout = sim.timeout(5.0, "t")
+    sim.schedule(1.0, seen.append, "before")
+    sim.schedule(9.0, seen.append, "after")
+    assert sim.run(until=timeout) == "t"
+    assert snapshot(sim, seen) == (["before"], 1, 2, 5.0)
 
 
-def test_crash_mid_bucket_leaves_the_remainder_pending(sim):
-    seen = []
+def test_stop_event_mid_bucket_resumes_the_instant_in_order():
+    for body, sim in bodies():
+        seen = []
+        ev = sim.event()
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule(1.0, ev.succeed, "stop")
+        sim.schedule(1.0, seen.append, "b")
+        sim.schedule(1.0, seen.append, "c")
+        sim.schedule(2.0, seen.append, "later")
+        assert sim.run(until=ev) == "stop", body
+        assert snapshot(sim, seen) == (["a"], 3, 2, 1.0), body
+        # A same-instant schedule between runs queues behind the remainder.
+        sim.schedule(0.0, seen.append, "d")
+        sim.run()
+        assert snapshot(sim, seen) == (
+            ["a", "b", "c", "d", "later"], 0, 6, 2.0), body
 
+
+def test_crash_mid_bucket_leaves_the_remainder_pending():
     def crasher():
         raise ValueError("boom")
         yield  # pragma: no cover
 
-    sim.schedule(0.0, seen.append, "a")
-    sim.process(crasher())
-    sim.schedule(0.0, seen.append, "b")
-    sim.schedule(0.0, seen.append, "c")
-    with pytest.raises(RuntimeError, match="unhandled exception"):
+    for body, sim in bodies():
+        seen = []
+        sim.schedule(0.0, seen.append, "a")
+        sim.process(crasher())
+        sim.schedule(0.0, seen.append, "b")
+        sim.schedule(0.0, seen.append, "c")
+        with pytest.raises(RuntimeError, match="unhandled exception"):
+            sim.run()
+        assert snapshot(sim, seen) == (["a"], 2, 2, 0.0), body
         sim.run()
-    assert seen == ["a"]
-    assert sim.pending == 2
-    assert sim.events_executed == 2
-    sim.run()
-    assert seen == ["a", "b", "c"]
-    assert sim.events_executed == 4
+        assert snapshot(sim, seen) == (["a", "b", "c"], 0, 4, 0.0), body
 
 
-def test_exception_mid_bucket_leaves_the_remainder_pending(sim):
-    seen = []
-
+def test_exception_mid_bucket_leaves_the_remainder_pending():
     def fail():
         raise KeyError("escaped")
 
-    sim.schedule(1.0, seen.append, "a")
-    sim.schedule(1.0, fail)
-    sim.schedule(1.0, seen.append, "b")
-    with pytest.raises(KeyError):
+    for body, sim in bodies():
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule(1.0, fail)
+        sim.schedule(1.0, seen.append, "b")
+        with pytest.raises(KeyError):
+            sim.run()
+        assert snapshot(sim, seen) == (["a"], 1, 2, 1.0), body
         sim.run()
-    assert sim.pending == 1
-    sim.run()
-    assert seen == ["a", "b"]
+        assert snapshot(sim, seen) == (["a", "b"], 0, 3, 1.0), body
 
 
 def test_monitor_hook_reads_logical_pending_mid_bucket(sim):

@@ -7,7 +7,7 @@ import pytest
 
 from tests.conftest import run_exchange
 
-from repro.engine.simulator import EventHistory, Simulator
+from repro.engine.simulator import Simulator
 from repro.asic.node import build_machine
 from repro.monitor.health import (
     HealthMonitor,
@@ -141,23 +141,6 @@ class TestHealthMonitor:
         assert check.status == "error"
         assert "waiters" in check.detail
         assert not verdict.healthy
-
-    def test_event_history_drops_surfaced(self, sim, machine222):
-        monitor = HealthMonitor(sim, machine222, interval_ns=10.0)
-        history = monitor.watch_event_history(
-            EventHistory(capacity=2).install(sim)
-        )
-        for t in range(1, 8):
-            sim.schedule(float(t), lambda: None)
-        sim.run()
-        verdict = monitor.finalize()
-        assert history.dropped > 0
-        assert verdict.dropped_events == history.dropped
-        check = verdict.check("telemetry_loss")
-        assert check.status == "warning"
-        assert "history events" in check.detail
-        # Telemetry loss warns but does not fail the run.
-        assert verdict.healthy
 
     def test_ring_overflow_surfaced_as_warning(self, sim, machine222):
         monitor = HealthMonitor(sim, machine222, interval_ns=1.0,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import Simulator
 from repro.trace.metrics import (
     Counter,
     Gauge,
@@ -141,13 +140,6 @@ class TestMetricsRegistry:
         assert "depth" in text
         assert "lat_ns" in text
         assert "p99" in text
-
-    def test_attach_to_simulator(self):
-        sim = Simulator()
-        assert sim.metrics is None
-        reg = MetricsRegistry().attach(sim)
-        assert sim.metrics is reg
-        assert reg.sim is sim
 
     def test_clear(self):
         reg = MetricsRegistry()
