@@ -10,13 +10,17 @@ calibrated segment constants (virtual cut-through; see DESIGN.md §5).
 
 The channel is owned by the link rather than built on the engine's
 :class:`~repro.engine.resource.Resource`: a packet that finds the link
-busy queues a ``(fn, args)`` continuation in a deque, with no event and
-no closure.  On release the head continuation is scheduled at the
-current instant, behind every entry already queued for it: exactly the
-one entry ``Event.succeed`` pushed for a ``Resource`` grant.  The grant
-goes through the event queue rather than running inline so that
-everything already scheduled for that instant runs first; same-instant order,
-grant order and every result byte stay those of the ``Resource`` model.
+busy queues a continuation, a plain function and its args tuple, as two
+consecutive slots of a deque, with no event, no closure and no entry
+tuple.  This is the flat layout of the simulator's calendar buckets, for
+the same reason: the args tuple stays the only object a wait allocates
+that the cyclic garbage collector tracks.  On release the head
+continuation is scheduled at the current instant, behind every event
+already queued for it: exactly the one event ``Event.succeed`` pushed
+for a ``Resource`` grant.  The grant goes through the event queue rather
+than running inline so that everything already scheduled for that
+instant runs first; same-instant order, grant order and every result
+byte stay those of the ``Resource`` model.
 
 Each link direction also carries the per-hop constants the transport
 needs, computed once when the link is created: the neighbour it leads
@@ -89,7 +93,8 @@ class TorusLink:
         self.ucast_through_ns = link_ns + THROUGH_RING_NS[dim]
         self.mcast_first_ns = link_ns + MULTICAST_LOOKUP_NS
         self.mcast_through_ns = self.mcast_first_ns + THROUGH_RING_NS[dim]
-        self._waiters: deque[tuple[Callable[..., None], tuple]] = deque()
+        #: Waiting continuations, flat: ``fn, args, fn, args, ...``.
+        self._waiters: deque = deque()
         #: Deepest wait queue ever observed (head-of-line telemetry).
         self.peak_queue_length = 0
         self.total_busy_ns = 0.0
@@ -119,19 +124,21 @@ class TorusLink:
         """Queue for the busy channel: ``fn(*args)`` runs once the
         channel is granted to this waiter, in arrival order."""
         waiters = self._waiters
-        waiters.append((fn, args))
-        if len(waiters) > self.peak_queue_length:
-            self.peak_queue_length = len(waiters)
+        waiters.append(fn)
+        waiters.append(args)
+        depth = len(waiters) >> 1
+        if depth > self.peak_queue_length:
+            self.peak_queue_length = depth
 
     def release(self) -> None:
         """Hand the channel to the head waiter, or free it."""
         if self._busy_since is None:
             raise RuntimeError(f"release() of idle {self.link_id!r}")
-        if self._waiters:
-            # One queue entry at the current instant, behind every
-            # entry already there (see the module docstring).
-            fn, args = self._waiters.popleft()
-            self.sim.schedule_now(fn, args)
+        waiters = self._waiters
+        if waiters:
+            # One event at the current instant, behind every event
+            # already there (see the module docstring).
+            self.sim.schedule_now(waiters.popleft(), waiters.popleft())
         else:
             self.total_busy_ns += self.sim.now - self._busy_since
             self._busy_since = None
@@ -141,7 +148,7 @@ class TorusLink:
     def queue_length(self) -> int:
         """Packets currently waiting for this direction (instantaneous
         depth probe for the continuous-monitoring sampler)."""
-        return len(self._waiters)
+        return len(self._waiters) >> 1
 
     @property
     def busy_ns(self) -> float:

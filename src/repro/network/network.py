@@ -29,15 +29,19 @@ passing style (callbacks on the event queue) rather than as generator
 processes — an MD time step moves hundreds of thousands of packets and
 the per-process machinery dominated the run time of the first
 implementation.  Client-side code keeps the friendlier generator API.
-A link direction (:class:`~repro.network.link.TorusLink`) is a
-link-owned FCFS queue of those continuations: a packet that finds the
-link busy queues ``(self._granted, args)`` and allocates no event and no
-closure.  The release still grants through the event queue, as one
-entry at the current instant, so same-instant order — and with it every
-result byte — is that of an engine ``Resource``.  Each hop does one
-link lookup; the neighbour and head latencies come precomputed on the
-link.  Faults, jitter and the in-order flag stay inline in the one
-transit path.
+Each scheduled continuation is a plain function with its transit
+(or link) as the first argument — ``_UcastTransit._next_hop, self``
+rather than ``self._next_hop`` — so a hop allocates no bound method,
+and its args tuple is the one object per event that the cyclic garbage
+collector tracks (see :mod:`repro.engine.simulator`).  A link direction
+(:class:`~repro.network.link.TorusLink`) is a link-owned FCFS queue of
+those continuations: a packet that finds the link busy queues
+``_granted`` and its args and allocates no event and no closure.  The
+release still grants through the event queue, as one event at the
+current instant, so same-instant order — and with it every result byte
+— is that of an engine ``Resource``.  Each hop does one link lookup;
+the neighbour and head latencies come precomputed on the link.  Faults,
+jitter and the in-order flag stay inline in the one transit path.
 """
 
 from __future__ import annotations
@@ -299,14 +303,15 @@ class _UcastTransit:
         self.payload_extra = max(0.0, packet.serialization_ns - _HEADER_SER_NS)
         self.order_prev, self.order_mine = net._inorder_gate(packet, dst)
         net.deliveries_expected += 1
-        net.sim.schedule(SRC_RING_NS, self._next_hop)
+        net.sim.schedule(SRC_RING_NS, _UcastTransit._next_hop, self)
 
     def _next_hop(self) -> None:
         net = self.net
         sim = net.sim
         route = self.route
         if self.idx >= len(route):
-            sim.schedule(DST_RING_NS if route else 0.0, self._arrive)
+            sim.schedule(DST_RING_NS if route else 0.0,
+                         _UcastTransit._arrive, self)
             return
         dim, sign = route[self.idx]
         cur = self.cur
@@ -316,7 +321,7 @@ class _UcastTransit:
             if until > sim.now:
                 # Link down or node stalled: re-arm at the window's end
                 # (re-checked there — windows may be back to back).
-                sim.schedule(until - sim.now, self._next_hop)
+                sim.schedule(until - sim.now, _UcastTransit._next_hop, self)
                 return
         link = net._links.get((cur, dim, sign)) or net.link(cur, dim, sign)
         if link.try_acquire():
@@ -325,7 +330,7 @@ class _UcastTransit:
             fl = net.flight
             if fl.enabled:
                 fl.hop_enqueued(self.packet, link, sim.now)
-            link.wait(self._granted, (link,))
+            link.wait(_UcastTransit._granted, (self, link))
 
     def _granted(self, link: TorusLink) -> None:
         net = self.net
@@ -343,11 +348,11 @@ class _UcastTransit:
             latency = link.ucast_through_ns
         fa = net.faults
         if fa is None:
-            sim.schedule(packet.serialization_ns, link.release)
+            sim.schedule(packet.serialization_ns, TorusLink.release, link)
         else:
             lid = link.link_id
             out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
-            sim.schedule(out.hold_ns, link.release)
+            sim.schedule(out.hold_ns, TorusLink.release, link)
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
@@ -359,7 +364,7 @@ class _UcastTransit:
             latency += net._jitter(packet)
         self.cur = link.neighbor
         self.idx += 1
-        sim.schedule(latency, self._next_hop)
+        sim.schedule(latency, _UcastTransit._next_hop, self)
 
     def _lost(self) -> None:
         """Drop escalation: account the loss loudly and complete the
@@ -424,7 +429,8 @@ class _McastTransit:
         if self.outstanding == 0:
             raise ValueError(f"pattern {packet.pattern_id} delivers to no client")
         net.deliveries_expected += self.outstanding
-        net.sim.schedule(SRC_RING_NS, self._visit, packet.src_node, True)
+        net.sim.schedule(SRC_RING_NS, _McastTransit._visit, self,
+                         packet.src_node, True)
 
     def _visit(self, node: NodeCoord, first_link: bool,
                forward: Optional[tuple] = None) -> None:
@@ -442,8 +448,8 @@ class _McastTransit:
                 if until > sim.now:
                     # Stalled node: the whole visit (local deliveries
                     # and forwarding) waits out the window.
-                    sim.schedule(until - sim.now, self._visit,
-                                 node, first_link)
+                    sim.schedule(until - sim.now, _McastTransit._visit,
+                                 self, node, first_link)
                     return
             entry = self.pattern.entries[node]
             # Local deliveries go out in client order, each at the same
@@ -454,20 +460,21 @@ class _McastTransit:
             if packet.in_order:
                 for client_name in entry.local_clients:
                     order_prev, order_mine = net._inorder_gate(packet, node)
-                    sim.schedule(delay, self._deliver_local, node,
-                                 client_name, order_prev, order_mine)
+                    sim.schedule(delay, _McastTransit._deliver_local,
+                                 self, node, client_name, order_prev,
+                                 order_mine)
             else:
                 for client_name in entry.local_clients:
-                    sim.schedule(delay, self._finish_local, node,
-                                 client_name, None)
+                    sim.schedule(delay, _McastTransit._finish_local,
+                                 self, node, client_name, None)
             forward = entry.forward
         links = net._links
         for dim, sign in forward:
             if fa is not None:
                 until = fa.down_until(dim, sign, sim.now)
                 if until > sim.now:
-                    sim.schedule(until - sim.now, self._visit,
-                                 node, first_link, ((dim, sign),))
+                    sim.schedule(until - sim.now, _McastTransit._visit,
+                                 self, node, first_link, ((dim, sign),))
                     continue
             link = links.get((node, dim, sign)) or net.link(node, dim, sign)
             if link.try_acquire():
@@ -476,7 +483,7 @@ class _McastTransit:
                 fl = net.flight
                 if fl.enabled:
                     fl.hop_enqueued(packet, link, sim.now)
-                link.wait(self._granted, (link, first_link))
+                link.wait(_McastTransit._granted, (self, link, first_link))
 
     def _deliver_local(
         self,
@@ -520,11 +527,11 @@ class _McastTransit:
             latency = link.mcast_through_ns
         fa = net.faults
         if fa is None:
-            sim.schedule(packet.serialization_ns, link.release)
+            sim.schedule(packet.serialization_ns, TorusLink.release, link)
         else:
             lid = link.link_id
             out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
-            sim.schedule(out.hold_ns, link.release)
+            sim.schedule(out.hold_ns, TorusLink.release, link)
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
@@ -534,7 +541,8 @@ class _McastTransit:
             latency += out.extra_ns
         if net.reorder_jitter_ns > 0.0:
             latency += net._jitter(packet)
-        sim.schedule(latency, self._visit, link.neighbor, False)
+        sim.schedule(latency, _McastTransit._visit, self, link.neighbor,
+                     False)
 
     def _lost_branch(self, root: NodeCoord) -> None:
         """Drop escalation on one multicast branch: every delivery in

@@ -161,10 +161,12 @@ class EngineProfiler:
         :attr:`rec_cache` so subsequent events from the same call site
         hit the cache instead of this method.
 
-        Class checks use ``__class__ is`` pointer compares: neither
-        :class:`Process` nor :class:`Simulator` is subclassed in this
-        codebase, and a subclass would merely fall to the generic
-        callable path (correct, just less specific)."""
+        The class check uses an ``__class__ is`` pointer compare:
+        :class:`Process` is not subclassed in this codebase, and a
+        subclass would merely fall to the generic callable path
+        (correct, just less specific).  The run loop passes no ``key``
+        for :meth:`Simulator._fire`: every Timeout delivery is
+        classified here, by the process it wakes."""
         obj = getattr(fn, "__self__", None)
         cls = obj.__class__ if obj is not None else None
         if cls is Process:
@@ -176,7 +178,7 @@ class EngineProfiler:
                 )
                 self._by_code[code] = cell
                 self._cells.append(cell)
-        elif cls is Simulator:
+        elif fn is Simulator._fire:
             # Simulator._fire(event): attribute the timeout delivery
             # to the first waiting process, the code that actually
             # runs inside this event.
@@ -198,11 +200,11 @@ class EngineProfiler:
             else:
                 cell = self._named_cell("engine", "Timeout")
         else:
-            # Plain callables (network hops, HTIS deliveries, ...).
-            # A bound method object is fresh per schedule, but its
-            # underlying function's code object is stable — memoize on
-            # that so classification runs once per call site, not once
-            # per event.
+            # Plain callables (network hops, HTIS deliveries, ...),
+            # scheduled as functions or bound methods: memoize on the
+            # underlying function's code object, which is stable, so
+            # classification runs once per call site, not once per
+            # event.
             func = getattr(fn, "__func__", fn)
             memo = getattr(func, "__code__", func)
             cell = self._by_code.get(memo)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.asic import build_machine
@@ -60,3 +62,17 @@ def run_exchange(sim, src_slice, dst_slice, *, payload_bytes=0, payload=None,
     p2 = sim.process(receiver())
     sim.run(until=sim.all_of([p1, p2]))
     return result["t"]
+
+
+def gc_growth(action, n):
+    """Growth of the GC-tracked object count over ``n`` calls of
+    ``action(i)``, with the collector off so nothing is reclaimed."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i in range(n):
+            action(i)
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Simulator
 from repro.profile.profiler import EngineProfiler
+from tests.conftest import gc_growth
 
 #: How to equip a fresh simulator so :meth:`Simulator.run` takes each
 #: of its loop bodies: bare, observed by the profiler, and observed by
@@ -144,17 +145,20 @@ def test_stop_event_mid_bucket_resumes_the_instant_in_order():
         seen = []
         ev = sim.event()
         sim.schedule(1.0, seen.append, "a")
+        # Appends "e" behind the bucket while it drains.
+        sim.schedule(1.0, sim.schedule, 0.0, seen.append, "e")
         sim.schedule(1.0, ev.succeed, "stop")
         sim.schedule(1.0, seen.append, "b")
-        sim.schedule(1.0, seen.append, "c")
+        sim.schedule(1.0, lambda: seen.append("c"))
         sim.schedule(2.0, seen.append, "later")
         assert sim.run(until=ev) == "stop", body
-        assert snapshot(sim, seen) == (["a"], 3, 2, 1.0), body
+        assert snapshot(sim, seen) == (["a"], 4, 3, 1.0), body
         # A same-instant schedule between runs queues behind the remainder.
         sim.schedule(0.0, seen.append, "d")
+        assert sim.pending == 5, body
         sim.run()
         assert snapshot(sim, seen) == (
-            ["a", "b", "c", "d", "later"], 0, 6, 2.0), body
+            ["a", "b", "c", "e", "d", "later"], 0, 8, 2.0), body
 
 
 def test_crash_mid_bucket_leaves_the_remainder_pending():
@@ -165,14 +169,16 @@ def test_crash_mid_bucket_leaves_the_remainder_pending():
     for body, sim in bodies():
         seen = []
         sim.schedule(0.0, seen.append, "a")
+        sim.schedule(0.0, sim.schedule, 0.0, seen.append, "e")
         sim.process(crasher())
         sim.schedule(0.0, seen.append, "b")
-        sim.schedule(0.0, seen.append, "c")
+        sim.schedule(0.0, lambda: seen.append("c"))
         with pytest.raises(RuntimeError, match="unhandled exception"):
             sim.run()
-        assert snapshot(sim, seen) == (["a"], 2, 2, 0.0), body
+        assert snapshot(sim, seen) == (["a"], 3, 3, 0.0), body
         sim.run()
-        assert snapshot(sim, seen) == (["a", "b", "c"], 0, 4, 0.0), body
+        assert snapshot(sim, seen) == (
+            ["a", "b", "c", "e"], 0, 6, 0.0), body
 
 
 def test_exception_mid_bucket_leaves_the_remainder_pending():
@@ -182,13 +188,16 @@ def test_exception_mid_bucket_leaves_the_remainder_pending():
     for body, sim in bodies():
         seen = []
         sim.schedule(1.0, seen.append, "a")
+        sim.schedule(1.0, sim.schedule, 0.0, seen.append, "e")
         sim.schedule(1.0, fail)
         sim.schedule(1.0, seen.append, "b")
+        sim.schedule(1.0, lambda: seen.append("c"))
         with pytest.raises(KeyError):
             sim.run()
-        assert snapshot(sim, seen) == (["a"], 1, 2, 1.0), body
+        assert snapshot(sim, seen) == (["a"], 3, 3, 1.0), body
         sim.run()
-        assert snapshot(sim, seen) == (["a", "b"], 0, 3, 1.0), body
+        assert snapshot(sim, seen) == (
+            ["a", "b", "c", "e"], 0, 6, 1.0), body
 
 
 def test_monitor_hook_reads_logical_pending_mid_bucket(sim):
@@ -221,3 +230,27 @@ def test_monitor_hook_reads_logical_pending_mid_bucket(sim):
     ]
     assert sim.pending == 0
     assert sim.events_executed == 7
+
+
+def test_schedule_tracks_one_object_per_event(sim):
+    """A bucket holds ``fn`` and ``args`` as two slots: the args tuple
+    is the only GC-tracked object an event adds (no entry tuple)."""
+    n = 2000
+
+    def action(_ev):  # a plain function: no bound method either
+        pass
+
+    growth = gc_growth(lambda i: sim.schedule(1.0, action, i), n)
+    assert n <= growth < n + 16
+    assert sim.pending == n
+    sim.run()
+    assert sim.events_executed == n
+
+
+def test_timeout_schedules_no_bound_method(sim):
+    """A Timeout adds itself, its callback list and the args tuple of
+    its delivery."""
+    n = 2000
+    growth = gc_growth(lambda i: sim.timeout(1.0, i), n)
+    assert 3 * n <= growth < 3 * n + 16
+    assert sim.pending == n

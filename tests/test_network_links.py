@@ -4,7 +4,8 @@ import pytest
 
 from repro.asic import build_machine
 from repro.engine import Simulator
-from tests.conftest import run_exchange
+from repro.network.link import LinkId, TorusLink
+from tests.conftest import gc_growth, run_exchange
 
 
 def test_link_traffic_accounting(sim, machine222):
@@ -67,3 +68,37 @@ def test_multicast_counts_each_tree_edge(sim):
     assert m.network.link_traversals == 3
     assert m.network.packets_injected == 1
     assert m.network.packets_delivered == 3
+
+
+def _link(sim):
+    return TorusLink(sim, LinkId((0, 0, 0), "x", 1), (1, 0, 0))
+
+
+def test_queue_length_counts_waiters_not_slots(sim):
+    link = _link(sim)
+    granted = []
+    assert link.try_acquire()
+    for tag in ("a", "b", "c"):
+        link.wait(granted.append, (tag,))
+    assert link.queue_length == 3
+    assert link.peak_queue_length == 3
+    link.release()
+    assert link.queue_length == 2
+    assert link.peak_queue_length == 3
+    sim.run()
+    assert granted == ["a"]
+
+
+def test_wait_tracks_one_object_per_waiter(sim):
+    """A waiter is two deque slots, ``fn`` and ``args``: the args tuple
+    is the only GC-tracked object it adds (no entry tuple)."""
+    n = 2000
+    link = _link(sim)
+    assert link.try_acquire()
+
+    def granted(_tag):
+        pass
+
+    growth = gc_growth(lambda i: link.wait(granted, (i,)), n)
+    assert n <= growth < n + 16
+    assert link.queue_length == n

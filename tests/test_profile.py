@@ -13,6 +13,7 @@ from repro.profile import (
     peak_rss_bytes,
     use_profiling,
 )
+from repro.profile.capture import run_profiled
 from repro.runner.result import Captures, run_experiment
 from repro.runner.spec import ExperimentSpec, ensure_registered
 from tests.conftest import run_exchange
@@ -196,3 +197,46 @@ def test_md_experiments_profile_with_step_phases(experiment):
     phases = set(result.profile.count_profile()["phases"])
     assert "step:range_limited" in phases
     assert "step:long_range" in phases
+
+
+#: Event counts per (component, label) of profiled 2x2x2 runs, in the
+#: ``(run)`` or ``allreduce`` phase.  Timeout deliveries count under the
+#: generator they wake (``pinger``, ``sender``, ...); a run that charged
+#: them all to the first waiter resolved, or to ``Simulator._fire``,
+#: moves these numbers.
+PROFILED_COUNTS_222 = {
+    "latency": {
+        "analysis": {"pinger": 56, "ponger": 56, "side": 112},
+        "engine": {"AllOf._on_child": 32},
+        "network": {"TorusLink.release": 96, "_UcastTransit._arrive": 64,
+                    "_UcastTransit._next_hop": 160},
+    },
+    "congestion": {
+        "engine": {"AllOf._on_child": 8},
+        "network": {"TorusLink.release": 24, "_UcastTransit._arrive": 14,
+                    "_UcastTransit._granted": 17,
+                    "_UcastTransit._next_hop": 38},
+        "runner": {"receiver": 3, "sender": 21},
+    },
+    "allreduce": {
+        "asic": {"poll": 72},
+        "comm": {"_node_process": 184},
+        "engine": {"AllOf._on_child": 32},
+        "network": {"TorusLink.release": 24,
+                    "_McastTransit._finish_local": 24,
+                    "_McastTransit._visit": 48,
+                    "_UcastTransit._arrive": 40,
+                    "_UcastTransit._next_hop": 40},
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PROFILED_COUNTS_222))
+def test_profiled_cells_are_exact(experiment):
+    result = run_profiled(experiment, shape=(2, 2, 2))
+    counts = result.profile.count_profile()
+    assert list(counts["phases"].values()) == [
+        PROFILED_COUNTS_222[experiment]]
+    assert counts["events_total"] == sum(
+        n for labels in PROFILED_COUNTS_222[experiment].values()
+        for n in labels.values())
