@@ -3,7 +3,7 @@
 Appends a realistic stream of bench records (the full suite's result
 rows, provenance, a verdict attachment) to a fresh ledger and measures
 the per-append CPU cost, fsync included.  The ledger hangs off every
-``bench``/``profile``/``sweep`` invocation, so an append has to be
+``profile``/``sweep``/``congest`` invocation, so an append has to be
 orders of magnitude cheaper than the run it describes; the hard gate
 asserts the whole stream costs less than a second of CPU and the chain
 it leaves behind verifies clean.

@@ -8,9 +8,9 @@ the bare run — monitoring is a passive observer — and that its
 wall-clock cost stays within the 15% overhead budget an always-on
 layer must respect.  The min-of-two timing per mode filters warmup
 and scheduler noise; the published ratio is recorded through the
-``repro-bench/1`` pipeline (the deterministic perturbation gate lives
-in the suite's ``monitor`` benchmark, baselined at exactly 0.0 in
-``benchmarks/baseline.json``).
+``repro-bench/1`` pipeline (the deterministic perturbation gate is
+the ``monitor/sim_time_delta_ns == 0.0`` pin in
+``tests/test_model_pins.py``).
 """
 
 import time

@@ -8,8 +8,9 @@ Every benchmark regenerates one table or figure from the paper and
   JSON in ``benchmarks/results/<name>.json`` (the ``record`` fixture),
 
 so `bench_output.txt` plus the results directory together hold the
-whole reproduced evaluation, and CI can diff the JSON against a
-committed baseline (see ``repro.bench.compare``).  Set
+whole reproduced evaluation, and CI merges the JSON into one
+``repro-bench/1`` document for the observatory.  The exact regression
+gate on the model's numbers is ``tests/test_model_pins.py``.  Set
 ``REPRO_BENCH_SCALE=quick`` to run the MD benchmarks on a reduced
 machine (4×4×4) when iterating.
 """

@@ -24,8 +24,6 @@ Quick access to the headline measurements without writing a script:
   with the flight recorder on and attribute every nanosecond of the
   critical packet to Fig. 6's component taxonomy, plus per-phase
   critical paths and link contention hotspots
-* ``bench``     — run the quick benchmark suite, write ``repro-bench/1``
-  JSON results, and optionally fail on regression vs a baseline file
 * ``monitor``   — run an experiment with continuous health monitoring
   attached (time-series sampler + invariant watchdogs), print the
   health verdict, and exit nonzero on any invariant violation
@@ -33,11 +31,12 @@ Quick access to the headline measurements without writing a script:
   HTML health report (utilization heatmap, time-series charts,
   sketch-vs-exact percentiles) plus optional Prometheus text
 * ``obs``       — the performance observatory over the run ledger that
-  ``bench``/``profile``/``sweep`` append to: inspect or extend the
-  ledger (``log``), detect per-metric trend regressions against each
-  series' own history (``trends``), attribute the wall-ns delta
-  between two profile captures (``diff``), and render the HTML
-  dashboard / Prometheus exposition (``report``)
+  ``profile``/``sweep``/``congest`` append to: inspect the ledger or
+  extend it from a ``repro-bench/1`` results file (``log``), detect
+  per-metric trend regressions against each series' own history
+  (``trends``), attribute the wall-ns delta between two profile
+  captures (``diff``), and render the HTML dashboard / Prometheus
+  exposition (``report``)
 
 Ledger-producing commands share ``--ledger PATH`` / ``--no-ledger``;
 the ambient default is ``.repro-ledger.jsonl`` (``$REPRO_LEDGER``
@@ -45,6 +44,10 @@ overrides the path, and setting it to ``0``/``off``/empty disables
 appending entirely).  Ledger appends are strictly additive
 observability: run results and sweep artifacts are byte-identical
 with the ledger on or off.
+
+There is no benchmark-regression subcommand: the model's headline
+numbers are pinned exactly in the tier-1 test suite
+(``tests/test_model_pins.py``), which is the regression gate.
 
 Every measurement subcommand shares the same canonical flags —
 ``--shape``, ``--rounds``, ``--payload``, ``--seed`` — built from one
@@ -484,7 +487,7 @@ def _run_allreduce(args, registry) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trace / attribution / bench / monitor commands
+# Trace / attribution / monitor commands
 # ---------------------------------------------------------------------------
 
 def _run_trace(args: argparse.Namespace) -> int:
@@ -597,44 +600,6 @@ def _run_attribute(args: argparse.Namespace) -> int:
             print()
     print(render_hotspots(link_hotspots(cap.flight, top=args.top)))
     return 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.bench.compare import compare, render_comparison, verdict_doc
-    from repro.bench.results import ResultSet, canonical_json
-    from repro.bench.suite import run_suite
-
-    only = set(args.only) if args.only else None
-    results = run_suite(shape=args.shape, only=only, jobs=args.jobs)
-    print(f"ran {len(results)} benchmark metrics on {args.shape}")
-    if args.out:
-        results.write(args.out)
-        print(f"wrote {args.out} (schema repro-bench/1)")
-    cmp = None
-    if args.compare is not None:
-        baseline = ResultSet.read(args.compare)
-        cmp = compare(baseline, results, threshold=args.threshold)
-    verdict = verdict_doc(cmp)
-    ledger = _open_ledger(args)
-    if ledger is not None:
-        from repro.observatory.ledger import log_bench
-
-        shape = args.shape
-        record = _ledger_append(
-            log_bench, ledger, results,
-            label=f"bench {shape[0]}x{shape[1]}x{shape[2]}",
-            verdict=verdict if cmp is not None else None,
-        )
-        if record is not None:
-            print(f"ledger: appended record {record.id} to {ledger.path}")
-    if cmp is not None:
-        print()
-        print(render_comparison(cmp))
-    if args.json:
-        # The machine-readable verdict, one line, last on stdout — the
-        # code path CI and the observatory share.
-        print(canonical_json(verdict))
-    return 0 if cmp is None or cmp.ok else 1
 
 
 def _run_monitor(args: argparse.Namespace) -> int:
@@ -1086,28 +1051,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="inject a uniform link bit-error rate and "
                            "attribute the retry time (default 0 = off)")
 
-    from repro.bench.suite import SUITE_BENCHMARKS
-
-    p_be = sub.add_parser(
-        "bench", parents=[_canonical_parent(), _ledger_parent()],
-        help="run the quick benchmark suite; optionally gate on a baseline",
-    )
-    p_be.add_argument("--json", action="store_true",
-                      help="print the machine-readable compare verdict "
-                           "(repro-bench-verdict/1) as the last stdout "
-                           "line — the code path CI and the observatory "
-                           "share")
-    p_be.add_argument("--jobs", type=int, default=1,
-                      help="parallel worker processes for suite sweeps")
-    p_be.add_argument("--out", default=None,
-                      help="write repro-bench/1 JSON results to this path")
-    p_be.add_argument("--compare", default=None, metavar="BASELINE",
-                      help="baseline results JSON; exit 1 on regression")
-    p_be.add_argument("--threshold", type=float, default=0.05,
-                      help="max tolerated fractional worsening (default 0.05)")
-    p_be.add_argument("--only", nargs="*", choices=SUITE_BENCHMARKS,
-                      default=None, help="restrict to these benchmarks")
-
     from repro.monitor.capture import (
         DEFAULT_HISTOGRAM_CAP,
         MONITOR_EXPERIMENTS,
@@ -1203,7 +1146,7 @@ def main(argv: list[str] | None = None) -> int:
         help="the performance observatory: ledger, trends, profile "
              "diffs, dashboard",
         description="Longitudinal performance tooling over the run "
-                    "ledger that bench/profile/sweep append to.",
+                    "ledger that profile/sweep/congest append to.",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -1295,8 +1238,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_profile(args)
     if args.command == "attribute":
         return _run_attribute(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command in ("monitor", "report"):
         return _run_monitor(args)
     if args.command == "congest":

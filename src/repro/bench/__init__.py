@@ -1,28 +1,12 @@
-"""The benchmark-regression pipeline.
+"""The ``repro-bench/1`` results schema.
 
-Three pieces turn ad-hoc benchmark prints into a CI gate:
-
-* :mod:`repro.bench.results` — the ``repro-bench/1`` schema: every
-  benchmark writes :class:`BenchResult` records into deterministic,
-  diffable :class:`ResultSet` JSON files keyed by (benchmark, metric,
-  config hash);
-* :mod:`repro.bench.compare` — diffs a run against a committed
-  baseline with configurable per-metric thresholds and direction-aware
-  regression classification;
-* :mod:`repro.bench.suite` — the curated quick suite behind
-  ``python -m repro bench``, measuring simulated model behaviour
-  (latency, collectives, transfer, migration, bandwidth) so the gate
-  compares physics, not host wall-clock noise.
+:mod:`repro.bench.results` defines :class:`BenchResult` records and
+deterministic, diffable :class:`ResultSet` JSON files keyed by
+(benchmark, metric, config hash).  Sweeps persist their measurements
+in it, the result cache and the observatory ledger read it, and the
+pytest benchmarks under ``benchmarks/`` publish through it.
 """
 
-from repro.bench.compare import (
-    DEFAULT_THRESHOLD,
-    Comparison,
-    Delta,
-    compare,
-    render_comparison,
-    threshold_for,
-)
 from repro.bench.results import (
     SCHEMA,
     BenchResult,
@@ -30,21 +14,11 @@ from repro.bench.results import (
     canonical_json,
     config_hash,
 )
-from repro.bench.suite import DEFAULT_SHAPE, SUITE_BENCHMARKS, run_suite
 
 __all__ = [
     "BenchResult",
-    "Comparison",
-    "DEFAULT_SHAPE",
-    "DEFAULT_THRESHOLD",
-    "Delta",
     "ResultSet",
     "SCHEMA",
-    "SUITE_BENCHMARKS",
     "canonical_json",
-    "compare",
     "config_hash",
-    "render_comparison",
-    "run_suite",
-    "threshold_for",
 ]

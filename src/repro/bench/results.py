@@ -1,9 +1,9 @@
 """Machine-readable benchmark results (the ``repro-bench/1`` schema).
 
-Every benchmark in this repo — the pytest-driven suite under
-``benchmarks/`` and the curated quick suite behind ``python -m repro
-bench`` — reports measurements as :class:`BenchResult` records and
-persists them as :class:`ResultSet` JSON documents:
+Every machine-readable measurement in this repo — the pytest-driven
+figures under ``benchmarks/``, sweep artifacts (``results.json``), and
+the result cache — is a :class:`BenchResult` record, persisted as a
+:class:`ResultSet` JSON document:
 
 .. code-block:: json
 
@@ -22,12 +22,12 @@ persists them as :class:`ResultSet` JSON documents:
       ]
     }
 
-Two rules make the files diffable and regression-checkable:
+Two rules make the files diffable and mergeable:
 
 * **Identity** — a result is keyed by ``(benchmark, metric,
   config_hash)`` where the hash covers the *configuration that defines
   the measurement* (shape, payload, rounds…), never the measured
-  value.  A baseline and a fresh run match up iff their keys match.
+  value.  Two runs measured the same thing iff their keys match.
 * **Determinism** — serialization is canonical (sorted keys, fixed
   separators, results ordered by key, trailing newline, no
   timestamps), so identical measurements produce byte-identical files.
@@ -89,7 +89,7 @@ class BenchResult:
 
     @property
     def key(self) -> tuple[str, str, str]:
-        """Identity for baseline matching."""
+        """Identity across runs: (benchmark, metric, config hash)."""
         return (self.benchmark, self.metric, self.config_hash)
 
     def to_dict(self) -> dict:

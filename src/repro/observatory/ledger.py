@@ -1,11 +1,11 @@
 """The append-only run ledger: every measurement, with provenance.
 
-PR 2's regression gate compares one run against one committed baseline
-and PR 6's profiler captures one run at a time — both are point-in-time
-tools.  The ledger is the longitudinal layer underneath them: an
-append-only JSONL file that every ``python -m repro bench``, ``repro
-profile``, and ``repro sweep`` invocation appends one record to, so the
-repository accumulates a machine-readable performance trajectory that
+The profiler captures one run at a time and the tier-1 pins check one
+revision at a time — both are point-in-time tools.  The ledger is the
+longitudinal layer underneath them: an append-only JSONL file that
+every ``repro profile``, ``repro sweep`` and ``repro congest``
+invocation (and ``repro obs log --results FILE``) appends one record
+to, so the repository accumulates a machine-readable performance trajectory that
 :mod:`repro.observatory.trends` can mine for regressions and
 :mod:`repro.observatory.diff` can pull profile captures out of.
 
@@ -190,7 +190,7 @@ class LedgerRecord:
     #: better/config/config_hash) — the trend detector's input.
     metrics: list = field(default_factory=list)
     #: Kind-specific payloads (a profile capture's wall profile, a
-    #: bench compare verdict, a sweep summary).
+    #: congestion tree, a sweep summary).
     attachments: dict = field(default_factory=dict)
 
     def body(self) -> dict:
@@ -416,18 +416,14 @@ def log_bench(
     ledger: Ledger,
     results: ResultSet,
     label: str = "bench",
-    verdict: Optional[dict] = None,
     meta: Optional[dict] = None,
 ) -> LedgerRecord:
-    """Append a bench-suite run: every ``repro-bench/1`` row, plus the
-    compare verdict when the run was gated against a baseline."""
-    attachments = {"verdict": verdict} if verdict is not None else {}
+    """Append a ``repro-bench/1`` results file: one row per result."""
     return ledger.append(
         kind="bench",
         label=label,
         metrics=[r.to_dict() for r in results],
         provenance=build_provenance(meta=meta),
-        attachments=attachments,
     )
 
 

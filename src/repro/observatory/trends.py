@@ -1,11 +1,11 @@
 """Trend and regression detection over the run ledger.
 
-The PR-2 gate answers "is this run worse than the one committed
-baseline?".  This module answers the longitudinal question: "is the
+The tier-1 pins answer "does this revision still produce the committed
+numbers?".  This module answers the longitudinal question: "is the
 *latest* value of each metric consistent with its own recent history?"
 — using a robust location/scale estimate (median + MAD over a sliding
-window) instead of a single reference point, direction-aware exactly
-like :mod:`repro.bench.compare` (``better: lower`` vs ``higher``).
+window), direction-aware through each row's declared ``better``
+(``lower`` vs ``higher``).
 
 Detection rule, per metric series:
 
@@ -19,9 +19,9 @@ Detection rule, per metric series:
   anyone but a genuine shift (the injected 3x latency regression of
   the acceptance test) always does.
 
-A zero median is handled like a zero baseline in ``bench/compare``:
-any nonzero latest value is an infinite change in its direction —
-zero-valued hard gates (e.g. ``monitor/sim_time_delta_ns``) stay hard.
+A zero median is special-cased: any nonzero latest value is an
+infinite change in its direction, so a series that has always been
+exactly zero flags the first nonzero value.
 
 The same detector also runs over ``BENCH_TRAJECTORY.json``, the
 committed CI trajectory artifact: one ``repro-trajectory/1`` document

@@ -2,7 +2,7 @@
 
 Importing this module populates the registry that ``repro trace``,
 ``repro monitor``/``report``, ``repro sweep``, the figure pipelines,
-and the bench quick suite all dispatch through (import it via
+and the tier-1 model pins all dispatch through (import it via
 :func:`repro.runner.spec.ensure_registered`, not directly).  Every
 runner lazy-imports the analysis/asic stack inside its body so the
 registry itself stays import-cheap and cycle-free.

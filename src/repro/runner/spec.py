@@ -11,7 +11,7 @@ chain).  This module replaces them with a single registry:
   is the identity used by the result cache and the sweep checkpoints.
 * :func:`register_experiment` — decorator that publishes a runner
   function ``(spec) -> Outcome`` under a name.  ``repro.trace.capture``,
-  ``repro.monitor.capture``, the bench quick suite, and ``python -m
+  ``repro.monitor.capture``, the tier-1 model pins, and ``python -m
   repro sweep`` all dispatch through :func:`get_experiment`.
 
 The registry itself imports nothing heavy; experiment implementations

@@ -1,9 +1,9 @@
 """Property tests for the observatory's non-interference guarantee.
 
 The ledger is observability only: enabling it may create the JSONL
-sidecar file, but every result artifact a run produces — bench JSON,
-sweep ``results.json``, per-point checkpoints — must be *byte-identical*
-to the same run with the ledger disabled.  A measurement layer that
+sidecar file, but every result artifact a run produces — sweep ``results.json``,
+per-point checkpoints, a results file logged with ``obs log`` — must be
+*byte-identical* to the same run with the ledger disabled.  A measurement layer that
 perturbs measurements is worse than none.
 """
 
@@ -72,23 +72,23 @@ class TestBenchByteIdentity:
     def test_cli_bench_out_identical_across_ledger_modes(
         self, tmp_path, capsys
     ):
-        off = str(tmp_path / "off.json")
-        on = str(tmp_path / "on.json")
-        rc_off = main([
-            "bench", "--shape", "2x2x2", "--only", "latency",
-            "--out", off, "--no-ledger",
-        ])
-        rc_on = main([
-            "bench", "--shape", "2x2x2", "--only", "latency",
-            "--out", on, "--ledger", str(tmp_path / "led.jsonl"),
+        # ``obs log --results FILE`` reads a repro-bench/1 artifact and
+        # never rewrites it: its bytes are the same logged or not.
+        out = str(tmp_path / "sweep")
+        assert run_sweep(GRID, jobs=1, out_dir=out).ok
+        artifact = os.path.join(out, "results.json")
+        unlogged = _read(artifact)
+        rc = main([
+            "obs", "log", "--results", artifact,
+            "--ledger", str(tmp_path / "led.jsonl"),
         ])
         capsys.readouterr()
-        assert rc_off == rc_on == 0
-        assert _read(off) == _read(on)
+        assert rc == 0
+        assert _read(artifact) == unlogged
         (record,) = Ledger(str(tmp_path / "led.jsonl")).read()
         assert record.kind == "bench"
         # The ledger mirrors exactly the rows the artifact holds.
         from repro.bench.results import ResultSet
 
         assert sorted(r.key for r in record.bench_results()) == \
-            sorted(ResultSet.read(on).keys())
+            sorted(ResultSet.read(artifact).keys())

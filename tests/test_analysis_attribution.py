@@ -9,6 +9,7 @@ transport disagree about where time went.
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.attribution import (
     Attribution,
     Component,
@@ -185,3 +186,20 @@ class TestReportDeterminism:
         assert ra == rb
         assert "162" not in ra  # sanity: it's the 292 ns 3-hop table
         assert "292.0" in ra
+
+
+class TestAttributeCli:
+    @pytest.mark.parametrize("hops", [0, 1, 3])
+    def test_latency_attribution_matches_simulation(self, hops, capsys):
+        rc = main(["attribute", "latency", "--hops", str(hops),
+                   "--shape", "4x4x4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "attributed total - simulated end-to-end: 0.000 ns" in out
+        assert "TOTAL (trace-derived)" in out
+
+    def test_traced_experiment_reports_phases_and_hotspots(self, capsys):
+        rc = main(["attribute", "congestion", "--shape", "2x2x2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "hotspot" in out.lower() or "wait ns" in out

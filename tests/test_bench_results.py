@@ -1,17 +1,9 @@
-"""Benchmark results schema (bench/results.py) and regression
-comparison (bench/compare.py)."""
+"""Benchmark results schema (bench/results.py)."""
 
 import json
 
 import pytest
 
-from repro.bench.compare import (
-    DEFAULT_THRESHOLD,
-    Delta,
-    compare,
-    render_comparison,
-    threshold_for,
-)
 from repro.bench.results import SCHEMA, BenchResult, ResultSet, config_hash
 
 
@@ -115,86 +107,3 @@ class TestResultSet:
         with pytest.raises(ValueError, match="duplicate"):
             ResultSet.read_many([str(a), str(b)])
 
-
-class TestCompare:
-    def test_within_threshold_is_ok(self):
-        base = ResultSet([result(value=100.0)])
-        cur = ResultSet([result(value=104.0)])
-        cmp = compare(base, cur)  # +4% < default 5%
-        assert cmp.ok and not cmp.regressions and not cmp.improvements
-
-    def test_lower_is_better_regresses_upward(self):
-        base = ResultSet([result(value=100.0)])
-        cmp = compare(base, ResultSet([result(value=110.0)]))
-        assert not cmp.ok
-        [d] = cmp.regressions
-        assert d.change == pytest.approx(0.10)
-        assert d.worsening == pytest.approx(0.10)
-        # The same move downward is an improvement.
-        cmp = compare(base, ResultSet([result(value=90.0)]))
-        assert cmp.ok and len(cmp.improvements) == 1
-
-    def test_higher_is_better_regresses_downward(self):
-        base = ResultSet([result(metric="efficiency", value=0.525,
-                                 units="ratio", better="higher")])
-        cur = ResultSet([result(metric="efficiency", value=0.40,
-                                units="ratio", better="higher")])
-        cmp = compare(base, cur)
-        [d] = cmp.regressions
-        assert d.worsening > 0
-        cmp = compare(base, ResultSet([result(metric="efficiency", value=0.60,
-                                              units="ratio", better="higher")]))
-        assert cmp.ok
-
-    def test_zero_baseline(self):
-        base = ResultSet([result(value=0.0)])
-        assert compare(base, ResultSet([result(value=0.0)])).ok
-        cmp = compare(base, ResultSet([result(value=1.0)]))
-        [d] = cmp.deltas
-        assert d.change == float("inf")
-        assert d.is_regression
-
-    def test_missing_key_fails_even_without_regression(self):
-        base = ResultSet([result(), result(metric="zero_hop_ns", value=97.0)])
-        cur = ResultSet([result()])
-        cmp = compare(base, cur)
-        assert not cmp.ok
-        assert cmp.missing == [("latency", "zero_hop_ns",
-                                result(metric="zero_hop_ns").config_hash)]
-
-    def test_added_keys_are_informational(self):
-        base = ResultSet([result()])
-        cur = ResultSet([result(), result(metric="new_ns")])
-        cmp = compare(base, cur)
-        assert cmp.ok
-        assert len(cmp.added) == 1
-
-    def test_threshold_override_precedence(self):
-        r = result()
-        assert threshold_for(r) == DEFAULT_THRESHOLD
-        assert threshold_for(r, overrides={"latency": 0.2}) == 0.2
-        assert threshold_for(
-            r, overrides={"latency": 0.2, "latency/one_way_1hop_ns": 0.5}
-        ) == 0.5
-        # Overrides actually gate classification.
-        base = ResultSet([result(value=100.0)])
-        cur = ResultSet([result(value=110.0)])
-        assert not compare(base, cur).ok
-        assert compare(base, cur, overrides={"latency": 0.2}).ok
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            compare(ResultSet(), ResultSet(), threshold=-0.1)
-
-    def test_render_flags_and_verdict(self):
-        base = ResultSet([result(value=100.0),
-                          result(metric="gone_ns", value=1.0)])
-        cur = ResultSet([result(value=120.0),
-                         result(metric="new_ns", value=1.0)])
-        text = render_comparison(compare(base, cur))
-        assert "REGRESSION" in text
-        assert "MISSING from current run: latency/gone_ns" in text
-        assert "new (no baseline): latency/new_ns" in text
-        assert text.endswith("FAIL: 1 regression(s), 1 missing")
-        ok_text = render_comparison(compare(base, base))
-        assert ok_text.endswith("OK")

@@ -204,13 +204,10 @@ class TestBuilders:
     def test_log_bench_round_trips_results(self, tmp_path):
         ledger = Ledger(str(tmp_path / "led.jsonl"))
         results = ResultSet([BenchResult.from_dict(_metric())])
-        rec = log_bench(ledger, results, label="bench 2x2x2",
-                        verdict={"schema": "repro-bench-verdict/1",
-                                 "ok": True})
+        rec = log_bench(ledger, results, label="bench 2x2x2")
         (got,) = ledger.read()
         assert got.kind == "bench"
         assert got.label == "bench 2x2x2"
-        assert got.attachments["verdict"]["ok"] is True
         assert [r.to_dict() for r in got.bench_results()] == rec.metrics
 
     def test_log_profile_stores_wall_profile(self, tmp_path):
