@@ -1,63 +1,77 @@
-"""Telemetry overhead — tracing must be free when off, cheap when on.
+"""Telemetry overhead: tracing must be free when off, cheap when on.
 
-Runs the Fig. 5 latency sweep three ways: untraced (the null flight
-recorder, the default), with flight recording attached, and with flight
-recording feeding a metrics registry.  Asserts that telemetry never
-perturbs the simulated results, and reports the wall-clock cost of
-each mode so a regression in the disabled path (which every ordinary
-run pays) is visible in the published table.
+Runs the yardstick workload, the ``mdstep`` step pair on
+``md_shape()``, bare (the null flight recorder, the default) and with a
+flight capture (``Captures(flight=True)``: the flight recorder feeding
+a metrics registry), in interleaved bare/captured pairs.  Each run is
+timed in thread CPU seconds, so a busy host's other processes do not
+count.  Asserts that the capture never perturbs the simulated results,
+publishes the cost of each mode, and gates the captured/bare ratio.
 """
 
+import gc
 import time
 
-from conftest import once
+from conftest import md_shape, once
 
-from repro.analysis import latency_vs_hops, render_table
-from repro.trace.flight import FlightRecorder, use_flight
-from repro.trace.metrics import MetricsRegistry
+from repro.analysis import render_table
+from repro.runner import Captures, ExperimentSpec, run_experiment
+
+#: Interleaved bare/captured pairs.
+PAIRS = 2
+
+#: Ceiling on captured CPU time over bare CPU time, summed over pairs.
+MAX_OVERHEAD_X = 1.6
 
 
-def _timed_sweep(mode: str):
-    """One Fig. 5 sweep on a 4x4x4 machine; returns (seconds, points)."""
-    shape = (4, 4, 4)
-    start = time.perf_counter()
-    if mode == "untraced":
-        points = latency_vs_hops(shape=shape)
-        flights = 0
-    else:
-        metrics = MetricsRegistry() if mode == "metrics" else None
-        fl = FlightRecorder(metrics=metrics)
-        with use_flight(fl):
-            points = latency_vs_hops(shape=shape)
-        flights = len(fl)
-    return time.perf_counter() - start, points, flights
+def _timed(spec: ExperimentSpec, captures) -> tuple[float, tuple, int]:
+    """One run: (thread CPU seconds, measurements, packets recorded).
+    Garbage left by earlier runs is collected first, outside the timed
+    region, and the run's result is dropped before the next run."""
+    gc.collect()
+    start = time.thread_time()
+    result = run_experiment(spec, captures)
+    seconds = time.thread_time() - start
+    recorded = 0 if result.flight is None else len(result.flight)
+    return seconds, result.measurements, recorded
+
+
+def _pairs(spec: ExperimentSpec) -> list:
+    return [
+        (_timed(spec, None), _timed(spec, Captures(flight=True)))
+        for _ in range(PAIRS)
+    ]
 
 
 def bench_trace_overhead(benchmark, publish, record):
-    results = once(
-        benchmark,
-        lambda: {mode: _timed_sweep(mode)
-                 for mode in ("untraced", "flight", "metrics")},
-    )
-    base_s, base_points, _ = results["untraced"]
+    shape = md_shape()
+    spec = ExperimentSpec("mdstep", shape=shape)
+    pairs = once(benchmark, lambda: _pairs(spec))
     rows = []
-    for mode, (secs, points, flights) in results.items():
+    for i, ((bare_s, bare, _), (flight_s, traced, recorded)) in enumerate(
+        pairs
+    ):
         # Telemetry observes the simulation; it must never change it.
-        assert [p.uni_0b for p in points] == [p.uni_0b for p in base_points]
-        assert [p.uni_256b for p in points] == [p.uni_256b for p in base_points]
-        rows.append([mode, f"{secs * 1e3:.1f}", f"{secs / base_s:.2f}x",
-                     flights])
+        assert traced == bare
+        assert recorded > 0, "the capture must actually record"
+        rows.append([i, f"{bare_s:.2f}", f"{flight_s:.2f}",
+                     f"{flight_s / bare_s:.2f}x", recorded])
+    bare_total = sum(bare[0] for bare, _ in pairs)
+    flight_total = sum(traced[0] for _, traced in pairs)
+    ratio = flight_total / bare_total
+    rows.append(["all", f"{bare_total:.2f}", f"{flight_total:.2f}",
+                 f"{ratio:.2f}x", ""])
     publish("trace_overhead", render_table(
-        "Telemetry overhead — Fig. 5 sweep (4x4x4), wall clock",
-        ["mode", "ms", "vs untraced", "packets recorded"],
+        f"Telemetry overhead — mdstep {'x'.join(map(str, shape))}, "
+        "thread CPU s",
+        ["pair", "bare", "flight", "flight/bare", "packets recorded"],
         rows,
     ))
-    # Wall-clock overhead ratios are host-dependent (informational,
-    # not baseline-gated); the packet count is deterministic.
-    for mode in ("flight", "metrics"):
-        record("trace_overhead", f"{mode}_overhead_ratio",
-               results[mode][0] / base_s, "x", shape=[4, 4, 4], mode=mode)
-    record("trace_overhead", "packets_recorded",
-           float(results["flight"][2]), "packets", shape=[4, 4, 4])
-    assert results["flight"][2] > 0, "flight mode must actually record"
-    assert base_points[1].uni_0b == 162.0
+    record("trace_overhead", "flight_overhead_ratio", ratio, "x",
+           shape=list(shape))
+    record("trace_overhead", "packets_recorded", float(pairs[0][1][2]),
+           "packets", shape=list(shape))
+    assert ratio <= MAX_OVERHEAD_X, (
+        f"flight capture costs {ratio:.2f}x a bare run "
+        f"(gate {MAX_OVERHEAD_X}x)"
+    )

@@ -131,6 +131,68 @@ def payload_extra_ns(wire_bytes: int) -> float:
     )
 
 
+def hop_split(
+    dim: str,
+    grant_ns: float,
+    retry_ns: float,
+    *,
+    first_link: bool,
+    terminal: bool,
+    multicast: bool,
+    payload_extra_ns: float,
+    segment_end_ns: float,
+) -> list[tuple[Component, float]]:
+    """Split one hop's measured ``[grant, segment_end]`` stretch into
+    components, in path order.
+
+    The structural parts come from the calibrated latency model (the
+    same arithmetic the transport charges); whatever measured time they
+    do not explain is returned as ``UNATTRIBUTED`` so the split still
+    tiles the measured interval exactly.  This is the one calibrated
+    hop split: :func:`attribute_path` labels it (:func:`hop_components`)
+    and the congestion X-ray's per-packet delay decomposition
+    (:mod:`repro.congestion.decompose`) buckets it, so the two views
+    can never disagree on the arithmetic.
+    """
+    parts: list[tuple[Component, float]] = []
+    if retry_ns > 0.0:
+        # Fault injection: the link-level protocol spent this long on
+        # failed attempts (serialization + CRC detect + NAK + backoff)
+        # before the transmission that went through.
+        parts.append((Component.RETRY, retry_ns))
+    parts.append(_ADAPTER_PART)
+    wire = _WIRE_PART[dim]
+    if wire is not None:
+        parts.append(wire)
+    if multicast:
+        parts.append(_MCAST_PART)
+    if first_link:
+        if payload_extra_ns > 0:
+            parts.append((Component.SERIALIZATION, payload_extra_ns))
+    else:
+        parts.append(_TRANSIT_PART[dim])
+    if terminal:
+        parts.append(_DST_PART)
+    explained = sum(d for _, d in parts)
+    residue = (segment_end_ns - grant_ns) - explained
+    if abs(residue) > 1e-9:
+        parts.append((Component.UNATTRIBUTED, residue))
+    return parts
+
+
+#: The parts of a hop split that only the link's dimension decides.
+_ADAPTER_PART = (Component.LINK_ADAPTER, 2 * LINK_ADAPTER_NS)
+_WIRE_PART = {
+    dim: (Component.WIRE, ns - WIRE_NS["x"]) if ns - WIRE_NS["x"] > 0 else None
+    for dim, ns in WIRE_NS.items()
+}
+_MCAST_PART = (Component.MCAST_LOOKUP, MULTICAST_LOOKUP_NS)
+_TRANSIT_PART = {
+    dim: (Component.TRANSIT_RING, ns) for dim, ns in THROUGH_RING_NS.items()
+}
+_DST_PART = (Component.DST_RING, DST_RING_NS)
+
+
 def hop_components(
     hop: HopRecord,
     *,
@@ -140,55 +202,28 @@ def hop_components(
     payload_extra_ns: float,
     segment_end_ns: float,
 ) -> list[tuple[Component, float, str]]:
-    """Decompose one hop's measured ``[grant, segment_end]`` stretch.
-
-    The structural parts come from the calibrated latency model (the
-    same arithmetic the transport charges); whatever measured time they
-    do not explain is returned as ``UNATTRIBUTED`` so the decomposition
-    still tiles the measured interval exactly.  Shared by
-    :func:`attribute_path` and the congestion X-ray's per-packet delay
-    decomposition (:mod:`repro.congestion.decompose`), so the two views
-    can never disagree on the calibrated arithmetic.
-    """
-    parts: list[tuple[Component, float, str]] = []
-    measured = segment_end_ns - hop.grant_ns
-    if hop.retry_ns > 0.0:
-        # Fault injection: the link-level protocol spent this long on
-        # failed attempts (serialization + CRC detect + NAK + backoff)
-        # before the transmission that went through.
-        parts.append(
-            (Component.RETRY, hop.retry_ns,
-             f"{hop.retries} retransmission(s) on {hop.link}")
+    """:func:`hop_split` of one recorded hop, each part labelled."""
+    labels = {
+        Component.RETRY: f"{hop.retries} retransmission(s) on {hop.link}",
+        Component.LINK_ADAPTER: f"{hop.link} pair",
+        Component.WIRE: f"{hop.dim} wire",
+        Component.MCAST_LOOKUP: hop.link,
+        Component.SERIALIZATION: "first link",
+        Component.TRANSIT_RING: f"via {hop.from_node}",
+        Component.DST_RING: "",
+        Component.UNATTRIBUTED: f"residue at {hop.link}",
+    }
+    return [
+        (comp, ns, labels[comp])
+        for comp, ns in hop_split(
+            hop.dim, hop.grant_ns, hop.retry_ns,
+            first_link=first_link,
+            terminal=terminal,
+            multicast=multicast,
+            payload_extra_ns=payload_extra_ns,
+            segment_end_ns=segment_end_ns,
         )
-    parts.append(
-        (Component.LINK_ADAPTER, 2 * LINK_ADAPTER_NS, f"{hop.link} pair")
-    )
-    wire_extra = WIRE_NS[hop.dim] - WIRE_NS["x"]
-    if wire_extra > 0:
-        parts.append((Component.WIRE, wire_extra, f"{hop.dim} wire"))
-    if multicast:
-        parts.append((Component.MCAST_LOOKUP, MULTICAST_LOOKUP_NS, hop.link))
-    if first_link:
-        if payload_extra_ns > 0:
-            parts.append(
-                (Component.SERIALIZATION, payload_extra_ns, "first link")
-            )
-    else:
-        parts.append(
-            (Component.TRANSIT_RING, THROUGH_RING_NS[hop.dim],
-             f"via {hop.from_node}")
-        )
-    if terminal:
-        parts.append((Component.DST_RING, DST_RING_NS, ""))
-    explained = sum(d for _, d, _ in parts)
-    residue = measured - explained
-    if abs(residue) > 1e-9:
-        parts.append((Component.UNATTRIBUTED, residue, f"residue at {hop.link}"))
-    return parts
-
-
-#: Backward-compatible alias (the helper predates its public API).
-_hop_components = hop_components
+    ]
 
 
 def attribute_path(
@@ -240,7 +275,7 @@ def attribute_path(
             seg_end = (
                 hops[i + 1].enqueue_ns if i + 1 < len(hops) else delivery.time_ns
             )
-            for comp, dur, detail in _hop_components(
+            for comp, dur, detail in hop_components(
                 hop,
                 first_link=(i == 0),
                 terminal=(i + 1 == len(hops)),

@@ -29,7 +29,7 @@ or on one captured long ago.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.attribution import Attribution, attribute_path
 from repro.trace.flight import (
@@ -49,25 +49,41 @@ if TYPE_CHECKING:  # pragma: no cover
 # Per-packet: multicast branch reconstruction
 # ---------------------------------------------------------------------------
 
-def _arrivals(
-    flight: PacketFlight, torus: "Torus3D"
-) -> dict[tuple, HopRecord]:
-    """Map each node the packet entered to the hop that carried it in.
+def branch_chain(
+    packet_id: int,
+    arrivals: Sequence[tuple],
+    departures: Sequence[tuple],
+    src: tuple,
+    node: tuple,
+) -> list[int]:
+    """Positions, in path order, of the hops that carried a packet
+    from ``src`` to ``node``; hop ``k`` leaves ``departures[k]`` and
+    enters ``arrivals[k]``.
 
     Multicast replication forms a tree, so every node is entered by at
     most one link; a duplicate arrival means the recorded hops are not
     a tree and reconstruction would be ambiguous.
     """
-    by_dst: dict[tuple, HopRecord] = {}
-    for hop in flight.hops:
-        dst = tuple(torus.neighbor(hop.from_node, hop.dim, hop.sign))
+    by_dst: dict[tuple, int] = {}
+    for k, dst in enumerate(arrivals):
         if dst in by_dst:
             raise ValueError(
-                f"packet {flight.packet_id} entered node {dst} twice; "
+                f"packet {packet_id} entered node {tuple(dst)} twice; "
                 "hop records do not form a tree"
             )
-        by_dst[dst] = hop
-    return by_dst
+        by_dst[dst] = k
+    chain: list[int] = []
+    while node != src:
+        k = by_dst.get(node)
+        if k is None:
+            raise ValueError(
+                f"no recorded hop delivers packet {packet_id} "
+                f"into node {tuple(node)}"
+            )
+        chain.append(k)
+        node = departures[k]
+    chain.reverse()
+    return chain
 
 
 def branch_hops(
@@ -80,21 +96,15 @@ def branch_hops(
     produced this delivery (empty for the local delivery at the
     source node).
     """
-    by_dst = _arrivals(flight, torus)
-    src = tuple(torus.coord(flight.src_node))
-    node = tuple(torus.coord(delivery.node))
-    chain: list[HopRecord] = []
-    while node != src:
-        hop = by_dst.get(node)
-        if hop is None:
-            raise ValueError(
-                f"no recorded hop delivers packet {flight.packet_id} "
-                f"into node {node}"
-            )
-        chain.append(hop)
-        node = tuple(torus.coord(hop.from_node))
-    chain.reverse()
-    return chain
+    hops = flight.hops
+    chain = branch_chain(
+        flight.packet_id,
+        [torus.neighbor(h.from_node, h.dim, h.sign) for h in hops],
+        [torus.coord(h.from_node) for h in hops],
+        torus.coord(flight.src_node),
+        torus.coord(delivery.node),
+    )
+    return [hops[k] for k in chain]
 
 
 def branch_paths(

@@ -8,7 +8,7 @@ wire, head-of-line wait, retry backoff, and through-node cost, plus
 the endpoint ring traversals outside the hops.
 
 The discipline is identical to the attribution module (whose
-:func:`~repro.analysis.attribution.hop_components` does the calibrated
+:func:`~repro.analysis.attribution.hop_split` does the calibrated
 arithmetic for both): every decomposition tiles the flight recorder's
 end-to-end latency (``inject → last delivery``) **exactly**, with
 whatever the structural model cannot explain reported as an explicit
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis.attribution import Component, hop_components, payload_extra_ns
+from repro.analysis.attribution import Component, hop_split, payload_extra_ns
 from repro.congestion.view import direction_label
 from repro.trace.flight import Delivery, HopRecord, PacketFlight
 
@@ -47,17 +47,15 @@ class DelayBucket(Enum):
 #: Rendering and summation order.
 BUCKET_ORDER = tuple(DelayBucket)
 
-#: How the attribution taxonomy folds into the congestion buckets.
-_COMPONENT_BUCKET = {
-    Component.RETRY: DelayBucket.RETRY,
-    Component.LINK_ADAPTER: DelayBucket.WIRE,
-    Component.WIRE: DelayBucket.WIRE,
-    Component.SERIALIZATION: DelayBucket.SERIALIZATION,
-    Component.MCAST_LOOKUP: DelayBucket.THROUGH_NODE,
-    Component.TRANSIT_RING: DelayBucket.THROUGH_NODE,
-    Component.DST_RING: DelayBucket.ENDPOINT,
-    Component.UNATTRIBUTED: DelayBucket.UNATTRIBUTED,
-}
+# How the attribution taxonomy folds into the congestion buckets (see
+# ``_tile``): module constants, because an Enum hashes in Python.
+_RETRY = Component.RETRY
+_LINK_ADAPTER = Component.LINK_ADAPTER
+_WIRE = Component.WIRE
+_SERIALIZATION = Component.SERIALIZATION
+_MCAST_LOOKUP = Component.MCAST_LOOKUP
+_TRANSIT_RING = Component.TRANSIT_RING
+_DST_RING = Component.DST_RING
 
 
 @dataclass(slots=True)
@@ -104,31 +102,96 @@ class PacketDecomposition:
     def total_ns(self) -> float:
         return self.end_ns - self.start_ns
 
+    def _sums(self) -> list[float]:
+        """Bucket totals in :data:`BUCKET_ORDER`."""
+        endpoint = self.endpoint_ns
+        hol = ser = wire = retry = through = unattributed = 0.0
+        for h in self.hops:
+            hol += h.hol_wait_ns
+            ser += h.serialization_ns
+            wire += h.wire_ns
+            retry += h.retry_ns
+            through += h.through_node_ns
+            endpoint += h.endpoint_ns
+            unattributed += h.unattributed_ns
+        return [endpoint, hol, ser, wire, retry, through, unattributed]
+
     @property
     def totals(self) -> dict[DelayBucket, float]:
-        out = {b: 0.0 for b in BUCKET_ORDER}
-        out[DelayBucket.ENDPOINT] = self.endpoint_ns
-        for h in self.hops:
-            out[DelayBucket.HOL_WAIT] += h.hol_wait_ns
-            out[DelayBucket.SERIALIZATION] += h.serialization_ns
-            out[DelayBucket.WIRE] += h.wire_ns
-            out[DelayBucket.RETRY] += h.retry_ns
-            out[DelayBucket.THROUGH_NODE] += h.through_node_ns
-            out[DelayBucket.ENDPOINT] += h.endpoint_ns
-            out[DelayBucket.UNATTRIBUTED] += h.unattributed_ns
-        return out
+        return dict(zip(BUCKET_ORDER, self._sums()))
 
     def ns(self, bucket: DelayBucket) -> float:
         return self.totals[bucket]
 
     def check(self, tol_ns: float = 1e-6) -> None:
         """Assert the buckets tile [start, end] exactly."""
-        covered = sum(self.totals.values())
+        covered = sum(self._sums())
         if abs(covered - self.total_ns) > tol_ns:
             raise AssertionError(
                 f"decomposition of packet {self.packet_id} covers "
                 f"{covered} ns of a {self.total_ns} ns journey"
             )
+
+
+#: One hop as the decomposition reads it: (link, direction, dim,
+#: enqueue_ns, grant_ns, retry_ns).
+_Hop = tuple[str, str, str, float, float, float]
+
+
+def _tile(
+    out: PacketDecomposition,
+    hops: Sequence[_Hop],
+    multicast: bool,
+    wire_bytes: int,
+) -> PacketDecomposition:
+    """Fill ``out`` with the buckets of the causal chain ``hops``."""
+    start, end = out.start_ns, out.end_ns
+    if not hops:
+        # Intra-node delivery: the whole journey is ring traversal.
+        out.endpoint_ns = end - start
+        out.check()
+        return out
+    payload_extra = payload_extra_ns(wire_bytes)
+    out.endpoint_ns = hops[0][3] - start
+    last = len(hops) - 1
+    for i, (link, direction, dim, enqueue, grant, retry) in enumerate(hops):
+        seg_end = hops[i + 1][3] if i < last else end
+        retry_ns = wire = ser = through = endpoint = unattributed = 0.0
+        for comp, ns in hop_split(
+            dim, grant, retry,
+            first_link=(i == 0),
+            terminal=(i == last),
+            multicast=multicast,
+            payload_extra_ns=payload_extra,
+            segment_end_ns=seg_end,
+        ):
+            if comp is _LINK_ADAPTER or comp is _WIRE:
+                wire += ns
+            elif comp is _MCAST_LOOKUP or comp is _TRANSIT_RING:
+                through += ns
+            elif comp is _SERIALIZATION:
+                ser += ns
+            elif comp is _DST_RING:
+                endpoint += ns
+            elif comp is _RETRY:
+                retry_ns += ns
+            else:
+                unattributed += ns
+        out.hops.append(HopDelay(
+            link=link,
+            direction=direction,
+            start_ns=enqueue,
+            end_ns=seg_end,
+            hol_wait_ns=grant - enqueue,
+            serialization_ns=ser,
+            wire_ns=wire,
+            retry_ns=retry_ns,
+            through_node_ns=through,
+            endpoint_ns=endpoint,
+            unattributed_ns=unattributed,
+        ))
+    out.check()
+    return out
 
 
 def decompose_path(
@@ -141,51 +204,17 @@ def decompose_path(
     For unicast pass ``flight.hops``; for multicast pass one branch of
     the fan-out tree (:func:`repro.analysis.critical_path.branch_hops`).
     """
-    start = flight.inject_ns
-    end = delivery.time_ns
     out = PacketDecomposition(
-        packet_id=flight.packet_id, start_ns=start, end_ns=end
+        packet_id=flight.packet_id,
+        start_ns=flight.inject_ns,
+        end_ns=delivery.time_ns,
     )
-    if not hops:
-        # Intra-node delivery: the whole journey is ring traversal.
-        out.endpoint_ns = end - start
-        out.check()
-        return out
-    payload_extra = payload_extra_ns(flight.wire_bytes)
-    out.endpoint_ns = hops[0].enqueue_ns - start
-    for i, hop in enumerate(hops):
-        seg_end = hops[i + 1].enqueue_ns if i + 1 < len(hops) else end
-        hd = HopDelay(
-            link=hop.link,
-            direction=direction_label(hop.dim, hop.sign),
-            start_ns=hop.enqueue_ns,
-            end_ns=seg_end,
-            hol_wait_ns=hop.wait_ns,
-        )
-        for comp, dur, _detail in hop_components(
-            hop,
-            first_link=(i == 0),
-            terminal=(i + 1 == len(hops)),
-            multicast=flight.multicast,
-            payload_extra_ns=payload_extra,
-            segment_end_ns=seg_end,
-        ):
-            bucket = _COMPONENT_BUCKET[comp]
-            if bucket is DelayBucket.RETRY:
-                hd.retry_ns += dur
-            elif bucket is DelayBucket.WIRE:
-                hd.wire_ns += dur
-            elif bucket is DelayBucket.SERIALIZATION:
-                hd.serialization_ns += dur
-            elif bucket is DelayBucket.THROUGH_NODE:
-                hd.through_node_ns += dur
-            elif bucket is DelayBucket.ENDPOINT:
-                hd.endpoint_ns += dur
-            else:
-                hd.unattributed_ns += dur
-        out.hops.append(hd)
-    out.check()
-    return out
+    chain = [
+        (h.link, direction_label(h.dim, h.sign), h.dim, h.enqueue_ns,
+         h.grant_ns, h.retry_ns)
+        for h in hops
+    ]
+    return _tile(out, chain, flight.multicast, flight.wire_bytes)
 
 
 def decompose_flight(
@@ -219,11 +248,52 @@ def decompose_flight(
 def decompose_run(
     recorder: "FlightRecorder", torus: "Optional[Torus3D]" = None
 ) -> list[PacketDecomposition]:
-    """Every delivered flight's decomposition, in injection order."""
-    return [
-        decompose_flight(f, torus)
-        for f in recorder.delivered_flights()
-    ]
+    """Every delivered flight's decomposition against its last
+    delivery, in injection order, read straight from the logs."""
+    from repro.analysis.critical_path import branch_chain
+
+    links = recorder.link_table
+    hop_link = recorder.hop_link
+    enqueue_ns = recorder.hop_enqueue_ns
+    grant_ns = recorder.hop_grant_ns
+    faults = recorder.hop_faults
+    flight_rows, starts = recorder.hop_rows()
+    multicast = recorder.flight_multicast
+    out = []
+    for fi, last in enumerate(recorder.last_delivery_rows()):
+        if last < 0:
+            continue
+        rows = flight_rows[starts[fi]:starts[fi + 1]]
+        if multicast[fi]:
+            if torus is None:
+                raise ValueError(
+                    "decomposing a multicast flight needs the torus geometry"
+                )
+            chain = branch_chain(
+                recorder.flight_packet_id[fi],
+                [links[hop_link[row]].neighbor for row in rows],
+                [links[hop_link[row]].node for row in rows],
+                torus.coord(recorder.flight_src_node[fi]),
+                torus.coord(recorder.delivery_node[last]),
+            )
+            rows = [rows[k] for k in chain]
+        hops = []
+        for row in rows:
+            link = links[hop_link[row]]
+            fault = faults.get(row)
+            hops.append((
+                link.name, link.direction, link.dim, enqueue_ns[row],
+                grant_ns[row], 0.0 if fault is None else fault[1],
+            ))
+        out.append(_tile(
+            PacketDecomposition(
+                packet_id=recorder.flight_packet_id[fi],
+                start_ns=recorder.flight_inject_ns[fi],
+                end_ns=recorder.delivery_ns[last],
+            ),
+            hops, bool(multicast[fi]), recorder.flight_wire_bytes[fi],
+        ))
+    return out
 
 
 def aggregate_totals(

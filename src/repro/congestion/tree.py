@@ -25,9 +25,8 @@ preference for tied shortest paths) and then by link name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.congestion.view import direction_label
 from repro.trace.flight import FlightRecorder, PacketFlight
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,31 +143,32 @@ def _rank_key(lc: LinkCongestion) -> tuple:
 
 
 def _feeders(
-    flight: PacketFlight, torus: "Optional[Torus3D]"
+    recorder: FlightRecorder,
+    fi: int,
+    rows: Sequence[int],
+    torus: "Optional[Torus3D]",
 ) -> list[str]:
-    """For each hop of ``flight``, the link that carried the packet
-    into the hop's home node (``(injection)`` for hops leaving the
-    source).
+    """For each of flight ``fi``'s hop-log ``rows``, the link that
+    carried the packet into the hop's home node (``(injection)`` for
+    hops leaving the source).
 
     With the torus geometry this works for multicast fan-out trees too
     (every node is entered by at most one link); without it, unicast
     hop lists are sequential chains and multicast hops degrade to
     ``(injection)``.
     """
-    hops = flight.hops
+    links = recorder.link_table
+    hops = [links[recorder.hop_link[row]] for row in rows]
     if torus is not None:
-        entered: dict[tuple, str] = {}
-        for hop in hops:
-            dst = tuple(torus.neighbor(hop.from_node, hop.dim, hop.sign))
-            entered[dst] = hop.link
-        src = tuple(torus.coord(flight.src_node))
+        entered = {link.neighbor: link.name for link in hops}
+        src = torus.coord(recorder.flight_src_node[fi])
         return [
-            INJECTION if tuple(torus.coord(h.from_node)) == src
-            else entered.get(tuple(torus.coord(h.from_node)), INJECTION)
-            for h in hops
+            INJECTION if link.node == src
+            else entered.get(link.node, INJECTION)
+            for link in hops
         ]
-    if not flight.multicast:
-        return [INJECTION] + [h.link for h in hops[:-1]]
+    if not recorder.flight_multicast[fi]:
+        return [INJECTION] + [link.name for link in hops[:-1]]
     return [INJECTION] * len(hops)
 
 
@@ -213,41 +213,53 @@ def build_congestion_tree(
     and merged blocking episodes.  ``min_episode_ns`` drops episodes
     shorter than the threshold (0 keeps all).
     """
-    per: dict[str, LinkCongestion] = {}
-    intervals: dict[str, list[tuple[float, float]]] = {}
+    links = recorder.link_table
+    hop_link = recorder.hop_link
+    enqueue_ns = recorder.hop_enqueue_ns
+    grant_ns = recorder.hop_grant_ns
+    hop_depth = recorder.hop_depth
+    per: dict[int, LinkCongestion] = {}
+    intervals: dict[int, list[tuple[float, float]]] = {}
     contended_hops = 0
-    for flight in recorder.flights.values():
-        feeders = _feeders(flight, torus)
-        for hop, feeder in zip(flight.hops, feeders):
-            wait = hop.wait_ns
+    flight_rows, starts = recorder.hop_rows()
+    for fi in range(len(recorder)):
+        rows = flight_rows[starts[fi]:starts[fi + 1]]
+        feeders = None
+        for k, row in enumerate(rows):
+            enqueue = enqueue_ns[row]
+            grant = grant_ns[row]
+            wait = grant - enqueue
             if wait <= 0.0:
                 continue
+            if feeders is None:
+                feeders = _feeders(recorder, fi, rows, torus)
             contended_hops += 1
-            lc = per.get(hop.link)
+            li = hop_link[row]
+            lc = per.get(li)
             if lc is None:
-                lc = LinkCongestion(
-                    link=hop.link,
-                    direction=direction_label(hop.dim, hop.sign),
+                link = links[li]
+                lc = per[li] = LinkCongestion(
+                    link=link.name, direction=link.direction
                 )
-                per[hop.link] = lc
+                intervals[li] = []
             lc.wait_ns += wait
             lc.waits += 1
+            feeder = feeders[k]
             lc.fed_by[feeder] = lc.fed_by.get(feeder, 0.0) + wait
-            depth = hop.queue_depth + 1  # waiters including this packet
+            depth = hop_depth[row] + 1  # waiters including this packet
             if depth > lc.peak_depth:
                 lc.peak_depth = depth
-            intervals.setdefault(hop.link, []).append(
-                (hop.enqueue_ns, hop.grant_ns)
-            )
-    for name, lc in per.items():
-        lc.occupancy_ns = recorder.link_busy_ns(name)
+            intervals[li].append((enqueue, grant))
+    busy = recorder.link_busy()
+    for li, lc in per.items():
+        lc.occupancy_ns = busy[li]
         lc.episodes = _merge_episodes(
-            name, lc.direction, intervals[name], min_episode_ns
+            lc.link, lc.direction, intervals[li], min_episode_ns
         )
     links = sorted(per.values(), key=_rank_key)
     return CongestionTree(
         links=links,
-        packets=len(recorder.flights),
+        packets=len(recorder),
         contended_hops=contended_hops,
     )
 

@@ -1,10 +1,10 @@
 """Per-link-direction congestion timelines, derived from the flight record.
 
-The flight recorder is the one transport probe: it keeps every hop's
-enqueue, grant and release, every link direction's grant order
-(``link_occupancy``) and its queue-depth samples
-(``queue_depth_series``).  :class:`CongestionView` replays that record
-into the X-ray's per-link statistics — head-of-line wait, wait and
+The flight recorder is the one transport probe: its hop log keeps
+every hop's link, enqueue and grant in grant order, and its sample log
+every link direction's queue-depth samples.  :class:`CongestionView`
+replays those columns in one pass each into the X-ray's per-link
+statistics — head-of-line wait, wait and
 grant counts, peak queue depth, occupancy — and into the same
 fixed-capacity :class:`~repro.monitor.series.RingSeries` timelines the
 continuous-monitoring sampler uses, with overwritten samples counted in
@@ -18,9 +18,8 @@ what a live per-hop accumulator would have held.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from repro.constants import TORUS_LINK_EFFECTIVE_GBPS
 from repro.monitor.series import RingSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,18 +50,34 @@ class CongestionView:
     """
 
     def __init__(self, flight: "FlightRecorder") -> None:
-        flights = flight.flights
-        direction: dict[str, str] = {}
-        waited: dict[str, dict[int, float]] = {}
-        for f in flights.values():
-            for h in f.hops:
-                if h.link not in direction:
-                    direction[h.link] = direction_label(h.dim, h.sign)
-                if h.enqueue_ns != h.grant_ns:
-                    waited.setdefault(h.link, {})[f.packet_id] = h.wait_ns
-        instant: dict[str, list[tuple[int, float, int]]] = {}
-        for link, at, grant_ns, waiting in flight.instant_waits:
-            instant.setdefault(link, []).append((at, grant_ns, waiting))
+        links = flight.link_table
+        # Serialization, not release - grant: that is not bit for bit
+        # the same, and a retried hop's release is amended.
+        serialization = flight.flight_serialization_ns
+        granted: list[int] = []  # link indices, in order of first grant
+        grants = [0] * len(links)
+        occupied = [0.0] * len(links)
+        wait = [0.0] * len(links)
+        waits = [0] * len(links)
+        occupancy: list[Optional[RingSeries]] = [None] * len(links)
+        for fi, li, enqueue, grant in zip(
+            flight.hop_flight, flight.hop_link,
+            flight.hop_enqueue_ns, flight.hop_grant_ns,
+        ):
+            series = occupancy[li]
+            if series is None:
+                granted.append(li)
+                series = occupancy[li] = RingSeries(
+                    f"{links[li].name}.occupancy_ns", SERIES_CAPACITY
+                )
+            grants[li] += 1
+            occupied[li] += serialization[fi]
+            series.append(grant, occupied[li])
+            if enqueue != grant:
+                wait[li] += grant - enqueue
+                waits[li] += 1
+        for li, *_ in flight.instant_rows:
+            waits[li] += 1
 
         self.directions: dict[str, str] = {}
         self.grants: dict[str, int] = {}
@@ -72,36 +87,19 @@ class CongestionView:
         self.waits: dict[str, int] = {}
         self.peak_depth: dict[str, int] = {}
         self.depth_series: dict[str, RingSeries] = {}
-        for link, grants in flight.link_occupancy.items():
-            self.directions[link] = direction[link]
-            self.grants[link] = len(grants)
-            series = self.occupancy_series[link] = RingSeries(
-                f"{link}.occupancy_ns", SERIES_CAPACITY
-            )
-            link_waits = waited.get(link, {})
-            zero_waits = instant.get(link, [])
-            occupied = wait = 0.0
-            waits = len(zero_waits)
-            for grant_ns, _release_ns, pid in grants:
-                # Packet.serialization_ns, bit for bit (release - grant
-                # is not, and a retried hop's release is amended).
-                occupied += (
-                    flights[pid].wire_bytes * 8.0 / TORUS_LINK_EFFECTIVE_GBPS
-                )
-                series.append(grant_ns, occupied)
-                if pid in link_waits:
-                    wait += link_waits[pid]
-                    waits += 1
-            self.occupied_ns[link] = occupied
-            if waits:
-                self.wait_ns[link] = wait
-                self.waits[link] = waits
-            samples = flight.queue_depth_series.get(link)
-            if samples:
-                self.peak_depth[link] = max(d for _, d in samples)
-                self.depth_series[link] = _depth_series(
-                    link, samples, zero_waits
-                )
+        peak, depth_series = _depth_series(flight)
+        for li in granted:
+            name = links[li].name
+            self.directions[name] = links[li].direction
+            self.grants[name] = grants[li]
+            self.occupancy_series[name] = occupancy[li]
+            self.occupied_ns[name] = occupied[li]
+            if waits[li]:
+                self.wait_ns[name] = wait[li]
+                self.waits[name] = waits[li]
+            if li in depth_series:
+                self.peak_depth[name] = peak[li]
+                self.depth_series[name] = depth_series[li]
 
     def links(self) -> list[str]:
         """All link directions that saw a grant, sorted."""
@@ -126,21 +124,37 @@ class CongestionView:
 
 
 def _depth_series(
-    link: str,
-    samples: list[tuple[float, int]],
-    zero_waits: list[tuple[int, float, int]],
-) -> RingSeries:
-    """The flight recorder's depth samples with each zero-length
-    wait's grant sample spliced back in at the index it was recorded
-    at."""
-    series = RingSeries(f"{link}.depth", SERIES_CAPACITY)
-    k = 0
-    for i, (t, depth) in enumerate(samples):
-        while k < len(zero_waits) and zero_waits[k][0] == i:
-            _, grant_ns, waiting = zero_waits[k]
+    flight: "FlightRecorder",
+) -> tuple[list[int], dict[int, RingSeries]]:
+    """Per link index that was sampled: the peak sampled depth, and
+    the depth samples with each zero-length wait's grant sample spliced
+    back in where it was recorded."""
+    links = flight.link_table
+    zero_waits: list[list[tuple[int, float, int]]] = [[] for _ in links]
+    for li, row, grant_ns, waiting in flight.instant_rows:
+        zero_waits[li].append((row, grant_ns, waiting))
+    spliced = [0] * len(links)  # zero-length waits spliced so far
+    peak = [0] * len(links)
+    out: dict[int, RingSeries] = {}
+    for row, (li, t, depth) in enumerate(zip(
+        flight.sample_link, flight.sample_ns, flight.sample_depth
+    )):
+        series = out.get(li)
+        if series is None:
+            series = out[li] = RingSeries(
+                f"{links[li].name}.depth", SERIES_CAPACITY
+            )
+        zw = zero_waits[li]
+        k = spliced[li]
+        while k < len(zw) and zw[k][0] <= row:
+            _, grant_ns, waiting = zw[k]
             series.append(grant_ns, float(waiting))
             k += 1
+        spliced[li] = k
         series.append(t, float(depth))
-    for _, grant_ns, waiting in zero_waits[k:]:
-        series.append(grant_ns, float(waiting))
-    return series
+        if depth > peak[li]:
+            peak[li] = depth
+    for li, series in out.items():
+        for _, grant_ns, waiting in zero_waits[li][spliced[li]:]:
+            series.append(grant_ns, float(waiting))
+    return peak, out

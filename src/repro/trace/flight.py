@@ -16,6 +16,45 @@ never schedules events, so an instrumented run is simulation-identical
 to an uninstrumented one (verified by the test suite and by
 ``benchmarks/bench_trace_overhead.py``).
 
+Storage: one columnar log.  The recorder keeps four append-only logs of
+parallel columns (``array`` for numbers, lists of references for
+nodes, clients and kinds), and a row index is the only handle between
+them:
+
+* the packet log, one row per injected packet (the row is the packet's
+  *flight index*): ``flight_packet_id``, ``flight_inject_ns``,
+  ``flight_serialization_ns``, ``flight_kind``, ``flight_src_node``, …;
+* the hop log, one row per granted hop, in grant order: ``hop_flight``,
+  ``hop_link`` (an index into ``link_table``, where each link direction
+  is interned once, name included), ``hop_grant_ns`` and
+  ``hop_enqueue_row``;
+* the delivery log, one row per arrival: ``delivery_flight``,
+  ``delivery_node``, ``delivery_client``, ``delivery_ns``;
+* the sample log, one queue-depth sample per enqueue and per grant
+  that drained a waiter: ``sample_link``, ``sample_ns``,
+  ``sample_depth``.
+
+A hop's enqueue time and queue depth are its enqueue's sample
+(``hop_enqueue_row``); its release is grant plus the packet's
+serialization, unless the fault session stretched it (``hop_faults``,
+a sparse dict keyed by hop row).  ``hop_enqueue_ns``, ``hop_depth`` and
+``hop_release_ns`` are those columns, derived.  The congestion view,
+tree and decomposition read the columns directly.  The object views —
+:class:`PacketFlight` with its ``hops``/``deliveries``,
+``link_occupancy``, ``queue_depth_series``, ``instant_waits`` — are
+built afresh on each read, for exports, the critical path and tests;
+the recorder keeps none of them, so it holds no object per packet or
+hop even after an analysis.
+
+Cheap when on: a hook appends to columns and creates no object the
+cyclic garbage collector tracks, so a capture runs the collector as
+often as a bare run does.  What a capture costs is the hooks' own work:
+thirteen appends per packet; per hop, three dict lookups and four
+appends, plus three appends per sample and four per delivery; and the
+metric observations when a registry is attached.
+``benchmarks/bench_trace_overhead.py`` gates that cost on the ``mdstep``
+yardstick.
+
 Zero cost when disabled: the network's default recorder is the
 module-level :data:`NULL_FLIGHT` singleton whose ``enabled`` flag is
 ``False``; the transport hot path guards every hook behind that flag,
@@ -29,13 +68,15 @@ JSONL, text summary) live in :mod:`repro.trace.export`.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.link import TorusLink
-    from repro.network.packet import Packet
+    from repro.network.link import LinkId, TorusLink
+    from repro.network.packet import Packet, PacketKind
     from repro.trace.metrics import MetricsRegistry
 
 
@@ -132,34 +173,115 @@ class PhaseSpan:
         return self.begin_ns <= t <= end
 
 
-@dataclass
 class PacketFlight:
-    """The full recorded life of one packet."""
+    """The full recorded life of one packet.
 
-    packet_id: int
-    kind: str
-    src_node: tuple
-    src_client: str
-    dst_node: tuple
-    dst_client: str
-    payload_bytes: int
-    wire_bytes: int
-    multicast: bool
-    in_order: bool
-    inject_ns: float
-    counter_id: Optional[str] = None
-    #: When the sending client began packet assembly (software send);
-    #: ``None`` for packets injected without the slice-side hook.
-    send_begin_ns: Optional[float] = None
-    hops: list[HopRecord] = field(default_factory=list)
-    deliveries: list[Delivery] = field(default_factory=list)
+    A flight read from a :class:`FlightRecorder` is a view of one row of
+    its packet log: each read of its ``hops`` or ``deliveries`` builds
+    them from the recorder's hop and delivery logs.  A flight
+    constructed directly (``PacketFlight(..., hops=[...])``) holds plain
+    lists instead.
+    """
+
+    __slots__ = (
+        "packet_id", "kind", "src_node", "src_client", "dst_node",
+        "dst_client", "payload_bytes", "wire_bytes", "multicast",
+        "in_order", "inject_ns", "counter_id", "send_begin_ns",
+        "_log", "_index", "_hops", "_deliveries",
+    )
+
+    def __init__(
+        self,
+        packet_id: int,
+        kind: str,
+        src_node: tuple,
+        src_client: str,
+        dst_node: tuple,
+        dst_client: str,
+        payload_bytes: int,
+        wire_bytes: int,
+        multicast: bool,
+        in_order: bool,
+        inject_ns: float,
+        counter_id: Optional[str] = None,
+        send_begin_ns: Optional[float] = None,
+        hops: Optional[list[HopRecord]] = None,
+        deliveries: Optional[list[Delivery]] = None,
+    ) -> None:
+        self.packet_id = packet_id
+        self.kind = kind
+        self.src_node = src_node
+        self.src_client = src_client
+        self.dst_node = dst_node
+        self.dst_client = dst_client
+        self.payload_bytes = payload_bytes
+        self.wire_bytes = wire_bytes
+        self.multicast = multicast
+        self.in_order = in_order
+        self.inject_ns = inject_ns
+        self.counter_id = counter_id
+        #: When the sending client began packet assembly (software send);
+        #: ``None`` for packets injected without the slice-side hook.
+        self.send_begin_ns = send_begin_ns
+        #: The recorder whose packet-log row ``_index`` this flight is
+        #: (``None`` for a standalone flight).
+        self._log: Optional[FlightRecorder] = None
+        self._index = -1
+        #: A standalone flight's own lists (made on first read when not
+        #: given).
+        self._hops = hops
+        self._deliveries = deliveries
+
+    def __repr__(self) -> str:
+        return (
+            f"PacketFlight(packet_id={self.packet_id}, kind={self.kind!r}, "
+            f"src_node={self.src_node}, dst_node={self.dst_node}, "
+            f"inject_ns={self.inject_ns})"
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.packet_id, self.kind, self.src_node, self.src_client,
+            self.dst_node, self.dst_client, self.payload_bytes,
+            self.wire_bytes, self.multicast, self.in_order, self.inject_ns,
+            self.counter_id, self.send_begin_ns, self.hops, self.deliveries,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal flights record the same packet life, whether read from
+        a recorder or constructed directly."""
+        if not isinstance(other, PacketFlight):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def hops(self) -> list[HopRecord]:
+        log = self._log
+        if log is not None:
+            return log._hop_view(self._index)
+        if self._hops is None:
+            self._hops = []
+        return self._hops
+
+    @property
+    def deliveries(self) -> list[Delivery]:
+        log = self._log
+        if log is not None:
+            return log._delivery_view(self._index)
+        if self._deliveries is None:
+            self._deliveries = []
+        return self._deliveries
 
     @property
     def delivered_ns(self) -> Optional[float]:
         """Time of the last delivery (``None`` while in flight)."""
-        if not self.deliveries:
-            return None
-        return self.deliveries[-1].time_ns
+        log = self._log
+        if log is None:
+            return self.deliveries[-1].time_ns if self.deliveries else None
+        row = log.last_delivery_rows()[self._index]
+        return None if row < 0 else log.delivery_ns[row]
 
     @property
     def latency_ns(self) -> Optional[float]:
@@ -170,6 +292,23 @@ class PacketFlight:
     def queue_wait_ns(self) -> float:
         """Total time this packet spent blocked on busy links."""
         return sum(h.wait_ns for h in self.hops)
+
+
+@dataclass(slots=True)
+class RecordedLink:
+    """One link direction in a recorder's link table, interned on its
+    first hop or queue sample: the hop log stores its index."""
+
+    name: str
+    dim: str
+    sign: int
+    #: The node injecting into the link (a plain tuple, as in
+    #: :attr:`HopRecord.from_node`).
+    node: tuple
+    #: The node the link leads to.
+    neighbor: tuple
+    #: The ``z+``-style direction tag.
+    direction: str
 
 
 class NullFlightRecorder:
@@ -246,105 +385,230 @@ class FlightRecorder:
         histogram (inject → delivery, per delivery), a
         ``net.hop_wait_ns`` histogram (queue wait per contended hop),
         and a ``net.queue_depth`` gauge whose high watermark is the
-        worst head-of-line queue seen anywhere.
+        worst head-of-line queue seen anywhere.  Each metric is looked
+        up once, on its first observation, so a run creates exactly the
+        metrics it feeds.
     """
+
+    # Slots: the hooks read several of these on every hop.
+    __slots__ = (
+        "enabled", "_metrics",
+        "flight_packet_id", "flight_inject_ns", "flight_serialization_ns",
+        "flight_payload_bytes", "flight_wire_bytes", "flight_multicast",
+        "flight_in_order", "flight_kind", "flight_src_node",
+        "flight_src_client", "flight_dst_node", "flight_dst_client",
+        "flight_counter_id", "flight_send_begin_ns", "_index_of",
+        "link_table", "_link_by_name", "_link_of", "_link_ids",
+        "hop_flight", "hop_link", "hop_grant_ns", "hop_enqueue_row",
+        "hop_faults",
+        "delivery_flight", "delivery_node", "delivery_client", "delivery_ns",
+        "sample_link", "sample_ns", "sample_depth", "_waiting",
+        "instant_rows", "polls", "phases", "_cache", "_cache_at",
+        "_injected", "_delivered", "_traversals", "_hop_wait", "_latency",
+        "_queue_depth", "_send", "_polls",
+    )
+
+    #: The logs ``absorb`` appends verbatim; the others hold flight,
+    #: link or row indices, which it remaps.
+    _COPIED = (
+        "flight_packet_id", "flight_inject_ns", "flight_serialization_ns",
+        "flight_payload_bytes", "flight_wire_bytes", "flight_multicast",
+        "flight_in_order", "flight_kind", "flight_src_node",
+        "flight_src_client", "flight_dst_node", "flight_dst_client",
+        "flight_counter_id", "hop_grant_ns", "delivery_node",
+        "delivery_client", "delivery_ns", "sample_ns", "sample_depth",
+        "polls", "phases",
+    )
 
     def __init__(self, metrics: "Optional[MetricsRegistry]" = None) -> None:
         self.enabled = True
         self.metrics = metrics
-        #: packet_id → flight, in injection order.
-        self.flights: dict[int, PacketFlight] = {}
-        #: link name → [(grant_ns, release_ns, packet_id)], in grant order.
-        self.link_occupancy: dict[str, list[tuple[float, float, int]]] = {}
-        #: link name → [(time_ns, waiting)], sampled at enqueue/grant.
-        self.queue_depth_series: dict[str, list[tuple[float, int]]] = {}
-        #: (packet_id, link name) → (enqueue_ns, observed queue depth).
-        self._pending: dict[tuple[int, str], tuple[float, int]] = {}
-        #: [(link name, len(queue_depth_series[link]), grant_ns, waiting)]
-        #: for each packet queued and granted at one instant: a
-        #: zero-length wait whose grant ``queue_depth_series`` skips.
-        self.instant_waits: list[tuple[str, int, float, int]] = []
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget everything recorded (metric handles stay bound)."""
+        # The packet log, one row per injected packet, in injection
+        # order: the row is the packet's flight index.
+        self.flight_packet_id = array("q")
+        self.flight_inject_ns = array("d")
+        #: A hop's release is its grant plus this, unless a fault
+        #: stretched it.
+        self.flight_serialization_ns = array("d")
+        self.flight_payload_bytes = array("q")
+        self.flight_wire_bytes = array("q")
+        self.flight_multicast = array("b")
+        self.flight_in_order = array("b")
+        self.flight_kind: list[PacketKind] = []
+        self.flight_src_node: list[tuple] = []
+        self.flight_src_client: list[str] = []
+        self.flight_dst_node: list[tuple] = []
+        self.flight_dst_client: list[str] = []
+        self.flight_counter_id: list[Optional[str]] = []
+        #: flight index → when the sending client began assembling it.
+        self.flight_send_begin_ns: dict[int, float] = {}
+        self._index_of: dict[int, int] = {}  # packet_id → flight index
+        #: Link index → link direction, in order of first sight.
+        self.link_table: list[RecordedLink] = []
+        self._link_by_name: dict[str, int] = {}
+        #: ``id(link.link_id)`` → link index.  Keyed by identity (a
+        #: ``LinkId`` hashes in Python); ``_link_ids`` keeps every keyed
+        #: ``LinkId`` alive so an id is never reused under the recorder.
+        self._link_of: dict[int, int] = {}
+        self._link_ids: list[LinkId] = []
+        # The hop log, one row per granted hop, in grant order.
+        self.hop_flight = array("q")
+        self.hop_link = array("q")
+        self.hop_grant_ns = array("d")
+        #: Sample row of the hop's enqueue, or -1 for a hop granted on
+        #: arrival (``hop_enqueue_ns`` and ``hop_depth`` derive from it).
+        self.hop_enqueue_row = array("q")
+        #: hop row → (release_ns, retry_ns, retries), for hops the fault
+        #: session stretched.
+        self.hop_faults: dict[int, tuple[float, float, int]] = {}
+        # The delivery log, one row per arrival at a client.
+        self.delivery_flight = array("q")
+        self.delivery_node: list[tuple] = []
+        self.delivery_client: list[str] = []
+        self.delivery_ns = array("d")
+        # The queue-depth samples (waiters, the new one included), one
+        # row at each enqueue and after each grant that drained a waiter.
+        self.sample_link = array("q")
+        self.sample_ns = array("d")
+        self.sample_depth = array("q")
+        #: Per link index: packet_id → sample row of its enqueue, for
+        #: the packets waiting on that link.
+        self._waiting: list[dict[int, int]] = []
+        #: [(link index, sample rows so far, grant_ns, waiting)] for
+        #: each packet queued and granted at one instant: a zero-length
+        #: wait, whose grant the sample log skips (``instant_waits``
+        #: gives the per-link offsets).
+        self.instant_rows: list[tuple[int, int, float, int]] = []
         #: Successful counter polls, in completion order.
         self.polls: list[PollRecord] = []
         #: Marked phases, in begin order.
         self.phases: list[PhaseSpan] = []
+        self._cache: dict[str, Any] = {}
+        self._cache_at: tuple = ()
+
+    @property
+    def metrics(self) -> "Optional[MetricsRegistry]":
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: "Optional[MetricsRegistry]") -> None:
+        self._metrics = registry
+        self._injected = self._delivered = self._traversals = None
+        self._hop_wait = self._latency = self._queue_depth = None
+        self._send = self._polls = None
 
     # ------------------------------------------------------------------
     # hooks (called by the network transport; timestamps passed in so
     # the recorder works for any simulator)
     # ------------------------------------------------------------------
     def packet_injected(self, packet: "Packet", now: float) -> None:
-        self.flights[packet.packet_id] = PacketFlight(
-            packet_id=packet.packet_id,
-            kind=packet.kind.value,
-            src_node=packet.src_node,
-            src_client=packet.src_client,
-            dst_node=packet.dst_node,
-            dst_client=packet.dst_client,
-            payload_bytes=packet.payload_bytes,
-            wire_bytes=packet.wire_bytes,
-            multicast=packet.is_multicast,
-            in_order=packet.in_order,
-            inject_ns=now,
-            counter_id=getattr(packet, "counter_id", None),
-        )
-        m = self.metrics
-        if m is not None:
-            m.counter("net.packets_injected").inc()
+        pid = packet.packet_id
+        self._index_of[pid] = len(self.flight_packet_id)
+        self.flight_packet_id.append(pid)
+        self.flight_inject_ns.append(now)
+        self.flight_serialization_ns.append(packet.serialization_ns)
+        self.flight_payload_bytes.append(packet.payload_bytes)
+        self.flight_wire_bytes.append(packet.wire_bytes)
+        self.flight_multicast.append(packet.is_multicast)
+        self.flight_in_order.append(packet.in_order)
+        self.flight_kind.append(packet.kind)
+        self.flight_src_node.append(packet.src_node)
+        self.flight_src_client.append(packet.src_client)
+        self.flight_dst_node.append(packet.dst_node)
+        self.flight_dst_client.append(packet.dst_client)
+        self.flight_counter_id.append(getattr(packet, "counter_id", None))
+        if self._metrics is not None:
+            c = self._injected
+            if c is None:
+                c = self._injected = self._metrics.counter(
+                    "net.packets_injected"
+                )
+            c.inc()
+
+    def _intern(self, link: "TorusLink") -> int:
+        """Intern ``link`` on its first sight by this recorder.  Links
+        of different networks with one name share an index."""
+        lid = link.link_id
+        name = repr(lid)
+        li = self._link_by_name.get(name)
+        if li is None:
+            li = self._link_by_name[name] = len(self.link_table)
+            self.link_table.append(RecordedLink(
+                name=name,
+                dim=lid.dim,
+                sign=lid.sign,
+                node=tuple(lid.node),
+                neighbor=link.neighbor,
+                direction=lid.direction,
+            ))
+            self._waiting.append({})
+        self._link_of[id(lid)] = li
+        self._link_ids.append(lid)
+        return li
 
     def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
         """The packet found the link busy and joined its queue."""
-        name = repr(link.link_id)
-        # Depth observed just before this packet joins the waiters.
-        depth = link.queue_length
-        self._pending[(packet.packet_id, name)] = (now, depth)
-        self.queue_depth_series.setdefault(name, []).append((now, depth + 1))
-        m = self.metrics
-        if m is not None:
-            g = m.gauge("net.queue_depth")
-            g.set(depth + 1)
+        li = self._link_of.get(id(link.link_id))
+        if li is None:
+            li = self._intern(link)
+        # Waiters once this packet joins them.
+        depth = link.queue_length + 1
+        samples = self.sample_ns
+        self._waiting[li][packet.packet_id] = len(samples)
+        self.sample_link.append(li)
+        samples.append(now)
+        self.sample_depth.append(depth)
+        if self._metrics is not None:
+            g = self._queue_depth
+            if g is None:
+                g = self._queue_depth = self._metrics.gauge("net.queue_depth")
+            g.set(depth)
 
     def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
         """The packet acquired the channel and starts streaming."""
-        name = repr(link.link_id)
-        lid = link.link_id
-        pending = self._pending.pop((packet.packet_id, name), None)
-        if pending is None:
-            enqueue_ns, depth = now, 0
-        else:
-            enqueue_ns, depth = pending
-        release = now + packet.serialization_ns
-        hop = HopRecord(
-            link=name,
-            dim=lid.dim,
-            sign=lid.sign,
-            from_node=tuple(lid.node),
-            enqueue_ns=enqueue_ns,
-            grant_ns=now,
-            release_ns=release,
-            queue_depth=depth,
-        )
-        flight = self.flights.get(packet.packet_id)
-        if flight is not None:
-            flight.hops.append(hop)
-        self.link_occupancy.setdefault(name, []).append(
-            (now, release, packet.packet_id)
-        )
-        if enqueue_ns != now:
-            # The grant drains one waiter; sample the shrinking queue.
-            self.queue_depth_series.setdefault(name, []).append(
-                (now, link.queue_length)
-            )
-        elif pending is not None:
-            self.instant_waits.append((
-                name, len(self.queue_depth_series[name]), now,
-                link.queue_length,
-            ))
-        m = self.metrics
-        if m is not None:
-            m.counter("net.link_traversals").inc()
-            if enqueue_ns != now:
-                m.histogram("net.hop_wait_ns").observe(now - enqueue_ns)
+        li = self._link_of.get(id(link.link_id))
+        if li is None:
+            li = self._intern(link)
+        pid = packet.packet_id
+        waiting = self._waiting[li]
+        row = waiting.pop(pid, -1) if waiting else -1
+        fi = self._index_of.get(pid)
+        if fi is not None:
+            self.hop_flight.append(fi)
+            self.hop_link.append(li)
+            self.hop_grant_ns.append(now)
+            self.hop_enqueue_row.append(row)
+        wait = 0.0
+        if row >= 0:
+            samples = self.sample_ns
+            wait = now - samples[row]
+            if wait:
+                # The grant drains one waiter; sample the shrinking queue.
+                self.sample_link.append(li)
+                samples.append(now)
+                self.sample_depth.append(link.queue_length)
+            else:
+                self.instant_rows.append(
+                    (li, len(samples), now, link.queue_length)
+                )
+        if self._metrics is not None:
+            c = self._traversals
+            if c is None:
+                c = self._traversals = self._metrics.counter(
+                    "net.link_traversals"
+                )
+            c.inc()
+            if wait:
+                h = self._hop_wait
+                if h is None:
+                    h = self._hop_wait = self._metrics.histogram(
+                        "net.hop_wait_ns"
+                    )
+                h.observe(wait)
 
     def hop_fault(
         self,
@@ -358,29 +622,40 @@ class FlightRecorder:
         immediately preceding ``hop_granted`` (retransmissions and/or
         degraded bandwidth): amend its release time and retry span so
         the critical-path analyzer can tile retry time exactly."""
-        name = repr(link.link_id)
-        flight = self.flights.get(packet.packet_id)
-        if flight is not None and flight.hops:
-            hop = flight.hops[-1]
-            if hop.link == name:
-                hop.release_ns = hop.grant_ns + hold_ns
-                hop.retry_ns = retry_ns
-                hop.retries = retries
-        occ = self.link_occupancy.get(name)
-        if occ and occ[-1][2] == packet.packet_id:
-            grant, _release, pid = occ[-1]
-            occ[-1] = (grant, grant + hold_ns, pid)
+        fi = self._index_of.get(packet.packet_id)
+        row = len(self.hop_grant_ns) - 1
+        if (
+            fi is not None
+            and row >= 0
+            and self.hop_flight[row] == fi
+            and self.link_table[self.hop_link[row]].name == repr(link.link_id)
+        ):
+            self.hop_faults[row] = (
+                self.hop_grant_ns[row] + hold_ns, retry_ns, retries
+            )
 
     def packet_delivered(
         self, packet: "Packet", node: tuple, client: str, now: float
     ) -> None:
-        flight = self.flights.get(packet.packet_id)
-        if flight is not None:
-            flight.deliveries.append(Delivery(node=node, client=client, time_ns=now))
-            m = self.metrics
-            if m is not None:
-                m.counter("net.packets_delivered").inc()
-                m.histogram("net.packet_latency_ns").observe(now - flight.inject_ns)
+        fi = self._index_of.get(packet.packet_id)
+        if fi is not None:
+            self.delivery_flight.append(fi)
+            self.delivery_node.append(node)
+            self.delivery_client.append(client)
+            self.delivery_ns.append(now)
+            if self._metrics is not None:
+                c = self._delivered
+                if c is None:
+                    c = self._delivered = self._metrics.counter(
+                        "net.packets_delivered"
+                    )
+                c.inc()
+                h = self._latency
+                if h is None:
+                    h = self._latency = self._metrics.histogram(
+                        "net.packet_latency_ns"
+                    )
+                h.observe(now - self.flight_inject_ns[fi])
 
     def software_send(
         self, packet: "Packet", begin_ns: float, end_ns: float
@@ -388,12 +663,16 @@ class FlightRecorder:
         """The sending client assembled this packet over
         ``[begin_ns, end_ns]`` (Fig. 6's "write packet send initiated
         in processing slice", including any Tensilica queueing)."""
-        flight = self.flights.get(packet.packet_id)
-        if flight is not None:
-            flight.send_begin_ns = begin_ns
-        m = self.metrics
-        if m is not None:
-            m.histogram("net.software_send_ns").observe(end_ns - begin_ns)
+        fi = self._index_of.get(packet.packet_id)
+        if fi is not None:
+            self.flight_send_begin_ns[fi] = begin_ns
+        if self._metrics is not None:
+            h = self._send
+            if h is None:
+                h = self._send = self._metrics.histogram(
+                    "net.software_send_ns"
+                )
+            h.observe(end_ns - begin_ns)
 
     def poll_completed(
         self,
@@ -416,9 +695,11 @@ class FlightRecorder:
                 done_ns=done_ns,
             )
         )
-        m = self.metrics
-        if m is not None:
-            m.counter("net.polls_succeeded").inc()
+        if self._metrics is not None:
+            c = self._polls
+            if c is None:
+                c = self._polls = self._metrics.counter("net.polls_succeeded")
+            c.inc()
 
     def phase_begin(self, name: str, now: float) -> None:
         """Open a named phase (collective round, migration, MD phase)."""
@@ -433,39 +714,250 @@ class FlightRecorder:
         raise RuntimeError(f"phase_end({name!r}) without an open phase_begin")
 
     # ------------------------------------------------------------------
+    # derived columns and indexes: built on first read, kept until the
+    # logs grow
+    # ------------------------------------------------------------------
+    def _derived(self, key: str, build: Callable[[], Any]) -> Any:
+        at = (len(self.flight_packet_id), len(self.hop_grant_ns),
+              len(self.hop_faults), len(self.delivery_ns),
+              len(self.sample_ns))
+        if at != self._cache_at:
+            self._cache.clear()
+            self._cache_at = at
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
+    @property
+    def hop_enqueue_ns(self) -> array:
+        """Enqueue time per hop row (the grant time for a hop granted
+        on arrival)."""
+        def build() -> array:
+            samples = self.sample_ns
+            return array("d", (
+                grant if row < 0 else samples[row]
+                for grant, row in zip(self.hop_grant_ns, self.hop_enqueue_row)
+            ))
+        return self._derived("enqueue", build)
+
+    @property
+    def hop_depth(self) -> array:
+        """Waiters ahead of the packet at enqueue time, per hop row."""
+        def build() -> array:
+            depth = self.sample_depth
+            return array("q", (
+                0 if row < 0 else depth[row] - 1
+                for row in self.hop_enqueue_row
+            ))
+        return self._derived("depth", build)
+
+    @property
+    def hop_release_ns(self) -> array:
+        """When each hop's last bit left the injecting node: grant plus
+        serialization, or the fault-amended release."""
+        def build() -> array:
+            serialization = self.flight_serialization_ns
+            release = array("d", (
+                grant + serialization[fi]
+                for fi, grant in zip(self.hop_flight, self.hop_grant_ns)
+            ))
+            for row, (release_ns, _, _) in self.hop_faults.items():
+                release[row] = release_ns
+            return release
+        return self._derived("release", build)
+
+    def _by_flight(self, column: array) -> tuple[array, array]:
+        """The rows of a log whose flight-index column is ``column``,
+        grouped by flight: flight ``fi``'s rows, in log order, are
+        ``rows[starts[fi]:starts[fi + 1]]``."""
+        starts = array("q", [0]) * (len(self.flight_packet_id) + 1)
+        for fi in column:
+            starts[fi + 1] += 1
+        for fi in range(len(starts) - 1):
+            starts[fi + 1] += starts[fi]
+        rows = array("q", sorted(range(len(column)), key=column.__getitem__))
+        return rows, starts
+
+    def hop_rows(self) -> tuple[array, array]:
+        """Hop-log rows grouped by flight, as ``(rows, starts)``: flight
+        ``fi``'s hops, in its hop order, are the rows
+        ``rows[starts[fi]:starts[fi + 1]]``."""
+        return self._derived("hop_rows", lambda: self._by_flight(self.hop_flight))
+
+    def delivery_rows(self) -> tuple[array, array]:
+        """Delivery-log rows grouped by flight, like :meth:`hop_rows`."""
+        return self._derived(
+            "delivery_rows", lambda: self._by_flight(self.delivery_flight)
+        )
+
+    def last_delivery_rows(self) -> array:
+        """Delivery-log row of each flight's latest delivery (-1 while
+        in flight), by flight index."""
+        def build() -> array:
+            rows, starts = self.delivery_rows()
+            return array("q", (
+                rows[end - 1] if end > start else -1
+                for start, end in zip(starts, starts[1:])
+            ))
+        return self._derived("last_delivery", build)
+
+    def link_busy(self) -> list[float]:
+        """Serialization time streamed per link index, summed in grant
+        order."""
+        def build() -> list[float]:
+            busy = [0] * len(self.link_table)
+            for li, grant, release in zip(
+                self.hop_link, self.hop_grant_ns, self.hop_release_ns
+            ):
+                busy[li] += release - grant
+            return busy
+        return self._derived("busy", build)
+
+    # ------------------------------------------------------------------
+    # object views, built afresh on every read (the logs stay the one
+    # record; a view held past more recording reads the logs again)
+    # ------------------------------------------------------------------
+    def packet_flight(self, fi: int) -> PacketFlight:
+        """The packet log's row ``fi`` as a :class:`PacketFlight`."""
+        flight = PacketFlight(
+            self.flight_packet_id[fi],
+            self.flight_kind[fi].value,
+            self.flight_src_node[fi],
+            self.flight_src_client[fi],
+            self.flight_dst_node[fi],
+            self.flight_dst_client[fi],
+            self.flight_payload_bytes[fi],
+            self.flight_wire_bytes[fi],
+            bool(self.flight_multicast[fi]),
+            bool(self.flight_in_order[fi]),
+            self.flight_inject_ns[fi],
+            self.flight_counter_id[fi],
+            self.flight_send_begin_ns.get(fi),
+        )
+        flight._log = self
+        flight._index = fi
+        return flight
+
+    @property
+    def flights(self) -> dict[int, PacketFlight]:
+        """packet_id → flight, in injection order (a fresh dict of
+        fresh views: bind it once rather than index it in a loop)."""
+        return {f.packet_id: f for f in self.packets()}
+
+    def hop_record(self, row: int) -> HopRecord:
+        """The hop log's row ``row`` as a :class:`HopRecord`."""
+        link = self.link_table[self.hop_link[row]]
+        _, retry_ns, retries = self.hop_faults.get(row, (0.0, 0.0, 0))
+        return HopRecord(
+            link=link.name,
+            dim=link.dim,
+            sign=link.sign,
+            from_node=link.node,
+            enqueue_ns=self.hop_enqueue_ns[row],
+            grant_ns=self.hop_grant_ns[row],
+            release_ns=self.hop_release_ns[row],
+            queue_depth=self.hop_depth[row],
+            retry_ns=retry_ns,
+            retries=retries,
+        )
+
+    def delivery(self, row: int) -> Delivery:
+        """The delivery log's row ``row`` as a :class:`Delivery`."""
+        return Delivery(
+            node=self.delivery_node[row],
+            client=self.delivery_client[row],
+            time_ns=self.delivery_ns[row],
+        )
+
+    def _hop_view(self, fi: int) -> list[HopRecord]:
+        rows, starts = self.hop_rows()
+        return [self.hop_record(row) for row in rows[starts[fi]:starts[fi + 1]]]
+
+    def _delivery_view(self, fi: int) -> list[Delivery]:
+        rows, starts = self.delivery_rows()
+        return [self.delivery(row) for row in rows[starts[fi]:starts[fi + 1]]]
+
+    @property
+    def link_occupancy(self) -> dict[str, list[tuple[float, float, int]]]:
+        """link name → [(grant_ns, release_ns, packet_id)], in grant
+        order (the hop log's order)."""
+        pids = self.flight_packet_id
+        names = [link.name for link in self.link_table]
+        out: dict[str, list[tuple[float, float, int]]] = {}
+        for fi, li, grant, release in zip(
+            self.hop_flight, self.hop_link,
+            self.hop_grant_ns, self.hop_release_ns,
+        ):
+            out.setdefault(names[li], []).append((grant, release, pids[fi]))
+        return out
+
+    @property
+    def queue_depth_series(self) -> dict[str, list[tuple[float, int]]]:
+        """link name → [(time_ns, waiting)], in sample order."""
+        names = [link.name for link in self.link_table]
+        out: dict[str, list[tuple[float, int]]] = {}
+        for li, t, depth in zip(
+            self.sample_link, self.sample_ns, self.sample_depth
+        ):
+            out.setdefault(names[li], []).append((t, depth))
+        return out
+
+    @property
+    def instant_waits(self) -> list[tuple[str, int, float, int]]:
+        """[(link name, samples on that link so far, grant_ns, waiting)]
+        for each packet queued and granted at one instant: a
+        zero-length wait, whose grant the depth samples skip."""
+        seen = [0] * len(self.link_table)  # samples per link so far
+        samples = iter(self.sample_link)
+        at = 0
+        out = []
+        for li, row, grant_ns, waiting in self.instant_rows:
+            for sampled in islice(samples, row - at):
+                seen[sampled] += 1
+            at = row
+            out.append((self.link_table[li].name, seen[li], grant_ns, waiting))
+        return out
+
+    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def packets(self) -> list[PacketFlight]:
         """All recorded flights, in injection order."""
-        return list(self.flights.values())
+        return [self.packet_flight(fi) for fi in range(len(self))]
 
     def flight(self, packet_id: int) -> PacketFlight:
-        return self.flights[packet_id]
+        return self.packet_flight(self._index_of[packet_id])
 
     def links(self) -> list[str]:
         """All link directions that saw traffic or queueing, sorted."""
-        return sorted(set(self.link_occupancy) | set(self.queue_depth_series))
+        seen = set(self.hop_link) | set(self.sample_link)
+        return sorted(self.link_table[li].name for li in seen)
+
+    def _samples(self, link: Optional[str]) -> Iterator[int]:
+        if link is None:
+            return iter(self.sample_depth)
+        li = self._link_by_name.get(link)
+        return (
+            depth
+            for at, depth in zip(self.sample_link, self.sample_depth)
+            if at == li
+        )
 
     def max_queue_depth(self, link: Optional[str] = None) -> int:
         """Deepest observed wait queue (one link, or anywhere)."""
-        series: Iterator[tuple[float, int]]
-        if link is not None:
-            series = iter(self.queue_depth_series.get(link, []))
-        else:
-            series = (
-                sample for s in self.queue_depth_series.values() for sample in s
-            )
-        return max((depth for _, depth in series), default=0)
+        return max(self._samples(link), default=0)
 
     def link_busy_ns(self, link: str) -> float:
         """Total serialization time streamed on a link direction."""
-        return sum(release - grant for grant, release, _ in
-                   self.link_occupancy.get(link, []))
+        li = self._link_by_name.get(link)
+        return 0 if li is None else self.link_busy()[li]
 
     def contended_hops(self) -> int:
         """Number of recorded hops that had to queue."""
         return sum(
-            1 for f in self.flights.values() for h in f.hops if h.wait_ns > 0
+            1 for enqueue, grant in zip(self.hop_enqueue_ns, self.hop_grant_ns)
+            if grant - enqueue > 0
         )
 
     # -- span query API (used by repro.analysis.critical_path) ----------
@@ -476,12 +968,16 @@ class FlightRecorder:
         different ids; every deterministic report must renumber through
         this map (the exporters in :mod:`repro.trace.export` do).
         """
-        return {pid: i for i, pid in enumerate(self.flights)}
+        return {pid: i for i, pid in enumerate(self.flight_packet_id)}
 
     def delivered_flights(self) -> list[PacketFlight]:
         """Flights that reached at least one destination, in injection
         order."""
-        return [f for f in self.flights.values() if f.deliveries]
+        return [
+            self.packet_flight(fi)
+            for fi, row in enumerate(self.last_delivery_rows())
+            if row >= 0
+        ]
 
     def flights_in(self, start_ns: float, end_ns: float) -> list[PacketFlight]:
         """Flights whose life overlaps ``[start_ns, end_ns]``.
@@ -490,14 +986,15 @@ class FlightRecorder:
         window's end and its last recorded activity follows the
         window's start (in-flight packets count as extending forever).
         """
-        out = []
-        for f in self.flights.values():
-            done = f.delivered_ns
-            if done is None:
-                done = float("inf")
-            if f.inject_ns <= end_ns and done >= start_ns:
-                out.append(f)
-        return out
+        delivered = self.delivery_ns
+        return [
+            self.packet_flight(fi)
+            for fi, (inject_ns, last) in enumerate(
+                zip(self.flight_inject_ns, self.last_delivery_rows())
+            )
+            if inject_ns <= end_ns
+            and (last < 0 or delivered[last] >= start_ns)
+        ]
 
     def poll_for(
         self, flight: PacketFlight, delivery: Optional[Delivery] = None
@@ -537,12 +1034,15 @@ class FlightRecorder:
         return [p for p in self.phases if p.end_ns is not None]
 
     def link_wait_ns(self, link: str) -> float:
-        """Total head-of-line queue wait recorded against a link."""
+        """Total head-of-line queue wait recorded against a link,
+        summed in flight order."""
+        li = self._link_by_name.get(link)
+        links, enqueue, grant = (
+            self.hop_link, self.hop_enqueue_ns, self.hop_grant_ns
+        )
+        rows, _ = self.hop_rows()
         return sum(
-            h.wait_ns
-            for f in self.flights.values()
-            for h in f.hops
-            if h.link == link
+            grant[row] - enqueue[row] for row in rows if links[row] == li
         )
 
     def queue_depth_percentile(self, link: str, p: float) -> int:
@@ -550,7 +1050,7 @@ class FlightRecorder:
         link direction (0 for links that never queued)."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        samples = sorted(d for _, d in self.queue_depth_series.get(link, []))
+        samples = sorted(self._samples(link))
         if not samples:
             return 0
         rank = math.ceil(p / 100.0 * len(samples))
@@ -560,28 +1060,40 @@ class FlightRecorder:
         """Append ``other``'s record to this one, as if this recorder
         had been attached in its place (its metrics excepted): a nested
         private capture stays visible to the capture around it."""
-        for name, at, grant_ns, waiting in other.instant_waits:
-            at += len(self.queue_depth_series.get(name, ()))
-            self.instant_waits.append((name, at, grant_ns, waiting))
-        self.flights.update(other.flights)
-        for name, grants in other.link_occupancy.items():
-            self.link_occupancy.setdefault(name, []).extend(grants)
-        for name, samples in other.queue_depth_series.items():
-            self.queue_depth_series.setdefault(name, []).extend(samples)
-        self.polls.extend(other.polls)
-        self.phases.extend(other.phases)
-
-    def clear(self) -> None:
-        self.flights.clear()
-        self.link_occupancy.clear()
-        self.queue_depth_series.clear()
-        self._pending.clear()
-        self.instant_waits.clear()
-        self.polls.clear()
-        self.phases.clear()
+        links = []
+        for link in other.link_table:
+            li = self._link_by_name.get(link.name)
+            if li is None:
+                li = self._link_by_name[link.name] = len(self.link_table)
+                self.link_table.append(link)
+                self._waiting.append({})
+            links.append(li)
+        flights = len(self.flight_packet_id)
+        samples = len(self.sample_ns)
+        rows = len(self.hop_grant_ns)
+        for fi, pid in enumerate(other.flight_packet_id):
+            self._index_of[pid] = flights + fi
+        for name in self._COPIED:
+            getattr(self, name).extend(getattr(other, name))
+        for fi, begin_ns in other.flight_send_begin_ns.items():
+            self.flight_send_begin_ns[flights + fi] = begin_ns
+        self.hop_flight.extend(flights + fi for fi in other.hop_flight)
+        self.hop_link.extend(links[li] for li in other.hop_link)
+        self.hop_enqueue_row.extend(
+            row if row < 0 else samples + row for row in other.hop_enqueue_row
+        )
+        for row, fault in other.hop_faults.items():
+            self.hop_faults[rows + row] = fault
+        self.delivery_flight.extend(flights + fi for fi in other.delivery_flight)
+        self.sample_link.extend(links[li] for li in other.sample_link)
+        self.instant_rows.extend(
+            (links[li], samples + row, grant_ns, waiting)
+            for li, row, grant_ns, waiting in other.instant_rows
+        )
+        self._cache.clear()
 
     def __len__(self) -> int:
-        return len(self.flights)
+        return len(self.flight_packet_id)
 
 
 # ---------------------------------------------------------------------------

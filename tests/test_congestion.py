@@ -13,6 +13,7 @@ from repro.congestion import CongestionView, direction_label
 from repro.congestion.capture import run_congested
 from repro.congestion.decompose import (
     DelayBucket,
+    decompose_flight,
     decompose_run,
     render_decomposition,
 )
@@ -37,6 +38,7 @@ from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
 from repro.runner import Captures, ExperimentSpec, run_experiment
 from repro.topology.torus import Torus3D
+from repro.trace.export import dumps_chrome_trace
 from repro.trace.flight import FlightRecorder, use_flight
 
 
@@ -138,6 +140,7 @@ class TestRecorder:
         assert _stats(CongestionView(absorbed)) == _stats(
             CongestionView(shared)
         )
+        assert dumps_chrome_trace(absorbed) == dumps_chrome_trace(shared)
 
 
 def _stats(view: CongestionView) -> dict:
@@ -154,6 +157,27 @@ def _stats(view: CongestionView) -> dict:
         },
         "dropped": view.total_dropped(),
     }
+
+
+class TestDecompositionFromLogs:
+    """``decompose_run`` reads the hop log's columns; ``decompose_flight``
+    reads a flight's ``HopRecord`` views.  They must agree exactly."""
+
+    @pytest.mark.parametrize("spec", [
+        # Link-level retries amend hop releases and carry retry spans.
+        ExperimentSpec("fault_sensitivity", shape=(3, 3, 3), rounds=2)
+        .with_extras(ber=0.0003, max_retries=64),
+        # Multicast: each decomposition follows one fan-out branch.
+        ExperimentSpec("mdstep", shape=(2, 2, 2), rounds=1),
+    ], ids=["retries", "multicast"])
+    def test_columns_match_flight_views(self, spec):
+        fl = run_experiment(spec, Captures(flight=True)).flight
+        torus = Torus3D(*spec.shape)
+        decomps = decompose_run(fl, torus)
+        views = [decompose_flight(f, torus) for f in fl.delivered_flights()]
+        assert decomps == views
+        retried = any(h.retry_ns > 0 for d in decomps for h in d.hops)
+        assert retried == (spec.experiment == "fault_sensitivity")
 
 
 # ---------------------------------------------------------------------------

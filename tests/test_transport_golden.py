@@ -11,7 +11,10 @@ incast and the congestion view of ``mdstep`` (zero-length waits
 included), reordering jitter mixed with in-order packets, and link-down,
 node-stall and bit-error faults on both transits.  The ``monitor_*``
 cases pin every health monitor's full sampler series, which includes
-``engine.pending_events`` read mid-run.
+``engine.pending_events`` read mid-run.  The ``*_analysis`` cases pin
+what the X-ray computes from a flight record: the congestion tree, the
+per-packet delay decomposition, the JSONL export and (on ``mdstep``)
+critical-path attributions through multicast branches.
 
 A digest change means result bytes changed.  Update the digest only
 together with the model change that explains it.  Print the current
@@ -74,6 +77,10 @@ DIGESTS = {
         "1433e4bedb816c5d55d39fcf369ecbe1f3b246fedad65834ec08f55d4a75de32",
     "monitor_allreduce":
         "6b29f873b05d2089b12d84732fd8e9bcc933172e678a176f0040ff1c5e5046f9",
+    "xray_analysis":
+        "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
+    "mdstep_analysis":
+        "0b703bf35d0e1d6d480441664723b3ac150f7de2a449717a9a532fe614fc8043",
 }
 
 #: name -> (experiment, shape) run under continuous monitoring.
@@ -134,6 +141,69 @@ def mdstep_probes_digest() -> str:
             k: s.samples() for k, s in cg.occupancy_series.items()
         },
     })
+
+
+def analysis_digest(name: str) -> str:
+    """The X-ray's analyses of one flight capture: the congestion tree,
+    every packet's delay decomposition (per hop and per bucket), the
+    run-level bucket totals and the JSONL export.  ``mdstep`` adds
+    multicast branches and the critical-path attribution of each of
+    eight windows of the run."""
+    from repro.analysis.attribution import Component
+    from repro.analysis.critical_path import phase_reports
+    from repro.congestion.decompose import (
+        BUCKET_ORDER,
+        aggregate_totals,
+        decompose_run,
+    )
+    from repro.congestion.tree import build_congestion_tree
+    from repro.topology.torus import Torus3D
+    from repro.trace.export import jsonl_lines
+
+    spec = SPECS["congestion" if name == "xray_analysis" else "mdstep"]
+    result = run_experiment(spec, Captures(flight=True))
+    fl = result.flight
+    torus = Torus3D(*spec.shape)
+    decomps = decompose_run(fl, torus)
+    totals = aggregate_totals(decomps)
+    doc = {
+        "tree": build_congestion_tree(fl, torus).to_doc(),
+        "packets": [
+            {
+                "totals": [d.totals[b] for b in BUCKET_ORDER],
+                "hops": [
+                    [h.link, h.direction, h.start_ns, h.end_ns,
+                     h.hol_wait_ns, h.serialization_ns, h.wire_ns,
+                     h.retry_ns, h.through_node_ns, h.endpoint_ns,
+                     h.unattributed_ns]
+                    for h in d.hops
+                ],
+            }
+            for d in decomps
+        ],
+        "aggregate": [totals[b] for b in BUCKET_ORDER],
+        "jsonl": list(jsonl_lines(fl)),
+    }
+    if name == "mdstep_analysis":
+        # mdstep marks no flight phases: cut the run into eight windows
+        # so each gets a critical packet, multicast branches included.
+        end = max(f.delivered_ns for f in fl.delivered_flights())
+        for i in range(8):
+            fl.phase_begin(f"w{i}", end * i / 8)
+            fl.phase_end(f"w{i}", end * (i + 1) / 8)
+        doc["phases"] = [
+            [r.name, r.packets, r.deliveries, r.queue_wait_ns,
+             r.critical_local_id]
+            + ([] if r.critical_attribution is None else [
+                # A poll's counter id counts collectives process-wide,
+                # so its label is left out.
+                [s.component.value, s.start_ns, s.end_ns,
+                 None if s.component is Component.RECEIVE else s.detail]
+                for s in r.critical_attribution.segments
+            ])
+            for r in phase_reports(fl, torus)
+        ]
+    return _sha(doc)
 
 
 class _Sink:
@@ -241,6 +311,8 @@ def _digest(name: str) -> str:
         return incast_probes_digest()
     if name == "mdstep_probes":
         return mdstep_probes_digest()
+    if name in ("xray_analysis", "mdstep_analysis"):
+        return analysis_digest(name)
     if name == "jitter_exchange":
         return exchange_digest(reorder_jitter_ns=120.0, seed=11)
     if name == "fault_exchange":
