@@ -7,12 +7,12 @@ selected counter is incremented.  Clients poll these counters to
 determine when all data required for a computation has arrived — the
 basis of the *counted remote write* paradigm.
 
-The model represents a counter as a monotonically increasing integer
-with threshold events: ``wait_for(n)`` returns an event that fires the
-instant the count reaches ``n``.  The *poll cost* (42 ns for a local
-slice poll, larger for accumulation-memory counters polled across the
-on-chip ring) is charged by the polling client, not here, because it
-depends on who is polling.
+The model represents a counter as an integer that only increases
+between resets, with threshold events: ``wait_for(n)`` returns an event
+that fires the instant the count reaches ``n``.  The *poll cost* (42 ns
+for a local slice poll, larger for accumulation-memory counters polled
+across the on-chip ring) is charged by the polling client, not here,
+because it depends on who is polling.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class SyncCounter:
             raise ValueError(f"increment must be >= 1, got {n}")
         self._count += n
         self.total_increments += n
+        if not self._waiters:
+            return
         # Fire every threshold now satisfied.  Iterate over a snapshot:
         # firing may synchronously register new waiters.
         ready = [t for t in self._waiters if t <= self._count]
@@ -89,10 +91,13 @@ class SyncCounter:
     def reset(self) -> None:
         """Zero the counter for the next communication phase.
 
-        Counters are reset between time-step phases once their expected
-        packet count has been consumed.  Resetting with waiters still
-        pending indicates a software bug (a phase ended while someone
-        still expected packets), so it raises.
+        A client's counters are fixed hardware: a communication pattern
+        agrees on a counter id once, and every run or time step reuses
+        it.  Whoever consumes the phase resets the counter right after
+        its successful poll, once the expected packet count has
+        arrived, so the next phase counts from zero.  Resetting with
+        waiters still pending indicates a software bug (a phase ended
+        while someone still expected packets), so it raises.
         """
         if self._waiters:
             pending = sorted(self._waiters)

@@ -110,9 +110,12 @@ class AllReduce:
     multicast tree per (node, active dimension) reaching slice *k* of
     the node's axis peers, and one receive buffer + counter per round
     on each slice.  ``run()`` then executes the collective and measures
-    its latency; the object can be reused (counters reset) any number
-    of times, matching how the thermostat reduction runs every other
-    time step.
+    its latency.  The object can be reused any number of times,
+    matching how the thermostat reduction runs every other time step:
+    every run counts on the same counter ids, and each receiver resets
+    its counter right after the poll that consumes it, so a machine
+    holds the same counters after its thousandth run as after its
+    first.
 
     Parameters
     ----------
@@ -141,9 +144,16 @@ class AllReduce:
         self._patterns: dict[tuple[NodeCoord, str], int] = {}
         self._runs = 0
         # Receive buffers are pre-allocated and never freed; a second
-        # AllReduce on the same machine gets its own buffer namespace.
+        # AllReduce on the same machine gets its own buffer and counter
+        # namespace.
         self._uid = AllReduce._instances
         AllReduce._instances += 1
+        # Each round's receive buffer and its counter share one id, as
+        # do the local share buffer and its counter.
+        tag = f"allreduce{self._uid}"
+        self._round_ids = {d: f"{tag}-{d}" for d in self.active_dims}
+        self._hand_ids = [f"{tag}-hand{k}" for k in range(len(self.active_dims))]
+        self._share_id = f"{tag}-share"
         self._setup()
 
     _instances = 0
@@ -160,7 +170,7 @@ class AllReduce:
                 # Receive buffer: one slot per axis position; the
                 # sender's axis coordinate is the slot, so one multicast
                 # address works at every receiver.
-                slice_k.memory.allocate(self._buf(dim), n)
+                slice_k.memory.allocate(self._round_ids[dim], n)
                 peers = torus.axis_peers(coord, dim)
                 tree = compile_pattern(
                     torus, coord, {p: [f"slice{k}"] for p in peers}
@@ -171,22 +181,7 @@ class AllReduce:
                 last_k = self._round_slice[self.active_dims[-1]]
                 for i in range(4):
                     if i != last_k:
-                        node.slices[i].memory.allocate(self._share_buf(), 1)
-
-    def _buf(self, dim: str) -> str:
-        return f"allreduce{self._uid}-{dim}"
-
-    def _share_buf(self) -> str:
-        return f"allreduce{self._uid}-share"
-
-    def _ctr(self, dim: str) -> str:
-        return f"allreduce{self._uid}-{dim}-{self._runs}"
-
-    def _hand_ctr(self, k: int) -> str:
-        return f"allreduce{self._uid}-hand{k}-{self._runs}"
-
-    def _share_ctr(self) -> str:
-        return f"allreduce{self._uid}-share-{self._runs}"
+                        node.slices[i].memory.allocate(self._share_id, 1)
 
     # -- execution --------------------------------------------------------------
     def start(
@@ -196,7 +191,8 @@ class AllReduce:
         larger simulation, e.g. the MD thermostat phase).
 
         Returns ``(processes, done_times, final)``; ``final`` fills in
-        as nodes complete.  The caller waits on the processes.
+        as nodes complete.  The caller waits on the processes before
+        starting the next run, which counts on the same counters.
         """
         torus = self.torus
         if values is None:
@@ -271,19 +267,21 @@ class AllReduce:
             slice_k = node.slices[k]
             n = torus.shape[_AXIS[dim]]
             my_slot = coord[_AXIS[dim]]
+            rid = self._round_ids[dim]
             # Multicast this node's partial to slice k of all axis peers.
             yield from slice_k.send_write(
                 coord,
                 slice_k.name,
-                counter_id=self._ctr(dim),
-                address=(self._buf(dim), my_slot),
+                counter_id=rid,
+                address=(rid, my_slot),
                 payload=v,
                 payload_bytes=self.payload_bytes,
                 pattern_id=self._patterns[(coord, dim)],
             )
             # Poll for the other N-1 contributions.
-            yield from slice_k.poll(self._ctr(dim), n - 1)
-            buf = slice_k.memory.buffer(self._buf(dim))
+            yield from slice_k.poll(rid, n - 1)
+            slice_k.counter(rid).reset()
+            buf = slice_k.memory.buffer(rid)
             contributions = [s for s in buf.slots if s is not None]
             if len(contributions) != n - 1:  # pragma: no cover - counted-write invariant
                 raise AssertionError(
@@ -298,15 +296,17 @@ class AllReduce:
             # Hand the partial to the next round's slice, locally.
             if round_idx + 1 < len(self.active_dims):
                 nxt = node.slices[self._round_slice[self.active_dims[round_idx + 1]]]
+                hid = self._hand_ids[round_idx]
                 yield from slice_k.send_write(
                     coord,
                     nxt.name,
-                    counter_id=self._hand_ctr(round_idx),
+                    counter_id=hid,
                     address=None,
                     payload=v,
                     payload_bytes=self.payload_bytes,
                 )
-                yield from nxt.poll(self._hand_ctr(round_idx), 1)
+                yield from nxt.poll(hid, 1)
+                nxt.counter(hid).reset()
         # Final: the last round's slice shares the global sum locally.
         if self.share_locally and self.active_dims:
             last_slice = node.slices[self._round_slice[self.active_dims[-1]]]
@@ -316,18 +316,20 @@ class AllReduce:
                 yield from last_slice.send_write(
                     coord,
                     peer.name,
-                    counter_id=self._share_ctr(),
-                    address=(self._share_buf(), 0),
+                    counter_id=self._share_id,
+                    address=(self._share_id, 0),
                     payload=v,
                     payload_bytes=self.payload_bytes,
                 )
             for peer in others:
                 waits.append(
                     self.sim.process(
-                        peer.poll(self._share_ctr(), 1), name="share-poll"
+                        peer.poll(self._share_id, 1), name="share-poll"
                     )
                 )
             yield self.sim.all_of(waits)
+            for peer in others:
+                peer.counter(self._share_id).reset()
         final[coord] = v
         done_times[coord] = self.sim.now
 
@@ -363,6 +365,7 @@ class ButterflyAllReduce:
                 d *= 2
         for coord in self.torus.nodes():
             self.machine.node(coord).slices[0].memory.allocate("bfly", len(self._stages))
+        self._ctrs = [f"bfly-{stage}" for stage in range(len(self._stages))]
         self._runs = 0
 
     def run(self, values: Optional[dict[NodeCoord, float]] = None) -> AllReduceResult:
@@ -423,7 +426,7 @@ class ButterflyAllReduce:
                 "y": (coord.x, partner_pos, coord.z),
                 "z": (coord.x, coord.y, partner_pos),
             }[dim]
-            ctr = f"bfly-{stage}-{self._runs}"
+            ctr = self._ctrs[stage]
             yield from s0.send_write(
                 partner,
                 "slice0",
@@ -433,6 +436,7 @@ class ButterflyAllReduce:
                 payload_bytes=self.payload_bytes,
             )
             yield from s0.poll(ctr, 1)
+            s0.counter(ctr).reset()
             other = s0.memory.read(("bfly", stage))
             yield from s0.tensilica_work(REDUCE_SUM_NS_PER_WORD * words)
             v = v + float(other)

@@ -50,6 +50,10 @@ ATOM_MIGRATION_BYTES = 64
 #: Slice index that owns migration on every node.
 MIGRATION_SLICE = 3
 
+#: The flush counter every run reuses; each receiver resets it once
+#: its neighbours' flushes have all arrived.
+_FLUSH_CTR = "mig-flush"
+
 
 @dataclass
 class MigrationResult:
@@ -87,9 +91,6 @@ class MigrationProtocol:
                     self.torus, coord, {n: [client] for n in neighbors}
                 )
                 self._patterns[coord] = machine.network.register_pattern(tree)
-
-    def _flush_ctr(self) -> str:
-        return f"mig-flush-{self._runs}"
 
     # ------------------------------------------------------------------
     def start(
@@ -226,7 +227,7 @@ class MigrationProtocol:
             yield from s.send_write(
                 coord,
                 client,
-                counter_id=self._flush_ctr(),
+                counter_id=_FLUSH_CTR,
                 payload_bytes=0,
                 in_order=True,
                 pattern_id=pid,
@@ -241,7 +242,8 @@ class MigrationProtocol:
         node = self.machine.node(coord)
         s = node.slices[self.slice_index]
         expected_flushes = self._neighbor_count[coord]
-        flush_ev = s.counter(self._flush_ctr()).wait_for(expected_flushes)
+        flush_ctr = s.counter(_FLUSH_CTR)
+        flush_ev = flush_ctr.wait_for(expected_flushes)
         while not flush_ev.triggered:
             poll_ev = s.fifo.poll()
             yield self.sim.any_of([poll_ev, flush_ev])
@@ -251,6 +253,7 @@ class MigrationProtocol:
                 received[coord].append(pkt.payload)
             else:
                 s.fifo.cancel(poll_ev)
+        flush_ctr.reset()
         # Flushes all arrived: in-order delivery guarantees every
         # migration message is already in the FIFO.  Pay the successful
         # counter poll, then drain.

@@ -113,11 +113,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim, name=f"timeout({delay})")
+        # ``name`` is derived on read, so a timeout formats no string.
+        self.sim = sim
+        self.callbacks = []
         self.delay = delay
         self._value = value
         self._ok = True
         sim._schedule_event(delay, self)
+
+    @property
+    def name(self) -> str:
+        return f"timeout({self.delay})"
 
 
 class Interrupt(Exception):

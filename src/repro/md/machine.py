@@ -80,6 +80,14 @@ class StepReport:
 class AntonMD:
     """One chemical system mapped onto one simulated Anton machine."""
 
+    # Synchronization counter ids, fixed for the machine's lifetime
+    # (§IV.A): every step counts on the same counters, and the phase
+    # that consumes one resets it right after its successful poll.
+    _bond_ctr = "bondpos"
+    _force_ctr = "forces"
+    _spread_ctr = "charges"
+    _potential_ctr = "potentials"
+
     def __init__(
         self,
         system: ChemicalSystem,
@@ -110,6 +118,12 @@ class AntonMD:
         )
         self.torus = self.machine.torus
         self.recorder = recorder or ActivityRecorder(self.sim)
+        # Activity unit labels, formatted once per node so that a
+        # recorded span builds no string.
+        nodes = list(self.torus.nodes())
+        self._ts_units = {n: tuple(f"{n}:ts{k}" for k in range(4)) for n in nodes}
+        self._gc_unit = {n: f"{n}:gc" for n in nodes}
+        self._htis_unit = {n: f"{n}:htis" for n in nodes}
 
         if import_volume_threshold is None:
             # Payload mode needs the exact (corner-inclusive) import
@@ -265,6 +279,7 @@ class AntonMD:
             (a, b): plan.stage_recv_counts(a, b)
             for a, b in zip(plan.STAGES[:-1], plan.STAGES[1:])
         }
+        self._fft_ctr = {(a, b): f"fft-{a}-{b}" for a, b in self._fft_sends}
 
     # -- name helpers ---------------------------------------------------------
     def _pos_buf(self, origin: NodeCoord) -> str:
@@ -272,21 +287,6 @@ class AntonMD:
 
     def _bond_buf(self) -> str:
         return f"bondpos-g{self._generation_tag}"
-
-    def _bond_ctr(self) -> str:
-        return f"bondpos-g{self._generation_tag}-s{self.step_index}"
-
-    def _force_ctr(self) -> str:
-        return f"forces-s{self.step_index}"
-
-    def _spread_ctr(self) -> str:
-        return f"charges-s{self.step_index}"
-
-    def _fft_ctr(self, stage_pair: tuple[str, str]) -> str:
-        return f"fft-{stage_pair[0]}-{stage_pair[1]}-s{self.step_index}"
-
-    def _potential_ctr(self) -> str:
-        return f"potentials-s{self.step_index}"
 
     # ==================================================================
     # derived workload statistics
@@ -449,7 +449,7 @@ class AntonMD:
                 for dst in self._atom_term_nodes.get(atom, []):
                     slot = self._bond_slot[(atom, dst)]
                     yield from s.send_write(
-                        dst, "slice1", counter_id=self._bond_ctr(),
+                        dst, "slice1", counter_id=self._bond_ctr,
                         address=(self._bond_buf(), slot),
                         payload_bytes=pos_bytes,
                     )
@@ -466,7 +466,8 @@ class AntonMD:
         s2 = node.slices[2]
         expected = self._bond_return_counts().get(n, 0)
         if expected:
-            yield from s2.poll_accum(node.accum[0], self._force_ctr(), expected)
+            yield from s2.poll_accum(node.accum[0], self._force_ctr, expected)
+            node.accum[0].counter(self._force_ctr).reset()
         done[n] = self.sim.now
         node.accum[0].clear()
 
@@ -514,22 +515,23 @@ class AntonMD:
         pid = self.pos_pattern[n]
         pos_bytes = self.cal.position_bytes
         ctr_buf = self._pos_buf(n)
+        unit = self._ts_units[n][k]
         for atom in atoms:
             payload = (atom, self.system.positions[atom].copy()) if self.payload_mode else None
             yield from s.send_write(
                 n, "htis", counter_id=ctr_buf, payload=payload,
                 payload_bytes=pos_bytes, pattern_id=pid,
             )
-            self.recorder.record_span(f"{n}:ts{k}", ActivityKind.SEND, 36.0, "pos")
+            self.recorder.record_span(unit, ActivityKind.SEND, 36.0, "pos")
             # Bond-term unicasts for this atom (one atom per packet).
             for dst in self._atom_term_nodes.get(atom, []):
                 slot = self._bond_slot[(atom, dst)]
                 yield from s.send_write(
-                    dst, "slice1", counter_id=self._bond_ctr(),
+                    dst, "slice1", counter_id=self._bond_ctr,
                     address=(self._bond_buf(), slot),
                     payload=payload, payload_bytes=pos_bytes,
                 )
-                self.recorder.record_span(f"{n}:ts{k}", ActivityKind.SEND, 36.0, "bondpos")
+                self.recorder.record_span(unit, ActivityKind.SEND, 36.0, "bondpos")
         # Padding packets keep the counted-write contract (§IV.B.1).
         for _ in range(max(0, pad)):
             yield from s.send_write(
@@ -557,7 +559,7 @@ class AntonMD:
         def on_done(buf):
             origin = buf.origin
             self.recorder.record_span(
-                f"{n}:htis", ActivityKind.COMPUTE,
+                self._htis_unit[n], ActivityKind.COMPUTE,
                 htis.pairs_duration_ns(per_buffer), "pairs",
             )
             send_procs.append(
@@ -611,7 +613,7 @@ class AntonMD:
             origin,
             "accum0",
             packets,
-            counter_id=self._force_ctr(),
+            counter_id=self._force_ctr,
             payload_bytes=min(256, fpp * self.cal.force_bytes),
             address_of=lambda i: ("rl-forces", self.torus.rank(m), i),
             payload_of=payload_of,
@@ -628,7 +630,8 @@ class AntonMD:
             self._mark("bonded")
             return
         if expected:
-            yield from s.poll(self._bond_ctr(), expected)
+            yield from s.poll(self._bond_ctr, expected)
+            s.counter(self._bond_ctr).reset()
         # Evaluate the node's terms on the geometry cores.
         work = len(terms) * self.cal.gc_ns_per_bond_term
         if work:
@@ -636,7 +639,7 @@ class AntonMD:
             p0 = self.sim.process(s.compute(half, core=0))
             p1 = self.sim.process(s.compute(half, core=1))
             yield self.sim.all_of([p0, p1])
-            self.recorder.record_span(f"{n}:gc", ActivityKind.COMPUTE, half, "bonded")
+            self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "bonded")
         # Return forces to the involved atoms' home accumulation
         # memories (aggregated per destination, packed packets).
         dest_atoms: dict[NodeCoord, list[int]] = {}
@@ -655,7 +658,7 @@ class AntonMD:
                     payload = [(a, bond_forces[a].copy()) for a in chunk]
                 yield from s.send_accum(
                     dst, "accum0",
-                    counter_id=self._force_ctr(),
+                    counter_id=self._force_ctr,
                     address=("bond-forces", self.torus.rank(n), i),
                     payload=payload,
                     payload_bytes=min(256, len(chunk) * self.cal.force_bytes),
@@ -672,11 +675,11 @@ class AntonMD:
         ops = self.fixed_atoms_per_node * 4 ** 3
         dur = ops / self.cal.htis_spread_ops_per_ns
         yield from htis.pipeline.use(dur)
-        self.recorder.record_span(f"{n}:htis", ActivityKind.COMPUTE, dur, "spread")
+        self.recorder.record_span(self._htis_unit[n], ActivityKind.COMPUTE, dur, "spread")
         for dst, pk in self._spread_packets.get(n, []):
             yield from htis.send_accum_results(
                 dst, "accum1", pk,
-                counter_id=self._spread_ctr(),
+                counter_id=self._spread_ctr,
                 payload_bytes=256,
                 address_of=lambda i, src=n: ("charges", self.torus.rank(src), i),
             )
@@ -690,7 +693,8 @@ class AntonMD:
         # Wait for the charge grid (accum1 counter), then read it out.
         expected = self._spread_expected.get(n, 0)
         if expected:
-            yield from s0.poll_accum(node.accum[1], self._spread_ctr(), expected)
+            yield from s0.poll_accum(node.accum[1], self._spread_ctr, expected)
+            node.accum[1].counter(self._spread_ctr).reset()
             yield from s0.read_accum_lines(
                 math.ceil(plan.points_per_node() * 4 / 32)
             )
@@ -713,7 +717,8 @@ class AntonMD:
             if senders:
                 yield self.sim.all_of(senders)
             if recv:
-                yield from s0.poll(self._fft_ctr(pair), recv)
+                yield from s0.poll(self._fft_ctr[pair], recv)
+                s0.counter(self._fft_ctr[pair]).reset()
             # 1-D FFT work (or convolution multiply after stage z).
             stage_to = pair[1]
             owned = plan.stage_points_owned(stage_to).get(n, 0)
@@ -728,7 +733,7 @@ class AntonMD:
                 p0 = self.sim.process(s0.compute(half, core=0))
                 p1 = self.sim.process(s0.compute(half, core=1))
                 yield self.sim.all_of([p0, p1])
-                self.recorder.record_span(f"{n}:gc", ActivityKind.COMPUTE, half, "fft")
+                self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "fft")
         self._mark("fft_transfers")
         # Potentials travel back to the HTIS units (multicast-like
         # fan-out along the transposed spread pattern).
@@ -736,14 +741,14 @@ class AntonMD:
             for i in range(pk):
                 yield from s0.send_write(
                     dst, "htis",
-                    counter_id=self._potential_ctr(),
+                    counter_id=self._potential_ctr,
                     payload_bytes=256,
                 )
         self._mark("fft_convolution")
 
     def _fft_sender(self, n: NodeCoord, k: int, sends: list[tuple[NodeCoord, int]], pair):
         s = self.machine.node(n).slices[k]
-        ctr = self._fft_ctr(pair)
+        ctr = self._fft_ctr[pair]
         for dst, pts in sends:
             for _ in range(pts):
                 yield from s.send_write(
@@ -758,16 +763,18 @@ class AntonMD:
         s2 = node.slices[2]
         expected = self._potential_expected.get(n, 0)
         if expected:
-            yield htis.counter(self._potential_ctr()).wait_for(expected)
+            potentials = htis.counter(self._potential_ctr)
+            yield potentials.wait_for(expected)
+            potentials.reset()
         ops = self.fixed_atoms_per_node * 4 ** 3
         dur = ops / self.cal.htis_spread_ops_per_ns
         yield from htis.pipeline.use(dur)
-        self.recorder.record_span(f"{n}:htis", ActivityKind.COMPUTE, dur, "interp")
+        self.recorder.record_span(self._htis_unit[n], ActivityKind.COMPUTE, dur, "interp")
         fpp = self.cal.force_atoms_per_packet()
         packets = math.ceil(self.fixed_atoms_per_node / fpp)
         yield from htis.send_accum_results(
             n, "accum0", packets,
-            counter_id=self._force_ctr(),
+            counter_id=self._force_ctr,
             payload_bytes=min(256, fpp * self.cal.force_bytes),
             address_of=lambda i: ("lr-forces", i),
         )
@@ -780,7 +787,8 @@ class AntonMD:
         expected = self.expected_force_packets(n)
         if kind == "long_range":
             expected += self.expected_lr_force_packets(n)
-        yield from s2.poll_accum(node.accum[0], self._force_ctr(), expected)
+        yield from s2.poll_accum(node.accum[0], self._force_ctr, expected)
+        node.accum[0].counter(self._force_ctr).reset()
         atoms = self.decomp.atoms_of(n)
         fpp = self.cal.force_atoms_per_packet()
         yield from s2.read_accum_lines(math.ceil(max(1, len(atoms)) / fpp))
@@ -792,7 +800,7 @@ class AntonMD:
         p0 = self.sim.process(s2.compute(half, core=0))
         p1 = self.sim.process(s2.compute(half, core=1))
         yield self.sim.all_of([p0, p1])
-        self.recorder.record_span(f"{n}:gc", ActivityKind.COMPUTE, half, "integrate")
+        self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "integrate")
         if self.thermostat and kind == "long_range":
             self._mark("thermostat")
             yield from s2.tensilica_work(

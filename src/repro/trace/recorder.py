@@ -49,7 +49,7 @@ class ActivityKind(Enum):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     """One recorded interval on one unit."""
 

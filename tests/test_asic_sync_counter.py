@@ -76,6 +76,24 @@ def test_reset_with_pending_waiters_raises(sim):
         c.reset()
 
 
+def test_reused_counter_fires_each_phase_in_order(sim):
+    """Reset after the consuming poll, a counter serves phase after
+    phase: each epoch's thresholds fire in ascending order, and the
+    running total keeps every increment."""
+    c = SyncCounter(sim)
+    fired = []
+    for phase in range(3):
+        for target in (3, 1, 2):
+            c.wait_for(target).add_callback(
+                lambda e, p=phase, t=target: fired.append((p, t))
+            )
+        c.increment(3)
+        sim.run()
+        c.reset()
+    assert fired == [(p, t) for p in range(3) for t in (1, 2, 3)]
+    assert (c.count, c.epoch, c.total_increments) == (0, 3, 9)
+
+
 def test_overshoot_counts_are_kept(sim):
     c = SyncCounter(sim)
     ev = c.wait_for(2)

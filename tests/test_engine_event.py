@@ -65,6 +65,15 @@ def test_negative_timeout_rejected(sim):
         sim.timeout(-1.0)
 
 
+def test_timeout_name_and_repr_show_the_delay(sim):
+    t = sim.timeout(12.5)
+    assert t.name == "timeout(12.5)"
+    assert "timeout(12.5)" in repr(t)
+    sim.run()
+    with pytest.raises(RuntimeError, match=r"timeout\(12\.5\)"):
+        t.succeed()
+
+
 def test_all_of_waits_for_every_child(sim):
     a, b = sim.event(), sim.event()
     both = sim.all_of([a, b])

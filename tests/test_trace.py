@@ -30,6 +30,18 @@ def test_interval_validation():
         Activity("u", ActivityKind.COMPUTE, 5.0, 4.0)
 
 
+def test_activity_is_slotted_frozen_and_pickles():
+    import dataclasses
+    import pickle
+
+    a = Activity("u", ActivityKind.SEND, 1.0, 2.5, "pos")
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.end_ns = 0.0
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+
+
 def test_begin_end_spans(sim):
     rec = ActivityRecorder(sim)
     rec.begin("core", ActivityKind.COMPUTE)
