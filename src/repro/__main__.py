@@ -51,7 +51,9 @@ numbers are pinned exactly in the tier-1 test suite
 
 Every measurement subcommand shares the same canonical flags —
 ``--shape``, ``--rounds``, ``--payload``, ``--seed`` — built from one
-argparse parent parser, plus ``--metrics``, which runs it with the
+argparse parent parser.  The commands that run under the main dispatch
+(``latency``, ``allreduce``, ``sweep``, ``breakdown``, ``survey``,
+``transfer``) also take ``--metrics``, which runs them with the
 telemetry layer attached and prints the metrics registry (counters /
 gauges / latency percentiles) after the result.
 """
@@ -79,8 +81,8 @@ def _canonical_parent(
     with_shape: bool = True,
 ) -> argparse.ArgumentParser:
     """The shared parent parser: every measurement subcommand takes the
-    same ``--shape --rounds --payload --seed`` spellings (plus
-    ``--metrics``), so flags learned on one command work on all."""
+    same ``--shape --rounds --payload --seed`` spellings, so flags
+    learned on one command work on all."""
     p = argparse.ArgumentParser(add_help=False)
     if with_shape:
         p.add_argument(
@@ -94,11 +96,38 @@ def _canonical_parent(
                    help="payload bytes where applicable (default 0)")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed mixed into every run (default 0)")
+    return p
+
+
+def _metrics_parent() -> argparse.ArgumentParser:
+    """``--metrics``, for the commands the main dispatch runs under one
+    shared registry (the capture commands print their own metrics)."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--metrics", action="store_true",
         help="attach the telemetry layer and print metrics after the run",
     )
     return p
+
+
+def _spec(args):
+    """The run a single-experiment command asks for: the canonical
+    flags, plus ``--hops`` and the ``senders`` extra where the command
+    has them."""
+    from repro.runner.spec import ExperimentSpec
+
+    spec = ExperimentSpec(
+        args.experiment,
+        shape=args.shape,
+        rounds=args.rounds,
+        payload=args.payload,
+        seed=args.seed,
+        hops=getattr(args, "hops", None),
+    )
+    senders = getattr(args, "senders", None)
+    if senders is not None:
+        spec = spec.with_extras(senders=senders)
+    return spec
 
 
 def _sweep_exec_parent(default_cache: bool) -> argparse.ArgumentParser:
@@ -297,7 +326,7 @@ def _run_sweep_cmd(args, registry) -> int:
     if args.html:
         import html as _html
 
-        from repro.monitor.report import CSS
+        from repro.report_common import CSS
 
         with open(args.html, "w") as fh:
             fh.write(
@@ -341,13 +370,10 @@ def _resolve_wall_profile(ledger, target: str) -> tuple[dict, str]:
 
 
 def _run_profile(args) -> int:
-    from repro.profile.capture import run_profiled
     from repro.profile.export import render_table, write_profile
+    from repro.runner.result import Captures, run_experiment
 
-    result = run_profiled(
-        args.experiment, shape=args.shape, rounds=args.rounds,
-        payload=args.payload, seed=args.seed,
-    )
+    result = run_experiment(_spec(args), Captures(profile=True))
     profiler = result.profile
     assert profiler is not None
     print(f"profiled {args.experiment}: {result.description}")
@@ -491,13 +517,10 @@ def _run_allreduce(args, registry) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_trace(args: argparse.Namespace) -> int:
-    from repro.trace.capture import run_traced
+    from repro.runner.result import Captures, run_experiment
     from repro.trace.export import flight_summary, write_chrome_trace, write_jsonl
 
-    cap = run_traced(
-        args.experiment, shape=args.shape, rounds=args.rounds,
-        payload=args.payload, seed=args.seed,
-    )
+    cap = run_experiment(_spec(args), Captures(flight=True))
     write_chrome_trace(args.out, cap.flight, metrics=cap.registry)
     print(f"captured {args.experiment}: {cap.description}")
     print(f"wrote {args.out} (Chrome trace_event JSON; open in ui.perfetto.dev)")
@@ -541,7 +564,8 @@ def _run_attribute(args: argparse.Namespace) -> int:
     if args.experiment == "latency":
         with stack:
             m = measure_attribution(
-                hops=args.hops, shape=args.shape, payload_bytes=args.payload
+                hops=1 if args.hops is None else args.hops,
+                shape=args.shape, payload_bytes=args.payload,
             )
         print(
             f"single counted remote write, {m.hops} hop(s) to "
@@ -555,14 +579,11 @@ def _run_attribute(args: argparse.Namespace) -> int:
         print(f"attributed total - simulated end-to-end: {drift:.3f} ns")
         return 0 if drift < 1e-6 else 1
 
-    from repro.trace.capture import run_traced
     from repro.analysis.critical_path import branch_hops
+    from repro.runner.result import Captures, run_experiment
 
     with stack:
-        cap = run_traced(
-            args.experiment, shape=args.shape, rounds=args.rounds,
-            payload=args.payload, seed=args.seed,
-        )
+        cap = run_experiment(_spec(args), Captures(flight=True))
     torus = Torus3D(*cap.shape)
     print(f"captured {args.experiment}: {cap.description}")
     print()
@@ -606,16 +627,12 @@ def _run_monitor(args: argparse.Namespace) -> int:
     from repro.monitor.capture import run_monitored
 
     cap = run_monitored(
-        args.experiment,
-        shape=args.shape,
-        rounds=args.rounds,
+        _spec(args),
         interval_ns=args.interval,
         series_capacity=args.capacity,
         stall_ns=args.stall,
-        payload=args.payload,
-        seed=args.seed,
     )
-    print(f"monitored {args.experiment}: {cap.description}")
+    print(f"monitored {args.experiment}: {cap.result.description}")
     if len(cap.monitors) > 1:
         print(
             f"({len(cap.monitors)} machines monitored; verdict below is "
@@ -645,7 +662,6 @@ def _run_monitor(args: argparse.Namespace) -> int:
 
 def _run_congest(args: argparse.Namespace) -> int:
     from repro.bench.results import canonical_json
-    from repro.congestion.capture import run_congested
     from repro.congestion.decompose import (
         decompose_run,
         render_decomposition,
@@ -657,17 +673,10 @@ def _run_congest(args: argparse.Namespace) -> int:
         render_congestion_text,
     )
     from repro.congestion.tree import build_congestion_tree
+    from repro.runner.result import Captures, run_experiment
     from repro.topology.torus import Torus3D
 
-    result = run_congested(
-        args.experiment,
-        shape=args.shape,
-        rounds=args.rounds,
-        payload=args.payload,
-        seed=args.seed,
-        hops=args.hops,
-        senders=args.senders,
-    )
+    result = run_experiment(_spec(args), Captures(flight=True))
     torus = Torus3D(*args.shape)
     tree = build_congestion_tree(
         result.flight, torus, min_episode_ns=args.min_episode
@@ -950,22 +959,27 @@ def main(argv: list[str] | None = None) -> int:
 
     p_lat = sub.add_parser(
         "latency", parents=[_canonical_parent(shape=(8, 8, 8), rounds=4),
+                            _metrics_parent(),
                             _sweep_exec_parent(default_cache=False)],
         help="Fig. 5: latency vs hops (sweep pipeline)",
     )
     p_lat.add_argument("--max-hops", type=int, default=None,
                        help="largest hop count (default: the torus diameter)")
 
-    sub.add_parser("breakdown", parents=[_canonical_parent()],
+    sub.add_parser("breakdown",
+                   parents=[_canonical_parent(), _metrics_parent()],
                    help="Fig. 6: the 162 ns breakdown")
-    sub.add_parser("survey", parents=[_canonical_parent(shape=(8, 8, 8))],
+    sub.add_parser("survey",
+                   parents=[_canonical_parent(shape=(8, 8, 8)),
+                            _metrics_parent()],
                    help="Table 1 with the simulated Anton row")
-    sub.add_parser("transfer", parents=[_canonical_parent()],
+    sub.add_parser("transfer",
+                   parents=[_canonical_parent(), _metrics_parent()],
                    help="Fig. 7: 2 KB in 1-64 messages")
 
     p_ar = sub.add_parser(
         "allreduce",
-        parents=[_canonical_parent(with_shape=False),
+        parents=[_canonical_parent(with_shape=False), _metrics_parent(),
                  _sweep_exec_parent(default_cache=False)],
         help="Table 2 all-reduce rows (sweep pipeline)",
     )
@@ -976,7 +990,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sw = sub.add_parser(
         "sweep",
-        parents=[_canonical_parent(with_shape=False),
+        parents=[_canonical_parent(with_shape=False), _metrics_parent(),
                  _sweep_exec_parent(default_cache=True),
                  _ledger_parent()],
         help="run any experiment over a parameter grid, parallel + cached",
@@ -1026,13 +1040,13 @@ def main(argv: list[str] | None = None) -> int:
                            "id (prefix) or an on-disk profile file "
                            "(speedscope or --format json output)")
 
-    from repro.trace.capture import EXPERIMENTS
+    traceable = experiment_names(traceable=True)
 
     p_tr = sub.add_parser(
         "trace", parents=[_canonical_parent()],
         help="record a packet flight trace and export it for Perfetto",
     )
-    p_tr.add_argument("experiment", choices=EXPERIMENTS)
+    p_tr.add_argument("experiment", choices=traceable)
     p_tr.add_argument("--out", default="trace.json",
                       help="Chrome trace_event JSON output path")
     p_tr.add_argument("--jsonl", default=None,
@@ -1042,9 +1056,10 @@ def main(argv: list[str] | None = None) -> int:
         "attribute", parents=[_canonical_parent(shape=(8, 8, 8))],
         help="trace-derived latency attribution (Fig. 6 from recorded spans)",
     )
-    p_at.add_argument("experiment", choices=EXPERIMENTS)
-    p_at.add_argument("--hops", type=int, default=1,
-                      help="network hops for the latency experiment")
+    p_at.add_argument("experiment", choices=traceable)
+    p_at.add_argument("--hops", type=int, default=None,
+                      help="network hops (default 1 for the latency "
+                           "experiment, else the experiment's own)")
     p_at.add_argument("--top", type=int, default=10,
                       help="link hotspots to show (default 10)")
     p_at.add_argument("--ber", type=float, default=0.0,
@@ -1099,8 +1114,6 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--html", default="report.html", metavar="OUT",
                        help="HTML output path (default report.html)")
 
-    from repro.congestion.capture import EXPERIMENTS as CONGEST_EXPERIMENTS
-
     p_cg = sub.add_parser(
         "congest", parents=[_canonical_parent(), _ledger_parent()],
         help="the congestion X-ray: queue telemetry, per-packet delay "
@@ -1112,7 +1125,7 @@ def main(argv: list[str] | None = None) -> int:
                     "feeders, blocking episodes, and the exact "
                     "per-packet delay decomposition.",
     )
-    p_cg.add_argument("experiment", choices=CONGEST_EXPERIMENTS)
+    p_cg.add_argument("experiment", choices=traceable)
     p_cg.add_argument("--hops", type=int, default=None,
                       help="network hops for the latency experiment")
     p_cg.add_argument("--senders", type=int, default=None,

@@ -14,9 +14,10 @@ head-of-line queues (the flight recorder is the one transport probe):
   (which upstream links feed waits into which bottleneck) and
   sustained HOL-blocking episodes.
 
-Rendering lives in :mod:`repro.congestion.report`; CLI capture in
-:mod:`repro.congestion.capture` (kept out of this namespace so the
-package stays import-cycle-free, like :mod:`repro.trace`).
+Rendering lives in :mod:`repro.congestion.report`.  A run is captured
+with ``run_experiment(spec, Captures(flight=True))``
+(:mod:`repro.runner.result`); ``result.congestion`` is the view over
+its flight record.
 """
 
 from repro.congestion.view import CongestionView, direction_label

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.monitor.sampler import TimeSeriesSampler
 from repro.monitor.series import RingSeries
 from repro.monitor.watchdog import LEVELS, HealthVerdict
-from repro.report_common import CSS, fmt as _fmt, fmt_ns as _ns, stat_tiles
+from repro.report_common import fmt as _fmt, fmt_ns as _ns, stat_tiles
 from repro.trace.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.trace.sketch import QuantileSketch
 
@@ -49,10 +49,6 @@ _STATUS = {
     "warning": ("status-warning", "&#9888;", "warning"),
     "error": ("status-critical", "&#10007;", "fail"),
 }
-
-#: Backward-compatible alias for the stylesheet, which lives in
-#: :mod:`repro.report_common` now (shared by every HTML artifact).
-_CSS = CSS
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Two observability layers in one package, both strictly passive:
   ``sweep.*`` gauges, ``status.json``, the terminal progress line, and
   the Prometheus + HTML report pipeline.
 
-``run_profiled`` lives in :mod:`repro.profile.capture` (imported
-lazily by the CLI) because it pulls in the experiment registry.
+A named experiment is profiled with ``run_experiment(spec,
+Captures(profile=True))`` (:mod:`repro.runner.result`), which hands the
+profiler back on ``result.profile``.
 """
 
 from repro.profile.export import (

@@ -430,8 +430,3 @@ def use_profiling(
     finally:
         _ACTIVE_SESSION = prev
         remove_new_sim_hook(hook)
-
-
-# Unit normalization (Linux KiB vs macOS bytes) lives with the other
-# host-fact collectors; re-exported here for existing importers.
-from repro.profile.telemetry import peak_rss_bytes  # noqa: E402,F401

@@ -1,10 +1,9 @@
 """The one result type every run produces: :class:`RunResult`.
 
-``run_traced`` used to hand back an ad-hoc capture object, the monitor
-CLI another, and the bench suite raw floats.  The runner subsystem
-funnels them all through :class:`RunResult`: the spec that produced
-the run, the headline simulated elapsed nanoseconds, the named
-measurements, a plain-data metrics snapshot, and any artifact paths.
+Every observed or bare run is ``run_experiment(spec, Captures(...))``
+and produces a :class:`RunResult`: the spec that produced the run, the
+headline simulated elapsed nanoseconds, the named measurements, a
+plain-data metrics snapshot, and any artifact paths.
 The serializable core round-trips through :meth:`RunResult.to_dict` /
 :meth:`RunResult.from_dict` — that is what the content-addressed cache
 stores and what sweep workers ship back across the process boundary.
@@ -197,18 +196,21 @@ class Captures:
       (per-packet causal spans); hands it back on ``result.flight``.
     * ``profile`` — attach the engine self-profiler to every simulator
       the experiment builds; hands it back on ``result.profile``.
-    * ``congestion`` — attach the flight recorder for the congestion
-      X-ray: ``result.flight`` is set and ``result.congestion`` derives
-      the per-link-direction queue timelines from it.  The flight
-      recorder is the one transport probe, so both flags on still
-      attach one recorder.
+    * ``congestion`` — attach the flight recorder without its metric
+      feed: ``result.flight`` is set and ``result.congestion`` derives
+      the per-link-direction queue timelines from it.  ``flight=True``
+      gives the same view.  The flight recorder is the one transport
+      probe, so both flags on still attach one recorder.
     * ``registry`` — accumulate metrics into a caller-owned
       :class:`~repro.trace.metrics.MetricsRegistry` instead of a fresh
       run-owned one (the monitor's Prometheus path).
 
-    Frozen so a single instance can parameterize a whole sweep.  All
-    captures are passive: the serialized result core is byte-identical
-    with every combination on or off.
+    Frozen so a single instance can parameterize a whole sweep.  No
+    capture changes what the model does: elapsed time, description and
+    measurements are identical with every combination on or off.
+    ``profile`` and ``congestion`` also leave the serialized result core
+    byte-identical.  ``flight`` feeds the run-owned registry, so its
+    ``metrics`` snapshot gains the ``net.*`` families and nothing else.
     """
 
     flight: bool = False

@@ -1,18 +1,17 @@
 """The one way to name and parameterize a run: :class:`ExperimentSpec`.
 
-Before the runner subsystem existed, every entry point kept its own
-string-to-function table (``repro.trace.capture._RUNNERS``, the
-monitor CLI's copy with ``mdstep`` bolted on, the ``__main__`` elif
-chain).  This module replaces them with a single registry:
+Every entry point names its run with one spec and dispatches it
+through one registry:
 
 * :class:`ExperimentSpec` — a frozen, hashable description of one run
   (experiment name, machine shape, rounds, payload, seed, optional hop
   count, plus experiment-specific ``extras``).  Its canonical JSON form
   is the identity used by the result cache and the sweep checkpoints.
 * :func:`register_experiment` — decorator that publishes a runner
-  function ``(spec) -> Outcome`` under a name.  ``repro.trace.capture``,
-  ``repro.monitor.capture``, the tier-1 model pins, and ``python -m
-  repro sweep`` all dispatch through :func:`get_experiment`.
+  function ``(spec) -> Outcome`` under a name.
+  :func:`~repro.runner.result.run_experiment` (behind every CLI
+  command, the sweep runner and the tier-1 model pins) dispatches
+  through :func:`get_experiment`.
 
 The registry itself imports nothing heavy; experiment implementations
 live in :mod:`repro.runner.experiments` and lazy-import the analysis

@@ -600,8 +600,11 @@ def run_sweep(
     sweep already finished.  ``registry`` (default: the ambient one)
     receives ``sweep.*`` progress counters; ``run_registry`` lets a
     serial caller accumulate per-run metrics into a shared registry
-    (the CLI's ``--metrics``).  ``progress`` is invoked once per point
-    as it settles, in settlement order.
+    (the CLI's ``--metrics``).  A point computed into ``run_registry``
+    has an empty ``metrics`` snapshot, so it is neither cached nor
+    checkpointed: a later plain sweep must not be served that core.
+    ``progress`` is invoked once per point as it settles, in settlement
+    order.
 
     ``timeout_s`` and/or ``retries`` switch computation to the guarded
     scheduler (one killable subprocess per point): a point that runs
@@ -698,6 +701,12 @@ def run_sweep(
             emit("cache_miss", point.index, spec=point.spec.label())
         pending.append(point)
 
+    guarded = timeout_s is not None or retries > 0
+    serial = not guarded and (jobs == 1 or len(pending) <= 1)
+    # Only the serial path computes into ``run_registry``; those cores
+    # carry an empty metrics snapshot and must not be persisted.
+    persist = not (serial and run_registry is not None)
+
     def settle(point: SweepPoint) -> None:
         if point.ok:
             count("computed")
@@ -712,9 +721,9 @@ def run_sweep(
                 events_per_second=meta.get("events_per_second", 0.0),
                 peak_rss_bytes=meta.get("peak_rss_bytes", 0),
             )
-            if cache is not None:
+            if persist and cache is not None:
                 cache.put(point.result)
-            if out_dir:
+            if persist and out_dir:
                 _write_point(out_dir, point)
         else:
             count("failures")
@@ -725,7 +734,7 @@ def run_sweep(
         if progress:
             progress(point)
 
-    if timeout_s is not None or retries > 0:
+    if guarded:
         def on_retry(point: SweepPoint, attempt: int) -> None:
             count("retries")
             emit(
@@ -743,7 +752,7 @@ def run_sweep(
             on_retry=on_retry,
             on_event=telemetry.record if telemetry is not None else None,
         )
-    elif jobs == 1 or len(pending) <= 1:
+    elif serial:
         for point in pending:
             emit("started", point.index, spec=point.spec.label())
             point.attempts = 1

@@ -23,10 +23,12 @@ is the model's equivalent — a full telemetry layer:
   across runs;
 * :mod:`repro.trace.stats` derives the critical-path communication
   accounting of Table 3, and :mod:`repro.trace.timeline` renders the
-  Fig. 13 style activity timeline as text/CSV;
-* :mod:`repro.trace.capture` (imported lazily — it pulls in the
-  analysis stack) drives a named experiment with telemetry attached;
-  it backs ``python -m repro trace <experiment>``.
+  Fig. 13 style activity timeline as text/CSV.
+
+A named experiment runs with the flight recorder attached through
+``run_experiment(spec, Captures(flight=True))``
+(:mod:`repro.runner.result`); that call backs ``python -m repro trace
+<experiment>``.
 """
 
 from repro.trace.recorder import Activity, ActivityKind, ActivityRecorder

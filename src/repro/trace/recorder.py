@@ -18,11 +18,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
 
-#: Placeholder for an interval opened while the recorder was disabled:
-#: the matching ``end`` must be accepted, but nothing gets recorded.
-_DISCARDED = object()
-
-
 class ActivityKind(Enum):
     """Classification of a recorded interval."""
 
@@ -77,9 +72,6 @@ class ActivityRecorder:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._intervals: list[Activity] = []
-        # Value is (kind, start_ns) or the _DISCARDED sentinel.
-        self._open: dict[tuple[str, str], object] = {}
-        self.enabled = True
 
     # -- immediate recording -------------------------------------------------
     def record(
@@ -91,52 +83,13 @@ class ActivityRecorder:
         label: str = "",
     ) -> None:
         """Record a complete interval."""
-        if self.enabled:
-            self._intervals.append(Activity(unit, kind, start_ns, end_ns, label))
+        self._intervals.append(Activity(unit, kind, start_ns, end_ns, label))
 
     def record_span(self, unit: str, kind: ActivityKind, duration_ns: float,
                     label: str = "") -> None:
         """Record an interval ending now with the given duration."""
         now = self.sim.now
         self.record(unit, kind, now - duration_ns, now, label)
-
-    # -- open/close recording ---------------------------------------------------
-    def begin(self, unit: str, kind: ActivityKind, label: str = "") -> None:
-        """Open an interval; close it with :meth:`end`.
-
-        A ``begin`` while the recorder is disabled still marks the
-        interval as open (with a discard sentinel) so that the matching
-        ``end`` is recognized regardless of how ``enabled`` is toggled
-        in between — the interval is simply dropped.
-        """
-        key = (unit, label)
-        existing = self._open.get(key)
-        if existing is not None and existing is not _DISCARDED:
-            raise RuntimeError(f"interval already open for {key}")
-        self._open[key] = (kind, self.sim.now) if self.enabled else _DISCARDED
-
-    def end(self, unit: str, label: str = "") -> None:
-        """Close the interval opened by :meth:`begin`.
-
-        Tolerant of ``enabled`` toggling between ``begin`` and ``end``
-        (any interval with either endpoint in a disabled window is
-        discarded).  A genuinely unmatched ``end`` — no ``begin`` at
-        all while the recorder was enabled — raises a descriptive
-        :class:`RuntimeError`.
-        """
-        key = (unit, label)
-        entry = self._open.pop(key, None)
-        if entry is None:
-            if not self.enabled:
-                return  # recorder off: nothing was, or should be, open
-            raise RuntimeError(
-                f"end() without a matching begin() for unit {unit!r}, "
-                f"label {label!r}"
-            )
-        if entry is _DISCARDED or not self.enabled:
-            return  # an endpoint fell in a disabled window: drop it
-        kind, start = entry
-        self._intervals.append(Activity(unit, kind, start, self.sim.now, label))
 
     # -- queries --------------------------------------------------------------
     def intervals(
@@ -168,7 +121,6 @@ class ActivityRecorder:
 
     def clear(self) -> None:
         self._intervals.clear()
-        self._open.clear()
 
     def __len__(self) -> int:
         return len(self._intervals)

@@ -3,7 +3,9 @@
 ``--payload-bytes`` (canonical: ``--payload``) and positional
 all-reduce shapes (canonical: repeatable ``--shape``) were deprecated
 aliases and are now gone: argparse rejects them with exit status 2,
-and the canonical spellings parse without any warning.
+and the canonical spellings parse without any warning.  ``--metrics``
+is taken only by the commands that honour it; the capture commands
+reject it the same way.
 """
 
 import argparse
@@ -41,3 +43,19 @@ class TestAllreducePositionalShapes:
     def test_parse_shape_rejects_garbage(self):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_shape("not-a-shape")
+
+
+class TestMetricsFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["trace", "latency"],
+        ["attribute", "latency"],
+        ["profile", "latency"],
+        ["monitor"],
+        ["report"],
+        ["congest", "congestion"],
+    ], ids=lambda argv: argv[0])
+    def test_capture_commands_reject_metrics(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--metrics"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metrics" in capsys.readouterr().err

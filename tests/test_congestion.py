@@ -10,7 +10,6 @@ from tests.conftest import run_exchange
 
 from repro.asic import build_machine
 from repro.congestion import CongestionView, direction_label
-from repro.congestion.capture import run_congested
 from repro.congestion.decompose import (
     DelayBucket,
     decompose_flight,
@@ -42,6 +41,14 @@ from repro.trace.export import dumps_chrome_trace
 from repro.trace.flight import FlightRecorder, use_flight
 
 
+def _incast(rounds, senders, payload=0):
+    """The ``congestion`` incast on a 3x3x3 torus, flight-captured."""
+    spec = ExperimentSpec(
+        "congestion", shape=(3, 3, 3), rounds=rounds, payload=payload
+    ).with_extras(senders=senders)
+    return run_experiment(spec, Captures(flight=True))
+
+
 @pytest.fixture(scope="module")
 def incast():
     """The canonical 26-to-1 incast on a 3x3x3 torus, captured once.
@@ -50,10 +57,7 @@ def incast():
     through the destination's z links; z+ and z- tie exactly and the
     deterministic direction order ranks z+ first.
     """
-    result = run_congested(
-        "congestion", shape=(3, 3, 3), rounds=1, payload=0, seed=0,
-        senders=26,
-    )
+    result = _incast(rounds=1, senders=26)
     tree = build_congestion_tree(result.flight, Torus3D(3, 3, 3))
     return result, tree
 
@@ -102,10 +106,7 @@ class TestRecorder:
     def test_ring_buffers_bound_memory(self):
         """The benchmark-scale incast overflows the 512-sample rings:
         each keeps its newest 512 samples and counts the rest."""
-        result = run_congested(
-            "congestion", shape=(3, 3, 3), rounds=100, payload=256, seed=0,
-            senders=26,
-        )
+        result = _incast(rounds=100, senders=26, payload=256)
         view = result.congestion
         timelines = [*view.depth_series.values(),
                      *view.occupancy_series.values()]
@@ -265,8 +266,7 @@ class TestCongestionTree:
 
     def test_uncontended_run_yields_empty_tree(self):
         # A single-sender "incast" is just one uncontended write.
-        result = run_congested("congestion", shape=(3, 3, 3), rounds=1,
-                               senders=1)
+        result = _incast(rounds=1, senders=1)
         tree = build_congestion_tree(result.flight, Torus3D(3, 3, 3))
         assert tree.links == []
         assert tree.worst is None

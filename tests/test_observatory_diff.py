@@ -23,6 +23,14 @@ from repro.profile.export import (
 from repro.profile.profiler import IDLE_PHASE_LABEL
 
 
+def _profiled_selftest(rounds):
+    from repro.runner.result import Captures, run_experiment
+    from repro.runner.spec import ExperimentSpec
+
+    spec = ExperimentSpec("selftest", shape=(2, 2, 2), rounds=rounds)
+    return run_experiment(spec, Captures(profile=True))
+
+
 def _wall(cells: dict, loop_wall_ns=None) -> dict:
     """A repro-profile-wall/1 dict from {(phase,comp,label): (ev, ns)}.
 
@@ -71,10 +79,8 @@ class TestAlignment:
         assert new.base_events == 0
 
     def test_native_captures_have_zero_residual(self):
-        from repro.profile.capture import run_profiled
-
-        a = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
-        b = run_profiled("selftest", shape=(2, 2, 2), rounds=2)
+        a = _profiled_selftest(1)
+        b = _profiled_selftest(2)
         diff = diff_profiles(a.profile.wall_profile(),
                              b.profile.wall_profile())
         assert diff.residual_ns == 0
@@ -149,9 +155,7 @@ class TestTilingProperty:
 
 class TestSpeedscopeRoundtrip:
     def test_reconstruction_preserves_wall_cells(self):
-        from repro.profile.capture import run_profiled
-
-        result = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
+        result = _profiled_selftest(1)
         native = result.profile.wall_profile()
         rebuilt = wall_profile_from_speedscope(
             to_speedscope(result.profile)
@@ -181,9 +185,7 @@ class TestSpeedscopeRoundtrip:
 
     @pytest.mark.parametrize("fmt", ["speedscope", "json"])
     def test_load_wall_profile_all_formats(self, tmp_path, fmt):
-        from repro.profile.capture import run_profiled
-
-        result = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
+        result = _profiled_selftest(1)
         path = tmp_path / f"prof.{fmt}"
         with open(path, "w") as fh:
             write_profile(result.profile, fh, fmt=fmt)

@@ -211,10 +211,14 @@ class TestBuilders:
         assert [r.to_dict() for r in got.bench_results()] == rec.metrics
 
     def test_log_profile_stores_wall_profile(self, tmp_path):
-        from repro.profile.capture import run_profiled
+        from repro.runner.result import Captures, run_experiment
+        from repro.runner.spec import ExperimentSpec
 
         ledger = Ledger(str(tmp_path / "led.jsonl"))
-        result = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
+        result = run_experiment(
+            ExperimentSpec("selftest", shape=(2, 2, 2), rounds=1),
+            Captures(profile=True),
+        )
         rec = log_profile(ledger, result)
         (got,) = ledger.read()
         wall = got.attachments["wall_profile"]

@@ -13,7 +13,6 @@ from repro.profile import (
     peak_rss_bytes,
     use_profiling,
 )
-from repro.profile.capture import run_profiled
 from repro.runner.result import Captures, run_experiment
 from repro.runner.spec import ExperimentSpec, ensure_registered
 from tests.conftest import run_exchange
@@ -233,7 +232,9 @@ PROFILED_COUNTS_222 = {
 
 @pytest.mark.parametrize("experiment", sorted(PROFILED_COUNTS_222))
 def test_profiled_cells_are_exact(experiment):
-    result = run_profiled(experiment, shape=(2, 2, 2))
+    result = run_experiment(
+        ExperimentSpec(experiment, shape=(2, 2, 2)), Captures(profile=True)
+    )
     counts = result.profile.count_profile()
     assert list(counts["phases"].values()) == [
         PROFILED_COUNTS_222[experiment]]

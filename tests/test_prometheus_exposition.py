@@ -206,14 +206,15 @@ class TestCongestionExposition:
 
     @pytest.fixture(scope="class")
     def incast_exposition(self):
-        from repro.congestion.capture import run_congested
         from repro.congestion.report import render_congestion_prometheus
         from repro.congestion.tree import build_congestion_tree
+        from repro.runner import Captures, ExperimentSpec, run_experiment
         from repro.topology.torus import Torus3D
 
-        result = run_congested(
-            "congestion", shape=(3, 3, 3), rounds=1, senders=26,
-        )
+        spec = ExperimentSpec(
+            "congestion", shape=(3, 3, 3), rounds=1
+        ).with_extras(senders=26)
+        result = run_experiment(spec, Captures(flight=True))
         tree = build_congestion_tree(result.flight, Torus3D(3, 3, 3))
         text = render_congestion_prometheus(tree, result.congestion)
         return tree, parse_exposition(text)
@@ -259,8 +260,11 @@ class TestCongestionExposition:
         # destination's inbound links, so the per-direction peak-queue
         # gauge appears and round-trips through the parser.
         from repro.monitor.capture import run_monitored
+        from repro.runner import ExperimentSpec
 
-        capture = run_monitored("congestion", shape=(3, 3, 3), rounds=1)
+        capture = run_monitored(
+            ExperimentSpec("congestion", shape=(3, 3, 3), rounds=1)
+        )
         verdict = capture.verdict
         assert verdict.peak_queue_by_direction  # something queued
         families = parse_exposition(capture.prometheus())

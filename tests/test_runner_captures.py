@@ -9,6 +9,9 @@ from repro.runner.spec import ExperimentSpec
 from repro.trace.metrics import MetricsRegistry
 
 SPEC = ExperimentSpec("latency", shape=(3, 3, 3), hops=1)
+#: An experiment with no recorder of its own: the run-owned registry
+#: only sees transport metrics when a flight capture feeds it.
+INCAST = ExperimentSpec("congestion", shape=(3, 3, 3))
 
 
 def _canon(result) -> str:
@@ -39,11 +42,19 @@ class TestCaptures:
         assert result.metrics == {}
 
     def test_captures_are_passive(self):
-        bare = _canon(run_experiment(SPEC))
-        full = _canon(run_experiment(
-            SPEC, Captures(flight=True, profile=True, congestion=True)
-        ))
-        assert bare == full
+        bare = run_experiment(INCAST)
+        assert bare.metrics == {}
+        for caps in (Captures(profile=True), Captures(congestion=True)):
+            assert _canon(run_experiment(INCAST, caps)) == _canon(bare)
+        # A flight capture feeds the run-owned registry: the core gains
+        # the net.* families and nothing else.
+        traced = run_experiment(INCAST, Captures(flight=True)).to_dict()
+        metrics = traced.pop("metrics")
+        assert metrics
+        assert all(name.startswith("net.") for name in metrics)
+        core = bare.to_dict()
+        del core["metrics"]
+        assert traced == core
 
     def test_truthiness(self):
         assert not Captures()
@@ -72,17 +83,14 @@ class TestLegacyKwargsRejected:
             run_experiment(SPEC, Captures(), **kwarg)
 
     def test_wrappers_do_not_warn(self, recwarn):
-        """The CLI-facing helpers run on Captures and emit no
-        DeprecationWarning."""
+        """The captures the CLI commands ask for (trace, attribute and
+        congest: flight; profile: profile) emit no DeprecationWarning."""
         import warnings
-
-        from repro.congestion.capture import run_congested
-        from repro.profile.capture import run_profiled
-        from repro.trace.capture import run_traced
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert run_traced("latency", shape=(3, 3, 3)).flight is not None
-            assert run_profiled("latency", shape=(3, 3, 3)).profile is not None
-            cap = run_congested("congestion", shape=(3, 3, 3), rounds=1)
-            assert cap.congestion is not None
+            traced = run_experiment(SPEC, Captures(flight=True))
+            assert traced.flight is not None
+            assert traced.congestion is not None
+            profiled = run_experiment(SPEC, Captures(profile=True))
+            assert profiled.profile is not None

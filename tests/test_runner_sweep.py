@@ -144,6 +144,29 @@ class TestCacheIntegration:
         run_sweep([bad], cache=cache)
         assert cache.stats.writes == 0
 
+    def test_shared_registry_sweep_does_not_poison_the_cache(self, tmp_path):
+        """A ``--metrics`` sweep computes each point into the caller's
+        registry, so its cores carry no metrics snapshot.  A later plain
+        sweep on the same cache must still get a fresh run's bytes."""
+        from repro.runner.result import run_experiment
+
+        specs = [
+            ExperimentSpec("allreduce", shape=(2, 2, 2), payload=p)
+            for p in (0, 32)
+        ]
+        cache = ResultCache(str(tmp_path / "cache"))
+        out = str(tmp_path / "metrics-sweep")
+        shared = run_sweep(
+            specs, cache=cache, out_dir=out, run_registry=MetricsRegistry()
+        )
+        assert shared.ok and cache.stats.writes == 0
+        points = os.path.join(out, "points")
+        assert not os.path.isdir(points) or not os.listdir(points)
+        plain = run_sweep(specs, cache=cache)
+        fresh = [run_experiment(spec).to_dict() for spec in specs]
+        assert fresh[0]["metrics"]
+        assert [p.result.to_dict() for p in plain.points] == fresh
+
 
 class TestCheckpointResume:
     def test_out_dir_holds_manifest_points_results(self, tmp_path):

@@ -42,19 +42,6 @@ def test_activity_is_slotted_frozen_and_pickles():
         assert pickle.loads(pickle.dumps(a, protocol)) == a
 
 
-def test_begin_end_spans(sim):
-    rec = ActivityRecorder(sim)
-    rec.begin("core", ActivityKind.COMPUTE)
-    sim.schedule(30.0, lambda: None)
-    sim.run()
-    rec.end("core")
-    (a,) = rec.intervals(unit="core")
-    assert a.duration_ns == 30.0
-    with pytest.raises(RuntimeError):
-        rec.begin("core", ActivityKind.COMPUTE)
-        rec.begin("core", ActivityKind.COMPUTE)
-
-
 def test_record_span_ends_now(sim):
     rec = ActivityRecorder(sim)
     sim.schedule(100.0, lambda: None)
@@ -62,13 +49,6 @@ def test_record_span_ends_now(sim):
     rec.record_span("u", ActivityKind.SEND, 25.0)
     (a,) = rec.intervals(unit="u")
     assert (a.start_ns, a.end_ns) == (75.0, 100.0)
-
-
-def test_disabled_recorder_is_silent(sim):
-    rec = ActivityRecorder(sim)
-    rec.enabled = False
-    rec.record("u", ActivityKind.COMPUTE, 0, 1)
-    assert len(rec) == 0
 
 
 def test_communication_kinds():

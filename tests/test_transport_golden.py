@@ -96,13 +96,11 @@ def result_digest(name: str) -> str:
 
 
 def incast_probes_digest() -> str:
-    """The incast's exported flight trace plus the congestion
-    recorder's per-link statistics, both probes attached at once."""
+    """The incast's exported flight trace plus the congestion view's
+    per-link statistics, both read from one flight capture."""
     from repro.trace.export import dumps_chrome_trace
 
-    result = run_experiment(
-        SPECS["congestion"], Captures(flight=True, congestion=True)
-    )
+    result = run_experiment(SPECS["congestion"], Captures(flight=True))
     cg = result.congestion
     congestion = {
         "wait_ns": cg.wait_ns,
@@ -297,7 +295,9 @@ def monitor_digest(name: str) -> str:
     from repro.monitor.capture import run_monitored
 
     experiment, shape = MONITORED[name]
-    cap = run_monitored(experiment, shape, rounds=2, interval_ns=50.0)
+    cap = run_monitored(
+        ExperimentSpec(experiment, shape=shape, rounds=2), interval_ns=50.0
+    )
     return _sha([
         {series.name: series.samples() for series in monitor.sampler}
         for monitor in cap.monitors
