@@ -14,6 +14,16 @@ slice.poll(...)``, ``yield from slice.compute(...)``.  The Tensilica
 core is a FCFS resource, so concurrent send and poll activity on one
 slice serialises — which is exactly why bidirectional ping-pong runs
 slightly slower than unidirectional in Fig. 5.
+
+Each helper resumes one generator level below its caller: a resume
+through ``yield from`` pays once per level, and these helpers run on
+every send, poll and sum of every collective.  The three ``send_*``
+helpers and ``tensilica_work``/``compute`` are plain functions that
+return the one generator doing the work (``_send``, ``Resource.use``,
+``GeometryCore.compute``); ``_send`` and ``poll`` hold the Tensilica
+inline rather than through ``Resource.use``.  ``_send`` still builds
+its packet, which takes a global ``packet_id``, when the caller first
+runs it.
 """
 
 from __future__ import annotations
@@ -32,14 +42,7 @@ from repro.constants import (
 )
 from repro.engine.event import Event
 from repro.engine.resource import Resource
-from repro.network.packet import (
-    AccumPacket,
-    FifoPacket,
-    Packet,
-    PacketKind,
-    WritePacket,
-    payload_bytes_of,
-)
+from repro.network.packet import Packet, PacketKind, payload_bytes_of
 from repro.topology.torus import NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,14 +92,51 @@ class ProcessingSlice(NetworkClient):
         self.fifo.push(packet)
 
     # -- sending ------------------------------------------------------------
-    def _assemble_and_inject(self, packet: Packet) -> Generator[Event, Any, Event]:
-        """Occupy the Tensilica for packet assembly, then inject."""
-        begin = self.sim.now
-        yield from self.tensilica.use(SLICE_SEND_NS)
+    def _send(
+        self,
+        kind: PacketKind,
+        dst_node: "NodeCoord | int",
+        dst_client: str,
+        payload: Any,
+        payload_bytes: Optional[int],
+        counter_id: Optional[str] = None,
+        address: Any = None,
+        in_order: bool = False,
+        pattern_id: Optional[int] = None,
+    ) -> Generator[Event, Any, Event]:
+        """The one send generator behind the ``send_*`` helpers.
+
+        Builds the packet when first run (which is when it takes its
+        ``packet_id``), holds the Tensilica for packet assembly, then
+        injects.  Returns the network's delivery event.
+        """
+        nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
+        packet = Packet(
+            src_node=self.node,
+            src_client=self.name,
+            dst_node=self.network.torus.coord(dst_node),
+            dst_client=dst_client,
+            kind=kind,
+            payload_bytes=nbytes,
+            payload=payload,
+            counter_id=counter_id,
+            address=address,
+            in_order=in_order,
+            pattern_id=pattern_id,
+        )
+        sim = self.sim
+        begin = sim.now
+        ts = self.tensilica
+        if not ts.try_acquire():
+            yield ts.request()
+        try:
+            yield sim.timeout(SLICE_SEND_NS)
+        finally:
+            ts.release()
         done = self.inject(packet)
         fl = self.network.flight
         if fl.enabled:
-            fl.software_send(packet, begin, self.sim.now)
+            fl.software_send(packet, begin, sim.now)
         return done
 
     def send_write(
@@ -117,20 +157,11 @@ class ProcessingSlice(NetworkClient):
         completion can wait on it; counted-remote-write receivers
         normally just poll their counter instead.
         """
-        nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
-        packet = WritePacket(
-            src_node=self.node,
-            src_client=self.name,
-            dst_node=self.network.torus.coord(dst_node),
-            dst_client=dst_client,
-            payload_bytes=nbytes,
-            payload=payload,
-            counter_id=counter_id,
-            address=address,
-            in_order=in_order,
+        return self._send(
+            PacketKind.WRITE, dst_node, dst_client, payload, payload_bytes,
+            counter_id=counter_id, address=address, in_order=in_order,
             pattern_id=pattern_id,
         )
-        return (yield from self._assemble_and_inject(packet))
 
     def send_accum(
         self,
@@ -144,19 +175,10 @@ class ProcessingSlice(NetworkClient):
         pattern_id: Optional[int] = None,
     ) -> Generator[Event, Any, Event]:
         """Send one accumulation packet (+= at the target address)."""
-        nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
-        packet = AccumPacket(
-            src_node=self.node,
-            src_client=self.name,
-            dst_node=self.network.torus.coord(dst_node),
-            dst_client=accum_name,
-            payload_bytes=nbytes,
-            payload=payload,
-            counter_id=counter_id,
-            address=address,
-            pattern_id=pattern_id,
+        return self._send(
+            PacketKind.ACCUM, dst_node, accum_name, payload, payload_bytes,
+            counter_id=counter_id, address=address, pattern_id=pattern_id,
         )
-        return (yield from self._assemble_and_inject(packet))
 
     def send_fifo_message(
         self,
@@ -168,17 +190,10 @@ class ProcessingSlice(NetworkClient):
         in_order: bool = False,
     ) -> Generator[Event, Any, Event]:
         """Send an arbitrary message to a remote slice's hardware FIFO."""
-        nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
-        packet = FifoPacket(
-            src_node=self.node,
-            src_client=self.name,
-            dst_node=self.network.torus.coord(dst_node),
-            dst_client=dst_slice,
-            payload_bytes=nbytes,
-            payload=payload,
+        return self._send(
+            PacketKind.FIFO, dst_node, dst_slice, payload, payload_bytes,
             in_order=in_order,
         )
-        return (yield from self._assemble_and_inject(packet))
 
     # -- polling ----------------------------------------------------------
     def poll(self, counter_id: str, target: int) -> Generator[Event, Any, float]:
@@ -190,14 +205,21 @@ class ProcessingSlice(NetworkClient):
         at which the data became usable.
         """
         yield self.counter(counter_id).wait_for(target)
-        trigger = self.sim.now
-        yield from self.tensilica.use(POLL_SUCCESS_NS)
+        sim = self.sim
+        trigger = sim.now
+        ts = self.tensilica
+        if not ts.try_acquire():
+            yield ts.request()
+        try:
+            yield sim.timeout(POLL_SUCCESS_NS)
+        finally:
+            ts.release()
         fl = self.network.flight
         if fl.enabled:
             fl.poll_completed(
-                self.node, self.name, counter_id, target, trigger, self.sim.now
+                self.node, self.name, counter_id, target, trigger, sim.now
             )
-        return self.sim.now
+        return sim.now
 
     def poll_accum(
         self, accum: "NetworkClient", counter_id: str, target: int
@@ -236,9 +258,11 @@ class ProcessingSlice(NetworkClient):
 
     # -- compute -------------------------------------------------------------
     def compute(self, duration_ns: float, core: int = 0) -> Generator[Event, Any, None]:
-        """Run numerical work on geometry core ``core`` for ``duration_ns``."""
-        yield from self.geometry[core].compute(duration_ns)
+        """Run numerical work on geometry core ``core`` for ``duration_ns``
+        (that core's own :meth:`GeometryCore.compute` generator)."""
+        return self.geometry[core].compute(duration_ns)
 
     def tensilica_work(self, duration_ns: float) -> Generator[Event, Any, None]:
-        """Occupy the Tensilica core (bookkeeping, data marshalling)."""
-        yield from self.tensilica.use(duration_ns)
+        """Occupy the Tensilica core (bookkeeping, data marshalling):
+        the core's own :meth:`Resource.use` generator."""
+        return self.tensilica.use(duration_ns)

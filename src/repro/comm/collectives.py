@@ -39,6 +39,26 @@ if TYPE_CHECKING:  # pragma: no cover
 _AXIS = {"x": 0, "y": 1, "z": 2}
 
 
+def sum_as_numpy(values: list[float]) -> float:
+    """``float(np.sum(values))``, bit for bit, without NumPy's call cost
+    on the short lists a node sums each round (N−1 ≤ 7 terms per axis
+    on the paper's 8×8×8 machine).
+
+    NumPy adds fewer than eight float64 terms one at a time, left to
+    right, from 0.0; the loop below does the same.  (The builtin
+    ``sum`` does not: from Python 3.12 it compensates.)  Eight or more
+    terms are summed pairwise in unrolled blocks, so longer lists go to
+    NumPy.  ``tests/properties/test_sum_as_numpy.py`` proves the
+    equality, signed zeros included.
+    """
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Analytic hop/round counts (paper §IV.B.4 comparison)
 # ---------------------------------------------------------------------------
@@ -291,7 +311,7 @@ class AllReduce:
             # Redundant software sum on the Tensilica core.
             sum_ns = REDUCE_SUM_NS_PER_WORD * max(1, words) * (n - 1)
             yield from slice_k.tensilica_work(sum_ns)
-            v = v + float(np.sum(contributions))
+            v = v + sum_as_numpy(contributions)
             buf.clear()
             # Hand the partial to the next round's slice, locally.
             if round_idx + 1 < len(self.active_dims):

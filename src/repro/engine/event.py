@@ -106,9 +106,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after ``delay`` nanoseconds."""
+    """An event that fires automatically after ``delay`` nanoseconds.
 
-    __slots__ = ("delay",)
+    A timeout is scheduled when it is created and carries its value
+    from then on, but it counts as :attr:`triggered` only once it has
+    fired.  The first process to wait on a pending timeout with no
+    other waiter is recorded in ``_proc`` rather than as a callback:
+    :meth:`Simulator._fire` resumes it directly, before any callback
+    added after it, so the common one-waiter timeout allocates no bound
+    method and appends nothing to ``callbacks``.
+    """
+
+    __slots__ = ("delay", "_proc")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -119,11 +128,17 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self._ok = True
+        self._proc = None
         sim._schedule_event(delay, self)
 
     @property
     def name(self) -> str:
         return f"timeout({self.delay})"
+
+    @property
+    def triggered(self) -> bool:
+        """True once the timeout has fired (its callbacks are spent)."""
+        return self.callbacks is None
 
 
 class Interrupt(Exception):

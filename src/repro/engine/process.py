@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.engine.event import Event, Interrupt
+from repro.engine.event import Event, Interrupt, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
@@ -86,7 +86,18 @@ class Process(Event):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        if not isinstance(target, Event):
+        """Register as a waiter of ``target`` and remember it in
+        ``_waiting_on``.
+
+        A pending :class:`Timeout` with no other waiter records this
+        process in its ``_proc`` slot, which :meth:`Simulator._fire`
+        resumes directly; a process re-waiting on a timeout it already
+        holds that slot of (after an interrupt) keeps its place.  Every
+        other wait attaches :meth:`_on_wait_done` as a callback.  Both
+        paths resume only while ``_waiting_on`` is still ``target``.
+        """
+        is_timeout = target.__class__ is Timeout
+        if not is_timeout and not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; processes may "
                 "only yield Event instances (Timeout, Process, AllOf, ...)"
@@ -94,9 +105,18 @@ class Process(Event):
         if target.sim is not self.sim:
             raise ValueError("cannot wait on an event from another simulator")
         self._waiting_on = target
+        if is_timeout:
+            proc = target._proc
+            if proc is self:
+                return
+            if proc is None and target.callbacks == []:
+                target._proc = self
+                return
         target.add_callback(self._on_wait_done)
 
     def _on_wait_done(self, event: Event) -> None:
+        """Callback path of a wait: resume with ``event``'s outcome,
+        unless the process stopped waiting on it (an interrupt)."""
         if self._waiting_on is not event:
             # Stale callback (we were interrupted while waiting).
             return

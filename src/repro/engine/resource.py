@@ -32,7 +32,7 @@ class Resource:
         finally:
             resource.release()
 
-    or, more conveniently, ``yield from resource.use(sim, service_time)``.
+    or, more conveniently, ``yield from resource.use(service_time)``.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:

@@ -163,11 +163,21 @@ class Simulator:
                 self.schedule_now(cb, args)
 
     @staticmethod
-    def _fire(event: Event) -> None:
-        """Internal: deliver a pre-triggered event (Timeout).  Static,
-        so scheduling it allocates no bound method."""
+    def _fire(event: Timeout) -> None:
+        """Internal: deliver a Timeout.  Static, so scheduling it
+        allocates no bound method.
+
+        Resumes the process recorded in the timeout's ``_proc`` slot
+        first (if it still waits on this timeout, see
+        :meth:`Process._wait_on`), then runs the callbacks, which were
+        all added after it: waiters wake in registration order."""
         callbacks = event.callbacks
         event.callbacks = None
+        proc = event._proc
+        if proc is not None:
+            event._proc = None
+            if proc._waiting_on is event:
+                proc._resume(event._value, None)
         if callbacks:
             for cb in callbacks:
                 cb(event)

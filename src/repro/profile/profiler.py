@@ -155,11 +155,11 @@ class EngineProfiler:
     ) -> list:
         """The ``[count, wall_ns]`` accumulator for one queue entry in
         the current phase, resolved before the event body runs
-        (``_fire`` consumes its callbacks).  ``key`` is the stable
-        call-site key the run loop derived inline (or ``None`` when it
-        couldn't); when present, the resolved rec is primed into
-        :attr:`rec_cache` so subsequent events from the same call site
-        hit the cache instead of this method.
+        (``_fire`` consumes its ``_proc`` slot and its callbacks).
+        ``key`` is the stable call-site key the run loop derived inline
+        (or ``None`` when it couldn't); when present, the resolved rec
+        is primed into :attr:`rec_cache` so subsequent events from the
+        same call site hit the cache instead of this method.
 
         The class check uses an ``__class__ is`` pointer compare:
         :class:`Process` is not subclassed in this codebase, and a
@@ -181,14 +181,17 @@ class EngineProfiler:
         elif fn is Simulator._fire:
             # Simulator._fire(event): attribute the timeout delivery
             # to the first waiting process, the code that actually
-            # runs inside this event.
+            # runs inside this event: the one it resumes directly, or
+            # else the owner of its first callback.
             code = None
             ev = args[0] if args else None
-            callbacks = getattr(ev, "callbacks", None)
-            if callbacks:
-                waiter = getattr(callbacks[0], "__self__", None)
-                if waiter is not None and waiter.__class__ is Process:
-                    code = waiter.generator.gi_code
+            waiter = getattr(ev, "_proc", None)
+            if waiter is None:
+                callbacks = getattr(ev, "callbacks", None)
+                if callbacks:
+                    waiter = getattr(callbacks[0], "__self__", None)
+            if waiter is not None and waiter.__class__ is Process:
+                code = waiter.generator.gi_code
             if code is not None:
                 cell = self._by_code.get(code)
                 if cell is None:

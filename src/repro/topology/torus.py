@@ -41,6 +41,14 @@ class Hop(NamedTuple):
     sign: int  # +1 or -1
 
 
+#: The six distinct hops, keyed by ``(dim, sign)``.  Every route is
+#: built from these shared instances, so a cached route holds one list
+#: and no hop objects of its own.
+HOPS: dict[tuple[str, int], Hop] = {
+    (dim, sign): Hop(dim, sign) for dim in DIMS for sign in (1, -1)
+}
+
+
 class Torus3D:
     """A ``nx × ny × nz`` torus of nodes.
 
@@ -147,7 +155,7 @@ class Torus3D:
         hops: list[Hop] = []
         for dim, d in zip(DIMS, (dx, dy, dz)):
             sign = 1 if d > 0 else -1
-            hops.extend(Hop(dim, sign) for _ in range(abs(d)))
+            hops += [HOPS[(dim, sign)]] * abs(d)
         self._route_cache[(a, b)] = hops
         return hops
 

@@ -1,9 +1,11 @@
 """Property-based tests for the simulation engine."""
 
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Resource, Simulator
+from repro.engine import Interrupt, Resource, Simulator
 
 
 #: The discrete delays an action schedules its children at: zero
@@ -123,3 +125,86 @@ def test_clock_never_goes_backwards(delays):
     sim.run()
     assert stamps == sorted(stamps)
     assert sim.now == sum(delays)
+
+
+#: One step of a process script: wait on the first pending shared
+#: timeout at or after a pool index (cyclically), or interrupt a
+#: process by index if it is still alive.
+SCRIPT_STEP = st.one_of(
+    st.tuples(st.just("wait"), st.integers(0, 5)),
+    st.tuples(st.just("interrupt"), st.integers(0, 3)),
+)
+
+
+@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), st.lists(SCRIPT_STEP, max_size=6)),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_shared_timeouts_resume_each_yield_once_in_order(delays, scripts):
+    """Processes share a pool of timeouts and interrupt each other.
+
+    Every yield resumes its process exactly once: with its timeout's
+    value at the timeout's firing time, or with an interrupt at the
+    instant it was issued.  Resumes come in ``(time, registration)``
+    order: at one instant, the pool's firings run in creation order,
+    each waking its waiters in the order of their first wait on it,
+    and the interrupts issued at that instant run after, in issue
+    order.  Only pending timeouts are yielded (an already fired one is
+    delivered through the queue instead).
+    """
+    sim = Simulator()
+    pool = [sim.timeout(d, value=i) for i, d in enumerate(delays)]
+    procs: list = []
+    yields: list[tuple[int, int]] = []  # yield id -> (process, pool index)
+    first_wait: dict[tuple[int, int], int] = {}
+    issued: dict[int, list[tuple[float, int]]] = {}
+    resumes: list[tuple[int, float, object]] = []
+    issue_seq = count()
+
+    def pending_from(i):
+        for k in range(len(pool)):
+            j = (i + k) % len(pool)
+            if not pool[j].triggered:
+                return j
+        return None
+
+    def proc(me, start, script):
+        for kind, arg in [("wait", start), *script]:
+            if kind == "interrupt":
+                victim = arg % len(procs)
+                if procs[victim].is_alive:
+                    issued.setdefault(victim, []).append(
+                        (sim.now, next(issue_seq)))
+                    procs[victim].interrupt()
+                continue
+            j = pending_from(arg)
+            if j is None:
+                continue
+            yid = len(yields)
+            yields.append((me, j))
+            first_wait.setdefault((me, j), yid)
+            try:
+                value = yield pool[j]
+            except Interrupt:
+                value = Interrupt
+            resumes.append((yid, sim.now, value))
+
+    for me, (start, script) in enumerate(scripts):
+        procs.append(sim.process(proc(me, start, script)))
+    sim.run()
+
+    assert sorted(yid for yid, _, _ in resumes) == list(range(len(yields)))
+    order_keys = []
+    delivered: dict[int, list[float]] = {}
+    for yid, now, value in resumes:
+        me, j = yields[yid]
+        if value is Interrupt:
+            delivered.setdefault(me, []).append(now)
+            seq = issued[me][len(delivered[me]) - 1][1]
+            order_keys.append((now, 1, seq, 0))
+        else:
+            assert (value, now) == (j, delays[j])
+            order_keys.append((now, 0, j, first_wait[(me, j)]))
+    assert order_keys == sorted(order_keys)
+    for me, times in delivered.items():
+        assert times == [t for t, _ in issued[me][:len(times)]]

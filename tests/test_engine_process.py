@@ -160,3 +160,139 @@ def test_two_processes_interleave_deterministically(sim):
     assert order == [
         (2.0, "a"), (3.0, "b"), (4.0, "a"), (6.0, "b"), (6.0, "a"), (9.0, "b")
     ]
+
+
+def test_shared_timeout_wakes_every_waiter_in_registration_order(sim):
+    """A process, a callback, an AllOf and a second process wait on one
+    timeout, registered in that order: the first process is resumed
+    directly, the rest through callbacks, and all wake at 5 in that
+    order (the AllOf's own waiters run after, through the queue)."""
+    log = []
+    t = sim.timeout(5, value="v")
+
+    def first():
+        log.append(("first", (yield t), sim.now))
+
+    def second(both):
+        value = yield t
+        log.append(("second", value, sim.now, both.triggered))
+
+    def all_of_waiter(both):
+        log.append(("all_of", (yield both), sim.now))
+
+    def register_waiters():
+        sim.process(first())
+        yield sim.timeout(0)  # runs after first() has registered
+        t.add_callback(lambda ev: log.append(("callback", ev.value, sim.now)))
+        both = sim.all_of([t])
+        sim.process(all_of_waiter(both))
+        sim.process(second(both))
+
+    sim.process(register_waiters())
+    sim.run()
+    assert log == [
+        ("first", "v", 5.0),
+        ("callback", "v", 5.0),
+        ("second", "v", 5.0, True),
+        ("all_of", {t: "v"}, 5.0),
+    ]
+
+
+def test_pending_timeout_is_not_triggered(sim):
+    """A timeout carries its value from creation but has not fired: an
+    AllOf or AnyOf over it waits for the firing."""
+    t = sim.timeout(3, value="v")
+    assert not t.triggered
+    both, first = sim.all_of([t]), sim.any_of([t])
+    assert not both.triggered and not first.triggered
+    sim.run()
+    assert t.triggered and both.value == {t: "v"} and first.value == "v"
+
+
+def test_run_until_a_timeout_a_process_waits_on(sim):
+    """The run stops right after the timeout's delivery, which resumed
+    its waiter; the rest of that instant stays pending."""
+    log = []
+    t = sim.timeout(4, value="v")
+
+    def waiter():
+        log.append(((yield t), sim.now))
+        yield sim.timeout(1)
+        log.append("slept")
+
+    sim.process(waiter())
+    sim.schedule(4, log.append, "later at 4")
+    assert sim.run(until=t) == "v"
+    assert log == [("v", 4.0)]
+    assert sim.now == 4.0
+    assert sim.pending == 2
+    sim.run()
+    assert log == [("v", 4.0), "later at 4", "slept"]
+
+
+def test_interrupted_process_rewaiting_on_its_timeout_resumes_once(sim):
+    """Interrupted while it waits on a timeout, a process catches the
+    interrupt and yields the same, still pending, timeout: it resumes
+    once, when the timeout fires.  Yielding the fired timeout once more
+    resumes it through the queue, behind the instant's other events."""
+    log = []
+    t = sim.timeout(10, value="t")
+    sim.schedule(10, log.append, "other at 10")
+
+    def sleeper():
+        try:
+            yield t
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+            log.append(("woke", (yield t), sim.now))
+        log.append(("again", (yield t), sim.now))
+        yield sim.timeout(3)
+        log.append(("slept", sim.now))
+
+    proc = sim.process(sleeper())
+
+    def interrupter():
+        yield sim.timeout(5)
+        proc.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [
+        ("interrupted", 5.0),
+        ("woke", "t", 10.0),
+        "other at 10",
+        ("again", "t", 10.0),
+        ("slept", 13.0),
+    ]
+
+
+def test_interrupted_wait_on_a_timeout_is_not_resumed_by_it(sim):
+    """The timeout a process was interrupted out of fires while the
+    process waits on another one: it stays asleep until its own."""
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(10)
+        except Interrupt:
+            log.append(((yield sim.timeout(20, value="own")), sim.now))
+
+    proc = sim.process(sleeper())
+    sim.schedule(5, proc.interrupt)
+    sim.run()
+    assert log == [("own", 25.0)]
+
+
+def test_yielding_a_timeout_of_another_simulator_raises(sim):
+    other = Simulator()
+    log = []
+
+    def stray():
+        yield other.timeout(1)
+        log.append("resumed")
+
+    sim.process(stray())
+    with pytest.raises(ValueError, match="another simulator"):
+        sim.run()
+    other.run()
+    assert log == []

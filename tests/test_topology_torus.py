@@ -111,3 +111,18 @@ def test_nodes_iterates_all_in_rank_order():
     nodes = list(t.nodes())
     assert len(nodes) == 12
     assert [t.rank(n) for n in nodes] == list(range(12))
+
+
+def test_routes_share_the_six_interned_hops():
+    """Every hop ``route`` returns is one of the six shared ``HOPS``."""
+    from repro.topology.torus import HOPS
+
+    assert len(HOPS) == 6
+    interned = {id(h) for h in HOPS.values()}
+    for shape in [(4, 4, 4), (3, 4, 5), (2, 1, 7)]:
+        t = Torus3D(*shape)
+        for src in t.nodes():
+            for dst in t.nodes():
+                for hop in t.route(src, dst):
+                    assert id(hop) in interned
+                    assert HOPS[(hop.dim, hop.sign)] is hop
