@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.asic.client import NetworkClient
+from repro.asic.sync_counter import SyncCounter
 from repro.engine.event import Event
 from repro.engine.resource import Resource
 from repro.network.packet import AccumPacket, Packet, WritePacket
@@ -43,11 +44,14 @@ HTIS_PAIRS_PER_NS = 25.6
 
 @dataclass
 class InteractionBuffer:
-    """One origin-node buffer inside the HTIS."""
+    """One origin-node buffer inside the HTIS, holding the
+    synchronization counter that guards it (the HTIS's counter of the
+    same name)."""
 
     name: str
     origin: NodeCoord
     expected_packets: int
+    counter: SyncCounter = field(compare=False, repr=False)
     priority: bool = False
     received: int = 0
     processed: bool = False
@@ -97,6 +101,7 @@ class HTIS(NetworkClient):
             name=name,
             origin=self.network.torus.coord(origin),
             expected_packets=expected_packets,
+            counter=self.counter(name),
             priority=priority,
         )
         self._buffers[name] = buf
@@ -113,19 +118,19 @@ class HTIS(NetworkClient):
         for buf in self._buffers.values():
             buf.received = 0
             buf.processed = False
-            self.counter(buf.name).reset()
+            buf.counter.reset()
 
     # -- delivery ------------------------------------------------------------
     def _receive_write(self, packet: Packet) -> None:
         # Writes with a counter matching a defined buffer are organised
         # by origin; other writes (e.g. grid potentials addressed to a
         # plain memory buffer) fall back to the generic path.
-        if packet.counter_id is not None and packet.counter_id in self._buffers:
-            buf = self._buffers[packet.counter_id]
+        buf = self._buffers.get(packet.counter_id)  # type: ignore[arg-type]
+        if buf is not None:
             buf.received += 1
             if packet.address is not None:
                 self.memory.write(packet.address, packet.payload)
-            self.counter(packet.counter_id).increment()
+            buf.counter.increment()
         else:
             super()._receive_write(packet)
 
@@ -133,7 +138,7 @@ class HTIS(NetworkClient):
     def buffer_ready(self, name: str) -> Event:
         """Event firing when the named buffer's counter hits its target."""
         buf = self._buffers[name]
-        return self.counter(name).wait_for(buf.expected_packets)
+        return buf.counter.wait_for(buf.expected_packets)
 
     def process_buffers(
         self,

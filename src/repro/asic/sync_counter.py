@@ -17,7 +17,8 @@ because it depends on who is polling.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import math
+from typing import TYPE_CHECKING
 
 from repro.engine.event import Event
 
@@ -34,6 +35,9 @@ class SyncCounter:
         self._count = 0
         self._epoch = 0
         self._waiters: dict[int, Event] = {}
+        #: Smallest pending target (``inf`` with none pending): an
+        #: increment that leaves the count below it fires nothing.
+        self._low: float = math.inf
         self.total_increments = 0
 
     @property
@@ -52,13 +56,15 @@ class SyncCounter:
             raise ValueError(f"increment must be >= 1, got {n}")
         self._count += n
         self.total_increments += n
-        if not self._waiters:
+        if self._count < self._low:
             return
         # Fire every threshold now satisfied.  Iterate over a snapshot:
         # firing may synchronously register new waiters.
-        ready = [t for t in self._waiters if t <= self._count]
+        waiters = self._waiters
+        ready = [t for t in waiters if t <= self._count]
         for t in sorted(ready):
-            self._waiters.pop(t).succeed(self.sim.now)
+            waiters.pop(t).succeed(self.sim.now)
+        self._low = min(waiters, default=math.inf)
 
     def wait_for(self, target: int) -> Event:
         """Event firing when the count reaches ``target``.
@@ -77,6 +83,8 @@ class SyncCounter:
         if ev is None:
             ev = Event(self.sim)
             self._waiters[target] = ev
+            if target < self._low:
+                self._low = target
         return ev
 
     def pending_targets(self) -> list[int]:

@@ -12,30 +12,66 @@ branches at columns containing destinations, and the Y branches drop Z
 branches.  This yields minimal hop counts on a torus and exactly one
 inbound edge per tree node, so the per-node table entry is a simple
 (local clients, outgoing directions) pair.
+
+As on the hardware, where the one lookup names the local clients and
+the outgoing links, an entry comes to hold the handles themselves: the
+network that registered the pattern resolves it on its node's first
+visit (see :mod:`repro.network.network`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from repro.topology.torus import NodeCoord, Torus3D
+from repro.topology.torus import HOPS, NodeCoord, Torus3D
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.asic.client import NetworkClient
+    from repro.network.link import TorusLink
 
 DIM_ORDER = ("x", "y", "z")
 
 
-@dataclass
+@dataclass(slots=True)
 class TableEntry:
-    """Per-node multicast table entry: deliveries and forwards."""
+    """Per-node multicast table entry: deliveries and forwards.
+
+    ``local_clients`` and ``forward`` are the table as programmed.  The
+    other fields are the hardware they name, filled in by the network
+    the pattern is registered with when the node is first visited:
+    ``clients`` in ``local_clients`` order, ``children`` (the entry at
+    the node each ``forward`` direction leads to) in ``forward`` order.
+    A tree node has one inbound edge, so each child holds the direction
+    it is reached by (``via``) and, from that direction's first use on,
+    its ``link``.  They take no part in comparison.
+    """
 
     local_clients: tuple[str, ...] = ()
-    forward: tuple[tuple[str, int], ...] = ()  # (dim, sign) pairs
+    #: (dim, sign) pairs: the shared :data:`~repro.topology.torus.HOPS`.
+    forward: tuple[tuple[str, int], ...] = ()
+    clients: Optional[tuple["NetworkClient", ...]] = field(
+        default=None, compare=False, repr=False
+    )
+    children: Optional[tuple["TableEntry", ...]] = field(
+        default=None, compare=False, repr=False
+    )
+    via: Optional[tuple[str, int]] = field(
+        default=None, compare=False, repr=False
+    )
+    link: Optional["TorusLink"] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
 class MulticastPattern:
     """A compiled multicast pattern.
+
+    Registering it with a network programs its entries there; from
+    then on they fill in with that network's client and link handles
+    as packets visit, so a pattern is registered with one network.
 
     Attributes
     ----------
@@ -46,12 +82,22 @@ class MulticastPattern:
         Mapping from every node the tree touches to its table entry.
     destinations:
         The original destination map, kept for verification.
+    deliveries:
+        Client deliveries one packet makes: the sum of every entry's
+        ``len(local_clients)``, a client named twice counted twice.
+        Computed once, at construction.
     """
 
     source: NodeCoord
     entries: dict[NodeCoord, TableEntry]
     destinations: dict[NodeCoord, tuple[str, ...]]
     pattern_id: int = -1  # assigned at registration time
+    deliveries: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.deliveries = sum(
+            len(e.local_clients) for e in self.entries.values()
+        )
 
     @property
     def nodes_touched(self) -> int:
@@ -149,8 +195,9 @@ def compile_pattern(
             if not offsets:
                 continue
             cur = at
+            hop = HOPS[(dim, sign)]
             for step in range(1, offsets[-1] + 1):
-                forwards[cur].add((dim, sign))
+                forwards[cur].add(hop)
                 cur = torus.neighbor(cur, dim, sign)
                 if step in offsets:
                     build(cur, groups[step * sign], rest)

@@ -39,15 +39,28 @@ those continuations: a packet that finds the link busy queues
 ``_granted`` and its args and allocates no event and no closure.  The
 release still grants through the event queue, as one event at the
 current instant, so same-instant order — and with it every result byte
-— is that of an engine ``Resource``.  Each hop does one link lookup;
-the neighbour and head latencies come precomputed on the link.  Faults,
+— is that of an engine ``Resource``.
+
+Tables hold hardware.  A multicast
+:class:`~repro.network.multicast.TableEntry` is resolved on its node's
+first visit to the handles it names: the client objects of its
+``local_clients`` and the child entries its ``forward`` directions lead
+to.  A tree node has one inbound edge, so each child entry holds the
+:class:`TorusLink` it is reached by, filled in on that direction's
+first use.  A unicast route (one list per ``(src, dst)`` pair) likewise
+holds the link of each hop from the hop's first traversal.  A hop then
+reads its link, and a multicast delivery its client, from the entry or
+route the transit holds, and looks up no coordinate.  Links are still
+created at first use, so ``Network.links()`` keeps its order and a
+direction that is down when first reached is not created early.  The
+neighbour and head latencies come precomputed on the link.  Faults,
 jitter and the in-order flag stay inline in the one transit path.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.constants import (
     DST_RING_NS,
@@ -60,7 +73,7 @@ from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
-from repro.network.multicast import MulticastPattern
+from repro.network.multicast import MulticastPattern, TableEntry
 from repro.network.packet import Packet
 from repro.topology.torus import NodeCoord, Torus3D
 from repro.trace.flight import FlightRecorder, NullFlightRecorder, active_flight
@@ -72,6 +85,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the link-adapter latency, so only payload beyond the header adds
 #: head latency.
 _HEADER_SER_NS = HEADER_BYTES * 8.0 / TORUS_LINK_EFFECTIVE_GBPS
+
+
+#: The route of every node-local packet: no hop, so nothing to fill in.
+_LOCAL_ROUTE: tuple = ()
 
 
 class Network:
@@ -122,7 +139,9 @@ class Network:
             self.faults = None
         self.reorder_jitter_ns = reorder_jitter_ns
         self._rng = random.Random(seed)
-        self._links: dict[tuple, TorusLink] = {}
+        self._links: dict[tuple[NodeCoord, str, int], TorusLink] = {}
+        #: (src, dst) -> the link of each hop, ``None`` until crossed.
+        self._routes: dict[tuple[NodeCoord, NodeCoord], list] = {}
         self._clients: dict[tuple[NodeCoord, str], "NetworkClient"] = {}
         self._patterns: dict[int, MulticastPattern] = {}
         self._next_pattern_id = 0
@@ -175,18 +194,16 @@ class Network:
 
     def link(self, node: "NodeCoord | int", dim: str, sign: int) -> TorusLink:
         """The link direction leaving ``node`` along ``dim``/``sign``,
-        created on first use.  Keyed by plain tuple: the transits look
-        up ``_links`` directly and call this only on a miss."""
-        key = (node, dim, sign)
+        created on first use.  The transits call this once per route
+        hop or table direction and keep the handle."""
+        coord = self.torus.coord(node)
+        key = (coord, dim, sign)
         link = self._links.get(key)
         if link is None:
-            coord = self.torus.coord(node)
-            key = (coord, dim, sign)
-            link = self._links.get(key)
-            if link is None:
-                link = TorusLink(self.sim, LinkId(coord, dim, sign),
-                                 self.torus.neighbor(coord, dim, sign))
-                self._links[key] = link
+            link = self._links[key] = TorusLink(
+                self.sim, LinkId(coord, dim, sign),
+                self.torus.neighbor(coord, dim, sign),
+            )
         return link
 
     def links(self):
@@ -204,7 +221,16 @@ class Network:
         RuntimeError
             If any touched node would exceed the hardware limit of 256
             patterns (§III.A).
+        ValueError
+            If the pattern is already registered: its table entries
+            come to hold the handles of the network it is registered
+            with, so a pattern serves one network.
         """
+        if pattern.pattern_id != -1:
+            raise ValueError(
+                f"pattern already registered as {pattern.pattern_id}; "
+                "compile a new pattern for each registration"
+            )
         for node in pattern.entries:
             if self._per_node_patterns.get(node, 0) >= MAX_MULTICAST_PATTERNS:
                 raise RuntimeError(
@@ -270,60 +296,100 @@ class Network:
             return 0.0
         return self._rng.uniform(0.0, self.reorder_jitter_ns)
 
-    def _deliver(self, packet: Packet, node: NodeCoord, client_name: str) -> None:
-        client = self._clients.get((node, client_name))
-        if client is None:
-            raise KeyError(
-                f"packet {packet!r} addressed to missing client "
-                f"{client_name!r} at {node}"
-            )
+    def _route(self, src: NodeCoord, dst: NodeCoord) -> Sequence:
+        """The route from ``src`` to ``dst``, made on its first packet:
+        one slot per hop for the link it crosses.  A node-local route
+        has no hop to fill, so all of them share one empty route."""
+        if src == dst:
+            return _LOCAL_ROUTE
+        hops = len(self.torus.route(src, dst))
+        route = self._routes[(src, dst)] = [None] * hops
+        return route
+
+    def _resolve(
+        self, pattern: MulticastPattern, entry: TableEntry, node: NodeCoord
+    ) -> tuple:
+        """Resolve ``entry``, ``node``'s entry of ``pattern``, on the
+        node's first visit: its clients and its child entries, each
+        child told the direction it is reached by.  Returns the
+        children."""
+        clients = self._clients
+        entry.clients = tuple([
+            clients.get((node, name)) or self.client(node, name)
+            for name in entry.local_clients
+        ])
+        entries = pattern.entries
+        neighbor = self.torus.neighbor
+        children = []
+        for via in entry.forward:
+            child = entries[neighbor(node, *via)]
+            child.via = via
+            children.append(child)
+        entry.children = tuple(children)
+        return entry.children
+
+    def _deliver(self, packet: Packet, client: "NetworkClient") -> None:
         self.packets_delivered += 1
         fl = self.flight
         if fl.enabled:
-            fl.packet_delivered(packet, node, client_name, self.sim.now)
+            fl.packet_delivered(packet, client.node, client.name, self.sim.now)
         client.receive(packet)
 
 
 class _UcastTransit:
     """Continuation-passing unicast transport of one packet."""
 
-    __slots__ = ("net", "packet", "done", "route", "idx", "cur",
+    __slots__ = ("net", "packet", "done", "route", "idx",
                  "payload_extra", "order_prev", "order_mine")
 
     def __init__(self, net: Network, packet: Packet, done: Event) -> None:
         self.net = net
         self.packet = packet
         self.done = done
-        torus = net.torus
         src = packet.src_node
         dst = packet.dst_node
-        self.route = torus.route(src, dst) if src != dst else []
+        route = net._routes.get((src, dst))
+        self.route = route if route is not None else net._route(src, dst)
         self.idx = 0
-        self.cur = src
         self.payload_extra = max(0.0, packet.serialization_ns - _HEADER_SER_NS)
         self.order_prev, self.order_mine = net._inorder_gate(packet, dst)
         net.deliveries_expected += 1
         net.sim.schedule(SRC_RING_NS, _UcastTransit._next_hop, self)
 
+    def _hop(self, idx: int) -> tuple[NodeCoord, str, int]:
+        """``(node, dim, sign)`` of hop ``idx``: read from its link once
+        crossed, else from the topology's route (every earlier hop has
+        been crossed, so the node comes from the previous link)."""
+        route = self.route
+        link = route[idx]
+        if link is not None:
+            lid = link.link_id
+            return lid.node, lid.dim, lid.sign
+        packet = self.packet
+        dim, sign = self.net.torus.route(packet.src_node, packet.dst_node)[idx]
+        node = route[idx - 1].neighbor if idx else packet.src_node
+        return node, dim, sign
+
     def _next_hop(self) -> None:
         net = self.net
         sim = net.sim
         route = self.route
-        if self.idx >= len(route):
+        idx = self.idx
+        if idx >= len(route):
             sim.schedule(DST_RING_NS if route else 0.0,
                          _UcastTransit._arrive, self)
             return
-        dim, sign = route[self.idx]
-        cur = self.cur
         fa = net.faults
         if fa is not None:
-            until = fa.transit_blocked_until(cur, dim, sign, sim.now)
+            until = fa.transit_blocked_until(*self._hop(idx), sim.now)
             if until > sim.now:
                 # Link down or node stalled: re-arm at the window's end
                 # (re-checked there — windows may be back to back).
                 sim.schedule(until - sim.now, _UcastTransit._next_hop, self)
                 return
-        link = net._links.get((cur, dim, sign)) or net.link(cur, dim, sign)
+        link = route[idx]
+        if link is None:
+            link = route[idx] = net.link(*self._hop(idx))
         if link.try_acquire():
             self._granted(link)
         else:
@@ -362,7 +428,6 @@ class _UcastTransit:
             latency += out.extra_ns
         if net.reorder_jitter_ns > 0.0:
             latency += net._jitter(packet)
-        self.cur = link.neighbor
         self.idx += 1
         sim.schedule(latency, _UcastTransit._next_hop, self)
 
@@ -393,7 +458,8 @@ class _UcastTransit:
 
     def _finish(self) -> None:
         net = self.net
-        net._deliver(self.packet, self.packet.dst_node, self.packet.dst_client)
+        packet = self.packet
+        net._deliver(packet, net.client(packet.dst_node, packet.dst_client))
         if self.order_mine is not None and not self.order_mine.triggered:
             self.order_mine.succeed(net.sim.now)
         net.packets_completed += 1
@@ -405,6 +471,9 @@ class _McastTransit:
 
     Walks the compiled tree, delivering to local clients and forwarding
     along outgoing links; ``done`` fires when the last delivery lands.
+    Each visit carries the node's :class:`TableEntry` and reads the
+    clients and child entries resolved on it; each hop reads its link
+    from the child entry it leads to.
     """
 
     __slots__ = ("net", "packet", "done", "pattern", "payload_extra", "outstanding")
@@ -416,94 +485,95 @@ class _McastTransit:
         pattern = net._patterns.get(packet.pattern_id)  # type: ignore[arg-type]
         if pattern is None:
             raise KeyError(f"multicast pattern {packet.pattern_id} not registered")
-        if pattern.source != packet.src_node:
+        src = packet.src_node
+        if pattern.source != src:
             raise ValueError(
                 f"pattern {packet.pattern_id} was compiled for source "
-                f"{pattern.source}, injected at {packet.src_node}"
+                f"{pattern.source}, injected at {src}"
             )
         self.pattern = pattern
         self.payload_extra = max(0.0, packet.serialization_ns - _HEADER_SER_NS)
-        self.outstanding = sum(
-            len(e.local_clients) for e in pattern.entries.values()
-        )
+        self.outstanding = pattern.deliveries
         if self.outstanding == 0:
             raise ValueError(f"pattern {packet.pattern_id} delivers to no client")
         net.deliveries_expected += self.outstanding
         net.sim.schedule(SRC_RING_NS, _McastTransit._visit, self,
-                         packet.src_node, True)
+                         pattern.entries[src], src, True)
 
-    def _visit(self, node: NodeCoord, first_link: bool,
-               forward: Optional[tuple] = None) -> None:
+    def _visit(self, entry: TableEntry, node: NodeCoord, first_link: bool,
+               only: Optional[TableEntry] = None) -> None:
         """Deliver to ``node``'s local clients and forward along its
-        outgoing links.  A ``forward`` tuple re-arms only those
-        directions (a branch that waited out a downed link): no local
+        outgoing links.  ``only`` re-arms the one direction leading to
+        that child (a branch that waited out a downed link): no local
         deliveries, no stall check."""
         net = self.net
         sim = net.sim
         fa = net.faults
-        packet = self.packet
-        if forward is None:
+        children = entry.children
+        if children is None:
+            children = net._resolve(self.pattern, entry, node)
+        if only is None:
             if fa is not None:
                 until = fa.stall_until(node, sim.now)
                 if until > sim.now:
                     # Stalled node: the whole visit (local deliveries
                     # and forwarding) waits out the window.
                     sim.schedule(until - sim.now, _McastTransit._visit,
-                                 self, node, first_link)
+                                 self, entry, node, first_link)
                     return
-            entry = self.pattern.entries[node]
             # Local deliveries go out in client order, each at the same
             # tick (DST_RING_NS past the ring, or immediately at the
-            # source); for in-order packets the gates are taken in that
-            # order too.
-            delay = DST_RING_NS if node != packet.src_node else 0.0
+            # source, the one first-link visit); for in-order packets
+            # the gates are taken in that order too.
+            delay = 0.0 if first_link else DST_RING_NS
+            packet = self.packet
             if packet.in_order:
-                for client_name in entry.local_clients:
+                for client in entry.clients:
                     order_prev, order_mine = net._inorder_gate(packet, node)
                     sim.schedule(delay, _McastTransit._deliver_local,
-                                 self, node, client_name, order_prev,
-                                 order_mine)
+                                 self, client, order_prev, order_mine)
             else:
-                for client_name in entry.local_clients:
+                for client in entry.clients:
                     sim.schedule(delay, _McastTransit._finish_local,
-                                 self, node, client_name, None)
-            forward = entry.forward
-        links = net._links
-        for dim, sign in forward:
+                                 self, client, None)
+        else:
+            children = (only,)
+        for child in children:
             if fa is not None:
-                until = fa.down_until(dim, sign, sim.now)
+                until = fa.down_until(*child.via, sim.now)
                 if until > sim.now:
                     sim.schedule(until - sim.now, _McastTransit._visit,
-                                 self, node, first_link, ((dim, sign),))
+                                 self, entry, node, first_link, child)
                     continue
-            link = links.get((node, dim, sign)) or net.link(node, dim, sign)
+            link = child.link
+            if link is None:
+                link = child.link = net.link(node, *child.via)
             if link.try_acquire():
-                self._granted(link, first_link)
+                self._granted(child, first_link)
             else:
                 fl = net.flight
                 if fl.enabled:
-                    fl.hop_enqueued(packet, link, sim.now)
-                link.wait(_McastTransit._granted, (self, link, first_link))
+                    fl.hop_enqueued(self.packet, link, sim.now)
+                link.wait(_McastTransit._granted, (self, child, first_link))
 
     def _deliver_local(
         self,
-        node: NodeCoord,
-        client_name: str,
+        client: "NetworkClient",
         order_prev: Optional[Event],
         order_mine: Optional[Event],
     ) -> None:
         if order_prev is not None and not order_prev.triggered:
             order_prev.add_callback(
-                lambda _ev: self._finish_local(node, client_name, order_mine)
+                lambda _ev: self._finish_local(client, order_mine)
             )
         else:
-            self._finish_local(node, client_name, order_mine)
+            self._finish_local(client, order_mine)
 
     def _finish_local(
-        self, node: NodeCoord, client_name: str, order_mine: Optional[Event]
+        self, client: "NetworkClient", order_mine: Optional[Event]
     ) -> None:
         net = self.net
-        net._deliver(self.packet, node, client_name)
+        net._deliver(self.packet, client)
         if order_mine is not None and not order_mine.triggered:
             order_mine.succeed(net.sim.now)
         self.outstanding -= 1
@@ -511,10 +581,11 @@ class _McastTransit:
             net.packets_completed += 1
             self.done.succeed(net.sim.now)
 
-    def _granted(self, link: TorusLink, first_link: bool) -> None:
+    def _granted(self, child: TableEntry, first_link: bool) -> None:
         net = self.net
         sim = net.sim
         packet = self.packet
+        link = child.link
         link.packets_carried += 1
         link.bytes_carried += packet.wire_bytes
         net.link_traversals += 1
@@ -541,8 +612,8 @@ class _McastTransit:
             latency += out.extra_ns
         if net.reorder_jitter_ns > 0.0:
             latency += net._jitter(packet)
-        sim.schedule(latency, _McastTransit._visit, self, link.neighbor,
-                     False)
+        sim.schedule(latency, _McastTransit._visit, self, child,
+                     link.neighbor, False)
 
     def _lost_branch(self, root: NodeCoord) -> None:
         """Drop escalation on one multicast branch: every delivery in

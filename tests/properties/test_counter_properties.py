@@ -1,5 +1,6 @@
 """Property-based tests for synchronization counters and the FIFO."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +60,59 @@ def test_fifo_never_loses_or_reorders(capacity, payloads):
     assert out == payloads
     assert f.total_received == len(payloads)
     assert f.total_consumed == len(payloads)
+
+
+_counter_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("wait"), st.integers(-2, 6)),
+        st.tuples(st.just("inc"), st.integers(1, 4)),
+        st.tuples(st.just("reset"), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(_counter_ops)
+@settings(max_examples=200, deadline=None)
+def test_interleaved_thresholds_fire_once_at_their_count(ops):
+    """Against a plain reference model, over interleaved ``wait_for``
+    (at, below or above the count), ``increment`` and ``reset``: every
+    threshold fires exactly once, right after the increment that
+    reaches it (or at once, if already reached), in target order, and
+    a reset with waiters pending raises."""
+    sim = Simulator()
+    c = SyncCounter(sim)
+    fired = []  # (target, count when its callback ran)
+    expected = []
+    count = 0
+    pending: dict = {}  # target -> the shared event
+    for op, arg in ops:
+        if op == "wait":
+            target = max(0, count + arg)
+            ev = c.wait_for(target)
+            if target <= count:
+                assert ev.triggered
+                expected.append((target, count))
+                ev.add_callback(lambda e, t=target: fired.append((t, c.count)))
+            elif target in pending:
+                assert ev is pending[target]
+            else:
+                assert not ev.triggered
+                pending[target] = ev
+                ev.add_callback(lambda e, t=target: fired.append((t, c.count)))
+        elif op == "inc":
+            c.increment(arg)
+            count += arg
+            for t in sorted(t for t in pending if t <= count):
+                del pending[t]
+                expected.append((t, count))
+        elif pending:
+            with pytest.raises(RuntimeError):
+                c.reset()
+        else:
+            c.reset()
+            count = 0
+        sim.run()
+        assert c.count == count
+        assert c.pending_targets() == sorted(pending)
+        assert fired == expected

@@ -70,3 +70,32 @@ def test_traversals_bounded_by_unicast_cost(case):
     unicast = sum(t.hops(src, n) for n in dests)
     farthest = max(t.hops(src, n) for n in dests)
     assert farthest <= p.total_link_traversals <= unicast or unicast == 0
+
+
+@st.composite
+def repeated_destination_cases(draw):
+    """Destinations that name a client twice, on one node under two
+    keys (rank and coordinate), and the source itself."""
+    t = Torus3D(*draw(shapes))
+    src = draw(st.integers(0, t.num_nodes - 1))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, t.num_nodes - 1),
+                  st.lists(clients, min_size=1, max_size=3),
+                  st.booleans()),
+        min_size=1, max_size=12,
+    ))
+    dests = {}
+    for rank, names, by_coord in picks:
+        dests[t.coord(rank) if by_coord else rank] = names
+    return t, src, dests
+
+
+@given(repeated_destination_cases())
+@settings(max_examples=150, deadline=None)
+def test_pattern_delivery_count_matches_entries(case):
+    t, src, dests = case
+    p = compile_pattern(t, src, dests)
+    assert p.deliveries == sum(
+        len(e.local_clients) for e in p.entries.values()
+    )
+    assert p.deliveries == sum(len(names) for names in dests.values())

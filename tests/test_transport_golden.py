@@ -14,7 +14,10 @@ cases pin every health monitor's full sampler series, which includes
 ``engine.pending_events`` read mid-run.  The ``*_analysis`` cases pin
 what the X-ray computes from a flight record: the congestion tree, the
 per-packet delay decomposition, the JSONL export and (on ``mdstep``)
-critical-path attributions through multicast branches.
+critical-path attributions through multicast branches.  The
+``links_*`` cases pin the order in which link directions are created,
+which is the order of ``Network.links()`` that the monitor and the
+congestion bytes iterate.
 
 A digest change means result bytes changed.  Update the digest only
 together with the model change that explains it.  Print the current
@@ -67,6 +70,10 @@ DIGESTS = {
         "a23519a8392bee81833975858269ffa5b111d3fcdca83a243c00244bbd10a78f",
     "mdstep_probes":
         "e6675a5951cdd7fd70bf4ccbcc35ace26c3d1f14c390a80af9253ad85bf30e83",
+    "links_mdstep":
+        "ecf22fd8fa239d1c9ff1df13e404134960cbc60740368f2a1106332e9d2ed64f",
+    "links_fault_sensitivity":
+        "7a7c3a193a603e587af8cd8ab809bcc168ec7b43a04438d0995e86aaa235f496",
     "jitter_exchange":
         "77d22986e83d82aec300b0c741a8d0ea3f1cf1e327ef8e3cfeae6c2300e54245",
     "fault_exchange":
@@ -83,6 +90,12 @@ DIGESTS = {
         "0b703bf35d0e1d6d480441664723b3ac150f7de2a449717a9a532fe614fc8043",
 }
 
+#: name -> spec whose networks' link creation order is pinned.
+LINK_ORDER = {
+    "links_mdstep": "mdstep",
+    "links_fault_sensitivity": "fault_sensitivity",
+}
+
 #: name -> (experiment, shape) run under continuous monitoring.
 MONITORED = {
     "monitor_congestion": ("congestion", (3, 3, 3)),
@@ -93,6 +106,30 @@ MONITORED = {
 
 def result_digest(name: str) -> str:
     return _sha(run_experiment(SPECS[name]).to_dict())
+
+
+def link_order_digest(name: str) -> str:
+    """Every link direction of every network the run builds, in
+    ``Network.links()`` order (the order of first use)."""
+    from repro.network.network import Network
+
+    networks = []
+    init = Network.__init__
+
+    def recording_init(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        networks.append(self)
+
+    Network.__init__ = recording_init
+    try:
+        run_experiment(SPECS[LINK_ORDER[name]])
+    finally:
+        Network.__init__ = init
+    return _sha([
+        [[list(lid.node), lid.dim, lid.sign]
+         for lid in (link.link_id for link in net.links())]
+        for net in networks
+    ])
 
 
 def incast_probes_digest() -> str:
@@ -307,6 +344,8 @@ def monitor_digest(name: str) -> str:
 def _digest(name: str) -> str:
     if name in MONITORED:
         return monitor_digest(name)
+    if name in LINK_ORDER:
+        return link_order_digest(name)
     if name == "incast_probes":
         return incast_probes_digest()
     if name == "mdstep_probes":
