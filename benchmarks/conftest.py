@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure from the paper and
 
 * prints it (visible with ``pytest -s``),
-* writes it to ``benchmarks/results/<name>.txt``,
+* writes it to ``benchmarks/results/<name>.txt`` (paper scale only),
 * records its headline numbers as machine-readable ``repro-bench/1``
   JSON in ``benchmarks/results/<name>.json`` (the ``record`` fixture),
 
@@ -81,11 +81,17 @@ def record(request):
 
 @pytest.fixture
 def publish(request):
-    """Print a regenerated artifact and persist it under results/."""
+    """Print a regenerated artifact and persist it under results/.
+
+    The committed ``results/*.txt`` files hold the paper-scale
+    artifacts, so a quick-scale run only prints: it never overwrites
+    them with reduced-scale numbers.
+    """
 
     def _publish(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if get_scale() != "quick":
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
 
     return _publish

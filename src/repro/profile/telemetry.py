@@ -1,14 +1,14 @@
 """Live cross-process sweep telemetry.
 
-PR-4's sweep workers are black boxes until they return: the parent
-learns a point's fate only when the pool future resolves.  This module
-makes them report in.  Workers emit structured **telemetry events** —
-plain dicts, picklable, shippable over a manager queue or a pipe —
+A sweep worker would be a black box until it returns: the parent
+would learn a point's fate only when its outcome arrives.  This module
+makes workers report in.  They emit structured **telemetry events** —
+plain dicts, picklable, shipped over each worker's pipe —
 
 * ``started`` when a point begins executing (with the worker pid),
 * ``finished`` when it completes (wall seconds, simulator events/sec,
   peak RSS),
-* ``failed`` / ``timed_out`` / ``retried`` from the guarded scheduler,
+* ``failed`` / ``timed_out`` / ``retried`` from the worker scheduler,
 * ``cache_hit`` / ``cache_miss`` / ``resumed`` from the parent's own
   cache and checkpoint consultations,
 

@@ -238,7 +238,7 @@ def _link_degradation(spec: ExperimentSpec) -> Outcome:
 
 @register_experiment(
     "selftest",
-    help="harness self-test point (behavior=ok|crash|hang|flaky)",
+    help="harness self-test point (behavior=ok|crash|hang|flaky|exit)",
     traceable=False,
     monitorable=False,
 )
@@ -246,7 +246,9 @@ def _selftest(spec: ExperimentSpec) -> Outcome:
     """A non-simulating point for exercising the sweep harness itself:
     ``crash`` raises, ``hang`` sleeps wall-clock (to be killed by
     ``--timeout``), ``flaky`` fails until a marker file exists (so
-    ``--retries`` can be shown recovering a transient failure)."""
+    ``--retries`` can be shown recovering a transient failure), ``exit``
+    ends its process at once with code 3, as an OOM kill or a segfault
+    would (so only a multi-process sweep survives it)."""
     import os
     import time
 
@@ -265,6 +267,8 @@ def _selftest(spec: ExperimentSpec) -> Outcome:
             with open(marker, "w") as fh:
                 fh.write("attempted\n")
             raise RuntimeError("selftest: deliberate first-attempt failure")
+    elif behavior == "exit":
+        os._exit(3)
     else:
         raise ValueError(f"selftest: unknown behavior {behavior!r}")
     return Outcome(

@@ -5,10 +5,10 @@ message granularity (Fig. 7), all-reduce across torus shapes
 (Table 2) — and every grid point is an independent discrete-event
 simulation.  :func:`run_sweep` executes such a grid:
 
-* **Parallel but reproducible** — points run across a
-  ``ProcessPoolExecutor`` (``jobs`` workers), yet results are
-  collected *by grid index*, so the persisted output is bit-identical
-  to a serial run: parallelism changes wall-clock, never bytes.
+* **Parallel but reproducible** — points run on up to ``jobs``
+  persistent worker processes, yet results are collected *by grid
+  index*, so the persisted output is bit-identical to a serial run:
+  parallelism changes wall-clock, never bytes.
 * **Deterministic seeds** — every run derives its RNG seed from the
   spec's content (:meth:`ExperimentSpec.derived_seed`), so a point
   computes the same result in any process, any order, any worker.
@@ -22,10 +22,11 @@ simulation.  :func:`run_sweep` executes such a grid:
   sweep stopped.  A truncated or corrupt checkpoint is warned about
   (``repro.sweep`` logger, ``sweep.checkpoint_corrupt`` counter) and
   recomputed — it never crashes the resume.
-* **Hardened execution** — optional per-point wall-clock timeouts
-  (``timeout_s``) that kill hung workers, and bounded retry with
-  exponential backoff (``retries``/``retry_backoff_s``), via one
-  killable subprocess per point.
+* **Hardened execution** — every worker is killable: optional
+  per-point wall-clock timeouts (``timeout_s``) terminate hung
+  workers, a worker that dies fails only its own point, and bounded
+  retry with exponential backoff (``retries``/``retry_backoff_s``)
+  reruns a failed point in another process.
 * **Progress and failure reporting** — per-point counters land in the
   metrics registry (``sweep.*``) and the final judgement is an
   ordinary :class:`~repro.monitor.watchdog.HealthVerdict`, so sweep
@@ -152,7 +153,7 @@ class SweepPoint:
     cached: bool = False
     error: Optional[str] = None
     #: Execution attempts this point consumed (0 for cache/resume hits,
-    #: 1 for a clean first run, more when the guarded scheduler
+    #: 1 for a clean first run, more when the worker scheduler
     #: retried).
     attempts: int = 0
 
@@ -304,19 +305,6 @@ def sweep_key(specs: Sequence[ExperimentSpec]) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
-def _execute_spec(doc: dict) -> dict:
-    """Worker entry point: runs in a fresh process, returns an
-    envelope of plain data — the RunResult's serializable core under
-    ``payload`` (byte-stable, what checkpoints and caches persist) and
-    the wall-clock execution facts under ``meta`` (events/sec, peak
-    RSS, worker pid; never persisted with the payload)."""
-    spec = ExperimentSpec.from_dict(doc)
-    result = run_experiment(spec)
-    meta = dict(result.meta)
-    meta["pid"] = os.getpid()
-    return {"payload": result.to_dict(), "meta": meta}
-
-
 def _settle_payload(point: SweepPoint, envelope: dict) -> None:
     """Decode a worker envelope into ``point`` (meta rides along on
     the non-serialized attribute)."""
@@ -328,43 +316,71 @@ def _settle_payload(point: SweepPoint, envelope: dict) -> None:
         point.error = f"{type(exc).__name__}: {exc}"
 
 
-def _telemetry_pool_entry(doc: dict, index: int, queue) -> dict:
-    """Pool-worker entry with a live heartbeat: announce ``started``
-    on the telemetry queue before computing (queue failures never fail
-    the point — telemetry is best-effort by design)."""
-    from repro.profile.telemetry import make_event
-
-    spec = ExperimentSpec.from_dict(doc)
-    try:
-        queue.put(make_event("started", index, spec=spec.label()))
-    except Exception:  # noqa: BLE001 — heartbeats must not kill work
-        pass
-    return _execute_spec(doc)
-
-
-def _point_entry(doc: dict, conn, index: int = -1) -> None:
-    """Guarded-worker entry: run one spec, ship the outcome over the
-    pipe.  Emits a ``("event", started)`` heartbeat first, then exactly
-    one ``("ok", envelope)`` or ``("error", message)``.  Catches
+def _point_entry(conn, doc: dict, index: int) -> None:
+    """Run one spec in a worker and ship the outcome over the pipe: a
+    ``("event", started)`` heartbeat first, then exactly one
+    ``("error", message)`` or ``("ok", envelope)``.  The envelope is
+    plain data — the RunResult's serializable core under ``payload``
+    (byte-stable, what checkpoints and caches persist) and the
+    wall-clock execution facts under ``meta`` (events/sec, peak RSS,
+    worker pid; never persisted with the payload).  Catches
     ``BaseException`` so even a ``SystemExit`` inside an experiment
     reports instead of silently dying."""
     try:
+        spec = ExperimentSpec.from_dict(doc)
         try:
             from repro.profile.telemetry import make_event
 
-            spec_label = ExperimentSpec.from_dict(doc).label()
-            conn.send(("event", make_event("started", index, spec=spec_label)))
+            conn.send(("event", make_event("started", index, spec=spec.label())))
         except Exception:  # noqa: BLE001 — heartbeats must not kill work
             pass
-        envelope = _execute_spec(doc)
-        conn.send(("ok", envelope))
+        result = run_experiment(spec)
+        meta = dict(result.meta)
+        meta["pid"] = os.getpid()
+        conn.send(("ok", {"payload": result.to_dict(), "meta": meta}))
     except BaseException as exc:  # noqa: BLE001 — reported over the pipe
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
 
 
-def _run_guarded(
+def _worker_main(conn) -> None:
+    """A persistent worker: run each ``(doc, index)`` the parent sends
+    until the parent goes away."""
+    try:
+        while True:
+            _point_entry(conn, *conn.recv())
+    except EOFError:
+        pass
+
+
+class _Worker:
+    """One worker process, the parent's end of its duplex pipe, and the
+    point it is computing (``None`` while idle)."""
+
+    def __init__(self) -> None:
+        import multiprocessing as mp
+
+        self.conn, child = mp.Pipe()
+        self.proc = mp.Process(target=_worker_main, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()  # the worker holds the only other end
+        self.point: Optional[SweepPoint] = None
+        self.attempt = 0
+        self.deadline = math.inf
+
+    def stop(self, grace_s: float = 0.0) -> None:
+        """Reap the process, killing it unless it exits by itself
+        within ``grace_s``."""
+        self.proc.join(grace_s)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(1.0)
+            if self.proc.is_alive():  # pragma: no cover — SIGTERM ignored
+                self.proc.kill()
+                self.proc.join()
+        self.conn.close()
+
+
+def _run_workers(
     pending: "list[SweepPoint]",
     *,
     jobs: int,
@@ -375,114 +391,121 @@ def _run_guarded(
     on_retry: Callable[["SweepPoint", int], None],
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> None:
-    """Run ``pending`` with one killable subprocess per point.
+    """Run ``pending`` on up to ``jobs`` persistent, killable workers.
 
-    A ``ProcessPoolExecutor`` cannot abandon a hung worker (its future
-    has no kill switch), so hardened sweeps spawn a dedicated
-    ``multiprocessing.Process`` per point and poll a result pipe
-    against a wall-clock deadline: a point that exceeds ``timeout_s``
-    is terminated and marked failed, and a failed point re-queues up to
-    ``retries`` times with exponential backoff before it settles.
+    A worker computes point after point, so process start-up and the
+    experiments' lazy imports are paid once per worker, not per point.
+    The parent blocks on the workers' pipes and process sentinels for
+    no longer than the nearest timeout or backoff expiry.  A point that
+    exceeds ``timeout_s`` has its worker terminated and is marked
+    failed; a worker that dies fails only its own point.  A failed
+    point re-queues up to ``retries`` times with exponential backoff.
+    A worker that reported an error, timed out or died is never
+    reused, so a retry always runs in another process; one that dies
+    while idle is replaced without charging any point an attempt.
     """
-    import multiprocessing as mp
-    import time
+    from multiprocessing.connection import wait
 
-    jobs = max(1, jobs)
     # (point, attempt, earliest wall-clock start)
     waiting: list[tuple[SweepPoint, int, float]] = [
         (p, 0, 0.0) for p in pending
     ]
-    running: list[list] = []  # [point, attempt, process, conn, deadline]
-    while waiting or running:
-        now = time.monotonic()
-        while len(running) < jobs:
-            idx = next(
-                (i for i, (_, _, t0) in enumerate(waiting) if t0 <= now),
-                None,
-            )
-            if idx is None:
-                break
-            point, attempt, _ = waiting.pop(idx)
-            parent, child = mp.Pipe(duplex=False)
-            proc = mp.Process(
-                target=_point_entry,
-                args=(point.spec.to_dict(), child, point.index),
-                daemon=True,
-            )
-            proc.start()
-            child.close()  # parent keeps only the read end
-            deadline = math.inf if timeout_s is None else now + timeout_s
-            running.append([point, attempt, proc, parent, deadline])
+    idle: list[_Worker] = []
+    busy: list[_Worker] = []
 
-        progressed = False
-        still: list[list] = []
-        for entry in running:
-            point, attempt, proc, conn, deadline = entry
-            outcome = None
-            # Drain heartbeat events ahead of (and up to) the outcome.
-            while conn.poll(0):
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    outcome = ("error", "worker died without reporting")
+    def finish(worker: _Worker, kind: str, payload) -> None:
+        busy.remove(worker)
+        point, attempt = worker.point, worker.attempt
+        point.attempts = attempt + 1
+        if kind == "ok":
+            idle.append(worker)
+            _settle_payload(point, payload)
+        else:
+            worker.stop()
+            point.error = payload
+        if point.error is not None and attempt < retries:
+            backoff = retry_backoff_s * (2.0 ** attempt)
+            _LOG.warning(
+                "sweep point #%d failed (%s); retry %d/%d in %.2fs",
+                point.index, point.error, attempt + 1, retries, backoff,
+            )
+            on_retry(point, attempt + 1)
+            waiting.append((point, attempt + 1, time.monotonic() + backoff))
+        else:
+            settle(point)
+
+    try:
+        while waiting or busy:
+            now = time.monotonic()
+            while len(busy) < jobs:
+                idx = next(
+                    (i for i, (_, _, t0) in enumerate(waiting) if t0 <= now),
+                    None,
+                )
+                if idx is None:
                     break
-                if msg[0] == "event":
-                    if on_event is not None:
-                        on_event(msg[1])
-                    continue
-                outcome = msg
-                break
-            if outcome is None and not proc.is_alive() and not conn.poll(0):
-                outcome = (
-                    "error",
-                    f"worker exited with code {proc.exitcode} "
-                    "before reporting",
-                )
-            if outcome is None and time.monotonic() >= deadline:
-                proc.terminate()
-                proc.join(1.0)
-                if proc.is_alive():  # pragma: no cover — SIGTERM ignored
-                    proc.kill()
-                outcome = (
-                    "error",
-                    f"killed: exceeded per-point timeout of {timeout_s:g}s",
-                )
-                if on_event is not None:
-                    from repro.profile.telemetry import make_event
+                point, attempt, _ = waiting.pop(idx)
+                task = (point.spec.to_dict(), point.index)
+                worker = idle.pop() if idle else _Worker()
+                try:
+                    worker.conn.send(task)
+                except OSError:  # died while idle: a fresh one takes over
+                    worker.stop(1.0)
+                    worker = _Worker()
+                    worker.conn.send(task)
+                worker.point, worker.attempt = point, attempt
+                worker.deadline = now + (timeout_s or math.inf)
+                busy.append(worker)
 
-                    on_event(
-                        make_event(
-                            "timed_out", point.index, pid=proc.pid,
-                            timeout_s=timeout_s, attempt=attempt + 1,
-                        )
-                    )
-            if outcome is None:
-                still.append(entry)
-                continue
-            progressed = True
-            proc.join()
-            conn.close()
-            point.attempts = attempt + 1
-            kind, payload = outcome
-            if kind == "ok":
-                _settle_payload(point, payload)
-            else:
-                point.error = payload
-            if point.error is not None and attempt < retries:
-                backoff = retry_backoff_s * (2.0 ** attempt)
-                _LOG.warning(
-                    "sweep point #%d failed (%s); retry %d/%d in %.2fs",
-                    point.index, point.error, attempt + 1, retries, backoff,
-                )
-                on_retry(point, attempt + 1)
-                waiting.append(
-                    (point, attempt + 1, time.monotonic() + backoff)
-                )
-            else:
-                settle(point)
-        running = still
-        if not progressed:
-            time.sleep(0.02)
+            horizon = [w.deadline for w in busy]
+            if len(busy) < jobs:
+                horizon += [t0 for _, _, t0 in waiting]
+            nearest = min(horizon, default=math.inf) - time.monotonic()
+            ready = wait(
+                [w.conn for w in busy] + [w.proc.sentinel for w in busy + idle],
+                # Clamped: ``wait`` overflows on huge timeouts, and the
+                # loop simply waits again.
+                None if nearest == math.inf else min(max(nearest, 0.0), 60.0),
+            )
+            for worker in [w for w in idle if w.proc.sentinel in ready]:
+                idle.remove(worker)
+                worker.stop(1.0)
+            for worker in list(busy):
+                outcome = None
+                if worker.conn in ready or worker.proc.sentinel in ready:
+                    # Liveness is read before draining: a worker already
+                    # dead here left every message it sent in the pipe.
+                    alive = worker.proc.is_alive()
+                    try:
+                        while outcome is None and worker.conn.poll():
+                            kind, payload = worker.conn.recv()
+                            if kind != "event":
+                                outcome = (kind, payload)
+                            elif on_event is not None:
+                                on_event(payload)
+                    except EOFError:
+                        alive = False
+                    if outcome is None and not alive:
+                        worker.stop(1.0)
+                        outcome = ("error", f"worker exited with code "
+                                   f"{worker.proc.exitcode} before reporting")
+                if outcome is None and time.monotonic() >= worker.deadline:
+                    worker.stop()
+                    outcome = ("error", f"killed: exceeded per-point "
+                               f"timeout of {timeout_s:g}s")
+                    if on_event is not None:
+                        from repro.profile.telemetry import make_event
+
+                        on_event(make_event(
+                            "timed_out", worker.point.index,
+                            pid=worker.proc.pid, timeout_s=timeout_s,
+                            attempt=worker.attempt + 1,
+                        ))
+                if outcome is not None:
+                    finish(worker, *outcome)
+    finally:
+        for worker in idle + busy:
+            worker.stop()
 
 
 def _point_path(out_dir: str, index: int) -> str:
@@ -593,8 +616,9 @@ def run_sweep(
 ) -> SweepReport:
     """Execute every spec and collect results in grid order.
 
-    ``jobs`` > 1 fans uncached points out over a process pool; 1 runs
-    them serially in-process (same bytes either way).  ``cache`` makes
+    ``jobs`` > 1 fans uncached points out over up to ``jobs``
+    persistent worker processes; 1 runs them serially in-process (same
+    bytes either way).  ``cache`` makes
     unchanged points hits; ``out_dir`` checkpoints each completed
     point and, with ``resume=True``, skips points a previous partial
     sweep already finished.  ``registry`` (default: the ambient one)
@@ -606,13 +630,14 @@ def run_sweep(
     ``progress`` is invoked once per point as it settles, in settlement
     order.
 
-    ``timeout_s`` and/or ``retries`` switch computation to the guarded
-    scheduler (one killable subprocess per point): a point that runs
-    longer than ``timeout_s`` wall-clock seconds is terminated and
-    marked failed, and any failed point is retried up to ``retries``
-    times with exponential backoff starting at ``retry_backoff_s``.
-    Both are off by default — the common all-deterministic sweep pays
-    no subprocess overhead.
+    ``timeout_s`` and ``retries`` need killable workers, so either
+    one sends even a ``jobs=1`` sweep to the worker scheduler: a point
+    that runs longer than ``timeout_s`` wall-clock seconds has its
+    worker terminated and is marked failed, and any failed point is
+    retried up to ``retries`` times, in another process, with
+    exponential backoff starting at ``retry_backoff_s``.  Both are off
+    by default.  Parallel or not, a worker that dies fails only its
+    own point.
 
     ``telemetry`` attaches a live
     :class:`~repro.profile.telemetry.SweepTelemetry` aggregator:
@@ -701,8 +726,10 @@ def run_sweep(
             emit("cache_miss", point.index, spec=point.spec.label())
         pending.append(point)
 
-    guarded = timeout_s is not None or retries > 0
-    serial = not guarded and (jobs == 1 or len(pending) <= 1)
+    serial = (
+        timeout_s is None and retries == 0
+        and (jobs == 1 or len(pending) <= 1)
+    )
     # Only the serial path computes into ``run_registry``; those cores
     # carry an empty metrics snapshot and must not be persisted.
     persist = not (serial and run_registry is not None)
@@ -734,25 +761,7 @@ def run_sweep(
         if progress:
             progress(point)
 
-    if guarded:
-        def on_retry(point: SweepPoint, attempt: int) -> None:
-            count("retries")
-            emit(
-                "retried", point.index,
-                spec=point.spec.label(), attempt=attempt,
-            )
-
-        _run_guarded(
-            pending,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            retry_backoff_s=retry_backoff_s,
-            settle=settle,
-            on_retry=on_retry,
-            on_event=telemetry.record if telemetry is not None else None,
-        )
-    elif serial:
+    if serial:
         for point in pending:
             emit("started", point.index, spec=point.spec.label())
             point.attempts = 1
@@ -764,75 +773,23 @@ def run_sweep(
                 point.error = f"{type(exc).__name__}: {exc}"
             settle(point)
     else:
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
+        def on_retry(point: SweepPoint, attempt: int) -> None:
+            count("retries")
+            emit(
+                "retried", point.index,
+                spec=point.spec.label(), attempt=attempt,
+            )
+
+        _run_workers(
+            pending,
+            jobs=jobs,
+            timeout_s=timeout_s,
+            retries=retries,
+            retry_backoff_s=retry_backoff_s,
+            settle=settle,
+            on_retry=on_retry,
+            on_event=telemetry.record if telemetry is not None else None,
         )
-        from queue import Empty
-
-        heartbeats = None
-        manager = None
-        if telemetry is not None:
-            # A plain mp.Queue cannot cross a ProcessPoolExecutor task
-            # boundary (it only shares via inheritance); a manager
-            # queue proxy pickles fine.
-            import multiprocessing as mp
-
-            manager = mp.Manager()
-            heartbeats = manager.Queue()
-
-        def drain_heartbeats() -> None:
-            if heartbeats is None:
-                return
-            while True:
-                try:
-                    event = heartbeats.get_nowait()
-                except (Empty, OSError, EOFError):
-                    break
-                telemetry.record(event)
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))
-            ) as pool:
-                if heartbeats is None:
-                    futures = {
-                        pool.submit(_execute_spec, point.spec.to_dict()): point
-                        for point in pending
-                    }
-                else:
-                    futures = {
-                        pool.submit(
-                            _telemetry_pool_entry,
-                            point.spec.to_dict(),
-                            point.index,
-                            heartbeats,
-                        ): point
-                        for point in pending
-                    }
-                outstanding = set(futures)
-                while outstanding:
-                    done_now, outstanding = wait(
-                        outstanding,
-                        timeout=0.1 if heartbeats is not None else None,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    drain_heartbeats()
-                    for future in done_now:
-                        point = futures[future]
-                        point.attempts = 1
-                        try:
-                            envelope = future.result()
-                        except Exception as exc:  # noqa: BLE001
-                            point.error = f"{type(exc).__name__}: {exc}"
-                        else:
-                            _settle_payload(point, envelope)
-                        settle(point)
-                drain_heartbeats()
-        finally:
-            if manager is not None:
-                manager.shutdown()
 
     report = SweepReport(
         points=points,

@@ -1,9 +1,11 @@
 """The hardened sweep harness: per-point timeouts that kill hung
-workers, bounded retry with backoff, corrupt-checkpoint tolerance on
-resume, and the CLI's non-zero exit code on any failed grid point.
+workers, workers that die taking only their own point down, bounded
+retry with backoff, corrupt-checkpoint tolerance on resume, and the
+CLI's non-zero exit code on any failed grid point.
 
 Uses the ``selftest`` experiment (a non-simulating point whose
-``behavior`` extra can crash, hang, or fail-once) so the harness is
+``behavior`` extra can crash, hang, fail-once, or end its process) so
+the harness is
 exercised without paying for real simulations.
 """
 
@@ -80,6 +82,52 @@ class TestGuardedScheduler:
         assert os.path.exists(os.path.join(out, "points", "0000.json"))
         resumed = run_sweep(specs, out_dir=out, resume=True)
         assert resumed.resumed == 1
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_dying_worker_fails_only_its_own_point(self, retries):
+        from repro.profile.telemetry import SweepTelemetry
+
+        tel = SweepTelemetry(total=4)
+        report = run_sweep(
+            [selftest("ok"), selftest("exit"), selftest("ok", n=2),
+             selftest("ok", n=3)],
+            jobs=2, retries=retries, retry_backoff_s=0.01, telemetry=tel,
+        )
+        assert [p.ok for p in report.points] == [True, False, True, True]
+        assert report.points[1].error == \
+            "worker exited with code 3 before reporting"
+        assert report.points[1].attempts == retries + 1
+        # Every attempt ran in a process of its own, none the parent.
+        pids = [e["pid"] for e in tel.events
+                if e["kind"] == "started" and e["index"] == 1]
+        assert len(set(pids)) == len(pids) == retries + 1
+        assert os.getpid() not in pids
+
+    def test_worker_dying_while_idle_costs_no_attempt(self):
+        import signal
+        import time
+
+        killed = []
+
+        def kill_first_worker(point):
+            if not killed:
+                killed.append(point.result.meta["pid"])
+                os.kill(killed[0], signal.SIGKILL)
+                time.sleep(0.2)  # let it die before the next dispatch
+
+        report = run_sweep(
+            [selftest("ok", n=i) for i in range(3)],
+            timeout_s=30, progress=kill_first_worker,
+        )
+        assert report.ok
+        assert [p.attempts for p in report.points] == [1, 1, 1]
+        assert report.points[1].result.meta["pid"] != killed[0]
+
+    def test_huge_timeout_is_clamped(self):
+        report = run_sweep(
+            [selftest("ok"), selftest("ok", n=2)], jobs=2, timeout_s=1e9,
+        )
+        assert report.ok
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="retries"):

@@ -223,8 +223,9 @@ class TestSweepIntegration:
         assert tel.done == 4 and tel.inflight == {}
 
     def test_guarded_sweep_has_distinct_worker_pids(self):
-        """One killable subprocess per point: every started event
-        carries a different worker pid."""
+        """Two points on two jobs start on two workers at once: the
+        started events carry two different worker pids, neither of them
+        the parent's."""
         tel = SweepTelemetry(total=2)
         report = run_sweep(
             _latency_specs(2), jobs=2, retries=1, telemetry=tel,
