@@ -2,8 +2,9 @@
 
 Runs the yardstick workload, the ``mdstep`` step pair on
 ``md_shape()``, bare (the null flight recorder, the default) and with a
-flight capture (``Captures(flight=True)``: the flight recorder feeding
-a metrics registry), in interleaved bare/captured pairs.  Each run is
+flight capture (``Captures(flight=True)``: the flight recorder, whose
+``net.*`` metrics are derived from its logs after the run), in
+interleaved bare/captured pairs.  Each run is
 timed in thread CPU seconds, so a busy host's other processes do not
 count.  Asserts that the capture never perturbs the simulated results,
 publishes the cost of each mode, and gates the captured/bare ratio.

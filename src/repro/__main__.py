@@ -216,7 +216,7 @@ def _effective_jobs(args) -> int:
 # Sweep-driven commands
 # ---------------------------------------------------------------------------
 
-def _run_sweep_cmd(args, registry) -> int:
+def _run_sweep_cmd(args, registry, recorder) -> int:
     from repro.profile.telemetry import SweepTelemetry
     from repro.runner import expand_grid, parse_grid, run_sweep
     from repro.trace.metrics import MetricsRegistry
@@ -297,6 +297,9 @@ def _run_sweep_cmd(args, registry) -> int:
         telemetry=telemetry,
         ledger=ledger,
     )
+    if recorder is not None:
+        # Before --prom renders the registry.
+        recorder.publish_metrics(registry)
     print()
     print(report.verdict().render_text())
     parts = [f"{report.computed} computed", f"{report.cache_hits} cached"]
@@ -1259,6 +1262,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_obs(args)
 
     registry = None
+    recorder = None
     stack = ExitStack()
     if getattr(args, "metrics", False):
         from repro.trace.flight import FlightRecorder, use_flight
@@ -1266,11 +1270,11 @@ def main(argv: list[str] | None = None) -> int:
 
         registry = MetricsRegistry()
         stack.enter_context(use_registry(registry))
-        stack.enter_context(use_flight(FlightRecorder(metrics=registry)))
+        recorder = stack.enter_context(use_flight(FlightRecorder()))
 
     with stack:
         if args.command == "sweep":
-            rc = _run_sweep_cmd(args, registry)
+            rc = _run_sweep_cmd(args, registry, recorder)
         elif args.command == "latency":
             rc = _run_latency(args, registry)
         elif args.command == "allreduce":
@@ -1308,6 +1312,8 @@ def main(argv: list[str] | None = None) -> int:
             raise AssertionError(args.command)
 
     if registry is not None:
+        if args.command != "sweep":  # the sweep publishes its own
+            recorder.publish_metrics(registry)
         print()
         print(registry.summary())
     return rc

@@ -34,7 +34,6 @@ from repro.analysis.critical_path import (
     branch_hops,
     branch_paths,
     critical_flight,
-    hotspots_to_metrics,
     link_hotspots,
     phase_reports,
     render_hotspots,
@@ -68,7 +67,6 @@ __all__ = [
     "breakdown_162ns",
     "Component",
     "critical_flight",
-    "hotspots_to_metrics",
     "LinkHotspot",
     "link_hotspots",
     "PathSegment",

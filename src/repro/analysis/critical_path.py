@@ -17,9 +17,7 @@ simulation:
   critical-path accounting.
 * **Per-link** — :func:`link_hotspots` ranks link directions by the
   head-of-line blocking they caused, with busy time and queue-depth
-  percentiles, and :func:`hotspots_to_metrics` republishes the summary
-  through a :class:`~repro.trace.metrics.MetricsRegistry` so hotspot
-  gauges ride the same export path as every other metric.
+  percentiles.
 
 Everything here is a pure function of recorded state — analyzers never
 touch the simulator, so they can run on a live recorder mid-simulation
@@ -42,7 +40,6 @@ from repro.trace.flight import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.torus import Torus3D
-    from repro.trace.metrics import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +311,3 @@ def render_hotspots(
         rows,
         float_format="{:.1f}",
     )
-
-
-def hotspots_to_metrics(
-    recorder: FlightRecorder,
-    registry: "MetricsRegistry",
-    top: int = 10,
-) -> list[LinkHotspot]:
-    """Publish the worst ``top`` hotspots as metrics.
-
-    Per ranked link: ``net.hotspot.<link>.wait_ns`` and
-    ``net.hotspot.<link>.busy_ns`` gauges plus a
-    ``net.hotspot.<link>.queue_depth_p99`` gauge; plus the aggregates
-    ``net.hotspot.total_wait_ns`` and ``net.hotspot.contended_links``.
-    Returns the ranked list it published.
-    """
-    spots = link_hotspots(recorder, top=top)
-    total_wait = sum(s.wait_ns for s in link_hotspots(recorder))
-    for s in spots:
-        registry.gauge(f"net.hotspot.{s.link}.wait_ns").set(s.wait_ns)
-        registry.gauge(f"net.hotspot.{s.link}.busy_ns").set(s.busy_ns)
-        registry.gauge(f"net.hotspot.{s.link}.queue_depth_p99").set(
-            s.p99_queue_depth
-        )
-    registry.gauge("net.hotspot.total_wait_ns").set(total_wait)
-    registry.gauge("net.hotspot.contended_links").set(
-        sum(1 for s in link_hotspots(recorder) if s.wait_ns > 0)
-    )
-    return spots

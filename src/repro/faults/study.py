@@ -8,7 +8,8 @@ under faults is at what bit-error rate the retry-laden torus stops
 beating the DDR2 InfiniBand cluster baseline of
 :mod:`repro.baselines.cluster`.
 
-Both workloads run the same all-to-one incast of counted writes (the
+Both workloads run the ``congestion`` experiment's all-to-one incast
+of counted writes (:func:`~repro.runner.experiments.run_incast`; the
 heaviest traffic the small torus produces, so every link class carries
 packets and even modest BERs yield retransmissions), once per
 experiment spec, under a plan built from the spec's extras — which
@@ -23,59 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.faults.plan import BitError, Degradation, FaultPlan, LinkDown
-from repro.faults.session import FaultSession, use_faults
+from repro.faults.session import FaultSession
+from repro.runner.experiments import INCAST_PAYLOAD, run_incast
 from repro.runner.result import Measurement, Outcome
 from repro.runner.spec import ExperimentSpec
-
-#: Default incast payload.  256 B puts ~2300 bits on the wire per
-#: packet, so even ber=1e-4 corrupts ~20% of traversals — small sweeps
-#: reliably observe retransmissions without waiting for rare events.
-DEFAULT_PAYLOAD = 256
-
-
-def incast_under_faults(
-    spec: ExperimentSpec, plan: FaultPlan
-) -> Tuple[float, FaultSession, int]:
-    """Run the all-to-one incast under ``plan``.
-
-    Returns ``(elapsed_ns, session, senders)``.  The machine is built
-    inside :func:`~repro.faults.session.use_faults`, so the network
-    consults the session on every hop; metrics flow to the ambient
-    registry when one is installed (``repro sweep --metrics``).
-    """
-    from repro.asic.node import build_machine
-    from repro.engine.simulator import Simulator
-
-    payload = spec.payload or DEFAULT_PAYLOAD
-    sim = Simulator()
-    session = FaultSession(plan)
-    with use_faults(session):
-        machine = build_machine(sim, *spec.shape)
-    target = machine.torus.coord((0, 0, 0))
-    dst = machine.node(target).slice(0)
-    senders = [
-        machine.node(c).slice(0)
-        for c in machine.torus.nodes()
-        if c != target
-    ]
-    dst.memory.allocate("sink", len(senders))
-
-    def sender(s, slot):
-        for _ in range(spec.rounds):
-            yield from s.send_write(
-                target, dst.name, counter_id="sink", address=("sink", slot),
-                payload_bytes=payload,
-            )
-
-    def receiver():
-        yield from dst.poll("sink", len(senders) * spec.rounds)
-
-    start = sim.now
-    procs = [sim.process(sender(s, i)) for i, s in enumerate(senders)]
-    procs.append(sim.process(receiver()))
-    sim.run(until=sim.all_of(procs))
-    return sim.now - start, session, len(senders)
-
 
 def _fault_measurements(session: FaultSession) -> Tuple[Measurement, ...]:
     """The ``faults.*`` counters as sweepable result rows."""
@@ -107,7 +59,8 @@ def run_fault_sensitivity(spec: ExperimentSpec) -> Outcome:
         on_exhaust=str(spec.extra("on_exhaust", "error")),
         bit_errors=(BitError(links="*", ber=ber),) if ber > 0.0 else (),
     )
-    elapsed, session, n = incast_under_faults(spec, plan)
+    session = FaultSession(plan)
+    elapsed, n, _ = run_incast(spec, faults=session)
     st = session.stats
     return Outcome(
         description=(
@@ -153,7 +106,8 @@ def run_link_degradation(spec: ExperimentSpec) -> Outcome:
         ))
     else:
         raise ValueError(f"unknown degradation mode {mode!r} (degrade|down)")
-    elapsed, session, n = incast_under_faults(spec, plan)
+    session = FaultSession(plan)
+    elapsed, n, _ = run_incast(spec, faults=session)
     st = session.stats
     blocked = st.link_down_blocks
     return Outcome(
@@ -176,7 +130,7 @@ def run_link_degradation(spec: ExperimentSpec) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def cluster_incast_ns(
-    senders: int, rounds: int, payload_bytes: int = DEFAULT_PAYLOAD
+    senders: int, rounds: int, payload_bytes: int = INCAST_PAYLOAD
 ) -> float:
     """The same all-to-one incast on the DDR2 InfiniBand cluster model
     (:mod:`repro.baselines.cluster`): the Fig. 7 baseline Anton is
@@ -242,7 +196,7 @@ def crossover_vs_cluster(
     shape: Tuple[int, int, int] = (3, 3, 3),
     bers: Sequence[float] = (0.0, 1e-4, 3e-4, 1e-3),
     rounds: int = 2,
-    payload_bytes: int = DEFAULT_PAYLOAD,
+    payload_bytes: int = INCAST_PAYLOAD,
     seed: int = 0,
 ) -> CrossoverResult:
     """Sweep the incast across ``bers`` and find where Anton loses.

@@ -111,13 +111,14 @@ def run_monitored(
     """Drive ``spec`` with continuous monitoring attached.
 
     Experiments the registry marks traceable also get a
-    :class:`~repro.trace.flight.FlightRecorder` — it feeds the
-    per-packet latency histograms the sketch-vs-exact report compares,
-    and with it the HTML report carries the congestion tree.  ``mdstep``
-    does not, as its per-packet record would dwarf the run.  Histograms
-    are capped at :data:`DEFAULT_HISTOGRAM_CAP` samples.  Monitoring
-    itself is passive: simulated results are bit-identical with the
-    monitor on or off.
+    :class:`~repro.trace.flight.FlightRecorder` — the per-packet
+    latency histograms the sketch-vs-exact report compares are derived
+    from its logs after the run, and with it the HTML report carries
+    the congestion tree.  ``mdstep`` does not, as its per-packet record
+    would dwarf the run.  Histograms are capped at
+    :data:`DEFAULT_HISTOGRAM_CAP` samples.  Monitoring itself is
+    passive: simulated results are bit-identical with the monitor on or
+    off.
     """
     defn = get_experiment(spec)
     if not defn.monitorable:
@@ -130,7 +131,6 @@ def run_monitored(
         interval_ns=interval_ns,
         series_capacity=series_capacity,
         stall_ns=stall_ns,
-        registry=metrics,
     ) as session:
         result = run_experiment(
             spec, Captures(flight=defn.traceable, registry=metrics)

@@ -38,7 +38,6 @@ from repro.monitor.watchdog import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asic.node import Machine
     from repro.engine.simulator import Simulator
-    from repro.trace.metrics import MetricsRegistry
 
 #: Default no-progress window before the stall detector fires, in
 #: simulated ns.  Generous next to the 162 ns end-to-end latency and
@@ -58,14 +57,12 @@ class HealthMonitor:
         series_capacity: int = 512,
         slow_every: int = 4,
         stall_ns: float = DEFAULT_STALL_NS,
-        registry: "Optional[MetricsRegistry]" = None,
         log: Optional[DiagnosticLog] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.network = machine.network
-        self.registry = registry
         self.log = log if log is not None else DiagnosticLog()
         self.sampler = TimeSeriesSampler(
             interval_ns=interval_ns,
@@ -248,7 +245,7 @@ def use_monitoring(**monitor_kwargs) -> Iterator[MonitorSession]:
 
     Keyword arguments are forwarded to :class:`HealthMonitor`
     (``interval_ns``, ``series_capacity``, ``slow_every``,
-    ``stall_ns``, ``registry``, ``log``, ``queue_limit``).
+    ``stall_ns``, ``log``, ``queue_limit``).
     """
     global _ACTIVE_SESSION
     session = MonitorSession(**monitor_kwargs)

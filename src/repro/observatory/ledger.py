@@ -155,7 +155,9 @@ def build_provenance(
     rev), host identity, and — from a run's ``meta`` when available —
     wall seconds, events/second, and peak RSS **in bytes** (normalized
     at the source by :func:`repro.profile.telemetry.peak_rss_bytes`, so
-    records are comparable across Linux and macOS hosts)."""
+    records are comparable across Linux and macOS hosts).  Peak RSS is
+    the lifetime peak of the process that ran the point: on a reused
+    sweep worker, an earlier point can set it."""
     doc = host_facts()
     doc["source_fingerprint"] = source_fingerprint()
     rev = git_revision()

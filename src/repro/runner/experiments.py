@@ -19,8 +19,20 @@ Conventions:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Optional
+
 from repro.runner.result import Measurement, Outcome
 from repro.runner.spec import ExperimentSpec, register_experiment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.session import FaultSession
+
+#: The incast's default payload.  256 B puts ~2300 bits on the wire per
+#: packet, so even ber=1e-4 corrupts ~20% of traversals — small fault
+#: sweeps reliably observe retransmissions without waiting for rare
+#: events.
+INCAST_PAYLOAD = 256
 
 
 @register_experiment(
@@ -170,24 +182,56 @@ def _transfer(spec: ExperimentSpec) -> Outcome:
 def _congestion(spec: ExperimentSpec) -> Outcome:
     """Many-to-one incast: the heaviest head-of-line queueing the
     torus produces, for exercising the queue-depth telemetry."""
-    from repro.asic.node import build_machine
-    from repro.engine.simulator import Simulator
-
-    payload = spec.payload or 256
-    sim = Simulator()
-    machine = build_machine(sim, *spec.shape)
-    target = machine.torus.coord((0, 0, 0))
-    dst = machine.node(target).slice(0)
     # Fan-in width rides along as a spec extra so the congest CLI can
     # widen the incast (e.g. the full 26-to-1 on a 3x3x3) without
     # perturbing the cached default-8 results.
-    fan_in = max(1, int(spec.extra("senders", 8)))
-    senders = [
+    elapsed, senders, payload = run_incast(
+        spec, senders=max(1, int(spec.extra("senders", 8)))
+    )
+    return Outcome(
+        description=(
+            f"{senders}-to-1 incast of {payload} B writes, "
+            f"{spec.rounds} rounds per sender"
+        ),
+        elapsed_ns=elapsed,
+        measurements=(
+            Measurement(f"incast_{senders}x{payload}B_ns", elapsed),
+        ),
+    )
+
+
+def run_incast(
+    spec: ExperimentSpec,
+    senders: Optional[int] = None,
+    faults: "Optional[FaultSession]" = None,
+) -> tuple[float, int, int]:
+    """The all-to-one incast of counted writes behind ``congestion``,
+    ``fault_sensitivity`` and ``link_degradation``.
+
+    Slice 0 of the first ``senders`` nodes other than (0,0,0) (every
+    other node by default) writes ``spec.rounds`` counted writes of
+    ``spec.payload`` bytes (default :data:`INCAST_PAYLOAD`) into its own
+    slot on slice 0 of (0,0,0), which polls for all of them.  The
+    machine is built inside ``faults`` when one is given, so the
+    network consults it on every hop.  Returns ``(elapsed_ns,
+    senders, payload_bytes)``.
+    """
+    from repro.asic.node import build_machine
+    from repro.engine.simulator import Simulator
+    from repro.faults.session import use_faults
+
+    payload = spec.payload or INCAST_PAYLOAD
+    sim = Simulator()
+    with nullcontext() if faults is None else use_faults(faults):
+        machine = build_machine(sim, *spec.shape)
+    target = machine.torus.coord((0, 0, 0))
+    dst = machine.node(target).slice(0)
+    slices = [
         machine.node(c).slice(0)
         for c in machine.torus.nodes()
         if c != target
-    ][:fan_in]
-    dst.memory.allocate("sink", len(senders))
+    ][:senders]
+    dst.memory.allocate("sink", len(slices))
 
     def sender(s, slot):
         for _ in range(spec.rounds):
@@ -197,23 +241,13 @@ def _congestion(spec: ExperimentSpec) -> Outcome:
             )
 
     def receiver():
-        yield from dst.poll("sink", len(senders) * spec.rounds)
+        yield from dst.poll("sink", len(slices) * spec.rounds)
 
     start = sim.now
-    procs = [sim.process(sender(s, i)) for i, s in enumerate(senders)]
+    procs = [sim.process(sender(s, i)) for i, s in enumerate(slices)]
     procs.append(sim.process(receiver()))
     sim.run(until=sim.all_of(procs))
-    elapsed = sim.now - start
-    return Outcome(
-        description=(
-            f"{len(senders)}-to-1 incast of {payload} B writes, "
-            f"{spec.rounds} rounds per sender"
-        ),
-        elapsed_ns=elapsed,
-        measurements=(
-            Measurement(f"incast_{len(senders)}x{payload}B_ns", elapsed),
-        ),
-    )
+    return sim.now - start, len(slices), payload
 
 
 @register_experiment(

@@ -105,11 +105,13 @@ class RunResult:
     )
     #: Wall-clock facts about how this run executed (wall_time_s,
     #: loop_wall_s, events_executed, events_per_second, peak_rss_bytes).
-    #: Host- and load-dependent, so deliberately OUTSIDE the
-    #: serializable core: cached results and sweep checkpoints must stay
-    #: byte-identical regardless of where and how fast a point
-    #: computed.  Sweep workers ship it separately, via the telemetry
-    #: stream.
+    #: ``peak_rss_bytes`` is the lifetime peak of the process that ran
+    #: the point, not this run's own: on a reused sweep worker an
+    #: earlier, larger point can set it.  Host- and load-dependent, so
+    #: deliberately OUTSIDE the serializable core: cached results and
+    #: sweep checkpoints must stay byte-identical regardless of where
+    #: and how fast a point computed.  Sweep workers ship it
+    #: separately, via the telemetry stream.
     meta: dict = field(default_factory=dict, repr=False, compare=False)
     #: The live :class:`~repro.profile.profiler.EngineProfiler` when
     #: the run was profiled (``Captures(profile=True)``).
@@ -193,12 +195,15 @@ class Captures:
     replaced ``run_experiment``'s grown-by-accretion boolean flags.
 
     * ``flight`` — attach a :class:`~repro.trace.flight.FlightRecorder`
-      (per-packet causal spans); hands it back on ``result.flight``.
+      (per-packet causal spans); hands it back on ``result.flight``
+      and, after the run, publishes the ``net.*`` metrics it derives
+      from its logs into the run's registry.
     * ``profile`` — attach the engine self-profiler to every simulator
       the experiment builds; hands it back on ``result.profile``.
-    * ``congestion`` — attach the flight recorder without its metric
-      feed: ``result.flight`` is set and ``result.congestion`` derives
-      the per-link-direction queue timelines from it.  ``flight=True``
+    * ``congestion`` — attach the flight recorder but publish no
+      metrics from it: ``result.flight`` is set and
+      ``result.congestion`` derives the per-link-direction queue
+      timelines from it.  ``flight=True``
       gives the same view.  The flight recorder is the one transport
       probe, so both flags on still attach one recorder.
     * ``registry`` — accumulate metrics into a caller-owned
@@ -209,8 +214,9 @@ class Captures:
     capture changes what the model does: elapsed time, description and
     measurements are identical with every combination on or off.
     ``profile`` and ``congestion`` also leave the serialized result core
-    byte-identical.  ``flight`` feeds the run-owned registry, so its
-    ``metrics`` snapshot gains the ``net.*`` families and nothing else.
+    byte-identical.  ``flight`` publishes into the run-owned registry,
+    so its ``metrics`` snapshot gains the ``net.*`` families and
+    nothing else.
     """
 
     flight: bool = False
@@ -263,14 +269,7 @@ def run_experiment(
             if caps.flight or caps.congestion:
                 from repro.trace.flight import FlightRecorder, use_flight
 
-                # net.* metrics flow only with a flight capture: the
-                # run-owned registry serializes into the cacheable
-                # snapshot, which must stay byte-identical with the
-                # congestion X-ray on or off.
-                recorder = FlightRecorder(
-                    metrics=registry if caps.flight else None
-                )
-                stack.enter_context(use_flight(recorder))
+                recorder = stack.enter_context(use_flight(FlightRecorder()))
             if profile:
                 from repro.profile.profiler import use_profiling
 
@@ -280,6 +279,11 @@ def run_experiment(
             wall_ns = perf_counter_ns() - wall_t0
     finally:
         remove_new_sim_hook(hook)
+    if caps.flight:
+        # net.* metrics come only with a flight capture: the run-owned
+        # registry serializes into the cacheable snapshot, which must
+        # stay byte-identical with the congestion X-ray on or off.
+        recorder.publish_metrics(registry)
     if not isinstance(outcome, Outcome):
         raise TypeError(
             f"experiment {spec.experiment!r} returned {type(outcome)}, "

@@ -50,8 +50,9 @@ Cheap when on: a hook appends to columns and creates no object the
 cyclic garbage collector tracks, so a capture runs the collector as
 often as a bare run does.  What a capture costs is the hooks' own work:
 thirteen appends per packet; per hop, three dict lookups and four
-appends, plus three appends per sample and four per delivery; and the
-metric observations when a registry is attached.
+appends, plus three appends per sample and four per delivery.  No
+hook touches a metric: :meth:`FlightRecorder.publish_metrics` derives
+the ``net.*`` metrics from the logs once, after the run.
 ``benchmarks/bench_trace_overhead.py`` gates that cost on the ``mdstep``
 yardstick.
 
@@ -71,7 +72,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -319,7 +320,6 @@ class NullFlightRecorder:
     """
 
     enabled = False
-    metrics: "Optional[MetricsRegistry]" = None
 
     def packet_injected(self, packet: "Packet", now: float) -> None:
         pass
@@ -375,24 +375,13 @@ NULL_FLIGHT = NullFlightRecorder()
 class FlightRecorder:
     """Records per-packet causal spans and per-link congestion series.
 
-    Parameters
-    ----------
-    metrics:
-        Optional :class:`~repro.trace.metrics.MetricsRegistry`; when
-        given, the recorder feeds it aggregate telemetry as packets
-        fly: ``net.packets_injected`` / ``net.packets_delivered`` /
-        ``net.link_traversals`` counters, a ``net.packet_latency_ns``
-        histogram (inject → delivery, per delivery), a
-        ``net.hop_wait_ns`` histogram (queue wait per contended hop),
-        and a ``net.queue_depth`` gauge whose high watermark is the
-        worst head-of-line queue seen anywhere.  Each metric is looked
-        up once, on its first observation, so a run creates exactly the
-        metrics it feeds.
+    The recorder only records; :meth:`publish_metrics` turns its logs
+    into aggregate ``net.*`` telemetry after the run.
     """
 
     # Slots: the hooks read several of these on every hop.
     __slots__ = (
-        "enabled", "_metrics",
+        "enabled",
         "flight_packet_id", "flight_inject_ns", "flight_serialization_ns",
         "flight_payload_bytes", "flight_wire_bytes", "flight_multicast",
         "flight_in_order", "flight_kind", "flight_src_node",
@@ -404,8 +393,6 @@ class FlightRecorder:
         "delivery_flight", "delivery_node", "delivery_client", "delivery_ns",
         "sample_link", "sample_ns", "sample_depth", "_waiting",
         "instant_rows", "polls", "phases", "_cache", "_cache_at",
-        "_injected", "_delivered", "_traversals", "_hop_wait", "_latency",
-        "_queue_depth", "_send", "_polls",
     )
 
     #: The logs ``absorb`` appends verbatim; the others hold flight,
@@ -420,13 +407,12 @@ class FlightRecorder:
         "polls", "phases",
     )
 
-    def __init__(self, metrics: "Optional[MetricsRegistry]" = None) -> None:
+    def __init__(self) -> None:
         self.enabled = True
-        self.metrics = metrics
         self.clear()
 
     def clear(self) -> None:
-        """Forget everything recorded (metric handles stay bound)."""
+        """Forget everything recorded."""
         # The packet log, one row per injected packet, in injection
         # order: the row is the packet's flight index.
         self.flight_packet_id = array("q")
@@ -490,17 +476,6 @@ class FlightRecorder:
         self._cache: dict[str, Any] = {}
         self._cache_at: tuple = ()
 
-    @property
-    def metrics(self) -> "Optional[MetricsRegistry]":
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: "Optional[MetricsRegistry]") -> None:
-        self._metrics = registry
-        self._injected = self._delivered = self._traversals = None
-        self._hop_wait = self._latency = self._queue_depth = None
-        self._send = self._polls = None
-
     # ------------------------------------------------------------------
     # hooks (called by the network transport; timestamps passed in so
     # the recorder works for any simulator)
@@ -521,13 +496,6 @@ class FlightRecorder:
         self.flight_dst_node.append(packet.dst_node)
         self.flight_dst_client.append(packet.dst_client)
         self.flight_counter_id.append(getattr(packet, "counter_id", None))
-        if self._metrics is not None:
-            c = self._injected
-            if c is None:
-                c = self._injected = self._metrics.counter(
-                    "net.packets_injected"
-                )
-            c.inc()
 
     def _intern(self, link: "TorusLink") -> int:
         """Intern ``link`` on its first sight by this recorder.  Links
@@ -562,11 +530,6 @@ class FlightRecorder:
         self.sample_link.append(li)
         samples.append(now)
         self.sample_depth.append(depth)
-        if self._metrics is not None:
-            g = self._queue_depth
-            if g is None:
-                g = self._queue_depth = self._metrics.gauge("net.queue_depth")
-            g.set(depth)
 
     def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
         """The packet acquired the channel and starts streaming."""
@@ -582,11 +545,9 @@ class FlightRecorder:
             self.hop_link.append(li)
             self.hop_grant_ns.append(now)
             self.hop_enqueue_row.append(row)
-        wait = 0.0
         if row >= 0:
             samples = self.sample_ns
-            wait = now - samples[row]
-            if wait:
+            if now != samples[row]:
                 # The grant drains one waiter; sample the shrinking queue.
                 self.sample_link.append(li)
                 samples.append(now)
@@ -595,20 +556,6 @@ class FlightRecorder:
                 self.instant_rows.append(
                     (li, len(samples), now, link.queue_length)
                 )
-        if self._metrics is not None:
-            c = self._traversals
-            if c is None:
-                c = self._traversals = self._metrics.counter(
-                    "net.link_traversals"
-                )
-            c.inc()
-            if wait:
-                h = self._hop_wait
-                if h is None:
-                    h = self._hop_wait = self._metrics.histogram(
-                        "net.hop_wait_ns"
-                    )
-                h.observe(wait)
 
     def hop_fault(
         self,
@@ -643,19 +590,6 @@ class FlightRecorder:
             self.delivery_node.append(node)
             self.delivery_client.append(client)
             self.delivery_ns.append(now)
-            if self._metrics is not None:
-                c = self._delivered
-                if c is None:
-                    c = self._delivered = self._metrics.counter(
-                        "net.packets_delivered"
-                    )
-                c.inc()
-                h = self._latency
-                if h is None:
-                    h = self._latency = self._metrics.histogram(
-                        "net.packet_latency_ns"
-                    )
-                h.observe(now - self.flight_inject_ns[fi])
 
     def software_send(
         self, packet: "Packet", begin_ns: float, end_ns: float
@@ -666,13 +600,6 @@ class FlightRecorder:
         fi = self._index_of.get(packet.packet_id)
         if fi is not None:
             self.flight_send_begin_ns[fi] = begin_ns
-        if self._metrics is not None:
-            h = self._send
-            if h is None:
-                h = self._send = self._metrics.histogram(
-                    "net.software_send_ns"
-                )
-            h.observe(end_ns - begin_ns)
 
     def poll_completed(
         self,
@@ -695,11 +622,6 @@ class FlightRecorder:
                 done_ns=done_ns,
             )
         )
-        if self._metrics is not None:
-            c = self._polls
-            if c is None:
-                c = self._polls = self._metrics.counter("net.polls_succeeded")
-            c.inc()
 
     def phase_begin(self, name: str, now: float) -> None:
         """Open a named phase (collective round, migration, MD phase)."""
@@ -1056,10 +978,67 @@ class FlightRecorder:
         rank = math.ceil(p / 100.0 * len(samples))
         return samples[max(0, rank - 1)]
 
+    def publish_metrics(self, registry: "MetricsRegistry") -> None:
+        """Derive the ``net.*`` metrics from the logs into ``registry``.
+
+        Call once per recorder, after the run.  The counters
+        ``net.packets_injected``, ``net.link_traversals``,
+        ``net.packets_delivered`` and ``net.polls_succeeded`` are the
+        row counts of the packet, hop, delivery and poll logs.  The
+        histograms observe, in log order: ``net.hop_wait_ns`` each
+        queued hop's non-zero wait (grant order),
+        ``net.packet_latency_ns`` each delivery's inject-to-arrival
+        time, ``net.software_send_ns`` each send's assembly time (it
+        ends at injection).  The
+        ``net.queue_depth`` gauge is set to each enqueue's depth in
+        sample order, so its high watermark is the worst head-of-line
+        queue seen anywhere.  A metric is created only when it has an
+        observation.
+        """
+        for name, rows in (
+            ("net.packets_injected", len(self.flight_packet_id)),
+            ("net.link_traversals", len(self.hop_grant_ns)),
+            ("net.packets_delivered", len(self.delivery_ns)),
+            ("net.polls_succeeded", len(self.polls)),
+        ):
+            if rows:
+                registry.counter(name).inc(rows)
+        samples = self.sample_ns
+        inject = self.flight_inject_ns
+        for name, values in (
+            ("net.hop_wait_ns", (
+                grant - samples[row]
+                for grant, row in zip(self.hop_grant_ns, self.hop_enqueue_row)
+                if row >= 0 and grant != samples[row]
+            )),
+            ("net.packet_latency_ns", (
+                t - inject[fi]
+                for fi, t in zip(self.delivery_flight, self.delivery_ns)
+            )),
+            ("net.software_send_ns", (
+                inject[fi] - begin_ns
+                for fi, begin_ns in self.flight_send_begin_ns.items()
+            )),
+        ):
+            histogram = None
+            for value in values:
+                if histogram is None:
+                    histogram = registry.histogram(name)
+                histogram.observe(value)
+        enqueues = sorted(chain(
+            (row for row in self.hop_enqueue_row if row >= 0),
+            *(waiting.values() for waiting in self._waiting),
+        ))
+        if enqueues:
+            gauge = registry.gauge("net.queue_depth")
+            depth = self.sample_depth
+            for row in enqueues:
+                gauge.set(depth[row])
+
     def absorb(self, other: "FlightRecorder") -> None:
         """Append ``other``'s record to this one, as if this recorder
-        had been attached in its place (its metrics excepted): a nested
-        private capture stays visible to the capture around it."""
+        had been attached in its place: a nested private capture stays
+        visible to the capture around it."""
         links = []
         for link in other.link_table:
             li = self._link_by_name.get(link.name)

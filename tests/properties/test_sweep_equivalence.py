@@ -11,6 +11,7 @@
 
 import json
 import os
+from pathlib import Path
 
 from repro.__main__ import main
 from repro.runner.cache import ResultCache
@@ -84,7 +85,7 @@ class TestCachePoisoning:
         truth = run_sweep([spec], cache=cache).points[0].result
 
         path = cache.path(cache.key(spec))
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["payload"]["elapsed_ns"] = 13.0  # poison without re-hashing
         with open(path, "w") as fh:
             json.dump(doc, fh)

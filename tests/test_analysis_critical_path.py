@@ -7,7 +7,6 @@ from repro.analysis.critical_path import (
     branch_hops,
     branch_paths,
     critical_flight,
-    hotspots_to_metrics,
     link_hotspots,
     phase_reports,
     render_hotspots,
@@ -19,7 +18,6 @@ from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
 from repro.network.packet import WritePacket
 from repro.trace.flight import FlightRecorder, use_flight
-from repro.trace.metrics import MetricsRegistry
 
 
 def traced_machine(shape=(2, 2, 2)):
@@ -172,23 +170,11 @@ class TestLinkHotspots:
                 >= worst.p90_queue_depth >= worst.p50_queue_depth >= 0)
         assert link_hotspots(fl, top=2) == spots[:2]
 
-    def test_render_and_metrics_publication(self):
+    def test_render_hotspots(self):
         fl = self.make_incast()
         text = render_hotspots(link_hotspots(fl, top=3))
         assert "wait ns" in text
-        reg = MetricsRegistry()
-        spots = hotspots_to_metrics(fl, reg, top=3)
-        assert len(spots) == 3
-        worst = spots[0]
-        assert reg.gauge(f"net.hotspot.{worst.link}.wait_ns").value \
-            == worst.wait_ns
-        total = reg.gauge("net.hotspot.total_wait_ns").value
-        assert total >= worst.wait_ns
-        assert reg.gauge("net.hotspot.contended_links").value > 0
 
     def test_quiet_network_has_empty_ranking(self):
         sim, machine, fl = traced_machine()
         assert link_hotspots(fl) == []
-        reg = MetricsRegistry()
-        assert hotspots_to_metrics(fl, reg) == []
-        assert reg.gauge("net.hotspot.total_wait_ns").value == 0.0

@@ -42,8 +42,7 @@ def monitored_run(sim, machine222):
     """A small monitored exchange with a registry feeding percentiles."""
     registry = MetricsRegistry(histogram_max_samples=64)
     h = registry.histogram("net.packet_latency_ns", help="end-to-end")
-    monitor = HealthMonitor(sim, machine222, interval_ns=10.0,
-                            registry=registry)
+    monitor = HealthMonitor(sim, machine222, interval_ns=10.0)
     run_exchange(sim, machine222.node(0).slice(0), machine222.node(1).slice(0))
     for i in range(100):
         h.observe(162.0 + (i * 13 % 97))

@@ -56,6 +56,14 @@ class TestCaptures:
         del core["metrics"]
         assert traced == core
 
+    def test_flight_metrics_include_absorbed_record(self):
+        """A ``latency`` point measures on a private recorder and
+        absorbs it into the capture: the capture's ``net.*`` metrics
+        count that write too."""
+        result = run_experiment(SPEC, Captures(flight=True))
+        assert len(result.flight) == 1
+        assert result.metrics["net.packets_injected"]["value"] == 1
+
     def test_truthiness(self):
         assert not Captures()
         assert Captures(flight=True)

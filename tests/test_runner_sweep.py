@@ -9,6 +9,7 @@ sweep machinery itself, all with ``jobs=1`` so failures localize.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -173,12 +174,12 @@ class TestCheckpointResume:
         out = str(tmp_path / "sweep")
         report = run_sweep(SPECS, out_dir=out)
         assert report.ok
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["sweep_key"] == sweep_key(SPECS)
         assert sorted(os.listdir(os.path.join(out, "points"))) == [
             "0000.json", "0001.json", "0002.json",
         ]
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["completed"] == 3
         from repro.bench.results import ResultSet
 
@@ -206,7 +207,7 @@ class TestCheckpointResume:
         out = str(tmp_path / "sweep")
         run_sweep(SPECS, out_dir=out)
         path = os.path.join(out, "points", "0002.json")
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["payload"]["elapsed_ns"] = 1.0  # tamper without re-hashing
         with open(path, "w") as fh:
             json.dump(doc, fh)

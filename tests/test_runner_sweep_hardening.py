@@ -12,6 +12,7 @@ exercised without paying for real simulations.
 import json
 import logging
 import os
+from pathlib import Path
 
 import pytest
 
@@ -157,7 +158,7 @@ class TestCorruptCheckpointResume:
         assert first.ok
         # Simulate a crash mid-write: the checkpoint is cut in half.
         path = os.path.join(out, "points", "0001.json")
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         self._corrupt(out, 1, raw[: len(raw) // 2])
         registry = MetricsRegistry()
         with caplog.at_level(logging.WARNING, logger="repro.sweep"):
@@ -196,7 +197,7 @@ class TestCorruptCheckpointResume:
         assert result is None and problem is None
         # Tampered payload: hash mismatch, named as such.
         path = os.path.join(out, "points", "0000.json")
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["payload"]["elapsed_ns"] = 1.0
         with open(path, "w") as fh:
             json.dump(doc, fh)

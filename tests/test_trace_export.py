@@ -172,6 +172,23 @@ class TestCli:
         assert "One-way latency" in out
         assert "net.packet_latency_ns" in out
 
+    def test_sweep_metrics_reach_prom_file(self, tmp_path, capsys):
+        prom = tmp_path / "sweep.prom"
+        rc = main(["sweep", "congestion", "--shape", "2x2x2", "--rounds",
+                   "1", "--grid", "seed=0", "--no-cache", "--no-ledger",
+                   "--quiet", "--metrics", "--prom", str(prom)])
+        assert rc == 0
+        text = prom.read_text()
+        assert "repro_net_packets_injected" in text
+        assert "repro_net_packet_latency_ns" in text
+        # Published once: the printed summary agrees with the file.
+        [in_file] = [float(line.split()[1]) for line in text.splitlines()
+                     if line.startswith("repro_net_packets_injected ")]
+        [printed] = [float(line.split()[2])
+                     for line in capsys.readouterr().out.splitlines()
+                     if line.split()[:1] == ["net.packets_injected"]]
+        assert in_file == printed > 0
+
     def test_metrics_flag_on_network_free_command(self, capsys):
         rc = main(["breakdown", "--metrics"])
         assert rc == 0

@@ -20,7 +20,7 @@ from repro.trace.metrics import MetricsRegistry
 
 def traced_machine(shape=(2, 2, 2)):
     sim = Simulator()
-    fl = FlightRecorder(metrics=MetricsRegistry())
+    fl = FlightRecorder()
     with use_flight(fl):
         machine = build_machine(sim, *shape)
     return sim, machine, fl
@@ -142,7 +142,8 @@ class TestContention:
 
     def test_metrics_fed(self):
         fl = self.make_contended_run()
-        m = fl.metrics
+        m = MetricsRegistry()
+        fl.publish_metrics(m)
         assert m.counter("net.packets_injected").value == 2
         assert m.counter("net.packets_delivered").value == 2
         assert m.counter("net.link_traversals").value == 2

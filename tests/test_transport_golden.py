@@ -15,6 +15,8 @@ cases pin every health monitor's full sampler series, which includes
 what the X-ray computes from a flight record: the congestion tree, the
 per-packet delay decomposition, the JSONL export and (on ``mdstep``)
 critical-path attributions through multicast branches.  The
+``flight_metrics`` case pins the ``net.*`` metrics a flight capture
+publishes, exact and (past the histogram cap) sketched.  The
 ``links_*`` cases pin the order in which link directions are created,
 which is the order of ``Network.links()`` that the monitor and the
 congestion bytes iterate.
@@ -88,6 +90,8 @@ DIGESTS = {
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
         "0b703bf35d0e1d6d480441664723b3ac150f7de2a449717a9a532fe614fc8043",
+    "flight_metrics":
+        "140b31ff92a5a49c1438828e42bc1ea19e07c46720dbbb1cce856bdbc3793726",
 }
 
 #: name -> spec whose networks' link creation order is pinned.
@@ -341,7 +345,27 @@ def monitor_digest(name: str) -> str:
     ])
 
 
+def flight_metrics_digest() -> str:
+    """The ``net.*`` metrics of a flight capture on ``mdstep`` 2×2×2,
+    and of the monitored 26-to-1 incast on 3×3×3, whose 200 rounds
+    overflow the monitor's histogram cap into the sketch."""
+    from repro.monitor.capture import run_monitored
+
+    mdstep = run_experiment(SPECS["mdstep"], Captures(flight=True)).metrics
+    incast = run_monitored(
+        ExperimentSpec("congestion", shape=(3, 3, 3), rounds=200)
+        .with_extras(senders=26)
+    ).result.registry.snapshot()
+    return _sha([
+        {name: doc for name, doc in snapshot.items()
+         if name.startswith("net.")}
+        for snapshot in (mdstep, incast)
+    ])
+
+
 def _digest(name: str) -> str:
+    if name == "flight_metrics":
+        return flight_metrics_digest()
     if name in MONITORED:
         return monitor_digest(name)
     if name in LINK_ORDER:
