@@ -34,18 +34,18 @@ _measure_seq = 0
 
 def _fresh_pair(shape: tuple[int, int, int], dst: tuple[int, int, int],
                 machine=None):
-    """A (sim, src slice, dst slice) triple for one measurement.
+    """A (machine, src slice, dst slice, tag) tuple for one measurement.
 
     Passing a pre-built machine reuses it (building a 512-node machine
     costs far more than the measurement itself); buffers and counters
-    get sequence-unique names so measurements never collide.
+    get sequence-unique names so measurements never collide.  The
+    caller must hold the machine while it uses the slices: it owns the
+    network, which a client refers to only weakly.
     """
     global _measure_seq
     _measure_seq += 1
     if machine is None:
-        sim = Simulator()
-        machine = build_machine(sim, *shape)
-    sim = machine.sim
+        machine = build_machine(Simulator(), *shape)
     a = machine.node((0, 0, 0)).slice(0)
     # The zero-hop case of Fig. 5 sends between processing slices on
     # the same node; remote cases use slice 0 on both ends.
@@ -53,7 +53,7 @@ def _fresh_pair(shape: tuple[int, int, int], dst: tuple[int, int, int],
     tag = f"pp{_measure_seq}"
     a.memory.allocate(tag, 4)
     b.memory.allocate(tag, 4)
-    return sim, a, b, tag
+    return machine, a, b, tag
 
 
 def ping_pong_ns(
@@ -65,7 +65,8 @@ def ping_pong_ns(
     machine=None,
 ) -> float:
     """One-way latency between slice 0 of node (0,0,0) and of ``dst``."""
-    sim, a, b, tag = _fresh_pair(shape, dst, machine)
+    machine, a, b, tag = _fresh_pair(shape, dst, machine)
+    sim = machine.sim
     if not bidirectional:
         times = {}
 

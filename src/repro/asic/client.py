@@ -16,6 +16,7 @@ issued by other clients, and a set of synchronization counters
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.asic.memory import LocalMemory
@@ -40,7 +41,10 @@ class NetworkClient:
         name: str,
     ) -> None:
         self.sim = sim
-        self.network = network
+        # Weak, so a machine is no reference cycle: the machine owns
+        # the network, the network holds its clients, and a dropped
+        # machine is freed by reference counting.
+        self.network = weakref.proxy(network)
         self.node = network.torus.coord(node)
         self.name = name
         self.memory = LocalMemory(owner_name=f"{self.node}:{name}")

@@ -13,11 +13,10 @@ The channel is owned by the link rather than built on the engine's
 busy queues a continuation, a plain function and its args tuple, as two
 consecutive slots of a deque, with no event, no closure and no entry
 tuple.  This is the flat layout of the simulator's calendar buckets, for
-the same reason: the args tuple stays the only object a wait allocates
-that the cyclic garbage collector tracks.  On release the head
-continuation is scheduled at the current instant, behind every event
-already queued for it: exactly the one event ``Event.succeed`` pushed
-for a ``Resource`` grant.  The grant goes through the event queue rather
+the same reason: the args tuple stays the only object a wait allocates.
+On release the head continuation is scheduled at the current instant,
+behind every event already queued for it: exactly the one event
+``Event.succeed`` pushed for a ``Resource`` grant.  The grant goes through the event queue rather
 than running inline so that everything already scheduled for that
 instant runs first; same-instant order, grant order and every result
 byte stay those of the ``Resource`` model.

@@ -46,9 +46,8 @@ built afresh on each read, for exports, the critical path and tests;
 the recorder keeps none of them, so it holds no object per packet or
 hop even after an analysis.
 
-Cheap when on: a hook appends to columns and creates no object the
-cyclic garbage collector tracks, so a capture runs the collector as
-often as a bare run does.  What a capture costs is the hooks' own work:
+Cheap when on: a hook appends to columns and creates no object, so a
+capture allocates no more objects than a bare run does.  What a capture costs is the hooks' own work:
 thirteen appends per packet; per hop, three dict lookups and four
 appends, plus three appends per sample and four per delivery.  No
 hook touches a metric: :meth:`FlightRecorder.publish_metrics` derives
