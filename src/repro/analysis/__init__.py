@@ -48,7 +48,6 @@ from repro.analysis.reduction import (
     ReductionPoint,
     butterfly_vs_dimension_ordered,
     measure_allreduce,
-    table2_series,
 )
 from repro.analysis.report import render_series, render_table
 from repro.analysis.transfer import (
@@ -83,7 +82,6 @@ __all__ = [
     "ReductionPoint",
     "butterfly_vs_dimension_ordered",
     "measure_allreduce",
-    "table2_series",
     "render_series",
     "render_table",
     "transfer_split_series",

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro import instruments
 from repro.constants import (
     DST_RING_NS,
     HEADER_BYTES,
@@ -375,7 +376,7 @@ def measure_attribution(
     from repro.analysis.latency import _destination_for_hops
     from repro.asic.node import build_machine
     from repro.engine.simulator import Simulator
-    from repro.trace.flight import FlightRecorder, active_flight, use_flight
+    from repro.trace.flight import FlightRecorder, use_flight
 
     dst_coord = _destination_for_hops(shape, hops)
     sim = Simulator()
@@ -405,8 +406,8 @@ def measure_attribution(
     attr = attribute_flight(flight, fl)
     # The write's own recorder keeps the analysis to this one packet; a
     # capture around the call (``Captures(flight=True)``) still sees it.
-    outer = active_flight()
-    if outer.enabled:
+    outer = instruments.current().flight
+    if outer is not None and outer.enabled:
         outer.absorb(fl)
     return AttributionMeasurement(
         hops=hops,

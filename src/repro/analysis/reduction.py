@@ -13,15 +13,6 @@ from repro.asic.node import build_machine
 from repro.comm.collectives import AllReduce, ButterflyAllReduce
 from repro.engine.simulator import Simulator
 
-#: The Table 2 machine configurations, smallest first.
-TABLE2_SHAPES: tuple[tuple[int, int, int], ...] = (
-    (4, 4, 4),
-    (8, 2, 8),
-    (8, 8, 4),
-    (8, 8, 8),
-    (8, 8, 16),
-)
-
 
 @dataclass
 class ReductionPoint:
@@ -43,13 +34,6 @@ def measure_allreduce(shape: tuple[int, int, int]) -> ReductionPoint:
     r0 = AllReduce(machine, payload_bytes=0).run().elapsed_us
     r32 = AllReduce(machine, payload_bytes=32).run().elapsed_us
     return ReductionPoint(shape=shape, reduce0_us=r0, reduce32_us=r32)
-
-
-def table2_series(
-    shapes: tuple[tuple[int, int, int], ...] = TABLE2_SHAPES,
-) -> list[ReductionPoint]:
-    """Regenerate the Table 2 rows."""
-    return [measure_allreduce(s) for s in shapes]
 
 
 def butterfly_vs_dimension_ordered(

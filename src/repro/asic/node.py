@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro import instruments
 from repro.asic.accumulation import AccumulationMemory
 from repro.asic.htis import HTIS
 from repro.asic.slice_ import ProcessingSlice
@@ -121,13 +122,9 @@ def build_machine(
         for coord in torus.nodes()
     }
     machine = Machine(sim, torus, network, nodes)
-    # Ambient continuous monitoring (mirrors the flight recorder's
-    # pickup): machines built inside a `use_monitoring` block get a
-    # health monitor attached without parameter threading.  Local
-    # import — repro.monitor imports the trace stack.
-    from repro.monitor.health import active_monitor_session
-
-    session = active_monitor_session()
+    # Machines built inside a `use_monitoring` block get a health
+    # monitor attached without parameter threading.
+    session = instruments.current().monitor
     if session is not None:
         session.attach(sim, machine)
     return machine

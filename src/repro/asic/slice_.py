@@ -35,8 +35,6 @@ from repro.asic.fifo import MessageFifo
 from repro.constants import (
     ACCUM_POLL_NS,
     ACCUM_READ_NS,
-    FIFO_POLL_NS,
-    FIFO_PROCESS_NS,
     POLL_SUCCESS_NS,
     SLICE_SEND_NS,
 )
@@ -243,18 +241,6 @@ class ProcessingSlice(NetworkClient):
             raise ValueError("num_lines must be >= 0")
         if num_lines:
             yield from self.tensilica.use(num_lines * ACCUM_READ_NS)
-
-    def poll_fifo(self) -> Generator[Event, Any, Packet]:
-        """Poll the hardware message FIFO for the next message.
-
-        Pays the tail-pointer poll cost, then the per-message software
-        processing cost on the Tensilica core.
-        """
-        ev = self.fifo.poll()
-        yield ev
-        packet = ev.value
-        yield from self.tensilica.use(FIFO_POLL_NS + FIFO_PROCESS_NS)
-        return packet
 
     # -- compute -------------------------------------------------------------
     def compute(self, duration_ns: float, core: int = 0) -> Generator[Event, Any, None]:

@@ -3,8 +3,6 @@
 * :mod:`repro.comm.counted_write` — the counted-remote-write gather
   abstraction (§III.B): pre-allocated receive buffers, fixed packet
   counts, synchronization embedded in communication.
-* :mod:`repro.comm.patterns` — fixed communication-pattern descriptors
-  established before a simulation begins (§IV.A).
 * :mod:`repro.comm.collectives` — dimension-ordered global all-reduce
   and barrier (§IV.B.4), plus a radix-2 butterfly for hop-count
   comparison.
@@ -21,15 +19,12 @@ from repro.comm.collectives import (
     dimension_ordered_rounds,
 )
 from repro.comm.migration import MigrationProtocol
-from repro.comm.patterns import CommPattern, PatternRegistry
 
 __all__ = [
     "AllReduce",
-    "CommPattern",
     "CountedGather",
     "GatherSource",
     "MigrationProtocol",
-    "PatternRegistry",
     "butterfly_hops",
     "butterfly_rounds",
     "dimension_ordered_hops",

@@ -26,12 +26,12 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
 
+from repro import instruments
 from repro.asic.node import Machine
 from repro.constants import REDUCE_SUM_NS_PER_WORD
 from repro.engine.event import Event
 from repro.network.multicast import compile_pattern
 from repro.topology.torus import DIMS, NodeCoord
-from repro.trace.metrics import active_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
@@ -244,9 +244,7 @@ class AllReduce:
         phase = f"allreduce[{self.payload_bytes}B]#{self._runs + 1}"
         if fl.enabled:
             fl.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = instruments.current().profiler
         if prof is not None:
             prof.phase_begin("allreduce")
         try:
@@ -261,7 +259,7 @@ class AllReduce:
         results = set(final.values())
         if len(results) != 1:
             raise AssertionError(f"all-reduce diverged: {sorted(results)[:4]}")
-        reg = active_registry()
+        reg = instruments.current().registry
         if reg is not None:
             reg.counter("comm.allreduce.runs").inc()
             reg.histogram("comm.allreduce.elapsed_ns").observe(elapsed)
@@ -398,9 +396,7 @@ class ButterflyAllReduce:
         phase = f"butterfly[{self.payload_bytes}B]#{self._runs}"
         if fl.enabled:
             fl.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = instruments.current().profiler
         if prof is not None:
             prof.phase_begin("butterfly")
         try:
@@ -420,7 +416,7 @@ class ButterflyAllReduce:
         if len(results) != 1:
             raise AssertionError(f"butterfly all-reduce diverged: {sorted(results)[:4]}")
         elapsed = max(done.values()) - start
-        reg = active_registry()
+        reg = instruments.current().registry
         if reg is not None:
             reg.counter("comm.butterfly.runs").inc()
             reg.histogram("comm.butterfly.elapsed_ns").observe(elapsed)

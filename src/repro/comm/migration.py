@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
+from repro import instruments
 from repro.asic.node import Machine
 from repro.constants import (
     FIFO_POLL_NS,
@@ -34,7 +35,6 @@ from repro.constants import (
 from repro.engine.event import Event
 from repro.network.multicast import compile_pattern
 from repro.topology.torus import NodeCoord
-from repro.trace.metrics import active_registry
 
 #: Software cost to dequeue and process one FIFO message.
 _FIFO_MSG_COST_NS = FIFO_POLL_NS + FIFO_PROCESS_NS
@@ -160,9 +160,7 @@ class MigrationProtocol:
         phase = f"migration#{self._runs + 1}"
         if fl.enabled:
             fl.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = instruments.current().profiler
         if prof is not None:
             prof.phase_begin("migration")
         try:
@@ -181,7 +179,7 @@ class MigrationProtocol:
             self.machine.node(c).slices[self.slice_index].fifo.high_watermark
             for c in torus.nodes()
         )
-        reg = active_registry()
+        reg = instruments.current().registry
         if reg is not None:
             reg.counter("comm.migration.runs").inc()
             reg.counter("comm.migration.messages").inc(sent)

@@ -20,18 +20,15 @@ Design notes
   guidance in the scientific-python optimization notes: make it work,
   make it deterministic, then make it fast).
 * :class:`Resource` provides FCFS mutual exclusion with optional
-  capacity, used for torus links, processing-slice occupancy, and HTIS
-  pipelines.
+  capacity, used for processing-slice occupancy and HTIS pipelines
+  (torus link directions carry their own channel, see
+  :mod:`repro.network.link`).
 """
 
 from repro.engine.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.engine.process import Process
-from repro.engine.resource import Resource, Store
-from repro.engine.simulator import (
-    Simulator,
-    add_new_sim_hook,
-    remove_new_sim_hook,
-)
+from repro.engine.resource import Resource
+from repro.engine.simulator import Simulator
 
 __all__ = [
     "AllOf",
@@ -41,8 +38,5 @@ __all__ = [
     "Process",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
-    "add_new_sim_hook",
-    "remove_new_sim_hook",
 ]

@@ -1,12 +1,10 @@
-"""FCFS resources and stores.
+"""FCFS resources.
 
 :class:`Resource` models a server with fixed capacity (a processing-slice
 core, an HTIS pipeline front-end, a cluster node's CPU or NIC): requests
 are granted strictly in arrival order.  Torus link directions carry
 their own allocation-free channel with the same grant semantics (see
-:mod:`repro.network.link`).  :class:`Store` is an unbounded FIFO of
-items with blocking ``get``, used for hardware message FIFOs and for
-handing packets between pipeline stages.
+:mod:`repro.network.link`).
 """
 
 from __future__ import annotations
@@ -123,52 +121,3 @@ class Resource:
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         return busy / horizon
-
-
-class Store:
-    """An unbounded FIFO with blocking ``get``.
-
-    ``put`` never blocks (backpressure, where modelled, is enforced by
-    the producer checking :attr:`size` against a limit — this mirrors
-    Anton's hardware message FIFO, where the *network* exerts
-    backpressure when the FIFO fills, see §III.C of the paper).
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self.total_puts = 0
-        self.total_gets = 0
-
-    @property
-    def size(self) -> int:
-        """Number of items currently queued."""
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append an item; wakes one blocked getter if present."""
-        self.total_puts += 1
-        if self._getters:
-            self.total_gets += 1
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        ev = Event(self.sim)
-        if self._items:
-            self.total_gets += 1
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            self.total_gets += 1
-            return self._items.popleft()
-        return None

@@ -37,8 +37,15 @@ Observation: two run-loop observers exist, the periodic monitor hook
 once on entry and then executes one of two loop bodies: the bare body
 when neither is attached, which per event only calls the action and
 tests for the stop event and a crash, or the observed body otherwise.
-Construction observers (:func:`add_new_sim_hook`) are how ambient
-sessions attach those observers to every simulator they see built.
+
+Attachment: a simulator reads the instrument slots
+(:mod:`repro.instruments`) once, at construction.  It attaches the
+``profiler`` slot's profiler, and appends itself to the ``sims`` slot's
+list, which is how ``run_experiment`` counts every run loop of a run.
+A simulator built before a profiler is installed is profiled only if
+the profiler is attached to it explicitly.  The monitor hook is set by
+the ``monitor`` slot's session when a machine is built on the
+simulator.
 """
 
 from __future__ import annotations
@@ -49,47 +56,12 @@ from time import perf_counter_ns
 from types import FunctionType, MethodType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
+from repro import instruments
 from repro.engine.event import AllOf, AnyOf, Event, Timeout
 from repro.engine.process import Coroutine, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
-
-
-# ---------------------------------------------------------------------------
-# Construction observers
-# ---------------------------------------------------------------------------
-#: Observers called once per :class:`Simulator` construction.  This is
-#: how ambient sessions (the engine profiler, the run meter that feeds
-#: ``RunResult.meta``) find every simulator an experiment builds
-#: without parameter threading — the same reach-the-machinery problem
-#: ``use_monitoring`` solves at ``build_machine``, solved one layer
-#: lower so simulators without machines are covered too.  The disabled
-#: fast path costs one truthiness test per *construction*, never per
-#: event.
-_NEW_SIM_HOOKS: list[Callable[["Simulator"], None]] = []
-
-
-def add_new_sim_hook(
-    hook: Callable[["Simulator"], None],
-) -> Callable[["Simulator"], None]:
-    """Register ``hook(sim)`` to run on every Simulator construction.
-
-    Returns the hook so callers can keep the handle for
-    :func:`remove_new_sim_hook`.  Hooks must be passive with respect to
-    simulation semantics: attaching observers is fine, scheduling
-    events is not.
-    """
-    _NEW_SIM_HOOKS.append(hook)
-    return hook
-
-
-def remove_new_sim_hook(hook: Callable[["Simulator"], None]) -> None:
-    """Unregister a construction observer (missing hooks are ignored)."""
-    try:
-        _NEW_SIM_HOOKS.remove(hook)
-    except ValueError:
-        pass
 
 
 class Simulator:
@@ -116,9 +88,11 @@ class Simulator:
         self._monitor_due: float = 0.0
         #: Optional engine self-profiler, see :meth:`set_profiler`.
         self._profiler: "Optional[EngineProfiler]" = None
-        if _NEW_SIM_HOOKS:
-            for hook in list(_NEW_SIM_HOOKS):
-                hook(self)
+        slots = instruments.current()
+        if slots.profiler is not None:
+            slots.profiler.attach(self)
+        if slots.sims is not None:
+            slots.sims.append(self)
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:

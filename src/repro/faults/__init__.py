@@ -39,7 +39,6 @@ from repro.faults.session import (
     FaultSession,
     FaultStats,
     RetryExhausted,
-    active_faults,
     use_fault_plan,
     use_faults,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "LinkDown",
     "NodeStall",
     "RetryExhausted",
-    "active_faults",
     "use_fault_plan",
     "use_faults",
 ]

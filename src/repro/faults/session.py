@@ -5,9 +5,11 @@ into per-hop decisions: *was this transmission corrupted* (and how many
 stop-and-wait retries did the link-level protocol need), *is this link
 down right now*, *is this node stalled*.  It mirrors the ambient
 context-manager pattern of the flight recorder and metrics registry —
-:func:`use_faults` installs a session, :func:`active_faults` is what
-:class:`~repro.network.network.Network` picks up at construction, and
-the default is ``None`` so fault-free runs never touch this module.
+:func:`use_faults` installs a session in the ``faults`` slot of
+:mod:`repro.instruments`, which
+:class:`~repro.network.network.Network` reads at construction, and
+the slot is empty by default so fault-free runs never touch this
+module.
 
 Reliability protocol model (stop-and-wait, per link direction)
 --------------------------------------------------------------
@@ -28,13 +30,13 @@ health watchdogs report it — a packet can be lost, but never silently.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, ContextManager, Optional, Tuple
 
+from repro import instruments
 from repro.constants import LINK_COST_NS
 from repro.faults.plan import FaultPlan, selector_matches
-from repro.trace.metrics import MetricsRegistry, active_registry
+from repro.trace.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.link import TorusLink
@@ -118,7 +120,8 @@ class FaultSession:
         #: session, so an empty plan is indistinguishable from no plan.
         self.enabled = plan.enabled
         self.stats = FaultStats()
-        self.registry = registry if registry is not None else active_registry()
+        self.registry = (registry if registry is not None
+                         else instruments.current().registry)
         self._rngs: dict[tuple, random.Random] = {}
         self._bit_errors = plan.bit_errors
         self._degradations = plan.degradations
@@ -304,33 +307,17 @@ class FaultSession:
 # ---------------------------------------------------------------------------
 # Ambient session
 # ---------------------------------------------------------------------------
-#: The session new networks attach at construction time.  ``None``
-#: (the default) means "no fault injection": the transport pays one
-#: attribute load and is-None test per packet, nothing more.
-_active_faults: Optional[FaultSession] = None
 
 
-def active_faults() -> Optional[FaultSession]:
-    """The ambient fault session, or ``None`` when injection is off."""
-    return _active_faults
+def use_faults(session: FaultSession) -> ContextManager[FaultSession]:
+    """Install ``session`` in the ``faults`` slot of
+    :mod:`repro.instruments` for the block: every Network constructed
+    inside it consults the session on every hop."""
+    return instruments.use(faults=session)
 
 
-@contextmanager
-def use_faults(session: FaultSession) -> Iterator[FaultSession]:
-    """Install ``session`` as the ambient fault session for the block."""
-    global _active_faults
-    prev = _active_faults
-    _active_faults = session
-    try:
-        yield session
-    finally:
-        _active_faults = prev
-
-
-@contextmanager
 def use_fault_plan(plan: FaultPlan,
                    registry: Optional[MetricsRegistry] = None
-                   ) -> Iterator[FaultSession]:
+                   ) -> ContextManager[FaultSession]:
     """Convenience: build a session from ``plan`` and install it."""
-    with use_faults(FaultSession(plan, registry=registry)) as session:
-        yield session
+    return use_faults(FaultSession(plan, registry=registry))

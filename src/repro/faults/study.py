@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.faults.plan import BitError, Degradation, FaultPlan, LinkDown
-from repro.faults.session import FaultSession
+from repro.faults.session import FaultSession, use_faults
 from repro.runner.experiments import INCAST_PAYLOAD, run_incast
 from repro.runner.result import Measurement, Outcome
 from repro.runner.spec import ExperimentSpec
@@ -59,8 +59,8 @@ def run_fault_sensitivity(spec: ExperimentSpec) -> Outcome:
         on_exhaust=str(spec.extra("on_exhaust", "error")),
         bit_errors=(BitError(links="*", ber=ber),) if ber > 0.0 else (),
     )
-    session = FaultSession(plan)
-    elapsed, n, _ = run_incast(spec, faults=session)
+    with use_faults(FaultSession(plan)) as session:
+        elapsed, n, _ = run_incast(spec)
     st = session.stats
     return Outcome(
         description=(
@@ -106,8 +106,8 @@ def run_link_degradation(spec: ExperimentSpec) -> Outcome:
         ))
     else:
         raise ValueError(f"unknown degradation mode {mode!r} (degrade|down)")
-    session = FaultSession(plan)
-    elapsed, n, _ = run_incast(spec, faults=session)
+    with use_faults(FaultSession(plan)) as session:
+        elapsed, n, _ = run_incast(spec)
     st = session.stats
     blocked = st.link_down_blocks
     return Outcome(

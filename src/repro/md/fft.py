@@ -16,7 +16,6 @@ row (load balance), following the design of [47].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -26,15 +25,6 @@ from repro.topology.torus import NodeCoord, Torus3D
 PHASES_FORWARD = ("x", "y", "z")
 PHASES_INVERSE = ("z", "y", "x")
 _AXIS = {"x": 0, "y": 1, "z": 2}
-
-
-@dataclass(frozen=True)
-class PhaseTransfer:
-    """Aggregated point-packets from one node to another in one phase."""
-
-    src: NodeCoord
-    dst: NodeCoord
-    points: int
 
 
 class DistributedFFTPlan:
@@ -214,37 +204,6 @@ class DistributedFFTPlan:
                     out[o] = out.get(o, 0) + 1
         self._owned_cache[stage] = out
         return out
-
-    # -- transfers (per-phase convenience API) ---------------------------------
-    def phase_sends(self, node: "NodeCoord | int", dim: str) -> list[PhaseTransfer]:
-        """This node's outgoing transfers for the gather of phase ``dim``.
-
-        Every point in the node's block belongs to a line; points whose
-        line owner is another node are sent there, one grid point per
-        packet, aggregated here per destination for bookkeeping.
-        """
-        c = self.torus.coord(node)
-        along_points = self.block[_AXIS[dim]]
-        counts: dict[NodeCoord, int] = {}
-        for a, b in self._ortho_indices(dim, c):
-            owner = self.line_owner(dim, a, b)
-            if owner != c:
-                counts[owner] = counts.get(owner, 0) + along_points
-        return [PhaseTransfer(c, dst, pts) for dst, pts in sorted(
-            counts.items(), key=lambda kv: self.torus.rank(kv[0])
-        )]
-
-    def phase_recv_points(self, node: "NodeCoord | int", dim: str) -> int:
-        """Points this node receives in phase ``dim`` (counter target)."""
-        c = self.torus.coord(node)
-        n_along = self.torus.shape[_AXIS[dim]]
-        own_block_along = self.block[_AXIS[dim]]
-        total = 0
-        # Each owned line has `grid` points, of which `own_block_along`
-        # are already local (this node's own block contribution).
-        lines = self.lines_owned(c, dim)
-        total = lines * (self.grid - own_block_along)
-        return total
 
     def max_hops(self, dim: str) -> int:
         """Worst-case hops of a phase transfer (within the node row)."""

@@ -42,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import instruments
 from repro.asic.node import build_machine
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
@@ -364,9 +365,7 @@ class AntonMD:
             self.machine.node(m).htis.reset_buffers()
         pkts0 = self.machine.network.packets_injected
         dlv0 = self.machine.network.packets_delivered
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = instruments.current().profiler
         if prof is not None:
             prof.phase_begin(f"step:{kind}")
         try:

@@ -44,7 +44,6 @@ from repro.monitor.watchdog import (
 from repro.monitor.health import (
     HealthMonitor,
     MonitorSession,
-    active_monitor_session,
     use_monitoring,
 )
 from repro.monitor.report import render_html_report, render_prometheus
@@ -58,7 +57,6 @@ __all__ = [
     "MonitorSession",
     "RingSeries",
     "TimeSeriesSampler",
-    "active_monitor_session",
     "render_html_report",
     "render_prometheus",
     "use_monitoring",

@@ -23,9 +23,9 @@ an unmonitored one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, ContextManager, Optional
 
+from repro import instruments
 from repro.monitor.sampler import DEFAULT_INTERVAL_NS, TimeSeriesSampler
 from repro.monitor.watchdog import (
     DEFAULT_QUEUE_LIMIT,
@@ -203,10 +203,8 @@ class HealthMonitor:
 
 
 # ---------------------------------------------------------------------------
-# Ambient attachment (same pattern as trace.flight.use_flight)
+# Ambient attachment
 # ---------------------------------------------------------------------------
-
-_ACTIVE_SESSION: Optional["MonitorSession"] = None
 
 
 class MonitorSession:
@@ -234,24 +232,13 @@ class MonitorSession:
         return [m.finalize() for m in self.monitors]
 
 
-def active_monitor_session() -> Optional[MonitorSession]:
-    """The ambient session machines attach to, or ``None``."""
-    return _ACTIVE_SESSION
-
-
-@contextmanager
-def use_monitoring(**monitor_kwargs) -> Iterator[MonitorSession]:
+def use_monitoring(**monitor_kwargs) -> ContextManager[MonitorSession]:
     """Monitor every machine built inside the ``with`` block.
 
-    Keyword arguments are forwarded to :class:`HealthMonitor`
-    (``interval_ns``, ``series_capacity``, ``slow_every``,
-    ``stall_ns``, ``log``, ``queue_limit``).
+    The session fills the ``monitor`` slot of :mod:`repro.instruments`,
+    which :func:`~repro.asic.node.build_machine` reads.  Keyword
+    arguments are forwarded to :class:`HealthMonitor` (``interval_ns``,
+    ``series_capacity``, ``slow_every``, ``stall_ns``, ``log``,
+    ``queue_limit``).
     """
-    global _ACTIVE_SESSION
-    session = MonitorSession(**monitor_kwargs)
-    prev = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
-    try:
-        yield session
-    finally:
-        _ACTIVE_SESSION = prev
+    return instruments.use(monitor=MonitorSession(**monitor_kwargs))

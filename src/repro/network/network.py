@@ -62,6 +62,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro import instruments
 from repro.constants import (
     DST_RING_NS,
     HEADER_BYTES,
@@ -71,12 +72,11 @@ from repro.constants import (
 )
 from repro.engine.event import Event
 from repro.engine.simulator import Simulator
-from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
 from repro.network.multicast import MulticastPattern, TableEntry
 from repro.network.packet import Packet
 from repro.topology.torus import NodeCoord, Torus3D
-from repro.trace.flight import FlightRecorder, NullFlightRecorder, active_flight
+from repro.trace.flight import NULL_FLIGHT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asic.client import NetworkClient
@@ -107,15 +107,18 @@ class Network:
         keeps the network deterministic and calibrated.
     seed:
         Seed for the jitter RNG (jitter is still reproducible).
-    flight:
-        Optional :class:`~repro.trace.flight.FlightRecorder` observing
-        every packet's causal spans.  Defaults to the ambient recorder
-        (:func:`~repro.trace.flight.active_flight`), which is the
-        zero-cost null recorder unless telemetry was switched on; the
-        transport guards every hook behind ``flight.enabled``.  It is
-        the one transport probe: the congestion X-ray's per-link
-        timelines are derived from its record after the run
-        (:class:`~repro.congestion.view.CongestionView`).
+
+    The network reads two slots of :mod:`repro.instruments` when it is
+    built.  ``flight`` is the
+    :class:`~repro.trace.flight.FlightRecorder` observing every
+    packet's causal spans (``use_flight``); with the slot empty it is
+    the zero-cost null recorder, and the transport guards every hook
+    behind ``flight.enabled``.  It is the one transport probe: the
+    congestion X-ray's per-link timelines are derived from its record
+    after the run (:class:`~repro.congestion.view.CongestionView`).
+    ``faults`` is the fault-injection session (``use_faults``, see
+    :mod:`repro.faults`); an empty slot or a disabled session is never
+    consulted, so fault-free runs take the exact historical code path.
     """
 
     def __init__(
@@ -124,19 +127,13 @@ class Network:
         torus: Torus3D,
         reorder_jitter_ns: float = 0.0,
         seed: int = 0,
-        flight: "FlightRecorder | NullFlightRecorder | None" = None,
-        faults: "FaultSession | None" = None,
     ) -> None:
         self.sim = sim
         self.torus = torus
-        self.flight = flight if flight is not None else active_flight()
-        #: Fault-injection session (see :mod:`repro.faults`); defaults
-        #: to the ambient session, which is ``None`` — and a disabled
-        #: session is never consulted — so fault-free runs take the
-        #: exact historical code path.
-        self.faults = faults if faults is not None else active_faults()
-        if self.faults is not None and not self.faults.enabled:
-            self.faults = None
+        slots = instruments.current()
+        self.flight = slots.flight if slots.flight is not None else NULL_FLIGHT
+        faults = slots.faults
+        self.faults = faults if faults is not None and faults.enabled else None
         self.reorder_jitter_ns = reorder_jitter_ns
         self._rng = random.Random(seed)
         self._links: dict[tuple[NodeCoord, str, int], TorusLink] = {}

@@ -29,7 +29,6 @@ from repro.profile.export import (
 from repro.profile.profiler import (
     EngineProfiler,
     ProfileCell,
-    active_profiler,
     use_profiling,
 )
 from repro.profile.telemetry import (
@@ -45,7 +44,6 @@ __all__ = [
     "ProfileCell",
     "STATUS_SCHEMA",
     "SweepTelemetry",
-    "active_profiler",
     "make_event",
     "peak_rss_bytes",
     "read_status",

@@ -39,14 +39,11 @@ profiled run is bit-identical to a bare one (property-tested).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, ContextManager, Iterator, Optional
 
+from repro import instruments
 from repro.engine.process import Process
-from repro.engine.simulator import (
-    Simulator,
-    add_new_sim_hook,
-    remove_new_sim_hook,
-)
+from repro.engine.simulator import Simulator
 
 #: Phase key used while no profiler phase is open.
 IDLE_PHASE = ""
@@ -390,46 +387,19 @@ class EngineProfiler:
 
 
 # ---------------------------------------------------------------------------
-# Ambient profiling session (same pattern as use_registry / use_flight)
+# Ambient profiling
 # ---------------------------------------------------------------------------
 
-_ACTIVE_SESSION: Optional["ProfileSession"] = None
 
-
-class ProfileSession:
-    """Attaches one profiler to every simulator built while active."""
-
-    def __init__(self, profiler: Optional[EngineProfiler] = None) -> None:
-        self.profiler = profiler if profiler is not None else EngineProfiler()
-
-    def _on_new_sim(self, sim: Simulator) -> None:
-        self.profiler.attach(sim)
-
-
-def active_profiler() -> Optional[EngineProfiler]:
-    """The ambient profiler, or ``None`` when profiling is off.  Phase
-    call sites (collectives, migration, MD steps) consult this with a
-    single load + ``is None`` test."""
-    session = _ACTIVE_SESSION
-    return session.profiler if session is not None else None
-
-
-@contextmanager
 def use_profiling(
     profiler: Optional[EngineProfiler] = None,
-) -> Iterator[EngineProfiler]:
+) -> ContextManager[EngineProfiler]:
     """Profile every simulator constructed inside the ``with`` block.
 
-    Yields the (possibly caller-supplied) :class:`EngineProfiler`;
-    nested sessions shadow the outer one, mirroring ``use_registry``.
+    Yields the (possibly caller-supplied) :class:`EngineProfiler`, which
+    fills the ``profiler`` slot of :mod:`repro.instruments`; a nested
+    block shadows the outer one.
     """
-    global _ACTIVE_SESSION
-    session = ProfileSession(profiler)
-    hook = add_new_sim_hook(session._on_new_sim)
-    prev = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
-    try:
-        yield session.profiler
-    finally:
-        _ACTIVE_SESSION = prev
-        remove_new_sim_hook(hook)
+    return instruments.use(
+        profiler=profiler if profiler is not None else EngineProfiler()
+    )

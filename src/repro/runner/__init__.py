@@ -20,7 +20,6 @@ from repro.runner.result import (
     Measurement,
     Outcome,
     RunResult,
-    results_to_set,
     run_experiment,
 )
 from repro.runner.spec import (
@@ -58,7 +57,6 @@ __all__ = [
     "get_experiment",
     "parse_grid",
     "register_experiment",
-    "results_to_set",
     "run_experiment",
     "run_sweep",
     "sweep_key",

@@ -165,7 +165,7 @@ class ResultCache:
 
     # -- write -------------------------------------------------------------
     def put(self, result: RunResult) -> str:
-        """Store ``result`` atomically; returns the entry path."""
+        """Write ``result`` atomically; returns the entry path."""
         key = self.key(result.spec)
         path = self.path(key)
         payload = result.to_dict()

@@ -19,14 +19,10 @@ Conventions:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.runner.result import Measurement, Outcome
 from repro.runner.spec import ExperimentSpec, register_experiment
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.session import FaultSession
 
 #: The incast's default payload.  256 B puts ~2300 bits on the wire per
 #: packet, so even ber=1e-4 corrupts ~20% of traversals — small fault
@@ -203,7 +199,6 @@ def _congestion(spec: ExperimentSpec) -> Outcome:
 def run_incast(
     spec: ExperimentSpec,
     senders: Optional[int] = None,
-    faults: "Optional[FaultSession]" = None,
 ) -> tuple[float, int, int]:
     """The all-to-one incast of counted writes behind ``congestion``,
     ``fault_sensitivity`` and ``link_degradation``.
@@ -211,19 +206,16 @@ def run_incast(
     Slice 0 of the first ``senders`` nodes other than (0,0,0) (every
     other node by default) writes ``spec.rounds`` counted writes of
     ``spec.payload`` bytes (default :data:`INCAST_PAYLOAD`) into its own
-    slot on slice 0 of (0,0,0), which polls for all of them.  The
-    machine is built inside ``faults`` when one is given, so the
-    network consults it on every hop.  Returns ``(elapsed_ns,
-    senders, payload_bytes)``.
+    slot on slice 0 of (0,0,0), which polls for all of them.  A call
+    inside ``use_faults`` builds a network that consults the session
+    on every hop.  Returns ``(elapsed_ns, senders, payload_bytes)``.
     """
     from repro.asic.node import build_machine
     from repro.engine.simulator import Simulator
-    from repro.faults.session import use_faults
 
     payload = spec.payload or INCAST_PAYLOAD
     sim = Simulator()
-    with nullcontext() if faults is None else use_faults(faults):
-        machine = build_machine(sim, *spec.shape)
+    machine = build_machine(sim, *spec.shape)
     target = machine.torus.coord((0, 0, 0))
     dst = machine.node(target).slice(0)
     slices = [

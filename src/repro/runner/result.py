@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro import instruments
 from repro.bench.results import BenchResult
 from repro.runner.spec import ExperimentSpec, get_experiment
-from repro.trace.metrics import MetricsRegistry, use_registry
+from repro.trace.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.congestion.view import CongestionView
@@ -248,37 +248,27 @@ def run_experiment(
     (run-loop events/sec, peak RSS, wall and run-loop seconds) —
     observed from outside the simulation, never serialized with it.
     """
-    from repro.engine.simulator import add_new_sim_hook, remove_new_sim_hook
-
     caps = captures if captures is not None else Captures()
-    profile = caps.profile
-    registry = caps.registry
-
     defn = get_experiment(spec)
-    own_registry = registry is None
-    if own_registry:
-        registry = MetricsRegistry()
+    own_registry = caps.registry is None
+    registry = MetricsRegistry() if own_registry else caps.registry
     random.seed(spec.derived_seed())
     recorder = None
     profiler = None
     sims: list = []
-    hook = add_new_sim_hook(sims.append)
-    try:
-        with ExitStack() as stack:
-            stack.enter_context(use_registry(registry))
-            if caps.flight or caps.congestion:
-                from repro.trace.flight import FlightRecorder, use_flight
+    slots = {"registry": registry, "sims": sims}
+    if caps.flight or caps.congestion:
+        from repro.trace.flight import FlightRecorder
 
-                recorder = stack.enter_context(use_flight(FlightRecorder()))
-            if profile:
-                from repro.profile.profiler import use_profiling
+        recorder = slots["flight"] = FlightRecorder()
+    if caps.profile:
+        from repro.profile.profiler import EngineProfiler
 
-                profiler = stack.enter_context(use_profiling())
-            wall_t0 = perf_counter_ns()
-            outcome = defn.func(spec)
-            wall_ns = perf_counter_ns() - wall_t0
-    finally:
-        remove_new_sim_hook(hook)
+        profiler = slots["profiler"] = EngineProfiler()
+    with instruments.use(**slots):
+        wall_t0 = perf_counter_ns()
+        outcome = defn.func(spec)
+        wall_ns = perf_counter_ns() - wall_t0
     if caps.flight:
         # net.* metrics come only with a flight capture: the run-owned
         # registry serializes into the cacheable snapshot, which must
@@ -313,15 +303,3 @@ def run_experiment(
         meta=meta,
         profile=profiler,
     )
-
-
-def results_to_set(results: Iterable[RunResult]):
-    """Collect many runs' measurements into one
-    :class:`~repro.bench.results.ResultSet`."""
-    from repro.bench.results import ResultSet
-
-    out = ResultSet()
-    for result in results:
-        for row in result.to_bench_results():
-            out.add(row)
-    return out

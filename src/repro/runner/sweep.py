@@ -45,12 +45,13 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
+from repro import instruments
 from repro.bench.results import ResultSet, canonical_json
 from repro.monitor.watchdog import LEVELS, CheckResult, HealthVerdict
 from repro.runner.cache import ResultCache, atomic_write_json
 from repro.runner.result import Captures, RunResult, run_experiment
 from repro.runner.spec import ExperimentSpec, get_experiment
-from repro.trace.metrics import MetricsRegistry, active_registry
+from repro.trace.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.telemetry import SweepTelemetry
@@ -666,7 +667,8 @@ def run_sweep(
         raise ValueError(f"retries must be >= 0, got {retries}")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-    registry = registry if registry is not None else active_registry()
+    if registry is None:
+        registry = instruments.current().registry
 
     def count(name: str, amount: float = 1.0) -> None:
         if registry is not None:

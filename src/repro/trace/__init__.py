@@ -10,9 +10,9 @@ is the model's equivalent — a full telemetry layer:
 * :class:`~repro.trace.flight.FlightRecorder` is the network-side
   flight recorder: every packet's causal spans (inject → per-hop
   queue-wait → link occupancy → deliver) plus per-link queue-depth
-  time series.  Networks pick it up from the ambient context
-  (:func:`~repro.trace.flight.use_flight`) or an explicit ``flight=``
-  argument; the default is the zero-cost null recorder;
+  time series.  Networks pick it up from the ``flight`` slot of
+  :mod:`repro.instruments` (:func:`~repro.trace.flight.use_flight`);
+  the default is the zero-cost null recorder;
 * :class:`~repro.trace.metrics.MetricsRegistry` names counters, gauges
   and ns-scale latency histograms with p50/p90/p99 queries, attachable
   to any :class:`~repro.engine.simulator.Simulator` or installed
@@ -43,7 +43,6 @@ from repro.trace.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    active_registry,
     use_registry,
 )
 from repro.trace.sketch import QuantileSketch
@@ -56,7 +55,6 @@ from repro.trace.flight import (
     PacketFlight,
     PhaseSpan,
     PollRecord,
-    active_flight,
     use_flight,
 )
 from repro.trace.export import (
@@ -86,8 +84,6 @@ __all__ = [
     "PhaseSpan",
     "PollRecord",
     "QuantileSketch",
-    "active_flight",
-    "active_registry",
     "chrome_trace",
     "communication_split",
     "dumps_chrome_trace",

@@ -69,10 +69,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterator, Optional
+
+from repro import instruments
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.link import LinkId, TorusLink
@@ -1077,25 +1078,13 @@ class FlightRecorder:
 # ---------------------------------------------------------------------------
 # Ambient recorder
 # ---------------------------------------------------------------------------
-#: Recorder picked up by every Network constructed while it is active.
-#: The measurement harnesses in repro.analysis build their machines
-#: internally; the ambient recorder instruments them without threading
-#: a parameter through every call signature.
-_active_flight: "FlightRecorder | NullFlightRecorder" = NULL_FLIGHT
 
 
-def active_flight() -> "FlightRecorder | NullFlightRecorder":
-    """The recorder new networks attach at construction time."""
-    return _active_flight
-
-
-@contextmanager
-def use_flight(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Install ``recorder`` as the ambient flight recorder for the block."""
-    global _active_flight
-    prev = _active_flight
-    _active_flight = recorder
-    try:
-        yield recorder
-    finally:
-        _active_flight = prev
+def use_flight(recorder: FlightRecorder) -> ContextManager[FlightRecorder]:
+    """Install ``recorder`` in the ``flight`` slot of
+    :mod:`repro.instruments` for the block: every Network constructed
+    inside it records into ``recorder``.  The measurement harnesses in
+    repro.analysis build their machines internally; the slot
+    instruments them without threading a parameter through every call
+    signature."""
+    return instruments.use(flight=recorder)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import ContextManager, Iterator, Optional, Union
 
+from repro import instruments
 from repro.trace.sketch import QuantileSketch
 
 
@@ -400,24 +400,10 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 # Ambient registry
 # ---------------------------------------------------------------------------
-#: The ambient registry consulted by instrumented subsystems (comm
-#: collectives, migration, the CLI's --metrics flag).  ``None`` means
-#: "no metrics" and costs instrumented code a single load + is-None test.
-_active_registry: Optional[MetricsRegistry] = None
 
 
-def active_registry() -> Optional[MetricsRegistry]:
-    """The ambient registry, or ``None`` when metrics are off."""
-    return _active_registry
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the ambient registry for the block."""
-    global _active_registry
-    prev = _active_registry
-    _active_registry = registry
-    try:
-        yield registry
-    finally:
-        _active_registry = prev
+def use_registry(registry: MetricsRegistry) -> ContextManager[MetricsRegistry]:
+    """Install ``registry`` in the ``registry`` slot of
+    :mod:`repro.instruments` for the block: the comm collectives,
+    migration and the CLI's --metrics flag report into it."""
+    return instruments.use(registry=registry)

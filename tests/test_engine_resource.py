@@ -1,8 +1,8 @@
-"""Unit tests for FCFS resources and stores."""
+"""Unit tests for FCFS resources."""
 
 import pytest
 
-from repro.engine import Resource, Simulator, Store
+from repro.engine import Resource
 
 
 def test_resource_grants_up_to_capacity(sim):
@@ -68,33 +68,3 @@ def test_utilization_accounting(sim):
     sim.process(worker())
     sim.run()
     assert r.utilization() == pytest.approx(0.3)
-
-
-def test_store_fifo_order(sim):
-    s = Store(sim)
-    s.put(1)
-    s.put(2)
-    assert s.get().value == 1
-    assert s.get().value == 2
-
-
-def test_store_blocking_get(sim):
-    s = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield s.get()
-        got.append((sim.now, item))
-
-    sim.process(consumer())
-    sim.schedule(12.0, s.put, "hello")
-    sim.run()
-    assert got == [(12.0, "hello")]
-
-
-def test_store_try_get(sim):
-    s = Store(sim)
-    assert s.try_get() is None
-    s.put("x")
-    assert s.try_get() == "x"
-    assert s.try_get() is None

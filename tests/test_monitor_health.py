@@ -11,7 +11,6 @@ from repro.engine.simulator import Simulator
 from repro.asic.node import build_machine
 from repro.monitor.health import (
     HealthMonitor,
-    active_monitor_session,
     use_monitoring,
 )
 from repro.monitor.watchdog import DiagnosticLog
@@ -163,14 +162,15 @@ class TestHealthMonitor:
 
 class TestMonitorSession:
     def test_ambient_attachment(self):
-        assert active_monitor_session() is None
         with use_monitoring(interval_ns=10.0) as session:
-            assert active_monitor_session() is session
             sim = Simulator()
             machine = build_machine(sim, 2, 2, 2)
             assert len(session.monitors) == 1
             assert session.monitor.machine is machine
-        assert active_monitor_session() is None
+            assert sim._monitor_hook is not None
+        # Machines built after the block are unmonitored.
+        assert build_machine(Simulator(), 2, 2, 2).sim._monitor_hook is None
+        assert len(session.monitors) == 1
 
     def test_machines_outside_session_unmonitored(self):
         sim = Simulator()
@@ -192,5 +192,8 @@ class TestMonitorSession:
             with use_monitoring() as inner:
                 build_machine(Simulator(), 2, 2, 2)
                 assert len(inner.monitors) == 1
-            assert active_monitor_session() is outer
             assert not outer.monitors
+            # The outer session is back in force once the inner exits.
+            machine = build_machine(Simulator(), 2, 2, 2)
+            assert outer.monitor.machine is machine
+            assert len(inner.monitors) == 1

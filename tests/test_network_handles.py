@@ -112,13 +112,14 @@ def test_a_downed_direction_is_created_at_first_use():
     when the packet re-arms and uses it, after links first used in the
     meantime, so ``Network.links()`` keeps its first-use order."""
     from repro.faults.plan import FaultPlan, LinkDown
-    from repro.faults.session import FaultSession
+    from repro.faults.session import use_fault_plan
 
     sim = Simulator()
     torus = Torus3D(4, 4, 1)
     plan = FaultPlan(link_downs=(LinkDown(links="y+", start_ns=0.0,
                                           end_ns=500.0),))
-    net = Network(sim, torus, faults=FaultSession(plan))
+    with use_fault_plan(plan):
+        net = Network(sim, torus)
     log: list = []
     for node in torus.nodes():
         net.attach(_Sink(node, "a", log))

@@ -9,7 +9,6 @@ from repro.comm.collectives import AllReduce
 from repro.engine import Simulator
 from repro.profile import (
     EngineProfiler,
-    active_profiler,
     peak_rss_bytes,
     use_profiling,
 )
@@ -100,12 +99,10 @@ def test_allreduce_events_land_in_the_allreduce_phase():
 
 
 def test_use_profiling_is_ambient_and_scoped():
-    assert active_profiler() is None
     with use_profiling() as profiler:
-        assert active_profiler() is profiler
         sim = Simulator()
         assert sim._profiler is profiler
-    assert active_profiler() is None
+    assert profiler.sims == [sim]
     # Simulators built after the block are unprofiled.
     assert Simulator()._profiler is None
 

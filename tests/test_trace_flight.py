@@ -12,7 +12,6 @@ from repro.trace.flight import (
     NULL_FLIGHT,
     FlightRecorder,
     NullFlightRecorder,
-    active_flight,
     use_flight,
 )
 from repro.trace.metrics import MetricsRegistry
@@ -35,15 +34,16 @@ class TestAttachment:
         sim, machine, fl = traced_machine()
         assert machine.network.flight is fl
         # The context exited; new networks go back to the null recorder.
-        assert active_flight() is NULL_FLIGHT
+        assert build_machine(Simulator(), 2, 2, 2).network.flight is NULL_FLIGHT
 
-    def test_explicit_flight_argument(self):
+    def test_bare_network_reads_the_flight_slot(self):
         from repro.network.network import Network
         from repro.topology.torus import Torus3D
 
         sim = Simulator()
         fl = FlightRecorder()
-        net = Network(sim, Torus3D(2, 2, 2), flight=fl)
+        with use_flight(fl):
+            net = Network(sim, Torus3D(2, 2, 2))
         assert net.flight is fl
 
 

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro import instruments
 from repro.trace.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    active_registry,
     use_registry,
 )
 
@@ -149,23 +149,39 @@ class TestMetricsRegistry:
 
 
 class TestAmbientRegistry:
-    def test_default_is_none(self):
-        assert active_registry() is None
+    """The comm call sites read the registry slot on every call, so an
+    all-reduce reports into whichever registry is in force when it
+    runs."""
 
-    def test_use_registry_installs_and_restores(self):
-        reg = MetricsRegistry()
+    def test_default_is_none(self):
+        assert instruments.current().registry is None
+
+    @staticmethod
+    def runs(reg):
+        name = "comm.allreduce.runs"
+        return reg.get(name).value if name in reg else 0
+
+    def test_use_registry_installs_and_restores(self, machine222):
+        from repro.comm.collectives import AllReduce
+
+        ar = AllReduce(machine222, payload_bytes=0)
+        reg, inner = MetricsRegistry(), MetricsRegistry()
         with use_registry(reg) as r:
             assert r is reg
-            assert active_registry() is reg
-            inner = MetricsRegistry()
+            ar.run()
             with use_registry(inner):
-                assert active_registry() is inner
-            assert active_registry() is reg
-        assert active_registry() is None
+                ar.run()
+            ar.run()
+        ar.run()
+        assert (self.runs(reg), self.runs(inner)) == (2, 1)
 
-    def test_restored_after_exception(self):
+    def test_restored_after_exception(self, machine222):
+        from repro.comm.collectives import AllReduce
+
+        ar = AllReduce(machine222, payload_bytes=0)
         reg = MetricsRegistry()
         with pytest.raises(RuntimeError):
             with use_registry(reg):
                 raise RuntimeError("boom")
-        assert active_registry() is None
+        ar.run()
+        assert self.runs(reg) == 0

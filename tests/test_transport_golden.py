@@ -316,7 +316,7 @@ def fault_exchange_digest() -> str:
     """The exchange with a downed link, a stalled transit node and bit
     errors: the re-arm and retry paths of both transits."""
     from repro.faults.plan import BitError, FaultPlan, LinkDown, NodeStall
-    from repro.faults.session import FaultSession
+    from repro.faults.session import use_fault_plan
 
     plan = FaultPlan(
         seed=5,
@@ -328,7 +328,8 @@ def fault_exchange_digest() -> str:
         node_stalls=(NodeStall(node=(1, 0, 0), start_ns=300.0,
                                end_ns=600.0),),
     )
-    return exchange_digest(faults=FaultSession(plan))
+    with use_fault_plan(plan):
+        return exchange_digest()
 
 
 def monitor_digest(name: str) -> str:
