@@ -24,11 +24,24 @@ return the one generator doing the work (``_send``, ``Resource.use``,
 inline rather than through ``Resource.use``.  ``_send`` still builds
 its packet, which takes a global ``packet_id``, when the caller first
 runs it.
+
+The slice also has continuation forms, for code that runs as plain
+functions and args tuples rather than as a process (the all-reduce
+legs of :mod:`repro.comm.collectives`).  ``hold(ns, fn, args)``
+occupies the Tensilica: it acquires the core FCFS, queueing behind a
+busy core as ``Resource.request`` does, and schedules one
+plain-function event that releases the core and runs ``fn(*args)``.
+``send_then`` is ``_send`` on a hold, with the same packet building
+(``_packet``) and post-send hook (``_injected``).  ``poll_then``
+continues from the counter's slot (``SyncCounter.on_target``) into a
+hold for the successful poll.  Each costs the events of its generator
+form minus the process's own: the poll starts inside the increment's
+event, and nothing is kicked off or resumed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.asic.client import NetworkClient
 from repro.asic.fifo import MessageFifo
@@ -108,8 +121,36 @@ class ProcessingSlice(NetworkClient):
         ``packet_id``), holds the Tensilica for packet assembly, then
         injects.  Returns the network's delivery event.
         """
+        packet = self._packet(
+            kind, dst_node, dst_client, payload, payload_bytes,
+            counter_id, address, in_order, pattern_id,
+        )
+        sim = self.sim
+        begin = sim.now
+        ts = self.tensilica
+        if not ts.try_acquire():
+            yield ts.request()
+        try:
+            yield sim.timeout(SLICE_SEND_NS)
+        finally:
+            ts.release()
+        return self._injected(packet, begin)
+
+    def _packet(
+        self,
+        kind: PacketKind,
+        dst_node: "NodeCoord | int",
+        dst_client: str,
+        payload: Any,
+        payload_bytes: Optional[int],
+        counter_id: Optional[str] = None,
+        address: Any = None,
+        in_order: bool = False,
+        pattern_id: Optional[int] = None,
+    ) -> Packet:
+        """A packet from this slice; it takes the next ``packet_id``."""
         nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
-        packet = Packet(
+        return Packet(
             src_node=self.node,
             src_client=self.name,
             dst_node=self.network.torus.coord(dst_node),
@@ -122,19 +163,14 @@ class ProcessingSlice(NetworkClient):
             in_order=in_order,
             pattern_id=pattern_id,
         )
-        sim = self.sim
-        begin = sim.now
-        ts = self.tensilica
-        if not ts.try_acquire():
-            yield ts.request()
-        try:
-            yield sim.timeout(SLICE_SEND_NS)
-        finally:
-            ts.release()
+
+    def _injected(self, packet: Packet, begin: float) -> Event:
+        """Inject an assembled packet and record its software send over
+        ``[begin, now]``; returns the network's delivery event."""
         done = self.inject(packet)
         fl = self.network.flight
         if fl.enabled:
-            fl.software_send(packet, begin, sim.now)
+            fl.software_send(packet, begin, self.sim.now)
         return done
 
     def send_write(
@@ -212,12 +248,17 @@ class ProcessingSlice(NetworkClient):
             yield sim.timeout(POLL_SUCCESS_NS)
         finally:
             ts.release()
+        self._polled(counter_id, target, trigger)
+        return sim.now
+
+    def _polled(self, counter_id: str, target: int, trigger: float) -> None:
+        """A successful poll that the counter's reaching ``target`` at
+        ``trigger`` started has ended now: the post-poll flight hook."""
         fl = self.network.flight
         if fl.enabled:
             fl.poll_completed(
-                self.node, self.name, counter_id, target, trigger, sim.now
+                self.node, self.name, counter_id, target, trigger, self.sim.now
             )
-        return sim.now
 
     def poll_accum(
         self, accum: "NetworkClient", counter_id: str, target: int
@@ -252,3 +293,82 @@ class ProcessingSlice(NetworkClient):
         """Occupy the Tensilica core (bookkeeping, data marshalling):
         the core's own :meth:`Resource.use` generator."""
         return self.tensilica.use(duration_ns)
+
+    # -- continuation forms ---------------------------------------------------
+    def hold(
+        self, duration_ns: float, fn: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """Occupy the Tensilica core for ``duration_ns``, then run
+        ``fn(*args)`` in the event that releases it.
+
+        The core is acquired FCFS: a busy core queues the hold behind
+        every earlier request, and its grant schedules the hold one
+        event later, as a process resumed by ``Resource.request``
+        would schedule its timeout.
+        """
+        ts = self.tensilica
+        if ts.try_acquire():
+            self.sim.schedule(duration_ns, _end_hold, ts, fn, args)
+        else:
+            ts.request().add_callback(
+                _QueuedHold(ts, duration_ns, fn, args).granted)
+
+    def send_then(
+        self, packet: Packet, fn: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """The continuation form of the ``send_*`` helpers: hold the
+        Tensilica for packet assembly, inject ``packet`` (built by
+        :meth:`_packet`), then run ``fn(*args)`` in the same event."""
+        self.hold(SLICE_SEND_NS, ProcessingSlice._sent,
+                  (self, packet, self.sim.now, fn, args))
+
+    def _sent(self, packet: Packet, begin: float,
+              fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self._injected(packet, begin)
+        fn(*args)
+
+    def poll_then(
+        self, counter_id: str, target: int,
+        fn: Callable[..., None], args: tuple[Any, ...],
+    ) -> None:
+        """The continuation form of :meth:`poll`: once the local
+        counter reaches ``target``, pay the successful poll on the
+        Tensilica, then run ``fn(*args)``.  The poll starts inside the
+        increment's own event (``SyncCounter.on_target``)."""
+        self.counter(counter_id).on_target(
+            target, ProcessingSlice._poll_hold,
+            (self, counter_id, target, fn, args))
+
+    def _poll_hold(self, counter_id: str, target: int,
+                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.hold(POLL_SUCCESS_NS, ProcessingSlice._poll_done,
+                  (self, counter_id, target, self.sim.now, fn, args))
+
+    def _poll_done(self, counter_id: str, target: int, trigger: float,
+                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self._polled(counter_id, target, trigger)
+        fn(*args)
+
+
+def _end_hold(ts: Resource, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+    """The event ending a :meth:`ProcessingSlice.hold`: release the
+    core, then continue."""
+    ts.release()
+    fn(*args)
+
+
+class _QueuedHold:
+    """A hold queued behind a busy Tensilica core."""
+
+    __slots__ = ("ts", "duration_ns", "fn", "args")
+
+    def __init__(self, ts: Resource, duration_ns: float,
+                 fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.ts = ts
+        self.duration_ns = duration_ns
+        self.fn = fn
+        self.args = args
+
+    def granted(self, _event: Event) -> None:
+        self.ts.sim.schedule(self.duration_ns, _end_hold,
+                             self.ts, self.fn, self.args)

@@ -16,21 +16,30 @@ software implementation:
 * the sums run in software on the slices — polling accumulation-memory
   counters across the ring would cost more than the adds;
 * a global barrier is simply a 0-byte reduction.
+
+As in hardware, where a counter reaching its target is what starts the
+next send, no process runs a node's part: each node's leg is one
+object whose steps run inside the event of the increment that
+completes a poll (``SyncCounter.on_target``) or of the end of a
+Tensilica hold (``ProcessingSlice.hold``).  The butterfly baseline and
+:mod:`repro.comm.migration` still run a generator process per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from repro import instruments
 from repro.asic.node import Machine
+from repro.asic.slice_ import ProcessingSlice
 from repro.constants import REDUCE_SUM_NS_PER_WORD
 from repro.engine.event import Event
 from repro.network.multicast import compile_pattern
+from repro.network.packet import PacketKind
 from repro.topology.torus import DIMS, NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,15 +86,18 @@ def dimension_ordered_hops(shape: tuple[int, int, int]) -> int:
     return sum(n // 2 for n in shape if n > 1)
 
 
+def _butterfly_extents(shape: tuple[int, int, int]) -> list[int]:
+    extents = [n for n in shape if n > 1]
+    for n in extents:
+        if n & (n - 1):
+            raise ValueError(f"butterfly requires power-of-two extents, got {n}")
+    return extents
+
+
 def butterfly_rounds(shape: tuple[int, int, int]) -> int:
     """Rounds of a radix-2 butterfly: 3·log2(N) for N×N×N."""
-    total = 0
-    for n in shape:
-        if n > 1:
-            if n & (n - 1):
-                raise ValueError(f"butterfly requires power-of-two extents, got {n}")
-            total += int(math.log2(n))
-    return total
+    return sum(int(math.log2(n)) for n in _butterfly_extents(shape))
+
 
 def butterfly_hops(shape: tuple[int, int, int]) -> int:
     """Sequential hop count of a radix-2 butterfly on the torus.
@@ -93,13 +105,7 @@ def butterfly_hops(shape: tuple[int, int, int]) -> int:
     Partners sit at distances 1, 2, 4, … n/2 along each dimension; the
     sum is n−1 per dimension — 3(N−1) for N×N×N, as the paper states.
     """
-    total = 0
-    for n in shape:
-        if n > 1:
-            if n & (n - 1):
-                raise ValueError(f"butterfly requires power-of-two extents, got {n}")
-            total += n - 1
-    return total
+    return sum(n - 1 for n in _butterfly_extents(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +125,84 @@ class AllReduceResult:
         return self.elapsed_ns / 1000.0
 
 
+def run_phase(collective: Any, name: str, phase: str,
+              launch: Callable[..., tuple], *args: Any) -> tuple:
+    """Run one execution of a collective to its end.
+
+    ``launch(*args)`` starts it and returns ``(end event, done times,
+    *rest)``.  The run is bracketed in the flight phase ``phase``,
+    which closes at the last done time, and in the profiler phase
+    ``name``.  Returns the start time followed by launch's tuple.
+    """
+    sim = collective.sim
+    start = sim.now
+    fl = collective.machine.network.flight
+    if fl.enabled:
+        fl.phase_begin(phase, start)
+    prof = instruments.current().profiler
+    if prof is not None:
+        prof.phase_begin(name)
+    try:
+        out = launch(*args)
+        sim.run(until=out[0])
+    finally:
+        if prof is not None:
+            prof.phase_end(name)
+    if fl.enabled:
+        fl.phase_end(phase, max(out[1].values()))
+    return (start, *out)
+
+
+class _Reduction:
+    """What the two all-reduces share.  :meth:`run` executes one, which
+    ``_launch(values)`` starts, returning ``(end event, done times,
+    final values)``; every node must agree, and the registry counts
+    ``comm.<name>.*``."""
+
+    name = ""
+
+    def run(self, values: Optional[dict[NodeCoord, float]] = None) -> AllReduceResult:
+        """Execute one all-reduce over per-node scalar contributions.
+
+        ``values`` maps node coordinate to its contribution (default:
+        every node contributes its rank, which makes the expected sum
+        easy to verify).  Returns the result with timing.
+        """
+        name = self.name
+        phase = f"{name}[{self.payload_bytes}B]#{self._runs + 1}"
+        start, _, done_times, final = run_phase(self, name, phase, self._launch, values)
+        elapsed = max(done_times.values()) - start
+        results = set(final.values())
+        if len(results) != 1:
+            raise AssertionError(f"{name} diverged: {sorted(results)[:4]}")
+        reg = instruments.current().registry
+        if reg is not None:
+            reg.counter(f"comm.{name}.runs").inc()
+            reg.histogram(f"comm.{name}.elapsed_ns").observe(elapsed)
+        return AllReduceResult(
+            value=final[next(iter(final))],
+            elapsed_ns=elapsed,
+            per_node_done_ns=done_times,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Dimension-ordered all-reduce
 # ---------------------------------------------------------------------------
 
-class AllReduce:
+class AllReduce(_Reduction):
     """Reusable dimension-ordered global all-reduce on a machine.
 
     Construction establishes the fixed communication patterns: one
     multicast tree per (node, active dimension) reaching slice *k* of
-    the node's axis peers, and one receive buffer + counter per round
-    on each slice.  ``run()`` then executes the collective and measures
-    its latency.  The object can be reused any number of times,
-    matching how the thermostat reduction runs every other time step:
-    every run counts on the same counter ids, and each receiver resets
-    its counter right after the poll that consumes it, so a machine
-    holds the same counters after its thousandth run as after its
-    first.
+    the node's axis peers, one receive buffer + counter per round on
+    each slice, and each node's leg (:class:`_Leg`).  ``run()`` then
+    executes the collective and measures its latency.  The object can
+    be reused any number of times, matching how the thermostat
+    reduction runs every other time step: every run counts on the same
+    counter ids, and each receiver resets its counter right after the
+    poll that consumes it, so a machine holds the same counters after
+    its thousandth run as after its first.
 
     Parameters
     ----------
@@ -148,72 +215,74 @@ class AllReduce:
         result with the other three slices on each node.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        payload_bytes: int = 32,
-        share_locally: bool = True,
-    ) -> None:
+    def __init__(self, machine: Machine, payload_bytes: int = 32,
+                 share_locally: bool = True) -> None:
         self.machine = machine
         self.sim = machine.sim
         self.payload_bytes = payload_bytes
         self.share_locally = share_locally
         self.torus = machine.torus
         self.active_dims = [d for d in DIMS if self.torus.shape[_AXIS[d]] > 1]
-        self._round_slice = {d: k for k, d in enumerate(self.active_dims)}
-        self._patterns: dict[tuple[NodeCoord, str], int] = {}
         self._runs = 0
         # Receive buffers are pre-allocated and never freed; a second
         # AllReduce on the same machine gets its own buffer and counter
         # namespace.
         self._uid = AllReduce._instances
         AllReduce._instances += 1
-        # Each round's receive buffer and its counter share one id, as
-        # do the local share buffer and its counter.
-        tag = f"allreduce{self._uid}"
-        self._round_ids = {d: f"{tag}-{d}" for d in self.active_dims}
-        self._hand_ids = [f"{tag}-hand{k}" for k in range(len(self.active_dims))]
-        self._share_id = f"{tag}-share"
-        self._setup()
+        self._legs = self._setup()
 
+    name = "allreduce"
     _instances = 0
 
     # -- fixed pattern establishment ---------------------------------------
-    def _setup(self) -> None:
+    def _setup(self) -> list["_Leg"]:
+        """Allocate the buffers, register the trees and build the legs.
+        Each round's receive buffer and its counter share one id, as do
+        the local share buffer and its counter."""
         torus = self.torus
+        tag = f"allreduce{self._uid}"
+        words = max(1, self.payload_bytes // 4)
+        last = len(self.active_dims) - 1
+        share_id = f"{tag}-share"
+        legs = []
         for coord in torus.nodes():
-            node = self.machine.node(coord)
-            for dim in self.active_dims:
-                k = self._round_slice[dim]
-                slice_k = node.slices[k]
+            slices = self.machine.node(coord).slices
+            rounds = []
+            for k, dim in enumerate(self.active_dims):
                 n = torus.shape[_AXIS[dim]]
+                rid = f"{tag}-{dim}"
                 # Receive buffer: one slot per axis position; the
                 # sender's axis coordinate is the slot, so one multicast
                 # address works at every receiver.
-                slice_k.memory.allocate(self._round_ids[dim], n)
+                slices[k].memory.allocate(rid, n)
                 peers = torus.axis_peers(coord, dim)
-                tree = compile_pattern(
-                    torus, coord, {p: [f"slice{k}"] for p in peers}
-                )
-                pid = self.machine.network.register_pattern(tree)
-                self._patterns[(coord, dim)] = pid
-            if self.share_locally and self.active_dims:
-                last_k = self._round_slice[self.active_dims[-1]]
-                for i in range(4):
-                    if i != last_k:
-                        node.slices[i].memory.allocate(self._share_id, 1)
+                tree = compile_pattern(torus, coord, {p: [f"slice{k}"] for p in peers})
+                if k < last:  # hand the partial to the next round's slice
+                    local, lid, laddr = (slices[k + 1],), f"{tag}-hand{k}", None
+                elif self.share_locally:  # share the sum with the others
+                    local = tuple(s for s in slices if s is not slices[k])
+                    lid, laddr = share_id, (share_id, 0)
+                    for peer in local:
+                        peer.memory.allocate(share_id, 1)
+                else:
+                    local, lid, laddr = (), share_id, None
+                rounds.append(_Round(
+                    slices[k], rid, coord[_AXIS[dim]], n - 1,
+                    self.machine.network.register_pattern(tree),
+                    REDUCE_SUM_NS_PER_WORD * words * (n - 1), local, lid, laddr,
+                ))
+            legs.append(_Leg(coord, rounds, self.payload_bytes))
+        return legs
 
     # -- execution --------------------------------------------------------------
-    def start(
-        self, values: Optional[dict[NodeCoord, float]] = None
-    ) -> tuple[list, dict[NodeCoord, float], dict[NodeCoord, float]]:
-        """Spawn the per-node reduce processes (for embedding in a
-        larger simulation, e.g. the MD thermostat phase).
-
-        Returns ``(processes, done_times, final)``; ``final`` fills in
-        as nodes complete.  The caller waits on the processes before
-        starting the next run, which counts on the same counters.
-        """
+    def begin(self, values: Optional[dict[NodeCoord, float]] = None) -> "_Run":
+        """Start every node's leg, each in one event at the current
+        instant (behind every event already there), and return the
+        run they report into: ``done`` fires when the last leg ends,
+        ``node_done[c]`` when node ``c``'s does.  For embedding in a
+        larger simulation (the MD thermostat); the caller waits for the
+        run before starting the next, which counts on the same
+        counters."""
         torus = self.torus
         if values is None:
             values = {c: float(torus.rank(c)) for c in torus.nodes()}
@@ -221,142 +290,140 @@ class AllReduce:
         if missing:
             raise ValueError(f"missing contributions for nodes {missing[:3]}...")
         self._runs += 1
-        done_times: dict[NodeCoord, float] = {}
-        final: dict[NodeCoord, float] = {}
-        procs = [
-            self.sim.process(
-                self._node_process(coord, values[coord], done_times, final),
-                name=f"allreduce@{coord}",
+        sim = self.sim
+        run = _Run(sim, len(self._legs))
+        for leg in self._legs:
+            run.node_done[leg.coord] = Event(sim)
+            sim.schedule_now(_Leg.start, (leg, run, values[leg.coord]))
+        return run
+
+    def _launch(self, values: Optional[dict[NodeCoord, float]]) -> tuple:
+        run = self.begin(values)
+        return run.done, run.done_times, run.final
+
+
+class _Run:
+    """One execution of an :class:`AllReduce`, which its legs report
+    into.  It refers to no leg, so no run is a reference cycle."""
+
+    __slots__ = ("sim", "remaining", "done", "node_done", "final", "done_times")
+
+    def __init__(self, sim: "Simulator", legs: int) -> None:
+        self.sim, self.remaining, self.done = sim, legs, Event(sim)
+        self.node_done: dict[NodeCoord, Event] = {}
+        self.final: dict[NodeCoord, float] = {}
+        self.done_times: dict[NodeCoord, float] = {}
+
+
+class _Round(NamedTuple):
+    """One node's fixed part of one dimension round."""
+
+    slice: ProcessingSlice
+    rid: str  # receive buffer and counter id
+    slot: int  # this node's slot at its peers: its axis coordinate
+    expected: int  # contributions polled for: N − 1
+    pattern: int  # multicast pattern id
+    sum_ns: float  # redundant software sum on the Tensilica core
+    local: tuple  # slices the partial is written to next, on this node
+    lid: str  # their counter id
+    laddr: Any  # their buffer address (None: the counter alone)
+
+
+class _Leg:
+    """One node's leg of the all-reduce, stepped by counter
+    continuations rather than run as a process.
+
+    Per round it multicasts its partial to slice *k* of its axis peers,
+    polls for their N−1 contributions and sums them in software.  Then
+    it writes the partial locally: to the next round's slice, or after
+    the last round the global sum to the other three slices, one after
+    another, and polls each.  Each step is a plain function that the
+    slice's ``send_then``, ``poll_then`` or ``hold`` continues with the
+    leg and the round index as args, so a leg allocates no process,
+    generator or closure.
+    """
+
+    __slots__ = ("coord", "rounds", "payload_bytes", "run", "v", "unpolled")
+
+    def __init__(self, coord: NodeCoord, rounds: list[_Round],
+                 payload_bytes: int) -> None:
+        self.coord, self.rounds, self.payload_bytes = coord, rounds, payload_bytes
+
+    def start(self, run: _Run, value: float) -> None:
+        self.run = run
+        self.v = value
+        self._send(0) if self.rounds else self._finish()
+
+    def _write(self, src: ProcessingSlice, dst: str, counter_id: str, address: Any,
+               pattern_id: Optional[int], then: Callable[..., None], args: tuple) -> None:
+        src.send_then(
+            src._packet(PacketKind.WRITE, self.coord, dst, self.v,
+                        self.payload_bytes, counter_id, address,
+                        pattern_id=pattern_id),
+            then, args)
+
+    def _send(self, i: int) -> None:
+        r = self.rounds[i]
+        self._write(r.slice, r.slice.name, r.rid, (r.rid, r.slot), r.pattern,
+                    ProcessingSlice.poll_then,
+                    (r.slice, r.rid, r.expected, _Leg._sum, (self, i)))
+
+    def _sum(self, i: int) -> None:
+        r = self.rounds[i]
+        r.slice.counter(r.rid).reset()
+        buf = r.slice.memory.buffer(r.rid)
+        contributions = [s for s in buf.slots if s is not None]
+        if len(contributions) != r.expected:  # pragma: no cover - counted-write invariant
+            raise AssertionError(
+                f"{self.coord} round {i}: counter fired with "
+                f"{len(contributions)}/{r.expected} slots written"
             )
-            for coord in torus.nodes()
-        ]
-        return procs, done_times, final
+        r.slice.hold(r.sum_ns, _Leg._summed, (self, i, buf, contributions))
 
-    def run(self, values: Optional[dict[NodeCoord, float]] = None) -> AllReduceResult:
-        """Execute one all-reduce over per-node scalar contributions.
+    def _summed(self, i: int, buf: Any, contributions: list[float]) -> None:
+        self.v = self.v + sum_as_numpy(contributions)
+        buf.clear()
+        self._local(i, 0)
 
-        ``values`` maps node coordinate to its contribution (default:
-        every node contributes its rank, which makes the expected sum
-        easy to verify).  Returns the result with timing.
-        """
-        start = self.sim.now
-        fl = self.machine.network.flight
-        phase = f"allreduce[{self.payload_bytes}B]#{self._runs + 1}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
-        prof = instruments.current().profiler
-        if prof is not None:
-            prof.phase_begin("allreduce")
-        try:
-            procs, done_times, final = self.start(values)
-            self.sim.run(until=self.sim.all_of(procs))
-        finally:
-            if prof is not None:
-                prof.phase_end("allreduce")
-        elapsed = max(done_times.values()) - start
-        if fl.enabled:
-            fl.phase_end(phase, max(done_times.values()))
-        results = set(final.values())
-        if len(results) != 1:
-            raise AssertionError(f"all-reduce diverged: {sorted(results)[:4]}")
-        reg = instruments.current().registry
-        if reg is not None:
-            reg.counter("comm.allreduce.runs").inc()
-            reg.histogram("comm.allreduce.elapsed_ns").observe(elapsed)
-        return AllReduceResult(
-            value=final[next(iter(final))],
-            elapsed_ns=elapsed,
-            per_node_done_ns=done_times,
-        )
+    def _local(self, i: int, j: int) -> None:
+        """Write the partial to the round's ``j``-th local slice, then
+        to the next; after the last write, poll every one."""
+        r = self.rounds[i]
+        if j < len(r.local):
+            self._write(r.slice, r.local[j].name, r.lid, r.laddr, None,
+                        _Leg._local, (self, i, j + 1))
+            return
+        if not r.local:
+            return self._finish()
+        self.unpolled = len(r.local)
+        for peer in r.local:
+            peer.poll_then(r.lid, 1, _Leg._polled, (self, i))
 
-    def _node_process(
-        self,
-        coord: NodeCoord,
-        value: float,
-        done_times: dict[NodeCoord, float],
-        final: dict[NodeCoord, float],
-    ) -> Generator[Event, Any, None]:
-        node = self.machine.node(coord)
-        torus = self.torus
-        words = max(0, self.payload_bytes // 4)
-        v = value
-        for round_idx, dim in enumerate(self.active_dims):
-            k = self._round_slice[dim]
-            slice_k = node.slices[k]
-            n = torus.shape[_AXIS[dim]]
-            my_slot = coord[_AXIS[dim]]
-            rid = self._round_ids[dim]
-            # Multicast this node's partial to slice k of all axis peers.
-            yield from slice_k.send_write(
-                coord,
-                slice_k.name,
-                counter_id=rid,
-                address=(rid, my_slot),
-                payload=v,
-                payload_bytes=self.payload_bytes,
-                pattern_id=self._patterns[(coord, dim)],
-            )
-            # Poll for the other N-1 contributions.
-            yield from slice_k.poll(rid, n - 1)
-            slice_k.counter(rid).reset()
-            buf = slice_k.memory.buffer(rid)
-            contributions = [s for s in buf.slots if s is not None]
-            if len(contributions) != n - 1:  # pragma: no cover - counted-write invariant
-                raise AssertionError(
-                    f"{coord} round {dim}: counter fired with "
-                    f"{len(contributions)}/{n-1} slots written"
-                )
-            # Redundant software sum on the Tensilica core.
-            sum_ns = REDUCE_SUM_NS_PER_WORD * max(1, words) * (n - 1)
-            yield from slice_k.tensilica_work(sum_ns)
-            v = v + sum_as_numpy(contributions)
-            buf.clear()
-            # Hand the partial to the next round's slice, locally.
-            if round_idx + 1 < len(self.active_dims):
-                nxt = node.slices[self._round_slice[self.active_dims[round_idx + 1]]]
-                hid = self._hand_ids[round_idx]
-                yield from slice_k.send_write(
-                    coord,
-                    nxt.name,
-                    counter_id=hid,
-                    address=None,
-                    payload=v,
-                    payload_bytes=self.payload_bytes,
-                )
-                yield from nxt.poll(hid, 1)
-                nxt.counter(hid).reset()
-        # Final: the last round's slice shares the global sum locally.
-        if self.share_locally and self.active_dims:
-            last_slice = node.slices[self._round_slice[self.active_dims[-1]]]
-            others = [s for s in node.slices if s is not last_slice]
-            waits = []
-            for peer in others:
-                yield from last_slice.send_write(
-                    coord,
-                    peer.name,
-                    counter_id=self._share_id,
-                    address=(self._share_id, 0),
-                    payload=v,
-                    payload_bytes=self.payload_bytes,
-                )
-            for peer in others:
-                waits.append(
-                    self.sim.process(
-                        peer.poll(self._share_id, 1), name="share-poll"
-                    )
-                )
-            yield self.sim.all_of(waits)
-            for peer in others:
-                peer.counter(self._share_id).reset()
-        final[coord] = v
-        done_times[coord] = self.sim.now
+    def _polled(self, i: int) -> None:
+        self.unpolled -= 1
+        if self.unpolled:
+            return
+        r = self.rounds[i]
+        for peer in r.local:
+            peer.counter(r.lid).reset()
+        self._send(i + 1) if i + 1 < len(self.rounds) else self._finish()
+
+    def _finish(self) -> None:
+        run = self.run
+        now = run.sim.now
+        run.final[self.coord] = self.v
+        run.done_times[self.coord] = now
+        run.node_done[self.coord].succeed(now)
+        run.remaining -= 1
+        if not run.remaining:
+            run.done.succeed(now)
 
 
 # ---------------------------------------------------------------------------
 # Radix-2 butterfly all-reduce (comparison baseline)
 # ---------------------------------------------------------------------------
 
-class ButterflyAllReduce:
+class ButterflyAllReduce(_Reduction):
     """Radix-2 butterfly all-reduce on the same machine.
 
     Used only as a comparison point: the paper notes a butterfly needs
@@ -366,90 +433,45 @@ class ButterflyAllReduce:
     distances.
     """
 
+    name = "butterfly"
+
     def __init__(self, machine: Machine, payload_bytes: int = 32) -> None:
         self.machine = machine
         self.sim = machine.sim
         self.payload_bytes = payload_bytes
         self.torus = machine.torus
-        for n in self.torus.shape:
-            if n > 1 and n & (n - 1):
-                raise ValueError("butterfly requires power-of-two torus extents")
-        self._stages: list[tuple[str, int]] = []
-        for dim in DIMS:
-            n = self.torus.shape[_AXIS[dim]]
-            d = 1
-            while d < n:
-                self._stages.append((dim, d))
-                d *= 2
+        _butterfly_extents(self.torus.shape)
+        # Partners at distances 1, 2, 4, … n/2 along X, then Y, then Z.
+        self._stages = [(dim, 1 << b) for dim in DIMS
+                        for b in range(int(math.log2(self.torus.shape[_AXIS[dim]])))]
         for coord in self.torus.nodes():
             self.machine.node(coord).slices[0].memory.allocate("bfly", len(self._stages))
         self._ctrs = [f"bfly-{stage}" for stage in range(len(self._stages))]
         self._runs = 0
 
-    def run(self, values: Optional[dict[NodeCoord, float]] = None) -> AllReduceResult:
+    def _launch(self, values: Optional[dict[NodeCoord, float]]) -> tuple:
         torus = self.torus
         if values is None:
             values = {c: float(torus.rank(c)) for c in torus.nodes()}
         self._runs += 1
-        start = self.sim.now
-        fl = self.machine.network.flight
-        phase = f"butterfly[{self.payload_bytes}B]#{self._runs}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
-        prof = instruments.current().profiler
-        if prof is not None:
-            prof.phase_begin("butterfly")
-        try:
-            done: dict[NodeCoord, float] = {}
-            final: dict[NodeCoord, float] = {}
-            procs = [
-                self.sim.process(self._node_process(c, values[c], done, final))
-                for c in torus.nodes()
-            ]
-            self.sim.run(until=self.sim.all_of(procs))
-        finally:
-            if prof is not None:
-                prof.phase_end("butterfly")
-        if fl.enabled:
-            fl.phase_end(phase, max(done.values()))
-        results = set(final.values())
-        if len(results) != 1:
-            raise AssertionError(f"butterfly all-reduce diverged: {sorted(results)[:4]}")
-        elapsed = max(done.values()) - start
-        reg = instruments.current().registry
-        if reg is not None:
-            reg.counter("comm.butterfly.runs").inc()
-            reg.histogram("comm.butterfly.elapsed_ns").observe(elapsed)
-        return AllReduceResult(
-            value=final[next(iter(final))],
-            elapsed_ns=elapsed,
-            per_node_done_ns=done,
-        )
+        done: dict[NodeCoord, float] = {}
+        final: dict[NodeCoord, float] = {}
+        procs = [
+            self.sim.process(self._node_process(c, values[c], done, final))
+            for c in torus.nodes()
+        ]
+        return self.sim.all_of(procs), done, final
 
     def _node_process(self, coord, value, done, final):
-        node = self.machine.node(coord)
-        torus = self.torus
-        s0 = node.slices[0]
+        s0 = self.machine.node(coord).slices[0]
         v = value
         words = max(1, self.payload_bytes // 4)
         for stage, (dim, dist) in enumerate(self._stages):
-            axis = _AXIS[dim]
-            n = torus.shape[axis]
-            pos = coord[axis]
-            partner_pos = pos ^ dist
-            partner = {
-                "x": (partner_pos, coord.y, coord.z),
-                "y": (coord.x, partner_pos, coord.z),
-                "z": (coord.x, coord.y, partner_pos),
-            }[dim]
+            partner = coord._replace(**{dim: coord[_AXIS[dim]] ^ dist})
             ctr = self._ctrs[stage]
             yield from s0.send_write(
-                partner,
-                "slice0",
-                counter_id=ctr,
-                address=("bfly", stage),
-                payload=v,
-                payload_bytes=self.payload_bytes,
+                partner, "slice0", counter_id=ctr, address=("bfly", stage),
+                payload=v, payload_bytes=self.payload_bytes,
             )
             yield from s0.poll(ctr, 1)
             s0.counter(ctr).reset()

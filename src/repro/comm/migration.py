@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
 from repro import instruments
 from repro.asic.node import Machine
+from repro.comm.collectives import run_phase
 from repro.constants import (
     FIFO_POLL_NS,
     FIFO_PROCESS_NS,
@@ -97,7 +98,7 @@ class MigrationProtocol:
         self,
         moves: Optional[dict[NodeCoord, Sequence[tuple[NodeCoord, Any]]]] = None,
         scan_atoms: Optional[dict[NodeCoord, int]] = None,
-    ) -> tuple[list, dict[NodeCoord, float], dict[NodeCoord, list[Any]], dict]:
+    ) -> tuple[Event, dict[NodeCoord, float], dict[NodeCoord, list[Any]], dict]:
         """Spawn sender+receiver processes for one migration phase
         (for embedding in a larger simulation).
 
@@ -105,7 +106,7 @@ class MigrationProtocol:
         sending slice pays the per-atom migration-bookkeeping scan
         before its sends (§IV.B.5).
 
-        Returns ``(processes, done_times, received, moves)``.
+        Returns ``(all processes done, done_times, received, moves)``.
         """
         torus = self.torus
         moves = {torus.coord(k): list(v) for k, v in (moves or {}).items()}
@@ -123,20 +124,11 @@ class MigrationProtocol:
         scan_atoms = scan_atoms or {}
         procs = []
         for coord in torus.nodes():
-            procs.append(
-                self.sim.process(
-                    self._sender(
-                        coord, moves.get(coord, []), scan_atoms.get(coord, 0)
-                    ),
-                    name=f"mig-send@{coord}",
-                )
-            )
-            procs.append(
-                self.sim.process(
-                    self._receiver(coord, done, received), name=f"mig-recv@{coord}"
-                )
-            )
-        return procs, done, received, moves
+            sender = self._sender(coord, moves.get(coord, []), scan_atoms.get(coord, 0))
+            procs.append(self.sim.process(sender, name=f"mig-send@{coord}"))
+            receiver = self._receiver(coord, done, received)
+            procs.append(self.sim.process(receiver, name=f"mig-recv@{coord}"))
+        return self.sim.all_of(procs), done, received, moves
 
     def run(
         self,
@@ -155,22 +147,9 @@ class MigrationProtocol:
             which measures the pure synchronization cost.
         """
         torus = self.torus
-        start = self.sim.now
-        fl = self.machine.network.flight
-        phase = f"migration#{self._runs + 1}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
-        prof = instruments.current().profiler
-        if prof is not None:
-            prof.phase_begin("migration")
-        try:
-            procs, done, received, moves = self.start(moves, scan_atoms)
-            self.sim.run(until=self.sim.all_of(procs))
-        finally:
-            if prof is not None:
-                prof.phase_end("migration")
-        if fl.enabled:
-            fl.phase_end(phase, max(done.values()))
+        start, _, done, received, moves = run_phase(
+            self, "migration", f"migration#{self._runs + 1}",
+            self.start, moves, scan_atoms)
         sent = sum(len(v) for v in moves.values())
         got = sum(len(v) for v in received.values())
         if got != sent:  # pragma: no cover - protocol invariant
@@ -179,16 +158,15 @@ class MigrationProtocol:
             self.machine.node(c).slices[self.slice_index].fifo.high_watermark
             for c in torus.nodes()
         )
+        elapsed = max(done.values()) - start
         reg = instruments.current().registry
         if reg is not None:
             reg.counter("comm.migration.runs").inc()
             reg.counter("comm.migration.messages").inc(sent)
-            reg.histogram("comm.migration.elapsed_ns").observe(
-                max(done.values()) - start
-            )
+            reg.histogram("comm.migration.elapsed_ns").observe(elapsed)
             reg.gauge("comm.migration.fifo_high_watermark").set(hw)
         return MigrationResult(
-            elapsed_ns=max(done.values()) - start,
+            elapsed_ns=elapsed,
             messages_sent=sent,
             messages_received=got,
             per_node_done_ns=done,

@@ -141,6 +141,9 @@ class AntonMD:
         self.bond_program = BondProgram(system, self.decomp)
         self.fft_plan = DistributedFFTPlan(self.torus, grid) if grid else None
         self.allreduce = AllReduce(self.machine, payload_bytes=32, share_locally=False)
+        #: The step whose thermostat reduction has started, and its run.
+        self._reduce_step: Optional[int] = None
+        self._reduce_run = None
         self.migration = MigrationProtocol(self.machine)
 
         self.step_index = 0
@@ -816,23 +819,14 @@ class AntonMD:
         node.accum[1].clear()
 
     def _thermostat_reduce(self, n: NodeCoord):
-        """This node's leg of the global kinetic-energy all-reduce."""
-        if not hasattr(self, "_reduce_legs") or self._reduce_step != self.step_index:
-            # First node to arrive this step spawns all legs.
+        """This node's leg of the global kinetic-energy all-reduce: the
+        first node to arrive each step starts every node's leg, and
+        each node waits on its own leg's completion event."""
+        if self._reduce_step != self.step_index:
             self._reduce_step = self.step_index
-            values = {c: 0.0 for c in self.torus.nodes()}
-            self.allreduce._runs += 1
-            self._reduce_done: dict[NodeCoord, float] = {}
-            final: dict[NodeCoord, float] = {}
-            self._reduce_legs = {}
-            for c in self.torus.nodes():
-                self._reduce_legs[c] = self.sim.process(
-                    self.allreduce._node_process(
-                        c, values[c], self._reduce_done, final
-                    ),
-                    name=f"thermo@{c}",
-                )
-        yield self._reduce_legs[n]
+            self._reduce_run = self.allreduce.begin(
+                {c: 0.0 for c in self.torus.nodes()})
+        yield self._reduce_run.node_done[n]
 
     # -- migration ------------------------------------------------------------
     def _run_migration(self) -> int:

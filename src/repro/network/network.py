@@ -456,7 +456,11 @@ class _UcastTransit:
     def _finish(self) -> None:
         net = self.net
         packet = self.packet
-        net._deliver(packet, net.client(packet.dst_node, packet.dst_client))
+        # The client handle by its key, as ``Network._resolve`` reads
+        # it; a missing client raises through ``Network.client``.
+        dst, name = packet.dst_node, packet.dst_client
+        client = net._clients.get((dst, name)) or net.client(dst, name)
+        net._deliver(packet, client)
         if self.order_mine is not None and not self.order_mine.triggered:
             self.order_mine.succeed(net.sim.now)
         net.packets_completed += 1

@@ -131,3 +131,44 @@ def test_accum_rejects_fifo_and_slices_reject_accum(sim, machine222):
     sim.process(send_accum_to_slice())
     with pytest.raises((TypeError, RuntimeError)):
         sim.run()
+
+
+def test_hold_queues_fcfs_behind_a_busy_core(sim, machine222):
+    """A hold takes the Tensilica in request order: one that finds the
+    core busy starts when the earlier holder releases it."""
+    s = machine222.node((0, 0, 0)).slice(0)
+    done = {}
+
+    def note(label):
+        done[label] = sim.now
+
+    def worker():
+        yield from s.tensilica_work(30.0)
+        note("work")
+
+    sim.process(worker())
+    s.hold(50.0, note, ("first",))
+    s.hold(20.0, note, ("second",))
+    sim.run()
+    assert done == {"first": 50.0, "second": 70.0, "work": 100.0}
+    assert s.tensilica.in_use == 0
+    assert s.tensilica.total_busy_ns == 100.0
+
+
+def test_continuation_send_and_poll_time_the_generator_forms(sim, machine222):
+    """``send_then``/``poll_then`` charge the same 36 ns send and 42 ns
+    poll as ``send_write``/``poll``: one X hop still costs 162 ns."""
+    from repro.constants import ONE_HOP_X_NS
+    from repro.network.packet import PacketKind
+
+    a = machine222.node((0, 0, 0)).slice(0)
+    b = machine222.node((1, 0, 0)).slice(0)
+    b.memory.allocate("rx", 1)
+    done = {}
+    packet = a._packet(PacketKind.WRITE, b.node, b.name, 7.0, 0,
+                       counter_id="c", address=("rx", 0))
+    a.send_then(packet, done.__setitem__, ("sent", True))
+    b.poll_then("c", 1, lambda: done.__setitem__("t", sim.now), ())
+    sim.run()
+    assert done == {"sent": True, "t": ONE_HOP_X_NS}
+    assert b.memory.read(("rx", 0)) == 7.0

@@ -100,3 +100,67 @@ def test_overshoot_counts_are_kept(sim):
     c.increment(10)
     assert ev.triggered
     assert c.count == 10
+
+
+def test_on_target_runs_inside_the_increment(sim):
+    """The continuation runs in the reaching increment's own call: no
+    event is scheduled for it."""
+    c = SyncCounter(sim)
+    fired = []
+    c.on_target(3, fired.append, ("go",))
+    c.increment(2)
+    assert fired == []
+    c.increment()
+    assert fired == ["go"]
+    assert sim.pending == 0
+    assert c.pending_targets() == []
+
+
+def test_on_target_already_reached_runs_at_once(sim):
+    c = SyncCounter(sim)
+    c.increment(2)
+    fired = []
+    c.on_target(2, fired.append, (1,))
+    assert fired == [1]
+
+
+def test_on_target_runs_after_the_increments_waiter_events(sim):
+    c = SyncCounter(sim)
+    ev = c.wait_for(1)
+    seen = []
+    c.on_target(1, lambda: seen.append(ev.triggered), ())
+    c.increment()
+    assert seen == [True]
+
+
+def test_on_target_has_one_slot(sim):
+    c = SyncCounter(sim)
+    c.on_target(2, print, ())
+    with pytest.raises(RuntimeError, match="already continues"):
+        c.on_target(3, print, ())
+
+
+def test_on_target_may_fill_the_next_slot(sim):
+    """A continuation may register the next one on the same counter."""
+    c = SyncCounter(sim)
+    fired = []
+
+    def step(n):
+        fired.append(n)
+        c.on_target(n + 1, step, (n + 1,))
+
+    c.on_target(1, step, (1,))
+    c.increment(2)
+    assert fired == [1, 2]
+    assert c.pending_targets() == [3]
+    c.increment()
+    assert fired == [1, 2, 3]
+
+
+def test_reset_with_pending_continuation_raises(sim):
+    c = SyncCounter(sim)
+    c.wait_for(4)
+    c.on_target(2, print, ())
+    assert c.pending_targets() == [2, 4]
+    with pytest.raises(RuntimeError, match=r"waiters pending at thresholds \[2, 4\]"):
+        c.reset()

@@ -102,3 +102,51 @@ def test_barrier_is_zero_byte_reduce():
     m = build_machine(sim, 2, 2, 2)
     t = barrier(m)
     assert t > 0
+
+
+def test_allreduce_event_ratchet():
+    """One 4×4×4 32 B op executes at most 3,840 engine events: each
+    leg starts in one event and then runs on counter continuations
+    (4,864 when each leg ran as a process)."""
+    sim = Simulator()
+    m = build_machine(sim, 4, 4, 4)
+    AllReduce(m, payload_bytes=32).run()
+    assert sim.events_executed <= 3840
+
+
+def test_allreduce_runs_no_process(sim, machine222, monkeypatch):
+    from repro.engine.process import Process
+
+    started = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        started.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    assert AllReduce(machine222, payload_bytes=32).run().value == 28.0
+    assert started == []
+
+
+def test_allreduce_missing_contribution_raises(sim, machine222):
+    ar = AllReduce(machine222, payload_bytes=32)
+    with pytest.raises(ValueError, match="missing contributions"):
+        ar.run({(0, 0, 0): 1.0})
+
+
+def test_allreduce_leg_that_never_finishes_raises(sim, machine222, monkeypatch):
+    """A lost poll strands its leg: the run reports the deadlock rather
+    than returning a partial sum."""
+    from repro.asic.slice_ import ProcessingSlice
+
+    stuck = machine222.node((1, 0, 0)).slices[1]
+    poll_then = ProcessingSlice.poll_then
+
+    def lossy(self, *args):
+        if self is not stuck:
+            poll_then(self, *args)
+
+    monkeypatch.setattr(ProcessingSlice, "poll_then", lossy)
+    with pytest.raises(RuntimeError, match="deadlock"):
+        AllReduce(machine222, payload_bytes=32).run()

@@ -199,7 +199,9 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: ``(run)`` or ``allreduce`` phase.  Timeout deliveries count under the
 #: generator they wake (``pinger``, ``sender``, ...); a run that charged
 #: them all to the first waiter resolved, or to ``Simulator._fire``,
-#: moves these numbers.
+#: moves these numbers.  The all-reduce runs no process: each leg
+#: starts in one event, and every other step of it runs in the event
+#: ending a Tensilica hold or inside a network delivery.
 PROFILED_COUNTS_222 = {
     "latency": {
         "analysis": {"pinger": 56, "ponger": 56, "side": 112},
@@ -215,9 +217,8 @@ PROFILED_COUNTS_222 = {
         "runner": {"receiver": 3, "sender": 21},
     },
     "allreduce": {
-        "asic": {"poll": 72},
-        "comm": {"_node_process": 184},
-        "engine": {"AllOf._on_child": 32},
+        "asic": {"_end_hold": 152},
+        "comm": {"_Leg.start": 8},
         "network": {"TorusLink.release": 24,
                     "_McastTransit._finish_local": 24,
                     "_McastTransit._visit": 48,

@@ -10,8 +10,11 @@ at a BER above zero), the flight and congestion probes' view of the
 incast and the congestion view of ``mdstep`` (zero-length waits
 included), reordering jitter mixed with in-order packets, and link-down,
 node-stall and bit-error faults on both transits.  The ``monitor_*``
-cases pin every health monitor's full sampler series, which includes
-``engine.pending_events`` read mid-run.  The ``*_analysis`` cases pin
+cases pin every health monitor's full sampler series except the
+engine's own; the ``monitor_*_engine`` cases pin those
+(``engine.events_executed`` and ``engine.pending_events``, read
+mid-run).  An engine series counts events, so a change that runs fewer
+events moves it without moving a model byte.  The ``*_analysis`` cases pin
 what the X-ray computes from a flight record: the congestion tree, the
 per-packet delay decomposition, the JSONL export and (on ``mdstep``)
 critical-path attributions through multicast branches.  The
@@ -81,11 +84,17 @@ DIGESTS = {
     "fault_exchange":
         "248b235127a56a73daf3e80124b4c47258aa452db995946bc2b31d28a3bd097f",
     "monitor_congestion":
-        "1a468e6f02086df5223acfe5d8e8cc7fdc4807f3e3afeaa88b01920fe09d7c89",
+        "d987842f94b8359778d927ecdba3833a457168ce6f0df7c4e90d54205ca6fc74",
+    "monitor_congestion_engine":
+        "d1b598a38b712899c23b24887cec8c824176064da1fd4435de4e86ac23bf8f07",
     "monitor_mdstep":
-        "1433e4bedb816c5d55d39fcf369ecbe1f3b246fedad65834ec08f55d4a75de32",
+        "faf67222d9655e24a06b44abedc66989141d8907070015e14edaf94983cf9929",
+    "monitor_mdstep_engine":
+        "1ff73c243ba3a9e0e7e3abf776894748add6c064a3dfc17c287681957166f430",
     "monitor_allreduce":
-        "6b29f873b05d2089b12d84732fd8e9bcc933172e678a176f0040ff1c5e5046f9",
+        "147a6a590fb39d4ebfedea2bee076b7912fab86f240acccadc532ca72dc5c3a9",
+    "monitor_allreduce_engine":
+        "5af79d508969275c371f438426d948a04523c085cc8e9c20de061b16032d5809",
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
@@ -333,15 +342,19 @@ def fault_exchange_digest() -> str:
 
 
 def monitor_digest(name: str) -> str:
-    """Every monitor's full sampler series from a monitored run."""
+    """Every monitor's full sampler series from a monitored run: the
+    model's for ``monitor_*``, the engine's (``engine.*``) for
+    ``monitor_*_engine``."""
     from repro.monitor.capture import run_monitored
 
-    experiment, shape = MONITORED[name]
+    engine = name.endswith("_engine")
+    experiment, shape = MONITORED[name.removesuffix("_engine")]
     cap = run_monitored(
         ExperimentSpec(experiment, shape=shape, rounds=2), interval_ns=50.0
     )
     return _sha([
-        {series.name: series.samples() for series in monitor.sampler}
+        {series.name: series.samples() for series in monitor.sampler
+         if series.name.startswith("engine.") == engine}
         for monitor in cap.monitors
     ])
 
@@ -367,7 +380,7 @@ def flight_metrics_digest() -> str:
 def _digest(name: str) -> str:
     if name == "flight_metrics":
         return flight_metrics_digest()
-    if name in MONITORED:
+    if name.removesuffix("_engine") in MONITORED:
         return monitor_digest(name)
     if name in LINK_ORDER:
         return link_order_digest(name)
