@@ -15,14 +15,17 @@ a backpressure stall is recorded; parked packets enter the ring as
 space frees.  (We account the stall rather than propagating it link by
 link — the paper's software is engineered so the FIFO never fills in
 steady state, and the tests assert our workloads keep it that way.)
+
+Software waits on the tail pointer through one continuation slot, as on
+a counter: ``on_message(fn, args)`` hands the next message to ``fn``
+inside the event of the ``push`` that brings it, scheduling nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.engine.event import Event
 from repro.network.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,12 +45,12 @@ class MessageFifo:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
         self.name = name
         self.capacity = capacity
         self._ring: deque[Packet] = deque()
         self._overflow: deque[Packet] = deque()
-        self._waiters: deque[Event] = deque()
+        #: The continuation slot: ``(fn, args)``, ``None`` while empty.
+        self._then: Optional[tuple[Callable[..., None], tuple]] = None
         self.total_received = 0
         self.total_consumed = 0
         self.backpressure_stalls = 0
@@ -68,19 +71,16 @@ class MessageFifo:
         probe: nonzero means backpressure is being exerted right now)."""
         return len(self._overflow)
 
-    @property
-    def pending_waiters(self) -> int:
-        """Pollers currently blocked on the tail pointer."""
-        return len(self._waiters)
-
     # -- network side -------------------------------------------------------
     def push(self, packet: Packet) -> None:
         """A message packet arrives from the network."""
         self.total_received += 1
-        if self._waiters:
-            # A poller is already blocked on the tail pointer: hand over.
+        then = self._then
+        if then is not None:
+            # Software waits on the tail pointer, so the ring is empty.
             self.total_consumed += 1
-            self._waiters.popleft().succeed(packet)
+            self._then = None
+            then[0](*then[1], packet)
             return
         if self.is_full:
             self.backpressure_stalls += 1
@@ -90,32 +90,28 @@ class MessageFifo:
         self.high_watermark = max(self.high_watermark, len(self._ring))
 
     # -- software side --------------------------------------------------------
-    def poll(self) -> Event:
-        """Event firing with the next message (tail-pointer poll).
-
-        The polling core charges its own ``FIFO_POLL_NS`` on success
-        and ``FIFO_PROCESS_NS`` per message; this method only models
-        availability.
-        """
-        ev = Event(self.sim, name=f"fifo-poll({self.name})")
+    def on_message(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Run ``fn(*args, packet)`` with the next message, inside the
+        event of the :meth:`push` that brings it, or at once if the ring
+        holds one.  Filling the one slot while it is full raises.  The
+        polling core charges its own ``FIFO_POLL_NS`` and
+        ``FIFO_PROCESS_NS``; this only models availability."""
+        if self._then is not None:
+            raise RuntimeError(f"FIFO {self.name!r} already continues")
         pkt = self.try_poll()
         if pkt is not None:
-            ev.succeed(pkt)
+            fn(*args, pkt)
         else:
-            self._waiters.append(ev)
-        return ev
+            self._then = (fn, args)
 
-    def cancel(self, ev: Event) -> None:
-        """Withdraw a pending :meth:`poll` waiter.
-
-        Needed when software stops waiting on the FIFO for another
-        reason (e.g. the migration flush counter fired); an abandoned
-        waiter would silently swallow the next message.
-        """
-        try:
-            self._waiters.remove(ev)
-        except ValueError:
-            pass
+    def clear_slot(self) -> bool:
+        """Empty the continuation slot; returns whether it was full.
+        For software that stops waiting on the tail pointer for another
+        reason (the migration flush counter reached its target): a
+        forgotten slot would swallow the next message."""
+        full = self._then is not None
+        self._then = None
+        return full
 
     def try_poll(self) -> Optional[Packet]:
         """Non-blocking poll: next message or ``None`` if empty."""

@@ -27,7 +27,7 @@ runs it.
 
 The slice also has continuation forms, for code that runs as plain
 functions and args tuples rather than as a process (the all-reduce
-legs of :mod:`repro.comm.collectives`).  ``hold(ns, fn, args)``
+and migration legs of :mod:`repro.comm`).  ``hold(ns, fn, args)``
 occupies the Tensilica: it acquires the core FCFS, queueing behind a
 busy core as ``Resource.request`` does, and schedules one
 plain-function event that releases the core and runs ``fn(*args)``.
@@ -36,7 +36,9 @@ plain-function event that releases the core and runs ``fn(*args)``.
 continues from the counter's slot (``SyncCounter.on_target``) into a
 hold for the successful poll.  Each costs the events of its generator
 form minus the process's own: the poll starts inside the increment's
-event, and nothing is kicked off or resumed.
+event, and nothing is kicked off or resumed.  A leg that waits on the
+message FIFO fills its slot instead (``MessageFifo.on_message``),
+which hands a landing message over inside the push's event.
 """
 
 from __future__ import annotations

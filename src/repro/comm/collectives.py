@@ -21,8 +21,10 @@ As in hardware, where a counter reaching its target is what starts the
 next send, no process runs a node's part: each node's leg is one
 object whose steps run inside the event of the increment that
 completes a poll (``SyncCounter.on_target``) or of the end of a
-Tensilica hold (``ProcessingSlice.hold``).  The butterfly baseline and
-:mod:`repro.comm.migration` still run a generator process per node.
+Tensilica hold (``ProcessingSlice.hold``).  Both all-reduces run the
+same legs: a dimension round multicasts to the node's axis peers, and
+a stage of the radix-2 butterfly baseline writes to one partner.
+:mod:`repro.comm.migration` steps its legs the same way.
 """
 
 from __future__ import annotations
@@ -126,13 +128,13 @@ class AllReduceResult:
 
 
 def run_phase(collective: Any, name: str, phase: str,
-              launch: Callable[..., tuple], *args: Any) -> tuple:
+              begin: Callable[[], "_Run"]) -> tuple["_Run", float]:
     """Run one execution of a collective to its end.
 
-    ``launch(*args)`` starts it and returns ``(end event, done times,
-    *rest)``.  The run is bracketed in the flight phase ``phase``,
-    which closes at the last done time, and in the profiler phase
-    ``name``.  Returns the start time followed by launch's tuple.
+    ``begin()`` starts it and returns its :class:`_Run`.  The run is
+    bracketed in the flight phase ``phase``, which closes at the last
+    done time, and in the profiler phase ``name``; the registry counts
+    it in ``comm.<name>.*``.  Returns the run and its elapsed time.
     """
     sim = collective.sim
     start = sim.now
@@ -143,23 +145,53 @@ def run_phase(collective: Any, name: str, phase: str,
     if prof is not None:
         prof.phase_begin(name)
     try:
-        out = launch(*args)
-        sim.run(until=out[0])
+        run = begin()
+        sim.run(until=run.done)
     finally:
         if prof is not None:
             prof.phase_end(name)
+    end = max(run.done_times.values())
     if fl.enabled:
-        fl.phase_end(phase, max(out[1].values()))
-    return (start, *out)
+        fl.phase_end(phase, end)
+    reg = instruments.current().registry
+    if reg is not None:
+        reg.counter(f"comm.{name}.runs").inc()
+        reg.histogram(f"comm.{name}.elapsed_ns").observe(end - start)
+    return run, end - start
 
 
 class _Reduction:
-    """What the two all-reduces share.  :meth:`run` executes one, which
-    ``_launch(values)`` starts, returning ``(end event, done times,
-    final values)``; every node must agree, and the registry counts
-    ``comm.<name>.*``."""
+    """What the two all-reduces share: one :class:`_Leg` per node in
+    ``_legs``, which :meth:`begin` starts and :meth:`run` runs to the
+    end, where every node must agree."""
 
     name = ""
+
+    def __init__(self, machine: Machine, payload_bytes: int) -> None:
+        self.machine, self.sim, self.torus = machine, machine.sim, machine.torus
+        self.payload_bytes = payload_bytes
+        self._runs = 0
+
+    def begin(self, values: Optional[dict[NodeCoord, float]] = None) -> "_Run":
+        """Start every node's leg, each in one event at the current
+        instant (behind every event already there), and return the
+        run they report into, whose ``node_done[c]`` fires when node
+        ``c``'s leg ends.  For embedding in a larger simulation (the MD
+        thermostat); the caller waits for the run before starting the
+        next, which counts on the same counters."""
+        torus = self.torus
+        if values is None:
+            values = {c: float(torus.rank(c)) for c in torus.nodes()}
+        missing = [c for c in torus.nodes() if c not in values]
+        if missing:
+            raise ValueError(f"missing contributions for nodes {missing[:3]}...")
+        self._runs += 1
+        sim = self.sim
+        run = _Run(sim, len(self._legs))
+        for leg in self._legs:
+            run.node_done[leg.coord] = Event(sim)
+            sim.schedule_now(_Leg.start, (leg, run, values[leg.coord]))
+        return run
 
     def run(self, values: Optional[dict[NodeCoord, float]] = None) -> AllReduceResult:
         """Execute one all-reduce over per-node scalar contributions.
@@ -170,19 +202,15 @@ class _Reduction:
         """
         name = self.name
         phase = f"{name}[{self.payload_bytes}B]#{self._runs + 1}"
-        start, _, done_times, final = run_phase(self, name, phase, self._launch, values)
-        elapsed = max(done_times.values()) - start
+        run, elapsed = run_phase(self, name, phase, lambda: self.begin(values))
+        final = run.final
         results = set(final.values())
         if len(results) != 1:
             raise AssertionError(f"{name} diverged: {sorted(results)[:4]}")
-        reg = instruments.current().registry
-        if reg is not None:
-            reg.counter(f"comm.{name}.runs").inc()
-            reg.histogram(f"comm.{name}.elapsed_ns").observe(elapsed)
         return AllReduceResult(
             value=final[next(iter(final))],
             elapsed_ns=elapsed,
-            per_node_done_ns=done_times,
+            per_node_done_ns=run.done_times,
         )
 
 
@@ -217,13 +245,9 @@ class AllReduce(_Reduction):
 
     def __init__(self, machine: Machine, payload_bytes: int = 32,
                  share_locally: bool = True) -> None:
-        self.machine = machine
-        self.sim = machine.sim
-        self.payload_bytes = payload_bytes
+        super().__init__(machine, payload_bytes)
         self.share_locally = share_locally
-        self.torus = machine.torus
         self.active_dims = [d for d in DIMS if self.torus.shape[_AXIS[d]] > 1]
-        self._runs = 0
         # Receive buffers are pre-allocated and never freed; a second
         # AllReduce on the same machine gets its own buffer and counter
         # namespace.
@@ -267,62 +291,45 @@ class AllReduce(_Reduction):
                 else:
                     local, lid, laddr = (), share_id, None
                 rounds.append(_Round(
-                    slices[k], rid, coord[_AXIS[dim]], n - 1,
+                    slices[k], coord, rid, coord[_AXIS[dim]], n - 1,
                     self.machine.network.register_pattern(tree),
                     REDUCE_SUM_NS_PER_WORD * words * (n - 1), local, lid, laddr,
                 ))
             legs.append(_Leg(coord, rounds, self.payload_bytes))
         return legs
 
-    # -- execution --------------------------------------------------------------
-    def begin(self, values: Optional[dict[NodeCoord, float]] = None) -> "_Run":
-        """Start every node's leg, each in one event at the current
-        instant (behind every event already there), and return the
-        run they report into: ``done`` fires when the last leg ends,
-        ``node_done[c]`` when node ``c``'s does.  For embedding in a
-        larger simulation (the MD thermostat); the caller waits for the
-        run before starting the next, which counts on the same
-        counters."""
-        torus = self.torus
-        if values is None:
-            values = {c: float(torus.rank(c)) for c in torus.nodes()}
-        missing = [c for c in torus.nodes() if c not in values]
-        if missing:
-            raise ValueError(f"missing contributions for nodes {missing[:3]}...")
-        self._runs += 1
-        sim = self.sim
-        run = _Run(sim, len(self._legs))
-        for leg in self._legs:
-            run.node_done[leg.coord] = Event(sim)
-            sim.schedule_now(_Leg.start, (leg, run, values[leg.coord]))
-        return run
-
-    def _launch(self, values: Optional[dict[NodeCoord, float]]) -> tuple:
-        run = self.begin(values)
-        return run.done, run.done_times, run.final
-
 
 class _Run:
-    """One execution of an :class:`AllReduce`, which its legs report
-    into.  It refers to no leg, so no run is a reference cycle."""
+    """One execution of a collective, which its legs report into:
+    ``done`` fires when the last of ``remaining`` legs (or halves) has
+    ended, and node ``c``'s part ended at ``done_times[c]`` with
+    ``final[c]``.  It refers to no leg, so no run is a cycle."""
 
     __slots__ = ("sim", "remaining", "done", "node_done", "final", "done_times")
 
     def __init__(self, sim: "Simulator", legs: int) -> None:
         self.sim, self.remaining, self.done = sim, legs, Event(sim)
         self.node_done: dict[NodeCoord, Event] = {}
-        self.final: dict[NodeCoord, float] = {}
+        self.final: dict[NodeCoord, Any] = {}
         self.done_times: dict[NodeCoord, float] = {}
+
+    def ended(self) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.done.succeed(self.sim.now)
 
 
 class _Round(NamedTuple):
-    """One node's fixed part of one dimension round."""
+    """One node's fixed part of one round: a dimension round multicasts
+    to slice *k* of the node's axis peers, a butterfly stage writes to
+    its partner's slice 0."""
 
     slice: ProcessingSlice
+    dst: NodeCoord  # written to: this node (with a pattern) or a partner
     rid: str  # receive buffer and counter id
-    slot: int  # this node's slot at its peers: its axis coordinate
-    expected: int  # contributions polled for: N − 1
-    pattern: int  # multicast pattern id
+    slot: int  # this node's slot at its peers
+    expected: int  # contributions polled for
+    pattern: Optional[int]  # multicast pattern id (None: unicast to dst)
     sum_ns: float  # redundant software sum on the Tensilica core
     local: tuple  # slices the partial is written to next, on this node
     lid: str  # their counter id
@@ -333,14 +340,15 @@ class _Leg:
     """One node's leg of the all-reduce, stepped by counter
     continuations rather than run as a process.
 
-    Per round it multicasts its partial to slice *k* of its axis peers,
-    polls for their N−1 contributions and sums them in software.  Then
-    it writes the partial locally: to the next round's slice, or after
-    the last round the global sum to the other three slices, one after
-    another, and polls each.  Each step is a plain function that the
-    slice's ``send_then``, ``poll_then`` or ``hold`` continues with the
-    leg and the round index as args, so a leg allocates no process,
-    generator or closure.
+    Per round it writes its partial to the round's destination (a
+    multicast to slice *k* of its axis peers, or a butterfly partner),
+    polls for the contributions and sums them in software.  Then it
+    writes the partial locally, if the round has local slices: to the
+    next round's slice, or the global sum to the other three slices,
+    one after another, and polls each.  Each step is a plain function
+    that the slice's ``send_then``, ``poll_then`` or ``hold`` continues
+    with the leg and the round index as args, so a leg allocates no
+    process, generator or closure.
     """
 
     __slots__ = ("coord", "rounds", "payload_bytes", "run", "v", "unpolled")
@@ -354,17 +362,18 @@ class _Leg:
         self.v = value
         self._send(0) if self.rounds else self._finish()
 
-    def _write(self, src: ProcessingSlice, dst: str, counter_id: str, address: Any,
-               pattern_id: Optional[int], then: Callable[..., None], args: tuple) -> None:
+    def _write(self, src: ProcessingSlice, node: NodeCoord, dst: str, counter_id: str,
+               address: Any, pattern_id: Optional[int],
+               then: Callable[..., None], args: tuple) -> None:
         src.send_then(
-            src._packet(PacketKind.WRITE, self.coord, dst, self.v,
+            src._packet(PacketKind.WRITE, node, dst, self.v,
                         self.payload_bytes, counter_id, address,
                         pattern_id=pattern_id),
             then, args)
 
     def _send(self, i: int) -> None:
         r = self.rounds[i]
-        self._write(r.slice, r.slice.name, r.rid, (r.rid, r.slot), r.pattern,
+        self._write(r.slice, r.dst, r.slice.name, r.rid, (r.rid, r.slot), r.pattern,
                     ProcessingSlice.poll_then,
                     (r.slice, r.rid, r.expected, _Leg._sum, (self, i)))
 
@@ -381,7 +390,10 @@ class _Leg:
         r.slice.hold(r.sum_ns, _Leg._summed, (self, i, buf, contributions))
 
     def _summed(self, i: int, buf: Any, contributions: list[float]) -> None:
-        self.v = self.v + sum_as_numpy(contributions)
+        # One contribution adds as ``v + other``: summing it from 0.0
+        # first would turn −0.0 + −0.0 into 0.0.
+        self.v = self.v + (contributions[0] if len(contributions) == 1
+                           else sum_as_numpy(contributions))
         buf.clear()
         self._local(i, 0)
 
@@ -390,11 +402,11 @@ class _Leg:
         to the next; after the last write, poll every one."""
         r = self.rounds[i]
         if j < len(r.local):
-            self._write(r.slice, r.local[j].name, r.lid, r.laddr, None,
+            self._write(r.slice, self.coord, r.local[j].name, r.lid, r.laddr, None,
                         _Leg._local, (self, i, j + 1))
             return
         if not r.local:
-            return self._finish()
+            return self._next(i)
         self.unpolled = len(r.local)
         for peer in r.local:
             peer.poll_then(r.lid, 1, _Leg._polled, (self, i))
@@ -406,6 +418,9 @@ class _Leg:
         r = self.rounds[i]
         for peer in r.local:
             peer.counter(r.lid).reset()
+        self._next(i)
+
+    def _next(self, i: int) -> None:
         self._send(i + 1) if i + 1 < len(self.rounds) else self._finish()
 
     def _finish(self) -> None:
@@ -414,9 +429,7 @@ class _Leg:
         run.final[self.coord] = self.v
         run.done_times[self.coord] = now
         run.node_done[self.coord].succeed(now)
-        run.remaining -= 1
-        if not run.remaining:
-            run.done.succeed(now)
+        run.ended()
 
 
 # ---------------------------------------------------------------------------
@@ -436,50 +449,24 @@ class ButterflyAllReduce(_Reduction):
     name = "butterfly"
 
     def __init__(self, machine: Machine, payload_bytes: int = 32) -> None:
-        self.machine = machine
-        self.sim = machine.sim
-        self.payload_bytes = payload_bytes
-        self.torus = machine.torus
-        _butterfly_extents(self.torus.shape)
-        # Partners at distances 1, 2, 4, … n/2 along X, then Y, then Z.
-        self._stages = [(dim, 1 << b) for dim in DIMS
-                        for b in range(int(math.log2(self.torus.shape[_AXIS[dim]])))]
-        for coord in self.torus.nodes():
-            self.machine.node(coord).slices[0].memory.allocate("bfly", len(self._stages))
-        self._ctrs = [f"bfly-{stage}" for stage in range(len(self._stages))]
-        self._runs = 0
-
-    def _launch(self, values: Optional[dict[NodeCoord, float]]) -> tuple:
+        super().__init__(machine, payload_bytes)
         torus = self.torus
-        if values is None:
-            values = {c: float(torus.rank(c)) for c in torus.nodes()}
-        self._runs += 1
-        done: dict[NodeCoord, float] = {}
-        final: dict[NodeCoord, float] = {}
-        procs = [
-            self.sim.process(self._node_process(c, values[c], done, final))
-            for c in torus.nodes()
-        ]
-        return self.sim.all_of(procs), done, final
-
-    def _node_process(self, coord, value, done, final):
-        s0 = self.machine.node(coord).slices[0]
-        v = value
-        words = max(1, self.payload_bytes // 4)
-        for stage, (dim, dist) in enumerate(self._stages):
-            partner = coord._replace(**{dim: coord[_AXIS[dim]] ^ dist})
-            ctr = self._ctrs[stage]
-            yield from s0.send_write(
-                partner, "slice0", counter_id=ctr, address=("bfly", stage),
-                payload=v, payload_bytes=self.payload_bytes,
-            )
-            yield from s0.poll(ctr, 1)
-            s0.counter(ctr).reset()
-            other = s0.memory.read(("bfly", stage))
-            yield from s0.tensilica_work(REDUCE_SUM_NS_PER_WORD * words)
-            v = v + float(other)
-        final[coord] = v
-        done[coord] = self.sim.now
+        _butterfly_extents(torus.shape)
+        # Partners at distances 1, 2, 4, … n/2 along X, then Y, then Z;
+        # each stage's one-slot buffer and its counter share an id.
+        stages = [(dim, 1 << b) for dim in DIMS
+                  for b in range(int(math.log2(torus.shape[_AXIS[dim]])))]
+        sum_ns = REDUCE_SUM_NS_PER_WORD * max(1, payload_bytes // 4)
+        self._legs = []
+        for coord in torus.nodes():
+            s0 = machine.node(coord).slices[0]
+            rounds = []
+            for stage, (dim, dist) in enumerate(stages):
+                rid = f"bfly-{stage}"
+                s0.memory.allocate(rid, 1)
+                partner = coord._replace(**{dim: coord[_AXIS[dim]] ^ dist})
+                rounds.append(_Round(s0, partner, rid, 0, 1, None, sum_ns, (), None, None))
+            self._legs.append(_Leg(coord, rounds, payload_bytes))
 
 
 def barrier(machine: Machine) -> float:

@@ -25,19 +25,57 @@ def test_fifo_order_preserved(sim):
     assert f.try_poll() is None
 
 
-def test_blocking_poll(sim):
+def test_slot_hands_over_inside_push(sim):
+    """The continuation runs inside the event of the push that brings
+    the message, which never enters the ring."""
     f = MessageFifo(sim, capacity=4)
     got = []
-
-    def consumer():
-        ev = f.poll()
-        p = yield ev
-        got.append((sim.now, p.payload))
-
-    sim.process(consumer())
+    f.on_message(lambda tag, p: got.append((tag, sim.now, p.payload)), ("a",))
     sim.schedule(50.0, f.push, pkt(7))
     sim.run()
-    assert got == [(50.0, 7)]
+    assert got == [("a", 50.0, 7)]
+    assert sim.events_executed == 1  # the push alone
+    assert (f.occupancy, f.high_watermark) == (0, 0)
+    assert (f.total_received, f.total_consumed) == (1, 1)
+    # The slot is empty again: the next message goes to the ring.
+    f.push(pkt(8))
+    assert got == [("a", 50.0, 7)] and f.occupancy == 1
+
+
+def test_slot_runs_at_once_on_a_queued_message(sim):
+    f = MessageFifo(sim, capacity=4)
+    f.push(pkt(1))
+    f.push(pkt(2))
+    got = []
+    f.on_message(got.append, ())
+    assert [p.payload for p in got] == [1]
+    assert f.occupancy == 1 and f.total_consumed == 1
+    # Nothing is left in the slot.
+    f.push(pkt(3))
+    assert [p.payload for p in got] == [1]
+
+
+def test_second_registration_raises(sim):
+    f = MessageFifo(sim, capacity=4, name="s0")
+    f.on_message(print, ())
+    with pytest.raises(RuntimeError, match="already continues"):
+        f.on_message(print, ())
+
+
+def test_clear_slot_withdraws_the_continuation(sim):
+    f = MessageFifo(sim, capacity=4)
+    got = []
+    f.on_message(got.append, ())
+    f.clear_slot()
+    f.push(pkt(1))
+    # The withdrawn continuation must not have consumed the message.
+    assert got == []
+    assert f.try_poll().payload == 1
+    # An empty slot clears too, and can be filled again.
+    f.clear_slot()
+    f.on_message(got.append, ())
+    f.push(pkt(2))
+    assert [p.payload for p in got] == [2]
 
 
 def test_backpressure_overflow_and_drain(sim):
@@ -58,16 +96,6 @@ def test_high_watermark(sim):
         f.push(pkt(i))
     f.try_poll()
     assert f.high_watermark == 6
-
-
-def test_cancel_withdraws_waiter(sim):
-    f = MessageFifo(sim, capacity=4)
-    ev = f.poll()
-    f.cancel(ev)
-    f.push(pkt(1))
-    # The cancelled waiter must not have consumed the message.
-    assert not ev.triggered
-    assert f.try_poll().payload == 1
 
 
 def test_counters(sim):

@@ -150,3 +150,74 @@ def test_allreduce_leg_that_never_finishes_raises(sim, machine222, monkeypatch):
     monkeypatch.setattr(ProcessingSlice, "poll_then", lossy)
     with pytest.raises(RuntimeError, match="deadlock"):
         AllReduce(machine222, payload_bytes=32).run()
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: AllReduce(m, payload_bytes=32),
+    lambda m: ButterflyAllReduce(m, payload_bytes=32),
+], ids=["allreduce", "butterfly"])
+def test_single_node_reduces_to_its_own_value(build):
+    """A 1×1×1 machine has no round: every leg finishes at once."""
+    sim = Simulator()
+    r = build(build_machine(sim, 1, 1, 1)).run({(0, 0, 0): 2.5})
+    assert (r.value, r.elapsed_ns) == (2.5, 0.0)
+
+
+def test_single_node_butterfly_experiment():
+    from repro.runner.result import run_experiment
+    from repro.runner.spec import ExperimentSpec
+
+    out = run_experiment(ExperimentSpec(
+        "allreduce", shape=(1, 1, 1), payload=32,
+        extras=(("algorithm", "butterfly"),)))
+    assert out.value("butterfly_32B_ns") == 0.0
+
+
+@pytest.mark.parametrize("cls", [AllReduce, ButterflyAllReduce])
+def test_single_contribution_keeps_negative_zero(cls):
+    """A round with one contribution adds it as ``v + other``, which
+    keeps −0.0 + −0.0 = −0.0 (summing from 0.0 would give 0.0)."""
+    import math
+
+    sim = Simulator()
+    m = build_machine(sim, 2, 2, 2)
+    r = cls(m, payload_bytes=32).run({c: -0.0 for c in m.torus.nodes()})
+    assert math.copysign(1.0, r.value) == -1.0
+
+
+def test_butterfly_event_ratchet():
+    """One 4×4×4 32 B butterfly executes at most 3,136 engine events:
+    each stage is a round of the all-reduce's legs (3,584 when each
+    node ran as a process)."""
+    sim = Simulator()
+    m = build_machine(sim, 4, 4, 4)
+    ButterflyAllReduce(m, payload_bytes=32).run()
+    assert sim.events_executed <= 3136
+
+
+@pytest.mark.parametrize("case", ["butterfly", "migration"])
+def test_collective_runs_never_start_a_process(case, monkeypatch):
+    """Like the all-reduce (``test_allreduce_runs_no_process``), the
+    butterfly and the migration run on continuations: a run calls
+    neither ``Simulator.process`` nor the ``Process`` constructor."""
+    from repro.comm import MigrationProtocol
+    from repro.engine.process import Process
+
+    started = []
+
+    def refuse(self, *args, **kwargs):
+        started.append(args)
+        raise AssertionError("a collective started a process")
+
+    monkeypatch.setattr(Simulator, "process", refuse)
+    monkeypatch.setattr(Process, "__init__", refuse)
+    m = build_machine(Simulator(), 4, 4, 4)
+    if case == "migration":
+        torus = m.torus
+        moves = {c: [(n, 0) for n in torus.moore_neighbors(c)[:2]]
+                 for c in torus.nodes()}
+        r = MigrationProtocol(m).run(moves, scan_atoms={c: 3 for c in torus.nodes()})
+        assert r.messages_received == 128
+    else:
+        assert ButterflyAllReduce(m, payload_bytes=32).run().value == 64 * 63 / 2
+    assert started == []
