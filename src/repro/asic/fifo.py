@@ -24,12 +24,9 @@ inside the event of the ``push`` that brings it, scheduling nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.network.packet import Packet
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.simulator import Simulator
 
 DEFAULT_FIFO_CAPACITY = 64
 
@@ -38,10 +35,7 @@ class MessageFifo:
     """Circular message FIFO with tail-pointer polling semantics."""
 
     def __init__(
-        self,
-        sim: "Simulator",
-        capacity: int = DEFAULT_FIFO_CAPACITY,
-        name: str = "",
+        self, capacity: int = DEFAULT_FIFO_CAPACITY, name: str = ""
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")

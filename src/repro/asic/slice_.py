@@ -98,7 +98,7 @@ class ProcessingSlice(NetworkClient):
             GeometryCore(sim, f"{self.name}.gc0"),
             GeometryCore(sim, f"{self.name}.gc1"),
         )
-        self.fifo = MessageFifo(sim, capacity=fifo_capacity, name=self.name)
+        self.fifo = MessageFifo(capacity=fifo_capacity, name=self.name)
 
     # -- delivery ---------------------------------------------------------
     def _receive_fifo(self, packet: Packet) -> None:
@@ -214,21 +214,6 @@ class ProcessingSlice(NetworkClient):
         return self._send(
             PacketKind.ACCUM, dst_node, accum_name, payload, payload_bytes,
             counter_id=counter_id, address=address, pattern_id=pattern_id,
-        )
-
-    def send_fifo_message(
-        self,
-        dst_node: "NodeCoord | int",
-        dst_slice: str,
-        *,
-        payload: Any = None,
-        payload_bytes: Optional[int] = None,
-        in_order: bool = False,
-    ) -> Generator[Event, Any, Event]:
-        """Send an arbitrary message to a remote slice's hardware FIFO."""
-        return self._send(
-            PacketKind.FIFO, dst_node, dst_slice, payload, payload_bytes,
-            in_order=in_order,
         )
 
     # -- polling ----------------------------------------------------------

@@ -37,6 +37,11 @@ Observation: two run-loop observers exist, the periodic monitor hook
 once on entry and then executes one of two loop bodies: the bare body
 when neither is attached, which per event only calls the action and
 tests for the stop event and a crash, or the observed body otherwise.
+The monitor hook samples on a fixed grid of simulated time, as a logic
+analyzer samples on its clock: the observed body calls it between
+instants, once per grid time it crosses, never from inside a bucket.
+What a sample reads is then the model state after every event at or
+before its grid time, whatever engine events surround it.
 
 Attachment: a simulator reads the instrument slots
 (:mod:`repro.instruments`) once, at construction.  It attaches the
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
+from math import ceil, inf
 from time import perf_counter_ns
 from types import FunctionType, MethodType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
@@ -73,9 +79,6 @@ class Simulator:
         self._buckets: dict[float, list] = {}
         #: Heap of the distinct times in ``_buckets``.
         self._times: list[float] = []
-        #: Events of the head bucket already executed, set only while
-        #: the monitor hook runs (see :attr:`pending`).
-        self._done: int = 0
         self._crashes: list[tuple[Process, BaseException]] = []
         #: Events executed by :meth:`run` — the engine's own telemetry.
         self.events_executed: int = 0
@@ -83,9 +86,12 @@ class Simulator:
         #: at entry and one at exit, none per event): the denominator
         #: of a run's events-per-second.
         self.loop_wall_ns: int = 0
-        #: Optional periodic observer, see :meth:`set_monitor_hook`.
-        self._monitor_hook: Optional[Callable[[float], float]] = None
-        self._monitor_due: float = 0.0
+        #: Optional periodic observer and its grid, see
+        #: :meth:`set_monitor_hook`: the next grid time to sample is
+        #: ``_monitor_k * _monitor_interval``.
+        self._monitor_hook: Optional[Callable[[float], None]] = None
+        self._monitor_interval: float = 0.0
+        self._monitor_k: int = 0
         #: Optional engine self-profiler, see :meth:`set_profiler`.
         self._profiler: "Optional[EngineProfiler]" = None
         slots = instruments.current()
@@ -167,33 +173,42 @@ class Simulator:
     # -- observation -------------------------------------------------------
     def set_monitor_hook(
         self,
-        hook: Optional[Callable[[float], float]],
-        due: float = 0.0,
-    ) -> Optional[Callable[[float], float]]:
-        """Install a periodic observer driven by the run loop itself.
+        hook: Optional[Callable[[float], None]],
+        interval_ns: float = 0.0,
+    ) -> None:
+        """Install a periodic observer on the grid ``k·interval_ns``.
 
-        ``hook(now)`` is called at an event boundary (after the clock
-        advanced, before the event's action runs) whenever ``now``
-        reaches the current due time, and must return the *next* due
-        time.  Unlike scheduling a recurring event, the hook lives
-        outside the event queue: it occupies no queue entry, never
-        keeps an idle simulation alive, and survives any number of
-        :meth:`run` calls — which is what makes it the right carrier
-        for always-on health monitoring (the sampler ticks ride on
-        simulated activity and stop costing anything when the machine
-        is idle).
+        The grid starts at the first multiple of ``interval_ns`` at or
+        after :attr:`now`; each grid time is computed from its integer
+        ``k``, so no error builds up over a long run.  The run loop
+        calls ``hook(t)`` once for every grid time ``t`` it crosses,
+        idle gaps included: before it starts the first bucket later
+        than ``t``, with the clock reading ``t``.  The hook so sees
+        exactly the events at or before ``t`` executed and every later
+        one pending, also across :meth:`run` calls that stop mid-bucket.
+        Grid times after a run's last event are owed to the next bucket
+        that runs.  Unlike a recurring event, the hook occupies no queue
+        entry and never keeps an idle simulation alive.
 
         The hook must be a passive observer: reading simulator,
         network, or client state is fine; scheduling events or mutating
         state breaks the monitoring-is-bit-identical guarantee.  Install
         before :meth:`run`: the run loop binds the hook at entry, and a
         run with no observer executes the bare loop body, which tests
-        for none.  Returns the previous hook; pass ``None`` to uninstall.
+        for none.  One hook per simulator; pass ``None`` to uninstall.
         """
-        prev = self._monitor_hook
         self._monitor_hook = hook
-        self._monitor_due = due
-        return prev
+        if hook is None:
+            return
+        if not interval_ns > 0:
+            raise ValueError(
+                f"interval_ns must be positive, got {interval_ns}")
+        self._monitor_interval = interval_ns
+        # A rounded quotient can put ceil() one past the first grid time.
+        k = ceil(self.now / interval_ns) - 1
+        while k * interval_ns < self.now:
+            k += 1
+        self._monitor_k = k
 
     def set_profiler(
         self, profiler: "Optional[EngineProfiler]"
@@ -217,13 +232,13 @@ class Simulator:
     def pending(self) -> int:
         """Scheduled callbacks currently awaiting execution.
 
-        Exact between :meth:`run` calls and inside the monitor hook,
-        where the head bucket's executed prefix (the event about to run
-        included) is subtracted.  The run loop deletes that prefix only
-        when it leaves the bucket, so no per-event bookkeeping is spent
-        keeping this count.  A bucket holds two slots per event.
+        Exact between instants: between :meth:`run` calls and inside the
+        monitor hook, which runs between buckets.  The run loop deletes
+        a bucket's executed prefix when it leaves the bucket, so no
+        per-event bookkeeping is spent keeping this count.  A bucket
+        holds two slots per event.
         """
-        return (sum(map(len, self._buckets.values())) >> 1) - self._done
+        return sum(map(len, self._buckets.values())) >> 1
 
     # -- waitable factories ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -363,15 +378,18 @@ class Simulator:
         self,
         stop_time: Optional[float],
         stop_event: Optional[Event],
-        monitor_hook: Optional[Callable[[float], float]],
+        monitor_hook: Optional[Callable[[float], None]],
         profiler: "Optional[EngineProfiler]",
         t_prev: int,
     ) -> bool:
-        """:meth:`_run_bare` plus the monitor hook and the profiler's
-        per-event accounting, either of which may be ``None``."""
+        """:meth:`_run_bare` plus the monitor hook, checked once per
+        bucket, and the profiler's per-event accounting, either of
+        which may be ``None``."""
         buckets = self._buckets
         times = self._times
         crashes = self._crashes
+        due = (inf if monitor_hook is None
+               else self._monitor_k * self._monitor_interval)
         if profiler is not None:
             # Hot-path state: the phase-keyed rec cache maps a stable
             # per-call-site key (a code object) straight to the
@@ -387,6 +405,8 @@ class Simulator:
             when = times[0]
             if stop_time is not None and when > stop_time:
                 return False
+            if when > due:
+                due = self._sample_grid(monitor_hook, when)
             self.now = when
             bucket = buckets[when]
             done = 0
@@ -394,10 +414,6 @@ class Simulator:
             try:
                 for fn, args in zip(slots, slots):
                     done += 1
-                    if (monitor_hook is not None
-                            and when >= self._monitor_due):
-                        self._monitor_due = self._observe(
-                            monitor_hook, when, done)
                     if profiler is None:
                         fn(*args)
                     else:
@@ -449,18 +465,21 @@ class Simulator:
             del self._buckets[when]
             heappop(self._times)
 
-    def _observe(self, hook: Callable[[float], float], when: float,
-                 done: int) -> float:
-        """Call the monitor hook with the head bucket's first ``done``
-        events counted as executed, as :attr:`pending` and
-        :attr:`events_executed` would read between runs."""
-        self._done = done
-        self.events_executed += done
-        try:
-            return hook(when)
-        finally:
-            self._done = 0
-            self.events_executed -= done
+    def _sample_grid(self, hook: Callable[[float], None],
+                     when: float) -> float:
+        """Call ``hook`` once for every grid time before ``when``, with
+        the clock on that grid time (probes read it, a link's busy time
+        for one); return the first grid time at or after ``when``.  Each
+        grid time is counted as sampled before its call, so a hook that
+        raises is not called for it again."""
+        step = self._monitor_interval
+        while True:
+            due = self._monitor_k * step
+            if due >= when:
+                return due
+            self._monitor_k += 1
+            self.now = due
+            hook(due)
 
     def _raise_crash(self) -> None:
         proc, err = self._crashes.pop(0)

@@ -4,8 +4,12 @@ A :class:`HealthMonitor` registers probes over one machine (per-link
 busy time and queue depth for every one of the ``6·N`` link
 directions, plus machine-wide aggregates), installs itself on the
 simulator's monitor hook, and on every sampler tick takes a snapshot
-and runs the invariant watchdogs.  :meth:`finalize` runs the stricter
-quiescence checks and returns the run's
+and runs the invariant watchdogs.  The ticks fall on the engine's
+grid ``k·interval_ns``, and each one reads the model after every event
+at or before its grid time, so the samples depend on model time alone,
+not on which engine events happen to run.  :meth:`finalize` takes the
+one sample off the grid, an end-of-run snapshot at the final clock,
+runs the stricter quiescence checks and returns the run's
 :class:`~repro.monitor.watchdog.HealthVerdict`.
 
 Attachment is ambient, mirroring the flight recorder:
@@ -26,9 +30,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, ContextManager, Optional
 
 from repro import instruments
-from repro.monitor.sampler import DEFAULT_INTERVAL_NS, TimeSeriesSampler
+from repro.monitor.sampler import (
+    DEFAULT_INTERVAL_NS,
+    SLOW_EVERY,
+    TimeSeriesSampler,
+)
 from repro.monitor.watchdog import (
-    DEFAULT_QUEUE_LIMIT,
     CheckResult,
     DiagnosticLog,
     HealthVerdict,
@@ -55,26 +62,20 @@ class HealthMonitor:
         machine: "Machine",
         interval_ns: float = DEFAULT_INTERVAL_NS,
         series_capacity: int = 512,
-        slow_every: int = 4,
         stall_ns: float = DEFAULT_STALL_NS,
         log: Optional[DiagnosticLog] = None,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.network = machine.network
         self.log = log if log is not None else DiagnosticLog()
         self.sampler = TimeSeriesSampler(
-            interval_ns=interval_ns,
-            capacity=series_capacity,
-            slow_every=slow_every,
+            interval_ns=interval_ns, capacity=series_capacity
         )
-        self.watchdogs = InvariantWatchdogs(
-            machine, self.log, stall_ns=stall_ns, queue_limit=queue_limit
-        )
+        self.watchdogs = InvariantWatchdogs(machine, self.log, stall_ns=stall_ns)
         self._finalized = False
         self._register_probes()
-        self._prev_hook = sim.set_monitor_hook(self._tick, due=sim.now)
+        sim.set_monitor_hook(self._tick, self.sampler.interval_ns)
 
     # -- probe registration --------------------------------------------------
     def _register_probes(self) -> None:
@@ -120,13 +121,13 @@ class HealthMonitor:
                     )
 
     # -- live operation ------------------------------------------------------
-    def _tick(self, now: float) -> float:
-        """One monitoring tick: sample, then check invariants.
+    def _tick(self, now: float) -> None:
+        """One monitoring tick at grid time ``now``: sample, then check
+        invariants.
 
-        Runs from the simulator's run loop; returns the next due time.
-        The per-client sweeps (sync counters, FIFOs) follow the
-        sampler's decimated cadence, the O(1) counter checks run every
-        tick.
+        Runs from the simulator's run loop, which owns the grid.  The
+        per-client sweeps (sync counters, FIFOs) follow the sampler's
+        decimated cadence, the O(1) counter checks run every tick.
         """
         self.sampler.sample(now)
         wd = self.watchdogs
@@ -134,16 +135,15 @@ class HealthMonitor:
         wd.check_stall(now)
         wd.check_faults(now)
         ticks = self.sampler.ticks - 1
-        if ticks % self.sampler.slow_every == 0:
+        if ticks % SLOW_EVERY == 0:
             wd.check_sync_counters(now)
             wd.check_fifo_bounds(now)
             # Queue peaks are monotone watermarks, so a violation can
             # never slip between checks — scan on a sparser cadence
             # than the other slow sweeps to keep always-on monitoring
             # within its overhead budget (finalize rescans anyway).
-            if ticks % (self.sampler.slow_every * 8) == 0:
+            if ticks % (SLOW_EVERY * 8) == 0:
                 wd.check_queue_growth(now)
-        return now + self.sampler.interval_ns
 
     # -- verdict -------------------------------------------------------------
     def finalize(self) -> HealthVerdict:
@@ -160,7 +160,7 @@ class HealthMonitor:
             wd.check_stall(now, final=True)
             wd.check_queue_growth(now, final=True)
             wd.check_faults(now, final=True)
-            self.sim.set_monitor_hook(self._prev_hook)
+            self.sim.set_monitor_hook(None)
         return self.verdict()
 
     def _telemetry_loss_check(self) -> CheckResult:
@@ -238,7 +238,6 @@ def use_monitoring(**monitor_kwargs) -> ContextManager[MonitorSession]:
     The session fills the ``monitor`` slot of :mod:`repro.instruments`,
     which :func:`~repro.asic.node.build_machine` reads.  Keyword
     arguments are forwarded to :class:`HealthMonitor` (``interval_ns``,
-    ``series_capacity``, ``slow_every``, ``stall_ns``, ``log``,
-    ``queue_limit``).
+    ``series_capacity``, ``stall_ns``, ``log``).
     """
     return instruments.use(monitor=MonitorSession(**monitor_kwargs))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import html
 from typing import TYPE_CHECKING, Optional
 
-from repro.monitor.sampler import TimeSeriesSampler
+from repro.monitor.sampler import SLOW_EVERY, TimeSeriesSampler
 from repro.monitor.series import RingSeries
 from repro.monitor.watchdog import LEVELS, HealthVerdict
 from repro.report_common import fmt as _fmt, fmt_ns as _ns, stat_tiles
@@ -347,7 +347,7 @@ def render_html_report(
         f"{nx}×{ny}×{nz} torus"
         + (f" &middot; experiment: {html.escape(experiment)}" if experiment else "")
         + f" &middot; sampling interval {_ns(sampler.interval_ns)}"
-        f" (per-link every {sampler.slow_every} ticks)"
+        f" (per-link every {SLOW_EVERY} ticks)"
     )
     body = (
         _stat_tiles(verdict)

@@ -4,9 +4,12 @@ Driven by :class:`~repro.monitor.health.HealthMonitor`, whose tick is
 the simulator's monitor hook
 (:meth:`~repro.engine.simulator.Simulator.set_monitor_hook`, run by the
 observed loop body of :meth:`~repro.engine.simulator.Simulator.run`), the
-sampler walks its registered probes every ``interval_ns`` of simulated
-time and appends one ``(now, value)`` sample per probe into a
-fixed-capacity :class:`~repro.monitor.series.RingSeries`.  Probes are
+sampler walks its registered probes at every grid time ``k·interval_ns``
+of simulated time and appends one ``(t, value)`` sample per probe into
+a fixed-capacity :class:`~repro.monitor.series.RingSeries`.  Like a
+logic analyzer on its clock, it samples the state the model holds at
+``t``: the engine calls the tick between instants, after every event at
+or before ``t`` and before any later one.  Probes are
 plain callables reading state the simulation already maintains (link
 busy time, FIFO occupancy, in-flight packets, event-queue depth) —
 sampling never mutates anything, so a sampled run is bit-identical to
@@ -15,7 +18,7 @@ an unsampled one.
 Two cadences keep overhead bounded on big machines: *fast* probes
 (a handful of machine-wide aggregates) run every tick, while *slow*
 probes (one or two per link direction — hundreds on a 4×4×4 torus,
-thousands on 8×8×8) run every ``slow_every``-th tick.  Multi-
+thousands on 8×8×8) run every :data:`SLOW_EVERY`-th tick.  Multi-
 resolution sampling is the standard production trade: coarse
 everywhere, fine where it's cheap.
 """
@@ -31,6 +34,9 @@ from repro.monitor.series import RingSeries
 #: experiments (hundreds of ns) still get a handful of ticks.
 DEFAULT_INTERVAL_NS = 500.0
 
+#: Slow probes sample on every ``SLOW_EVERY``-th tick.
+SLOW_EVERY = 4
+
 
 class TimeSeriesSampler:
     """Registered probes plus their ring-buffer series."""
@@ -39,15 +45,11 @@ class TimeSeriesSampler:
         self,
         interval_ns: float = DEFAULT_INTERVAL_NS,
         capacity: int = 512,
-        slow_every: int = 4,
     ) -> None:
         if interval_ns <= 0:
             raise ValueError(f"interval_ns must be positive, got {interval_ns}")
-        if slow_every < 1:
-            raise ValueError(f"slow_every must be >= 1, got {slow_every}")
         self.interval_ns = interval_ns
         self.capacity = capacity
-        self.slow_every = slow_every
         self.series: dict[str, RingSeries] = {}
         self._fast: list[tuple[RingSeries, Callable[[], float]]] = []
         self._slow: list[tuple[RingSeries, Callable[[], float]]] = []
@@ -61,7 +63,7 @@ class TimeSeriesSampler:
         """Register a probe; returns its backing series.
 
         ``slow=True`` puts the probe on the decimated cadence (every
-        ``slow_every``-th tick) — use it for per-link probes, whose
+        :data:`SLOW_EVERY`-th tick) — use it for per-link probes, whose
         count scales with machine size.
         """
         if name in self.series:
@@ -76,7 +78,7 @@ class TimeSeriesSampler:
         """Take one tick's samples.  Called from the monitor hook."""
         for series, fn in self._fast:
             series.append(now, fn())
-        if self.ticks % self.slow_every == 0:
+        if self.ticks % SLOW_EVERY == 0:
             for series, fn in self._slow:
                 series.append(now, fn())
         self.ticks += 1

@@ -25,12 +25,12 @@ from typing import Any, Optional
 #: Diagnostic / check severity, in increasing order of badness.
 LEVELS = ("info", "warning", "error")
 
-#: Default bound on the deepest head-of-line queue any link direction
-#: may grow.  The real machine's channel buffers are tiny (packets are
+#: Bound on the deepest head-of-line queue any link direction may
+#: grow.  The real machine's channel buffers are tiny (packets are
 #: consumed at wire speed); a queue hundreds deep in the model means a
 #: workload is funnelling unboundedly into one direction — exactly the
 #: failure the congestion X-ray exists to attribute.
-DEFAULT_QUEUE_LIMIT = 1024
+QUEUE_LIMIT = 1024
 
 _SEVERITY = {level: i for i, level in enumerate(LEVELS)}
 
@@ -205,17 +205,13 @@ class InvariantWatchdogs:
         machine,
         log: DiagnosticLog,
         stall_ns: float = 50_000.0,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
     ) -> None:
         if stall_ns <= 0:
             raise ValueError(f"stall_ns must be positive, got {stall_ns}")
-        if queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.machine = machine
         self.network = machine.network
         self.log = log
         self.stall_ns = stall_ns
-        self.queue_limit = queue_limit
         self._worst: dict[str, CheckResult] = {}
         names = [
             "packet_conservation",
@@ -423,7 +419,7 @@ class InvariantWatchdogs:
     def check_queue_growth(self, now: float, final: bool = False) -> None:
         """No link direction's head-of-line queue grows without bound.
 
-        A head-of-line queue deeper than ``queue_limit`` means a
+        A head-of-line queue deeper than :data:`QUEUE_LIMIT` means a
         workload funnels into one direction faster than it can ever
         drain — a modelling or protocol bug, not ordinary contention.
         The sweep reads each materialized link's monotone
@@ -438,20 +434,20 @@ class InvariantWatchdogs:
                 worst_depth = depth
                 worst = link
         worst_link = "" if worst is None else repr(worst.link_id)
-        if worst_depth > self.queue_limit:
+        if worst_depth > QUEUE_LIMIT:
             self._report(
                 now, "queue_growth", "error",
                 f"head-of-line queue on {worst_link} reached "
                 f"{worst_depth} packet(s), above the bound of "
-                f"{self.queue_limit} (unbounded queue growth)",
+                f"{QUEUE_LIMIT} (unbounded queue growth)",
                 link=worst_link,
                 peak=worst_depth,
-                limit=self.queue_limit,
+                limit=QUEUE_LIMIT,
             )
         elif final and self._worst["queue_growth"].ok:
             self._worst["queue_growth"] = CheckResult(
                 "queue_growth", "ok",
-                f"deepest queue {worst_depth} of {self.queue_limit} allowed",
+                f"deepest queue {worst_depth} of {QUEUE_LIMIT} allowed",
             )
 
     def check_faults(self, now: float, final: bool = False) -> None:

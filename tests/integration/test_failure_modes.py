@@ -7,6 +7,7 @@ import pytest
 from repro.asic import build_machine
 from repro.comm import CountedGather, GatherSource
 from repro.engine import Simulator
+from repro.network.packet import PacketKind
 
 
 def test_undersent_counted_write_deadlocks_visibly(sim, machine222):
@@ -74,12 +75,13 @@ def test_fifo_overflow_backpressure_never_drops():
     src = m.node((0, 0, 0)).slice(0)
     dst = m.node((1, 0, 0)).slice(0)
 
-    def sender():
-        for i in range(40):
-            yield from src.send_fifo_message((1, 0, 0), "slice0",
-                                             payload=i, payload_bytes=8)
+    def send(i):
+        if i < 40:
+            src.send_then(
+                src._packet(PacketKind.FIFO, (1, 0, 0), "slice0", i, 8),
+                send, (i + 1,))
 
-    sim.run(until=sim.process(sender()))
+    send(0)
     sim.run()
     assert dst.fifo.backpressure_stalls > 0
     out = []

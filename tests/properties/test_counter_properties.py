@@ -48,8 +48,7 @@ def test_fifo_never_loses_or_reorders(capacity, payloads):
     """Whatever the capacity and arrival pattern, draining the FIFO
     yields every message in arrival order (backpressure parks
     overflow, §III.C)."""
-    sim = Simulator()
-    f = MessageFifo(sim, capacity=capacity)
+    f = MessageFifo(capacity=capacity)
     a, b = NodeCoord(0, 0, 0), NodeCoord(1, 0, 0)
     for p in payloads:
         f.push(FifoPacket(src_node=a, src_client="slice0", dst_node=b,

@@ -1,4 +1,5 @@
-"""Property-based test: the health monitor is a passive observer.
+"""Property-based tests: the health monitor is a passive observer, and
+what it samples is the model's state on its grid.
 
 A monitored run and a bare run of the same experiment must agree on
 *every* simulated observable — final clock, packet books, events
@@ -6,12 +7,23 @@ executed, delivered payloads — for any shape, interval, and payload.
 The monitor hook lives outside the event queue (it never occupies a
 queue entry), so this holds exactly, not just
 statistically.
+
+The other way round, engine events that do nothing must not move a
+sample: every model series, the tick count and the verdict of a run
+with no-op events scheduled among the model's are byte-identical to
+those of the run without them.  Only the ``engine.*`` series, which
+count events, may differ.
 """
+
+from dataclasses import asdict
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.mdstep import build_dhfr_md
 from repro.asic import build_machine
+from repro.bench.results import canonical_json
 from repro.comm.collectives import AllReduce
 from repro.engine import Simulator
 from repro.monitor.health import HealthMonitor, use_monitoring
@@ -73,3 +85,83 @@ def test_monitored_allreduce_bit_identical(shape, payload_bytes):
                 assert v.healthy
         results.append((report.elapsed_ns, _fingerprint(sim, machine)))
     assert results[0] == results[1]
+
+
+#: The monitor's grid, in simulated ns.
+_INTERVAL_NS = 50.0
+
+
+def _monitoring():
+    # The ring holds every tick: the mdstep pair crosses 602 grid times.
+    return use_monitoring(interval_ns=_INTERVAL_NS, series_capacity=1024)
+
+
+def _allreduce():
+    with _monitoring() as session:
+        machine = build_machine(Simulator(), 4, 4, 4)
+    return session, machine.sim, lambda: AllReduce(machine, payload_bytes=32).run()
+
+
+def _mdstep_pair():
+    with _monitoring() as session:
+        md = build_dhfr_md((2, 2, 2), atoms=512)
+
+    def pair() -> None:
+        md.run_step("range_limited")
+        md.run_step("long_range")
+
+    return session, md.sim, pair
+
+
+def _noop() -> None:
+    pass
+
+
+def _observed(build, noops_ns=()) -> tuple[float, str]:
+    """The run's final clock, and its model series, tick count and
+    verdict as canonical JSON, with no-op events scheduled at
+    ``noops_ns`` before it starts."""
+    session, sim, run = build()
+    for t in noops_ns:
+        sim.schedule(t, _noop)
+    run()
+    monitor = session.monitor
+    verdict = monitor.finalize()
+    assert verdict.healthy and not verdict.dropped_samples
+    return sim.now, canonical_json({
+        "series": {s.name: s.samples() for s in monitor.sampler
+                   if not s.name.startswith("engine.")},
+        "ticks": monitor.sampler.ticks,
+        "verdict": asdict(verdict),
+    })
+
+
+_reference = cache(_observed)
+
+#: ``(on_grid, f)``: a no-op at fraction ``f`` of the run, moved down
+#: onto the grid when ``on_grid``.
+noops = st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)),
+                 min_size=1, max_size=30)
+
+
+def _instants(end_ns: float, draws) -> list[float]:
+    return [
+        (f * end_ns // _INTERVAL_NS) * _INTERVAL_NS if on_grid else f * end_ns
+        for on_grid, f in draws
+    ]
+
+
+@given(noops)
+@settings(max_examples=20, deadline=None)
+def test_noop_events_move_no_allreduce_sample(draws):
+    """A 4×4×4 all-reduce: no-ops at any instants up to its last event."""
+    end_ns, expected = _reference(_allreduce)
+    assert _observed(_allreduce, _instants(end_ns, draws)) == (end_ns, expected)
+
+
+@given(noops)
+@settings(max_examples=8, deadline=None)
+def test_noop_events_move_no_mdstep_sample(draws):
+    """An ``mdstep`` 2×2×2 step pair, whose two steps are two runs."""
+    end_ns, expected = _reference(_mdstep_pair)
+    assert _observed(_mdstep_pair, _instants(end_ns, draws)) == (end_ns, expected)

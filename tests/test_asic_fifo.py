@@ -16,8 +16,8 @@ def pkt(i=0):
     )
 
 
-def test_fifo_order_preserved(sim):
-    f = MessageFifo(sim, capacity=8)
+def test_fifo_order_preserved():
+    f = MessageFifo(capacity=8)
     for i in range(5):
         f.push(pkt(i))
     out = [f.try_poll().payload for _ in range(5)]
@@ -28,7 +28,7 @@ def test_fifo_order_preserved(sim):
 def test_slot_hands_over_inside_push(sim):
     """The continuation runs inside the event of the push that brings
     the message, which never enters the ring."""
-    f = MessageFifo(sim, capacity=4)
+    f = MessageFifo(capacity=4)
     got = []
     f.on_message(lambda tag, p: got.append((tag, sim.now, p.payload)), ("a",))
     sim.schedule(50.0, f.push, pkt(7))
@@ -42,8 +42,8 @@ def test_slot_hands_over_inside_push(sim):
     assert got == [("a", 50.0, 7)] and f.occupancy == 1
 
 
-def test_slot_runs_at_once_on_a_queued_message(sim):
-    f = MessageFifo(sim, capacity=4)
+def test_slot_runs_at_once_on_a_queued_message():
+    f = MessageFifo(capacity=4)
     f.push(pkt(1))
     f.push(pkt(2))
     got = []
@@ -55,15 +55,15 @@ def test_slot_runs_at_once_on_a_queued_message(sim):
     assert [p.payload for p in got] == [1]
 
 
-def test_second_registration_raises(sim):
-    f = MessageFifo(sim, capacity=4, name="s0")
+def test_second_registration_raises():
+    f = MessageFifo(capacity=4, name="s0")
     f.on_message(print, ())
     with pytest.raises(RuntimeError, match="already continues"):
         f.on_message(print, ())
 
 
-def test_clear_slot_withdraws_the_continuation(sim):
-    f = MessageFifo(sim, capacity=4)
+def test_clear_slot_withdraws_the_continuation():
+    f = MessageFifo(capacity=4)
     got = []
     f.on_message(got.append, ())
     f.clear_slot()
@@ -78,8 +78,8 @@ def test_clear_slot_withdraws_the_continuation(sim):
     assert [p.payload for p in got] == [2]
 
 
-def test_backpressure_overflow_and_drain(sim):
-    f = MessageFifo(sim, capacity=2)
+def test_backpressure_overflow_and_drain():
+    f = MessageFifo(capacity=2)
     for i in range(5):
         f.push(pkt(i))
     assert f.occupancy == 2
@@ -90,16 +90,16 @@ def test_backpressure_overflow_and_drain(sim):
     assert out == [0, 1, 2, 3, 4]  # parked packets admitted in order
 
 
-def test_high_watermark(sim):
-    f = MessageFifo(sim, capacity=8)
+def test_high_watermark():
+    f = MessageFifo(capacity=8)
     for i in range(6):
         f.push(pkt(i))
     f.try_poll()
     assert f.high_watermark == 6
 
 
-def test_counters(sim):
-    f = MessageFifo(sim, capacity=4)
+def test_counters():
+    f = MessageFifo(capacity=4)
     f.push(pkt())
     f.push(pkt())
     f.try_poll()
@@ -108,6 +108,6 @@ def test_counters(sim):
     assert len(f) == 1
 
 
-def test_capacity_validation(sim):
+def test_capacity_validation():
     with pytest.raises(ValueError):
-        MessageFifo(sim, capacity=0)
+        MessageFifo(capacity=0)

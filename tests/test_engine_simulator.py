@@ -8,11 +8,11 @@ from tests.conftest import gc_growth
 
 #: How to equip a fresh simulator so :meth:`Simulator.run` takes each
 #: of its loop bodies: bare, observed by the profiler, and observed by
-#: a no-op monitor hook due at every event.
+#: a no-op monitor hook on a grid finer than the tests' instants.
 BODIES = {
     "bare": lambda sim: None,
     "profiled": lambda sim: EngineProfiler().attach(sim),
-    "monitored": lambda sim: sim.set_monitor_hook(lambda when: when),
+    "monitored": lambda sim: sim.set_monitor_hook(lambda t: None, 0.5),
 }
 
 
@@ -200,36 +200,40 @@ def test_exception_mid_bucket_leaves_the_remainder_pending():
             ["a", "b", "c", "e"], 0, 6, 1.0), body
 
 
-def test_monitor_hook_reads_logical_pending_mid_bucket(sim):
-    """Before each event the hook sees what a queue that removes each
-    event as it runs would hold: the event itself is no longer pending
-    and is already counted as executed."""
+def test_monitor_hook_samples_each_grid_time_between_instants(sim):
+    """The hook runs once per grid time ``k·Δ`` crossed, idle gaps
+    included, with the clock on that grid time, every event at or
+    before it executed and every later one pending; a run that stops
+    mid-bucket and is resumed changes none of that."""
     observed = []
 
-    def hook(when):
-        observed.append((when, sim.pending, sim.events_executed))
-        return when  # due again at the next event
+    def hook(t):
+        observed.append((t, sim.now, sim.pending, sim.events_executed))
 
-    def first():
-        sim.schedule(0.0, lambda: None)  # appended behind e2..e5
-
-    sim.schedule(1.0, first)
-    for _ in range(4):
-        sim.schedule(1.0, lambda: None)
+    stop = sim.event()
+    sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    sim.set_monitor_hook(hook)
+    sim.schedule(2.0, stop.succeed)
+    sim.schedule(2.0, sim.schedule, 0.0, lambda: None)  # appended at t=2
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(7.5, lambda: None)  # after an idle gap over t=4 and t=6
+    sim.set_monitor_hook(hook, 2.0)
+    sim.run(until=stop)
+    assert observed == [(0.0, 0.0, 6, 0)]
     sim.run()
-    assert observed == [
-        (1.0, 5, 1),  # e2..e5 and the t=2 event
-        (1.0, 5, 2),  # e3..e5, the appended event, t=2
-        (1.0, 4, 3),
-        (1.0, 3, 4),
-        (1.0, 2, 5),
-        (1.0, 1, 6),  # only t=2 remains
-        (2.0, 0, 7),
+    assert observed[1:] == [
+        (2.0, 2.0, 1, 6),  # the whole t=2 instant, appended event included
+        (4.0, 4.0, 1, 6),
+        (6.0, 6.0, 1, 6),
     ]
-    assert sim.pending == 0
-    assert sim.events_executed == 7
+    assert (sim.now, sim.pending, sim.events_executed) == (7.5, 0, 7)
+    # A reinstalled grid starts at the first grid time at or after now.
+    sim.set_monitor_hook(hook, 2.0)
+    sim.schedule(3.0, lambda: None)
+    sim.run()
+    assert observed[4:] == [(8.0, 8.0, 1, 7), (10.0, 10.0, 1, 7)]
+    with pytest.raises(ValueError, match="interval_ns"):
+        sim.set_monitor_hook(hook, 0.0)
 
 
 def test_schedule_tracks_one_object_per_event(sim):

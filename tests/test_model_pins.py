@@ -45,7 +45,7 @@ PINS = {
     # even a nanosecond, and its watchdogs must stay green.
     "monitor/sim_time_delta_ns": 0.0,
     "monitor/invariant_violations": 0.0,
-    "monitor/sampler_ticks": 13.0,
+    "monitor/sampler_ticks": 14.0,
     # Fig. 5's diameter point, on the paper's 8x8x8 machine.
     "fig5/one_way_12hop_ns": 822.0,
 }

@@ -51,7 +51,7 @@ class TestTimeSeriesSampler:
         assert len(sampler.series["a"]) == 5
 
     def test_slow_probes_decimated(self):
-        sampler = TimeSeriesSampler(interval_ns=10.0, capacity=16, slow_every=4)
+        sampler = TimeSeriesSampler(interval_ns=10.0, capacity=16)
         sampler.probe("fast", lambda: 1.0)
         sampler.probe("slow", lambda: 2.0, slow=True)
         for t in range(9):
@@ -85,5 +85,3 @@ class TestTimeSeriesSampler:
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="interval_ns"):
             TimeSeriesSampler(interval_ns=0.0)
-        with pytest.raises(ValueError, match="slow_every"):
-            TimeSeriesSampler(slow_every=0)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.asic import build_machine
 from repro.engine import Simulator
+from repro.network.packet import PacketKind
 
 
 def _machine(jitter=0.0, seed=0):
@@ -20,18 +21,19 @@ def _machine(jitter=0.0, seed=0):
 
 
 def _send_burst(sim, m, in_order, count=20):
-    """Send `count` FIFO messages 0..count-1 from node 0 to node 3."""
+    """Send `count` FIFO messages 0..count-1 from node 0 to node 3, each
+    after the last, as the migration sends its atoms."""
     src = m.node((0, 0, 0)).slice(0)
     dst = m.node((3, 0, 0)).slice(0)
 
-    def sender():
-        for i in range(count):
-            yield from src.send_fifo_message(
-                (3, 0, 0), "slice0", payload=i, payload_bytes=8,
-                in_order=in_order,
-            )
+    def send(i):
+        if i < count:
+            src.send_then(
+                src._packet(PacketKind.FIFO, (3, 0, 0), "slice0", i, 8,
+                            in_order=in_order),
+                send, (i + 1,))
 
-    sim.process(sender())
+    send(0)
     sim.run()
     out = []
     while True:

@@ -12,9 +12,10 @@ included), reordering jitter mixed with in-order packets, and link-down,
 node-stall and bit-error faults on both transits.  The ``monitor_*``
 cases pin every health monitor's full sampler series except the
 engine's own; the ``monitor_*_engine`` cases pin those
-(``engine.events_executed`` and ``engine.pending_events``, read
-mid-run).  An engine series counts events, so a change that runs fewer
-events moves it without moving a model byte.  The ``*_analysis`` cases pin
+(``engine.events_executed`` and ``engine.pending_events``).  Samples
+fall on the monitor's grid, between instants, so a model series moves
+only with the model; an engine series counts events, so a change that
+runs fewer events moves it without moving a model byte.  The ``*_analysis`` cases pin
 what the X-ray computes from a flight record: the congestion tree, the
 per-packet delay decomposition, the JSONL export and (on ``mdstep``)
 critical-path attributions through multicast branches.  The
@@ -84,17 +85,17 @@ DIGESTS = {
     "fault_exchange":
         "248b235127a56a73daf3e80124b4c47258aa452db995946bc2b31d28a3bd097f",
     "monitor_congestion":
-        "d987842f94b8359778d927ecdba3833a457168ce6f0df7c4e90d54205ca6fc74",
+        "5c3a09b583710bab516b44d12079cda8b55414943e9dc169d82660e74ec607c8",
     "monitor_congestion_engine":
-        "d1b598a38b712899c23b24887cec8c824176064da1fd4435de4e86ac23bf8f07",
+        "9d389f418efadd0d7eb21ad87bbcd0a94e846284d65049adafa9cc9de8512025",
     "monitor_mdstep":
-        "faf67222d9655e24a06b44abedc66989141d8907070015e14edaf94983cf9929",
+        "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "1ff73c243ba3a9e0e7e3abf776894748add6c064a3dfc17c287681957166f430",
+        "ee6744e1ccbe6d66da7ab3a76e1401281dd60036559ca5860eadf53a2869e962",
     "monitor_allreduce":
-        "147a6a590fb39d4ebfedea2bee076b7912fab86f240acccadc532ca72dc5c3a9",
+        "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
-        "5af79d508969275c371f438426d948a04523c085cc8e9c20de061b16032d5809",
+        "813458d0cb5bf64c41dee9bf48136b15ddac161f6dd5b7644d3b620189f1a13a",
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
@@ -349,8 +350,10 @@ def monitor_digest(name: str) -> str:
 
     engine = name.endswith("_engine")
     experiment, shape = MONITORED[name.removesuffix("_engine")]
+    # The ring holds every tick: the mdstep pair crosses 602 grid times.
     cap = run_monitored(
-        ExperimentSpec(experiment, shape=shape, rounds=2), interval_ns=50.0
+        ExperimentSpec(experiment, shape=shape, rounds=2), interval_ns=50.0,
+        series_capacity=1024,
     )
     return _sha([
         {series.name: series.samples() for series in monitor.sampler
