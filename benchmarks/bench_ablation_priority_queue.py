@@ -44,26 +44,16 @@ def _run(priority_on: bool, shape):
             yield from s.send_write(centre, "htis", counter_id=f"b{i}",
                                     payload_bytes=32)
 
-    done = {}
-
     def on_done(buf):
-        sim.process(
-            htis.send_accum_results(
-                buf.origin, "accum0", 2, counter_id="forces", payload_bytes=240
-            )
-        )
-
-    def controller():
-        yield from htis.process_buffers(
-            [f"b{i}" for i in range(ORIGINS)],
-            work_ns=lambda b: WORK_NS,
-            on_done=on_done,
-        )
+        # Each buffer's result stream starts in one event of its own.
+        sim.schedule_now(htis.send_results, (buf.origin, "accum0", 2, "forces", 240))
 
     far_wait = machine.node(far).accum[0].counter("forces").wait_for(2)
     procs = [sim.process(feed(i, o)) for i, o in enumerate(origins)]
-    procs.append(sim.process(controller()))
-    sim.run(until=sim.all_of(procs + [far_wait]))
+    consumed = sim.event()
+    sim.schedule_now(htis.consume_buffers, (
+        [f"b{i}" for i in range(ORIGINS)], WORK_NS, on_done, consumed.succeed, ()))
+    sim.run(until=sim.all_of(procs + [consumed, far_wait]))
     return far_wait.value  # time the farthest origin's forces landed
 
 

@@ -6,20 +6,16 @@ computational units spend a significant fraction of the time stalled
 waiting for data.
 """
 
-from conftest import md_atoms, md_shape, once
+from conftest import md_shape, once
 
-from repro.analysis.mdstep import build_dhfr_md, fig13_timeline
+from repro.analysis.mdstep import fig13_timeline
 from repro.trace.recorder import ActivityKind
 
 
-def bench_fig13(benchmark, publish, record):
+def bench_fig13(benchmark, publish, record, md_step_pair):
     shape = md_shape()
-
-    def run():
-        md = build_dhfr_md(shape=shape, atoms=md_atoms())
-        return md, *fig13_timeline(md, buckets=64)
-
-    md, text, rl, lr = once(benchmark, run)
+    text = once(benchmark, lambda: fig13_timeline(md_step_pair, buckets=64))
+    md, rl, lr = md_step_pair.md, md_step_pair.range_limited, md_step_pair.long_range
     header = (
         f"Figure 13 — activity for two time steps on {shape}: "
         f"range-limited ({rl.total_us:.1f} µs) then long-range "

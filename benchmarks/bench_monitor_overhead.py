@@ -1,18 +1,21 @@
 """Continuous-monitoring overhead — always-on must stay cheap.
 
-Runs one range-limited MD step twice per mode: bare, and with the
-health monitor attached (time-series sampler over every link
+Runs one range-limited MD step in alternated pairs: bare, then with
+the health monitor attached (time-series sampler over every link
 direction plus invariant watchdogs at the default 500 ns cadence).
-Asserts the monitored run's *simulated* results are bit-identical to
-the bare run — monitoring is a passive observer — and that its
+Asserts the monitored runs' *simulated* results are bit-identical to
+the bare runs — monitoring is a passive observer — and that its
 wall-clock cost stays within the 15% overhead budget an always-on
-layer must respect.  The min-of-two timing per mode filters warmup
-and scheduler noise; the published ratio is recorded through the
-``repro-bench/1`` pipeline (the deterministic perturbation gate is
-the ``monitor/sim_time_delta_ns == 0.0`` pin in
+layer must respect.  The gate reads the median of the per-pair
+monitored/bare ratios: alternating the modes exposes both to the same
+host drift, and one slow run on a shared host cannot move a median of
+five.  The published ratio is recorded through the ``repro-bench/1``
+pipeline (the deterministic perturbation gate is the
+``monitor/sim_time_delta_ns == 0.0`` pin in
 ``tests/test_model_pins.py``).
 """
 
+import statistics
 import time
 
 from conftest import once
@@ -23,6 +26,9 @@ from repro.monitor.health import use_monitoring
 
 #: Wall-clock budget for always-on monitoring (fraction over bare).
 OVERHEAD_BUDGET = 0.15
+
+#: Alternated bare/monitored pairs; the gate reads their median ratio.
+PAIRS = 5
 
 _SHAPE = (4, 4, 4)
 _ATOMS = 2944  # DHFR scaled to 64 nodes (23,558 * 64 / 512)
@@ -56,28 +62,27 @@ def _one_step(monitored: bool):
 
 def bench_monitor_overhead(benchmark, publish, record):
     def measure():
-        out = {}
-        for mode in ("bare", "monitored"):
-            runs = [_one_step(monitored=(mode == "monitored")) for _ in range(2)]
-            secs = min(r[0] for r in runs)
-            assert runs[0][1] == runs[1][1], f"{mode} run is nondeterministic"
-            out[mode] = (secs, runs[0][1], runs[-1][2])
-        return out
+        return [(_one_step(monitored=False), _one_step(monitored=True))
+                for _ in range(PAIRS)]
 
-    results = once(benchmark, measure)
-    bare_s, bare_results, _ = results["bare"]
-    mon_s, mon_results, monitor = results["monitored"]
-
-    # The monitor observes the simulation; it must never change it.
-    assert mon_results == bare_results, (
-        f"monitoring perturbed the simulation: {mon_results} != {bare_results}"
-    )
-    ratio = mon_s / bare_s
+    pairs = once(benchmark, measure)
+    bare_results = pairs[0][0][1]
+    for bare, mon in pairs:
+        assert bare[1] == bare_results, "bare run is nondeterministic"
+        # The monitor observes the simulation; it must never change it.
+        assert mon[1] == bare_results, (
+            f"monitoring perturbed the simulation: {mon[1]} != {bare_results}"
+        )
+    ratio = statistics.median(mon[0] / bare[0] for bare, mon in pairs)
+    bare_s = statistics.median(bare[0] for bare, _ in pairs)
+    mon_s = statistics.median(mon[0] for _, mon in pairs)
+    monitor = pairs[-1][1][2]
     samples = monitor.sampler.samples_recorded
 
     publish("monitor_overhead", render_table(
         "Continuous-monitoring overhead — range-limited MD step "
-        f"({_SHAPE[0]}x{_SHAPE[1]}x{_SHAPE[2]}, {_ATOMS} atoms), wall clock",
+        f"({_SHAPE[0]}x{_SHAPE[1]}x{_SHAPE[2]}, {_ATOMS} atoms), wall clock, "
+        f"medians of {PAIRS} alternated pairs",
         ["mode", "ms", "vs bare", "samples", "series"],
         [
             ["bare", f"{bare_s * 1e3:.0f}", "1.00x", 0, 0],

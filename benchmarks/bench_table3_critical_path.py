@@ -7,21 +7,21 @@ Desmond 262/565, 108/351, 416/779, 230/290, 78/99.  Headline: Anton's
 critical-path communication is ~1/27 of Desmond's.
 """
 
-from conftest import md_atoms, md_shape, once
+from conftest import md_shape, once
 
 from repro.analysis import render_table
-from repro.analysis.mdstep import build_dhfr_md, run_table3
+from repro.analysis.mdstep import run_table3
 from repro.baselines.desmond import DesmondModel
 from repro.constants import PAPER_TABLE3_US
 
 ROWS = ["average", "range_limited", "long_range", "fft_convolution", "thermostat"]
 
 
-def bench_table3(benchmark, publish, record):
+def bench_table3(benchmark, publish, record, md_step_pair):
     shape = md_shape()
 
     def run():
-        anton = run_table3(build_dhfr_md(shape=shape, atoms=md_atoms()))
+        anton = run_table3(md_step_pair)
         desmond = DesmondModel().table3()
         return anton, desmond
 

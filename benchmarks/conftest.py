@@ -40,6 +40,15 @@ def md_atoms() -> int:
     return DHFR_ATOMS // 8 if get_scale() == "quick" else DHFR_ATOMS
 
 
+@pytest.fixture(scope="session")
+def md_step_pair():
+    """Fig. 13's step pair at the benchmark scale, run once per session:
+    Table 3 and Fig. 13 both read it."""
+    from repro.analysis.mdstep import build_dhfr_md, run_step_pair
+
+    return run_step_pair(build_dhfr_md(shape=md_shape(), atoms=md_atoms()))
+
+
 @pytest.fixture
 def record(request):
     """Record machine-readable metrics for the regression pipeline.

@@ -3,6 +3,9 @@
 These drive the full co-simulation (:class:`repro.md.machine.AntonMD`)
 through the paper's machine-level experiments:
 
+* :func:`run_step_pair` — Fig. 13's step pair (a range-limited step,
+  then a long-range step) on one machine, which Table 3 and Fig. 13
+  both read;
 * :func:`run_table3` — critical-path communication and total time for
   the DHFR benchmark on a 512-node machine, next to the Desmond
   baseline model;
@@ -86,23 +89,42 @@ def _split(md: AntonMD, name: str, lo: float, hi: float) -> CriticalPathStats:
     return per_node_communication_split(md.recorder, name, lo, hi)
 
 
-def run_table3(md: Optional[AntonMD] = None) -> dict[str, Table3Row]:
-    """Simulate one range-limited and one long-range step and derive
-    every Anton row of Table 3."""
+@dataclass
+class StepPair:
+    """Fig. 13's step pair, run on ``md`` over ``[start_ns, end_ns]``:
+    its activity record holds both steps."""
+
+    md: AntonMD
+    range_limited: StepReport
+    long_range: StepReport
+    start_ns: float
+    end_ns: float
+
+
+def run_step_pair(md: Optional[AntonMD] = None) -> StepPair:
+    """Simulate a range-limited step followed by a long-range step on
+    ``md`` (default: the Table 3 configuration)."""
     md = md or build_dhfr_md()
+    start = md.sim.now
+    rl = md.run_step("range_limited")
+    lr = md.run_step("long_range")
+    return StepPair(md, rl, lr, start, md.sim.now)
+
+
+def run_table3(pair: StepPair) -> dict[str, Table3Row]:
+    """Every Anton row of Table 3, from one step pair.  Each step's
+    window holds only its own activity: a step's spans end by its last
+    phase mark, and the next step's begin no earlier."""
+    md = pair.md
 
     def step_bounds(report: StepReport) -> tuple[float, float]:
         lo = min(v[0] for v in report.phase_spans.values())
         hi = max(v[1] for v in report.phase_spans.values())
         return lo, hi
 
-    rl_report = md.run_step("range_limited")
-    rl_lo, rl_hi = step_bounds(rl_report)
-    rl = _split(md, "range_limited", rl_lo, rl_hi)
-
-    lr_report = md.run_step("long_range")
-    lr_lo, lr_hi = step_bounds(lr_report)
-    lr = _split(md, "long_range", lr_lo, lr_hi)
+    rl = _split(md, "range_limited", *step_bounds(pair.range_limited))
+    lr_report = pair.long_range
+    lr = _split(md, "long_range", *step_bounds(lr_report))
 
     # The FFT row uses the focused transfer window (the six
     # inter-stage transfers); the broader "fft_convolution" span also
@@ -252,7 +274,7 @@ def fig11_series(
     rng_re = np.random.default_rng(seed + 1)  # identical drift paths
 
     # Baseline: the full average step at epoch 0, minus its bond phase.
-    t3 = run_table3(build_dhfr_md(shape, atoms, seed=seed))
+    t3 = run_table3(run_step_pair(build_dhfr_md(shape, atoms, seed=seed)))
     base_step_us = t3["average"].total_us
     bond0_no = md_no.run_bond_phase_only() / 1000.0
     bond0_re = md_re.run_bond_phase_only() / 1000.0
@@ -309,7 +331,7 @@ def fig12_series(
     migration-heavy by design.
     """
     md = build_dhfr_md(shape, atoms=atoms, migration_interval=0, seed=seed)
-    t3 = run_table3(md)
+    t3 = run_table3(run_step_pair(md))
     base_us = t3["average"].total_us
 
     # The home-box slack is a build-time memory-overlap allocation:
@@ -353,19 +375,12 @@ def _diffuse_sigma(system: ChemicalSystem, sigma: float, rng) -> None:
 # Figure 13 — activity timeline
 # ---------------------------------------------------------------------------
 
-def fig13_timeline(
-    md: Optional[AntonMD] = None, buckets: int = 80
-) -> tuple[str, StepReport, StepReport]:
-    """Simulate a range-limited step followed by a long-range step and
-    render the merged activity chart (Fig. 13's layout: one column per
-    unit class, light-gray stalls shown as dots)."""
+def fig13_timeline(pair: StepPair, buckets: int = 80) -> str:
+    """The merged activity chart of a step pair (Fig. 13's layout: one
+    column per unit class, light-gray stalls shown as dots)."""
     from repro.trace.timeline import render_timeline
 
-    md = md or build_dhfr_md()
-    start = md.sim.now
-    rl = md.run_step("range_limited")
-    lr = md.run_step("long_range")
-    end = md.sim.now
+    md = pair.md
     group: dict[str, str] = {}
     for unit in md.recorder.units():
         if unit.endswith(":htis"):
@@ -374,7 +389,6 @@ def fig13_timeline(
             group[unit] = "GC"
         elif ":ts" in unit:
             group[unit] = "TS"
-    text = render_timeline(
-        md.recorder, start, end, buckets=buckets, group_by=group
+    return render_timeline(
+        md.recorder, pair.start_ns, pair.end_ns, buckets=buckets, group_by=group
     )
-    return text, rl, lr

@@ -12,14 +12,13 @@ from repro.asic.fifo import MessageFifo
 from repro.asic.htis import HTIS, InteractionBuffer
 from repro.asic.memory import LocalMemory
 from repro.asic.node import AntonNode, Machine, build_machine
-from repro.asic.slice_ import GeometryCore, ProcessingSlice
+from repro.asic.slice_ import ProcessingSlice
 from repro.asic.sync_counter import SyncCounter
 
 __all__ = [
     "AccumulationMemory",
     "AntonNode",
     "Machine",
-    "GeometryCore",
     "HTIS",
     "InteractionBuffer",
     "LocalMemory",

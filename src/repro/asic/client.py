@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.asic.memory import LocalMemory
 from repro.asic.sync_counter import SyncCounter
-from repro.engine.event import Event
 from repro.network.packet import Packet, PacketKind
 from repro.topology.torus import NodeCoord
 
@@ -101,7 +100,7 @@ class NetworkClient:
         )
 
     # -- sending ---------------------------------------------------------------
-    def inject(self, packet: Packet) -> Event:
+    def inject(self, packet: Packet) -> None:
         """Hand a fully formed packet to the network (no overhead here;
         subclasses charge their packet-assembly cost first)."""
         if packet.src_node != self.node or packet.src_client != self.name:
@@ -110,7 +109,7 @@ class NetworkClient:
                 f"not match injecting client {self.node}:{self.name}"
             )
         self.packets_sent += 1
-        return self.network.inject(packet)
+        self.network.inject(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r} at {self.node}>"

@@ -14,18 +14,25 @@ charge spreading and force interpolation.  As a network client it
   farthest, hiding those sends behind the remaining computation);
 * streams result (force/charge) packets back into the network with its
   hardware packet-assembly support.
+
+The controller and the result streams run as continuations, as the
+slices' legs do (:mod:`repro.asic.slice_`): the pipelines and the
+output stage are FCFS units occupied by :func:`~repro.asic.slice_.hold`,
+and a controller with no runnable buffer parks until the write that
+completes the head of its order, or a priority buffer, steps it again
+in an event of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.asic.client import NetworkClient
+from repro.asic.slice_ import hold
 from repro.asic.sync_counter import SyncCounter
-from repro.engine.event import Event
 from repro.engine.resource import Resource
-from repro.network.packet import AccumPacket, Packet, WritePacket
+from repro.network.packet import AccumPacket, Packet
 from repro.topology.torus import NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,7 +61,6 @@ class InteractionBuffer:
     counter: SyncCounter = field(compare=False, repr=False)
     priority: bool = False
     received: int = 0
-    processed: bool = False
 
     @property
     def complete(self) -> bool:
@@ -79,6 +85,8 @@ class HTIS(NetworkClient):
         #: output packet-assembly stage
         self.sender = Resource(sim, capacity=1, name=f"{self.name}.send")
         self._buffers: dict[str, InteractionBuffer] = {}
+        #: The controller parked until a buffer completes, if any.
+        self._waiting: Optional[_Controller] = None
 
     # -- buffer management -----------------------------------------------
     def define_buffer(
@@ -117,7 +125,6 @@ class HTIS(NetworkClient):
         """Prepare all buffers for the next time step (counters reset)."""
         for buf in self._buffers.values():
             buf.received = 0
-            buf.processed = False
             buf.counter.reset()
 
     # -- delivery ------------------------------------------------------------
@@ -131,38 +138,35 @@ class HTIS(NetworkClient):
             if packet.address is not None:
                 self.memory.write(packet.address, packet.payload)
             buf.counter.increment()
+            controller = self._waiting
+            if (buf.received == buf.expected_packets and controller is not None
+                    and controller.waits_on(buf.name)):
+                # The controller looks at its buffers in an event of its
+                # own, behind every event already queued at this
+                # instant: a priority buffer those complete still wins.
+                self._waiting = None
+                self.sim.schedule_now(_Controller.step, (controller,))
         else:
             super()._receive_write(packet)
 
     # -- buffer scheduling ------------------------------------------------------
-    def buffer_ready(self, name: str) -> Event:
-        """Event firing when the named buffer's counter hits its target."""
-        buf = self._buffers[name]
-        return buf.counter.wait_for(buf.expected_packets)
-
-    def process_buffers(
+    def consume_buffers(
         self,
         order: Iterable[str],
-        work_ns: Callable[[InteractionBuffer], float],
-        on_done: Optional[Callable[[InteractionBuffer], None]] = None,
-    ) -> Generator[Event, Any, list[str]]:
-        """Consume buffers through the pipelines; ``yield from`` this.
+        work_ns: float,
+        on_done: Callable[[InteractionBuffer], None],
+        fn: Callable[..., None],
+        args: tuple[Any, ...],
+    ) -> None:
+        """Consume every buffer through the pipelines, then run
+        ``fn(*args)``.
 
-        Non-priority buffers are processed in ``order``; buffers marked
+        Non-priority buffers are processed in ``order``, which must
+        cover every defined buffer exactly once; buffers marked
         ``priority`` jump the queue as soon as they are complete
-        (§IV.B.1's high-priority mechanism).  Returns the realised
-        processing order.
-
-        Parameters
-        ----------
-        order:
-            Software-specified processing order (must cover every
-            defined buffer exactly once).
-        work_ns:
-            Maps a buffer to its pipeline occupancy in ns.
-        on_done:
-            Called as each buffer finishes processing; typically starts
-            the force-result sends for that buffer.
+        (§IV.B.1's high-priority mechanism).  Each buffer occupies the
+        pipelines for ``work_ns``; ``on_done(buf)`` runs as it finishes,
+        typically starting the force-result sends for that buffer.
         """
         order = list(order)
         missing = set(self._buffers) - set(order)
@@ -172,69 +176,114 @@ class HTIS(NetworkClient):
                 f"processing order mismatch (missing={sorted(missing)}, "
                 f"unknown={sorted(extra)})"
             )
-        pending_ordered = [n for n in order if not self._buffers[n].priority]
-        pending_priority = [n for n in order if self._buffers[n].priority]
-        realised: list[str] = []
-
-        while pending_ordered or pending_priority:
-            # Priority buffers that are already complete win immediately.
-            ready_pri = [n for n in pending_priority if self._buffers[n].complete]
-            if ready_pri:
-                name = ready_pri[0]
-                pending_priority.remove(name)
-            elif pending_ordered and self._buffers[pending_ordered[0]].complete:
-                name = pending_ordered.pop(0)
-            else:
-                # Nothing runnable: block until the head-of-order buffer
-                # or any pending priority buffer completes.
-                waits = [self.buffer_ready(n) for n in pending_priority]
-                if pending_ordered:
-                    waits.append(self.buffer_ready(pending_ordered[0]))
-                yield self.sim.any_of(waits)
-                continue
-            buf = self._buffers[name]
-            yield from self.pipeline.use(work_ns(buf))
-            buf.processed = True
-            realised.append(name)
-            if on_done is not None:
-                on_done(buf)
-        return realised
+        _Controller(self, order, work_ns, on_done, fn, args).step()
 
     # -- result sends -------------------------------------------------------------
-    def send_accum_results(
+    def send_results(
         self,
         dst_node: "NodeCoord | int",
         accum_name: str,
         packets: int,
-        *,
         counter_id: str,
         payload_bytes: int,
-        address_of: Optional[Callable[[int], Any]] = None,
-        payload_of: Optional[Callable[[int], Any]] = None,
-    ) -> Generator[Event, Any, None]:
-        """Stream ``packets`` accumulation packets to a target memory.
+        address: tuple = ("htis-result",),
+        payloads: Optional[list] = None,
+        fn: Optional[Callable[..., None]] = None,
+        args: tuple[Any, ...] = (),
+    ) -> None:
+        """Stream ``packets`` accumulation packets to a target memory,
+        then run ``fn(*args)`` (if given).
 
-        Each packet occupies the output stage for ``HTIS_SEND_NS``;
-        the stream is pipelined with any ongoing pipeline computation.
+        Each packet holds the output stage for ``HTIS_SEND_NS`` and is
+        injected in the event that ends its hold, so the stream is
+        pipelined with any ongoing pipeline computation.  Packet ``i``
+        is written at ``address + (i,)`` and carries ``payloads[i]``
+        (``None`` without payloads).
         """
-        dst = self.network.torus.coord(dst_node)
-        for i in range(packets):
-            yield from self.sender.use(HTIS_SEND_NS)
-            self.inject(
-                AccumPacket(
-                    src_node=self.node,
-                    src_client=self.name,
-                    dst_node=dst,
-                    dst_client=accum_name,
-                    payload_bytes=payload_bytes,
-                    payload=payload_of(i) if payload_of else None,
-                    counter_id=counter_id,
-                    address=address_of(i) if address_of else ("htis-result", i),
-                )
-            )
+        self._next_result(_Stream(
+            self.network.torus.coord(dst_node), accum_name, packets, counter_id,
+            payload_bytes, address, payloads, fn, args), 0)
+
+    def _next_result(self, stream: "_Stream", i: int) -> None:
+        if i < stream.packets:
+            hold(self.sender, HTIS_SEND_NS, HTIS._result_sent, (self, stream, i))
+        elif stream.fn is not None:
+            stream.fn(*stream.args)
+
+    def _result_sent(self, stream: "_Stream", i: int) -> None:
+        self.inject(AccumPacket(
+            src_node=self.node, src_client=self.name, dst_node=stream.dst,
+            dst_client=stream.accum_name, payload_bytes=stream.payload_bytes,
+            payload=stream.payloads[i] if stream.payloads else None,
+            counter_id=stream.counter_id, address=stream.address + (i,),
+        ))
+        self._next_result(stream, i + 1)
 
     def pairs_duration_ns(self, num_pairs: float) -> float:
         """Pipeline occupancy for ``num_pairs`` pairwise interactions."""
         if num_pairs < 0:
             raise ValueError("num_pairs must be >= 0")
         return num_pairs / self.pairs_per_ns
+
+
+class _Stream(NamedTuple):
+    """One :meth:`HTIS.send_results` stream."""
+
+    dst: NodeCoord
+    accum_name: str
+    packets: int
+    counter_id: str
+    payload_bytes: int
+    address: tuple
+    payloads: Optional[list]
+    fn: Optional[Callable[..., None]]
+    args: tuple
+
+
+class _Controller:
+    """The HTIS's embedded controller consuming its buffers, run as a
+    leg rather than a process: each step picks the next runnable
+    buffer and holds the pipelines for it.  With none runnable it parks
+    in ``HTIS._waiting``, and the write that completes a buffer steps
+    it again (:meth:`HTIS._receive_write`); one counter continuation
+    slot could not wait on several buffers at once."""
+
+    __slots__ = ("htis", "ordered", "priority", "work_ns", "on_done", "fn", "args")
+
+    def __init__(self, htis: HTIS, order: list[str], work_ns: float,
+                 on_done: Callable[[InteractionBuffer], None],
+                 fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        bufs = htis._buffers
+        self.htis, self.work_ns, self.on_done = htis, work_ns, on_done
+        self.ordered = [n for n in order if not bufs[n].priority]
+        self.priority = [n for n in order if bufs[n].priority]
+        self.fn, self.args = fn, args
+
+    def step(self) -> None:
+        htis = self.htis
+        bufs = htis._buffers
+        ordered, priority = self.ordered, self.priority
+        if not (ordered or priority):
+            self.fn(*self.args)
+            return
+        # Priority buffers that are already complete win immediately.
+        name = next((n for n in priority if bufs[n].complete), None)
+        if name is not None:
+            priority.remove(name)
+        elif ordered and bufs[ordered[0]].complete:
+            name = ordered.pop(0)
+        else:
+            htis._waiting = self
+            return
+        buf = bufs[name]
+        hold(htis.pipeline, self.work_ns, _Controller._processed, (self, buf))
+
+    def waits_on(self, name: str) -> bool:
+        """Whether completing buffer ``name`` can make a step runnable:
+        it heads the order or is a pending priority buffer."""
+        return name in self.priority or (bool(self.ordered) and self.ordered[0] == name)
+
+    def _processed(self, buf: InteractionBuffer) -> None:
+        self.on_done(buf)
+        self.step()
+

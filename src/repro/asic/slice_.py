@@ -8,37 +8,38 @@ assembling packets and injecting them into the network, a local memory
 that accepts remote writes, synchronization counters it can poll with
 very low latency, and a hardware-managed message FIFO (§III.C).
 
-The slice exposes *generator helpers* meant to be driven inside engine
-processes: ``yield from slice.send_write(...)``, ``yield from
-slice.poll(...)``, ``yield from slice.compute(...)``.  The Tensilica
-core is a FCFS resource, so concurrent send and poll activity on one
-slice serialises — which is exactly why bidirectional ping-pong runs
-slightly slower than unidirectional in Fig. 5.
+Every FCFS unit on the chip (a slice's Tensilica and geometry cores,
+the HTIS pipelines and output stage) is occupied through one
+primitive, :func:`hold`: it acquires the unit FCFS, queueing behind a
+busy unit as ``Resource.request`` does, and schedules one
+plain-function event that releases the unit and runs the
+continuation.  Concurrent send and poll activity on one slice thus
+serialises on its Tensilica core, which is exactly why bidirectional
+ping-pong runs slightly slower than unidirectional in Fig. 5.
 
-Each helper resumes one generator level below its caller: a resume
-through ``yield from`` pays once per level, and these helpers run on
-every send, poll and sum of every collective.  The three ``send_*``
-helpers and ``tensilica_work``/``compute`` are plain functions that
-return the one generator doing the work (``_send``, ``Resource.use``,
-``GeometryCore.compute``); ``_send`` and ``poll`` hold the Tensilica
-inline rather than through ``Resource.use``.  ``_send`` still builds
-its packet, which takes a global ``packet_id``, when the caller first
-runs it.
+The model's own code (the MD step, the all-reduce and migration legs)
+runs on the continuation forms, as plain functions and args tuples
+rather than as a process.  ``send_then`` holds the Tensilica for
+packet assembly and injects a packet built by ``_packet``;
+``poll_then`` and ``poll_accum_then`` continue from the counter's slot
+(``SyncCounter.on_target``) into the hold of the successful poll, so
+the poll starts inside the increment's own event; a leg that waits on
+the message FIFO fills its slot instead (``MessageFifo.on_message``).
+Nothing is kicked off or resumed.
 
-The slice also has continuation forms, for code that runs as plain
-functions and args tuples rather than as a process (the all-reduce
-and migration legs of :mod:`repro.comm`).  ``hold(ns, fn, args)``
-occupies the Tensilica: it acquires the core FCFS, queueing behind a
-busy core as ``Resource.request`` does, and schedules one
-plain-function event that releases the core and runs ``fn(*args)``.
-``send_then`` is ``_send`` on a hold, with the same packet building
-(``_packet``) and post-send hook (``_injected``).  ``poll_then``
-continues from the counter's slot (``SyncCounter.on_target``) into a
-hold for the successful poll.  Each costs the events of its generator
-form minus the process's own: the poll starts inside the increment's
-event, and nothing is kicked off or resumed.  A leg that waits on the
-message FIFO fills its slot instead (``MessageFifo.on_message``),
-which hands a landing message over inside the push's event.
+The generator helpers (``send_write``, ``send_accum``, ``poll``,
+``poll_accum``, ``read_accum_lines``, ``tensilica_work``) remain for
+the code that still runs as engine processes: the latency, transfer
+and attribution harnesses, the counted-write gather, the incast, the
+ablation benchmarks, the examples and tests.  They share the packet
+building and the flight hooks (``_packet``, ``_injected``,
+``_polled``) with the continuation forms, so no send or poll logic is
+written twice.  A resume through ``yield from`` pays once per
+generator level, so the ``send_*`` helpers and ``tensilica_work`` are
+plain functions returning the one generator doing the work, and
+``_send`` and ``poll`` hold the Tensilica inline rather than through
+``Resource.use``.  ``_send`` builds its packet, which takes a global
+``packet_id``, when the caller first runs it.
 """
 
 from __future__ import annotations
@@ -63,21 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.network import Network
 
 
-class GeometryCore:
-    """One of the two numerical cores in a slice: a FCFS compute server."""
-
-    def __init__(self, sim: "Simulator", name: str) -> None:
-        self.sim = sim
-        self.name = name
-        self.server = Resource(sim, capacity=1, name=name)
-        self.busy_ns = 0.0
-
-    def compute(self, duration_ns: float) -> Generator[Event, Any, None]:
-        """Occupy this core for ``duration_ns``.  ``yield from`` this."""
-        self.busy_ns += duration_ns
-        yield from self.server.use(duration_ns)
-
-
 class ProcessingSlice(NetworkClient):
     """One processing slice: Tensilica core + two geometry cores."""
 
@@ -94,9 +80,11 @@ class ProcessingSlice(NetworkClient):
         super().__init__(sim, network, node, f"slice{index}")
         self.index = index
         self.tensilica = Resource(sim, capacity=1, name=f"{self.name}.ts")
+        #: The two geometry cores: FCFS compute servers, occupied by
+        #: :func:`hold`.
         self.geometry = (
-            GeometryCore(sim, f"{self.name}.gc0"),
-            GeometryCore(sim, f"{self.name}.gc1"),
+            Resource(sim, capacity=1, name=f"{self.name}.gc0"),
+            Resource(sim, capacity=1, name=f"{self.name}.gc1"),
         )
         self.fifo = MessageFifo(capacity=fifo_capacity, name=self.name)
 
@@ -116,12 +104,12 @@ class ProcessingSlice(NetworkClient):
         address: Any = None,
         in_order: bool = False,
         pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, Event]:
+    ) -> Generator[Event, Any, None]:
         """The one send generator behind the ``send_*`` helpers.
 
         Builds the packet when first run (which is when it takes its
         ``packet_id``), holds the Tensilica for packet assembly, then
-        injects.  Returns the network's delivery event.
+        injects.
         """
         packet = self._packet(
             kind, dst_node, dst_client, payload, payload_bytes,
@@ -136,7 +124,7 @@ class ProcessingSlice(NetworkClient):
             yield sim.timeout(SLICE_SEND_NS)
         finally:
             ts.release()
-        return self._injected(packet, begin)
+        self._injected(packet, begin)
 
     def _packet(
         self,
@@ -166,14 +154,13 @@ class ProcessingSlice(NetworkClient):
             pattern_id=pattern_id,
         )
 
-    def _injected(self, packet: Packet, begin: float) -> Event:
+    def _injected(self, packet: Packet, begin: float) -> None:
         """Inject an assembled packet and record its software send over
-        ``[begin, now]``; returns the network's delivery event."""
-        done = self.inject(packet)
+        ``[begin, now]``."""
+        self.inject(packet)
         fl = self.network.flight
         if fl.enabled:
             fl.software_send(packet, begin, self.sim.now)
-        return done
 
     def send_write(
         self,
@@ -186,13 +173,9 @@ class ProcessingSlice(NetworkClient):
         payload_bytes: Optional[int] = None,
         in_order: bool = False,
         pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, Event]:
-        """Send one (possibly multicast) counted remote write.
-
-        Returns the network's delivery event so callers that care about
-        completion can wait on it; counted-remote-write receivers
-        normally just poll their counter instead.
-        """
+    ) -> Generator[Event, Any, None]:
+        """Send one (possibly multicast) counted remote write; the
+        receivers learn of its arrival by polling their counter."""
         return self._send(
             PacketKind.WRITE, dst_node, dst_client, payload, payload_bytes,
             counter_id=counter_id, address=address, in_order=in_order,
@@ -209,7 +192,7 @@ class ProcessingSlice(NetworkClient):
         payload: Any = None,
         payload_bytes: Optional[int] = None,
         pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, Event]:
+    ) -> Generator[Event, Any, None]:
         """Send one accumulation packet (+= at the target address)."""
         return self._send(
             PacketKind.ACCUM, dst_node, accum_name, payload, payload_bytes,
@@ -270,12 +253,6 @@ class ProcessingSlice(NetworkClient):
         if num_lines:
             yield from self.tensilica.use(num_lines * ACCUM_READ_NS)
 
-    # -- compute -------------------------------------------------------------
-    def compute(self, duration_ns: float, core: int = 0) -> Generator[Event, Any, None]:
-        """Run numerical work on geometry core ``core`` for ``duration_ns``
-        (that core's own :meth:`GeometryCore.compute` generator)."""
-        return self.geometry[core].compute(duration_ns)
-
     def tensilica_work(self, duration_ns: float) -> Generator[Event, Any, None]:
         """Occupy the Tensilica core (bookkeeping, data marshalling):
         the core's own :meth:`Resource.use` generator."""
@@ -286,19 +263,8 @@ class ProcessingSlice(NetworkClient):
         self, duration_ns: float, fn: Callable[..., None], args: tuple[Any, ...]
     ) -> None:
         """Occupy the Tensilica core for ``duration_ns``, then run
-        ``fn(*args)`` in the event that releases it.
-
-        The core is acquired FCFS: a busy core queues the hold behind
-        every earlier request, and its grant schedules the hold one
-        event later, as a process resumed by ``Resource.request``
-        would schedule its timeout.
-        """
-        ts = self.tensilica
-        if ts.try_acquire():
-            self.sim.schedule(duration_ns, _end_hold, ts, fn, args)
-        else:
-            ts.request().add_callback(
-                _QueuedHold(ts, duration_ns, fn, args).granted)
+        ``fn(*args)`` in the event that releases it (:func:`hold`)."""
+        hold(self.tensilica, duration_ns, fn, args)
 
     def send_then(
         self, packet: Packet, fn: Callable[..., None], args: tuple[Any, ...]
@@ -331,31 +297,62 @@ class ProcessingSlice(NetworkClient):
         self.hold(POLL_SUCCESS_NS, ProcessingSlice._poll_done,
                   (self, counter_id, target, self.sim.now, fn, args))
 
+    def poll_accum_then(
+        self, accum: "NetworkClient", counter_id: str, target: int,
+        fn: Callable[..., None], args: tuple[Any, ...],
+    ) -> None:
+        """The continuation form of :meth:`poll_accum`: once the
+        accumulation-memory counter reaches ``target``, pay the
+        across-the-ring poll on the Tensilica, then run ``fn(*args)``."""
+        if accum.node != self.node:
+            raise ValueError("accumulation counters are polled by slices on the same node")
+        accum.counter(counter_id).on_target(
+            target, hold, (self.tensilica, ACCUM_POLL_NS, fn, args))
+
     def _poll_done(self, counter_id: str, target: int, trigger: float,
                    fn: Callable[..., None], args: tuple[Any, ...]) -> None:
         self._polled(counter_id, target, trigger)
         fn(*args)
 
 
-def _end_hold(ts: Resource, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-    """The event ending a :meth:`ProcessingSlice.hold`: release the
-    core, then continue."""
-    ts.release()
+def hold(res: Resource, duration_ns: float, fn: Callable[..., None],
+         args: tuple[Any, ...]) -> None:
+    """Occupy the FCFS unit ``res`` for ``duration_ns``, then run
+    ``fn(*args)`` in the event that releases it.
+
+    The one hold of every FCFS unit on the chip: a slice's Tensilica
+    core and geometry cores, the HTIS pipelines and output stage.  The
+    unit is acquired FCFS: a busy unit queues the hold behind every
+    earlier request, and its grant schedules the hold one event later,
+    as a process resumed by ``Resource.request`` would schedule its
+    timeout.
+    """
+    if res.try_acquire():
+        res.sim.schedule(duration_ns, _end_hold, res, fn, args)
+    else:
+        res.request().add_callback(
+            _QueuedHold(res, duration_ns, fn, args).granted)
+
+
+def _end_hold(res: Resource, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+    """The event ending a :func:`hold`: release the unit, then
+    continue."""
+    res.release()
     fn(*args)
 
 
 class _QueuedHold:
-    """A hold queued behind a busy Tensilica core."""
+    """A hold queued behind a busy unit."""
 
-    __slots__ = ("ts", "duration_ns", "fn", "args")
+    __slots__ = ("res", "duration_ns", "fn", "args")
 
-    def __init__(self, ts: Resource, duration_ns: float,
+    def __init__(self, res: Resource, duration_ns: float,
                  fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self.ts = ts
+        self.res = res
         self.duration_ns = duration_ns
         self.fn = fn
         self.args = args
 
     def granted(self, _event: Event) -> None:
-        self.ts.sim.schedule(self.duration_ns, _end_hold,
-                             self.ts, self.fn, self.args)
+        self.res.sim.schedule(self.duration_ns, _end_hold,
+                              self.res, self.fn, self.args)

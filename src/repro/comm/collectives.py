@@ -175,10 +175,10 @@ class _Reduction:
     def begin(self, values: Optional[dict[NodeCoord, float]] = None) -> "_Run":
         """Start every node's leg, each in one event at the current
         instant (behind every event already there), and return the
-        run they report into, whose ``node_done[c]`` fires when node
-        ``c``'s leg ends.  For embedding in a larger simulation (the MD
-        thermostat); the caller waits for the run before starting the
-        next, which counts on the same counters."""
+        run they report into, which continues each node where its leg
+        ends (:meth:`_Run.on_node_end`).  For embedding in a larger
+        simulation (the MD thermostat); the caller waits for the run
+        before starting the next, which counts on the same counters."""
         torus = self.torus
         if values is None:
             values = {c: float(torus.rank(c)) for c in torus.nodes()}
@@ -189,7 +189,6 @@ class _Reduction:
         sim = self.sim
         run = _Run(sim, len(self._legs))
         for leg in self._legs:
-            run.node_done[leg.coord] = Event(sim)
             sim.schedule_now(_Leg.start, (leg, run, values[leg.coord]))
         return run
 
@@ -305,13 +304,23 @@ class _Run:
     ended, and node ``c``'s part ended at ``done_times[c]`` with
     ``final[c]``.  It refers to no leg, so no run is a cycle."""
 
-    __slots__ = ("sim", "remaining", "done", "node_done", "final", "done_times")
+    __slots__ = ("sim", "remaining", "done", "then", "final", "done_times")
 
     def __init__(self, sim: "Simulator", legs: int) -> None:
         self.sim, self.remaining, self.done = sim, legs, Event(sim)
-        self.node_done: dict[NodeCoord, Event] = {}
+        #: Node -> the continuation its leg's end runs.
+        self.then: dict[NodeCoord, tuple[Callable[..., None], tuple]] = {}
         self.final: dict[NodeCoord, Any] = {}
         self.done_times: dict[NodeCoord, float] = {}
+
+    def on_node_end(self, coord: NodeCoord, fn: Callable[..., None],
+                    args: tuple) -> None:
+        """Run ``fn(*args)`` once node ``coord``'s leg has ended: at
+        once if it has, else inside the event that ends it."""
+        if coord in self.done_times:
+            fn(*args)
+        else:
+            self.then[coord] = (fn, args)
 
     def ended(self) -> None:
         self.remaining -= 1
@@ -428,8 +437,10 @@ class _Leg:
         now = run.sim.now
         run.final[self.coord] = self.v
         run.done_times[self.coord] = now
-        run.node_done[self.coord].succeed(now)
         run.ended()
+        then = run.then.pop(self.coord, None)
+        if then is not None:
+            then[0](*then[1])
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,12 @@ class Interrupt(Exception):
         return self.args[0] if self.args else None
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` combinators."""
+class AllOf(Event):
+    """Fires once every child event has fired.
+
+    The value is a dict mapping each child event to its value, in the
+    original order.  Fails as soon as any child fails.
+    """
 
     __slots__ = ("events", "_pending_count")
 
@@ -162,7 +166,8 @@ class _Condition(Event):
             if ev.sim is not sim:
                 raise ValueError("all events must belong to the same simulator")
         self._pending_count = sum(1 for ev in self.events if not ev.triggered)
-        if self._check_immediate():
+        if self._pending_count == 0 and all(ev.ok for ev in self.events):
+            self.succeed({ev: ev.value for ev in self.events})
             return
         for ev in self.events:
             if not ev.triggered:
@@ -173,28 +178,6 @@ class _Condition(Event):
                     self.fail(ev._value)
                 return
 
-    def _check_immediate(self) -> bool:
-        raise NotImplementedError
-
-    def _on_child(self, child: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once every child event has fired.
-
-    The value is a dict mapping each child event to its value, in the
-    original order.  Fails as soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _check_immediate(self) -> bool:
-        if self._pending_count == 0 and all(ev.ok for ev in self.events):
-            self.succeed({ev: ev.value for ev in self.events})
-            return True
-        return False
-
     def _on_child(self, child: Event) -> None:
         if self.triggered:
             return
@@ -204,24 +187,3 @@ class AllOf(_Condition):
         self._pending_count -= 1
         if self._pending_count == 0:
             self.succeed({ev: ev.value for ev in self.events})
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires (value = that child's value)."""
-
-    __slots__ = ()
-
-    def _check_immediate(self) -> bool:
-        for ev in self.events:
-            if ev.triggered and ev.ok:
-                self.succeed(ev.value)
-                return True
-        return False
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child._value)
-            return
-        self.succeed(child.value)

@@ -2,9 +2,9 @@
 
 A :class:`Process` wraps a Python generator.  Each value the generator
 yields must be a waitable (:class:`~repro.engine.event.Event`, which
-includes :class:`~repro.engine.event.Timeout`, other processes, and the
-``AllOf``/``AnyOf`` combinators).  When the waitable fires, the process
-is resumed with the waitable's value; if the waitable failed, the
+includes :class:`~repro.engine.event.Timeout`, other processes, and
+the ``AllOf`` combinator).  When the waitable fires, the process is
+resumed with the waitable's value; if the waitable failed, the
 exception is thrown into the generator so that processes can use
 ordinary ``try``/``except`` for error handling.
 

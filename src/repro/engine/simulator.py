@@ -63,7 +63,7 @@ from types import FunctionType, MethodType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro import instruments
-from repro.engine.event import AllOf, AnyOf, Event, Timeout
+from repro.engine.event import AllOf, Event, Timeout
 from repro.engine.process import Coroutine, Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -256,10 +256,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Wait for every event in ``events``."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Wait for the first event in ``events``."""
-        return AnyOf(self, events)
 
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:

@@ -24,6 +24,12 @@ steps on the simulated machine:
 * **migration** (every N steps) — the FIFO + in-order-flush protocol
   of §IV.B.5.
 
+No phase runs as an engine process.  Each node's part of each phase
+is a leg started in one event; its steps run inside the events that
+end a hold of a chip unit, deliver a packet or complete a counter
+(:mod:`repro.asic.slice_`), as Anton's software moves on when a
+counter reaches its target.
+
 Two fidelity modes:
 
 ``payload_mode=True``
@@ -38,15 +44,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro import instruments
+from repro.asic.htis import HTIS
 from repro.asic.node import build_machine
+from repro.asic.slice_ import ProcessingSlice, hold
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
-from repro.constants import LONG_RANGE_INTERVAL
+from repro.constants import ACCUM_READ_NS, LONG_RANGE_INTERVAL
+from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.md.calibration import DEFAULT_CALIBRATION, AntonCalibration
 from repro.md.decomposition import Decomposition
@@ -55,6 +64,7 @@ from repro.md.fft import DistributedFFTPlan
 from repro.md.forcefield import ForceField
 from repro.md.system import ChemicalSystem
 from repro.network.multicast import compile_pattern
+from repro.network.packet import PacketKind
 from repro.topology.torus import NodeCoord
 from repro.trace.recorder import ActivityKind, ActivityRecorder
 
@@ -372,10 +382,10 @@ class AntonMD:
         if prof is not None:
             prof.phase_begin(f"step:{kind}")
         try:
-            procs = []
-            for n in self.torus.nodes():
-                procs.extend(self._spawn_node_step(n, kind))
-            self.sim.run(until=self.sim.all_of(procs))
+            phases = [_PositionLeg, _HtisLeg, _BondLeg, _IntegrateLeg]
+            if kind == "long_range":
+                phases.append(_FftLeg)
+            self._run_legs(phases, kind)
             end = self.sim.now
             if (
                 self.migration_interval
@@ -397,6 +407,23 @@ class AntonMD:
             packets_injected=self.machine.network.packets_injected - pkts0,
             packets_delivered=self.machine.network.packets_delivered - dlv0,
         )
+
+    def _run_legs(self, phases: list[type], kind: str) -> None:
+        """Start one leg of each phase on every node, each in one event
+        at the current instant, and run until the last has ended."""
+        sim = self.sim
+        self._open_legs = 0
+        self._legs_done = Event(sim)
+        for n in self.torus.nodes():
+            for phase in phases:
+                self._open_legs += 1
+                sim.schedule_now(phase.start, (phase(self, n, kind),))
+        sim.run(until=self._legs_done)
+
+    def _leg_ended(self) -> None:
+        self._open_legs -= 1
+        if not self._open_legs:
+            self._legs_done.succeed(self.sim.now)
 
     def _mark(self, phase: str) -> None:
         self._phase_marks.setdefault(phase, []).append(self.sim.now)
@@ -426,168 +453,20 @@ class AntonMD:
         self.step_index += 1
         start = self.sim.now
         self._phase_marks = {}
-        done: dict[NodeCoord, float] = {}
-        procs = []
-        for n in self.torus.nodes():
-            procs.append(
-                self.sim.process(self._bond_pos_sender(n), name=f"bpos@{n}")
-            )
-            procs.append(self.sim.process(self._bond_phase(n), name=f"bond@{n}"))
-            procs.append(
-                self.sim.process(self._bond_force_wait(n, done), name=f"bwait@{n}")
-            )
-        self.sim.run(until=self.sim.all_of(procs))
+        self._run_legs([_BondPositionLeg, _BondLeg, _BondForceWaitLeg],
+                       "range_limited")
         return self.sim.now - start
 
-    def _bond_pos_sender(self, n: NodeCoord):
-        atoms = self.decomp.atoms_of(n)
-        node = self.machine.node(n)
+    def _bond_sends(self, atom: int, payload: Any, label: Optional[str]) -> list:
+        """The bond-term unicasts of ``atom``'s position (one atom per
+        packet), in term-node order."""
         pos_bytes = self.cal.position_bytes
-        subprocs = []
-
-        def slice_sender(k, my_atoms):
-            s = node.slices[k]
-            for atom in my_atoms:
-                for dst in self._atom_term_nodes.get(atom, []):
-                    slot = self._bond_slot[(atom, dst)]
-                    yield from s.send_write(
-                        dst, "slice1", counter_id=self._bond_ctr,
-                        address=(self._bond_buf(), slot),
-                        payload_bytes=pos_bytes,
-                    )
-
-        for k in range(4):
-            my = [int(a) for a in atoms[k::4]]
-            if my:
-                subprocs.append(self.sim.process(slice_sender(k, my)))
-        if subprocs:
-            yield self.sim.all_of(subprocs)
-
-    def _bond_force_wait(self, n: NodeCoord, done: dict):
-        node = self.machine.node(n)
-        s2 = node.slices[2]
-        expected = self._bond_return_counts().get(n, 0)
-        if expected:
-            yield from s2.poll_accum(node.accum[0], self._force_ctr, expected)
-            node.accum[0].counter(self._force_ctr).reset()
-        done[n] = self.sim.now
-        node.accum[0].clear()
-
-    # ------------------------------------------------------------------
-    def _spawn_node_step(self, n: NodeCoord, kind: str) -> list:
-        procs = [
-            self.sim.process(self._position_phase(n), name=f"pos@{n}"),
-            self.sim.process(self._htis_phase(n, kind), name=f"htis@{n}"),
-            self.sim.process(self._bond_phase(n), name=f"bond@{n}"),
-            self.sim.process(self._integrate_phase(n, kind), name=f"integ@{n}"),
+        buf = self._bond_buf()
+        return [
+            ((PacketKind.WRITE, dst, "slice1", payload, pos_bytes, self._bond_ctr,
+              (buf, self._bond_slot[(atom, dst)]), False, None), label)
+            for dst in self._atom_term_nodes.get(atom, [])
         ]
-        if kind == "long_range":
-            procs.append(self.sim.process(self._fft_phase(n), name=f"fft@{n}"))
-        return procs
-
-    # -- phase: position sends ---------------------------------------------
-    def _position_phase(self, n: NodeCoord):
-        """Slices multicast positions to the HTIS import set and unicast
-        them to bonded-term nodes; padded to the fixed packet count."""
-        self._mark("positions")
-        node = self.machine.node(n)
-        atoms = self.decomp.atoms_of(n)
-        fixed = self.fixed_atoms_per_node
-        if len(atoms) > fixed:
-            raise RuntimeError(
-                f"node {n} holds {len(atoms)} atoms > fixed packet count "
-                f"{fixed}; raise AntonCalibration.density_pad"
-            )
-        subprocs = []
-        for k in range(4):
-            my_atoms = [int(a) for a in atoms[k::4]]
-            pad = (fixed // 4 + (1 if k < fixed % 4 else 0)) - len(my_atoms)
-            subprocs.append(
-                self.sim.process(
-                    self._position_sender(n, k, my_atoms, pad),
-                    name=f"pos@{n}.s{k}",
-                )
-            )
-        yield self.sim.all_of(subprocs)
-        self._mark("positions")
-
-    def _position_sender(self, n: NodeCoord, k: int, atoms: list[int], pad: int):
-        node = self.machine.node(n)
-        s = node.slices[k]
-        pid = self.pos_pattern[n]
-        pos_bytes = self.cal.position_bytes
-        ctr_buf = self._pos_buf(n)
-        unit = self._ts_units[n][k]
-        for atom in atoms:
-            payload = (atom, self.system.positions[atom].copy()) if self.payload_mode else None
-            yield from s.send_write(
-                n, "htis", counter_id=ctr_buf, payload=payload,
-                payload_bytes=pos_bytes, pattern_id=pid,
-            )
-            self.recorder.record_span(unit, ActivityKind.SEND, 36.0, "pos")
-            # Bond-term unicasts for this atom (one atom per packet).
-            for dst in self._atom_term_nodes.get(atom, []):
-                slot = self._bond_slot[(atom, dst)]
-                yield from s.send_write(
-                    dst, "slice1", counter_id=self._bond_ctr,
-                    address=(self._bond_buf(), slot),
-                    payload=payload, payload_bytes=pos_bytes,
-                )
-                self.recorder.record_span(unit, ActivityKind.SEND, 36.0, "bondpos")
-        # Padding packets keep the counted-write contract (§IV.B.1).
-        for _ in range(max(0, pad)):
-            yield from s.send_write(
-                n, "htis", counter_id=ctr_buf, payload=None,
-                payload_bytes=pos_bytes, pattern_id=pid,
-            )
-
-    # -- phase: HTIS range-limited (+ spreading, interpolation) --------------
-    def _htis_phase(self, n: NodeCoord, kind: str):
-        self._mark("range_limited")
-        node = self.machine.node(n)
-        htis = node.htis
-        origins = self._htis_origins[n]
-        if not origins:
-            self._mark("range_limited")
-            return
-        pairs_here = self._node_pairs(n)
-        per_buffer = pairs_here / len(origins)
-        order = sorted(
-            (self._pos_buf(o) for o in origins),
-            key=lambda name: name,
-        )
-        send_procs: list = []
-
-        def on_done(buf):
-            origin = buf.origin
-            self.recorder.record_span(
-                self._htis_unit[n], ActivityKind.COMPUTE,
-                htis.pairs_duration_ns(per_buffer), "pairs",
-            )
-            send_procs.append(
-                self.sim.process(
-                    self._htis_force_return(n, origin), name=f"fret@{n}"
-                )
-            )
-
-        if kind == "long_range":
-            # Charge spreading needs only this node's own atoms, whose
-            # positions arrive first (local multicast delivery), so it
-            # runs *before* the range-limited processing — that is how
-            # the FFT communication overlaps the range-limited
-            # computation in Fig. 13.
-            yield htis.counter(self._pos_buf(n)).wait_for(self.fixed_atoms_per_node)
-            yield from self._spread_phase(n)
-        yield from htis.process_buffers(
-            order,
-            work_ns=lambda buf: htis.pairs_duration_ns(per_buffer),
-            on_done=on_done,
-        )
-        if send_procs:
-            yield self.sim.all_of(send_procs)
-        self._mark("range_limited")
-        if kind == "long_range":
-            yield from self._interpolation_phase(n)
 
     def _node_pairs(self, n: NodeCoord) -> float:
         if self.payload_mode:
@@ -596,237 +475,15 @@ class AntonMD:
             return float(counts.get(n, 0))
         return self.mean_pairs_per_node()
 
-    def _htis_force_return(self, m: NodeCoord, origin: NodeCoord):
-        """Partial forces for ``origin``'s buffer stream back to the
-        origin node's accumulation memory 0."""
-        htis = self.machine.node(m).htis
-        fpp = self.cal.force_atoms_per_packet()
-        packets = math.ceil(self.fixed_atoms_per_node / fpp)
-        payload_of = None
-        if self.payload_mode:
-            partials = self._midpoint_pairs()[1].get((m, origin), {})
-            items = sorted(partials.items())
-
-            def payload_of(i, items=items, fpp=fpp):
-                chunk = items[i * fpp: (i + 1) * fpp]
-                return [(atom, f.copy()) for atom, f in chunk]
-
-        yield from htis.send_accum_results(
-            origin,
-            "accum0",
-            packets,
-            counter_id=self._force_ctr,
-            payload_bytes=min(256, fpp * self.cal.force_bytes),
-            address_of=lambda i: ("rl-forces", self.torus.rank(m), i),
-            payload_of=payload_of,
-        )
-
-    # -- phase: bonded forces ------------------------------------------------
-    def _bond_phase(self, n: NodeCoord):
-        self._mark("bonded")
-        node = self.machine.node(n)
-        s = node.slices[1]
-        expected = self._bond_incoming[n]
-        terms = self.bond_program.terms_of_node(n)
-        if expected == 0 and len(terms) == 0:
-            self._mark("bonded")
-            return
-        if expected:
-            yield from s.poll(self._bond_ctr, expected)
-            s.counter(self._bond_ctr).reset()
-        # Evaluate the node's terms on the geometry cores.
-        work = len(terms) * self.cal.gc_ns_per_bond_term
-        if work:
-            half = work / 2.0
-            p0 = self.sim.process(s.compute(half, core=0))
-            p1 = self.sim.process(s.compute(half, core=1))
-            yield self.sim.all_of([p0, p1])
-            self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "bonded")
-        # Return forces to the involved atoms' home accumulation
-        # memories (aggregated per destination, packed packets).
-        dest_atoms: dict[NodeCoord, list[int]] = {}
-        for t in terms:
-            for atom in self.bond_program.term_atoms(int(t)):
-                home = self.decomp.node_of_atom(atom)
-                dest_atoms.setdefault(home, []).append(atom)
-        fpp = self.cal.force_atoms_per_packet()
-        bond_forces = self._bond_forces_for(terms) if self.payload_mode else None
-        for dst, atoms in sorted(dest_atoms.items(), key=lambda kv: self.torus.rank(kv[0])):
-            unique = sorted(set(atoms))
-            for i in range(0, len(unique), fpp):
-                chunk = unique[i: i + fpp]
-                payload = None
-                if bond_forces is not None:
-                    payload = [(a, bond_forces[a].copy()) for a in chunk]
-                yield from s.send_accum(
-                    dst, "accum0",
-                    counter_id=self._force_ctr,
-                    address=("bond-forces", self.torus.rank(n), i),
-                    payload=payload,
-                    payload_bytes=min(256, len(chunk) * self.cal.force_bytes),
-                )
-        self._mark("bonded")
-
-    # -- phase: long-range ------------------------------------------------------
-    def _spread_phase(self, n: NodeCoord):
-        """HTIS spreads charges; partial grid sums go to the owners'
-        accumulation memory 1 (Fig. 9's charge path)."""
-        self._mark("fft_convolution")
-        node = self.machine.node(n)
-        htis = node.htis
-        ops = self.fixed_atoms_per_node * 4 ** 3
-        dur = ops / self.cal.htis_spread_ops_per_ns
-        yield from htis.pipeline.use(dur)
-        self.recorder.record_span(self._htis_unit[n], ActivityKind.COMPUTE, dur, "spread")
-        for dst, pk in self._spread_packets.get(n, []):
-            yield from htis.send_accum_results(
-                dst, "accum1", pk,
-                counter_id=self._spread_ctr,
-                payload_bytes=256,
-                address_of=lambda i, src=n: ("charges", self.torus.rank(src), i),
-            )
-
-    def _fft_phase(self, n: NodeCoord):
-        """The six-transfer dimension-ordered FFT convolution."""
-        node = self.machine.node(n)
-        s0 = node.slices[0]
-        plan = self.fft_plan
-        cal = self.cal
-        # Wait for the charge grid (accum1 counter), then read it out.
-        expected = self._spread_expected.get(n, 0)
-        if expected:
-            yield from s0.poll_accum(node.accum[1], self._spread_ctr, expected)
-            node.accum[1].counter(self._spread_ctr).reset()
-            yield from s0.read_accum_lines(
-                math.ceil(plan.points_per_node() * 4 / 32)
-            )
-        stage_pairs = list(zip(plan.STAGES[:-1], plan.STAGES[1:]))
-        self._mark("fft_transfers")
-        for idx, pair in enumerate(stage_pairs):
-            sends = self._fft_sends[pair].get(n, [])
-            recv = self._fft_recv[pair].get(n, 0)
-            # Four slices share the point-packet sends.
-            senders = []
-            chunks = _split_round_robin(sends, 4)
-            for k in range(4):
-                if chunks[k]:
-                    senders.append(
-                        self.sim.process(
-                            self._fft_sender(n, k, chunks[k], pair),
-                            name=f"fftsend@{n}",
-                        )
-                    )
-            if senders:
-                yield self.sim.all_of(senders)
-            if recv:
-                yield from s0.poll(self._fft_ctr[pair], recv)
-                s0.counter(self._fft_ctr[pair]).reset()
-            # 1-D FFT work (or convolution multiply after stage z).
-            stage_to = pair[1]
-            owned = plan.stage_points_owned(stage_to).get(n, 0)
-            if stage_to in ("x", "y", "z", "iy", "ix"):
-                work = owned * cal.gc_ns_per_fft_point
-            else:
-                work = 0.0
-            if stage_to == "z":
-                work += owned * cal.gc_ns_per_convolve_point
-            if work:
-                half = work / 2.0
-                p0 = self.sim.process(s0.compute(half, core=0))
-                p1 = self.sim.process(s0.compute(half, core=1))
-                yield self.sim.all_of([p0, p1])
-                self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "fft")
-        self._mark("fft_transfers")
-        # Potentials travel back to the HTIS units (multicast-like
-        # fan-out along the transposed spread pattern).
-        for dst, pk in self._potential_packets.get(n, []):
-            for i in range(pk):
-                yield from s0.send_write(
-                    dst, "htis",
-                    counter_id=self._potential_ctr,
-                    payload_bytes=256,
-                )
-        self._mark("fft_convolution")
-
-    def _fft_sender(self, n: NodeCoord, k: int, sends: list[tuple[NodeCoord, int]], pair):
-        s = self.machine.node(n).slices[k]
-        ctr = self._fft_ctr[pair]
-        for dst, pts in sends:
-            for _ in range(pts):
-                yield from s.send_write(
-                    dst, "slice0", counter_id=ctr,
-                    payload_bytes=self.cal.grid_point_bytes,
-                )
-
-    def _interpolation_phase(self, n: NodeCoord):
-        """HTIS interpolates long-range forces once potentials arrive."""
-        node = self.machine.node(n)
-        htis = node.htis
-        s2 = node.slices[2]
-        expected = self._potential_expected.get(n, 0)
-        if expected:
-            potentials = htis.counter(self._potential_ctr)
-            yield potentials.wait_for(expected)
-            potentials.reset()
-        ops = self.fixed_atoms_per_node * 4 ** 3
-        dur = ops / self.cal.htis_spread_ops_per_ns
-        yield from htis.pipeline.use(dur)
-        self.recorder.record_span(self._htis_unit[n], ActivityKind.COMPUTE, dur, "interp")
-        fpp = self.cal.force_atoms_per_packet()
-        packets = math.ceil(self.fixed_atoms_per_node / fpp)
-        yield from htis.send_accum_results(
-            n, "accum0", packets,
-            counter_id=self._force_ctr,
-            payload_bytes=min(256, fpp * self.cal.force_bytes),
-            address_of=lambda i: ("lr-forces", i),
-        )
-
-    # -- phase: integration + thermostat ------------------------------------------
-    def _integrate_phase(self, n: NodeCoord, kind: str):
-        self._mark("integration")
-        node = self.machine.node(n)
-        s2 = node.slices[2]
-        expected = self.expected_force_packets(n)
-        if kind == "long_range":
-            expected += self.expected_lr_force_packets(n)
-        yield from s2.poll_accum(node.accum[0], self._force_ctr, expected)
-        node.accum[0].counter(self._force_ctr).reset()
-        atoms = self.decomp.atoms_of(n)
-        fpp = self.cal.force_atoms_per_packet()
-        yield from s2.read_accum_lines(math.ceil(max(1, len(atoms)) / fpp))
-        if self.payload_mode:
-            self._apply_forces(n, node, atoms, kind)
-        # Velocity (and, without a thermostat, position) update.
-        work = max(1, len(atoms)) * self.cal.gc_ns_per_atom_update
-        half = work / 2.0
-        p0 = self.sim.process(s2.compute(half, core=0))
-        p1 = self.sim.process(s2.compute(half, core=1))
-        yield self.sim.all_of([p0, p1])
-        self.recorder.record_span(self._gc_unit[n], ActivityKind.COMPUTE, half, "integrate")
-        if self.thermostat and kind == "long_range":
-            self._mark("thermostat")
-            yield from s2.tensilica_work(
-                max(1, len(atoms)) * self.cal.ts_ns_per_ke_atom
-            )
-            yield from self._thermostat_reduce(n)
-            # Adjust temperature and update positions (Fig. 13 tail).
-            p0 = self.sim.process(s2.compute(half, core=0))
-            p1 = self.sim.process(s2.compute(half, core=1))
-            yield self.sim.all_of([p0, p1])
-            self._mark("thermostat")
-        self._mark("integration")
-        node.accum[0].clear()
-        node.accum[1].clear()
-
-    def _thermostat_reduce(self, n: NodeCoord):
+    def _thermostat_reduce(self, n: NodeCoord, fn, args: tuple) -> None:
         """This node's leg of the global kinetic-energy all-reduce: the
         first node to arrive each step starts every node's leg, and
-        each node waits on its own leg's completion event."""
+        each node continues with ``fn(*args)`` once its own leg ends."""
         if self._reduce_step != self.step_index:
             self._reduce_step = self.step_index
             self._reduce_run = self.allreduce.begin(
                 {c: 0.0 for c in self.torus.nodes()})
-        yield self._reduce_run.node_done[n]
+        self._reduce_run.on_node_end(n, fn, args)
 
     # -- migration ------------------------------------------------------------
     def _run_migration(self) -> int:
@@ -930,6 +587,459 @@ class AntonMD:
             value = accum.value(("item", int(atom)))
             if isinstance(value, np.ndarray):
                 self.collected_forces[int(atom)] += value
+
+
+class _Sends:
+    """A slice's fixed sequence of sends, one after the other, then
+    ``fn(*args)``.  A send is the args of :meth:`ProcessingSlice._packet`
+    and a label: a labelled send records a SEND span on ``unit`` in the
+    event that injects it."""
+
+    __slots__ = ("md", "s", "sends", "unit", "fn", "args", "i")
+
+    def __init__(self, md: AntonMD, s: ProcessingSlice, sends: list,
+                 unit: Optional[str], fn: Callable[..., None], args: tuple) -> None:
+        self.md, self.s, self.sends, self.unit = md, s, sends, unit
+        self.fn, self.args, self.i = fn, args, 0
+
+    def next(self) -> None:
+        if self.i == len(self.sends):
+            return self.fn(*self.args)
+        s = self.s
+        s.send_then(s._packet(*self.sends[self.i][0]), _Sends._sent, (self,))
+
+    def _sent(self) -> None:
+        label = self.sends[self.i][1]
+        if label is not None:
+            self.md.recorder.record_span(self.unit, ActivityKind.SEND, 36.0, label)
+        self.i += 1
+        self.next()
+
+
+class _Leg:
+    """One node's part of one phase of a step, stepped by counter,
+    hold and send continuations rather than run as a process: each
+    step is a plain function that a continuation runs with the leg as
+    its first argument, and a join counts ``pending`` down."""
+
+    __slots__ = ("md", "n", "node", "kind", "pending", "half")
+
+    def __init__(self, md: AntonMD, n: NodeCoord, kind: str) -> None:
+        self.md, self.n, self.kind = md, n, kind
+        self.node = md.machine.node(n)
+
+    def _end(self) -> None:
+        self.md._leg_ended()
+
+    def _reset_then(self, counter: Any, then: Callable[[Any], None]) -> None:
+        """Reset the counter a successful poll consumed, then continue."""
+        counter.reset()
+        then(self)
+
+    def _joined(self, then: Callable[[Any], None]) -> None:
+        self.pending -= 1
+        if not self.pending:
+            then(self)
+
+    def _compute(self, s: ProcessingSlice, work: float,
+                 then: Callable[[Any], None]) -> None:
+        """Split ``work`` over the slice's two geometry cores (two holds
+        and a countdown of 2), then continue with ``then(self)``."""
+        self.half = work / 2.0
+        self.pending = 2
+        for core in s.geometry:
+            hold(core, self.half, _Leg._joined, (self, then))
+
+    def _start_sends(self, per_slice: list, then: Callable[[Any], None]) -> None:
+        """Run a ``(slice, sends, unit)`` send sequence per slice, each
+        started in one event at the current instant, then continue
+        with ``then(self)``."""
+        if not per_slice:
+            return then(self)
+        self.pending = len(per_slice)
+        for s, sends, unit in per_slice:
+            seq = _Sends(self.md, s, sends, unit, _Leg._joined, (self, then))
+            self.md.sim.schedule_now(_Sends.next, (seq,))
+
+
+class _PositionLeg(_Leg):
+    """Slices multicast positions to the HTIS import set and unicast
+    them to bonded-term nodes; padded to the fixed packet count."""
+
+    __slots__ = ()
+
+    def start(self) -> None:
+        md, n = self.md, self.n
+        md._mark("positions")
+        atoms = md.decomp.atoms_of(n)
+        fixed = md.fixed_atoms_per_node
+        if len(atoms) > fixed:
+            raise RuntimeError(
+                f"node {n} holds {len(atoms)} atoms > fixed packet count "
+                f"{fixed}; raise AntonCalibration.density_pad"
+            )
+
+        def pos(payload: Any) -> tuple:
+            return (PacketKind.WRITE, n, "htis", payload, md.cal.position_bytes,
+                    md._pos_buf(n), None, False, md.pos_pattern[n])
+
+        per_slice = []
+        for k in range(4):
+            my_atoms = [int(a) for a in atoms[k::4]]
+            pad = (fixed // 4 + (1 if k < fixed % 4 else 0)) - len(my_atoms)
+            sends = []
+            for atom in my_atoms:
+                payload = (atom, md.system.positions[atom].copy()) if md.payload_mode else None
+                sends.append((pos(payload), "pos"))
+                sends.extend(md._bond_sends(atom, payload, "bondpos"))
+            # Padding packets keep the counted-write contract (§IV.B.1).
+            sends.extend([(pos(None), None)] * max(0, pad))
+            per_slice.append((self.node.slices[k], sends, md._ts_units[n][k]))
+        self._start_sends(per_slice, _PositionLeg._end)
+
+    def _end(self) -> None:
+        self.md._mark("positions")
+        self.md._leg_ended()
+
+
+class _BondPositionLeg(_Leg):
+    """The bond phase alone: each slice unicasts its atoms' positions
+    to their bonded-term nodes."""
+
+    __slots__ = ()
+
+    def start(self) -> None:
+        atoms = self.md.decomp.atoms_of(self.n)
+        per_slice = []
+        for k in range(4):
+            sends = [s for a in atoms[k::4] for s in self.md._bond_sends(int(a), None, None)]
+            if sends:
+                per_slice.append((self.node.slices[k], sends, None))
+        self._start_sends(per_slice, _Leg._end)
+
+
+class _BondForceWaitLeg(_Leg):
+    """The bond phase alone: the home node polls for its bonded-force
+    returns."""
+
+    __slots__ = ()
+
+    def start(self) -> None:
+        md, node = self.md, self.node
+        expected = md._bond_return_counts().get(self.n, 0)
+        if not expected:
+            return self._end()
+        node.slices[2].poll_accum_then(
+            node.accum[0], md._force_ctr, expected, _Leg._reset_then,
+            (self, node.accum[0].counter(md._force_ctr), _BondForceWaitLeg._end))
+
+    def _end(self) -> None:
+        self.node.accum[0].clear()
+        self.md._leg_ended()
+
+
+class _BondLeg(_Leg):
+    """Geometry cores evaluate the node's bonded terms once their
+    positions arrive, then return the forces to the atoms' home
+    accumulation memories, aggregated per destination into packed
+    packets."""
+
+    __slots__ = ("terms",)
+
+    def start(self) -> None:
+        md = self.md
+        md._mark("bonded")
+        expected = md._bond_incoming[self.n]
+        self.terms = md.bond_program.terms_of_node(self.n)
+        s = self.node.slices[1]
+        if expected:
+            s.poll_then(md._bond_ctr, expected, _Leg._reset_then,
+                        (self, s.counter(md._bond_ctr), _BondLeg._evaluate))
+        elif len(self.terms):
+            self._evaluate()
+        else:
+            self._end()
+
+    def _evaluate(self) -> None:
+        work = len(self.terms) * self.md.cal.gc_ns_per_bond_term
+        if work:
+            self._compute(self.node.slices[1], work, _BondLeg._evaluated)
+        else:
+            self._return_forces()
+
+    def _evaluated(self) -> None:
+        md = self.md
+        md.recorder.record_span(md._gc_unit[self.n], ActivityKind.COMPUTE, self.half, "bonded")
+        self._return_forces()
+
+    def _return_forces(self) -> None:
+        md = self.md
+        dest_atoms: dict[NodeCoord, list[int]] = {}
+        for t in self.terms:
+            for atom in md.bond_program.term_atoms(int(t)):
+                dest_atoms.setdefault(md.decomp.node_of_atom(atom), []).append(atom)
+        fpp = md.cal.force_atoms_per_packet()
+        bond_forces = md._bond_forces_for(self.terms) if md.payload_mode else None
+        rank = md.torus.rank(self.n)
+        sends = []
+        for dst, atoms in sorted(dest_atoms.items(), key=lambda kv: md.torus.rank(kv[0])):
+            unique = sorted(set(atoms))
+            for i in range(0, len(unique), fpp):
+                chunk = unique[i: i + fpp]
+                payload = None
+                if bond_forces is not None:
+                    payload = [(a, bond_forces[a].copy()) for a in chunk]
+                sends.append(((PacketKind.ACCUM, dst, "accum0", payload,
+                               min(256, len(chunk) * md.cal.force_bytes), md._force_ctr,
+                               ("bond-forces", rank, i), False, None), None))
+        _Sends(md, self.node.slices[1], sends, None, _BondLeg._end, (self,)).next()
+
+    def _end(self) -> None:
+        self.md._mark("bonded")
+        self.md._leg_ended()
+
+
+class _HtisLeg(_Leg):
+    """The HTIS: range-limited pairs from the origin buffers (high-
+    priority queue first), each buffer's partial forces streamed back
+    to its origin's accumulation memory 0.  A long-range step adds
+    charge spreading before and force interpolation after."""
+
+    __slots__ = ("work", "dur", "i")
+
+    def start(self) -> None:
+        md, n = self.md, self.n
+        md._mark("range_limited")
+        origins = md._htis_origins[n]
+        if not origins:
+            md._mark("range_limited")
+            return self._end()
+        htis = self.node.htis
+        self.work = htis.pairs_duration_ns(md._node_pairs(n) / len(origins))
+        self.dur = md.fixed_atoms_per_node * 4 ** 3 / md.cal.htis_spread_ops_per_ns
+        if self.kind != "long_range":
+            return self._consume()
+        # Charge spreading needs only this node's own atoms, whose
+        # positions arrive first (local multicast delivery), so it runs
+        # *before* the range-limited processing — that is how the FFT
+        # communication overlaps the range-limited computation in
+        # Fig. 13.  Partial grid sums go to the owners' accumulation
+        # memory 1 (Fig. 9's charge path).
+        htis.counter(md._pos_buf(n)).on_target(
+            md.fixed_atoms_per_node, _HtisLeg._spread, (self,))
+
+    def _spread(self) -> None:
+        self.md._mark("fft_convolution")
+        hold(self.node.htis.pipeline, self.dur, _HtisLeg._spread_sends, (self,))
+
+    def _spread_sends(self) -> None:
+        md = self.md
+        md.recorder.record_span(md._htis_unit[self.n], ActivityKind.COMPUTE, self.dur, "spread")
+        self.i = 0
+        self._spread_next()
+
+    def _spread_next(self) -> None:
+        md = self.md
+        packets = md._spread_packets.get(self.n, [])
+        if self.i == len(packets):
+            return self._consume()
+        dst, pk = packets[self.i]
+        self.i += 1
+        self.node.htis.send_results(
+            dst, "accum1", pk, md._spread_ctr, 256, ("charges", md.torus.rank(self.n)),
+            None, _HtisLeg._spread_next, (self,))
+
+    def _consume(self) -> None:
+        order = sorted(self.md._pos_buf(o) for o in self.md._htis_origins[self.n])
+        self.pending = 1  # the controller, plus each buffer's result stream
+        self.node.htis.consume_buffers(
+            order, self.work, self._buffer_done, _Leg._joined, (self, _HtisLeg._returned))
+
+    def _buffer_done(self, buf) -> None:
+        md, m = self.md, self.n
+        md.recorder.record_span(md._htis_unit[m], ActivityKind.COMPUTE, self.work, "pairs")
+        fpp = md.cal.force_atoms_per_packet()
+        packets = math.ceil(md.fixed_atoms_per_node / fpp)
+        payloads = None
+        if md.payload_mode:
+            items = sorted(md._midpoint_pairs()[1].get((m, buf.origin), {}).items())
+            payloads = [[(atom, f.copy()) for atom, f in items[i * fpp: (i + 1) * fpp]]
+                        for i in range(packets)]
+        self.pending += 1
+        # The stream starts in one event of its own.
+        md.sim.schedule_now(HTIS.send_results, (
+            self.node.htis, buf.origin, "accum0", packets, md._force_ctr,
+            min(256, fpp * md.cal.force_bytes), ("rl-forces", md.torus.rank(m)),
+            payloads, _Leg._joined, (self, _HtisLeg._returned)))
+
+    def _returned(self) -> None:
+        md = self.md
+        md._mark("range_limited")
+        if self.kind != "long_range":
+            return self._end()
+        # Force interpolation once the potentials arrive.
+        expected = md._potential_expected.get(self.n, 0)
+        if expected:
+            potentials = self.node.htis.counter(md._potential_ctr)
+            potentials.on_target(expected, _Leg._reset_then,
+                                 (self, potentials, _HtisLeg._interpolate))
+        else:
+            self._interpolate()
+
+    def _interpolate(self) -> None:
+        hold(self.node.htis.pipeline, self.dur, _HtisLeg._interpolated, (self,))
+
+    def _interpolated(self) -> None:
+        md = self.md
+        md.recorder.record_span(md._htis_unit[self.n], ActivityKind.COMPUTE, self.dur, "interp")
+        fpp = md.cal.force_atoms_per_packet()
+        self.node.htis.send_results(
+            self.n, "accum0", math.ceil(md.fixed_atoms_per_node / fpp), md._force_ctr,
+            min(256, fpp * md.cal.force_bytes), ("lr-forces",), None, _Leg._end, (self,))
+
+
+class _FftLeg(_Leg):
+    """The six-transfer dimension-ordered FFT convolution, then the
+    potentials back to the HTIS units (multicast-like fan-out along
+    the transposed spread pattern)."""
+
+    __slots__ = ("stage", "ctr", "recv")
+
+    def start(self) -> None:
+        md, node = self.md, self.node
+        # Wait for the charge grid (accum1 counter), then read it out.
+        expected = md._spread_expected.get(self.n, 0)
+        if not expected:
+            return self._transfers()
+        node.slices[0].poll_accum_then(
+            node.accum[1], md._spread_ctr, expected, _FftLeg._charges, (self,))
+
+    def _charges(self) -> None:
+        md = self.md
+        self.node.accum[1].counter(md._spread_ctr).reset()
+        lines = math.ceil(md.fft_plan.points_per_node() * 4 / 32)
+        self.node.slices[0].hold(lines * ACCUM_READ_NS, _FftLeg._transfers, (self,))
+
+    def _transfers(self) -> None:
+        self.md._mark("fft_transfers")
+        self.stage = 0
+        self._stage()
+
+    def _stage(self) -> None:
+        md, stages = self.md, self.md.fft_plan.STAGES
+        if self.stage == len(stages) - 1:
+            return self._potentials()
+        pair = stages[self.stage], stages[self.stage + 1]
+        self.ctr, self.recv = md._fft_ctr[pair], md._fft_recv[pair].get(self.n, 0)
+        # Four slices share the point-packet sends.
+        per_slice = []
+        for k, chunk in enumerate(_split_round_robin(md._fft_sends[pair].get(self.n, []), 4)):
+            if chunk:
+                sends = []
+                for dst, pts in chunk:
+                    sends += [((PacketKind.WRITE, dst, "slice0", None, md.cal.grid_point_bytes,
+                                self.ctr, None, False, None), None)] * pts
+                per_slice.append((self.node.slices[k], sends, None))
+        self._start_sends(per_slice, _FftLeg._sent)
+
+    def _sent(self) -> None:
+        s0 = self.node.slices[0]
+        if self.recv:
+            s0.poll_then(self.ctr, self.recv, _Leg._reset_then,
+                         (self, s0.counter(self.ctr), _FftLeg._work))
+        else:
+            self._work()
+
+    def _work(self) -> None:
+        """1-D FFT work (or convolution multiply after stage z)."""
+        md = self.md
+        stage_to = md.fft_plan.STAGES[self.stage + 1]
+        owned = md.fft_plan.stage_points_owned(stage_to).get(self.n, 0)
+        work = 0.0
+        if stage_to in ("x", "y", "z", "iy", "ix"):
+            work = owned * md.cal.gc_ns_per_fft_point
+        if stage_to == "z":
+            work += owned * md.cal.gc_ns_per_convolve_point
+        if work:
+            self._compute(self.node.slices[0], work, _FftLeg._computed)
+        else:
+            self._next_stage()
+
+    def _computed(self) -> None:
+        md = self.md
+        md.recorder.record_span(md._gc_unit[self.n], ActivityKind.COMPUTE, self.half, "fft")
+        self._next_stage()
+
+    def _next_stage(self) -> None:
+        self.stage += 1
+        self._stage()
+
+    def _potentials(self) -> None:
+        md = self.md
+        md._mark("fft_transfers")
+        sends = [((PacketKind.WRITE, dst, "htis", None, 256, md._potential_ctr,
+                   None, False, None), None)
+                 for dst, pk in md._potential_packets.get(self.n, []) for _ in range(pk)]
+        _Sends(md, self.node.slices[0], sends, None, _FftLeg._end, (self,)).next()
+
+    def _end(self) -> None:
+        self.md._mark("fft_convolution")
+        self.md._leg_ended()
+
+
+class _IntegrateLeg(_Leg):
+    """Slice 2 polls the force counter and reads the forces, and the
+    geometry cores update velocities (and, without a thermostat,
+    positions); a long-range step adds the thermostat's kinetic-energy
+    reduction and the position update."""
+
+    __slots__ = ("atoms",)
+
+    def start(self) -> None:
+        md, node = self.md, self.node
+        md._mark("integration")
+        self.atoms = max(1, len(md.decomp.atoms_of(self.n)))
+        expected = md.expected_force_packets(self.n)
+        if self.kind == "long_range":
+            expected += md.expected_lr_force_packets(self.n)
+        node.slices[2].poll_accum_then(
+            node.accum[0], md._force_ctr, expected, _IntegrateLeg._polled, (self,))
+
+    def _polled(self) -> None:
+        md = self.md
+        self.node.accum[0].counter(md._force_ctr).reset()
+        lines = math.ceil(self.atoms / md.cal.force_atoms_per_packet())
+        self.node.slices[2].hold(lines * ACCUM_READ_NS, _IntegrateLeg._read, (self,))
+
+    def _read(self) -> None:
+        md = self.md
+        if md.payload_mode:
+            md._apply_forces(self.n, self.node, md.decomp.atoms_of(self.n), self.kind)
+        self._compute(self.node.slices[2], self.atoms * md.cal.gc_ns_per_atom_update,
+                      _IntegrateLeg._updated)
+
+    def _updated(self) -> None:
+        md = self.md
+        md.recorder.record_span(md._gc_unit[self.n], ActivityKind.COMPUTE, self.half, "integrate")
+        if not (md.thermostat and self.kind == "long_range"):
+            return self._end()
+        md._mark("thermostat")
+        self.node.slices[2].hold(self.atoms * md.cal.ts_ns_per_ke_atom, AntonMD._thermostat_reduce,
+                                 (md, self.n, _IntegrateLeg._reduced, (self,)))
+
+    def _reduced(self) -> None:
+        # Adjust temperature and update positions (Fig. 13 tail).
+        self._compute(self.node.slices[2], 2.0 * self.half, _IntegrateLeg._adjusted)
+
+    def _adjusted(self) -> None:
+        self.md._mark("thermostat")
+        self._end()
+
+    def _end(self) -> None:
+        self.md._mark("integration")
+        self.node.accum[0].clear()
+        self.node.accum[1].clear()
+        self.md._leg_ended()
 
 
 def _split_round_robin(items: list, k: int) -> list[list]:

@@ -28,8 +28,8 @@ Implementation note: packet transport is written in continuation-
 passing style (callbacks on the event queue) rather than as generator
 processes — an MD time step moves hundreds of thousands of packets and
 the per-process machinery dominated the run time of the first
-implementation.  Client-side code keeps the friendlier generator API.
-Each scheduled continuation is a plain function with its transit
+implementation.  The model's clients run the same way (see
+:mod:`repro.asic.slice_`).  Each scheduled continuation is a plain function with its transit
 (or link) as the first argument — ``_UcastTransit._next_hop, self``
 rather than ``self._next_hop`` — so a hop allocates no bound method,
 and its args tuple is the one object per event that the cyclic garbage
@@ -247,24 +247,23 @@ class Network:
     # ------------------------------------------------------------------
     # packet injection
     # ------------------------------------------------------------------
-    def inject(self, packet: Packet) -> Event:
+    def inject(self, packet: Packet) -> None:
         """Inject a packet at its source node's ring.
 
         The caller (a client) is responsible for charging its own send
-        overhead (e.g. ``SLICE_SEND_NS``) before calling.  Returns an
-        event that fires when the packet has been delivered to every
-        destination client (all of them, for multicast).
+        overhead (e.g. ``SLICE_SEND_NS``) before calling.  The packet
+        counts in ``packets_completed`` once it has been delivered to
+        every destination client (all of them, for multicast); a
+        receiver learns of its arrival from its counter.
         """
         self.packets_injected += 1
         fl = self.flight
         if fl.enabled:
             fl.packet_injected(packet, self.sim.now)
-        done = Event(self.sim, name="delivered")
         if packet.is_multicast:
-            _McastTransit(self, packet, done)
+            _McastTransit(self, packet)
         else:
-            _UcastTransit(self, packet, done)
-        return done
+            _UcastTransit(self, packet)
 
     # -- shared helpers -----------------------------------------------------
     def _inorder_gate(
@@ -336,13 +335,12 @@ class Network:
 class _UcastTransit:
     """Continuation-passing unicast transport of one packet."""
 
-    __slots__ = ("net", "packet", "done", "route", "idx",
+    __slots__ = ("net", "packet", "route", "idx",
                  "payload_extra", "order_prev", "order_mine")
 
-    def __init__(self, net: Network, packet: Packet, done: Event) -> None:
+    def __init__(self, net: Network, packet: Packet) -> None:
         self.net = net
         self.packet = packet
-        self.done = done
         src = packet.src_node
         dst = packet.dst_node
         route = net._routes.get((src, dst))
@@ -445,7 +443,6 @@ class _UcastTransit:
                 prev.add_callback(lambda _ev: mine.succeed(net.sim.now))
             else:
                 mine.succeed(net.sim.now)
-        self.done.succeed(net.sim.now)
 
     def _arrive(self) -> None:
         if self.order_prev is not None and not self.order_prev.triggered:
@@ -464,25 +461,24 @@ class _UcastTransit:
         if self.order_mine is not None and not self.order_mine.triggered:
             self.order_mine.succeed(net.sim.now)
         net.packets_completed += 1
-        self.done.succeed(net.sim.now)
 
 
 class _McastTransit:
     """Continuation-passing multicast transport of one packet.
 
     Walks the compiled tree, delivering to local clients and forwarding
-    along outgoing links; ``done`` fires when the last delivery lands.
+    along outgoing links; the packet completes when the last delivery
+    lands.
     Each visit carries the node's :class:`TableEntry` and reads the
     clients and child entries resolved on it; each hop reads its link
     from the child entry it leads to.
     """
 
-    __slots__ = ("net", "packet", "done", "pattern", "payload_extra", "outstanding")
+    __slots__ = ("net", "packet", "pattern", "payload_extra", "outstanding")
 
-    def __init__(self, net: Network, packet: Packet, done: Event) -> None:
+    def __init__(self, net: Network, packet: Packet) -> None:
         self.net = net
         self.packet = packet
-        self.done = done
         pattern = net._patterns.get(packet.pattern_id)  # type: ignore[arg-type]
         if pattern is None:
             raise KeyError(f"multicast pattern {packet.pattern_id} not registered")
@@ -580,7 +576,6 @@ class _McastTransit:
         self.outstanding -= 1
         if self.outstanding == 0:
             net.packets_completed += 1
-            self.done.succeed(net.sim.now)
 
     def _granted(self, child: TableEntry, first_link: bool) -> None:
         net = self.net
@@ -635,4 +630,3 @@ class _McastTransit:
         self.outstanding -= lost
         if self.outstanding == 0:
             net.packets_completed += 1
-            self.done.succeed(net.sim.now)

@@ -315,14 +315,14 @@ def _table3_critical_path(spec: ExperimentSpec) -> Outcome:
     and computation microseconds.  Also the profiling walkthrough's
     reference workload — its per-phase simulated accounting is exactly
     what the engine self-profiler mirrors in host wall time."""
-    from repro.analysis.mdstep import build_dhfr_md, run_table3
+    from repro.analysis.mdstep import build_dhfr_md, run_step_pair, run_table3
     from repro.constants import DHFR_ATOMS
 
     atoms = int(spec.extra("atoms", 0)) or max(
         512, DHFR_ATOMS * spec.nodes // 512
     )
     md = build_dhfr_md(spec.shape, atoms=atoms, seed=spec.seed)
-    rows = run_table3(md)
+    rows = run_table3(run_step_pair(md))
     measurements = []
     for name, row in sorted(rows.items()):
         measurements.append(

@@ -95,7 +95,7 @@ def test_reset_mid_phase_raises(sim, machine222):
     sequencing bug and must raise."""
     htis = machine222.node((0, 0, 0)).htis
     htis.define_buffer("b", (1, 0, 0), 2)
-    htis.buffer_ready("b")  # registers a waiter
+    htis.buffer("b").counter.wait_for(2)  # registers a waiter
     with pytest.raises(RuntimeError, match="waiters pending"):
         htis.reset_buffers()
 

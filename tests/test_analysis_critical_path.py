@@ -39,7 +39,9 @@ def run_multicast(sim, machine, fl, targets):
         counter_id="mc", address=("mc", 0),
         pattern_id=net.register_pattern(pattern),
     )
-    sim.run(until=net.inject(packet))
+    net.inject(packet)
+    sim.run()
+    assert net.packets_completed == 1
     [flight] = fl.packets()
     return flight
 

@@ -7,6 +7,7 @@ from repro.analysis.mdstep import (
     fig11_series,
     fig12_series,
     fig13_timeline,
+    run_step_pair,
     run_table3,
 )
 
@@ -16,7 +17,7 @@ ATOMS = 400
 
 @pytest.fixture(scope="module")
 def table3():
-    return run_table3(build_dhfr_md(shape=SHAPE, atoms=ATOMS))
+    return run_table3(run_step_pair(build_dhfr_md(shape=SHAPE, atoms=ATOMS)))
 
 
 def test_table3_has_all_rows(table3):
@@ -75,10 +76,9 @@ def test_fig12_curve_falls_and_flattens():
 
 
 def test_fig13_renders_unit_classes():
-    text, rl, lr = fig13_timeline(
-        build_dhfr_md(shape=SHAPE, atoms=ATOMS), buckets=16
-    )
+    pair = run_step_pair(build_dhfr_md(shape=SHAPE, atoms=ATOMS))
+    text = fig13_timeline(pair, buckets=16)
     for col in ("GC", "HTIS", "TS"):
         assert col in text
     assert "legend" in text
-    assert lr.total_ns > rl.total_ns
+    assert pair.long_range.total_ns > pair.range_limited.total_ns

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asic.slice_ import hold
 from repro.constants import POLL_SUCCESS_NS, SLICE_SEND_NS
 from tests.conftest import run_exchange
 
@@ -79,27 +80,18 @@ def test_poll_costs_42ns_after_arrival(sim, machine222):
 def test_geometry_cores_run_concurrently(sim, machine222):
     s = machine222.node((0, 0, 0)).slice(0)
     done = []
-
-    def worker(core):
-        yield from s.compute(100.0, core=core)
-        done.append((core, sim.now))
-
-    sim.process(worker(0))
-    sim.process(worker(1))
+    for core in (0, 1):
+        hold(s.geometry[core], 100.0, lambda c: done.append((c, sim.now)), (core,))
     sim.run()
     assert [t for _, t in done] == [100.0, 100.0]
+    assert [core.total_busy_ns for core in s.geometry] == [100.0, 100.0]
 
 
 def test_same_core_serialises(sim, machine222):
     s = machine222.node((0, 0, 0)).slice(0)
     done = []
-
-    def worker(i):
-        yield from s.compute(100.0, core=0)
-        done.append(sim.now)
-
-    sim.process(worker(0))
-    sim.process(worker(1))
+    for _ in range(2):
+        hold(s.geometry[0], 100.0, lambda: done.append(sim.now), ())
     sim.run()
     assert done == [100.0, 200.0]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.engine import AllOf, Event, Simulator, Timeout
 
 
 def test_event_starts_pending(sim):
@@ -106,22 +106,6 @@ def test_all_of_propagates_failure(sim):
     sim.process(waiter())
     sim.run()
     assert both.triggered and not both.ok
-
-
-def test_any_of_fires_on_first(sim):
-    a, b = sim.event(), sim.event()
-    first = sim.any_of([a, b])
-    sim.schedule(3.0, b.succeed, "b-wins")
-    sim.schedule(8.0, a.succeed, "a-late")
-    sim.run()
-    assert first.value == "b-wins"
-
-
-def test_any_of_with_pretriggered_child(sim):
-    a, b = sim.event(), sim.event()
-    a.succeed("now")
-    first = sim.any_of([a, b])
-    assert first.triggered and first.value == "now"
 
 
 def test_cross_simulator_events_rejected():

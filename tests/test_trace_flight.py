@@ -172,7 +172,9 @@ class TestMulticast:
             counter_id="mc", address=("mc", 0),
             pattern_id=net.register_pattern(pattern),
         )
-        sim.run(until=net.inject(packet))
+        net.inject(packet)
+        sim.run()
+        assert net.packets_completed == 1
         [flight] = fl.packets()
         return machine, flight
 
@@ -223,8 +225,9 @@ class TestMulticast:
             dst_node=net.torus.coord((0, 0, 0)), dst_client="slice0",
             counter_id="mc", address=("mc", 0), pattern_id=pattern_id,
         )
-        done = net.inject(packet)
-        sim.run(until=done)
+        net.inject(packet)
+        sim.run()
+        assert net.packets_completed == 1
         [flight] = fl.packets()
         assert flight.multicast
         assert len(flight.hops) == pattern.total_link_traversals

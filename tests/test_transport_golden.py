@@ -91,7 +91,7 @@ DIGESTS = {
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "ee6744e1ccbe6d66da7ab3a76e1401281dd60036559ca5860eadf53a2869e962",
+        "b5c2423d49c1f8049e4af2cde273aea86481c8ad1b7e7a5cbade412babf73a04",
     "monitor_allreduce":
         "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
@@ -369,10 +369,19 @@ def flight_metrics_digest() -> str:
     from repro.monitor.capture import run_monitored
 
     mdstep = run_experiment(SPECS["mdstep"], Captures(flight=True)).metrics
-    incast = run_monitored(
+    cap = run_monitored(
         ExperimentSpec("congestion", shape=(3, 3, 3), rounds=200)
         .with_extras(senders=26)
-    ).result.registry.snapshot()
+    )
+    # 26 senders into one sink offer more than its link carries, so the
+    # sink's head-of-line queue grows without bound: this is the funnel
+    # the queue-growth watchdog is there to flag.  Any other failing
+    # check is a fault.
+    failing = [(c.name, c.status) for c in cap.verdict.checks if not c.ok]
+    assert failing == [("queue_growth", "error")], failing
+    assert "reached 1200 packet(s), above the bound of 1024" in (
+        cap.verdict.check("queue_growth").detail)
+    incast = cap.result.registry.snapshot()
     return _sha([
         {name: doc for name, doc in snapshot.items()
          if name.startswith("net.")}
