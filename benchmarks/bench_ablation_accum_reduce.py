@@ -11,7 +11,12 @@ from conftest import get_scale, once
 
 from repro.analysis import render_table
 from repro.asic import build_machine
-from repro.constants import ACCUM_POLL_NS, POLL_SUCCESS_NS, REDUCE_SUM_NS_PER_WORD
+from repro.asic.slice_ import (
+    accum_step, poll_accum_step, poll_step, run_programs, work_step, write_step,
+)
+from repro.constants import (
+    ACCUM_POLL_NS, ACCUM_READ_NS, POLL_SUCCESS_NS, REDUCE_SUM_NS_PER_WORD,
+)
 from repro.engine import Simulator
 
 SOURCES = 7  # one X-axis round on an 8-ring
@@ -30,35 +35,26 @@ def _round(via_accum: bool, shape):
     if not via_accum:
         node.slices[0].memory.allocate("rx", len(sources))
 
-    def feed(i, origin):
-        s = machine.node(origin).slices[0]
+    programs = []
+    for i, origin in enumerate(sources):
         if via_accum:
-            yield from s.send_accum(centre, "accum0", counter_id="r",
-                                    address="sum", payload=1.0,
-                                    payload_bytes=4 * WORDS)
+            step = accum_step(centre, "accum0", counter_id="r", address="sum",
+                              payload=1.0, payload_bytes=4 * WORDS)
         else:
-            yield from s.send_write(centre, "slice0", counter_id="r",
-                                    address=("rx", i), payload=1.0,
-                                    payload_bytes=4 * WORDS)
-
-    def receiver():
-        s0 = node.slices[0]
-        if via_accum:
-            # Poll the accumulation-memory counter across the ring; the
-            # memory already holds the sum.
-            yield from s0.poll_accum(node.accum[0], "r", len(sources))
-            yield from s0.read_accum_lines(1)
-        else:
-            yield from s0.poll("r", len(sources))
-            # Software sum on the Tensilica.
-            yield from s0.tensilica_work(
-                REDUCE_SUM_NS_PER_WORD * WORDS * len(sources)
-            )
-
-    procs = [sim.process(feed(i, o)) for i, o in enumerate(sources)]
-    procs.append(sim.process(receiver()))
-    sim.run(until=sim.all_of(procs))
-    return sim.now
+            step = write_step(centre, "slice0", counter_id="r",
+                              address=("rx", i), payload=1.0,
+                              payload_bytes=4 * WORDS)
+        programs.append((machine.node(origin).slices[0], [step]))
+    if via_accum:
+        # Poll the accumulation-memory counter across the ring; the
+        # memory already holds the sum, read back as one line.
+        receive = [poll_accum_step(node.accum[0], "r", len(sources)),
+                   work_step(ACCUM_READ_NS)]
+    else:
+        # Software sum on the Tensilica.
+        receive = [poll_step("r", len(sources)),
+                   work_step(REDUCE_SUM_NS_PER_WORD * WORDS * len(sources))]
+    return run_programs(sim, programs + [(node.slices[0], receive)])
 
 
 def bench_ablation_accum_reduce(benchmark, publish, record):

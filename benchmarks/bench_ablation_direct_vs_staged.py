@@ -15,6 +15,7 @@ from conftest import get_scale, once
 
 from repro.analysis import render_table
 from repro.asic import build_machine
+from repro.asic.slice_ import poll_step, run_programs, work_step, write_step
 from repro.baselines import ClusterNetwork
 from repro.constants import DDR2_INFINIBAND
 from repro.engine import Simulator
@@ -32,48 +33,33 @@ def _anton(direct: bool, shape):
     sim = Simulator()
     machine = build_machine(sim, *shape)
     torus = machine.torus
-    done = {}
 
     def direct_node(c):
-        s = machine.node(c).slices[0]
         neighbors = torus.moore_neighbors(c)
-        for m in neighbors:
-            yield from s.send_write(m, "slice0", counter_id="d",
-                                    payload_bytes=CHUNK)
-        yield from s.poll("d", len(neighbors))
-        done[c] = sim.now
+        return [write_step(m, "slice0", counter_id="d", payload_bytes=CHUNK)
+                for m in neighbors] + [poll_step("d", len(neighbors))]
 
     def staged_node(c):
-        s = machine.node(c).slices[0]
-        # Round 1 (X): send 9 chunks each way — own data plus the data
-        # destined for the YZ fan behind each X neighbour.
-        for sign in (1, -1):
-            m = torus.neighbor(c, "x", sign)
-            for _ in range(9):
-                yield from s.send_write(m, "slice0", counter_id="s1",
-                                        payload_bytes=CHUNK)
-        yield from s.poll("s1", 18)
-        yield from s.tensilica_work(18 * REPACK_NS)  # recombine for Y
-        # Round 2 (Y): 3 chunks each way (own X-line's worth).
-        for sign in (1, -1):
-            m = torus.neighbor(c, "y", sign)
-            for _ in range(3):
-                yield from s.send_write(m, "slice0", counter_id="s2",
-                                        payload_bytes=CHUNK)
-        yield from s.poll("s2", 6)
-        yield from s.tensilica_work(6 * REPACK_NS)  # recombine for Z
-        # Round 3 (Z): 1 chunk each way.
-        for sign in (1, -1):
-            m = torus.neighbor(c, "z", sign)
-            yield from s.send_write(m, "slice0", counter_id="s3",
-                                    payload_bytes=CHUNK)
-        yield from s.poll("s3", 2)
-        done[c] = sim.now
+        steps = []
+        # Round 1 (X): 9 chunks each way — own data plus the data
+        # destined for the YZ fan behind each X neighbour; recombine for
+        # Y.  Round 2 (Y): 3 chunks each way (own X-line's worth);
+        # recombine for Z.  Round 3 (Z): 1 chunk each way.
+        for r, (dim, chunks, repack) in enumerate(
+                (("x", 9, 18), ("y", 3, 6), ("z", 1, 0)), 1):
+            for sign in (1, -1):
+                m = torus.neighbor(c, dim, sign)
+                steps += [write_step(m, "slice0", counter_id=f"s{r}",
+                                     payload_bytes=CHUNK)] * chunks
+            steps.append(poll_step(f"s{r}", 2 * chunks))
+            if repack:
+                steps.append(work_step(repack * REPACK_NS))
+        return steps
 
-    proc = direct_node if direct else staged_node
-    procs = [sim.process(proc(c)) for c in torus.nodes()]
-    sim.run(until=sim.all_of(procs))
-    return max(done.values()), machine.network.packets_injected / torus.num_nodes
+    program = direct_node if direct else staged_node
+    end = run_programs(sim, [(machine.node(c).slices[0], program(c))
+                             for c in torus.nodes()])
+    return end, machine.network.packets_injected / torus.num_nodes
 
 
 def _cluster(direct: bool):

@@ -11,6 +11,7 @@ from conftest import get_scale, once
 
 from repro.analysis import render_table
 from repro.asic import build_machine
+from repro.asic.slice_ import Join, Steps, write_step
 from repro.engine import Simulator
 from repro.md.decomposition import Decomposition
 from repro.md.forcefield import ForceField
@@ -37,24 +38,19 @@ def _run(use_multicast: bool, shape):
         tree = compile_pattern(machine.torus, src_node, {m: ["htis"] for m in imports})
         pid = machine.network.register_pattern(tree)
 
-    def sender(k):
-        s = slices[k]
-        for _ in range(ATOMS_PER_NODE // 4 + (1 if k < ATOMS_PER_NODE % 4 else 0)):
-            if use_multicast:
-                yield from s.send_write(src_node, "htis", counter_id="pos",
-                                        payload_bytes=32, pattern_id=pid)
-            else:
-                for m in imports:
-                    yield from s.send_write(m, "htis", counter_id="pos",
-                                            payload_bytes=32)
-
-    waits = [
-        machine.node(m).htis.counter("pos").wait_for(ATOMS_PER_NODE)
-        for m in imports
-    ]
-    procs = [sim.process(sender(k)) for k in range(4)]
-    sim.run(until=sim.all_of(procs + [sim.all_of(waits)]))
-    return sim.now, machine.network.link_traversals, len(imports)
+    if use_multicast:
+        sends = [write_step(src_node, "htis", counter_id="pos",
+                            payload_bytes=32, pattern_id=pid)]
+    else:
+        sends = [write_step(m, "htis", counter_id="pos", payload_bytes=32)
+                 for m in imports]
+    join = Join(sim, 4 + len(imports))
+    for k in range(4):
+        packets = ATOMS_PER_NODE // 4 + (1 if k < ATOMS_PER_NODE % 4 else 0)
+        Steps(slices[k], sends * packets, join.ended).start()
+    for m in imports:
+        machine.node(m).htis.counter("pos").on_target(ATOMS_PER_NODE, join.ended, ())
+    return sim.run(until=join.done), machine.network.link_traversals, len(imports)
 
 
 def bench_ablation_multicast(benchmark, publish, record):

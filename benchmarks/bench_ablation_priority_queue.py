@@ -12,6 +12,7 @@ from conftest import get_scale, once
 
 from repro.analysis import render_table
 from repro.asic import build_machine
+from repro.asic.slice_ import Join, Steps, write_step
 from repro.engine import Simulator
 
 ORIGINS = 8
@@ -35,26 +36,28 @@ def _run(priority_on: bool, shape):
             priority=(priority_on and o == far),
         )
 
-    def feed(i, origin):
-        s = machine.node(origin).slices[0]
-        # The farthest origin's data arrives *early*; near ones trickle.
-        delay = 0.0 if origin == far else 200.0 * (i + 1)
-        yield sim.timeout(delay)
-        for _ in range(PACKETS):
-            yield from s.send_write(centre, "htis", counter_id=f"b{i}",
-                                    payload_bytes=32)
-
     def on_done(buf):
         # Each buffer's result stream starts in one event of its own.
         sim.schedule_now(htis.send_results, (buf.origin, "accum0", 2, "forces", 240))
 
-    far_wait = machine.node(far).accum[0].counter("forces").wait_for(2)
-    procs = [sim.process(feed(i, o)) for i, o in enumerate(origins)]
-    consumed = sim.event()
+    join = Join(sim, ORIGINS + 2)
     sim.schedule_now(htis.consume_buffers, (
-        [f"b{i}" for i in range(ORIGINS)], WORK_NS, on_done, consumed.succeed, ()))
-    sim.run(until=sim.all_of(procs + [consumed, far_wait]))
-    return far_wait.value  # time the farthest origin's forces landed
+        [f"b{i}" for i in range(ORIGINS)], WORK_NS, on_done, join.ended, ()))
+    for i, origin in enumerate(origins):
+        # The farthest origin's data arrives *early*; near ones trickle.
+        delay = 0.0 if origin == far else 200.0 * (i + 1)
+        sends = [write_step(centre, "htis", counter_id=f"b{i}", payload_bytes=32)]
+        sim.schedule(delay, Steps.start,
+                     Steps(machine.node(origin).slices[0], sends * PACKETS, join.ended))
+    landed = {}
+
+    def far_landed():
+        landed["t"] = sim.now
+        join.ended()
+
+    machine.node(far).accum[0].counter("forces").on_target(2, far_landed, ())
+    sim.run(until=join.done)
+    return landed["t"]  # time the farthest origin's forces landed
 
 
 def bench_ablation_priority_queue(benchmark, publish, record):

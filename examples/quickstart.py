@@ -4,12 +4,14 @@
 Builds a 512-node simulated Anton, sends one 0-byte counted remote
 write between X-neighbours, and shows the gather pattern of Fig. 4:
 two source slices writing into one target with a single
-synchronization counter.
+synchronization counter.  Each slice runs a fixed program of sends and
+polls; the next step starts when the last one ends, with no handshake.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import CountedGather, GatherSource, Simulator, build_machine
+from repro.asic import Join, poll_step, run_programs, write_step
 
 
 def headline_latency() -> None:
@@ -19,22 +21,14 @@ def headline_latency() -> None:
     dst = machine.node((1, 0, 0)).slice(0)
     dst.memory.allocate("inbox", 1)
 
-    def sender():
-        yield from src.send_write(
-            (1, 0, 0), "slice0", counter_id="hello",
-            address=("inbox", 0), payload_bytes=0,
-        )
-
-    result = {}
-
-    def receiver():
-        result["t"] = yield from dst.poll("hello", 1)
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
+    # Runs until both programs have ended.
+    t = run_programs(sim, [
+        (src, [write_step((1, 0, 0), "slice0", counter_id="hello",
+                          address=("inbox", 0), payload_bytes=0)]),
+        (dst, [poll_step("hello", 1)]),
+    ])
     print(f"0-byte write, one X hop, send to successful poll: "
-          f"{result['t']:.0f} ns   (paper: 162 ns)")
+          f"{t:.0f} ns   (paper: 162 ns)")
 
 
 def counted_gather() -> None:
@@ -53,24 +47,14 @@ def counted_gather() -> None:
         ],
     )
 
-    def send_a():
-        yield from gather.send_from(a, ["a0", "a1", "a2"], payload_bytes=32)
-
-    def send_b():
-        yield sim.timeout(400.0)  # b's data is ready later — no handshake
-        yield from gather.send_from(b, ["b0", "b1"], payload_bytes=32)
-
-    done = {}
-
-    def receiver():
-        done["t"] = yield from gather.wait(target)
-
-    sim.process(send_a())
-    sim.process(send_b())
-    sim.process(receiver())
-    sim.run()
+    join = Join(sim, 3)
+    gather.send_from(a, ["a0", "a1", "a2"], join.ended, payload_bytes=32)
+    # b's data is ready later — no handshake.
+    sim.schedule(400.0, gather.send_from, b, ["b0", "b1"], join.ended, (), 32)
+    gather.wait(target, join.ended)
+    t = sim.run(until=join.done)
     print(f"counted gather of {gather.expected} packets from 2 nodes "
-          f"complete at {done['t']:.0f} ns; data: {gather.gathered()}")
+          f"complete at {t:.0f} ns; data: {gather.gathered()}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ figure of the paper's evaluation.
 Quick start::
 
     from repro import Simulator, build_machine
+    from repro.asic import poll_step, run_programs, write_step
 
     sim = Simulator()
     machine = build_machine(sim, 8, 8, 8)          # a 512-node Anton
@@ -18,17 +19,12 @@ Quick start::
     b = machine.node((1, 0, 0)).slice(0)
     b.memory.allocate("inbox", 1)
 
-    def sender():
-        yield from a.send_write((1, 0, 0), "slice0", counter_id="c",
-                                 address=("inbox", 0), payload_bytes=0)
-
-    def receiver():
-        t = yield from b.poll("c", 1)
-        print(f"end-to-end latency: {t} ns")        # 162.0
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
+    t = run_programs(sim, [                         # until both end
+        (a, [write_step((1, 0, 0), "slice0", counter_id="c",
+                        address=("inbox", 0), payload_bytes=0)]),
+        (b, [poll_step("c", 1)]),
+    ])
+    print(f"end-to-end latency: {t} ns")            # 162.0
 
 See README.md for the architecture overview and DESIGN.md /
 EXPERIMENTS.md for the paper-reproduction index.

@@ -375,6 +375,7 @@ def measure_attribution(
     """
     from repro.analysis.latency import _destination_for_hops
     from repro.asic.node import build_machine
+    from repro.asic.slice_ import poll_step, run_programs, write_step
     from repro.engine.simulator import Simulator
     from repro.trace.flight import FlightRecorder, use_flight
 
@@ -387,21 +388,12 @@ def measure_attribution(
     # The 0-hop case sends between slices of one node, as in Fig. 5.
     dst = machine.node(dst_coord).slice(1 if hops == 0 else 0)
     dst.memory.allocate("attr", 1)
-    done = {}
-
-    def sender():
-        yield from src.send_write(
-            dst.node, dst.name, counter_id="attr", address=("attr", 0),
-            payload_bytes=payload_bytes,
-        )
-
-    def receiver():
-        done["t"] = yield from dst.poll("attr", 1)
-
     start = sim.now
-    p1 = sim.process(sender())
-    p2 = sim.process(receiver())
-    sim.run(until=sim.all_of([p1, p2]))
+    elapsed = run_programs(sim, [
+        (src, [write_step(dst.node, dst.name, counter_id="attr",
+                          address=("attr", 0), payload_bytes=payload_bytes)]),
+        (dst, [poll_step("attr", 1)]),
+    ]) - start
     [flight] = fl.packets()
     attr = attribute_flight(flight, fl)
     # The write's own recorder keeps the analysis to this one packet; a
@@ -415,5 +407,5 @@ def measure_attribution(
         destination=dst_coord,
         payload_bytes=payload_bytes,
         attribution=attr,
-        elapsed_ns=done["t"] - start,
+        elapsed_ns=elapsed,
     )

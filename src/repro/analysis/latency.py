@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asic.node import Machine, build_machine
+from repro.asic.slice_ import poll_step, run_programs, write_step
 from repro.constants import (
     DST_RING_NS,
     LINK_ADAPTER_NS,
@@ -67,49 +68,25 @@ def ping_pong_ns(
     """One-way latency between slice 0 of node (0,0,0) and of ``dst``."""
     machine, a, b, tag = _fresh_pair(shape, dst, machine)
     sim = machine.sim
-    if not bidirectional:
-        times = {}
-
-        def pinger():
-            start = sim.now
-            for r in range(rounds):
-                yield from a.send_write(
-                    b.node, b.name, counter_id=tag + "ping", address=(tag, 0),
-                    payload_bytes=payload_bytes,
-                )
-                yield from a.poll(tag + "pong", r + 1)
-            times["rtt"] = (sim.now - start) / rounds
-
-        def ponger():
-            for r in range(rounds):
-                yield from b.poll(tag + "ping", r + 1)
-                yield from b.send_write(
-                    a.node, a.name, counter_id=tag + "pong", address=(tag, 0),
-                    payload_bytes=payload_bytes,
-                )
-
-        p1 = sim.process(pinger())
-        p2 = sim.process(ponger())
-        sim.run(until=sim.all_of([p1, p2]))
-        return times["rtt"] / 2.0
-
-    # Bidirectional: both ends send each round, then poll.
-    done = {}
-
-    def side(me, peer, ctr_in, ctr_out, key):
-        start = sim.now
-        for r in range(rounds):
-            yield from me.send_write(
-                peer.node, peer.name, counter_id=ctr_out, address=(tag, 0),
-                payload_bytes=payload_bytes,
-            )
-            yield from me.poll(ctr_in, r + 1)
-        done[key] = (sim.now - start) / rounds
-
-    p1 = sim.process(side(a, b, tag + "ba", tag + "ab", "a"))
-    p2 = sim.process(side(b, a, tag + "ab", tag + "ba", "b"))
-    sim.run(until=sim.all_of([p1, p2]))
-    return max(done.values())
+    if bidirectional:
+        # Both ends send each round, then poll.
+        ctr_a, ctr_b = tag + "ba", tag + "ab"
+    else:
+        ctr_a, ctr_b = tag + "pong", tag + "ping"
+    to_b = write_step(b.node, b.name, counter_id=ctr_b, address=(tag, 0),
+                      payload_bytes=payload_bytes)
+    to_a = write_step(a.node, a.name, counter_id=ctr_a, address=(tag, 0),
+                      payload_bytes=payload_bytes)
+    a_steps, b_steps = [], []
+    for r in range(1, rounds + 1):
+        a_steps += (to_b, poll_step(ctr_a, r))
+        b_steps += (to_a, poll_step(ctr_b, r)) if bidirectional else (
+            poll_step(ctr_b, r), to_a)
+    start = sim.now
+    per_round = (run_programs(sim, [(a, a_steps), (b, b_steps)]) - start) / rounds
+    # Unidirectional: a round is a round trip; bidirectional: the later
+    # side's round is one crossing.
+    return per_round if bidirectional else per_round / 2.0
 
 
 @dataclass

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.asic.node import build_machine
+from repro.asic.slice_ import poll_step, run_programs, write_step
 from repro.baselines.cluster import ClusterNetwork
 from repro.baselines.mpi import MpiContext
 from repro.constants import MAX_PAYLOAD_BYTES, TORUS_LINK_EFFECTIVE_GBPS
@@ -54,23 +55,13 @@ def anton_transfer_ns(
             size -= MAX_PAYLOAD_BYTES
         packets.append(size)
     dst.memory.allocate("xfer", len(packets))
-    times = {}
-
-    def sender():
-        for i, size in enumerate(packets):
-            yield from src.send_write(
-                dst_coord, "slice0", counter_id="xfer", address=("xfer", i),
-                payload_bytes=size,
-            )
-
-    def receiver():
-        times["done"] = yield from dst.poll("xfer", len(packets))
-
     start = sim.now
-    p1 = sim.process(sender())
-    p2 = sim.process(receiver())
-    sim.run(until=sim.all_of([p1, p2]))
-    return times["done"] - start
+    return run_programs(sim, [
+        (src, [write_step(dst_coord, "slice0", counter_id="xfer",
+                          address=("xfer", i), payload_bytes=size)
+               for i, size in enumerate(packets)]),
+        (dst, [poll_step("xfer", len(packets))]),
+    ]) - start
 
 
 def infiniband_transfer_ns(total_bytes: int, num_messages: int) -> float:

@@ -12,7 +12,17 @@ from repro.asic.fifo import MessageFifo
 from repro.asic.htis import HTIS, InteractionBuffer
 from repro.asic.memory import LocalMemory
 from repro.asic.node import AntonNode, Machine, build_machine
-from repro.asic.slice_ import ProcessingSlice
+from repro.asic.slice_ import (
+    Join,
+    ProcessingSlice,
+    Steps,
+    accum_step,
+    poll_accum_step,
+    poll_step,
+    run_programs,
+    work_step,
+    write_step,
+)
 from repro.asic.sync_counter import SyncCounter
 
 __all__ = [
@@ -21,10 +31,18 @@ __all__ = [
     "Machine",
     "HTIS",
     "InteractionBuffer",
+    "Join",
     "LocalMemory",
     "MessageFifo",
     "NetworkClient",
     "ProcessingSlice",
+    "Steps",
     "SyncCounter",
+    "accum_step",
     "build_machine",
+    "poll_accum_step",
+    "poll_step",
+    "run_programs",
+    "work_step",
+    "write_step",
 ]

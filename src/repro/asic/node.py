@@ -84,8 +84,7 @@ class Machine:
         return self.nodes[self.torus.coord(coord)]
 
     def __iter__(self) -> Iterator[AntonNode]:
-        for coord in self.torus.nodes():
-            yield self.nodes[coord]
+        return map(self.nodes.__getitem__, self.torus.nodes())
 
     def __len__(self) -> int:
         return len(self.nodes)

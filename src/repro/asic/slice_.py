@@ -17,43 +17,35 @@ continuation.  Concurrent send and poll activity on one slice thus
 serialises on its Tensilica core, which is exactly why bidirectional
 ping-pong runs slightly slower than unidirectional in Fig. 5.
 
-The model's own code (the MD step, the all-reduce and migration legs)
-runs on the continuation forms, as plain functions and args tuples
-rather than as a process.  ``send_then`` holds the Tensilica for
-packet assembly and injects a packet built by ``_packet``;
-``poll_then`` and ``poll_accum_then`` continue from the counter's slot
-(``SyncCounter.on_target``) into the hold of the successful poll, so
-the poll starts inside the increment's own event; a leg that waits on
-the message FIFO fills its slot instead (``MessageFifo.on_message``).
-Nothing is kicked off or resumed.
+A slice's software runs on continuations, as on Anton, where a
+counter reaching its target is what starts the next send: plain
+functions and args tuples, never a process.  ``send_then`` holds the
+Tensilica for packet assembly and injects a packet built by
+:meth:`ProcessingSlice.packet`; ``poll_then`` and ``poll_accum_then``
+continue from the counter's slot (``SyncCounter.on_target``) into the
+hold of the successful poll, so the poll starts inside the increment's
+own event; a leg that waits on the message FIFO fills its slot instead
+(``MessageFifo.on_message``).  Nothing is kicked off or resumed.
 
-The generator helpers (``send_write``, ``send_accum``, ``poll``,
-``poll_accum``, ``read_accum_lines``, ``tensilica_work``) remain for
-the code that still runs as engine processes: the latency, transfer
-and attribution harnesses, the counted-write gather, the incast, the
-ablation benchmarks, the examples and tests.  They share the packet
-building and the flight hooks (``_packet``, ``_injected``,
-``_polled``) with the continuation forms, so no send or poll logic is
-written twice.  A resume through ``yield from`` pays once per
-generator level, so the ``send_*`` helpers and ``tensilica_work`` are
-plain functions returning the one generator doing the work, and
-``_send`` and ``poll`` hold the Tensilica inline rather than through
-``Resource.use``.  ``_send`` builds its packet, which takes a global
-``packet_id``, when the caller first runs it.
+The model's legs (the MD step, the all-reduce, the migration) chain
+these forms themselves.  A fixed program, such as one side of a
+ping-pong, an incast sender or an MD leg's list of sends, is a
+:class:`Steps` list of sends, polls and Tensilica work, run one after
+another; a send builds its packet, which takes a global ``packet_id``,
+when its step starts.  A :class:`Join` counts legs down: it ends a
+harness, where ``sim.run(until=join.done)`` returns the time its last
+leg ended and a lost packet runs the simulation out of events instead,
+and a collective's run.  :func:`run_programs` runs a set of programs
+so.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.asic.client import NetworkClient
 from repro.asic.fifo import MessageFifo
-from repro.constants import (
-    ACCUM_POLL_NS,
-    ACCUM_READ_NS,
-    POLL_SUCCESS_NS,
-    SLICE_SEND_NS,
-)
+from repro.constants import ACCUM_POLL_NS, POLL_SUCCESS_NS, SLICE_SEND_NS
 from repro.engine.event import Event
 from repro.engine.resource import Resource
 from repro.network.packet import Packet, PacketKind, payload_bytes_of
@@ -93,40 +85,7 @@ class ProcessingSlice(NetworkClient):
         self.fifo.push(packet)
 
     # -- sending ------------------------------------------------------------
-    def _send(
-        self,
-        kind: PacketKind,
-        dst_node: "NodeCoord | int",
-        dst_client: str,
-        payload: Any,
-        payload_bytes: Optional[int],
-        counter_id: Optional[str] = None,
-        address: Any = None,
-        in_order: bool = False,
-        pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """The one send generator behind the ``send_*`` helpers.
-
-        Builds the packet when first run (which is when it takes its
-        ``packet_id``), holds the Tensilica for packet assembly, then
-        injects.
-        """
-        packet = self._packet(
-            kind, dst_node, dst_client, payload, payload_bytes,
-            counter_id, address, in_order, pattern_id,
-        )
-        sim = self.sim
-        begin = sim.now
-        ts = self.tensilica
-        if not ts.try_acquire():
-            yield ts.request()
-        try:
-            yield sim.timeout(SLICE_SEND_NS)
-        finally:
-            ts.release()
-        self._injected(packet, begin)
-
-    def _packet(
+    def packet(
         self,
         kind: PacketKind,
         dst_node: "NodeCoord | int",
@@ -138,7 +97,8 @@ class ProcessingSlice(NetworkClient):
         in_order: bool = False,
         pattern_id: Optional[int] = None,
     ) -> Packet:
-        """A packet from this slice; it takes the next ``packet_id``."""
+        """A packet from this slice; it takes the next ``packet_id``.
+        ``payload_bytes=None`` sizes it from ``payload``."""
         nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
         return Packet(
             src_node=self.node,
@@ -154,72 +114,59 @@ class ProcessingSlice(NetworkClient):
             pattern_id=pattern_id,
         )
 
-    def _injected(self, packet: Packet, begin: float) -> None:
-        """Inject an assembled packet and record its software send over
-        ``[begin, now]``."""
+    def send_then(
+        self, packet: Packet, fn: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """Hold the Tensilica for packet assembly, inject ``packet``
+        (built by :meth:`packet`), then run ``fn(*args)`` in the same
+        event.  The flight recorder sees the software send over the
+        hold."""
+        self.hold(SLICE_SEND_NS, ProcessingSlice._sent,
+                  (self, packet, self.sim.now, fn, args))
+
+    def _sent(self, packet: Packet, begin: float,
+              fn: Callable[..., None], args: tuple[Any, ...]) -> None:
         self.inject(packet)
         fl = self.network.flight
         if fl.enabled:
             fl.software_send(packet, begin, self.sim.now)
+        fn(*args)
 
-    def send_write(
-        self,
-        dst_node: "NodeCoord | int",
-        dst_client: str,
-        *,
-        counter_id: Optional[str] = None,
-        address: Optional[tuple[str, int]] = None,
-        payload: Any = None,
-        payload_bytes: Optional[int] = None,
-        in_order: bool = False,
-        pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """Send one (possibly multicast) counted remote write; the
-        receivers learn of its arrival by polling their counter."""
-        return self._send(
-            PacketKind.WRITE, dst_node, dst_client, payload, payload_bytes,
-            counter_id=counter_id, address=address, in_order=in_order,
-            pattern_id=pattern_id,
-        )
+    # -- polling and work -------------------------------------------------
+    def hold(
+        self, duration_ns: float, fn: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """Occupy the Tensilica core for ``duration_ns`` (bookkeeping,
+        data marshalling, software sums), then run ``fn(*args)`` in the
+        event that releases it (:func:`hold`)."""
+        hold(self.tensilica, duration_ns, fn, args)
 
-    def send_accum(
-        self,
-        dst_node: "NodeCoord | int",
-        accum_name: str,
-        *,
-        counter_id: str,
-        address: Any,
-        payload: Any = None,
-        payload_bytes: Optional[int] = None,
-        pattern_id: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """Send one accumulation packet (+= at the target address)."""
-        return self._send(
-            PacketKind.ACCUM, dst_node, accum_name, payload, payload_bytes,
-            counter_id=counter_id, address=address, pattern_id=pattern_id,
-        )
-
-    # -- polling ----------------------------------------------------------
-    def poll(self, counter_id: str, target: int) -> Generator[Event, Any, float]:
+    def poll_then(
+        self, counter_id: str, target: int,
+        fn: Callable[..., None], args: tuple[Any, ...],
+    ) -> None:
         """Poll a *local* synchronization counter until ``target``.
 
-        Models Anton's low-latency local poll: the slice blocks until
-        the counter reaches the target, then pays the successful-poll
-        cost (42 ns) on its Tensilica core.  Returns the simulated time
-        at which the data became usable.
+        Models Anton's low-latency local poll: once the counter reaches
+        the target, the slice pays the successful-poll cost (42 ns) on
+        its Tensilica core, then runs ``fn(*args)``; the data is usable
+        from then on.  The poll starts inside the increment's own event
+        (``SyncCounter.on_target``), or at once if the count is already
+        there.
         """
-        yield self.counter(counter_id).wait_for(target)
-        sim = self.sim
-        trigger = sim.now
-        ts = self.tensilica
-        if not ts.try_acquire():
-            yield ts.request()
-        try:
-            yield sim.timeout(POLL_SUCCESS_NS)
-        finally:
-            ts.release()
+        self.counter(counter_id).on_target(
+            target, ProcessingSlice._poll_hold,
+            (self, counter_id, target, fn, args))
+
+    def _poll_hold(self, counter_id: str, target: int,
+                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.hold(POLL_SUCCESS_NS, ProcessingSlice._poll_done,
+                  (self, counter_id, target, self.sim.now, fn, args))
+
+    def _poll_done(self, counter_id: str, target: int, trigger: float,
+                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
         self._polled(counter_id, target, trigger)
-        return sim.now
+        fn(*args)
 
     def _polled(self, counter_id: str, target: int, trigger: float) -> None:
         """A successful poll that the counter's reaching ``target`` at
@@ -230,10 +177,12 @@ class ProcessingSlice(NetworkClient):
                 self.node, self.name, counter_id, target, trigger, self.sim.now
             )
 
-    def poll_accum(
-        self, accum: "NetworkClient", counter_id: str, target: int
-    ) -> Generator[Event, Any, float]:
-        """Poll an accumulation-memory counter across the on-chip ring.
+    def poll_accum_then(
+        self, accum: "NetworkClient", counter_id: str, target: int,
+        fn: Callable[..., None], args: tuple[Any, ...],
+    ) -> None:
+        """Poll an accumulation-memory counter across the on-chip ring,
+        then run ``fn(*args)``.
 
         Accumulation memories cannot poll their own counters; a slice
         on the same node polls them over the ring, at noticeably higher
@@ -241,78 +190,129 @@ class ProcessingSlice(NetworkClient):
         """
         if accum.node != self.node:
             raise ValueError("accumulation counters are polled by slices on the same node")
-        yield accum.counter(counter_id).wait_for(target)
-        yield from self.tensilica.use(ACCUM_POLL_NS)
-        return self.sim.now
-
-    def read_accum_lines(self, num_lines: int) -> Generator[Event, Any, None]:
-        """Read ``num_lines`` 32-byte lines from a local accumulation
-        memory across the ring (post-poll data retrieval, Fig. 9)."""
-        if num_lines < 0:
-            raise ValueError("num_lines must be >= 0")
-        if num_lines:
-            yield from self.tensilica.use(num_lines * ACCUM_READ_NS)
-
-    def tensilica_work(self, duration_ns: float) -> Generator[Event, Any, None]:
-        """Occupy the Tensilica core (bookkeeping, data marshalling):
-        the core's own :meth:`Resource.use` generator."""
-        return self.tensilica.use(duration_ns)
-
-    # -- continuation forms ---------------------------------------------------
-    def hold(
-        self, duration_ns: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        """Occupy the Tensilica core for ``duration_ns``, then run
-        ``fn(*args)`` in the event that releases it (:func:`hold`)."""
-        hold(self.tensilica, duration_ns, fn, args)
-
-    def send_then(
-        self, packet: Packet, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        """The continuation form of the ``send_*`` helpers: hold the
-        Tensilica for packet assembly, inject ``packet`` (built by
-        :meth:`_packet`), then run ``fn(*args)`` in the same event."""
-        self.hold(SLICE_SEND_NS, ProcessingSlice._sent,
-                  (self, packet, self.sim.now, fn, args))
-
-    def _sent(self, packet: Packet, begin: float,
-              fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self._injected(packet, begin)
-        fn(*args)
-
-    def poll_then(
-        self, counter_id: str, target: int,
-        fn: Callable[..., None], args: tuple[Any, ...],
-    ) -> None:
-        """The continuation form of :meth:`poll`: once the local
-        counter reaches ``target``, pay the successful poll on the
-        Tensilica, then run ``fn(*args)``.  The poll starts inside the
-        increment's own event (``SyncCounter.on_target``)."""
-        self.counter(counter_id).on_target(
-            target, ProcessingSlice._poll_hold,
-            (self, counter_id, target, fn, args))
-
-    def _poll_hold(self, counter_id: str, target: int,
-                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self.hold(POLL_SUCCESS_NS, ProcessingSlice._poll_done,
-                  (self, counter_id, target, self.sim.now, fn, args))
-
-    def poll_accum_then(
-        self, accum: "NetworkClient", counter_id: str, target: int,
-        fn: Callable[..., None], args: tuple[Any, ...],
-    ) -> None:
-        """The continuation form of :meth:`poll_accum`: once the
-        accumulation-memory counter reaches ``target``, pay the
-        across-the-ring poll on the Tensilica, then run ``fn(*args)``."""
-        if accum.node != self.node:
-            raise ValueError("accumulation counters are polled by slices on the same node")
         accum.counter(counter_id).on_target(
             target, hold, (self.tensilica, ACCUM_POLL_NS, fn, args))
 
-    def _poll_done(self, counter_id: str, target: int, trigger: float,
-                   fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self._polled(counter_id, target, trigger)
-        fn(*args)
+
+# ---------------------------------------------------------------------------
+# Fixed programs
+# ---------------------------------------------------------------------------
+
+#: One step of a :class:`Steps` program: a continuation form of
+#: :class:`ProcessingSlice` (or :func:`_send_step`) and its leading args.
+Step = tuple[Callable[..., None], tuple[Any, ...]]
+
+
+def _send_step(s: ProcessingSlice, packet_args: tuple,
+               fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+    s.send_then(s.packet(*packet_args), fn, args)
+
+
+def write_step(
+    dst_node: "NodeCoord | int",
+    dst_client: str,
+    *,
+    counter_id: Optional[str] = None,
+    address: Optional[tuple[str, int]] = None,
+    payload: Any = None,
+    payload_bytes: Optional[int] = None,
+    in_order: bool = False,
+    pattern_id: Optional[int] = None,
+) -> Step:
+    """Send one (possibly multicast) counted remote write; the
+    receivers learn of its arrival by polling their counter."""
+    return (_send_step, ((PacketKind.WRITE, dst_node, dst_client, payload,
+                          payload_bytes, counter_id, address, in_order,
+                          pattern_id),))
+
+
+def accum_step(
+    dst_node: "NodeCoord | int",
+    accum_name: str,
+    *,
+    counter_id: str,
+    address: Any,
+    payload: Any = None,
+    payload_bytes: Optional[int] = None,
+    pattern_id: Optional[int] = None,
+) -> Step:
+    """Send one accumulation packet (+= at the target address)."""
+    return (_send_step, ((PacketKind.ACCUM, dst_node, accum_name, payload,
+                          payload_bytes, counter_id, address, False,
+                          pattern_id),))
+
+
+def poll_step(counter_id: str, target: int) -> Step:
+    """Poll a local counter until ``target`` (:meth:`ProcessingSlice.poll_then`)."""
+    return (ProcessingSlice.poll_then, (counter_id, target))
+
+
+def poll_accum_step(accum: NetworkClient, counter_id: str, target: int) -> Step:
+    """Poll an accumulation-memory counter across the ring
+    (:meth:`ProcessingSlice.poll_accum_then`)."""
+    return (ProcessingSlice.poll_accum_then, (accum, counter_id, target))
+
+
+def work_step(duration_ns: float) -> Step:
+    """Occupy the Tensilica for ``duration_ns`` (:meth:`ProcessingSlice.hold`)."""
+    return (ProcessingSlice.hold, (duration_ns,))
+
+
+class Steps:
+    """A slice's fixed program, run step after step, then
+    ``fn(*args)``.
+
+    Each step continues with the program as its args, so a program
+    allocates no process, generator or closure.  A step list may repeat
+    one step: a send builds a fresh packet each time it starts.
+    """
+
+    __slots__ = ("s", "steps", "fn", "args", "i")
+
+    def __init__(self, s: ProcessingSlice, steps: Sequence[Step],
+                 fn: Optional[Callable[..., None]] = None,
+                 args: tuple[Any, ...] = ()) -> None:
+        self.s, self.steps, self.fn, self.args, self.i = s, steps, fn, args, 0
+
+    def start(self) -> None:
+        """Start the next step (the first, on a new program); after the
+        last, run ``fn(*args)``."""
+        i = self.i
+        if i == len(self.steps):
+            if self.fn is not None:
+                self.fn(*self.args)
+            return
+        self.i = i + 1
+        form, step_args = self.steps[i]
+        form(self.s, *step_args, Steps.start, (self,))
+
+
+class Join:
+    """The end of a harness's legs: :attr:`done` fires, with the time,
+    inside the continuation that ends the last of ``legs`` legs, so
+    ``sim.run(until=join.done)`` returns that time."""
+
+    __slots__ = ("remaining", "done")
+
+    def __init__(self, sim: "Simulator", legs: int) -> None:
+        self.remaining = legs
+        self.done = Event(sim)
+
+    def ended(self) -> None:
+        """One leg has ended."""
+        self.remaining -= 1
+        if not self.remaining:
+            self.done.succeed(self.done.sim.now)
+
+
+def run_programs(sim: "Simulator",
+                 programs: Sequence[tuple[ProcessingSlice, Sequence[Step]]]) -> float:
+    """Start each ``(slice, steps)`` program, in order, and run until
+    every one has ended; return the time the last one ended."""
+    join = Join(sim, len(programs))
+    for s, steps in programs:
+        Steps(s, steps, join.ended).start()
+    return sim.run(until=join.done)
 
 
 def hold(res: Resource, duration_ns: float, fn: Callable[..., None],

@@ -37,9 +37,8 @@ import numpy as np
 
 from repro import instruments
 from repro.asic.node import Machine
-from repro.asic.slice_ import ProcessingSlice
+from repro.asic.slice_ import Join, ProcessingSlice
 from repro.constants import REDUCE_SUM_NS_PER_WORD
-from repro.engine.event import Event
 from repro.network.multicast import compile_pattern
 from repro.network.packet import PacketKind
 from repro.topology.torus import DIMS, NodeCoord
@@ -298,16 +297,18 @@ class AllReduce(_Reduction):
         return legs
 
 
-class _Run:
+class _Run(Join):
     """One execution of a collective, which its legs report into:
     ``done`` fires when the last of ``remaining`` legs (or halves) has
-    ended, and node ``c``'s part ended at ``done_times[c]`` with
-    ``final[c]``.  It refers to no leg, so no run is a cycle."""
+    ended (:meth:`Join.ended`), and node ``c``'s part ended at
+    ``done_times[c]`` with ``final[c]``.  It refers to no leg, so no
+    run is a cycle."""
 
-    __slots__ = ("sim", "remaining", "done", "then", "final", "done_times")
+    __slots__ = ("sim", "then", "final", "done_times")
 
     def __init__(self, sim: "Simulator", legs: int) -> None:
-        self.sim, self.remaining, self.done = sim, legs, Event(sim)
+        super().__init__(sim, legs)
+        self.sim = sim
         #: Node -> the continuation its leg's end runs.
         self.then: dict[NodeCoord, tuple[Callable[..., None], tuple]] = {}
         self.final: dict[NodeCoord, Any] = {}
@@ -321,11 +322,6 @@ class _Run:
             fn(*args)
         else:
             self.then[coord] = (fn, args)
-
-    def ended(self) -> None:
-        self.remaining -= 1
-        if not self.remaining:
-            self.done.succeed(self.sim.now)
 
 
 class _Round(NamedTuple):
@@ -375,9 +371,9 @@ class _Leg:
                address: Any, pattern_id: Optional[int],
                then: Callable[..., None], args: tuple) -> None:
         src.send_then(
-            src._packet(PacketKind.WRITE, node, dst, self.v,
-                        self.payload_bytes, counter_id, address,
-                        pattern_id=pattern_id),
+            src.packet(PacketKind.WRITE, node, dst, self.v,
+                       self.payload_bytes, counter_id, address,
+                       pattern_id=pattern_id),
             then, args)
 
     def _send(self, i: int) -> None:

@@ -11,21 +11,17 @@ synchronization between sources and target.
 
 :class:`CountedGather` packages the bookkeeping the MD software layers
 repeat constantly: buffer allocation, per-source slot assignment, the
-expected-count contract, and the send/poll helpers.
+expected-count contract, and the send and poll continuations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
 
 from repro.asic.client import NetworkClient
-from repro.asic.slice_ import ProcessingSlice
-from repro.engine.event import Event
+from repro.asic.slice_ import ProcessingSlice, Steps, write_step
 from repro.topology.torus import NodeCoord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -73,26 +69,27 @@ class CountedGather:
         # Deterministic slot layout: sources own contiguous slot ranges
         # in declaration order, so every sender can compute its target
         # addresses with no coordination at run time.
-        self._slot_base: dict[tuple[NodeCoord, str], int] = {}
+        self._slots: dict[tuple[NodeCoord, str], tuple[int, int]] = {}
         base = 0
         for s in self.sources:
             key = (s.node, s.client)
-            if key in self._slot_base:
+            if key in self._slots:
                 raise ValueError(f"duplicate source {key} in gather {name!r}")
-            self._slot_base[key] = base
+            self._slots[key] = (base, s.packets)
             base += s.packets
-        self._completions = 0
 
     # -- sender side -------------------------------------------------------
+    def _source(self, node: NodeCoord, client: str) -> tuple[int, int]:
+        """A source's first slot and declared packet count."""
+        found = self._slots.get((node, client))
+        if found is None:
+            raise KeyError(f"{node}:{client} is not a source of gather {self.name!r}")
+        return found
+
     def slot(self, source_node: "NodeCoord | int", source_client: str, index: int) -> int:
         """The pre-agreed buffer slot for a source's ``index``-th packet."""
         node = self.target.network.torus.coord(source_node)
-        base = self._slot_base.get((node, source_client))
-        if base is None:
-            raise KeyError(f"{node}:{source_client} is not a source of gather {self.name!r}")
-        packets = next(
-            s.packets for s in self.sources if (s.node, s.client) == (node, source_client)
-        )
+        base, packets = self._source(node, source_client)
         if not 0 <= index < packets:
             raise IndexError(
                 f"source {node}:{source_client} declared {packets} packets; "
@@ -104,54 +101,42 @@ class CountedGather:
         self,
         sender: ProcessingSlice,
         payloads: Sequence[Any],
+        fn: Optional[Callable[..., None]] = None,
+        args: tuple[Any, ...] = (),
         payload_bytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """Send this source's packets back to back.  ``yield from`` this.
+    ) -> None:
+        """Send this source's packets back to back, then run
+        ``fn(*args)``.
 
         ``payloads`` must match the source's declared packet count —
         the fixed-count contract is enforced, because violating it
         would hang the receiver's poll forever on real hardware.
         """
-        declared = next(
-            (
-                s.packets
-                for s in self.sources
-                if (s.node, s.client) == (sender.node, sender.name)
-            ),
-            None,
-        )
-        if declared is None:
-            raise KeyError(f"{sender.node}:{sender.name} is not a source of {self.name!r}")
+        base, declared = self._source(sender.node, sender.name)
         if len(payloads) != declared:
             raise ValueError(
                 f"source {sender.node}:{sender.name} declared {declared} packets "
                 f"for gather {self.name!r} but is sending {len(payloads)}"
             )
-        for i, payload in enumerate(payloads):
-            slot = self.slot(sender.node, sender.name, i)
-            yield from sender.send_write(
-                self.target.node,
-                self.target.name,
-                counter_id=self.name,
-                address=(self.name, slot),
-                payload=payload,
-                payload_bytes=payload_bytes,
-            )
+        target = self.target
+        Steps(sender, [
+            write_step(target.node, target.name, counter_id=self.name,
+                       address=(self.name, base + i), payload=payload,
+                       payload_bytes=payload_bytes)
+            for i, payload in enumerate(payloads)
+        ], fn, args).start()
 
     # -- receiver side --------------------------------------------------------
-    def complete(self) -> Event:
-        """Event firing when all expected packets have arrived
-        (poll cost not included; see :meth:`ProcessingSlice.poll`)."""
-        return self.target.counter(self.name).wait_for(self.expected)
-
-    def wait(self, poller: ProcessingSlice) -> Generator[Event, Any, float]:
-        """Receiver-side wait: poll until the expected count, pay the
-        poll cost, and return the completion time."""
+    def wait(self, poller: ProcessingSlice, fn: Callable[..., None],
+             args: tuple[Any, ...] = ()) -> None:
+        """Receiver side: poll until the expected count, pay the poll
+        cost, then run ``fn(*args)``."""
         if poller is self.target:
-            return (yield from poller.poll(self.name, self.expected))
-        # Accumulation-memory counters are polled by a slice on the
-        # same node across the on-chip ring.
-        return (yield from poller.poll_accum(self.target, self.name, self.expected))
+            poller.poll_then(self.name, self.expected, fn, args)
+        else:
+            # Accumulation-memory counters are polled by a slice on the
+            # same node across the on-chip ring.
+            poller.poll_accum_then(self.target, self.name, self.expected, fn, args)
 
     def gathered(self) -> list[Any]:
         """All written payloads in slot order (post-completion helper)."""

@@ -208,13 +208,13 @@ class _MigrationLeg:
         if i < len(self.records):
             dst, payload = self.records[i]
             s.send_then(
-                s._packet(PacketKind.FIFO, dst, s.name, payload,
-                          ATOM_MIGRATION_BYTES, in_order=True),
+                s.packet(PacketKind.FIFO, dst, s.name, payload,
+                         ATOM_MIGRATION_BYTES, in_order=True),
                 _MigrationLeg._send, (self, i + 1))
         elif self.pattern is not None:
             s.send_then(
-                s._packet(PacketKind.WRITE, self.coord, s.name, None, 0,
-                          _FLUSH_CTR, in_order=True, pattern_id=self.pattern),
+                s.packet(PacketKind.WRITE, self.coord, s.name, None, 0,
+                         _FLUSH_CTR, in_order=True, pattern_id=self.pattern),
                 _Run.ended, (self.run,))
         else:
             self.run.ended()

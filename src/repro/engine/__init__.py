@@ -1,10 +1,9 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic, generator-based discrete-event simulator in the
-style of SimPy, specialised for the needs of the Anton communication
-model: nanosecond-resolution simulated time, FCFS resources for links and
-cores, and one-shot events used to model packet arrival and
-synchronization-counter thresholds.
+A minimal, deterministic discrete-event simulator, specialised for the
+needs of the Anton communication model: nanosecond-resolution simulated
+time, an event queue of plain-function continuations, FCFS resources for
+cores, and one-shot events that end a run.
 
 Design notes
 ------------
@@ -14,13 +13,14 @@ Design notes
   :mod:`repro.engine.simulator`) — so repeated runs produce identical
   traces.
 * An event's action is a plain function and its args tuple.  The
-  model runs on such continuations: the network transits, and the
-  MD step and collectives as per-node legs stepped by counter, hold
-  and send continuations (:mod:`repro.asic.slice_`).
-* Processes are plain Python generators that ``yield`` waitables
+  whole Anton side runs on such continuations: the network transits;
+  the MD step and collectives as per-node legs stepped by counter,
+  hold and send continuations; and the measurement harnesses as fixed
+  slice programs (:mod:`repro.asic.slice_`).
+* Processes are SimPy-style Python generators that ``yield`` waitables
   (:class:`Event`, :class:`Timeout`, another :class:`Process`, or an
-  :class:`AllOf` combinator).  They serve only the ``baselines``, the
-  measurement harnesses not yet moved to continuations, and tests.
+  :class:`AllOf` combinator).  They serve only the commodity-cluster
+  ``baselines`` and the engine's own tests.
 * :class:`Resource` provides FCFS mutual exclusion with optional
   capacity, used for processing-slice occupancy and HTIS pipelines
   (torus link directions carry their own channel, see

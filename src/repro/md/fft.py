@@ -16,6 +16,7 @@ row (load balance), following the design of [47].
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -111,25 +112,10 @@ class DistributedFFTPlan:
 
     def _ortho_indices(self, dim: str, c: NodeCoord) -> Iterator[tuple[int, int]]:
         """Orthogonal (a, b) grid indices within the node's row."""
-        g = self.grid
-        if dim == "x":
-            ys = range(c.y * self.block[1], (c.y + 1) * self.block[1])
-            zs = range(c.z * self.block[2], (c.z + 1) * self.block[2])
-            for a in ys:
-                for b in zs:
-                    yield a, b
-        elif dim == "y":
-            xs = range(c.x * self.block[0], (c.x + 1) * self.block[0])
-            zs = range(c.z * self.block[2], (c.z + 1) * self.block[2])
-            for a in xs:
-                for b in zs:
-                    yield a, b
-        else:
-            xs = range(c.x * self.block[0], (c.x + 1) * self.block[0])
-            ys = range(c.y * self.block[1], (c.y + 1) * self.block[1])
-            for a in xs:
-                for b in ys:
-                    yield a, b
+        rows = [range(c[i] * self.block[i], (c[i] + 1) * self.block[i])
+                for i in range(3)]
+        del rows["xyz".index(dim)]
+        return product(*rows)
 
     # -- stage ownership -----------------------------------------------------
     #: The convolution pipeline stages, in dataflow order: block

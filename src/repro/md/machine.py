@@ -51,7 +51,7 @@ import numpy as np
 from repro import instruments
 from repro.asic.htis import HTIS
 from repro.asic.node import build_machine
-from repro.asic.slice_ import ProcessingSlice, hold
+from repro.asic.slice_ import ProcessingSlice, Step, Steps, accum_step, hold, write_step
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
 from repro.constants import ACCUM_READ_NS, LONG_RANGE_INTERVAL
@@ -64,7 +64,6 @@ from repro.md.fft import DistributedFFTPlan
 from repro.md.forcefield import ForceField
 from repro.md.system import ChemicalSystem
 from repro.network.multicast import compile_pattern
-from repro.network.packet import PacketKind
 from repro.topology.torus import NodeCoord
 from repro.trace.recorder import ActivityKind, ActivityRecorder
 
@@ -457,14 +456,15 @@ class AntonMD:
                        "range_limited")
         return self.sim.now - start
 
-    def _bond_sends(self, atom: int, payload: Any, label: Optional[str]) -> list:
+    def _bond_sends(self, atom: int, payload: Any) -> list[Step]:
         """The bond-term unicasts of ``atom``'s position (one atom per
         packet), in term-node order."""
         pos_bytes = self.cal.position_bytes
         buf = self._bond_buf()
         return [
-            ((PacketKind.WRITE, dst, "slice1", payload, pos_bytes, self._bond_ctr,
-              (buf, self._bond_slot[(atom, dst)]), False, None), label)
+            write_step(dst, "slice1", counter_id=self._bond_ctr,
+                       address=(buf, self._bond_slot[(atom, dst)]),
+                       payload=payload, payload_bytes=pos_bytes)
             for dst in self._atom_term_nodes.get(atom, [])
         ]
 
@@ -589,31 +589,19 @@ class AntonMD:
                 self.collected_forces[int(atom)] += value
 
 
-class _Sends:
-    """A slice's fixed sequence of sends, one after the other, then
-    ``fn(*args)``.  A send is the args of :meth:`ProcessingSlice._packet`
-    and a label: a labelled send records a SEND span on ``unit`` in the
-    event that injects it."""
+def _labelled(s: ProcessingSlice, step: Step, recorder: ActivityRecorder, unit: str,
+              label: str, fn: Callable[..., None], args: tuple) -> None:
+    """A :class:`Steps` step that runs the send ``step`` and records its
+    SEND span, labelled ``label``, on ``unit`` in the event that
+    injects it."""
+    form, step_args = step
+    form(s, *step_args, _send_recorded, (recorder, unit, label, fn, args))
 
-    __slots__ = ("md", "s", "sends", "unit", "fn", "args", "i")
 
-    def __init__(self, md: AntonMD, s: ProcessingSlice, sends: list,
-                 unit: Optional[str], fn: Callable[..., None], args: tuple) -> None:
-        self.md, self.s, self.sends, self.unit = md, s, sends, unit
-        self.fn, self.args, self.i = fn, args, 0
-
-    def next(self) -> None:
-        if self.i == len(self.sends):
-            return self.fn(*self.args)
-        s = self.s
-        s.send_then(s._packet(*self.sends[self.i][0]), _Sends._sent, (self,))
-
-    def _sent(self) -> None:
-        label = self.sends[self.i][1]
-        if label is not None:
-            self.md.recorder.record_span(self.unit, ActivityKind.SEND, 36.0, label)
-        self.i += 1
-        self.next()
+def _send_recorded(recorder: ActivityRecorder, unit: str, label: str,
+                   fn: Callable[..., None], args: tuple) -> None:
+    recorder.record_span(unit, ActivityKind.SEND, 36.0, label)
+    fn(*args)
 
 
 class _Leg:
@@ -651,15 +639,15 @@ class _Leg:
             hold(core, self.half, _Leg._joined, (self, then))
 
     def _start_sends(self, per_slice: list, then: Callable[[Any], None]) -> None:
-        """Run a ``(slice, sends, unit)`` send sequence per slice, each
-        started in one event at the current instant, then continue
-        with ``then(self)``."""
+        """Run a ``(slice, steps)`` send program per slice, each started
+        in one event at the current instant, then continue with
+        ``then(self)``."""
         if not per_slice:
             return then(self)
         self.pending = len(per_slice)
-        for s, sends, unit in per_slice:
-            seq = _Sends(self.md, s, sends, unit, _Leg._joined, (self, then))
-            self.md.sim.schedule_now(_Sends.next, (seq,))
+        for s, steps in per_slice:
+            prog = Steps(s, steps, _Leg._joined, (self, then))
+            self.md.sim.schedule_now(Steps.start, (prog,))
 
 
 class _PositionLeg(_Leg):
@@ -679,22 +667,24 @@ class _PositionLeg(_Leg):
                 f"{fixed}; raise AntonCalibration.density_pad"
             )
 
-        def pos(payload: Any) -> tuple:
-            return (PacketKind.WRITE, n, "htis", payload, md.cal.position_bytes,
-                    md._pos_buf(n), None, False, md.pos_pattern[n])
+        def pos(payload: Any) -> Step:
+            return write_step(n, "htis", counter_id=md._pos_buf(n), payload=payload,
+                              payload_bytes=md.cal.position_bytes,
+                              pattern_id=md.pos_pattern[n])
 
         per_slice = []
         for k in range(4):
             my_atoms = [int(a) for a in atoms[k::4]]
             pad = (fixed // 4 + (1 if k < fixed % 4 else 0)) - len(my_atoms)
-            sends = []
+            unit, sends = md._ts_units[n][k], []
             for atom in my_atoms:
                 payload = (atom, md.system.positions[atom].copy()) if md.payload_mode else None
-                sends.append((pos(payload), "pos"))
-                sends.extend(md._bond_sends(atom, payload, "bondpos"))
+                sends.append((_labelled, (pos(payload), md.recorder, unit, "pos")))
+                sends.extend((_labelled, (b, md.recorder, unit, "bondpos"))
+                             for b in md._bond_sends(atom, payload))
             # Padding packets keep the counted-write contract (§IV.B.1).
-            sends.extend([(pos(None), None)] * max(0, pad))
-            per_slice.append((self.node.slices[k], sends, md._ts_units[n][k]))
+            sends.extend([pos(None)] * max(0, pad))
+            per_slice.append((self.node.slices[k], sends))
         self._start_sends(per_slice, _PositionLeg._end)
 
     def _end(self) -> None:
@@ -712,9 +702,9 @@ class _BondPositionLeg(_Leg):
         atoms = self.md.decomp.atoms_of(self.n)
         per_slice = []
         for k in range(4):
-            sends = [s for a in atoms[k::4] for s in self.md._bond_sends(int(a), None, None)]
+            sends = [s for a in atoms[k::4] for s in self.md._bond_sends(int(a), None)]
             if sends:
-                per_slice.append((self.node.slices[k], sends, None))
+                per_slice.append((self.node.slices[k], sends))
         self._start_sends(per_slice, _Leg._end)
 
 
@@ -789,10 +779,10 @@ class _BondLeg(_Leg):
                 payload = None
                 if bond_forces is not None:
                     payload = [(a, bond_forces[a].copy()) for a in chunk]
-                sends.append(((PacketKind.ACCUM, dst, "accum0", payload,
-                               min(256, len(chunk) * md.cal.force_bytes), md._force_ctr,
-                               ("bond-forces", rank, i), False, None), None))
-        _Sends(md, self.node.slices[1], sends, None, _BondLeg._end, (self,)).next()
+                sends.append(accum_step(
+                    dst, "accum0", counter_id=md._force_ctr, address=("bond-forces", rank, i),
+                    payload=payload, payload_bytes=min(256, len(chunk) * md.cal.force_bytes)))
+        Steps(self.node.slices[1], sends, _BondLeg._end, (self,)).start()
 
     def _end(self) -> None:
         self.md._mark("bonded")
@@ -937,9 +927,9 @@ class _FftLeg(_Leg):
             if chunk:
                 sends = []
                 for dst, pts in chunk:
-                    sends += [((PacketKind.WRITE, dst, "slice0", None, md.cal.grid_point_bytes,
-                                self.ctr, None, False, None), None)] * pts
-                per_slice.append((self.node.slices[k], sends, None))
+                    sends += [write_step(dst, "slice0", counter_id=self.ctr,
+                                         payload_bytes=md.cal.grid_point_bytes)] * pts
+                per_slice.append((self.node.slices[k], sends))
         self._start_sends(per_slice, _FftLeg._sent)
 
     def _sent(self) -> None:
@@ -977,10 +967,9 @@ class _FftLeg(_Leg):
     def _potentials(self) -> None:
         md = self.md
         md._mark("fft_transfers")
-        sends = [((PacketKind.WRITE, dst, "htis", None, 256, md._potential_ctr,
-                   None, False, None), None)
+        sends = [write_step(dst, "htis", counter_id=md._potential_ctr, payload_bytes=256)
                  for dst, pk in md._potential_packets.get(self.n, []) for _ in range(pk)]
-        _Sends(md, self.node.slices[0], sends, None, _FftLeg._end, (self,)).next()
+        Steps(self.node.slices[0], sends, _FftLeg._end, (self,)).start()
 
     def _end(self) -> None:
         self.md._mark("fft_convolution")

@@ -211,6 +211,7 @@ def run_incast(
     on every hop.  Returns ``(elapsed_ns, senders, payload_bytes)``.
     """
     from repro.asic.node import build_machine
+    from repro.asic.slice_ import poll_step, run_programs, write_step
     from repro.engine.simulator import Simulator
 
     payload = spec.payload or INCAST_PAYLOAD
@@ -224,22 +225,14 @@ def run_incast(
         if c != target
     ][:senders]
     dst.memory.allocate("sink", len(slices))
-
-    def sender(s, slot):
-        for _ in range(spec.rounds):
-            yield from s.send_write(
-                target, dst.name, counter_id="sink", address=("sink", slot),
-                payload_bytes=payload,
-            )
-
-    def receiver():
-        yield from dst.poll("sink", len(slices) * spec.rounds)
-
     start = sim.now
-    procs = [sim.process(sender(s, i)) for i, s in enumerate(slices)]
-    procs.append(sim.process(receiver()))
-    sim.run(until=sim.all_of(procs))
-    return sim.now - start, len(slices), payload
+    end = run_programs(sim, [
+        (s, [write_step(target, dst.name, counter_id="sink",
+                        address=("sink", slot), payload_bytes=payload)]
+         * spec.rounds)
+        for slot, s in enumerate(slices)
+    ] + [(dst, [poll_step("sink", len(slices) * spec.rounds)])])
+    return end - start, len(slices), payload
 
 
 @register_experiment(

@@ -7,6 +7,7 @@ import gc
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import poll_step, run_programs, write_step
 from repro.engine import Simulator
 
 
@@ -43,25 +44,12 @@ def run_exchange(sim, src_slice, dst_slice, *, payload_bytes=0, payload=None,
     receiver's completion time in ns."""
     if not dst_slice.memory.has_buffer(buffer):
         dst_slice.memory.allocate(buffer, max(expected, slot + 1))
-    result = {}
-
-    def sender():
-        yield from src_slice.send_write(
-            dst_slice.node,
-            dst_slice.name,
-            counter_id=counter,
-            address=(buffer, slot),
-            payload=payload,
-            payload_bytes=payload_bytes,
-        )
-
-    def receiver():
-        result["t"] = yield from dst_slice.poll(counter, expected)
-
-    p1 = sim.process(sender())
-    p2 = sim.process(receiver())
-    sim.run(until=sim.all_of([p1, p2]))
-    return result["t"]
+    return run_programs(sim, [
+        (src_slice, [write_step(dst_slice.node, dst_slice.name,
+                                counter_id=counter, address=(buffer, slot),
+                                payload=payload, payload_bytes=payload_bytes)]),
+        (dst_slice, [poll_step(counter, expected)]),
+    ])
 
 
 def gc_growth(action, n):

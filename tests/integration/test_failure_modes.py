@@ -5,6 +5,7 @@ silently absorb them."""
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import Join, Steps, poll_step, run_programs, write_step
 from repro.comm import CountedGather, GatherSource
 from repro.engine import Simulator
 from repro.network.packet import PacketKind
@@ -17,18 +18,13 @@ def test_undersent_counted_write_deadlocks_visibly(sim, machine222):
     target = machine222.node((0, 0, 0)).slice(0)
     src = machine222.node((1, 0, 0)).slice(0)
     target.memory.allocate("g", 4)
-
-    def sender():
-        yield from src.send_write((0, 0, 0), "slice0", counter_id="g",
-                                  address=("g", 0), payload_bytes=0)
-
-    def receiver():
-        yield from target.poll("g", 3)  # expects 3, only 1 arrives
-
-    sim.process(sender())
-    waiter = sim.process(receiver())
+    Steps(src, [write_step((0, 0, 0), "slice0", counter_id="g",
+                           address=("g", 0), payload_bytes=0)]).start()
+    waiter = Join(sim, 1)
+    # Expects 3, only 1 arrives.
+    Steps(target, [poll_step("g", 3)], waiter.ended).start()
     with pytest.raises(RuntimeError, match="deadlock"):
-        sim.run(until=waiter)
+        sim.run(until=waiter.done)
 
 
 def test_oversent_packets_detected_by_counter_state(sim, machine222):
@@ -38,16 +34,12 @@ def test_oversent_packets_detected_by_counter_state(sim, machine222):
     src = machine222.node((1, 0, 0)).slice(0)
     target.memory.allocate("g", 4)
 
-    def sender():
-        for i in range(4):
-            yield from src.send_write((0, 0, 0), "slice0", counter_id="g",
-                                      address=("g", i), payload_bytes=0)
-
-    def receiver():
-        yield from target.poll("g", 2)
-
-    p1, p2 = sim.process(sender()), sim.process(receiver())
-    sim.run(until=sim.all_of([p1, p2]))
+    run_programs(sim, [
+        (src, [write_step((0, 0, 0), "slice0", counter_id="g",
+                          address=("g", i), payload_bytes=0)
+               for i in range(4)]),
+        (target, [poll_step("g", 2)]),
+    ])
     sim.run()  # drain in-flight packets
     assert target.counter("g").count == 4  # overshoot is visible
 
@@ -58,11 +50,8 @@ def test_write_to_wrong_slot_is_a_hard_error(sim, machine222):
     src = machine222.node((1, 0, 0)).slice(0)
     machine222.node((0, 0, 0)).slice(0).memory.allocate("buf", 2)
 
-    def sender():
-        yield from src.send_write((0, 0, 0), "slice0", counter_id="c",
-                                  address=("buf", 7), payload_bytes=0)
-
-    sim.process(sender())
+    Steps(src, [write_step((0, 0, 0), "slice0", counter_id="c",
+                           address=("buf", 7), payload_bytes=0)]).start()
     with pytest.raises(IndexError, match="out of\\s+bounds"):
         sim.run()
 
@@ -78,7 +67,7 @@ def test_fifo_overflow_backpressure_never_drops():
     def send(i):
         if i < 40:
             src.send_then(
-                src._packet(PacketKind.FIFO, (1, 0, 0), "slice0", i, 8),
+                src.packet(PacketKind.FIFO, (1, 0, 0), "slice0", i, 8),
                 send, (i + 1,))
 
     send(0)
@@ -95,7 +84,7 @@ def test_reset_mid_phase_raises(sim, machine222):
     sequencing bug and must raise."""
     htis = machine222.node((0, 0, 0)).htis
     htis.define_buffer("b", (1, 0, 0), 2)
-    htis.buffer("b").counter.wait_for(2)  # registers a waiter
+    htis.buffer("b").counter.on_target(2, print, ())  # registers a waiter
     with pytest.raises(RuntimeError, match="waiters pending"):
         htis.reset_buffers()
 
@@ -106,6 +95,6 @@ def test_gather_reset_before_completion_raises(sim, machine222):
         target, "g",
         [GatherSource(machine222.torus.coord((1, 0, 0)), "slice0", 2)],
     )
-    g.complete()  # someone is waiting
+    g.wait(target, print)  # someone is waiting
     with pytest.raises(RuntimeError, match="waiters pending"):
         g.reset()

@@ -13,33 +13,47 @@ from repro.topology import NodeCoord
 @given(st.lists(st.integers(1, 10), min_size=1, max_size=30), st.data())
 @settings(max_examples=120, deadline=None)
 def test_counter_thresholds_fire_iff_reached(increments, data):
+    """A continuation fires iff its target is reached, once, at the
+    increment that reaches it."""
     sim = Simulator()
     c = SyncCounter(sim)
     total = sum(increments)
-    targets = data.draw(
-        st.lists(st.integers(0, total + 5), min_size=1, max_size=8, unique=True)
-    )
-    events = {t: c.wait_for(t) for t in targets}
+    target = data.draw(st.integers(0, total + 5))
+    fired = []
+    c.on_target(target, lambda: fired.append(c.count), ())
+    count = 0
     for inc in increments:
+        before = count
+        count += inc
         c.increment(inc)
-    for t, ev in events.items():
-        assert ev.triggered == (t <= total)
+        if before < target <= count:
+            assert fired == [count]
+    assert len(fired) == (1 if target <= total else 0)
     assert c.count == total
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=20))
 @settings(max_examples=80, deadline=None)
 def test_counter_firing_order_is_threshold_order(increments):
+    """A continuation that fills the slot again with the next target
+    sees every target in ascending order, each at a count reaching
+    it."""
     sim = Simulator()
     c = SyncCounter(sim)
     fired = []
     total = sum(increments)
-    for t in range(1, total + 1):
-        c.wait_for(t).add_callback(lambda e, t=t: fired.append(t))
+
+    def step(t):
+        fired.append(t)
+        assert c.count >= t
+        if t < total:
+            c.on_target(t + 1, step, (t + 1,))
+
+    c.on_target(1, step, (1,))
     for inc in increments:
         c.increment(inc)
-    sim.run()
-    assert fired == sorted(fired) == list(range(1, total + 1))
+    assert fired == list(range(1, total + 1))
+    assert sim.pending == 0
 
 
 @given(st.integers(1, 16), st.lists(st.integers(0, 1000), max_size=40))
@@ -74,44 +88,42 @@ _counter_ops = st.lists(
 @given(_counter_ops)
 @settings(max_examples=200, deadline=None)
 def test_interleaved_thresholds_fire_once_at_their_count(ops):
-    """Against a plain reference model, over interleaved ``wait_for``
-    (at, below or above the count), ``increment`` and ``reset``: every
-    threshold fires exactly once, right after the increment that
-    reaches it (or at once, if already reached), in target order, and
-    a reset with waiters pending raises."""
+    """Against a plain reference model, over interleaved ``on_target``
+    (at, below or above the count), ``increment`` and ``reset``: a
+    continuation runs exactly once, inside the increment that reaches
+    its target (or at once, if already reached); filling a full slot
+    raises, and so does a reset with the slot full."""
     sim = Simulator()
     c = SyncCounter(sim)
-    fired = []  # (target, count when its callback ran)
+    fired = []  # (target, count when its continuation ran)
     expected = []
     count = 0
-    pending: dict = {}  # target -> the shared event
+    pending = None  # the target in the slot
     for op, arg in ops:
         if op == "wait":
             target = max(0, count + arg)
-            ev = c.wait_for(target)
             if target <= count:
-                assert ev.triggered
+                c.on_target(target, lambda t=target: fired.append((t, c.count)), ())
                 expected.append((target, count))
-                ev.add_callback(lambda e, t=target: fired.append((t, c.count)))
-            elif target in pending:
-                assert ev is pending[target]
+            elif pending is not None:
+                with pytest.raises(RuntimeError, match="already continues"):
+                    c.on_target(target, print, ())
             else:
-                assert not ev.triggered
-                pending[target] = ev
-                ev.add_callback(lambda e, t=target: fired.append((t, c.count)))
+                c.on_target(target, lambda t=target: fired.append((t, c.count)), ())
+                pending = target
         elif op == "inc":
             c.increment(arg)
             count += arg
-            for t in sorted(t for t in pending if t <= count):
-                del pending[t]
-                expected.append((t, count))
-        elif pending:
+            if pending is not None and pending <= count:
+                expected.append((pending, count))
+                pending = None
+        elif pending is not None:
             with pytest.raises(RuntimeError):
                 c.reset()
         else:
             c.reset()
             count = 0
-        sim.run()
+        assert sim.pending == 0
         assert c.count == count
-        assert c.pending_targets() == sorted(pending)
+        assert c.pending_targets() == ([] if pending is None else [pending])
         assert fired == expected

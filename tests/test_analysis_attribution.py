@@ -112,6 +112,7 @@ class TestFig6Regression:
 class TestContention:
     def test_queue_wait_is_attributed(self):
         from repro.asic import build_machine
+        from repro.asic.slice_ import poll_step, run_programs, write_step
         from repro.engine import Simulator
         from repro.trace.flight import FlightRecorder, use_flight
 
@@ -125,18 +126,11 @@ class TestContention:
         # outgoing X+ link; the second 256 B packet must queue.
         senders = [machine.node((0, 0, 0)).slice(i) for i in (0, 1)]
 
-        def send(s, slot):
-            yield from s.send_write(
-                (1, 0, 0), "slice0", counter_id="rx", address=("rx", slot),
-                payload_bytes=256,
-            )
-
-        def recv():
-            yield from dst.poll("rx", 2)
-
-        procs = [sim.process(send(s, i)) for i, s in enumerate(senders)]
-        procs.append(sim.process(recv()))
-        sim.run(until=sim.all_of(procs))
+        run_programs(sim, [
+            (s, [write_step((1, 0, 0), "slice0", counter_id="rx",
+                            address=("rx", slot), payload_bytes=256)])
+            for slot, s in enumerate(senders)
+        ] + [(dst, [poll_step("rx", 2)])])
         waits = {
             f.packet_id: attribute_flight(f, fl).ns(Component.QUEUE_WAIT)
             for f in fl.packets()

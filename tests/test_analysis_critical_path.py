@@ -13,6 +13,7 @@ from repro.analysis.critical_path import (
     render_phase_reports,
 )
 from repro.asic import build_machine
+from repro.asic.slice_ import poll_step, run_programs, write_step
 from repro.comm.collectives import AllReduce
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
@@ -144,20 +145,12 @@ class TestLinkHotspots:
         senders = [c for c in machine.torus.nodes() if c != (0, 0, 0)][:4]
         dst.memory.allocate("sink", len(senders))
 
-        def send(c, slot):
-            s = machine.node(c).slice(0)
-            for _ in range(3):
-                yield from s.send_write(
-                    (0, 0, 0), "slice0", counter_id="sink",
-                    address=("sink", slot), payload_bytes=256,
-                )
-
-        def recv():
-            yield from dst.poll("sink", 3 * len(senders))
-
-        procs = [sim.process(send(c, i)) for i, c in enumerate(senders)]
-        procs.append(sim.process(recv()))
-        sim.run(until=sim.all_of(procs))
+        run_programs(sim, [
+            (machine.node(c).slice(0),
+             [write_step((0, 0, 0), "slice0", counter_id="sink",
+                         address=("sink", slot), payload_bytes=256)] * 3)
+            for slot, c in enumerate(senders)
+        ] + [(dst, [poll_step("sink", 3 * len(senders))])])
         return fl
 
     def test_ranked_worst_first_with_percentiles(self):

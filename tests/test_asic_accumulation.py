@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.asic.slice_ import Join, Steps, accum_step, poll_accum_step
 from repro.constants import ACCUM_POLL_NS, POLL_SUCCESS_NS
 
 
@@ -10,14 +11,11 @@ def _send_accums(sim, machine, values, address="f"):
     src = machine.node((0, 0, 0)).slice(0)
     accum = machine.node((1, 0, 0)).accum[0]
 
-    def sender():
-        for v in values:
-            yield from src.send_accum(
-                (1, 0, 0), "accum0", counter_id="c", address=address,
-                payload=v, payload_bytes=8,
-            )
-
-    sim.process(sender())
+    Steps(src, [
+        accum_step((1, 0, 0), "accum0", counter_id="c", address=address,
+                   payload=v, payload_bytes=8)
+        for v in values
+    ]).start()
     sim.run()
     return accum
 
@@ -64,52 +62,35 @@ def test_accum_counter_polled_across_ring_costs_more(sim, machine222):
     node = machine222.node((1, 0, 0))
     src = machine222.node((0, 0, 0)).slice(0)
     poller = node.slice(0)
-    t = {}
-
-    def sender():
-        yield from src.send_accum(
-            (1, 0, 0), "accum0", counter_id="c", address="f",
-            payload=1.0, payload_bytes=8,
-        )
-
-    def poll():
-        yield sim.timeout(5_000.0)
-        t["done"] = yield from poller.poll_accum(node.accum[0], "c", 1)
-
-    p1, p2 = sim.process(sender()), sim.process(poll())
-    sim.run(until=sim.all_of([p1, p2]))
-    assert t["done"] == pytest.approx(5_000.0 + ACCUM_POLL_NS)
+    join = Join(sim, 2)
+    Steps(src, [accum_step((1, 0, 0), "accum0", counter_id="c", address="f",
+                           payload=1.0, payload_bytes=8)], join.ended).start()
+    sim.schedule(5_000.0, Steps.start, Steps(
+        poller, [poll_accum_step(node.accum[0], "c", 1)], join.ended))
+    assert sim.run(until=join.done) == pytest.approx(5_000.0 + ACCUM_POLL_NS)
 
 
 def test_remote_slice_cannot_poll_accum(sim, machine222):
     remote = machine222.node((0, 0, 0)).slice(0)
     accum = machine222.node((1, 0, 0)).accum[0]
 
-    def bad():
-        yield from remote.poll_accum(accum, "c", 1)
-
-    sim.process(bad())
-    with pytest.raises(RuntimeError):
-        sim.run()
+    with pytest.raises(ValueError, match="same node"):
+        remote.poll_accum_then(accum, "c", 1, print, ())
 
 
 def test_accum_packet_without_address_rejected(sim, machine222):
     src = machine222.node((0, 0, 0)).slice(0)
 
-    def sender():
-        yield from src.send_accum(
-            (1, 0, 0), "accum0", counter_id="c", address=None, payload_bytes=4
-        )
-
-    sim.process(sender())
+    Steps(src, [accum_step((1, 0, 0), "accum0", counter_id="c", address=None,
+                           payload_bytes=4)]).start()
     with pytest.raises(ValueError, match="without a target address"):
         sim.run()
 
 
 def test_accumulation_memories_cannot_send():
     """The paper: accumulation memories cannot send packets — the model
-    gives them no send helpers."""
+    gives them no send continuation."""
     from repro.asic import AccumulationMemory
 
-    assert not hasattr(AccumulationMemory, "send_write")
-    assert not hasattr(AccumulationMemory, "send_accum")
+    assert not hasattr(AccumulationMemory, "send_then")
+    assert not hasattr(AccumulationMemory, "packet")

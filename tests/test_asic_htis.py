@@ -3,19 +3,14 @@
 import pytest
 
 from repro.asic.htis import HTIS_PAIRS_PER_NS, HTIS_SEND_NS
+from repro.asic.slice_ import Steps, write_step
 
 
 def _load_buffer(sim, machine, origin, name, packets):
     """Deliver `packets` position packets from `origin` to node (0,0,0)'s HTIS."""
-    src = machine.node(origin).slice(0)
-
-    def sender():
-        for _ in range(packets):
-            yield from src.send_write(
-                (0, 0, 0), "htis", counter_id=name, payload_bytes=32
-            )
-
-    return sim.process(sender())
+    Steps(machine.node(origin).slice(0), [
+        write_step((0, 0, 0), "htis", counter_id=name, payload_bytes=32)
+    ] * packets).start()
 
 
 def test_buffer_definition_and_counting(sim, machine222):
@@ -63,18 +58,12 @@ def test_priority_buffer_jumps_queue_when_complete(sim, machine222):
     src_slow = machine222.node((1, 0, 0)).slice(0)
     src_pri = machine222.node((0, 1, 0)).slice(0)
 
-    def slow_sender():
-        yield sim.timeout(5_000.0)
-        yield from src_slow.send_write((0, 0, 0), "htis", counter_id="slow",
-                                       payload_bytes=32)
-
-    def pri_sender():
-        yield from src_pri.send_write((0, 0, 0), "htis", counter_id="fast-pri",
-                                      payload_bytes=32)
-
     realised = []
-    sim.process(slow_sender())
-    sim.process(pri_sender())
+    sim.schedule(5_000.0, Steps.start, Steps(src_slow, [
+        write_step((0, 0, 0), "htis", counter_id="slow", payload_bytes=32)]))
+    Steps(src_pri, [
+        write_step((0, 0, 0), "htis", counter_id="fast-pri", payload_bytes=32)
+    ]).start()
     _consume(htis, ["slow", "fast-pri"], realised)
     sim.run()
     assert realised == ["fast-pri", "slow", "end"]

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.asic.slice_ import hold
+from repro.asic.slice_ import (
+    Join, Steps, accum_step, hold, poll_step, work_step, write_step,
+)
 from repro.constants import POLL_SUCCESS_NS, SLICE_SEND_NS
 from tests.conftest import run_exchange
 
@@ -38,18 +40,16 @@ def test_sends_serialise_on_tensilica(sim, machine222):
     b = machine222.node((1, 0, 0)).slice(0)
     b.memory.allocate("rx", 2)
     times = {}
-
-    def sender():
-        yield from a.send_write((1, 0, 0), "slice0", counter_id="c0",
-                                address=("rx", 0), payload_bytes=0)
-        yield from a.send_write((1, 0, 0), "slice0", counter_id="c1",
-                                address=("rx", 1), payload_bytes=0)
-
-    # Observe raw arrival times via counter-threshold events so the
+    Steps(a, [
+        write_step((1, 0, 0), "slice0", counter_id="c0", address=("rx", 0),
+                   payload_bytes=0),
+        write_step((1, 0, 0), "slice0", counter_id="c1", address=("rx", 1),
+                   payload_bytes=0),
+    ]).start()
+    # Observe raw arrival times via the counters' continuations so the
     # receiver's own poll cost does not obscure the send spacing.
-    b.counter("c0").wait_for(1).add_callback(lambda e: times.__setitem__(0, sim.now))
-    b.counter("c1").wait_for(1).add_callback(lambda e: times.__setitem__(1, sim.now))
-    sim.process(sender())
+    for i in (0, 1):
+        b.counter(f"c{i}").on_target(1, lambda i=i: times.__setitem__(i, sim.now), ())
     sim.run()
     assert times[1] - times[0] == pytest.approx(SLICE_SEND_NS)
 
@@ -60,21 +60,11 @@ def test_poll_costs_42ns_after_arrival(sim, machine222):
     a = machine222.node((0, 0, 0)).slice(0)
     b = machine222.node((1, 0, 0)).slice(0)
     b.memory.allocate("rx", 1)
-
-    def sender():
-        yield from a.send_write((1, 0, 0), "slice0", counter_id="c",
-                                address=("rx", 0), payload_bytes=0)
-
-    t = {}
-
-    def late_receiver():
-        yield sim.timeout(10_000.0)
-        t["done"] = yield from b.poll("c", 1)
-
-    p1 = sim.process(sender())
-    p2 = sim.process(late_receiver())
-    sim.run(until=sim.all_of([p1, p2]))
-    assert t["done"] == pytest.approx(10_000.0 + POLL_SUCCESS_NS)
+    join = Join(sim, 2)
+    Steps(a, [write_step((1, 0, 0), "slice0", counter_id="c",
+                         address=("rx", 0), payload_bytes=0)], join.ended).start()
+    sim.schedule(10_000.0, Steps.start, Steps(b, [poll_step("c", 1)], join.ended))
+    assert sim.run(until=join.done) == pytest.approx(10_000.0 + POLL_SUCCESS_NS)
 
 
 def test_geometry_cores_run_concurrently(sim, machine222):
@@ -115,12 +105,8 @@ def test_accum_rejects_fifo_and_slices_reject_accum(sim, machine222):
     a = node.slice(0)
     peer = machine222.node((1, 0, 0))
 
-    def send_accum_to_slice():
-        yield from a.send_accum(
-            (1, 0, 0), "slice0", counter_id="c", address="x", payload_bytes=4
-        )
-
-    sim.process(send_accum_to_slice())
+    Steps(a, [accum_step((1, 0, 0), "slice0", counter_id="c", address="x",
+                         payload_bytes=4)]).start()
     with pytest.raises((TypeError, RuntimeError)):
         sim.run()
 
@@ -134,13 +120,9 @@ def test_hold_queues_fcfs_behind_a_busy_core(sim, machine222):
     def note(label):
         done[label] = sim.now
 
-    def worker():
-        yield from s.tensilica_work(30.0)
-        note("work")
-
-    sim.process(worker())
     s.hold(50.0, note, ("first",))
     s.hold(20.0, note, ("second",))
+    Steps(s, [work_step(30.0)], note, ("work",)).start()
     sim.run()
     assert done == {"first": 50.0, "second": 70.0, "work": 100.0}
     assert s.tensilica.in_use == 0
@@ -148,8 +130,9 @@ def test_hold_queues_fcfs_behind_a_busy_core(sim, machine222):
 
 
 def test_continuation_send_and_poll_time_the_generator_forms(sim, machine222):
-    """``send_then``/``poll_then`` charge the same 36 ns send and 42 ns
-    poll as ``send_write``/``poll``: one X hop still costs 162 ns."""
+    """``send_then``/``poll_then`` charge the 36 ns send and 42 ns poll
+    that the removed generator helpers charged: one X hop still costs
+    162 ns."""
     from repro.constants import ONE_HOP_X_NS
     from repro.network.packet import PacketKind
 
@@ -157,8 +140,8 @@ def test_continuation_send_and_poll_time_the_generator_forms(sim, machine222):
     b = machine222.node((1, 0, 0)).slice(0)
     b.memory.allocate("rx", 1)
     done = {}
-    packet = a._packet(PacketKind.WRITE, b.node, b.name, 7.0, 0,
-                       counter_id="c", address=("rx", 0))
+    packet = a.packet(PacketKind.WRITE, b.node, b.name, 7.0, 0,
+                      counter_id="c", address=("rx", 0))
     a.send_then(packet, done.__setitem__, ("sent", True))
     b.poll_then("c", 1, lambda: done.__setitem__("t", sim.now), ())
     sim.run()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asic.slice_ import Join
 from repro.comm import CountedGather, GatherSource
 
 
@@ -22,22 +23,13 @@ def test_gather_basic_flow(sim, machine222):
         machine222, [((1, 0, 0), "slice0", 2), ((0, 1, 0), "slice0", 3)]
     ))
     assert g.expected == 5
-    t = {}
-
-    def send_a():
-        yield from g.send_from(a, ["a0", "a1"], payload_bytes=8)
-
-    def send_b():
-        yield sim.timeout(500.0)
-        yield from g.send_from(b, ["b0", "b1", "b2"], payload_bytes=8)
-
-    def wait():
-        t["done"] = yield from g.wait(target)
-
-    procs = [sim.process(send_a()), sim.process(send_b()), sim.process(wait())]
-    sim.run(until=sim.all_of(procs))
+    join = Join(sim, 3)
+    g.send_from(a, ["a0", "a1"], join.ended, payload_bytes=8)
+    sim.schedule(500.0, g.send_from, b, ["b0", "b1", "b2"], join.ended, (), 8)
+    g.wait(target, join.ended)
+    done = sim.run(until=join.done)
     assert g.gathered() == ["a0", "a1", "b0", "b1", "b2"]
-    assert t["done"] > 500.0
+    assert done > 500.0
 
 
 def test_slot_layout_is_deterministic(sim, machine222):
@@ -61,11 +53,10 @@ def test_fixed_count_contract_enforced(sim, machine222):
     a = machine222.node((1, 0, 0)).slice(0)
     g = CountedGather(target, "g", _sources(machine222, [((1, 0, 0), "slice0", 2)]))
 
-    def bad():
-        yield from g.send_from(a, ["only-one"])
-
     with pytest.raises(ValueError, match="declared 2 packets"):
-        sim.run(until=sim.process(bad()))
+        g.send_from(a, ["only-one"])
+    with pytest.raises(KeyError, match="not a source"):
+        g.send_from(machine222.node((0, 1, 0)).slice(0), ["x", "y"])
 
 
 def test_duplicate_source_rejected(machine222):
@@ -94,20 +85,17 @@ def test_reset_for_next_phase(sim, machine222):
     a = machine222.node((1, 0, 0)).slice(0)
     g = CountedGather(target, "g", _sources(machine222, [((1, 0, 0), "slice0", 1)]))
 
-    def roundtrip():
-        yield from g.send_from(a, ["x"])
-        yield from g.wait(target)
+    def roundtrip(payload):
+        join = Join(sim, 2)
+        g.send_from(a, [payload], join.ended)
+        g.wait(target, join.ended)
+        sim.run(until=join.done)
 
-    sim.run(until=sim.process(roundtrip()))
+    roundtrip("x")
     g.reset()
     assert g.gathered() == []
     assert target.counter("g").count == 0
-
-    def second():
-        yield from g.send_from(a, ["y"])
-        yield from g.wait(target)
-
-    sim.run(until=sim.process(second()))
+    roundtrip("y")
     assert g.gathered() == ["y"]
 
 
@@ -118,14 +106,8 @@ def test_gather_into_accumulation_memory(sim, machine222):
     target = node.accum[0]
     a = machine222.node((1, 0, 0)).slice(0)
     g = CountedGather(target, "g", _sources(machine222, [((1, 0, 0), "slice0", 1)]))
-    t = {}
-
-    def send():
-        yield from g.send_from(a, [1.0], payload_bytes=8)
-
-    def wait():
-        t["done"] = yield from g.wait(node.slice(0))
-
-    p1, p2 = sim.process(send()), sim.process(wait())
-    sim.run(until=sim.all_of([p1, p2]))
-    assert "done" in t
+    join = Join(sim, 2)
+    g.send_from(a, [1.0], join.ended, payload_bytes=8)
+    g.wait(node.slice(0), join.ended)
+    assert sim.run(until=join.done) > 0
+    assert g.gathered() == [1.0]

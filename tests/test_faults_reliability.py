@@ -7,6 +7,7 @@ windows, and the RETRY component's exact attribution tiling.
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import Join, Steps, poll_step, run_programs, write_step
 from repro.constants import HOP_NS, LINK_COST_NS
 from repro.engine import Simulator
 from repro.faults.plan import (
@@ -120,20 +121,17 @@ class TestInOrderDelivery:
         dst.memory.allocate("seq", 3)
         arrivals = []
 
-        def sender():
-            for i in range(3):
-                yield from src.send_write(
-                    (1, 0, 0), dst.name, counter_id="seq",
-                    address=("seq", i), payload=i,
-                )
+        Steps(src, [write_step((1, 0, 0), dst.name, counter_id="seq",
+                               address=("seq", i), payload=i)
+                    for i in range(3)]).start()
 
-        def receiver():
-            for n in (1, 2, 3):
-                yield from dst.poll("seq", n)
-                arrivals.append(dst.memory.read(("seq", n - 1)))
+        def polled(n):
+            arrivals.append(dst.memory.read(("seq", n - 1)))
+            if n < 3:
+                dst.poll_then("seq", n + 1, polled, (n + 1,))
 
-        procs = [sim.process(sender()), sim.process(receiver())]
-        sim.run(until=sim.all_of(procs))
+        dst.poll_then("seq", 1, polled, (1,))
+        sim.run()
         assert arrivals == [0, 1, 2]
 
 
@@ -154,12 +152,8 @@ class TestEscalation:
         dst = m.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 1)
 
-        def sender():
-            yield from src.send_write(
-                (1, 0, 0), dst.name, counter_id="c", address=("rx", 0),
-            )
-
-        sim.process(sender())
+        Steps(src, [write_step((1, 0, 0), dst.name, counter_id="c",
+                               address=("rx", 0))]).start()
         sim.run()
         net = m.network
         assert net.packets_lost == 1
@@ -184,17 +178,12 @@ class TestEscalation:
         dst = m.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 2)
 
-        def sender():
-            # First packet: first attempt corrupts, retry budget 0 -> drop.
-            # Second: its first attempt also corrupts... every packet
-            # drops under corrupt_attempts=1 + max_retries=0, so instead
-            # check the run terminates with all losses accounted.
-            for i in range(2):
-                yield from src.send_write(
-                    (1, 0, 0), dst.name, counter_id="c", address=("rx", i),
-                )
-
-        sim.process(sender())
+        # First packet: first attempt corrupts, retry budget 0 -> drop.
+        # Second: its first attempt also corrupts... every packet drops
+        # under corrupt_attempts=1 + max_retries=0, so instead check the
+        # run terminates with all losses accounted.
+        Steps(src, [write_step((1, 0, 0), dst.name, counter_id="c",
+                               address=("rx", i)) for i in range(2)]).start()
         sim.run()
         assert m.network.packets_lost == 2
         assert m.network.packets_in_flight == 0
@@ -237,21 +226,12 @@ class TestAvailabilityWindows:
             src = m.node((0, 0, 0)).slice(0)
             dst = m.node((1, 0, 0)).slice(0)
             dst.memory.allocate("rx", 2)
-            done = {}
-
-            def sender():
-                for i in range(2):
-                    yield from src.send_write(
-                        (1, 0, 0), dst.name, counter_id="c",
-                        address=("rx", i), payload_bytes=256,
-                    )
-
-            def receiver():
-                done["t"] = yield from dst.poll("c", 2)
-
-            procs = [sim.process(sender()), sim.process(receiver())]
-            sim.run(until=sim.all_of(procs))
-            return done["t"]
+            return run_programs(sim, [
+                (src, [write_step((1, 0, 0), dst.name, counter_id="c",
+                                  address=("rx", i), payload_bytes=256)
+                       for i in range(2)]),
+                (dst, [poll_step("c", 2)]),
+            ])
 
         base = two_writes(FaultPlan())
         slow = two_writes(FaultPlan(degradations=(
@@ -283,20 +263,23 @@ class TestMulticastUnderFaults:
 
     def send(self, sim, m, src, pid, expect=(1, 2, 3)):
         times = {}
+        join = Join(sim, 1 + len(expect))
+        Steps(src, [self.write(pid)], join.ended).start()
 
-        def sender():
-            yield from src.send_write(
-                (0, 0, 0), "slice0", counter_id="mc", address=("mc", 0),
-                payload_bytes=0, pattern_id=pid,
-            )
+        def polled(k):
+            times[k] = sim.now
+            join.ended()
 
-        def receiver(k):
-            times[k] = yield from m.node((k, 0, 0)).slice(0).poll("mc", 1)
-
-        procs = [sim.process(sender())]
-        procs += [sim.process(receiver(k)) for k in expect]
-        sim.run(until=sim.all_of(procs))
+        for k in expect:
+            Steps(m.node((k, 0, 0)).slice(0), [poll_step("mc", 1)],
+                  polled, (k,)).start()
+        sim.run(until=join.done)
         return times
+
+    @staticmethod
+    def write(pid):
+        return write_step((0, 0, 0), "slice0", counter_id="mc",
+                          address=("mc", 0), payload_bytes=0, pattern_id=pid)
 
     def test_multicast_retries_every_branch(self):
         sim, m, src, pid, session = self.build(forced_plan(1))
@@ -308,13 +291,7 @@ class TestMulticastUnderFaults:
         plan = forced_plan(5, max_retries=1, on_exhaust="drop")
         sim, m, src, pid, session = self.build(plan)
 
-        def sender():
-            yield from src.send_write(
-                (0, 0, 0), "slice0", counter_id="mc", address=("mc", 0),
-                payload_bytes=0, pattern_id=pid,
-            )
-
-        sim.process(sender())
+        Steps(src, [self.write(pid)]).start()
         sim.run()
         # The tree forks at the source (x+ chain to 1,2 and the x-
         # wraparound to 3); both first edges drop, every downstream
@@ -412,12 +389,8 @@ class TestWatchdogIntegration:
         dst = m.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 1)
 
-        def sender():
-            yield from src.send_write(
-                (1, 0, 0), dst.name, counter_id="c", address=("rx", 0),
-            )
-
-        sim.process(sender())
+        Steps(src, [write_step((1, 0, 0), dst.name, counter_id="c",
+                               address=("rx", 0))]).start()
         sim.run()
         [verdict] = mon.finalize()
         assert not verdict.healthy

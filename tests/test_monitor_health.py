@@ -130,10 +130,7 @@ class TestHealthMonitor:
         monitor = HealthMonitor(sim, machine222, interval_ns=10.0)
         s = machine222.node(0).slice(0)
 
-        def waiter():
-            yield s.counter("never").wait_for(5)
-
-        sim.process(waiter())
+        s.poll_then("never", 5, print, ())
         sim.run()
         verdict = monitor.finalize()
         check = verdict.check("sync_counter_consistency")

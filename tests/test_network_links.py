@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import Steps, write_step
 from repro.engine import Simulator
 from repro.network.link import LinkId, TorusLink
 from tests.conftest import gc_growth, run_exchange
@@ -57,12 +58,9 @@ def test_multicast_counts_each_tree_edge(sim):
     for k in (1, 2, 3):
         m.node((k, 0, 0)).slice(0).memory.allocate("mc", 1)
 
-    def sender():
-        yield from src.send_write((0, 0, 0), "slice0", counter_id="mc",
-                                  address=("mc", 0), payload_bytes=0,
-                                  pattern_id=pid)
-
-    sim.run(until=sim.process(sender()))
+    Steps(src, [write_step((0, 0, 0), "slice0", counter_id="mc",
+                           address=("mc", 0), payload_bytes=0,
+                           pattern_id=pid)]).start()
     sim.run()
     # 3 chained destinations = 3 link traversals, not 1+2+3=6.
     assert m.network.link_traversals == 3

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import Join, Steps, poll_step, write_step
 from repro.constants import MAX_MULTICAST_PATTERNS
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
@@ -70,19 +71,17 @@ def test_delivery_times_match_unicast_hop_costs(sim):
     for k in (1, 2, 3):
         m.node((k, 0, 0)).slice(0).memory.allocate("mc", 1)
     times = {}
+    join = Join(sim, 4)
+    Steps(src, [write_step((0, 0, 0), "slice0", counter_id="mc", address=("mc", 0),
+                           payload_bytes=0, pattern_id=pid)], join.ended).start()
 
-    def sender():
-        yield from src.send_write(
-            (0, 0, 0), "slice0", counter_id="mc", address=("mc", 0),
-            payload_bytes=0, pattern_id=pid,
-        )
+    def polled(k):
+        times[k] = sim.now
+        join.ended()
 
-    def receiver(k):
-        times[k] = yield from m.node((k, 0, 0)).slice(0).poll("mc", 1)
-
-    procs = [sim.process(sender())]
-    procs += [sim.process(receiver(k)) for k in (1, 2, 3)]
-    sim.run(until=sim.all_of(procs))
+    for k in (1, 2, 3):
+        Steps(m.node((k, 0, 0)).slice(0), [poll_step("mc", 1)], polled, (k,)).start()
+    sim.run(until=join.done)
     # Marginal per-hop cost between consecutive destinations is the
     # X through-node cost plus the multicast table lookup.
     from repro.constants import HOP_NS, MULTICAST_LOOKUP_NS
@@ -108,11 +107,7 @@ def test_injecting_from_wrong_source_rejected(sim):
     wrong = m.node((0, 1, 0)).slice(0)
     m.node((1, 0, 0)).slice(0).memory.allocate("mc", 1)
 
-    def sender():
-        yield from wrong.send_write(
-            (0, 1, 0), "slice0", counter_id="mc", payload_bytes=0, pattern_id=pid
-        )
-
-    sim.process(sender())
+    Steps(wrong, [write_step((0, 1, 0), "slice0", counter_id="mc",
+                             payload_bytes=0, pattern_id=pid)]).start()
     with pytest.raises((ValueError, RuntimeError)):
         sim.run()

@@ -8,6 +8,7 @@ pair (§III.A) — the property the migration protocol stands on.
 import pytest
 
 from repro.asic import build_machine
+from repro.asic.slice_ import Steps, write_step
 from repro.engine import Simulator
 from repro.network.packet import PacketKind
 
@@ -29,8 +30,8 @@ def _send_burst(sim, m, in_order, count=20):
     def send(i):
         if i < count:
             src.send_then(
-                src._packet(PacketKind.FIFO, (3, 0, 0), "slice0", i, 8,
-                            in_order=in_order),
+                src.packet(PacketKind.FIFO, (3, 0, 0), "slice0", i, 8,
+                           in_order=in_order),
                 send, (i + 1,))
 
     send(0)
@@ -78,24 +79,12 @@ def test_link_contention_delays_second_packet():
     dst = m.node((1, 0, 0)).slice(0)
     dst.memory.allocate("rx", 2)
     times = {}
-
-    def sender(s, slot):
-        yield from s.send_write(
-            (1, 0, 0), "slice0", counter_id=f"c{slot}", address=("rx", slot),
-            payload_bytes=256,
-        )
-
-    def receiver(slot):
-        times[slot] = yield from dst.poll(f"c{slot}", 1)
-
-    procs = [
-        sim.process(sender(a0, 0)),
-        sim.process(sender(a1, 1)),
-        sim.process(receiver(0)),
-        sim.process(receiver(1)),
-    ]
-    sim.run(until=sim.all_of(procs))
-    from repro.network.packet import Packet
+    for slot, s in enumerate((a0, a1)):
+        Steps(s, [write_step((1, 0, 0), "slice0", counter_id=f"c{slot}",
+                             address=("rx", slot), payload_bytes=256)]).start()
+    for slot in (0, 1):
+        dst.poll_then(f"c{slot}", 1, lambda k=slot: times.__setitem__(k, sim.now), ())
+    sim.run()
     gap = abs(times[1] - times[0])
     # Serialization of a 288-byte wire packet at 36.8 Gbit/s ≈ 62.6 ns.
     assert gap == pytest.approx(288 * 8 / 36.8, rel=0.2)
@@ -111,21 +100,11 @@ def test_opposite_link_directions_are_independent():
     a.memory.allocate("rx", 1)
     b.memory.allocate("rx", 1)
     times = {}
-
-    def sender(s, d, key):
-        yield from s.send_write(
-            d.node, d.name, counter_id="c", address=("rx", 0), payload_bytes=0
-        )
-
-    def receiver(r, key):
-        times[key] = yield from r.poll("c", 1)
-
-    procs = [
-        sim.process(sender(a, b, "ab")),
-        sim.process(sender(b, a, "ba")),
-        sim.process(receiver(b, "ab")),
-        sim.process(receiver(a, "ba")),
-    ]
-    sim.run(until=sim.all_of(procs))
+    for s, d in ((a, b), (b, a)):
+        Steps(s, [write_step(d.node, d.name, counter_id="c", address=("rx", 0),
+                             payload_bytes=0)]).start()
+    for r, key in ((b, "ab"), (a, "ba")):
+        r.poll_then("c", 1, lambda k=key: times.__setitem__(k, sim.now), ())
+    sim.run()
     assert times["ab"] == pytest.approx(162.0)
     assert times["ba"] == pytest.approx(162.0)

@@ -196,25 +196,22 @@ def test_md_experiments_profile_with_step_phases(experiment):
 
 
 #: Event counts per (component, label) of profiled 2x2x2 runs, in the
-#: ``(run)`` or ``allreduce`` phase.  Timeout deliveries count under the
-#: generator they wake (``pinger``, ``sender``, ...); a run that charged
-#: them all to the first waiter resolved, or to ``Simulator._fire``,
-#: moves these numbers.  The all-reduce runs no process: each leg
-#: starts in one event, and every other step of it runs in the event
-#: ending a Tensilica hold or inside a network delivery.
+#: ``(run)`` or ``allreduce`` phase.  No run here builds a process: the
+#: ping-pong and incast programs and the all-reduce legs take every
+#: step in the event ending a Tensilica hold (``_end_hold``) or inside
+#: a network delivery, and an all-reduce leg starts in one event of its
+#: own.  The network cells do not depend on who sent.
 PROFILED_COUNTS_222 = {
     "latency": {
-        "analysis": {"pinger": 56, "ponger": 56, "side": 112},
-        "engine": {"AllOf._on_child": 32},
+        "asic": {"_end_hold": 128},
         "network": {"TorusLink.release": 96, "_UcastTransit._arrive": 64,
                     "_UcastTransit._next_hop": 160},
     },
     "congestion": {
-        "engine": {"AllOf._on_child": 8},
+        "asic": {"_end_hold": 15},
         "network": {"TorusLink.release": 24, "_UcastTransit._arrive": 14,
                     "_UcastTransit._granted": 17,
                     "_UcastTransit._next_hop": 38},
-        "runner": {"receiver": 3, "sender": 21},
     },
     "allreduce": {
         "asic": {"_end_hold": 152},

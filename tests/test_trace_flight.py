@@ -5,6 +5,9 @@ import pytest
 from tests.conftest import run_exchange
 
 from repro.asic import build_machine
+from repro.asic.slice_ import (
+    Steps, accum_step, poll_accum_step, poll_step, run_programs, write_step,
+)
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
 from repro.network.packet import WritePacket
@@ -105,21 +108,11 @@ class TestContention:
         dst = machine.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 2)
 
-        def send(s, slot):
-            yield from s.send_write(
-                (1, 0, 0), "slice0", counter_id="c", address=("rx", slot),
-                payload_bytes=256,
-            )
-
-        def recv():
-            yield from dst.poll("c", 2)
-
-        procs = [
-            sim.process(send(a0, 0)),
-            sim.process(send(a1, 1)),
-            sim.process(recv()),
-        ]
-        sim.run(until=sim.all_of(procs))
+        run_programs(sim, [
+            (s, [write_step((1, 0, 0), "slice0", counter_id="c",
+                            address=("rx", slot), payload_bytes=256)])
+            for slot, s in enumerate((a0, a1))
+        ] + [(dst, [poll_step("c", 2)])])
         return fl
 
     def test_queue_wait_recorded(self):
@@ -279,18 +272,11 @@ class TestAccumulation:
         src = machine.node((0, 0, 0)).slice(0)
         node = machine.node((1, 0, 0))
 
-        def sender():
-            for _ in range(3):
-                yield from src.send_accum(
-                    (1, 0, 0), "accum0", counter_id="c", address="f",
-                    payload=2.0, payload_bytes=8,
-                )
-
-        def poll():
-            yield from node.slice(0).poll_accum(node.accum[0], "c", 3)
-
-        p1, p2 = sim.process(sender()), sim.process(poll())
-        sim.run(until=sim.all_of([p1, p2]))
+        run_programs(sim, [
+            (src, [accum_step((1, 0, 0), "accum0", counter_id="c", address="f",
+                              payload=2.0, payload_bytes=8)] * 3),
+            (node.slice(0), [poll_accum_step(node.accum[0], "c", 3)]),
+        ])
         return machine, fl
 
     def test_accum_packets_recorded_as_flights(self):
@@ -346,13 +332,8 @@ class TestPollJoin:
         dst = machine.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 1)
 
-        def send():
-            yield from src.send_write(
-                (1, 0, 0), "slice0", counter_id="nobody",
-                address=("rx", 0),
-            )
-
-        sim.process(send())
+        Steps(src, [write_step((1, 0, 0), "slice0", counter_id="nobody",
+                               address=("rx", 0))]).start()
         sim.run()
         [flight] = fl.packets()
         assert flight.deliveries

@@ -87,7 +87,7 @@ DIGESTS = {
     "monitor_congestion":
         "5c3a09b583710bab516b44d12079cda8b55414943e9dc169d82660e74ec607c8",
     "monitor_congestion_engine":
-        "9d389f418efadd0d7eb21ad87bbcd0a94e846284d65049adafa9cc9de8512025",
+        "501891bdeded998a602df624c555f0b52a55a03c690eabfea948f62f18c672c3",
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
