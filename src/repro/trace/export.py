@@ -221,8 +221,9 @@ def jsonl_lines(
 ) -> Iterator[str]:
     """One JSON object per record, for ad-hoc processing (jq, pandas).
 
-    Record types: ``packet`` (with nested hops and deliveries),
-    ``link`` (aggregate per link direction), ``queue_depth`` (one
+    Record types: ``packet`` (with nested hops and deliveries, the
+    deliveries in the recorder's canonical order: time, node rank,
+    client), ``link`` (aggregate per link direction), ``queue_depth`` (one
     sample), ``activity`` (one recorder interval).
     """
     ids = _local_ids(flight)

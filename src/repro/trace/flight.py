@@ -708,14 +708,32 @@ class FlightRecorder:
         return self._derived("hop_rows", lambda: self._by_flight(self.hop_flight))
 
     def delivery_rows(self) -> tuple[array, array]:
-        """Delivery-log rows grouped by flight, like :meth:`hop_rows`."""
-        return self._derived(
-            "delivery_rows", lambda: self._by_flight(self.delivery_flight)
-        )
+        """Delivery-log rows grouped by flight, like :meth:`hop_rows`,
+        each flight's in canonical order: by time, then node rank
+        (``x`` fastest, as :meth:`~repro.topology.torus.Torus3D.rank`),
+        then client name.  The log holds same-time deliveries in engine
+        event order, which is no property of the model."""
+        def build() -> tuple[array, array]:
+            rows, starts = self._by_flight(self.delivery_flight)
+            times = self.delivery_ns
+            nodes = self.delivery_node
+            clients = self.delivery_client
+
+            def key(row: int) -> tuple:
+                x, y, z = nodes[row]
+                return times[row], z, y, x, clients[row]
+
+            for start, end in zip(starts, starts[1:]):
+                if end - start > 1:
+                    rows[start:end] = array(
+                        "q", sorted(rows[start:end], key=key))
+            return rows, starts
+        return self._derived("delivery_rows", build)
 
     def last_delivery_rows(self) -> array:
-        """Delivery-log row of each flight's latest delivery (-1 while
-        in flight), by flight index."""
+        """Delivery-log row of each flight's last delivery in the order
+        of :meth:`delivery_rows` (-1 while in flight), by flight
+        index."""
         def build() -> array:
             rows, starts = self.delivery_rows()
             return array("q", (

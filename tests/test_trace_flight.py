@@ -227,6 +227,41 @@ class TestMulticast:
         assert len(flight.deliveries) == len(targets)
 
 
+class TestDeliveryOrder:
+    def test_same_time_deliveries_in_canonical_order(self):
+        """Deliveries at one time are read by node rank (x fastest),
+        then client name, whatever order the engine recorded them in:
+        the last delivery is a property of the model."""
+        from repro.network.packet import Packet
+        from repro.topology.torus import NodeCoord
+
+        origin = NodeCoord(0, 0, 0)
+        orders = [
+            [((1, 1, 1), "a", 9.0), ((0, 0, 1), "b", 9.0),
+             ((0, 0, 1), "a", 9.0), ((1, 0, 0), "a", 5.0)],
+            [((1, 0, 0), "a", 5.0), ((0, 0, 1), "a", 9.0),
+             ((1, 1, 1), "a", 9.0), ((0, 0, 1), "b", 9.0)],
+        ]
+        seen = []
+        for recorded in orders:
+            fl = FlightRecorder()
+            packet = Packet(origin, "a", origin, "a", pattern_id=0)
+            fl.packet_injected(packet, 0.0)
+            for node, client, t in recorded:
+                fl.packet_delivered(packet, node, client, t)
+            [flight] = fl.packets()
+            seen.append([(d.node, d.client, d.time_ns)
+                         for d in flight.deliveries])
+            assert flight.delivered_ns == 9.0
+            last = fl.last_delivery_rows()[0]
+            assert (fl.delivery_node[last], fl.delivery_client[last]) == (
+                (1, 1, 1), "a")
+        assert seen[0] == seen[1] == [
+            ((1, 0, 0), "a", 5.0), ((0, 0, 1), "a", 9.0),
+            ((0, 0, 1), "b", 9.0), ((1, 1, 1), "a", 9.0),
+        ]
+
+
 class TestNonPerturbation:
     def test_recording_does_not_change_simulated_time(self):
         def measure(traced):

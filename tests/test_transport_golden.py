@@ -99,7 +99,7 @@ DIGESTS = {
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
-        "0b703bf35d0e1d6d480441664723b3ac150f7de2a449717a9a532fe614fc8043",
+        "dc51c83059154b6fcbfb2fc68c19fff30018fe87a42f7b21909d64f0765ac603",
     "flight_metrics":
         "140b31ff92a5a49c1438828e42bc1ea19e07c46720dbbb1cce856bdbc3793726",
 }
