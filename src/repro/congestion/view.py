@@ -40,13 +40,13 @@ class CongestionView:
     """Queue-depth and occupancy timelines per link direction.
 
     Dicts are keyed by link name in order of first grant.  ``waits``
-    counts every grant that followed an enqueue, including zero-length
-    waits (queued and granted at one instant); ``wait_ns``/``waits``
-    list only links that queued, ``peak_depth`` only links with a
-    nonzero peak.  ``depth_series`` samples the queue length, waiter
-    included, at each enqueue and after each grant that drained a
-    waiter; ``occupancy_series`` the cumulative serialization time at
-    each grant.
+    counts every grant that followed an enqueue (a queued hop is
+    granted after it arrived, so every such wait is longer than zero);
+    ``wait_ns``/``waits`` list only links that queued, ``peak_depth``
+    only links with a nonzero peak.  ``depth_series`` samples the queue
+    length, waiter included, at each enqueue and after each grant of a
+    queued hop; ``occupancy_series`` the cumulative serialization time
+    at each grant.
     """
 
     def __init__(self, flight: "FlightRecorder") -> None:
@@ -76,8 +76,6 @@ class CongestionView:
             if enqueue != grant:
                 wait[li] += grant - enqueue
                 waits[li] += 1
-        for li, *_ in flight.instant_rows:
-            waits[li] += 1
 
         self.directions: dict[str, str] = {}
         self.grants: dict[str, int] = {}
@@ -127,34 +125,19 @@ def _depth_series(
     flight: "FlightRecorder",
 ) -> tuple[list[int], dict[int, RingSeries]]:
     """Per link index that was sampled: the peak sampled depth, and
-    the depth samples with each zero-length wait's grant sample spliced
-    back in where it was recorded."""
+    the depth samples."""
     links = flight.link_table
-    zero_waits: list[list[tuple[int, float, int]]] = [[] for _ in links]
-    for li, row, grant_ns, waiting in flight.instant_rows:
-        zero_waits[li].append((row, grant_ns, waiting))
-    spliced = [0] * len(links)  # zero-length waits spliced so far
     peak = [0] * len(links)
     out: dict[int, RingSeries] = {}
-    for row, (li, t, depth) in enumerate(zip(
+    for li, t, depth in zip(
         flight.sample_link, flight.sample_ns, flight.sample_depth
-    )):
+    ):
         series = out.get(li)
         if series is None:
             series = out[li] = RingSeries(
                 f"{links[li].name}.depth", SERIES_CAPACITY
             )
-        zw = zero_waits[li]
-        k = spliced[li]
-        while k < len(zw) and zw[k][0] <= row:
-            _, grant_ns, waiting = zw[k]
-            series.append(grant_ns, float(waiting))
-            k += 1
-        spliced[li] = k
         series.append(t, float(depth))
         if depth > peak[li]:
             peak[li] = depth
-    for li, series in out.items():
-        for _, grant_ns, waiting in zero_waits[li][spliced[li]:]:
-            series.append(grant_ns, float(waiting))
     return peak, out

@@ -3,8 +3,8 @@
 :class:`Resource` models a server with fixed capacity (a processing-slice
 core, an HTIS pipeline front-end, a cluster node's CPU or NIC): requests
 are granted strictly in arrival order.  Torus link directions carry
-their own allocation-free channel with the same grant semantics (see
-:mod:`repro.network.link`).
+their own booking slot, which grants at the same times and schedules
+no release (see :mod:`repro.network.link`).
 """
 
 from __future__ import annotations

@@ -118,13 +118,27 @@ class Simulator:
         """Run ``fn(*args)`` at the current instant, after every event
         already scheduled for it: :meth:`schedule` with zero delay, but
         taking ``args`` as one tuple, so a caller holding a stored
-        continuation pays no star-args repacking (the link grant's hot
-        path)."""
+        continuation pays no star-args repacking (an event's callback
+        dispatch)."""
         now = self.now
         bucket = self._buckets.get(now)
         if bucket is None:
             self._buckets[now] = [fn, args]
             heappush(self._times, now)
+        else:
+            bucket.append(fn)
+            bucket.append(args)
+
+    def schedule_at(self, when: float, fn: Callable[..., None],
+                    args: tuple) -> None:
+        """Run ``fn(*args)`` at the absolute time ``when`` (a link's
+        booked grant): a delay of ``when - now`` could round off it."""
+        if when < self.now:
+            raise ValueError(f"cannot schedule into the past ({when!r})")
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [fn, args]
+            heappush(self._times, when)
         else:
             bucket.append(fn)
             bucket.append(args)

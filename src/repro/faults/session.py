@@ -46,9 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class RetryExhausted(RuntimeError):
     """Link-level retransmission gave up on a packet.
 
-    Raised (under the default ``on_exhaust="error"`` policy) from the
-    transit's grant continuation; the simulator surfaces it as a run
-    failure, and the sweep harness marks the point as errored.
+    Raised (under the default ``on_exhaust="error"`` policy) when the
+    exhausted hop arrives at its link, where the transit resolves the
+    traversal; the simulator surfaces it as a run failure, and the
+    sweep harness marks the point as errored.
     """
 
 
@@ -169,19 +170,22 @@ class FaultSession:
     # per-hop decisions
     # ------------------------------------------------------------------
     def transmit(self, packet: "Packet", link: "TorusLink", dim: str,
-                 sign: int, now: float) -> TransmitOutcome:
+                 sign: int, grant_ns: float) -> TransmitOutcome:
         """Resolve one link traversal: degradation, corruption, retries.
 
-        Called by the transit's grant continuation *instead of* the
-        fault-free occupancy/latency arithmetic; never called when the
-        session is disabled.
+        Called by the transit when the hop arrives at its link, with
+        the hop's booked grant time ``grant_ns``: degradation windows
+        are read there, and the outcome's hold books the channel in
+        place of the bare serialization time.  Arrivals on one link
+        come in its FCFS order, so its random stream draws in grant
+        order.  Never called when the session is disabled.
         """
         plan = self.plan
         ser = packet.serialization_ns
         hold = ser
         extra = 0.0
         for d in self._degradations:
-            if d.active(now) and selector_matches(d.links, dim, sign):
+            if d.active(grant_ns) and selector_matches(d.links, dim, sign):
                 hold *= d.bandwidth_factor
                 if d.latency_factor > 1.0:
                     extra += LINK_COST_NS[dim] * (d.latency_factor - 1.0)

@@ -8,18 +8,16 @@ equals the serialization time, giving bandwidth contention and
 head-of-line queueing; head latency is charged separately from the
 calibrated segment constants (virtual cut-through; see DESIGN.md §5).
 
-The channel is owned by the link rather than built on the engine's
-:class:`~repro.engine.resource.Resource`: a packet that finds the link
-busy queues a continuation, a plain function and its args tuple, as two
-consecutive slots of a deque, with no event, no closure and no entry
-tuple.  This is the flat layout of the simulator's calendar buckets, for
-the same reason: the args tuple stays the only object a wait allocates.
-On release the head continuation is scheduled at the current instant,
-behind every event already queued for it: exactly the one event
-``Event.succeed`` pushed for a ``Resource`` grant.  The grant goes through the event queue rather
-than running inline so that everything already scheduled for that
-instant runs first; same-instant order, grant order and every result
-byte stay those of the ``Resource`` model.
+The channel is a booking slot, ``free_at``: the time the last packet
+booked on it leaves.  The service is first come, first served and
+each packet's hold is known when it arrives, so a packet arriving at
+``t`` is granted at ``g = max(t, free_at)`` and moves ``free_at`` to
+``g + hold`` (:meth:`TorusLink.book`).  The transport runs a grant at
+``t`` inline and schedules one at a later ``g`` as one event at that
+absolute time; no release event is ever scheduled and no waiter is
+queued.  The slot holds all the telemetry the channel needs: the
+packets waiting are those booked but not yet granted, and the busy
+time is the closed busy periods plus the open one up to ``free_at``.
 
 Each link direction also carries the per-hop constants the transport
 needs, computed once when the link is created: the neighbour it leads
@@ -29,9 +27,8 @@ through hop.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.constants import LINK_COST_NS, MULTICAST_LOOKUP_NS, THROUGH_RING_NS
 from repro.topology.torus import NodeCoord
@@ -71,7 +68,7 @@ class TorusLink:
         "sim", "link_id", "neighbor",
         "ucast_first_ns", "ucast_through_ns",
         "mcast_first_ns", "mcast_through_ns",
-        "_waiters", "peak_queue_length", "total_busy_ns",
+        "free_at", "booked", "peak_queue_length", "total_busy_ns",
         "_busy_since", "packets_carried", "bytes_carried", "retransmissions",
     )
 
@@ -92,14 +89,19 @@ class TorusLink:
         self.ucast_through_ns = link_ns + THROUGH_RING_NS[dim]
         self.mcast_first_ns = link_ns + MULTICAST_LOOKUP_NS
         self.mcast_through_ns = self.mcast_first_ns + THROUGH_RING_NS[dim]
-        #: Waiting continuations, flat: ``fn, args, fn, args, ...``.
-        self._waiters: deque = deque()
+        #: When the last packet booked on the channel leaves it: the
+        #: grant time of the next packet to arrive before then.
+        self.free_at = 0.0
+        #: Packets booked; those not yet granted are
+        #: ``booked - packets_carried``.
+        self.booked = 0
         #: Deepest wait queue ever observed (head-of-line telemetry).
         self.peak_queue_length = 0
+        #: Busy time of the closed busy periods.
         self.total_busy_ns = 0.0
-        #: Start of the open busy interval; ``None`` while the channel
-        #: is free.
-        self._busy_since: Optional[float] = None
+        #: Start of the last busy period, which ends at ``free_at``.
+        self._busy_since = 0.0
+        #: Packets granted (the transit counts them).
         self.packets_carried = 0
         self.bytes_carried = 0
         #: Link-level retransmissions charged to this direction by the
@@ -112,56 +114,51 @@ class TorusLink:
         return self.link_id.direction
 
     # -- the channel ------------------------------------------------------
-    def try_acquire(self) -> bool:
-        """Take the channel if it is free; pair with :meth:`release`."""
-        if self._busy_since is not None:
-            return False
-        self._busy_since = self.sim.now
-        return True
+    def grant_time(self) -> float:
+        """When a packet arriving now would be granted."""
+        now = self.sim.now
+        return self.free_at if self.free_at > now else now
 
-    def wait(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        """Queue for the busy channel: ``fn(*args)`` runs once the
-        channel is granted to this waiter, in arrival order."""
-        waiters = self._waiters
-        waiters.append(fn)
-        waiters.append(args)
-        depth = len(waiters) >> 1
-        if depth > self.peak_queue_length:
-            self.peak_queue_length = depth
-
-    def release(self) -> None:
-        """Hand the channel to the head waiter, or free it."""
-        if self._busy_since is None:
-            raise RuntimeError(f"release() of idle {self.link_id!r}")
-        waiters = self._waiters
-        if waiters:
-            # One event at the current instant, behind every event
-            # already there (see the module docstring).
-            self.sim.schedule_now(waiters.popleft(), waiters.popleft())
-        else:
-            self.total_busy_ns += self.sim.now - self._busy_since
-            self._busy_since = None
+    def book(self, hold: float) -> float:
+        """Book the channel for a packet arriving now that holds it for
+        ``hold`` ns, and return its grant time.  The caller runs the
+        grant: inline when it is now, else as an event at that time."""
+        now = self.sim.now
+        free_at = self.free_at
+        self.booked += 1
+        if free_at > now:
+            self.free_at = free_at + hold
+            depth = self.booked - self.packets_carried
+            if depth > self.peak_queue_length:
+                self.peak_queue_length = depth
+            return free_at
+        if now > free_at:
+            # The channel idled since ``free_at``: a busy period ends.
+            self.total_busy_ns += free_at - self._busy_since
+            self._busy_since = now
+        self.free_at = now + hold
+        return now
 
     # -- telemetry --------------------------------------------------------
     @property
     def queue_length(self) -> int:
-        """Packets currently waiting for this direction (instantaneous
-        depth probe for the continuous-monitoring sampler)."""
-        return len(self._waiters) >> 1
+        """Packets booked on this direction but not yet granted
+        (instantaneous depth probe for the continuous-monitoring
+        sampler)."""
+        return self.booked - self.packets_carried
 
     @property
     def busy_ns(self) -> float:
         """Cumulative time this direction has been streaming bits,
-        including any currently open busy interval.
+        including the current busy period up to now.
 
         Monotonically non-decreasing, so the sampler can snapshot it
         into a ring-buffer series and derive per-window busy fractions
         from consecutive deltas.
         """
-        busy = self.total_busy_ns
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        return busy
+        now = self.sim.now
+        end = self.free_at if self.free_at < now else now
+        return self.total_busy_ns + (end - self._busy_since)
 
     def utilization(self, elapsed_ns: float | None = None) -> float:
         """Fraction of time the channel was streaming bits.

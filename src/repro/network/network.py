@@ -29,17 +29,19 @@ passing style (callbacks on the event queue) rather than as generator
 processes — an MD time step moves hundreds of thousands of packets and
 the per-process machinery dominated the run time of the first
 implementation.  The model's clients run the same way (see
-:mod:`repro.asic.slice_`).  Each scheduled continuation is a plain function with its transit
-(or link) as the first argument — ``_UcastTransit._next_hop, self``
-rather than ``self._next_hop`` — so a hop allocates no bound method,
+:mod:`repro.asic.slice_`).  Each scheduled continuation is a plain
+function with its transit as the first argument —
+``_UcastTransit._next_hop, self`` rather than ``self._next_hop`` — so
+a hop allocates no bound method,
 and its args tuple is the one object per event that the cyclic garbage
 collector tracks (see :mod:`repro.engine.simulator`).  A link direction
-(:class:`~repro.network.link.TorusLink`) is a link-owned FCFS queue of
-those continuations: a packet that finds the link busy queues
-``_granted`` and its args and allocates no event and no closure.  The
-release still grants through the event queue, as one event at the
-current instant, so same-instant order — and with it every result byte
-— is that of an engine ``Resource``.
+(:class:`~repro.network.link.TorusLink`) is a booking slot: a hop
+arriving at ``t`` is granted at ``max(t, free_at)``.  A hop that finds
+the link free runs its grant inline; one that finds it busy books its
+grant as one event at that absolute time, and no hop schedules a
+release.  The fault session resolves a hop at arrival, for its grant
+time, and the outcome rides in the grant's args: faulted and
+fault-free hops take one path.
 
 Tables hold hardware.  A multicast
 :class:`~repro.network.multicast.TableEntry` is resolved on its node's
@@ -80,6 +82,7 @@ from repro.trace.flight import NULL_FLIGHT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asic.client import NetworkClient
+    from repro.faults.session import TransmitOutcome
 
 #: Serialization time of a bare header; its wire time is overlapped with
 #: the link-adapter latency, so only payload beyond the header adds
@@ -385,15 +388,25 @@ class _UcastTransit:
         link = route[idx]
         if link is None:
             link = route[idx] = net.link(*self._hop(idx))
-        if link.try_acquire():
-            self._granted(link)
+        packet = self.packet
+        if fa is None:
+            out = None
+            grant = link.book(packet.serialization_ns)
+        else:
+            lid = link.link_id
+            out = fa.transmit(packet, link, lid.dim, lid.sign,
+                              link.grant_time())
+            grant = link.book(out.hold_ns)
+        if grant == sim.now:
+            self._granted(link, out)
         else:
             fl = net.flight
             if fl.enabled:
-                fl.hop_enqueued(self.packet, link, sim.now)
-            link.wait(_UcastTransit._granted, (self, link))
+                fl.hop_enqueued(packet, link, sim.now)
+            sim.schedule_at(grant, _UcastTransit._granted, (self, link, out))
 
-    def _granted(self, link: TorusLink) -> None:
+    def _granted(self, link: TorusLink,
+                 out: "Optional[TransmitOutcome]") -> None:
         net = self.net
         sim = net.sim
         packet = self.packet
@@ -407,13 +420,7 @@ class _UcastTransit:
             latency = link.ucast_first_ns + self.payload_extra
         else:
             latency = link.ucast_through_ns
-        fa = net.faults
-        if fa is None:
-            sim.schedule(packet.serialization_ns, TorusLink.release, link)
-        else:
-            lid = link.link_id
-            out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
-            sim.schedule(out.hold_ns, TorusLink.release, link)
+        if out is not None:
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
@@ -506,6 +513,7 @@ class _McastTransit:
         net = self.net
         sim = net.sim
         fa = net.faults
+        packet = self.packet
         children = entry.children
         if children is None:
             children = net._resolve(self.pattern, entry, node)
@@ -523,7 +531,6 @@ class _McastTransit:
             # source, the one first-link visit); for in-order packets
             # the gates are taken in that order too.
             delay = 0.0 if first_link else DST_RING_NS
-            packet = self.packet
             if packet.in_order:
                 for client in entry.clients:
                     order_prev, order_mine = net._inorder_gate(packet, node)
@@ -545,13 +552,22 @@ class _McastTransit:
             link = child.link
             if link is None:
                 link = child.link = net.link(node, *child.via)
-            if link.try_acquire():
-                self._granted(child, first_link)
+            if fa is None:
+                out = None
+                grant = link.book(packet.serialization_ns)
+            else:
+                lid = link.link_id
+                out = fa.transmit(packet, link, lid.dim, lid.sign,
+                                  link.grant_time())
+                grant = link.book(out.hold_ns)
+            if grant == sim.now:
+                self._granted(child, first_link, out)
             else:
                 fl = net.flight
                 if fl.enabled:
-                    fl.hop_enqueued(self.packet, link, sim.now)
-                link.wait(_McastTransit._granted, (self, child, first_link))
+                    fl.hop_enqueued(packet, link, sim.now)
+                sim.schedule_at(grant, _McastTransit._granted,
+                                (self, child, first_link, out))
 
     def _deliver_local(
         self,
@@ -577,7 +593,8 @@ class _McastTransit:
         if self.outstanding == 0:
             net.packets_completed += 1
 
-    def _granted(self, child: TableEntry, first_link: bool) -> None:
+    def _granted(self, child: TableEntry, first_link: bool,
+                 out: "Optional[TransmitOutcome]") -> None:
         net = self.net
         sim = net.sim
         packet = self.packet
@@ -592,13 +609,7 @@ class _McastTransit:
             latency = link.mcast_first_ns + self.payload_extra
         else:
             latency = link.mcast_through_ns
-        fa = net.faults
-        if fa is None:
-            sim.schedule(packet.serialization_ns, TorusLink.release, link)
-        else:
-            lid = link.link_id
-            out = fa.transmit(packet, link, lid.dim, lid.sign, sim.now)
-            sim.schedule(out.hold_ns, TorusLink.release, link)
+        if out is not None:
             if out.retries and fl.enabled:
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)

@@ -31,8 +31,7 @@ them:
 * the delivery log, one row per arrival: ``delivery_flight``,
   ``delivery_node``, ``delivery_client``, ``delivery_ns``;
 * the sample log, one queue-depth sample per enqueue and per grant
-  that drained a waiter: ``sample_link``, ``sample_ns``,
-  ``sample_depth``.
+  of a queued hop: ``sample_link``, ``sample_ns``, ``sample_depth``.
 
 A hop's enqueue time and queue depth are its enqueue's sample
 (``hop_enqueue_row``); its release is grant plus the packet's
@@ -41,7 +40,7 @@ a sparse dict keyed by hop row).  ``hop_enqueue_ns``, ``hop_depth`` and
 ``hop_release_ns`` are those columns, derived.  The congestion view,
 tree and decomposition read the columns directly.  The object views —
 :class:`PacketFlight` with its ``hops``/``deliveries``,
-``link_occupancy``, ``queue_depth_series``, ``instant_waits`` — are
+``link_occupancy``, ``queue_depth_series`` — are
 built afresh on each read, for exports, the critical path and tests;
 the recorder keeps none of them, so it holds no object per packet or
 hop even after an analysis.
@@ -70,7 +69,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterator, Optional
 
 from repro import instruments
@@ -392,7 +391,7 @@ class FlightRecorder:
         "hop_faults",
         "delivery_flight", "delivery_node", "delivery_client", "delivery_ns",
         "sample_link", "sample_ns", "sample_depth", "_waiting",
-        "instant_rows", "polls", "phases", "_cache", "_cache_at",
+        "polls", "phases", "_cache", "_cache_at",
     )
 
     #: The logs ``absorb`` appends verbatim; the others hold flight,
@@ -457,18 +456,13 @@ class FlightRecorder:
         self.delivery_client: list[str] = []
         self.delivery_ns = array("d")
         # The queue-depth samples (waiters, the new one included), one
-        # row at each enqueue and after each grant that drained a waiter.
+        # row at each enqueue and after each grant of a queued hop.
         self.sample_link = array("q")
         self.sample_ns = array("d")
         self.sample_depth = array("q")
         #: Per link index: packet_id → sample row of its enqueue, for
         #: the packets waiting on that link.
         self._waiting: list[dict[int, int]] = []
-        #: [(link index, sample rows so far, grant_ns, waiting)] for
-        #: each packet queued and granted at one instant: a zero-length
-        #: wait, whose grant the sample log skips (``instant_waits``
-        #: gives the per-link offsets).
-        self.instant_rows: list[tuple[int, int, float, int]] = []
         #: Successful counter polls, in completion order.
         self.polls: list[PollRecord] = []
         #: Marked phases, in begin order.
@@ -519,12 +513,12 @@ class FlightRecorder:
         return li
 
     def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
-        """The packet found the link busy and joined its queue."""
+        """The packet found the link busy and booked its grant."""
         li = self._link_of.get(id(link.link_id))
         if li is None:
             li = self._intern(link)
-        # Waiters once this packet joins them.
-        depth = link.queue_length + 1
+        # Waiters, this packet included.
+        depth = link.queue_length
         samples = self.sample_ns
         self._waiting[li][packet.packet_id] = len(samples)
         self.sample_link.append(li)
@@ -546,16 +540,11 @@ class FlightRecorder:
             self.hop_grant_ns.append(now)
             self.hop_enqueue_row.append(row)
         if row >= 0:
-            samples = self.sample_ns
-            if now != samples[row]:
-                # The grant drains one waiter; sample the shrinking queue.
-                self.sample_link.append(li)
-                samples.append(now)
-                self.sample_depth.append(link.queue_length)
-            else:
-                self.instant_rows.append(
-                    (li, len(samples), now, link.queue_length)
-                )
+            # The grant drains one waiter; sample the shrinking queue.
+            # A queued hop is granted after it arrived, never at once.
+            self.sample_link.append(li)
+            self.sample_ns.append(now)
+            self.sample_depth.append(link.queue_length)
 
     def hop_fault(
         self,
@@ -843,22 +832,6 @@ class FlightRecorder:
             out.setdefault(names[li], []).append((t, depth))
         return out
 
-    @property
-    def instant_waits(self) -> list[tuple[str, int, float, int]]:
-        """[(link name, samples on that link so far, grant_ns, waiting)]
-        for each packet queued and granted at one instant: a
-        zero-length wait, whose grant the depth samples skip."""
-        seen = [0] * len(self.link_table)  # samples per link so far
-        samples = iter(self.sample_link)
-        at = 0
-        out = []
-        for li, row, grant_ns, waiting in self.instant_rows:
-            for sampled in islice(samples, row - at):
-                seen[sampled] += 1
-            at = row
-            out.append((self.link_table[li].name, seen[li], grant_ns, waiting))
-        return out
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -1004,7 +977,7 @@ class FlightRecorder:
         ``net.packets_delivered`` and ``net.polls_succeeded`` are the
         row counts of the packet, hop, delivery and poll logs.  The
         histograms observe, in log order: ``net.hop_wait_ns`` each
-        queued hop's non-zero wait (grant order),
+        queued hop's wait (grant order),
         ``net.packet_latency_ns`` each delivery's inject-to-arrival
         time, ``net.software_send_ns`` each send's assembly time (it
         ends at injection).  The
@@ -1027,7 +1000,7 @@ class FlightRecorder:
             ("net.hop_wait_ns", (
                 grant - samples[row]
                 for grant, row in zip(self.hop_grant_ns, self.hop_enqueue_row)
-                if row >= 0 and grant != samples[row]
+                if row >= 0
             )),
             ("net.packet_latency_ns", (
                 t - inject[fi]
@@ -1083,10 +1056,6 @@ class FlightRecorder:
             self.hop_faults[rows + row] = fault
         self.delivery_flight.extend(flights + fi for fi in other.delivery_flight)
         self.sample_link.extend(links[li] for li in other.sample_link)
-        self.instant_rows.extend(
-            (links[li], samples + row, grant_ns, waiting)
-            for li, row, grant_ns, waiting in other.instant_rows
-        )
         self._cache.clear()
 
     def __len__(self) -> int:

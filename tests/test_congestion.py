@@ -125,7 +125,7 @@ class TestRecorder:
     def test_absorbed_record_matches_one_shared_recorder(self):
         """A nested capture absorbed into the outer recorder gives the
         outer view exactly what attaching the outer recorder directly
-        gives, zero-length waits (which ``mdstep`` has) included."""
+        gives, multicast transit under contention included."""
         spec = ExperimentSpec("mdstep", shape=(2, 2, 2), rounds=1)
         shared = FlightRecorder()
         with use_flight(shared):
@@ -136,8 +136,6 @@ class TestRecorder:
             absorbed.absorb(
                 run_experiment(spec, Captures(congestion=True)).flight
             )
-        assert shared.instant_waits
-        assert absorbed.instant_waits == shared.instant_waits
         assert _stats(CongestionView(absorbed)) == _stats(
             CongestionView(shared)
         )

@@ -36,6 +36,36 @@ def one_way_under(plan, dst=(1, 0, 0), payload_bytes=0, shape=(4, 4, 4),
     return t, session, m
 
 
+class _Sink:
+    def __init__(self, node, name) -> None:
+        self.node = node
+        self.name = name
+
+    def receive(self, packet) -> None:
+        pass
+
+
+def _two_hops(plan):
+    """Two 256-byte packets over the (0,0,0) x+ link of a bare network
+    under ``plan``: the first injected at 0, the second at 1 ns, so its
+    hop arrives while the first holds the link.  Returns (sim, network,
+    first, second)."""
+    from repro.network.network import Network
+    from repro.network.packet import Packet
+    from repro.topology.torus import Torus3D
+
+    sim = Simulator()
+    with use_faults(FaultSession(plan)):
+        net = Network(sim, Torus3D(4, 1, 1))
+    src, dst = net.torus.coord((0, 0, 0)), net.torus.coord((1, 0, 0))
+    net.attach(_Sink(dst, "rx"))
+    first = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    second = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    net.inject(first)
+    sim.schedule(1.0, net.inject, second)
+    return sim, net, first, second
+
+
 def forced_plan(k, **kwargs):
     """Deterministically corrupt the first ``k`` attempts everywhere."""
     return FaultPlan(bit_errors=(BitError(links="*", corrupt_attempts=k),),
@@ -141,6 +171,27 @@ class TestEscalation:
         with pytest.raises(RetryExhausted, match="exceeded 2"):
             one_way_under(plan)
 
+    def test_error_policy_raises_at_the_hops_arrival(self):
+        """The session resolves a hop when it arrives at its link, for
+        its booked grant time: the hop that exhausts its retries raises
+        at its arrival, before its grant, and books nothing."""
+        from repro.constants import SRC_RING_NS
+
+        # Plan seed 2 draws a clean first traversal of (0,0,0) x+ and a
+        # corrupted second one, in the link's FCFS order.
+        plan = FaultPlan(seed=2, max_retries=0,
+                         bit_errors=(BitError(links="x+", ber=3e-4),))
+        sim, net, first, second = _two_hops(plan)
+        ser = first.serialization_ns
+        with pytest.raises(RetryExhausted, match="exceeded 0"):
+            sim.run()
+        # The second hop arrives at 1 ns + SRC_RING_NS, while the first
+        # holds the link until SRC_RING_NS + ser.
+        assert sim.now == 1.0 + SRC_RING_NS < SRC_RING_NS + ser
+        link = net.link((0, 0, 0), "x", 1)
+        assert link.booked == link.packets_carried == 1
+        assert link.free_at == SRC_RING_NS + ser
+
     def test_drop_policy_loses_loudly(self):
         registry = MetricsRegistry()
         sim = Simulator()
@@ -191,6 +242,23 @@ class TestEscalation:
 
 
 class TestAvailabilityWindows:
+    def test_degradation_opening_while_queued_sets_the_hold(self):
+        """A window that opens after a hop arrived but before its grant
+        stretches that hop's hold: it is read at the grant time."""
+        from repro.constants import SRC_RING_NS
+
+        plan = FaultPlan(degradations=(Degradation(
+            links="x+", start_ns=SRC_RING_NS + 10.0, bandwidth_factor=3.0),))
+        sim, net, first, second = _two_hops(plan)
+        ser = first.serialization_ns
+        assert ser > 10.0  # the second hop is still queued at the window
+        sim.run()
+        link = net.link((0, 0, 0), "x", 1)
+        grant = SRC_RING_NS + ser  # the first hop arrived before the window
+        assert link.free_at == grant + ser * 3.0
+        sim.run(until=link.free_at)
+        assert link.busy_ns == pytest.approx(4 * ser)
+
     def test_link_down_delays_until_window_end(self):
         plan = FaultPlan(link_downs=(
             LinkDown(links="x+", start_ns=0.0, end_ns=500.0),))

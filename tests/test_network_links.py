@@ -72,31 +72,100 @@ def _link(sim):
     return TorusLink(sim, LinkId((0, 0, 0), "x", 1), (1, 0, 0))
 
 
+def _arrive(link, hold, fn, args):
+    """Book a hop arriving now, as the transits do: granted inline when
+    the channel is free, else as one event at the booked grant time."""
+    sim = link.sim
+    grant = link.book(hold)
+    if grant == sim.now:
+        fn(*args)
+    else:
+        sim.schedule_at(grant, fn, args)
+
+
 def test_queue_length_counts_waiters_not_slots(sim):
+    """Packets booked but not yet granted are the queue; the packet
+    holding the channel is not."""
     link = _link(sim)
     granted = []
-    assert link.try_acquire()
-    for tag in ("a", "b", "c"):
-        link.wait(granted.append, (tag,))
+
+    def grant(tag):
+        granted.append((tag, sim.now))
+        link.packets_carried += 1  # the transit counts its grants
+
+    for tag in ("a", "b", "c", "d"):
+        _arrive(link, 4.0, grant, (tag,))
+    assert granted == [("a", 0.0)]
     assert link.queue_length == 3
     assert link.peak_queue_length == 3
-    link.release()
+    sim.run(until=4.5)
     assert link.queue_length == 2
     assert link.peak_queue_length == 3
     sim.run()
-    assert granted == ["a"]
+    assert granted == [("a", 0.0), ("b", 4.0), ("c", 8.0), ("d", 12.0)]
+    assert link.queue_length == 0
+    # No release event: the run ends with the last grant, and the busy
+    # time counts up to the clock until the channel frees.
+    assert sim.now == link.busy_ns == 12.0
+    sim.run(until=20.0)
+    assert link.free_at == link.busy_ns == 16.0
 
 
 def test_wait_tracks_one_object_per_waiter(sim):
-    """A waiter is two deque slots, ``fn`` and ``args``: the args tuple
-    is the only GC-tracked object it adds (no entry tuple)."""
+    """Booking keeps no waiter: it tracks no object.  A queued hop's
+    grant is one calendar entry, its args tuple, in a new bucket at its
+    own instant."""
     n = 2000
     link = _link(sim)
-    assert link.try_acquire()
+    hold = 3.0
+    assert gc_growth(lambda i: link.book(hold), n) < 16
+    assert link.booked == n and link.free_at == n * hold
 
     def granted(_tag):
         pass
 
-    growth = gc_growth(lambda i: link.wait(granted, (i,)), n)
-    assert n <= growth < n + 16
-    assert link.queue_length == n
+    growth = gc_growth(lambda i: _arrive(link, hold, granted, (i,)), n)
+    assert 2 * n <= growth < 2 * n + 16
+    assert sim.pending == n
+    assert link.queue_length == 2 * n
+
+
+class _Sink:
+    def __init__(self, node, name) -> None:
+        self.node = node
+        self.name = name
+
+    def receive(self, packet) -> None:
+        pass
+
+
+def test_arrival_at_free_at_is_granted_at_once(sim):
+    """A hop arriving at the very time the channel frees takes it on
+    arrival: no wait, no queue sample, no grant event."""
+    from repro.constants import SRC_RING_NS
+    from repro.network.network import Network
+    from repro.network.packet import Packet
+    from repro.topology.torus import Torus3D
+    from repro.trace.flight import FlightRecorder, use_flight
+
+    fl = FlightRecorder()
+    with use_flight(fl):
+        net = Network(sim, Torus3D(4, 1, 1))
+    src, dst = net.torus.coord((0, 0, 0)), net.torus.coord((1, 0, 0))
+    net.attach(_Sink(dst, "rx"))
+    first = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    second = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    ser = first.serialization_ns
+    # The first hop arrives at SRC_RING_NS and holds the link for ser;
+    # the second, injected ser later, arrives exactly as it frees.
+    net.inject(first)
+    sim.schedule(ser, net.inject, second)
+    sim.run()
+    [a], [b] = (f.hops for f in fl.packets())
+    assert b.enqueue_ns == b.grant_ns == a.release_ns == SRC_RING_NS + ser
+    assert b.wait_ns == 0.0
+    assert fl.contended_hops() == 0
+    assert fl.queue_depth_series == {}
+    link = net.link(src, "x", 1)
+    assert link.peak_queue_length == 0
+    assert link.busy_ns == pytest.approx(2 * ser)

@@ -200,24 +200,26 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: ping-pong and incast programs and the all-reduce legs take every
 #: step in the event ending a Tensilica hold (``_end_hold``) or inside
 #: a network delivery, and an all-reduce leg starts in one event of its
-#: own.  The network cells do not depend on who sent.
+#: own.  The network cells do not depend on who sent.  A link schedules
+#: no event: a hop that finds its link free is granted inside
+#: ``_next_hop`` or ``_visit``, and only a queued hop's grant is an
+#: event (``_granted``, 17 in the incast).
 PROFILED_COUNTS_222 = {
     "latency": {
         "asic": {"_end_hold": 128},
-        "network": {"TorusLink.release": 96, "_UcastTransit._arrive": 64,
+        "network": {"_UcastTransit._arrive": 64,
                     "_UcastTransit._next_hop": 160},
     },
     "congestion": {
         "asic": {"_end_hold": 15},
-        "network": {"TorusLink.release": 24, "_UcastTransit._arrive": 14,
+        "network": {"_UcastTransit._arrive": 14,
                     "_UcastTransit._granted": 17,
                     "_UcastTransit._next_hop": 38},
     },
     "allreduce": {
         "asic": {"_end_hold": 152},
         "comm": {"_Leg.start": 8},
-        "network": {"TorusLink.release": 24,
-                    "_McastTransit._finish_local": 24,
+        "network": {"_McastTransit._finish_local": 24,
                     "_McastTransit._visit": 48,
                     "_UcastTransit._arrive": 40,
                     "_UcastTransit._next_hop": 40},

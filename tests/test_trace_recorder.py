@@ -20,10 +20,11 @@ class TestUtilizationGuards:
         assert link.utilization(-1.0) == 0.0
         # Implicit window at simulated time 0 is also zero-length.
         assert link.utilization() == 0.0
-        # A channel held since time 0 still reports a zero window as 0.
-        assert link.try_acquire()
+        # A channel booked from time 0 still reports a zero window as 0.
+        assert link.book(10.0) == 0.0
         assert link.utilization() == 0.0
         assert link.utilization(0.0) == 0.0
+        assert link.utilization(5.0) == 0.0  # nothing streamed by now
 
     def test_resource_utilization_zero_window(self, sim):
         res = Resource(sim, capacity=1, name="r")

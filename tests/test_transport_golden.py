@@ -7,8 +7,8 @@ every path a transport change can disturb: the uncontended unicast hop
 incast), multicast transit under contention (``mdstep``), all-reduce
 trees (``allreduce``), the link-level retry path (``fault_sensitivity``
 at a BER above zero), the flight and congestion probes' view of the
-incast and the congestion view of ``mdstep`` (zero-length waits
-included), reordering jitter mixed with in-order packets, and link-down,
+incast and the congestion view of ``mdstep`` (arrivals that land
+exactly as their link frees included), reordering jitter mixed with in-order packets, and link-down,
 node-stall and bit-error faults on both transits.  The ``monitor_*``
 cases pin every health monitor's full sampler series except the
 engine's own; the ``monitor_*_engine`` cases pin those
@@ -75,7 +75,7 @@ DIGESTS = {
     "incast_probes":
         "a23519a8392bee81833975858269ffa5b111d3fcdca83a243c00244bbd10a78f",
     "mdstep_probes":
-        "e6675a5951cdd7fd70bf4ccbcc35ace26c3d1f14c390a80af9253ad85bf30e83",
+        "71de6b46cc450f879cbae7953dbc3297c5f3ba1b095767a60d835bd34084cac5",
     "links_mdstep":
         "ecf22fd8fa239d1c9ff1df13e404134960cbc60740368f2a1106332e9d2ed64f",
     "links_fault_sensitivity":
@@ -87,19 +87,19 @@ DIGESTS = {
     "monitor_congestion":
         "5c3a09b583710bab516b44d12079cda8b55414943e9dc169d82660e74ec607c8",
     "monitor_congestion_engine":
-        "501891bdeded998a602df624c555f0b52a55a03c690eabfea948f62f18c672c3",
+        "f888feb620497e28f0deffafb67273c15371c6af1290cab2bff706790a4f299e",
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "b5c2423d49c1f8049e4af2cde273aea86481c8ad1b7e7a5cbade412babf73a04",
+        "bfcc0d4ab81d3b6a0151aec96c2e9ee246366791e670bc69f312b8fb6e8cc5cd",
     "monitor_allreduce":
         "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
-        "813458d0cb5bf64c41dee9bf48136b15ddac161f6dd5b7644d3b620189f1a13a",
+        "134f137e46f722b7a732fadd7eebe7ebeae2ecad6fb9fb42165bc69038c82c5d",
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
-        "dc51c83059154b6fcbfb2fc68c19fff30018fe87a42f7b21909d64f0765ac603",
+        "6bf5236f307774f328f990073fd26c70d09b5bcec9eca33142b45a83472fea81",
     "flight_metrics":
         "140b31ff92a5a49c1438828e42bc1ea19e07c46720dbbb1cce856bdbc3793726",
 }
@@ -174,8 +174,9 @@ def incast_probes_digest() -> str:
 
 def mdstep_probes_digest() -> str:
     """The congestion view's per-link statistics on ``mdstep`` 2×2×2:
-    multicast transit under contention, and the only pinned run with
-    zero-length waits (a packet queued and granted at one instant)."""
+    multicast transit under contention, where hops also arrive at the
+    very instant their link frees (granted at once, never a
+    zero-length wait)."""
     result = run_experiment(SPECS["mdstep"], Captures(congestion=True))
     cg = result.congestion
     return _sha({
