@@ -64,3 +64,37 @@ def gc_growth(action, n):
         return len(gc.get_objects()) - before
     finally:
         gc.enable()
+
+
+class _DropSink:
+    """A bare network client that drops what it receives."""
+
+    def __init__(self, node, name) -> None:
+        self.node = node
+        self.name = name
+
+    def receive(self, packet) -> None:
+        pass
+
+
+def one_link_pair(sim, second_after=None):
+    """Two 256-byte packets from (0,0,0) to a dropping sink at (1,0,0)
+    over the x+ link of a bare 4x1x1 network, built under the ambient
+    instrument slots.  The first is injected now and the second
+    ``second_after`` ns later (default: one serialization later, so its
+    hop arrives just as the first frees the link).  Returns (network,
+    first, second)."""
+    from repro.network.network import Network
+    from repro.network.packet import Packet
+    from repro.topology.torus import Torus3D
+
+    net = Network(sim, Torus3D(4, 1, 1))
+    src, dst = net.torus.coord((0, 0, 0)), net.torus.coord((1, 0, 0))
+    net.attach(_DropSink(dst, "rx"))
+    first = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    second = Packet(src, "tx", dst, "rx", payload_bytes=256)
+    if second_after is None:
+        second_after = first.serialization_ns
+    net.inject(first)
+    sim.schedule(second_after, net.inject, second)
+    return net, first, second

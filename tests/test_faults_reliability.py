@@ -20,7 +20,7 @@ from repro.faults.plan import (
 )
 from repro.faults.session import FaultSession, RetryExhausted, use_faults
 from repro.trace.metrics import MetricsRegistry
-from tests.conftest import run_exchange
+from tests.conftest import one_link_pair, run_exchange
 
 
 def one_way_under(plan, dst=(1, 0, 0), payload_bytes=0, shape=(4, 4, 4),
@@ -36,34 +36,13 @@ def one_way_under(plan, dst=(1, 0, 0), payload_bytes=0, shape=(4, 4, 4),
     return t, session, m
 
 
-class _Sink:
-    def __init__(self, node, name) -> None:
-        self.node = node
-        self.name = name
-
-    def receive(self, packet) -> None:
-        pass
-
-
 def _two_hops(plan):
-    """Two 256-byte packets over the (0,0,0) x+ link of a bare network
-    under ``plan``: the first injected at 0, the second at 1 ns, so its
-    hop arrives while the first holds the link.  Returns (sim, network,
-    first, second)."""
-    from repro.network.network import Network
-    from repro.network.packet import Packet
-    from repro.topology.torus import Torus3D
-
+    """Two packets over one link under ``plan``, the second injected
+    1 ns after the first, so its hop arrives while the first holds the
+    link.  Returns (sim, network, first, second)."""
     sim = Simulator()
     with use_faults(FaultSession(plan)):
-        net = Network(sim, Torus3D(4, 1, 1))
-    src, dst = net.torus.coord((0, 0, 0)), net.torus.coord((1, 0, 0))
-    net.attach(_Sink(dst, "rx"))
-    first = Packet(src, "tx", dst, "rx", payload_bytes=256)
-    second = Packet(src, "tx", dst, "rx", payload_bytes=256)
-    net.inject(first)
-    sim.schedule(1.0, net.inject, second)
-    return sim, net, first, second
+        return (sim,) + one_link_pair(sim, 1.0)
 
 
 def forced_plan(k, **kwargs):

@@ -6,7 +6,7 @@ from repro.asic import build_machine
 from repro.asic.slice_ import Steps, write_step
 from repro.engine import Simulator
 from repro.network.link import LinkId, TorusLink
-from tests.conftest import gc_growth, run_exchange
+from tests.conftest import gc_growth, one_link_pair, run_exchange
 
 
 def test_link_traffic_accounting(sim, machine222):
@@ -130,42 +130,25 @@ def test_wait_tracks_one_object_per_waiter(sim):
     assert link.queue_length == 2 * n
 
 
-class _Sink:
-    def __init__(self, node, name) -> None:
-        self.node = node
-        self.name = name
-
-    def receive(self, packet) -> None:
-        pass
-
-
 def test_arrival_at_free_at_is_granted_at_once(sim):
     """A hop arriving at the very time the channel frees takes it on
     arrival: no wait, no queue sample, no grant event."""
     from repro.constants import SRC_RING_NS
-    from repro.network.network import Network
-    from repro.network.packet import Packet
-    from repro.topology.torus import Torus3D
     from repro.trace.flight import FlightRecorder, use_flight
 
     fl = FlightRecorder()
     with use_flight(fl):
-        net = Network(sim, Torus3D(4, 1, 1))
-    src, dst = net.torus.coord((0, 0, 0)), net.torus.coord((1, 0, 0))
-    net.attach(_Sink(dst, "rx"))
-    first = Packet(src, "tx", dst, "rx", payload_bytes=256)
-    second = Packet(src, "tx", dst, "rx", payload_bytes=256)
+        # The first hop arrives at SRC_RING_NS and holds the link for
+        # ser; the second, injected ser later, arrives exactly as it
+        # frees.
+        net, first, _ = one_link_pair(sim)
     ser = first.serialization_ns
-    # The first hop arrives at SRC_RING_NS and holds the link for ser;
-    # the second, injected ser later, arrives exactly as it frees.
-    net.inject(first)
-    sim.schedule(ser, net.inject, second)
     sim.run()
     [a], [b] = (f.hops for f in fl.packets())
     assert b.enqueue_ns == b.grant_ns == a.release_ns == SRC_RING_NS + ser
     assert b.wait_ns == 0.0
     assert fl.contended_hops() == 0
     assert fl.queue_depth_series == {}
-    link = net.link(src, "x", 1)
+    link = net.link((0, 0, 0), "x", 1)
     assert link.peak_queue_length == 0
     assert link.busy_ns == pytest.approx(2 * ser)
