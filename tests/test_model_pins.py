@@ -6,21 +6,30 @@ the Fig. 5 per-hop slope, the 28 B half-bandwidth point, the Table 2
 all-reduce) fails tier-1 until the pin is deliberately moved.  Each
 row is produced through :func:`repro.runner.result.run_experiment` or
 the public call that owns it (migration sync, the bandwidth model,
-the health monitor).
+the health monitor).  The commodity-cluster rows (Table 1's DDR2
+InfiniBand ping-pong, Fig. 7, §IV.B.4's 512-node all-reduce, the fault
+study's incast, Table 3's Desmond column and the Fig. 8 ablation's
+cluster half) pin the cluster model the same way.
 
 Rows that have a paper value for the same configuration also assert
 it in :class:`TestPaperValues`, with the tolerance the matching
 ``benchmarks/bench_*.py`` figure uses.
 """
 
+import importlib
+import pathlib
+import sys
+
 import pytest
 
 from repro.analysis.transfer import bandwidth_efficiency, half_bandwidth_payload
 from repro.asic.node import build_machine
+from repro.baselines import ClusterNetwork, DesmondModel, MpiContext
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
 from repro.constants import PAPER_TABLE2_US
 from repro.engine.simulator import Simulator
+from repro.faults.study import cluster_incast_ns
 from repro.monitor.health import use_monitoring
 from repro.runner.result import run_experiment
 from repro.runner.spec import ExperimentSpec
@@ -48,6 +57,23 @@ PINS = {
     "monitor/sampler_ticks": 14.0,
     # Fig. 5's diameter point, on the paper's 8x8x8 machine.
     "fig5/one_way_12hop_ns": 822.0,
+    # The DDR2 InfiniBand cluster model.
+    "cluster/ping_pong_0B_ns": 3760.0,
+    "cluster/transfer_2048B_64msg_ns": 66779.69230769231,
+    "cluster/allreduce_512node_32B_ns": 34917.23076923077,
+    "cluster/incast_26to1_2rounds_ns": 34517.53846153846,
+    "desmond/average_comm_ns": 265872.69699272595,
+    "desmond/average_total_ns": 580887.7193199382,
+    "desmond/range_limited_comm_ns": 128115.62006964901,
+    "desmond/range_limited_total_ns": 383050.64239686134,
+    "desmond/long_range_comm_ns": 403629.7739158028,
+    "desmond/long_range_total_ns": 778724.7962430152,
+    "desmond/fft_convolution_comm_ns": 205679.6923076923,
+    "desmond/fft_convolution_total_ns": 265839.6923076923,
+    "desmond/thermostat_comm_ns": 69834.46153846153,
+    "desmond/thermostat_total_ns": 89834.46153846153,
+    "ablation/cluster_direct_ns": 26000.0,
+    "ablation/cluster_staged_ns": 16328.0,
 }
 
 
@@ -75,6 +101,36 @@ def _monitor_rows() -> dict:
         ),
         "monitor/sampler_ticks": float(monitor.sampler.ticks),
     }
+
+
+def _bench_module(name: str):
+    """Import ``benchmarks/<name>.py``, which imports its own
+    ``conftest`` helpers from its directory."""
+    bench_dir = str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(bench_dir)
+
+
+def _cluster_rows() -> dict:
+    def mpi(nodes: int) -> MpiContext:
+        return MpiContext(ClusterNetwork(Simulator(), nodes))
+
+    rows = {
+        "cluster/ping_pong_0B_ns": mpi(2).ping_pong_ns(0),
+        "cluster/transfer_2048B_64msg_ns": mpi(2).transfer_ns(2048, 64),
+        "cluster/allreduce_512node_32B_ns": mpi(512).allreduce_ns(32),
+        "cluster/incast_26to1_2rounds_ns": cluster_incast_ns(26, 2),
+    }
+    for name, row in DesmondModel().table3().items():
+        rows[f"desmond/{name}_comm_ns"] = row.communication_ns
+        rows[f"desmond/{name}_total_ns"] = row.total_ns
+    ablation = _bench_module("bench_ablation_direct_vs_staged")
+    rows["ablation/cluster_direct_ns"] = ablation._cluster(True)
+    rows["ablation/cluster_staged_ns"] = ablation._cluster(False)
+    return rows
 
 
 def _measure() -> dict:
@@ -107,6 +163,7 @@ def _measure() -> dict:
         ExperimentSpec("latency", shape=(8, 8, 8), hops=12),
         "one_way_12hop_ns",
     )
+    rows.update(_cluster_rows())
     return rows
 
 
