@@ -17,6 +17,7 @@ from repro.analysis import render_table
 from repro.asic import build_machine
 from repro.asic.slice_ import poll_step, run_programs, work_step, write_step
 from repro.baselines import ClusterNetwork
+from repro.baselines.cluster import START, recv_step, send_step, wait_step
 from repro.constants import DDR2_INFINIBAND
 from repro.engine import Simulator
 
@@ -67,23 +68,21 @@ def _cluster(direct: bool):
     (messages per node: 26 direct vs 6 staged)."""
     sim = Simulator()
     net = ClusterNetwork(sim, 27, DDR2_INFINIBAND)
-
-    def run():
-        if direct:
-            for peer in range(1, 27):
-                yield from net.send(0, peer, CHUNK, "d")
-            yield net.recv(1, "d", 1)
-        else:
-            for r, mult in ((1, 9), (2, 3), (3, 1)):
-                for peer in (1, 2):
-                    yield from net.send(0, peer, mult * CHUNK, f"r{r}")
-                # Forwarding dependency: wait a full message latency
-                # before the next round can use the received data.
-                yield sim.timeout(net.wire_ns(mult * CHUNK)
-                                  + DDR2_INFINIBAND.recv_overhead_ns)
-
-    sim.run(until=sim.process(run()))
-    return sim.now
+    steps = [START]
+    if direct:
+        steps += [send_step(peer, CHUNK, "d") for peer in range(1, 27)]
+        # Done once node 1 has received its chunk, too.
+        programs = [(net.node(0), steps),
+                    (net.node(1), [START, recv_step("d", 1)])]
+    else:
+        for r, mult in ((1, 9), (2, 3), (3, 1)):
+            steps += [send_step(peer, mult * CHUNK, f"r{r}") for peer in (1, 2)]
+            # Forwarding dependency: wait a full message latency
+            # before the next round can use the received data.
+            steps.append(wait_step(net.wire_ns(mult * CHUNK)
+                                   + DDR2_INFINIBAND.recv_overhead_ns))
+        programs = [(net.node(0), steps)]
+    return run_programs(sim, programs)
 
 
 def bench_ablation_direct_vs_staged(benchmark, publish, record):

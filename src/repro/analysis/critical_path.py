@@ -26,6 +26,7 @@ or on one captured long ago.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -186,7 +187,9 @@ def phase_reports(
             for d in f.deliveries
             if begin <= d.time_ns <= end
         )
-        wait = sum(
+        # Exactly rounded: the same-instant injection order, which
+        # engine event layout sets, cannot move the total.
+        wait = math.fsum(
             h.wait_ns
             for f in in_window
             for h in f.hops

@@ -81,9 +81,9 @@ class HTIS(NetworkClient):
         self.pairs_per_ns = pairs_per_ns
         #: the array of pairwise pipelines, modelled as a single FCFS
         #: server whose service time encodes aggregate throughput
-        self.pipeline = Resource(sim, capacity=1, name=f"{self.name}.pipes")
+        self.pipeline = Resource(sim, name=f"{self.name}.pipes")
         #: output packet-assembly stage
-        self.sender = Resource(sim, capacity=1, name=f"{self.name}.send")
+        self.sender = Resource(sim, name=f"{self.name}.send")
         self._buffers: dict[str, InteractionBuffer] = {}
         #: The controller parked until a buffer completes, if any.
         self._waiting: Optional[_Controller] = None

@@ -71,12 +71,12 @@ class ProcessingSlice(NetworkClient):
             raise ValueError(f"slice index must be 0..3, got {index}")
         super().__init__(sim, network, node, f"slice{index}")
         self.index = index
-        self.tensilica = Resource(sim, capacity=1, name=f"{self.name}.ts")
+        self.tensilica = Resource(sim, name=f"{self.name}.ts")
         #: The two geometry cores: FCFS compute servers, occupied by
         #: :func:`hold`.
         self.geometry = (
-            Resource(sim, capacity=1, name=f"{self.name}.gc0"),
-            Resource(sim, capacity=1, name=f"{self.name}.gc1"),
+            Resource(sim, name=f"{self.name}.gc0"),
+            Resource(sim, name=f"{self.name}.gc1"),
         )
         self.fifo = MessageFifo(capacity=fifo_capacity, name=self.name)
 
@@ -199,7 +199,8 @@ class ProcessingSlice(NetworkClient):
 # ---------------------------------------------------------------------------
 
 #: One step of a :class:`Steps` program: a continuation form of
-#: :class:`ProcessingSlice` (or :func:`_send_step`) and its leading args.
+#: :class:`ProcessingSlice` (or :func:`_send_step`), or of a cluster
+#: node (:mod:`repro.baselines.cluster`), and its leading args.
 Step = tuple[Callable[..., None], tuple[Any, ...]]
 
 
@@ -259,8 +260,8 @@ def work_step(duration_ns: float) -> Step:
 
 
 class Steps:
-    """A slice's fixed program, run step after step, then
-    ``fn(*args)``.
+    """A slice's (or a cluster node's) fixed program, run step after
+    step, then ``fn(*args)``.
 
     Each step continues with the program as its args, so a program
     allocates no process, generator or closure.  A step list may repeat
@@ -269,7 +270,7 @@ class Steps:
 
     __slots__ = ("s", "steps", "fn", "args", "i")
 
-    def __init__(self, s: ProcessingSlice, steps: Sequence[Step],
+    def __init__(self, s: Any, steps: Sequence[Step],
                  fn: Optional[Callable[..., None]] = None,
                  args: tuple[Any, ...] = ()) -> None:
         self.s, self.steps, self.fn, self.args, self.i = s, steps, fn, args, 0
@@ -306,7 +307,7 @@ class Join:
 
 
 def run_programs(sim: "Simulator",
-                 programs: Sequence[tuple[ProcessingSlice, Sequence[Step]]]) -> float:
+                 programs: Sequence[tuple[Any, Sequence[Step]]]) -> float:
     """Start each ``(slice, steps)`` program, in order, and run until
     every one has ended; return the time the last one ended."""
     join = Join(sim, len(programs))
@@ -320,12 +321,11 @@ def hold(res: Resource, duration_ns: float, fn: Callable[..., None],
     """Occupy the FCFS unit ``res`` for ``duration_ns``, then run
     ``fn(*args)`` in the event that releases it.
 
-    The one hold of every FCFS unit on the chip: a slice's Tensilica
-    core and geometry cores, the HTIS pipelines and output stage.  The
-    unit is acquired FCFS: a busy unit queues the hold behind every
-    earlier request, and its grant schedules the hold one event later,
-    as a process resumed by ``Resource.request`` would schedule its
-    timeout.
+    The one hold of every FCFS unit: on the chip a slice's Tensilica
+    core and geometry cores, the HTIS pipelines and output stage; off
+    it a cluster node's CPU and NIC.  The unit is acquired FCFS: a busy
+    unit queues the hold behind every earlier request, and its grant
+    (the request's callback, an event of its own) schedules the hold.
     """
     if res.try_acquire():
         res.sim.schedule(duration_ns, _end_hold, res, fn, args)

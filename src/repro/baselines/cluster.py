@@ -14,15 +14,22 @@ paper draws — "latencies grow rapidly as a function of the number of
 messages, driving software for such clusters to be carefully
 structured so as to minimize the total message count" — falls directly
 out of the per-message overhead and injection gap.
+
+The node software runs on continuations, as an Anton slice's does
+(:mod:`repro.asic.slice_`): :meth:`ClusterNode.send_then`,
+:meth:`~ClusterNode.recv_then`, :meth:`~ClusterNode.work_then` and
+:meth:`~ClusterNode.wait_then` each run a continuation when done, so a
+node program is a :class:`~repro.asic.slice_.Steps` list of them
+(the ``*_step`` constructors below), begun by :data:`START` and run by
+:func:`~repro.asic.slice_.run_programs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import Any, Callable
 
+from repro.asic.slice_ import Step, hold
 from repro.constants import DDR2_INFINIBAND, ClusterParams
-from repro.engine.event import Event
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 
@@ -30,40 +37,105 @@ from repro.engine.simulator import Simulator
 class ClusterNode:
     """One cluster node: a CPU (for messaging overheads) and a NIC."""
 
-    def __init__(self, sim: Simulator, rank: int) -> None:
-        self.sim = sim
+    def __init__(self, network: "ClusterNetwork", rank: int) -> None:
+        self.network = network
+        self.sim = network.sim
         self.rank = rank
-        self.cpu = Resource(sim, capacity=1, name=f"node{rank}.cpu")
-        self.nic = Resource(sim, capacity=1, name=f"node{rank}.nic")
+        self.cpu = Resource(self.sim, name=f"node{rank}.cpu")
+        self.nic = Resource(self.sim, name=f"node{rank}.nic")
         self.messages_sent = 0
         self.messages_received = 0
         self._recv_counters: dict[str, int] = {}
-        self._recv_waiters: dict[tuple[str, int], Event] = {}
-        self.inbox: dict[str, list[Any]] = {}
+        self._recv_waiters: dict[tuple[str, int], list[tuple[Callable[..., None], tuple]]] = {}
+
+    # -- continuation forms ---------------------------------------------------
+    def send_then(self, dst: int, nbytes: int, tag: str,
+                  fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Send one message to node ``dst``, then run ``fn(*args)``.
+
+        Occupies this node's CPU for the send overhead, then its NIC
+        for the injection gap; the message leaves, and ``fn(*args)``
+        runs, in the event that frees the NIC.
+        """
+        if dst == self.rank:
+            raise ValueError("cluster model is for inter-node messages only")
+        params = self.network.params
+        hold(self.cpu, params.send_overhead_ns, hold,
+             (self.nic, params.inter_message_gap_ns, ClusterNode._sent,
+              (self, dst, nbytes, tag, fn, args)))
+
+    def _sent(self, dst: int, nbytes: int, tag: str,
+              fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.messages_sent += 1
+        self.network.messages_total += 1
+        # The flight starts in an event of its own, at the back of this
+        # instant: scheduling its wire delay from here instead would put
+        # its arrival ahead of same-instant arrivals scheduled in
+        # between, and so reorder the FCFS receive work on a CPU.
+        self.sim.schedule_now(ClusterNetwork._fly,
+                              (self.network, dst, nbytes, tag))
+        fn(*args)
+
+    def recv_then(self, tag: str, count: int,
+                  fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Run ``fn(*args)`` once ``count`` messages tagged ``tag`` have
+        been received (their receive overhead already charged), in an
+        event of its own at the back of the instant the count is reached
+        (or of this one, if it already has been)."""
+        if self._recv_counters.get(tag, 0) >= count:
+            self.sim.schedule_now(fn, args)
+        else:
+            self._recv_waiters.setdefault((tag, count), []).append((fn, args))
+
+    def work_then(self, duration_ns: float,
+                  fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Occupy the CPU for ``duration_ns`` (packing, unpacking), then
+        run ``fn(*args)``."""
+        hold(self.cpu, duration_ns, fn, args)
+
+    def wait_then(self, duration_ns: float,
+                  fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Run ``fn(*args)`` ``duration_ns`` from now, holding nothing
+        (local arithmetic, a forwarding dependency's latency)."""
+        self.sim.schedule(duration_ns, fn, *args)
 
     # -- receive-side matching ------------------------------------------------
-    def deliver(self, tag: str, payload: Any) -> None:
-        """Network-side delivery: count and wake matching waiters."""
+    def _received(self, tag: str) -> None:
+        """A message's receive overhead has been charged: count it and
+        wake the programs waiting for this count."""
         self.messages_received += 1
-        self.inbox.setdefault(tag, []).append(payload)
         count = self._recv_counters.get(tag, 0) + 1
         self._recv_counters[tag] = count
-        ev = self._recv_waiters.pop((tag, count), None)
-        if ev is not None:
-            ev.succeed(self.sim.now)
+        for fn, args in self._recv_waiters.pop((tag, count), ()):
+            self.sim.schedule_now(fn, args)
 
-    def arrived(self, tag: str, count: int) -> Event:
-        """Event firing when ``count`` messages with ``tag`` have arrived."""
-        ev = Event(self.sim, name=f"recv({tag}>={count})")
-        if self._recv_counters.get(tag, 0) >= count:
-            ev.succeed(self.sim.now)
-        else:
-            key = (tag, count)
-            existing = self._recv_waiters.get(key)
-            if existing is not None:
-                return existing
-            self._recv_waiters[key] = ev
-        return ev
+
+def send_step(dst: int, nbytes: int, tag: str) -> Step:
+    """Send one message to node ``dst`` (:meth:`ClusterNode.send_then`)."""
+    return (ClusterNode.send_then, (dst, nbytes, tag))
+
+
+def recv_step(tag: str, count: int) -> Step:
+    """Wait for ``count`` messages tagged ``tag`` (:meth:`ClusterNode.recv_then`)."""
+    return (ClusterNode.recv_then, (tag, count))
+
+
+def work_step(duration_ns: float) -> Step:
+    """Occupy the CPU for ``duration_ns`` (:meth:`ClusterNode.work_then`)."""
+    return (ClusterNode.work_then, (duration_ns,))
+
+
+def wait_step(duration_ns: float) -> Step:
+    """Let ``duration_ns`` pass, holding nothing (:meth:`ClusterNode.wait_then`)."""
+    return (ClusterNode.wait_then, (duration_ns,))
+
+
+#: The first step of every node program: start it in an event of its
+#: own at the back of the instant.  The pinned cluster results start
+#: each program so; starting them inline would make same-instant FCFS
+#: requests on a CPU in another order, and the cluster model has no
+#: tie rule that would justify the numbers that gives.
+START = wait_step(0.0)
 
 
 class ClusterNetwork:
@@ -86,7 +158,7 @@ class ClusterNetwork:
             raise ValueError("num_nodes must be >= 1")
         self.sim = sim
         self.params = params
-        self.nodes = [ClusterNode(sim, r) for r in range(num_nodes)]
+        self.nodes = [ClusterNode(self, r) for r in range(num_nodes)]
         self.messages_total = 0
 
     def __len__(self) -> int:
@@ -105,35 +177,11 @@ class ClusterNetwork:
         """
         return self.params.latency_ns + nbytes * 8.0 / self.params.bandwidth_gbps
 
-    def send(
-        self, src: int, dst: int, nbytes: int, tag: str, payload: Any = None
-    ) -> Generator[Event, Any, Event]:
-        """Send one message; ``yield from`` on the sender's process.
-
-        Occupies the sender CPU for the send overhead and the NIC for
-        the injection gap, then launches the flight.  Returns an event
-        that fires when the receiver-side processing completes.
-        """
-        if src == dst:
-            raise ValueError("cluster model is for inter-node messages only")
-        sender = self.nodes[src]
-        yield from sender.cpu.use(self.params.send_overhead_ns)
-        yield from sender.nic.use(self.params.inter_message_gap_ns)
-        sender.messages_sent += 1
-        self.messages_total += 1
-        done = Event(self.sim, name=f"msg({src}->{dst})")
-        self.sim.process(self._flight(src, dst, nbytes, tag, payload, done))
-        return done
-
-    def _flight(self, src, dst, nbytes, tag, payload, done: Event):
-        yield self.sim.timeout(self.wire_ns(nbytes))
+    def _fly(self, dst: int, nbytes: int, tag: str) -> None:
+        """A message's flight: cross the wire, then occupy the
+        receiver's CPU for completion processing (polling the CQ,
+        copying) before it counts as received."""
         receiver = self.nodes[dst]
-        # Receiver CPU completion processing (polling the CQ, copying).
-        yield from receiver.cpu.use(self.params.recv_overhead_ns)
-        receiver.deliver(tag, payload)
-        done.succeed(self.sim.now)
-
-    def recv(self, rank: int, tag: str, count: int = 1) -> Event:
-        """Event firing when ``count`` messages tagged ``tag`` arrived
-        (receiver CPU overheads were already charged on delivery)."""
-        return self.nodes[rank].arrived(tag, count)
+        self.sim.schedule(self.wire_ns(nbytes), hold, receiver.cpu,
+                          self.params.recv_overhead_ns,
+                          ClusterNode._received, (receiver, tag))

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.baselines.cluster import ClusterNetwork
+from repro.asic.slice_ import run_programs
+from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step, work_step
 from repro.baselines.mpi import MpiContext
 from repro.constants import DDR2_INFINIBAND, DHFR_ATOMS, ClusterParams
 from repro.engine.simulator import Simulator
@@ -172,29 +173,25 @@ class DesmondModel:
         # stage's exchange is with fixed partners; use 8 nodes so both
         # directions have distinct partners.
         net = ClusterNetwork(sim, 8, self.params)
-        mpi = MpiContext(net)
         stage_atoms = w.stage_import_atoms()
         start = sim.now
-        done: dict[int, float] = {}
 
-        def node_proc(rank: int):
-            node = net.node(rank)
+        def node_program(rank: int) -> list:
+            steps = [START]
             for stage, atoms in enumerate(stage_atoms):
                 nbytes = int(atoms / 2 * record_bytes)  # per direction
                 tag = f"st{stage}"
                 # Pack both directions' buffers (local copy, Fig. 8b).
-                yield from node.cpu.use(atoms * PACK_NS_PER_ATOM)
+                steps.append(work_step(atoms * PACK_NS_PER_ATOM))
                 for direction in (1, -1):
-                    partner = (rank + direction) % 8
-                    yield from net.send(rank, partner, nbytes, tag)
-                yield net.recv(rank, tag, 2)
+                    steps.append(send_step((rank + direction) % 8, nbytes, tag))
+                steps.append(recv_step(tag, 2))
                 # Unpack received slabs before the next stage can forward.
-                yield from node.cpu.use(atoms * PACK_NS_PER_ATOM)
-            done[rank] = sim.now
+                steps.append(work_step(atoms * PACK_NS_PER_ATOM))
+            return steps
 
-        procs = [sim.process(node_proc(r)) for r in range(8)]
-        sim.run(until=sim.all_of(procs))
-        return max(done.values()) - start
+        end = run_programs(sim, [(net.node(r), node_program(r)) for r in range(8)])
+        return end - start
 
     def _fft_convolution_ns(self) -> float:
         """Forward + inverse distributed FFT communication.
@@ -211,21 +208,19 @@ class DesmondModel:
             16, int(w.grid_points_per_node * 16 / g)
         )  # complex doubles, scattered
         start = sim.now
-        done: dict[int, float] = {}
 
-        def node_proc(rank: int):
+        def node_program(rank: int) -> list:
+            steps = [START]
             for stage in range(4):
                 tag = f"fft{stage}"
-                for peer in range(g):
-                    if peer != rank:
-                        yield from net.send(rank, peer, bytes_per_msg, tag)
-                yield net.recv(rank, tag, g - 1)
+                steps += [send_step(peer, bytes_per_msg, tag)
+                          for peer in range(g) if peer != rank]
+                steps.append(recv_step(tag, g - 1))
                 # Local 1-D FFT work between stages is part of compute.
-            done[rank] = sim.now
+            return steps
 
-        procs = [sim.process(node_proc(r)) for r in range(g)]
-        sim.run(until=sim.all_of(procs))
-        return max(done.values()) - start
+        end = run_programs(sim, [(net.node(r), node_program(r)) for r in range(g)])
+        return end - start
 
     def _thermostat_ns(self) -> float:
         """Kinetic-energy all-reduce + scale distribution (two reduces)."""

@@ -9,12 +9,9 @@ measurement of 35.5 µs for a 32-byte reduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Generator, Optional
 
-from repro.baselines.cluster import ClusterNetwork
-from repro.engine.event import Event
-from repro.engine.simulator import Simulator
+from repro.asic.slice_ import run_programs
+from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step, wait_step
 
 
 class MpiContext:
@@ -32,23 +29,16 @@ class MpiContext:
     # -- point to point measurements -------------------------------------------
     def ping_pong_ns(self, nbytes: int = 0, src: int = 0, dst: int = 1) -> float:
         """Half-round-trip (one-way) software-to-software latency."""
-        t: dict[str, float] = {}
         tag = self._tag("pp")
-
-        def pinger():
-            yield from self.network.send(src, dst, nbytes, tag + "-ping")
-            yield self.network.recv(src, tag + "-pong", 1)
-            t["rtt"] = self.sim.now - t["start"]
-
-        def ponger():
-            yield self.network.recv(dst, tag + "-ping", 1)
-            yield from self.network.send(dst, src, nbytes, tag + "-pong")
-
-        t["start"] = self.sim.now
-        p1 = self.sim.process(pinger())
-        p2 = self.sim.process(ponger())
-        self.sim.run(until=self.sim.all_of([p1, p2]))
-        return t["rtt"] / 2.0
+        ping, pong = tag + "-ping", tag + "-pong"
+        net = self.network
+        start = self.sim.now
+        # The pinger ends last, when the pong has been received.
+        end = run_programs(self.sim, [
+            (net.node(src), [START, send_step(dst, nbytes, ping), recv_step(pong, 1)]),
+            (net.node(dst), [START, recv_step(ping, 1), send_step(src, nbytes, pong)]),
+        ])
+        return (end - start) / 2.0
 
     def transfer_ns(self, total_bytes: int, num_messages: int,
                     src: int = 0, dst: int = 1) -> float:
@@ -60,17 +50,15 @@ class MpiContext:
         if num_messages < 1:
             raise ValueError("num_messages must be >= 1")
         tag = self._tag("xfer")
-        sizes = _split_bytes(total_bytes, num_messages)
+        net = self.network
         start = self.sim.now
-
-        def sender():
-            for sz in sizes:
-                yield from self.network.send(src, dst, sz, tag)
-
-        done = self.network.recv(dst, tag, num_messages)
-        self.sim.process(sender())
-        self.sim.run(until=done)
-        return self.sim.now - start
+        sends = [send_step(dst, sz, tag) for sz in _split_bytes(total_bytes, num_messages)]
+        # The receiver ends last, when the last message has been received.
+        end = run_programs(self.sim, [
+            (net.node(dst), [START, recv_step(tag, num_messages)]),
+            (net.node(src), [START] + sends),
+        ])
+        return end - start
 
     # -- collectives ---------------------------------------------------------------
     def allreduce_ns(self, nbytes: int = 32, compute_ns_per_round: float = 100.0) -> float:
@@ -85,21 +73,20 @@ class MpiContext:
             raise ValueError(f"recursive doubling needs power-of-two nodes, got {n}")
         rounds = int(math.log2(n))
         tag = self._tag("ar")
-        done_at: dict[int, float] = {}
         start = self.sim.now
 
-        def node_proc(rank: int):
+        def node_program(rank: int) -> list:
+            steps = [START]
             for k in range(rounds):
-                partner = rank ^ (1 << k)
                 rtag = f"{tag}-r{k}"
-                yield from self.network.send(rank, partner, nbytes, rtag)
-                yield self.network.recv(rank, rtag, 1)
-                yield self.sim.timeout(compute_ns_per_round)
-            done_at[rank] = self.sim.now
+                steps += [send_step(rank ^ (1 << k), nbytes, rtag),
+                          recv_step(rtag, 1),
+                          wait_step(compute_ns_per_round)]
+            return steps
 
-        procs = [self.sim.process(node_proc(r)) for r in range(n)]
-        self.sim.run(until=self.sim.all_of(procs))
-        return max(done_at.values()) - start
+        end = run_programs(self.sim, [(self.network.node(r), node_program(r))
+                                      for r in range(n)])
+        return end - start
 
     def _tag(self, prefix: str) -> str:
         self._op_seq += 1

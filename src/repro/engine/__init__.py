@@ -12,32 +12,25 @@ Design notes
   FIFO buckets keyed on exact timestamps (see
   :mod:`repro.engine.simulator`) — so repeated runs produce identical
   traces.
-* An event's action is a plain function and its args tuple.  The
-  whole Anton side runs on such continuations: the network transits;
-  the MD step and collectives as per-node legs stepped by counter,
-  hold and send continuations; and the measurement harnesses as fixed
-  slice programs (:mod:`repro.asic.slice_`).
-* Processes are SimPy-style Python generators that ``yield`` waitables
-  (:class:`Event`, :class:`Timeout`, another :class:`Process`, or an
-  :class:`AllOf` combinator).  They serve only the commodity-cluster
-  ``baselines`` and the engine's own tests.
-* :class:`Resource` provides FCFS mutual exclusion with optional
-  capacity, used for processing-slice occupancy and HTIS pipelines
-  (torus link directions carry their own channel, see
-  :mod:`repro.network.link`).
+* An event's action is a plain function and its args tuple.  All
+  simulated software runs on such continuations: the network
+  transits; the MD step and collectives as per-node legs stepped by
+  counter, hold and send continuations; the measurement harnesses as
+  fixed slice programs; and the commodity-cluster baselines as node
+  programs.  A fixed program is a ``Steps`` list of continuation
+  forms, ended by a ``Join`` (:mod:`repro.asic.slice_`).
+* :class:`Resource` is a single-server FCFS unit, occupied through
+  ``hold`` (:mod:`repro.asic.slice_`): processing-slice cores, HTIS
+  pipelines, a cluster node's CPU and NIC (torus link directions carry
+  their own channel, see :mod:`repro.network.link`).
 """
 
-from repro.engine.event import AllOf, Event, Interrupt, Timeout
-from repro.engine.process import Process
+from repro.engine.event import Event
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 
 __all__ = [
-    "AllOf",
     "Event",
-    "Interrupt",
-    "Process",
     "Resource",
     "Simulator",
-    "Timeout",
 ]

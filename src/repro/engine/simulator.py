@@ -36,7 +36,7 @@ Observation: two run-loop observers exist, the periodic monitor hook
 (:meth:`Simulator.set_profiler`).  :meth:`Simulator.run` binds both
 once on entry and then executes one of two loop bodies: the bare body
 when neither is attached, which per event only calls the action and
-tests for the stop event and a crash, or the observed body otherwise.
+tests for the stop event, or the observed body otherwise.
 The monitor hook samples on a fixed grid of simulated time, as a logic
 analyzer samples on its clock: the observed body calls it between
 instants, once per grid time it crosses, never from inside a bucket.
@@ -60,11 +60,10 @@ from heapq import heappop, heappush
 from math import ceil, inf
 from time import perf_counter_ns
 from types import FunctionType, MethodType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import instruments
-from repro.engine.event import AllOf, Event, Timeout
-from repro.engine.process import Coroutine, Process
+from repro.engine.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
@@ -79,7 +78,6 @@ class Simulator:
         self._buckets: dict[float, list] = {}
         #: Heap of the distinct times in ``_buckets``.
         self._times: list[float] = []
-        self._crashes: list[tuple[Process, BaseException]] = []
         #: Events executed by :meth:`run` — the engine's own telemetry.
         self.events_executed: int = 0
         #: Host wall-clock ns spent inside :meth:`run` (one clock read
@@ -143,10 +141,6 @@ class Simulator:
             bucket.append(fn)
             bucket.append(args)
 
-    def _schedule_event(self, delay: float, event: Event) -> None:
-        """Internal: arrange for ``event``'s callbacks to fire after ``delay``."""
-        self.schedule(delay, self._fire, event)
-
     def _dispatch(self, event: Event) -> None:
         """Internal: an event was triggered now; run its callbacks now.
 
@@ -160,29 +154,6 @@ class Simulator:
             args = (event,)
             for cb in callbacks:
                 self.schedule_now(cb, args)
-
-    @staticmethod
-    def _fire(event: Timeout) -> None:
-        """Internal: deliver a Timeout.  Static, so scheduling it
-        allocates no bound method.
-
-        Resumes the process recorded in the timeout's ``_proc`` slot
-        first (if it still waits on this timeout, see
-        :meth:`Process._wait_on`), then runs the callbacks, which were
-        all added after it: waiters wake in registration order."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        proc = event._proc
-        if proc is not None:
-            event._proc = None
-            if proc._waiting_on is event:
-                proc._resume(event._value, None)
-        if callbacks:
-            for cb in callbacks:
-                cb(event)
-
-    def _record_crash(self, process: Process, error: BaseException) -> None:
-        self._crashes.append((process, error))
 
     # -- observation -------------------------------------------------------
     def set_monitor_hook(
@@ -254,22 +225,9 @@ class Simulator:
         """
         return sum(map(len, self._buckets.values())) >> 1
 
-    # -- waitable factories ------------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a pending one-shot event."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay`` ns."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Coroutine, name: str = "") -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Wait for every event in ``events``."""
-        return AllOf(self, events)
 
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -283,19 +241,19 @@ class Simulator:
             a float
                 run until simulated time reaches that many ns.
             an :class:`Event`
-                run until the event fires; returns its value, or raises
-                its exception if it failed.  An event that has already
-                fired returns (or raises) at once, before any event runs.
+                run until the event fires; returns its value.  An event
+                that has already fired returns at once, before any
+                event runs.
 
         The monitor hook and the profiler are bound once, on entry.
         With neither attached the run executes the bare loop body
         (:meth:`_run_bare`), which per event only calls the action and
-        tests for the stop event and a crash; otherwise it executes the
-        observed body (:meth:`_run_observed`).  Both drain the earliest
-        bucket in place.  However they leave a bucket — drained, stop
-        event fired, process crashed, an exception escaping an action —
-        they delete only the executed prefix, so the rest of that
-        instant runs first, in order, on the next call.
+        tests for the stop event; otherwise it executes the observed
+        body (:meth:`_run_observed`).  Both drain the earliest bucket
+        in place.  However they leave a bucket — drained, stop event
+        fired, an exception escaping an action — they delete only the
+        executed prefix, so the rest of that instant runs first, in
+        order, on the next call.
 
         The cyclic garbage collector is disabled for the run; whether
         it was enabled on entry is restored on every way out, so a
@@ -304,18 +262,16 @@ class Simulator:
         Raises
         ------
         RuntimeError
-            If a process crashed and nothing was waiting on it, the
-            underlying exception is chained and re-raised here so that
-            programming errors inside processes are never silent.
+            If ``until`` is an event and the queue runs dry before it
+            fires.
         """
         stop_time: Optional[float] = None
         stop_event: Optional[Event] = None
         if isinstance(until, Event):
             stop_event = until
-            # An event has fired once its callbacks are spent.  A
-            # Timeout carries its value from creation but fires later.
+            # An event has fired once its callbacks are spent.
             if until.callbacks is None:
-                return _outcome(until)
+                return until.value
         elif until is not None:
             stop_time = float(until)
             if stop_time < self.now:
@@ -342,7 +298,7 @@ class Simulator:
             if profiler is not None:
                 profiler.account_loop(loop_ns)
         if stopped:
-            return _outcome(stop_event)
+            return stop_event.value
         if stop_event is not None:
             raise RuntimeError(
                 "simulation ran out of events before the awaited event "
@@ -359,7 +315,6 @@ class Simulator:
         reached."""
         buckets = self._buckets
         times = self._times
-        crashes = self._crashes
         while times:
             when = times[0]
             if stop_time is not None and when > stop_time:
@@ -378,8 +333,6 @@ class Simulator:
                     fn(*args)
                     if stop_event is not None and stop_event.callbacks is None:
                         return True
-                    if crashes:
-                        self._raise_crash()
             finally:
                 self._leave(when, bucket, done)
         return False
@@ -397,7 +350,6 @@ class Simulator:
         which may be ``None``."""
         buckets = self._buckets
         times = self._times
-        crashes = self._crashes
         due = (inf if monitor_hook is None
                else self._monitor_k * self._monitor_interval)
         if profiler is not None:
@@ -408,9 +360,6 @@ class Simulator:
             cache_get = profiler.rec_cache.get
             rec_slow = profiler.rec_for
             pc = perf_counter_ns
-            # A Timeout delivery runs whichever process waits on it, so
-            # its call site is no key: it is classified per event.
-            fire_code = Simulator._fire.__code__
         while times:
             when = times[0]
             if stop_time is not None and when > stop_time:
@@ -438,19 +387,13 @@ class Simulator:
                         fcls = fn.__class__
                         if fcls is FunctionType:
                             key = fn.__code__
-                            if key is fire_code:
-                                key = None  # resolve the waiter cold
                         elif fcls is MethodType:
-                            obj = fn.__self__
-                            if obj.__class__ is Process:
-                                key = obj.generator.gi_code
-                            else:
-                                key = fn.__func__.__code__
+                            key = fn.__func__.__code__
                         else:
                             key = None
                         rec = cache_get(key) if key is not None else None
                         if rec is None:
-                            rec = rec_slow(fn, args, key)
+                            rec = rec_slow(fn, key)
                         fn(*args)
                         t_now = pc()
                         rec[0] += 1
@@ -458,8 +401,6 @@ class Simulator:
                         t_prev = t_now
                     if stop_event is not None and stop_event.callbacks is None:
                         return True
-                    if crashes:
-                        self._raise_crash()
             finally:
                 self._leave(when, bucket, done)
         return False
@@ -490,15 +431,3 @@ class Simulator:
             self._monitor_k += 1
             self.now = due
             hook(due)
-
-    def _raise_crash(self) -> None:
-        proc, err = self._crashes.pop(0)
-        self._crashes.clear()
-        raise RuntimeError(f"unhandled exception in process {proc.name!r}") from err
-
-
-def _outcome(event: Event) -> Any:
-    """A fired event's value, or its exception raised."""
-    if event.ok:
-        return event.value
-    raise event._value  # type: ignore[misc]

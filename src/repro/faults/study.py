@@ -135,21 +135,16 @@ def cluster_incast_ns(
     """The same all-to-one incast on the DDR2 InfiniBand cluster model
     (:mod:`repro.baselines.cluster`): the Fig. 7 baseline Anton is
     supposed to beat."""
-    from repro.baselines.cluster import ClusterNetwork
+    from repro.asic.slice_ import run_programs
+    from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step
     from repro.engine.simulator import Simulator
 
     sim = Simulator()
     net = ClusterNetwork(sim, senders + 1)
-
-    def send_all(rank):
-        for _ in range(rounds):
-            yield from net.send(rank, 0, payload_bytes, tag="sink")
-
-    for rank in range(1, senders + 1):
-        sim.process(send_all(rank))
-    done = net.recv(0, "sink", senders * rounds)
-    sim.run(until=done)
-    return sim.now
+    sends = [send_step(0, payload_bytes, "sink")] * rounds
+    return run_programs(sim, [
+        (net.node(rank), [START] + sends) for rank in range(1, senders + 1)
+    ] + [(net.node(0), [START, recv_step("sink", senders * rounds)])])
 
 
 @dataclass

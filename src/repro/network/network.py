@@ -421,7 +421,8 @@ class _UcastTransit:
         else:
             latency = link.ucast_through_ns
         if out is not None:
-            if out.retries and fl.enabled:
+            if fl.enabled and out.hold_ns != packet.serialization_ns:
+                # Retries or a degraded link stretched the hold.
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
             if out.lost:
@@ -610,7 +611,8 @@ class _McastTransit:
         else:
             latency = link.mcast_through_ns
         if out is not None:
-            if out.retries and fl.enabled:
+            if fl.enabled and out.hold_ns != packet.serialization_ns:
+                # Retries or a degraded link stretched the hold.
                 fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
                              out.retries)
             if out.lost:

@@ -1,11 +1,10 @@
 """Property-based tests for the simulation engine."""
 
-from itertools import count
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Interrupt, Resource, Simulator
+from repro.asic.slice_ import hold
+from repro.engine import Resource, Simulator
 
 
 #: The discrete delays an action schedules its children at: zero
@@ -81,33 +80,38 @@ def test_events_execute_in_time_then_insertion_order(entries, actions):
     assert sim.pending == 0
 
 
-@given(st.integers(1, 5),
-       st.lists(st.floats(1.0, 50.0), min_size=1, max_size=25))
+#: A hold request: ``(arrival time, hold)``.  Integer instants make
+#: ties common: several arrivals at one instant, and an arrival at the
+#: very instant the unit frees.
+HOLD_REQUEST = st.tuples(st.integers(0, 20).map(float),
+                         st.integers(1, 5).map(float))
+
+
+@given(st.lists(HOLD_REQUEST, min_size=1, max_size=25))
 @settings(max_examples=60, deadline=None)
-def test_resource_conservation_and_fcfs(capacity, durations):
-    """No over-subscription, and completions in FCFS batches."""
+def test_resource_conservation_and_fcfs(requests):
+    """One holder at a time, granted in arrival order.
+
+    The oracle is built in the test: requests are served in (arrival,
+    issue) order, each granted at ``max(arrival, previous end)`` and
+    ending its hold later.  The unit is busy exactly the holds' total.
+    """
     sim = Simulator()
-    r = Resource(sim, capacity=capacity)
-    max_seen = []
-    done = []
+    r = Resource(sim)
+    ends: list[tuple[int, float]] = []
+    for k, (when, duration) in enumerate(requests):
+        sim.schedule(when, hold, r, duration,
+                     lambda k=k: ends.append((k, sim.now)), ())
+    sim.run()
 
-    def worker(i, dur):
-        yield from r.use(dur)
-        done.append(i)
-
-    def monitor():
-        while True:
-            max_seen.append(r.in_use)
-            yield sim.timeout(0.5)
-
-    procs = [sim.process(worker(i, d)) for i, d in enumerate(durations)]
-    mon = sim.process(monitor())
-    sim.run(until=sim.all_of(procs))
-    assert max(max_seen) <= capacity
-    assert sorted(done) == list(range(len(durations)))
-    if capacity == 1:
-        # Strict FCFS with one server: completion order = arrival order.
-        assert done == list(range(len(durations)))
+    expected = []
+    free_at = 0.0
+    for when, k, duration in sorted((w, k, d) for k, (w, d) in enumerate(requests)):
+        free_at = max(when, free_at) + duration
+        expected.append((k, free_at))
+    assert ends == expected
+    assert not r.in_use
+    assert r.total_busy_ns == sum(d for _, d in requests)
 
 
 @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=20))
@@ -116,95 +120,12 @@ def test_clock_never_goes_backwards(delays):
     sim = Simulator()
     stamps = []
 
-    def proc():
-        for d in delays:
-            yield sim.timeout(d)
-            stamps.append(sim.now)
+    def tick(k):
+        stamps.append(sim.now)
+        if k < len(delays):
+            sim.schedule(delays[k], tick, k + 1)
 
-    sim.process(proc())
+    sim.schedule(delays[0], tick, 1)
     sim.run()
     assert stamps == sorted(stamps)
     assert sim.now == sum(delays)
-
-
-#: One step of a process script: wait on the first pending shared
-#: timeout at or after a pool index (cyclically), or interrupt a
-#: process by index if it is still alive.
-SCRIPT_STEP = st.one_of(
-    st.tuples(st.just("wait"), st.integers(0, 5)),
-    st.tuples(st.just("interrupt"), st.integers(0, 3)),
-)
-
-
-@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]), min_size=1, max_size=6),
-       st.lists(st.tuples(st.integers(0, 5), st.lists(SCRIPT_STEP, max_size=6)),
-                min_size=1, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_shared_timeouts_resume_each_yield_once_in_order(delays, scripts):
-    """Processes share a pool of timeouts and interrupt each other.
-
-    Every yield resumes its process exactly once: with its timeout's
-    value at the timeout's firing time, or with an interrupt at the
-    instant it was issued.  Resumes come in ``(time, registration)``
-    order: at one instant, the pool's firings run in creation order,
-    each waking its waiters in the order of their first wait on it,
-    and the interrupts issued at that instant run after, in issue
-    order.  Only pending timeouts are yielded (an already fired one is
-    delivered through the queue instead).
-    """
-    sim = Simulator()
-    pool = [sim.timeout(d, value=i) for i, d in enumerate(delays)]
-    procs: list = []
-    yields: list[tuple[int, int]] = []  # yield id -> (process, pool index)
-    first_wait: dict[tuple[int, int], int] = {}
-    issued: dict[int, list[tuple[float, int]]] = {}
-    resumes: list[tuple[int, float, object]] = []
-    issue_seq = count()
-
-    def pending_from(i):
-        for k in range(len(pool)):
-            j = (i + k) % len(pool)
-            if not pool[j].triggered:
-                return j
-        return None
-
-    def proc(me, start, script):
-        for kind, arg in [("wait", start), *script]:
-            if kind == "interrupt":
-                victim = arg % len(procs)
-                if procs[victim].is_alive:
-                    issued.setdefault(victim, []).append(
-                        (sim.now, next(issue_seq)))
-                    procs[victim].interrupt()
-                continue
-            j = pending_from(arg)
-            if j is None:
-                continue
-            yid = len(yields)
-            yields.append((me, j))
-            first_wait.setdefault((me, j), yid)
-            try:
-                value = yield pool[j]
-            except Interrupt:
-                value = Interrupt
-            resumes.append((yid, sim.now, value))
-
-    for me, (start, script) in enumerate(scripts):
-        procs.append(sim.process(proc(me, start, script)))
-    sim.run()
-
-    assert sorted(yid for yid, _, _ in resumes) == list(range(len(yields)))
-    order_keys = []
-    delivered: dict[int, list[float]] = {}
-    for yid, now, value in resumes:
-        me, j = yields[yid]
-        if value is Interrupt:
-            delivered.setdefault(me, []).append(now)
-            seq = issued[me][len(delivered[me]) - 1][1]
-            order_keys.append((now, 1, seq, 0))
-        else:
-            assert (value, now) == (j, delays[j])
-            order_keys.append((now, 0, j, first_wait[(me, j)]))
-    assert order_keys == sorted(order_keys)
-    for me, times in delivered.items():
-        assert times == [t for t, _ in issued[me][:len(times)]]

@@ -1,5 +1,4 @@
-"""Property: a torus link's booking channel is an engine ``Resource`` of
-capacity 1.
+"""Property: a torus link's booking channel is an engine ``Resource``.
 
 The link keeps one booking slot, ``free_at``: a packet arriving at
 ``t`` is granted at ``max(t, free_at)`` and pushes ``free_at`` on by
@@ -56,7 +55,7 @@ def _read_between_instants(sim, script, read):
 
 def _run_resource(script):
     sim = Simulator()
-    res = Resource(sim, capacity=1, name="r")
+    res = Resource(sim, name="r")
     grants = {}
 
     def granted(k, hold):

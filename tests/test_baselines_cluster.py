@@ -59,14 +59,9 @@ def test_message_counting():
 
 
 def test_self_send_rejected():
-    sim = Simulator()
-    net = ClusterNetwork(sim, 2)
-
-    def bad():
-        yield from net.send(0, 0, 10, "t")
-
+    net = ClusterNetwork(Simulator(), 2)
     with pytest.raises(ValueError):
-        sim.run(until=sim.process(bad()))
+        net.node(0).send_then(0, 10, "t", lambda: None, ())
 
 
 def test_empty_cluster_rejected():

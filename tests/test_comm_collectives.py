@@ -114,21 +114,6 @@ def test_allreduce_event_ratchet():
     assert sim.events_executed <= 3840
 
 
-def test_allreduce_runs_no_process(sim, machine222, monkeypatch):
-    from repro.engine.process import Process
-
-    started = []
-    init = Process.__init__
-
-    def counting_init(self, *args, **kwargs):
-        started.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Process, "__init__", counting_init)
-    assert AllReduce(machine222, payload_bytes=32).run().value == 28.0
-    assert started == []
-
-
 def test_allreduce_missing_contribution_raises(sim, machine222):
     ar = AllReduce(machine222, payload_bytes=32)
     with pytest.raises(ValueError, match="missing contributions"):
@@ -193,31 +178,3 @@ def test_butterfly_event_ratchet():
     m = build_machine(sim, 4, 4, 4)
     ButterflyAllReduce(m, payload_bytes=32).run()
     assert sim.events_executed <= 3136
-
-
-@pytest.mark.parametrize("case", ["butterfly", "migration"])
-def test_collective_runs_never_start_a_process(case, monkeypatch):
-    """Like the all-reduce (``test_allreduce_runs_no_process``), the
-    butterfly and the migration run on continuations: a run calls
-    neither ``Simulator.process`` nor the ``Process`` constructor."""
-    from repro.comm import MigrationProtocol
-    from repro.engine.process import Process
-
-    started = []
-
-    def refuse(self, *args, **kwargs):
-        started.append(args)
-        raise AssertionError("a collective started a process")
-
-    monkeypatch.setattr(Simulator, "process", refuse)
-    monkeypatch.setattr(Process, "__init__", refuse)
-    m = build_machine(Simulator(), 4, 4, 4)
-    if case == "migration":
-        torus = m.torus
-        moves = {c: [(n, 0) for n in torus.moore_neighbors(c)[:2]]
-                 for c in torus.nodes()}
-        r = MigrationProtocol(m).run(moves, scan_atoms={c: 3 for c in torus.nodes()})
-        assert r.messages_received == 128
-    else:
-        assert ButterflyAllReduce(m, payload_bytes=32).run().value == 64 * 63 / 2
-    assert started == []

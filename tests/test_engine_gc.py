@@ -155,17 +155,14 @@ class TestRunLoopMakesNoCycle:
         assert counts == [0, 0]
 
     def test_catches_a_planted_cycle(self):
-        """A process whose generator refers to itself, parked on an
-        event that never fires, is cyclic garbage once the run ends."""
+        """A continuation that holds its own event, parked on that
+        event, which never fires, is cyclic garbage once the run ends."""
         sim = Simulator()
 
-        def parked(cell, event):
-            yield event
+        def park(event):
+            event.add_callback(lambda _ev: event)
 
-        cell: list = []
-        cell.append(parked(cell, sim.event("never")))
-        sim.process(cell[0])
-        del cell
+        sim.schedule(1.0, park, sim.event("never"))
         with run_garbage() as counts:
             sim.run()
         assert counts[0] > 0
@@ -198,7 +195,9 @@ def _until_time(sim):
 
 
 def _until_event(sim):
-    sim.run(until=sim.timeout(3.0))
+    done = sim.event()
+    sim.schedule(3.0, done.succeed)
+    sim.run(until=done)
 
 
 def _action_raises(sim):
@@ -207,16 +206,6 @@ def _action_raises(sim):
 
     sim.schedule(1.0, boom)
     with pytest.raises(KeyError):
-        sim.run()
-
-
-def _process_crashes(sim):
-    def body():
-        yield sim.timeout(1.0)
-        raise ValueError("crash")
-
-    sim.process(body())
-    with pytest.raises(RuntimeError, match="unhandled exception"):
         sim.run()
 
 
@@ -240,7 +229,6 @@ WAYS_OUT = {
     "until_time": _until_time,
     "until_event": _until_event,
     "action_raises": _action_raises,
-    "process_crashes": _process_crashes,
     "nested_run": _nested_run,
 }
 

@@ -1,0 +1,34 @@
+"""Tests that the generator-process machinery stays removed.
+
+The engine has one execution model: an event's action is a plain
+function and its args tuple, and simulated software (the Anton legs
+and slice programs, the commodity-cluster node programs) is written as
+continuations (:mod:`repro.asic.slice_`).  ``Process``, the waitables
+only a process could yield (``Timeout``, ``AllOf``) and the exception
+only a process could catch (``Interrupt``) are gone, with the
+simulator's factories for them and the module that held ``Process``.
+"""
+
+import importlib
+
+import pytest
+
+import repro.engine
+import repro.engine.event
+from repro.engine import Simulator
+
+
+class TestProcessMachineryIsGone:
+    @pytest.mark.parametrize("name", ["Process", "AllOf", "Timeout", "Interrupt"])
+    def test_engine_exports_no_process_names(self, name):
+        assert name not in repro.engine.__all__
+        assert not hasattr(repro.engine, name)
+        assert not hasattr(repro.engine.event, name)
+
+    @pytest.mark.parametrize("name", ["process", "timeout", "all_of"])
+    def test_simulator_has_no_process_factory(self, name):
+        assert not hasattr(Simulator, name)
+
+    def test_process_module_does_not_import(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.process")

@@ -2,20 +2,21 @@
 
 import pytest
 
+from repro.asic.slice_ import hold
 from repro.engine import Resource
 
 
-def test_resource_grants_up_to_capacity(sim):
-    r = Resource(sim, capacity=2)
-    e1, e2, e3 = r.request(), r.request(), r.request()
-    assert e1.triggered and e2.triggered
-    assert not e3.triggered
-    assert r.in_use == 2
+def test_resource_grants_one_holder_at_a_time(sim):
+    r = Resource(sim)
+    e1, e2 = r.request(), r.request()
+    assert e1.triggered
+    assert not e2.triggered
+    assert r.in_use
     assert r.queue_length == 1
 
 
 def test_release_wakes_fifo_order(sim):
-    r = Resource(sim, capacity=1)
+    r = Resource(sim)
     first = r.request()
     waiters = [r.request() for _ in range(3)]
     assert first.triggered
@@ -31,27 +32,18 @@ def test_release_without_request_raises(sim):
         r.release()
 
 
-def test_invalid_capacity(sim):
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_use_serialises_processes(sim):
-    r = Resource(sim, capacity=1)
+def test_hold_serialises_holders(sim):
+    r = Resource(sim)
     log = []
-
-    def worker(name):
-        yield from r.use(10.0)
-        log.append((sim.now, name))
-
-    sim.process(worker("a"))
-    sim.process(worker("b"))
+    for name in ("a", "b"):
+        hold(r, 10.0, lambda name=name: log.append((sim.now, name)), ())
     sim.run()
     assert log == [(10.0, "a"), (20.0, "b")]
+    assert not r.in_use
 
 
 def test_try_acquire_fast_path(sim):
-    r = Resource(sim, capacity=1)
+    r = Resource(sim)
     assert r.try_acquire()
     assert not r.try_acquire()
     r.release()
@@ -59,12 +51,8 @@ def test_try_acquire_fast_path(sim):
 
 
 def test_utilization_accounting(sim):
-    r = Resource(sim, capacity=1)
-
-    def worker():
-        yield from r.use(30.0)
-        yield sim.timeout(70.0)
-
-    sim.process(worker())
+    r = Resource(sim)
+    # Held for 30 ns, then idle until a last event at 100 ns.
+    hold(r, 30.0, sim.schedule, (70.0, lambda: None))
     sim.run()
     assert r.utilization() == pytest.approx(0.3)

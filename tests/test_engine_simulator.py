@@ -93,13 +93,13 @@ def test_determinism_across_runs():
         s = Simulator()
         seen = []
 
-        def proc(name):
-            for i in range(5):
-                yield s.timeout(1.5 * (i + 1))
-                seen.append((s.now, name, i))
+        def tick(name, i):
+            seen.append((s.now, name, i))
+            if i < 4:
+                s.schedule(1.5 * (i + 2), tick, name, i + 1)
 
         for n in ("x", "y", "z"):
-            s.process(proc(n))
+            s.schedule(1.5, tick, n, 0)
         s.run()
         return seen
 
@@ -107,8 +107,8 @@ def test_determinism_across_runs():
 
 
 def test_run_until_fired_event_returns_before_running_anything():
-    """A stop event that already fired yields its value (or raises its
-    exception) at once, leaving the queue and the clock untouched."""
+    """A stop event that already fired yields its value at once,
+    leaving the queue and the clock untouched."""
     for body, sim in bodies():
         seen = []
         done = sim.event()
@@ -118,26 +118,13 @@ def test_run_until_fired_event_returns_before_running_anything():
         # Succeeded and drained.
         assert sim.run(until=done) == "value", body
         assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
-        failed = sim.event()
-        failed.fail(KeyError("failed"))
-        with pytest.raises(KeyError, match="failed"):
-            sim.run(until=failed)
-        assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
-        # An empty all_of succeeds as it is built.
-        assert sim.run(until=sim.all_of([])) == {}, body
+        # Succeeded as it is built, never queued.
+        built = sim.event()
+        built.succeed("built")
+        assert sim.run(until=built) == "built", body
         assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
         sim.run()
         assert snapshot(sim, seen) == (["unrelated"], 0, 2, 3.0), body
-
-
-def test_run_until_timeout_runs_to_its_firing(sim):
-    """A Timeout carries its value from creation but fires later."""
-    seen = []
-    timeout = sim.timeout(5.0, "t")
-    sim.schedule(1.0, seen.append, "before")
-    sim.schedule(9.0, seen.append, "after")
-    assert sim.run(until=timeout) == "t"
-    assert snapshot(sim, seen) == (["before"], 1, 2, 5.0)
 
 
 def test_stop_event_mid_bucket_resumes_the_instant_in_order():
@@ -162,23 +149,24 @@ def test_stop_event_mid_bucket_resumes_the_instant_in_order():
 
 
 def test_crash_mid_bucket_leaves_the_remainder_pending():
-    def crasher():
+    """An action appended while the run's first instant drains raises:
+    the run stops there, and the rest of the instant runs next time."""
+    def crash():
         raise ValueError("boom")
-        yield  # pragma: no cover
 
     for body, sim in bodies():
         seen = []
         sim.schedule(0.0, seen.append, "a")
-        sim.schedule(0.0, sim.schedule, 0.0, seen.append, "e")
-        sim.process(crasher())
+        sim.schedule(0.0, sim.schedule, 0.0, crash)
         sim.schedule(0.0, seen.append, "b")
         sim.schedule(0.0, lambda: seen.append("c"))
-        with pytest.raises(RuntimeError, match="unhandled exception"):
+        sim.schedule(0.0, sim.schedule, 0.0, seen.append, "e")
+        with pytest.raises(ValueError, match="boom"):
             sim.run()
-        assert snapshot(sim, seen) == (["a"], 3, 3, 0.0), body
+        assert snapshot(sim, seen) == (["a", "b", "c"], 1, 6, 0.0), body
         sim.run()
         assert snapshot(sim, seen) == (
-            ["a", "b", "c", "e"], 0, 6, 0.0), body
+            ["a", "b", "c", "e"], 0, 7, 0.0), body
 
 
 def test_exception_mid_bucket_leaves_the_remainder_pending():
@@ -249,12 +237,3 @@ def test_schedule_tracks_one_object_per_event(sim):
     assert sim.pending == n
     sim.run()
     assert sim.events_executed == n
-
-
-def test_timeout_schedules_no_bound_method(sim):
-    """A Timeout adds itself, its callback list and the args tuple of
-    its delivery."""
-    n = 2000
-    growth = gc_growth(lambda i: sim.timeout(1.0, i), n)
-    assert 3 * n <= growth < 3 * n + 16
-    assert sim.pending == n

@@ -396,6 +396,32 @@ class TestFlightRecorderIntegration:
         (g, r, _pid) = fl.link_occupancy[name][-1]
         assert r - g == pytest.approx(hop.release_ns - hop.grant_ns)
 
+    def test_degraded_hop_records_its_stretched_hold(self):
+        """A hop that a degradation stretches without a retry is
+        recorded at the stretched hold the link is busy for, not at
+        plain serialization (62.6 ns for 256 bytes)."""
+        from repro.trace.flight import FlightRecorder, use_flight
+
+        sim = Simulator()
+        fl = FlightRecorder()
+        plan = FaultPlan(degradations=(
+            Degradation(links="x+", bandwidth_factor=3.0),))
+        with use_flight(fl), use_faults(FaultSession(plan)):
+            m = build_machine(sim, 4, 1, 1)
+        src = m.node((0, 0, 0)).slice(0)
+        dst = m.node((1, 0, 0)).slice(0)
+        run_exchange(sim, src, dst, payload_bytes=256)
+        [flight] = fl.packets()
+        [hop] = flight.hops
+        assert hop.retries == 0
+        link = m.network.link((0, 0, 0), "x", 1)
+        sim.run(until=max(sim.now, link.free_at))
+        occupancy = hop.release_ns - hop.grant_ns
+        assert occupancy == link.busy_ns
+        assert occupancy == pytest.approx(187.8, abs=0.05)
+        (g, r, _pid) = fl.link_occupancy[hop.link][-1]
+        assert r - g == occupancy
+
 
 class TestWatchdogIntegration:
     def run_monitored(self, plan):

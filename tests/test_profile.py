@@ -180,8 +180,8 @@ def test_peak_rss_bytes_is_plausible():
 
 def test_named_cells_deduplicate():
     profiler = EngineProfiler()
-    a = profiler._named_cell("engine", "Timeout")
-    b = profiler._named_cell("engine", "Timeout")
+    a = profiler._named_cell("engine", "Steps.start")
+    b = profiler._named_cell("engine", "Steps.start")
     assert a is b
     assert len(profiler.cells()) == 1
 

@@ -4,6 +4,7 @@ TorusLink / Resource."""
 import pytest
 
 from repro.engine import Simulator
+from repro.asic.slice_ import hold
 from repro.engine.resource import Resource
 from repro.network.link import LinkId, TorusLink
 
@@ -27,34 +28,22 @@ class TestUtilizationGuards:
         assert link.utilization(5.0) == 0.0  # nothing streamed by now
 
     def test_resource_utilization_zero_window(self, sim):
-        res = Resource(sim, capacity=1, name="r")
+        res = Resource(sim, name="r")
         assert res.utilization(0.0) == 0.0
         assert res.utilization() == 0.0
 
     def test_nonzero_window_still_measures(self, sim):
-        res = Resource(sim, capacity=1, name="r")
-
-        def user():
-            yield res.request()
-            yield sim.timeout(25.0)
-            res.release()
-
-        sim.process(user())
+        res = Resource(sim, name="r")
+        hold(res, 25.0, lambda: None, ())
         sim.run()
         sim.schedule(75.0, lambda: None)
         sim.run()
         assert res.utilization() == pytest.approx(0.25)
 
     def test_peak_queue_length_counts_waiters(self, sim):
-        res = Resource(sim, capacity=1, name="r")
+        res = Resource(sim, name="r")
         assert res.peak_queue_length == 0
-
-        def user():
-            yield res.request()
-            yield sim.timeout(10.0)
-            res.release()
-
         for _ in range(3):
-            sim.process(user())
+            hold(res, 10.0, lambda: None, ())
         sim.run()
         assert res.peak_queue_length == 2  # two behind the holder

@@ -99,7 +99,7 @@ DIGESTS = {
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
-        "6bf5236f307774f328f990073fd26c70d09b5bcec9eca33142b45a83472fea81",
+        "528938b3a6fac2e78b3d1ad080cd8ea94a7e0a3e56d6b59ccd5a902e5d2bf188",
     "flight_metrics":
         "140b31ff92a5a49c1438828e42bc1ea19e07c46720dbbb1cce856bdbc3793726",
 }
