@@ -7,8 +7,6 @@ the paper ran and returns structured results:
   the single-hop component breakdown (Figs. 5 & 6, Table 1);
 * :mod:`repro.analysis.transfer` — the 2 KB transfer split into 1–64
   messages (Fig. 7) and bandwidth-efficiency vs message size (§III.D);
-* :mod:`repro.analysis.reduction` — all-reduce latencies (Table 2) and
-  the algorithm comparisons of §IV.B.4;
 * :mod:`repro.analysis.attribution` — trace-derived per-packet latency
   attribution to Fig. 6's component taxonomy;
 * :mod:`repro.analysis.critical_path` — multicast branch
@@ -44,11 +42,6 @@ from repro.analysis.latency import (
     latency_vs_hops,
     ping_pong_ns,
 )
-from repro.analysis.reduction import (
-    ReductionPoint,
-    butterfly_vs_dimension_ordered,
-    measure_allreduce,
-)
 from repro.analysis.report import render_series, render_table
 from repro.analysis.transfer import (
     anton_transfer_ns,
@@ -79,9 +72,6 @@ __all__ = [
     "render_phase_reports",
     "latency_vs_hops",
     "ping_pong_ns",
-    "ReductionPoint",
-    "butterfly_vs_dimension_ordered",
-    "measure_allreduce",
     "render_series",
     "render_table",
     "transfer_split_series",

@@ -45,7 +45,10 @@ class TableEntry:
     the node each ``forward`` direction leads to) in ``forward`` order.
     A tree node has one inbound edge, so each child holds the direction
     it is reached by (``via``) and, from that direction's first use on,
-    its ``link``.  They take no part in comparison.
+    its ``link``.  A child that forwards nowhere and names one client
+    is a leaf: its parent's resolution fills in that client as ``leaf``
+    (fault-free networks only), and the hop into it delivers directly.
+    They take no part in comparison.
     """
 
     local_clients: tuple[str, ...] = ()
@@ -61,6 +64,9 @@ class TableEntry:
         default=None, compare=False, repr=False
     )
     link: Optional["TorusLink"] = field(
+        default=None, compare=False, repr=False
+    )
+    leaf: Optional["NetworkClient"] = field(
         default=None, compare=False, repr=False
     )
 

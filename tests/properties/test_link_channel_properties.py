@@ -3,17 +3,27 @@
 The link keeps one booking slot, ``free_at``: a packet arriving at
 ``t`` is granted at ``max(t, free_at)`` and pushes ``free_at`` on by
 its hold, so a grant is known on arrival and no release is scheduled.
-The oracle is the FCFS ``Resource``, which queues a request and grants
-it when the holder releases.  Both are driven by the same random script
-of arrivals on integer instants, each arrival with an integer hold.
-Every arrival must be granted at the same time, and ``busy_ns``,
-``queue_length``, ``peak_queue_length`` and ``utilization`` read
-between instants (at every half-integer time) must agree.
+The link counts a packet as carried from its booked grant on, with no
+grant event: the test drives it with bookings only, and observes each
+grant from an event of its own.  The oracle is the FCFS ``Resource``,
+which queues a request and grants it when the holder releases, and
+whose test-side grant callback counts the packet and its bytes.  Both
+are driven by the same random script of arrivals on integer instants,
+each arrival with an integer hold and its own byte count.  Every
+arrival must be granted at the same time, and ``busy_ns``,
+``queue_length``, ``utilization``, ``packets_carried`` and
+``bytes_carried`` read between instants (at every half-integer time
+and at every integer time, after its events) must agree.
 
 An instant's arrivals run after everything already due at it (the
 releases and grants that fall there), as a hop's arrival follows the
 packet's head latency: both runs start them from one kick per instant
-that re-queues them at the back of the instant.
+that re-queues them at the back of the instant.  The ``Resource`` so
+counts a packet granted at an arrival's instant as served when the
+arrival queues, while a link booking counts it as waiting, whatever
+the order of the instant's events.  ``peak_queue_length`` is therefore
+checked against that rule applied to the oracle's grant times, and is
+never below the oracle's own peak.
 """
 
 from hypothesis import given, settings
@@ -40,26 +50,33 @@ def _kick(sim, script, arrive):
 
 
 def _read_between_instants(sim, script, read):
-    """Run to every half-integer time until the channel has drained
-    (a bound: the last arrival plus every hold), and read the telemetry
-    there."""
+    """Run to every half-integer and integer time until the channel has
+    drained (a bound: the last arrival plus every hold), and read the
+    telemetry there."""
     horizon = max(when for when, _ in script) + sum(h for _, h in script)
     samples = []
     t = 0.5
     while t <= horizon + 1.0:
         sim.run(until=t)
         samples.append((t,) + read())
-        t += 1.0
+        t += 0.5
     return samples
+
+
+def _nbytes(k: int) -> int:
+    return 32 + 8 * k
 
 
 def _run_resource(script):
     sim = Simulator()
     res = Resource(sim, name="r")
     grants = {}
+    carried = [0, 0]
 
     def granted(k, hold):
         grants[k] = sim.now
+        carried[0] += 1
+        carried[1] += _nbytes(k)
         sim.schedule(hold, res.release)
 
     def arrive(k, hold):
@@ -72,8 +89,9 @@ def _run_resource(script):
         busy = res.total_busy_ns
         if res._busy_since is not None:
             busy += sim.now - res._busy_since
-        return (busy, res.queue_length, res.peak_queue_length,
-                res.utilization(), res.utilization(5.0))
+        return (busy, res.queue_length, res.utilization(),
+                res.utilization(5.0), carried[0], carried[1],
+                res.peak_queue_length)
 
     _kick(sim, script, arrive)
     return grants, _read_between_instants(sim, script, read)
@@ -86,21 +104,40 @@ def _run_link(script):
 
     def granted(k):
         grants[k] = sim.now
-        link.packets_carried += 1  # the transit counts its grants
 
     def arrive(k, hold):
-        grant = link.book(hold)
+        grant = link.book(hold, _nbytes(k))
         if grant == sim.now:
             granted(k)
         else:
             sim.schedule_at(grant, granted, (k,))
 
     def read():
-        return (link.busy_ns, link.queue_length, link.peak_queue_length,
-                link.utilization(), link.utilization(5.0))
+        return (link.busy_ns, link.queue_length, link.utilization(),
+                link.utilization(5.0), link.packets_carried,
+                link.bytes_carried, link.peak_queue_length)
 
     _kick(sim, script, arrive)
     return grants, _read_between_instants(sim, script, read)
+
+
+def _peaks_by_rule(script, grants, times):
+    """The deepest queue a booking has seen by each time in ``times``,
+    from the grant times alone.  A packet arriving at ``t`` waits if it
+    is granted after ``t``; the depth it sees is every packet booked
+    before it, or itself, that waits and is granted at ``t`` or later.
+    Bookings run in arrival-instant order, an instant's in script
+    order."""
+    order = sorted(range(len(script)), key=lambda k: (script[k][0], k))
+    depths = []
+    for i, k in enumerate(order):
+        t = script[k][0]
+        if grants[k] > t:
+            depth = sum(1 for j in order[:i + 1]
+                        if grants[j] > script[j][0] and grants[j] >= t)
+            depths.append((t, depth))
+    return [max([d for when, d in depths if when <= t], default=0)
+            for t in times]
 
 
 @given(st.lists(_arrival, min_size=1, max_size=40))
@@ -109,4 +146,8 @@ def test_link_channel_matches_resource(script):
     link_grants, link_reads = _run_link(script)
     res_grants, res_reads = _run_resource(script)
     assert link_grants == res_grants
-    assert link_reads == res_reads
+    assert ([r[:-1] for r in link_reads] == [r[:-1] for r in res_reads])
+    times = [r[0] for r in res_reads]
+    link_peaks = [r[-1] for r in link_reads]
+    assert link_peaks == _peaks_by_rule(script, res_grants, times)
+    assert all(lp >= r[-1] for lp, r in zip(link_peaks, res_reads))

@@ -97,21 +97,6 @@ def test_render_series():
     assert "curve" in text and "20.0" in text
 
 
-def test_reduction_harness_small():
-    from repro.analysis import measure_allreduce
-
-    p = measure_allreduce((2, 2, 2))
-    assert p.nodes == 8
-    assert 0 < p.reduce0_us < p.reduce32_us
-
-
-def test_butterfly_vs_dimension_ordered_small():
-    from repro.analysis import butterfly_vs_dimension_ordered
-
-    t_do, t_bf = butterfly_vs_dimension_ordered((4, 4, 4))
-    assert t_do < t_bf
-
-
 def test_cli_breakdown(capsys):
     from repro.__main__ import main
 

@@ -44,6 +44,7 @@ PINS = {
     "latency/one_way_1hop_ns": 162.0,
     "latency/one_way_2hop_ns": 238.0,
     "latency/one_way_3hop_ns": 292.0,
+    "allreduce/dimension_ordered_0B_ns": 1085.0,
     "allreduce/dimension_ordered_32B_ns": 1231.8695652173913,
     "allreduce/butterfly_32B_ns": 1313.7391304347827,
     "transfer/split_2048B_8msg_ns": 655.913043478261,
@@ -146,6 +147,10 @@ def _measure() -> dict:
                            extras=(("algorithm", algorithm),)),
             f"{algorithm}_32B_ns",
         )
+    rows["allreduce/dimension_ordered_0B_ns"] = _run(
+        ExperimentSpec("allreduce", shape=SHAPE, payload=0),
+        "dimension_ordered_0B_ns",
+    )
     rows["transfer/split_2048B_8msg_ns"] = _run(
         ExperimentSpec("transfer", shape=SHAPE,
                        extras=(("messages", 8), ("total_bytes", 2048))),
@@ -203,6 +208,11 @@ class TestPaperValues:
         assert us == pytest.approx(
             PAPER_TABLE2_US[SHAPE]["reduce32"], rel=0.20
         )
+
+    def test_table2_0B_allreduce_faster_than_32B(self, measured):
+        # bench_table2_allreduce.py: no payload to serialize.
+        assert (0 < measured["allreduce/dimension_ordered_0B_ns"]
+                < measured["allreduce/dimension_ordered_32B_ns"])
 
     def test_butterfly_slower_than_dimension_ordered(self, measured):
         # bench_allreduce_comparison.py (§IV.B.4)

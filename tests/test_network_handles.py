@@ -72,6 +72,13 @@ def test_visited_entries_hold_the_network_handles():
     sim.run()
     assert len(log) == pattern.deliveries == 4
     for node, entry in pattern.entries.items():
+        if entry.leaf is not None:
+            # A leaf is never visited: the hop into it delivers to the
+            # client its parent's resolution filled in.
+            assert not entry.forward and entry.local_clients == ("a",)
+            assert entry.leaf is net.client(node, "a")
+            assert entry.clients is None and entry.children is None
+            continue
         assert entry.clients == tuple(
             net.client(node, name) for name in entry.local_clients
         )
@@ -83,6 +90,8 @@ def test_visited_entries_hold_the_network_handles():
             assert child.via == (dim, sign)
             assert child.link is net.link(node, dim, sign)
     assert pattern.entries[src].link is None  # the root has no inbound edge
+    assert [node for node, e in pattern.entries.items()
+            if e.leaf is not None] == [(3, 0, 0)]
     # The handles take no part in comparison.
     assert pattern.entries == compile_pattern(
         torus, src, {(1, 0, 0): ["a"], (2, 1, 0): ["a", "a"], (3, 0, 0): ["a"]}

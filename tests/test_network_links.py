@@ -72,11 +72,12 @@ def _link(sim):
     return TorusLink(sim, LinkId((0, 0, 0), "x", 1), (1, 0, 0))
 
 
-def _arrive(link, hold, fn, args):
-    """Book a hop arriving now, as the transits do: granted inline when
-    the channel is free, else as one event at the booked grant time."""
+def _arrive(link, hold, nbytes, fn, args):
+    """Book a hop arriving now, as the transits do, and run ``fn`` at its
+    grant: inline when the channel is free, else as an event at the
+    booked grant time.  The link counts the hop itself."""
     sim = link.sim
-    grant = link.book(hold)
+    grant = link.book(hold, nbytes)
     if grant == sim.now:
         fn(*args)
     else:
@@ -85,25 +86,32 @@ def _arrive(link, hold, fn, args):
 
 def test_queue_length_counts_waiters_not_slots(sim):
     """Packets booked but not yet granted are the queue; the packet
-    holding the channel is not."""
+    holding the channel is not.  A packet counts as carried, with its
+    bytes, from its booked grant on: read between instants, the
+    telemetry needs no grant event."""
     link = _link(sim)
     granted = []
 
     def grant(tag):
         granted.append((tag, sim.now))
-        link.packets_carried += 1  # the transit counts its grants
 
-    for tag in ("a", "b", "c", "d"):
-        _arrive(link, 4.0, grant, (tag,))
+    for tag, nbytes in (("a", 10), ("b", 20), ("c", 30), ("d", 40)):
+        _arrive(link, 4.0, nbytes, grant, (tag,))
     assert granted == [("a", 0.0)]
     assert link.queue_length == 3
     assert link.peak_queue_length == 3
+    assert (link.packets_carried, link.bytes_carried) == (1, 10)
     sim.run(until=4.5)
     assert link.queue_length == 2
     assert link.peak_queue_length == 3
+    assert (link.packets_carried, link.bytes_carried) == (2, 30)
+    sim.run(until=8.0)  # the instant of c's grant, after its events
+    assert (link.queue_length, link.packets_carried) == (1, 3)
     sim.run()
     assert granted == [("a", 0.0), ("b", 4.0), ("c", 8.0), ("d", 12.0)]
     assert link.queue_length == 0
+    assert (link.packets_carried, link.bytes_carried) == (4, 100)
+    assert link.booked == 4
     # No release event: the run ends with the last grant, and the busy
     # time counts up to the clock until the channel frees.
     assert sim.now == link.busy_ns == 12.0
@@ -111,23 +119,62 @@ def test_queue_length_counts_waiters_not_slots(sim):
     assert link.free_at == link.busy_ns == 16.0
 
 
-def test_wait_tracks_one_object_per_waiter(sim):
-    """Booking keeps no waiter: it tracks no object.  A queued hop's
-    grant is one calendar entry, its args tuple, in a new bucket at its
-    own instant."""
+def test_wait_tracks_no_object_per_waiter(sim):
+    """Booking keeps no waiter object: a queued hop is two slots of its
+    direction's pending-grant store, a float and an int, which the
+    collector does not track.  A direction that never queues has no
+    store at all."""
     n = 2000
     link = _link(sim)
     hold = 3.0
-    assert gc_growth(lambda i: link.book(hold), n) < 16
+    assert gc_growth(lambda i: link.book(hold, 32), n) < 16
     assert link.booked == n and link.free_at == n * hold
+    assert link.queue_length == n - 1
+    sim.run(until=1000 * hold + 0.5)
+    assert link.packets_carried == 1001
+    assert link.bytes_carried == 1001 * 32
+    assert link.queue_length == n - 1001
+    idle = _link(sim)
+    for _ in range(3):
+        sim.run(until=sim.now + hold)
+        idle.book(hold, 32)
+    assert idle._pending is None and idle.packets_carried == 3
 
-    def granted(_tag):
-        pass
 
-    growth = gc_growth(lambda i: _arrive(link, hold, granted, (i,)), n)
-    assert 2 * n <= growth < 2 * n + 16
-    assert sim.pending == n
-    assert link.queue_length == 2 * n
+def test_booking_depth_counts_a_grant_at_its_instant_as_waiting(sim):
+    """A booking drains only the grants of earlier instants: a packet
+    whose grant falls at the booking instant still counts as waiting,
+    for the peak and the flight recorder's enqueue sample, while a read
+    between instants counts it as carried."""
+    link = _link(sim)
+    link.book(4.0, 1)  # granted at 0, frees at 4
+    link.book(4.0, 1)  # granted at 4
+    sim.run(until=4.0)
+    assert link.queue_length == 0 and link.packets_carried == 2
+    link.book(4.0, 1)  # granted at 8: the grant at 4 still waits
+    assert link.waiting() == 2
+    assert link.peak_queue_length == 2
+    assert link.queue_length == 1
+
+
+def test_traversals_count_grants_between_instants(sim):
+    """A queued hop counts in ``Network.link_traversals`` and on its
+    link from its booked grant on."""
+    from repro.constants import SRC_RING_NS
+
+    net, first, second = one_link_pair(sim, second_after=0.0)
+    grant = SRC_RING_NS + first.serialization_ns
+    link = None
+    for t, carried in ((SRC_RING_NS, 1), (grant - 0.5, 1), (grant, 2),
+                       (grant + 0.5, 2)):
+        sim.run(until=t)
+        link = net.link((0, 0, 0), "x", 1)
+        assert net.link_traversals == link.packets_carried == carried
+        assert link.bytes_carried == carried * first.wire_bytes
+        assert link.queue_length == 2 - carried
+    sim.run()
+    assert net.link_traversals == link.packets_carried == 2
+    assert link.peak_queue_length == 1
 
 
 def test_arrival_at_free_at_is_granted_at_once(sim):

@@ -200,27 +200,28 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: ping-pong and incast programs and the all-reduce legs take every
 #: step in the event ending a Tensilica hold (``_end_hold``) or inside
 #: a network delivery, and an all-reduce leg starts in one event of its
-#: own.  The network cells do not depend on who sent.  A link schedules
-#: no event: a hop that finds its link free is granted inside
-#: ``_next_hop`` or ``_visit``, and only a queued hop's grant is an
-#: event (``_granted``, 17 in the incast).
+#: own.  The network cells do not depend on who sent.  A hop is booked
+#: inside ``_next_hop`` or ``_visit`` and schedules its next step there,
+#: so no grant is an event; the last hop of a unicast packet schedules
+#: its ``_arrive``, and a hop into a multicast leaf its
+#: ``_finish_local``, directly.  The all-reduce's 24 ``_visit`` events
+#: are its roots; its 40 ``_next_hop`` events are node-local packets.
 PROFILED_COUNTS_222 = {
     "latency": {
         "asic": {"_end_hold": 128},
         "network": {"_UcastTransit._arrive": 64,
-                    "_UcastTransit._next_hop": 160},
+                    "_UcastTransit._next_hop": 112},
     },
     "congestion": {
         "asic": {"_end_hold": 15},
         "network": {"_UcastTransit._arrive": 14,
-                    "_UcastTransit._granted": 17,
-                    "_UcastTransit._next_hop": 38},
+                    "_UcastTransit._next_hop": 24},
     },
     "allreduce": {
         "asic": {"_end_hold": 152},
         "comm": {"_Leg.start": 8},
         "network": {"_McastTransit._finish_local": 24,
-                    "_McastTransit._visit": 48,
+                    "_McastTransit._visit": 24,
                     "_UcastTransit._arrive": 40,
                     "_UcastTransit._next_hop": 40},
     },

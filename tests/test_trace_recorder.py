@@ -22,7 +22,7 @@ class TestUtilizationGuards:
         # Implicit window at simulated time 0 is also zero-length.
         assert link.utilization() == 0.0
         # A channel booked from time 0 still reports a zero window as 0.
-        assert link.book(10.0) == 0.0
+        assert link.book(10.0, 32) == 0.0
         assert link.utilization() == 0.0
         assert link.utilization(0.0) == 0.0
         assert link.utilization(5.0) == 0.0  # nothing streamed by now

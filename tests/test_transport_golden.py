@@ -80,22 +80,23 @@ DIGESTS = {
         "ecf22fd8fa239d1c9ff1df13e404134960cbc60740368f2a1106332e9d2ed64f",
     "links_fault_sensitivity":
         "7a7c3a193a603e587af8cd8ab809bcc168ec7b43a04438d0995e86aaa235f496",
+    # A hop draws its jitter when it books its link.
     "jitter_exchange":
-        "77d22986e83d82aec300b0c741a8d0ea3f1cf1e327ef8e3cfeae6c2300e54245",
+        "dfcc9cd270451cc1e88f4d8b917bc0173d72383214c4c50feaac1277e1086abe",
     "fault_exchange":
         "248b235127a56a73daf3e80124b4c47258aa452db995946bc2b31d28a3bd097f",
     "monitor_congestion":
         "5c3a09b583710bab516b44d12079cda8b55414943e9dc169d82660e74ec607c8",
     "monitor_congestion_engine":
-        "f888feb620497e28f0deffafb67273c15371c6af1290cab2bff706790a4f299e",
+        "84d39d9eeb86dc2df20eccba8f3858526549fc731e1c426ffaa5f493bba909ae",
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "bfcc0d4ab81d3b6a0151aec96c2e9ee246366791e670bc69f312b8fb6e8cc5cd",
+        "52873c93c282cd648d7a0bdd9281640977ebf3cf6bd4b384f0b75ed4af018ca4",
     "monitor_allreduce":
         "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
-        "134f137e46f722b7a732fadd7eebe7ebeae2ecad6fb9fb42165bc69038c82c5d",
+        "848e655d1a0dc5f143d23db48a6396724bd9b1e740a44852c9b20b534649e9f4",
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
