@@ -290,8 +290,7 @@ class TestNonPerturbation:
     def test_null_recorder_hooks_are_noops(self):
         null = NullFlightRecorder()
         null.packet_injected(None, 0.0)
-        null.hop_enqueued(None, None, 0.0)
-        null.hop_granted(None, None, 0.0)
+        null.hop_booked(None, None, 0.0, None)
         null.packet_delivered(None, (0, 0, 0), "slice0", 0.0)
 
     def test_clear(self):
