@@ -10,9 +10,9 @@ very low latency, and a hardware-managed message FIFO (§III.C).
 
 Every FCFS unit on the chip (a slice's Tensilica and geometry cores,
 the HTIS pipelines and output stage) is occupied through one
-primitive, :func:`hold`: it acquires the unit FCFS, queueing behind a
-busy unit as ``Resource.request`` does, and schedules one
-plain-function event that releases the unit and runs the
+primitive, :func:`hold`: it acquires the unit FCFS, its start queued
+as a continuation behind a busy unit (``Resource.wait``), and schedules
+one plain-function event that releases the unit and runs the
 continuation.  Concurrent send and poll activity on one slice thus
 serialises on its Tensilica core, which is exactly why bidirectional
 ping-pong runs slightly slower than unidirectional in Fig. 5.
@@ -293,17 +293,18 @@ class Join:
     inside the continuation that ends the last of ``legs`` legs, so
     ``sim.run(until=join.done)`` returns that time."""
 
-    __slots__ = ("remaining", "done")
+    __slots__ = ("sim", "remaining", "done")
 
     def __init__(self, sim: "Simulator", legs: int) -> None:
+        self.sim = sim
         self.remaining = legs
-        self.done = Event(sim)
+        self.done = Event()
 
     def ended(self) -> None:
         """One leg has ended."""
         self.remaining -= 1
         if not self.remaining:
-            self.done.succeed(self.done.sim.now)
+            self.done.succeed(self.sim.now)
 
 
 def run_programs(sim: "Simulator",
@@ -324,14 +325,21 @@ def hold(res: Resource, duration_ns: float, fn: Callable[..., None],
     The one hold of every FCFS unit: on the chip a slice's Tensilica
     core and geometry cores, the HTIS pipelines and output stage; off
     it a cluster node's CPU and NIC.  The unit is acquired FCFS: a busy
-    unit queues the hold behind every earlier request, and its grant
-    (the request's callback, an event of its own) schedules the hold.
+    unit queues the hold's start behind every earlier waiter
+    (:meth:`Resource.wait`), and the release that grants it runs the
+    start in an event of its own.
     """
     if res.try_acquire():
         res.sim.schedule(duration_ns, _end_hold, res, fn, args)
     else:
-        res.request().add_callback(
-            _QueuedHold(res, duration_ns, fn, args).granted)
+        res.wait(_start_hold, (res, duration_ns, fn, args))
+
+
+def _start_hold(res: Resource, duration_ns: float, fn: Callable[..., None],
+                args: tuple[Any, ...]) -> None:
+    """The event granting a queued :func:`hold` its unit: end the hold
+    ``duration_ns`` later."""
+    res.sim.schedule(duration_ns, _end_hold, res, fn, args)
 
 
 def _end_hold(res: Resource, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
@@ -339,20 +347,3 @@ def _end_hold(res: Resource, fn: Callable[..., None], args: tuple[Any, ...]) -> 
     continue."""
     res.release()
     fn(*args)
-
-
-class _QueuedHold:
-    """A hold queued behind a busy unit."""
-
-    __slots__ = ("res", "duration_ns", "fn", "args")
-
-    def __init__(self, res: Resource, duration_ns: float,
-                 fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        self.res = res
-        self.duration_ns = duration_ns
-        self.fn = fn
-        self.args = args
-
-    def granted(self, _event: Event) -> None:
-        self.res.sim.schedule(self.duration_ns, _end_hold,
-                              self.res, self.fn, self.args)

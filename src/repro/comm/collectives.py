@@ -304,11 +304,10 @@ class _Run(Join):
     ``done_times[c]`` with ``final[c]``.  It refers to no leg, so no
     run is a cycle."""
 
-    __slots__ = ("sim", "then", "final", "done_times")
+    __slots__ = ("then", "final", "done_times")
 
     def __init__(self, sim: "Simulator", legs: int) -> None:
         super().__init__(sim, legs)
-        self.sim = sim
         #: Node -> the continuation its leg's end runs.
         self.then: dict[NodeCoord, tuple[Callable[..., None], tuple]] = {}
         self.final: dict[NodeCoord, Any] = {}

@@ -22,7 +22,14 @@ Design notes
 * :class:`Resource` is a single-server FCFS unit, occupied through
   ``hold`` (:mod:`repro.asic.slice_`): processing-slice cores, HTIS
   pipelines, a cluster node's CPU and NIC (torus link directions carry
-  their own channel, see :mod:`repro.network.link`).
+  their own channel, see :mod:`repro.network.link`).  A busy unit
+  queues a hold's own continuation, and its release starts the head
+  waiter's hold in an event at that instant.
+* :class:`Event` is only the stop marker a run waits on
+  (``Simulator.run(until=event)``): the end of a harness, of a
+  collective's run or of an MD step's legs.  Nothing attaches a
+  callback to it; software waits in continuation slots (a counter's
+  target, a busy unit's queue, an in-order packet's delivery gate).
 """
 
 from repro.engine.event import Event

@@ -1,9 +1,11 @@
 """FCFS resources.
 
 :class:`Resource` models a single server (a processing-slice core, an
-HTIS pipeline front-end, a cluster node's CPU or NIC): requests are
+HTIS pipeline front-end, a cluster node's CPU or NIC): holds are
 granted strictly in arrival order, one holder at a time.  Software
-occupies a unit through :func:`repro.asic.slice_.hold`.  Torus link
+occupies a unit through :func:`repro.asic.slice_.hold`.  A busy unit
+queues each waiting hold's start as a continuation, and its release
+schedules the head waiter's at the releasing instant.  Torus link
 directions carry their own booking slot, which grants at the same
 times and schedules no release (see :mod:`repro.network.link`).
 """
@@ -11,9 +13,7 @@ times and schedules no release (see :mod:`repro.network.link`).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
-
-from repro.engine.event import Event
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
@@ -22,14 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class Resource:
     """A single-server FCFS unit.
 
-    Occupy it with :func:`repro.asic.slice_.hold`; :meth:`try_acquire`
-    or a :meth:`request` that fires pairs with one :meth:`release`.
+    Occupy it with :func:`repro.asic.slice_.hold`: a :meth:`try_acquire`
+    that succeeds, or a :meth:`wait` whose continuation has run, pairs
+    with one :meth:`release`.
     """
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._waiters: deque[Event] = deque()
+        #: Waiting continuations, ``(fn, args)`` each, in arrival order.
+        self._waiters: deque[tuple[Callable[..., None], tuple]] = deque()
         # Statistics for utilization accounting (trace/stats).
         self.total_busy_ns: float = 0.0
         #: When the unit was last granted from idle; ``None`` while it
@@ -47,35 +49,34 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for the unit."""
+        """Number of continuations waiting for the unit."""
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that fires when the unit is granted."""
-        ev = Event(self.sim)
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-            if len(self._waiters) > self.peak_queue_length:
-                self.peak_queue_length = len(self._waiters)
-        return ev
-
     def try_acquire(self) -> bool:
-        """Grant the unit immediately if it is free (hot-path variant:
-        no Event allocation).  Pair with :meth:`release`."""
+        """Grant the unit at once if it is free.  Pair with
+        :meth:`release`."""
         if self._busy_since is None:
             self._busy_since = self.sim.now
             return True
         return False
 
+    def wait(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Queue ``fn(*args)`` behind every earlier waiter, to run once
+        the unit is granted to it; it then holds the unit until a
+        :meth:`release`."""
+        waiters = self._waiters
+        waiters.append((fn, args))
+        if len(waiters) > self.peak_queue_length:
+            self.peak_queue_length = len(waiters)
+
     def release(self) -> None:
-        """Release the unit, granting it to the first waiter if any."""
+        """Release the unit: hand it to the first waiter, if any, whose
+        continuation runs in an event of its own at this instant."""
         if self._busy_since is None:
-            raise RuntimeError(f"release() without matching request() on {self.name!r}")
+            raise RuntimeError(f"release() of {self.name!r}, which is not held")
         if self._waiters:
-            self._waiters.popleft().succeed(self)
+            fn, args = self._waiters.popleft()
+            self.sim.schedule_now(fn, args)
         else:
             self.total_busy_ns += self.sim.now - self._busy_since
             self._busy_since = None
@@ -95,4 +96,3 @@ class Resource:
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         return busy / horizon
-

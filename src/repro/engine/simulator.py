@@ -63,7 +63,7 @@ from types import FunctionType, MethodType
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import instruments
-from repro.engine.event import Event
+from repro.engine.event import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
@@ -116,8 +116,8 @@ class Simulator:
         """Run ``fn(*args)`` at the current instant, after every event
         already scheduled for it: :meth:`schedule` with zero delay, but
         taking ``args`` as one tuple, so a caller holding a stored
-        continuation pays no star-args repacking (an event's callback
-        dispatch)."""
+        continuation pays no star-args repacking (a queued hold's start,
+        an in-order gate's waiter)."""
         now = self.now
         bucket = self._buckets.get(now)
         if bucket is None:
@@ -140,20 +140,6 @@ class Simulator:
         else:
             bucket.append(fn)
             bucket.append(args)
-
-    def _dispatch(self, event: Event) -> None:
-        """Internal: an event was triggered now; run its callbacks now.
-
-        Callbacks run through the queue (at the current time, one event
-        each, in registration order) so that the triggering code
-        finishes before any waiter resumes.
-        """
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            args = (event,)
-            for cb in callbacks:
-                self.schedule_now(cb, args)
 
     # -- observation -------------------------------------------------------
     def set_monitor_hook(
@@ -225,10 +211,6 @@ class Simulator:
         """
         return sum(map(len, self._buckets.values())) >> 1
 
-    def event(self, name: str = "") -> Event:
-        """Create a pending one-shot event."""
-        return Event(self, name=name)
-
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -269,8 +251,7 @@ class Simulator:
         stop_event: Optional[Event] = None
         if isinstance(until, Event):
             stop_event = until
-            # An event has fired once its callbacks are spent.
-            if until.callbacks is None:
+            if until.triggered:
                 return until.value
         elif until is not None:
             stop_time = float(until)
@@ -315,6 +296,7 @@ class Simulator:
         reached."""
         buckets = self._buckets
         times = self._times
+        pending = PENDING
         while times:
             when = times[0]
             if stop_time is not None and when > stop_time:
@@ -331,7 +313,7 @@ class Simulator:
                 for fn, args in zip(slots, slots):
                     done += 1
                     fn(*args)
-                    if stop_event is not None and stop_event.callbacks is None:
+                    if stop_event is not None and stop_event._value is not pending:
                         return True
             finally:
                 self._leave(when, bucket, done)
@@ -350,6 +332,7 @@ class Simulator:
         which may be ``None``."""
         buckets = self._buckets
         times = self._times
+        pending = PENDING
         due = (inf if monitor_hook is None
                else self._monitor_k * self._monitor_interval)
         if profiler is not None:
@@ -399,7 +382,7 @@ class Simulator:
                         rec[0] += 1
                         rec[1] += t_now - t_prev
                         t_prev = t_now
-                    if stop_event is not None and stop_event.callbacks is None:
+                    if stop_event is not None and stop_event._value is not pending:
                         return True
             finally:
                 self._leave(when, bucket, done)

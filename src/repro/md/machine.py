@@ -51,11 +51,12 @@ import numpy as np
 from repro import instruments
 from repro.asic.htis import HTIS
 from repro.asic.node import build_machine
-from repro.asic.slice_ import ProcessingSlice, Step, Steps, accum_step, hold, write_step
+from repro.asic.slice_ import (
+    Join, ProcessingSlice, Step, Steps, accum_step, hold, write_step,
+)
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
 from repro.constants import ACCUM_READ_NS, LONG_RANGE_INTERVAL
-from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.md.calibration import DEFAULT_CALIBRATION, AntonCalibration
 from repro.md.decomposition import Decomposition
@@ -411,18 +412,12 @@ class AntonMD:
         """Start one leg of each phase on every node, each in one event
         at the current instant, and run until the last has ended."""
         sim = self.sim
-        self._open_legs = 0
-        self._legs_done = Event(sim)
-        for n in self.torus.nodes():
+        nodes = list(self.torus.nodes())
+        self._legs = Join(sim, len(nodes) * len(phases))
+        for n in nodes:
             for phase in phases:
-                self._open_legs += 1
                 sim.schedule_now(phase.start, (phase(self, n, kind),))
-        sim.run(until=self._legs_done)
-
-    def _leg_ended(self) -> None:
-        self._open_legs -= 1
-        if not self._open_legs:
-            self._legs_done.succeed(self.sim.now)
+        sim.run(until=self._legs.done)
 
     def _mark(self, phase: str) -> None:
         self._phase_marks.setdefault(phase, []).append(self.sim.now)
@@ -617,7 +612,7 @@ class _Leg:
         self.node = md.machine.node(n)
 
     def _end(self) -> None:
-        self.md._leg_ended()
+        self.md._legs.ended()
 
     def _reset_then(self, counter: Any, then: Callable[[Any], None]) -> None:
         """Reset the counter a successful poll consumed, then continue."""
@@ -689,7 +684,7 @@ class _PositionLeg(_Leg):
 
     def _end(self) -> None:
         self.md._mark("positions")
-        self.md._leg_ended()
+        self.md._legs.ended()
 
 
 class _BondPositionLeg(_Leg):
@@ -725,7 +720,7 @@ class _BondForceWaitLeg(_Leg):
 
     def _end(self) -> None:
         self.node.accum[0].clear()
-        self.md._leg_ended()
+        self.md._legs.ended()
 
 
 class _BondLeg(_Leg):
@@ -786,7 +781,7 @@ class _BondLeg(_Leg):
 
     def _end(self) -> None:
         self.md._mark("bonded")
-        self.md._leg_ended()
+        self.md._legs.ended()
 
 
 class _HtisLeg(_Leg):
@@ -973,7 +968,7 @@ class _FftLeg(_Leg):
 
     def _end(self) -> None:
         self.md._mark("fft_convolution")
-        self.md._leg_ended()
+        self.md._legs.ended()
 
 
 class _IntegrateLeg(_Leg):
@@ -1028,7 +1023,7 @@ class _IntegrateLeg(_Leg):
         self.md._mark("integration")
         self.node.accum[0].clear()
         self.node.accum[1].clear()
-        self.md._leg_ended()
+        self.md._legs.ended()
 
 
 def _split_round_robin(items: list, k: int) -> list[list]:

@@ -12,16 +12,11 @@ from repro.engine import Resource, Simulator
 #: wire-hop-like steps that land on shared timestamps.
 STEP = st.sampled_from([0.0, 0.0, 1.0, 4.0, 8.0])
 
-#: An action: ``(delay, children, fanout)``.  When it runs it schedules
-#: each child, then (if ``fanout`` is ``(k, delay)``) registers ``k``
-#: waiters on a fresh event and schedules the ``succeed`` after delay.
+#: An action: ``(delay, children)``.  When it runs it schedules each
+#: child.
 ACTION = st.recursive(
-    st.tuples(STEP, st.just(()), st.none()),
-    lambda kids: st.tuples(
-        STEP,
-        st.lists(kids, max_size=3).map(tuple),
-        st.none() | st.tuples(st.integers(1, 4), STEP),
-    ),
+    st.tuples(STEP, st.just(())),
+    lambda kids: st.tuples(STEP, st.lists(kids, max_size=3).map(tuple)),
     max_leaves=24,
 )
 
@@ -34,9 +29,8 @@ def test_events_execute_in_time_then_insertion_order(entries, actions):
     """Every issued callback runs, in ``(time, issue order)`` order.
 
     The oracle is built in the test, not read from the engine: each
-    schedule appends ``(time, issue index)`` to ``issued`` — an
-    ``Event.succeed`` fan-out issues its waiters then, in registration
-    order — and the run must execute exactly ``sorted(issued)``.
+    schedule appends ``(time, issue index)`` to ``issued``, and the run
+    must execute exactly ``sorted(issued)``.
     """
     sim = Simulator()
     issued: list[tuple[float, int]] = []
@@ -50,30 +44,15 @@ def test_events_execute_in_time_then_insertion_order(entries, actions):
     def leaf(label):
         seen.append((sim.now, label))
 
-    def act(label, children, fanout):
+    def act(label, children):
         seen.append((sim.now, label))
-        for delay, kids, fan in children:
-            issue(delay, act, kids, fan)
-        if fanout is not None:
-            k, delay = fanout
-            event = sim.event()
-            labels: list[int] = []
-            for i in range(k):
-                event.add_callback(
-                    lambda ev, i=i: seen.append((sim.now, labels[i])))
-            issue(delay, trigger, event, labels)
-
-    def trigger(label, event, labels):
-        seen.append((sim.now, label))
-        for _ in event.callbacks:
-            labels.append(len(issued))
-            issued.append((sim.now, len(issued)))
-        event.succeed()
+        for delay, kids in children:
+            issue(delay, act, kids)
 
     for delay, _tag in entries:
         issue(delay, leaf)
-    for delay, children, fanout in actions:
-        issue(delay, act, children, fanout)
+    for delay, children in actions:
+        issue(delay, act, children)
     sim.run()
     assert seen == sorted(issued)
     assert sim.events_executed == len(issued)

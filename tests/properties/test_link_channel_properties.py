@@ -5,11 +5,13 @@ The link keeps one booking slot, ``free_at``: a packet arriving at
 its hold, so a grant is known on arrival and no release is scheduled.
 The link counts a packet as carried from its booked grant on, with no
 grant event: the test drives it with bookings only, and observes each
-grant from an event of its own.  The oracle is the FCFS ``Resource``,
-which queues a request and grants it when the holder releases, and
-whose test-side grant callback counts the packet and its bytes.  Both
-are driven by the same random script of arrivals on integer instants,
-each arrival with an integer hold and its own byte count.  Every
+grant from an event of its own.  The oracle is the FCFS ``Resource``
+occupied through ``hold``, which queues a hold behind a busy unit and
+starts it when the holder releases; a hold's grant is its end less its
+duration, and the oracle counts a packet and its bytes as carried from
+that grant on.  Both are driven by the same random script of arrivals
+on integer instants, each arrival with an integer hold and its own
+byte count.  Every
 arrival must be granted at the same time, and ``busy_ns``,
 ``queue_length``, ``utilization``, ``packets_carried`` and
 ``bytes_carried`` read between instants (at every half-integer time
@@ -29,6 +31,7 @@ never below the oracle's own peak.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asic.slice_ import hold
 from repro.engine import Resource, Simulator
 from repro.network.link import LinkId, TorusLink
 
@@ -42,8 +45,8 @@ def _kick(sim, script, arrive):
     """One event per instant that appends its arrivals, in script
     order, behind every event already due then."""
     by_time: dict[float, list] = {}
-    for k, (when, hold) in enumerate(script):
-        by_time.setdefault(when, []).append((k, hold))
+    for k, (when, hold_ns) in enumerate(script):
+        by_time.setdefault(when, []).append((k, hold_ns))
     for when, arrivals in by_time.items():
         sim.schedule(when, lambda arrivals=arrivals: [
             sim.schedule_now(arrive, a) for a in arrivals])
@@ -71,30 +74,29 @@ def _run_resource(script):
     sim = Simulator()
     res = Resource(sim, name="r")
     grants = {}
-    carried = [0, 0]
 
-    def granted(k, hold):
-        grants[k] = sim.now
-        carried[0] += 1
-        carried[1] += _nbytes(k)
-        sim.schedule(hold, res.release)
+    def ended(k, hold_ns):
+        grants[k] = sim.now - hold_ns
 
-    def arrive(k, hold):
-        if res.try_acquire():
-            granted(k, hold)
-        else:
-            res.request().add_callback(lambda _ev: granted(k, hold))
+    def arrive(k, hold_ns):
+        hold(res, hold_ns, ended, (k, hold_ns))
 
     def read():
         busy = res.total_busy_ns
         if res._busy_since is not None:
             busy += sim.now - res._busy_since
         return (busy, res.queue_length, res.utilization(),
-                res.utilization(5.0), carried[0], carried[1],
-                res.peak_queue_length)
+                res.utilization(5.0), res.peak_queue_length)
 
     _kick(sim, script, arrive)
-    return grants, _read_between_instants(sim, script, read)
+    reads = _read_between_instants(sim, script, read)
+    # Every hold has ended by the last read, so every grant is known.
+    samples = []
+    for t, busy, depth, util, util5, peak in reads:
+        served = [k for k, grant in grants.items() if grant <= t]
+        samples.append((t, busy, depth, util, util5, len(served),
+                        sum(_nbytes(k) for k in served), peak))
+    return grants, samples
 
 
 def _run_link(script):
@@ -105,8 +107,8 @@ def _run_link(script):
     def granted(k):
         grants[k] = sim.now
 
-    def arrive(k, hold):
-        grant = link.book(hold, _nbytes(k))
+    def arrive(k, hold_ns):
+        grant = link.book(hold_ns, _nbytes(k))
         if grant == sim.now:
             granted(k)
         else:

@@ -24,6 +24,8 @@ import pytest
 
 from repro.asic.client import NetworkClient
 from repro.asic.node import Machine, build_machine
+from repro.asic.sync_counter import SyncCounter
+from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.runner import Captures, run_experiment
 from tests.test_transport_golden import SPECS
@@ -155,14 +157,15 @@ class TestRunLoopMakesNoCycle:
         assert counts == [0, 0]
 
     def test_catches_a_planted_cycle(self):
-        """A continuation that holds its own event, parked on that
-        event, which never fires, is cyclic garbage once the run ends."""
+        """A continuation that holds its own counter, parked in that
+        counter's slot for a target never reached, is cyclic garbage
+        once the run ends."""
         sim = Simulator()
 
-        def park(event):
-            event.add_callback(lambda _ev: event)
+        def park(counter):
+            counter.on_target(1, print, (counter,))
 
-        sim.schedule(1.0, park, sim.event("never"))
+        sim.schedule(1.0, park, SyncCounter(sim, "never"))
         with run_garbage() as counts:
             sim.run()
         assert counts[0] > 0
@@ -195,7 +198,7 @@ def _until_time(sim):
 
 
 def _until_event(sim):
-    done = sim.event()
+    done = Event()
     sim.schedule(3.0, done.succeed)
     sim.run(until=done)
 

@@ -7,15 +7,21 @@ continuations (:mod:`repro.asic.slice_`).  ``Process``, the waitables
 only a process could yield (``Timeout``, ``AllOf``) and the exception
 only a process could catch (``Interrupt``) are gone, with the
 simulator's factories for them and the module that held ``Process``.
+
+An :class:`~repro.engine.event.Event` is only the stop marker of a run:
+nothing attaches a callback to it, so its callback list, the
+simulator's dispatch of it and its factory are gone, and so are the
+resource's event-returning request and the hold that waited on one.
 """
 
 import importlib
 
 import pytest
 
+import repro.asic.slice_
 import repro.engine
 import repro.engine.event
-from repro.engine import Simulator
+from repro.engine import Event, Resource, Simulator
 
 
 class TestProcessMachineryIsGone:
@@ -32,3 +38,16 @@ class TestProcessMachineryIsGone:
     def test_process_module_does_not_import(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.engine.process")
+
+
+class TestEventCallbacksAreGone:
+    @pytest.mark.parametrize("owner, name", [
+        (Event, "add_callback"),
+        (Event, "callbacks"),
+        (Simulator, "_dispatch"),
+        (Simulator, "event"),
+        (Resource, "request"),
+        (repro.asic.slice_, "_QueuedHold"),
+    ])
+    def test_name_is_gone(self, owner, name):
+        assert not hasattr(owner, name)

@@ -1,4 +1,4 @@
-"""Unit tests for FCFS resources."""
+"""Unit tests for FCFS resources, occupied through ``hold``."""
 
 import pytest
 
@@ -8,22 +8,33 @@ from repro.engine import Resource
 
 def test_resource_grants_one_holder_at_a_time(sim):
     r = Resource(sim)
-    e1, e2 = r.request(), r.request()
-    assert e1.triggered
-    assert not e2.triggered
+    log = []
+    hold(r, 10.0, log.append, ("a",))
+    hold(r, 10.0, log.append, ("b",))
     assert r.in_use
     assert r.queue_length == 1
+    assert r.peak_queue_length == 1
+    sim.run(until=10.0)
+    assert log == ["a"]
+    assert r.in_use and r.queue_length == 0
 
 
 def test_release_wakes_fifo_order(sim):
     r = Resource(sim)
-    first = r.request()
-    waiters = [r.request() for _ in range(3)]
-    assert first.triggered
-    r.release()
-    assert waiters[0].triggered and not waiters[1].triggered
-    r.release()
-    assert waiters[1].triggered and not waiters[2].triggered
+    log = []
+    for name in ("a", "b", "c", "d"):
+        hold(r, 5.0, log.append, (name,))
+    assert r.queue_length == 3
+    # Each release starts the head waiter's hold in an event of its
+    # own at the releasing instant.
+    for t, expected, waiting in ((5.0, "a", 2), (10.0, "ab", 1),
+                                 (15.0, "abc", 0)):
+        sim.run(until=t)
+        assert "".join(log) == expected
+        assert r.queue_length == waiting
+    sim.run()
+    assert log == ["a", "b", "c", "d"]
+    assert not r.in_use
 
 
 def test_release_without_request_raises(sim):
@@ -48,6 +59,13 @@ def test_try_acquire_fast_path(sim):
     assert not r.try_acquire()
     r.release()
     assert r.try_acquire()
+    # A hold arriving at a held unit waits for the release.
+    log = []
+    hold(r, 3.0, lambda: log.append(sim.now), ())
+    assert r.queue_length == 1
+    sim.schedule(2.0, r.release)
+    sim.run()
+    assert log == [5.0]
 
 
 def test_utilization_accounting(sim):

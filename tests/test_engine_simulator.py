@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import Event, Simulator
 from repro.profile.profiler import EngineProfiler
 from tests.conftest import gc_growth
 
@@ -70,7 +70,7 @@ def test_run_until_past_time_rejected(sim):
 
 
 def test_run_until_event(sim):
-    ev = sim.event()
+    ev = Event()
     sim.schedule(3.0, ev.succeed, "payload")
     sim.schedule(99.0, lambda: None)
     assert sim.run(until=ev) == "payload"
@@ -78,7 +78,7 @@ def test_run_until_event(sim):
 
 
 def test_run_until_never_triggered_event_is_deadlock(sim):
-    ev = sim.event()
+    ev = Event()
     with pytest.raises(RuntimeError, match="deadlock"):
         sim.run(until=ev)
 
@@ -111,7 +111,7 @@ def test_run_until_fired_event_returns_before_running_anything():
     leaving the queue and the clock untouched."""
     for body, sim in bodies():
         seen = []
-        done = sim.event()
+        done = Event()
         sim.schedule(1.0, done.succeed, "value")
         sim.run()
         sim.schedule(2.0, seen.append, "unrelated")
@@ -119,7 +119,7 @@ def test_run_until_fired_event_returns_before_running_anything():
         assert sim.run(until=done) == "value", body
         assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
         # Succeeded as it is built, never queued.
-        built = sim.event()
+        built = Event()
         built.succeed("built")
         assert sim.run(until=built) == "built", body
         assert snapshot(sim, seen) == ([], 1, 1, 1.0), body
@@ -130,7 +130,7 @@ def test_run_until_fired_event_returns_before_running_anything():
 def test_stop_event_mid_bucket_resumes_the_instant_in_order():
     for body, sim in bodies():
         seen = []
-        ev = sim.event()
+        ev = Event()
         sim.schedule(1.0, seen.append, "a")
         # Appends "e" behind the bucket while it drains.
         sim.schedule(1.0, sim.schedule, 0.0, seen.append, "e")
@@ -198,7 +198,7 @@ def test_monitor_hook_samples_each_grid_time_between_instants(sim):
     def hook(t):
         observed.append((t, sim.now, sim.pending, sim.events_executed))
 
-    stop = sim.event()
+    stop = Event()
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.schedule(2.0, stop.succeed)
