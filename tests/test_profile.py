@@ -204,13 +204,15 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: inside ``_next_hop`` or ``_visit`` and schedules its next step there,
 #: so no grant is an event; the last hop of a unicast packet schedules
 #: its ``_arrive``, and a hop into a multicast leaf its
-#: ``_finish_local``, directly.  The all-reduce's 24 ``_visit`` events
-#: are its roots; its 40 ``_next_hop`` events are node-local packets.
+#: ``_finish_local``, directly.  A node-local packet books no hop: it
+#: schedules its ``_arrive`` at injection, so the all-reduce, whose
+#: unicasts are all node-local, runs no ``_next_hop``.  Its 24
+#: ``_visit`` events are its trees' roots.
 PROFILED_COUNTS_222 = {
     "latency": {
         "asic": {"_end_hold": 128},
         "network": {"_UcastTransit._arrive": 64,
-                    "_UcastTransit._next_hop": 112},
+                    "_UcastTransit._next_hop": 96},
     },
     "congestion": {
         "asic": {"_end_hold": 15},
@@ -222,8 +224,7 @@ PROFILED_COUNTS_222 = {
         "comm": {"_Leg.start": 8},
         "network": {"_McastTransit._finish_local": 24,
                     "_McastTransit._visit": 24,
-                    "_UcastTransit._arrive": 40,
-                    "_UcastTransit._next_hop": 40},
+                    "_UcastTransit._arrive": 40},
     },
 }
 

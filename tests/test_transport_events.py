@@ -4,7 +4,7 @@ A link direction is a booking slot, and a hop's grant is known when it
 is booked: the hop schedules its next step there, at the time its head
 reaches the next node, so no grant is an event and no hop schedules a
 release.  The last hop of a unicast packet schedules its ``_arrive``
-directly, and on a fault-free network the hop into a multicast leaf
+directly (a node-local packet at injection), and on a fault-free network the hop into a multicast leaf
 (no children, one client) schedules its delivery directly.  An
 ``mdstep`` 2×2×2 step pair pins its exact engine-event count, and every
 scheduler entry point is watched for an event whose function belongs to
@@ -18,10 +18,11 @@ from repro.network.network import _McastTransit
 from repro.runner import ExperimentSpec, run_experiment
 
 #: Engine events of the ``mdstep`` 2×2×2 step pair (rounds=2).  A
-#: scheduled link release per hop made it 76,179, and a grant event
-#: per queued hop with a visit per leaf and a final ``_next_hop`` per
-#: unicast packet made it 60,666.
-MDSTEP_222_EVENTS = 37_249
+#: scheduled link release per hop made it 76,179, a grant event per
+#: queued hop with a visit per leaf and a final ``_next_hop`` per
+#: unicast packet made it 60,666, and a ``_next_hop`` per node-local
+#: packet made it 37,249.
+MDSTEP_222_EVENTS = 35_813
 
 
 def _owned_by_link(fn) -> bool:

@@ -92,11 +92,11 @@ DIGESTS = {
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "52873c93c282cd648d7a0bdd9281640977ebf3cf6bd4b384f0b75ed4af018ca4",
+        "30825dcd61d26a2d9534b96ccebed0971b20e8e8d1d46397a5ee60929a9effd5",
     "monitor_allreduce":
         "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
-        "848e655d1a0dc5f143d23db48a6396724bd9b1e740a44852c9b20b534649e9f4",
+        "1ce7da1d84396aaee7e7e1d43778f7846c55683ad7e9beb3a5ce38f331013295",
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
