@@ -17,7 +17,7 @@ charge spreading and force interpolation.  As a network client it
 
 The controller and the result streams run as continuations, as the
 slices' legs do (:mod:`repro.asic.slice_`): the pipelines and the
-output stage are FCFS units occupied by :func:`~repro.asic.slice_.hold`,
+output stage are FCFS booking slots occupied by :meth:`Resource.hold`,
 and a controller with no runnable buffer parks until the write that
 completes the head of its order, or a priority buffer, steps it again
 in an event of its own.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.asic.client import NetworkClient
-from repro.asic.slice_ import hold
 from repro.asic.sync_counter import SyncCounter
 from repro.engine.resource import Resource
 from repro.network.packet import AccumPacket, Packet
@@ -206,7 +205,7 @@ class HTIS(NetworkClient):
 
     def _next_result(self, stream: "_Stream", i: int) -> None:
         if i < stream.packets:
-            hold(self.sender, HTIS_SEND_NS, HTIS._result_sent, (self, stream, i))
+            self.sender.hold(HTIS_SEND_NS, HTIS._result_sent, (self, stream, i))
         elif stream.fn is not None:
             stream.fn(*stream.args)
 
@@ -276,7 +275,7 @@ class _Controller:
             htis._waiting = self
             return
         buf = bufs[name]
-        hold(htis.pipeline, self.work_ns, _Controller._processed, (self, buf))
+        htis.pipeline.hold(self.work_ns, _Controller._processed, (self, buf))
 
     def waits_on(self, name: str) -> bool:
         """Whether completing buffer ``name`` can make a step runnable:

@@ -2,8 +2,8 @@
 
 A minimal, deterministic discrete-event simulator, specialised for the
 needs of the Anton communication model: nanosecond-resolution simulated
-time, an event queue of plain-function continuations, FCFS resources for
-cores, and one-shot events that end a run.
+time, an event queue of plain-function continuations, an FCFS booking
+slot for every single-server unit, and one-shot events that end a run.
 
 Design notes
 ------------
@@ -19,17 +19,18 @@ Design notes
   fixed slice programs; and the commodity-cluster baselines as node
   programs.  A fixed program is a ``Steps`` list of continuation
   forms, ended by a ``Join`` (:mod:`repro.asic.slice_`).
-* :class:`Resource` is a single-server FCFS unit, occupied through
-  ``hold`` (:mod:`repro.asic.slice_`): processing-slice cores, HTIS
-  pipelines, a cluster node's CPU and NIC (torus link directions carry
-  their own channel, see :mod:`repro.network.link`).  A busy unit
-  queues a hold's own continuation, and its release starts the head
-  waiter's hold in an event at that instant.
+* :class:`Resource` is the one FCFS server, a booking slot: a
+  request is granted at ``max(now, free_at)`` when it is made.  It
+  serves processing-slice cores, HTIS pipelines, a cluster node's CPU
+  and NIC through :meth:`Resource.hold`, which schedules the hold's
+  continuation itself at its end, and every torus link direction
+  (:class:`repro.network.link.TorusLink`).  No grant and no release is
+  an event.
 * :class:`Event` is only the stop marker a run waits on
   (``Simulator.run(until=event)``): the end of a harness, of a
   collective's run or of an MD step's legs.  Nothing attaches a
   callback to it; software waits in continuation slots (a counter's
-  target, a busy unit's queue, an in-order packet's delivery gate).
+  target, the message FIFO, an in-order packet's delivery gate).
 """
 
 from repro.engine.event import Event

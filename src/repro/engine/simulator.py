@@ -116,8 +116,8 @@ class Simulator:
         """Run ``fn(*args)`` at the current instant, after every event
         already scheduled for it: :meth:`schedule` with zero delay, but
         taking ``args`` as one tuple, so a caller holding a stored
-        continuation pays no star-args repacking (a queued hold's start,
-        an in-order gate's waiter)."""
+        continuation pays no star-args repacking (an in-order gate's
+        waiter, a cluster node's receive waiter)."""
         now = self.now
         bucket = self._buckets.get(now)
         if bucket is None:
@@ -129,8 +129,8 @@ class Simulator:
 
     def schedule_at(self, when: float, fn: Callable[..., None],
                     args: tuple) -> None:
-        """Run ``fn(*args)`` at the absolute time ``when`` (a link's
-        booked grant): a delay of ``when - now`` could round off it."""
+        """Run ``fn(*args)`` at the absolute time ``when`` (a time
+        booked on a slot): a delay of ``when - now`` could round off it."""
         if when < self.now:
             raise ValueError(f"cannot schedule into the past ({when!r})")
         bucket = self._buckets.get(when)

@@ -52,7 +52,7 @@ from repro import instruments
 from repro.asic.htis import HTIS
 from repro.asic.node import build_machine
 from repro.asic.slice_ import (
-    Join, ProcessingSlice, Step, Steps, accum_step, hold, write_step,
+    Join, ProcessingSlice, Step, Steps, accum_step, write_step,
 )
 from repro.comm.collectives import AllReduce
 from repro.comm.migration import MigrationProtocol
@@ -631,7 +631,7 @@ class _Leg:
         self.half = work / 2.0
         self.pending = 2
         for core in s.geometry:
-            hold(core, self.half, _Leg._joined, (self, then))
+            core.hold(self.half, _Leg._joined, (self, then))
 
     def _start_sends(self, per_slice: list, then: Callable[[Any], None]) -> None:
         """Run a ``(slice, steps)`` send program per slice, each started
@@ -815,7 +815,7 @@ class _HtisLeg(_Leg):
 
     def _spread(self) -> None:
         self.md._mark("fft_convolution")
-        hold(self.node.htis.pipeline, self.dur, _HtisLeg._spread_sends, (self,))
+        self.node.htis.pipeline.hold(self.dur, _HtisLeg._spread_sends, (self,))
 
     def _spread_sends(self) -> None:
         md = self.md
@@ -872,7 +872,7 @@ class _HtisLeg(_Leg):
             self._interpolate()
 
     def _interpolate(self) -> None:
-        hold(self.node.htis.pipeline, self.dur, _HtisLeg._interpolated, (self,))
+        self.node.htis.pipeline.hold(self.dur, _HtisLeg._interpolated, (self,))
 
     def _interpolated(self) -> None:
         md = self.md

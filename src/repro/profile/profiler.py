@@ -10,7 +10,7 @@ event loop.  Installed on a :class:`~repro.engine.simulator.Simulator`
 executed event along three axes:
 
 * **event type** — the scheduled callable that ran, e.g.
-  ``_end_hold`` or ``_UcastTransit._next_hop``;
+  ``ProcessingSlice._sent`` or ``_UcastTransit._next_hop``;
 * **component** — the ``repro`` subpackage that owns that code
   (``network``, ``asic``, ``comm``, ``md``, ``engine``, …);
 * **phase** — the innermost open profiler phase (``step:long_range``,

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asic.slice_ import hold
 from repro.engine import Resource, Simulator
 
 
@@ -79,7 +78,7 @@ def test_resource_conservation_and_fcfs(requests):
     r = Resource(sim)
     ends: list[tuple[int, float]] = []
     for k, (when, duration) in enumerate(requests):
-        sim.schedule(when, hold, r, duration,
+        sim.schedule(when, r.hold, duration,
                      lambda k=k: ends.append((k, sim.now)), ())
     sim.run()
 
@@ -90,7 +89,7 @@ def test_resource_conservation_and_fcfs(requests):
         expected.append((k, free_at))
     assert ends == expected
     assert not r.in_use
-    assert r.total_busy_ns == sum(d for _, d in requests)
+    assert r.busy_ns == sum(d for _, d in requests)
 
 
 @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=20))

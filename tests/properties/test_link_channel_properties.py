@@ -1,38 +1,32 @@
-"""Property: a torus link's booking channel is an engine ``Resource``.
+"""Property: a torus link's booking channel is an FCFS server.
 
-The link keeps one booking slot, ``free_at``: a packet arriving at
-``t`` is granted at ``max(t, free_at)`` and pushes ``free_at`` on by
-its hold, so a grant is known on arrival and no release is scheduled.
-The link counts a packet as carried from its booked grant on, with no
-grant event: the test drives it with bookings only, and observes each
-grant from an event of its own.  The oracle is the FCFS ``Resource``
-occupied through ``hold``, which queues a hold behind a busy unit and
-starts it when the holder releases; a hold's grant is its end less its
-duration, and the oracle counts a packet and its bytes as carried from
-that grant on.  Both are driven by the same random script of arrivals
-on integer instants, each arrival with an integer hold and its own
-byte count.  Every
-arrival must be granted at the same time, and ``busy_ns``,
-``queue_length``, ``utilization``, ``packets_carried`` and
-``bytes_carried`` read between instants (at every half-integer time
-and at every integer time, after its events) must agree.
+The link is the engine's booking slot (``Resource``), with one slot,
+``free_at``: a packet arriving at ``t`` is granted at
+``max(t, free_at)`` and pushes ``free_at`` on by its hold, so a grant
+is known on arrival and no release is scheduled.  The link counts a
+packet as carried from its booked grant on, with no grant event.  The
+test drives it with bookings only, from a random script of arrivals on
+integer instants, each arrival with an integer hold and its own byte
+count; an instant's arrivals book in script order.
 
-An instant's arrivals run after everything already due at it (the
-releases and grants that fall there), as a hop's arrival follows the
-packet's head latency: both runs start them from one kick per instant
-that re-queues them at the back of the instant.  The ``Resource`` so
-counts a packet granted at an arrival's instant as served when the
-arrival queues, while a link booking counts it as waiting, whatever
-the order of the instant's events.  ``peak_queue_length`` is therefore
-checked against that rule applied to the oracle's grant times, and is
-never below the oracle's own peak.
+The oracle is closed-form and built in the test, as in
+``test_engine_properties.py::test_resource_conservation_and_fcfs``:
+arrivals are served in (arrival, script) order, each granted at
+``max(arrival, previous end)``.  Every booking must return that grant,
+and ``busy_ns``, ``queue_length``, ``utilization``, ``packets_carried``
+and ``bytes_carried`` read between instants (at every half-integer
+time) and at every integer time, after its events, must equal the
+oracle's: the busy time is each hold's overlap with ``[0, t]``, a
+packet waits while ``arrival <= t < grant``, and it is carried from
+``grant <= t`` on.  ``peak_queue_length`` follows the same-instant
+depth rule, applied to the oracle's grant times: a booking counts a
+packet whose grant falls at the booking instant as waiting.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asic.slice_ import hold
-from repro.engine import Resource, Simulator
+from repro.engine import Simulator
 from repro.network.link import LinkId, TorusLink
 
 #: Integer instants and holds make ties common: an arrival at exactly
@@ -41,86 +35,55 @@ _arrival = st.tuples(st.integers(0, 12).map(float),
                      st.integers(1, 4).map(float))
 
 
-def _kick(sim, script, arrive):
-    """One event per instant that appends its arrivals, in script
-    order, behind every event already due then."""
-    by_time: dict[float, list] = {}
-    for k, (when, hold_ns) in enumerate(script):
-        by_time.setdefault(when, []).append((k, hold_ns))
-    for when, arrivals in by_time.items():
-        sim.schedule(when, lambda arrivals=arrivals: [
-            sim.schedule_now(arrive, a) for a in arrivals])
-
-
-def _read_between_instants(sim, script, read):
-    """Run to every half-integer and integer time until the channel has
-    drained (a bound: the last arrival plus every hold), and read the
-    telemetry there."""
-    horizon = max(when for when, _ in script) + sum(h for _, h in script)
-    samples = []
-    t = 0.5
-    while t <= horizon + 1.0:
-        sim.run(until=t)
-        samples.append((t,) + read())
-        t += 0.5
-    return samples
-
-
 def _nbytes(k: int) -> int:
     return 32 + 8 * k
 
 
-def _run_resource(script):
-    sim = Simulator()
-    res = Resource(sim, name="r")
+def _sample_times(script):
+    """Every half-integer and integer time until the channel has
+    drained (a bound: the last arrival plus every hold)."""
+    horizon = max(when for when, _ in script) + sum(h for _, h in script)
+    return [0.5 * i for i in range(1, int(2 * (horizon + 1.0)) + 1)]
+
+
+def _fcfs_grants(script):
+    """The oracle's grant per arrival: in (arrival, script) order, at
+    ``max(arrival, previous end)``."""
     grants = {}
-
-    def ended(k, hold_ns):
-        grants[k] = sim.now - hold_ns
-
-    def arrive(k, hold_ns):
-        hold(res, hold_ns, ended, (k, hold_ns))
-
-    def read():
-        busy = res.total_busy_ns
-        if res._busy_since is not None:
-            busy += sim.now - res._busy_since
-        return (busy, res.queue_length, res.utilization(),
-                res.utilization(5.0), res.peak_queue_length)
-
-    _kick(sim, script, arrive)
-    reads = _read_between_instants(sim, script, read)
-    # Every hold has ended by the last read, so every grant is known.
-    samples = []
-    for t, busy, depth, util, util5, peak in reads:
-        served = [k for k, grant in grants.items() if grant <= t]
-        samples.append((t, busy, depth, util, util5, len(served),
-                        sum(_nbytes(k) for k in served), peak))
-    return grants, samples
+    free_at = 0.0
+    for when, k, hold_ns in sorted((w, k, h) for k, (w, h) in enumerate(script)):
+        grants[k] = max(when, free_at)
+        free_at = grants[k] + hold_ns
+    return grants
 
 
-def _run_link(script):
+def _oracle_reads(script, grants, t):
+    busy = sum(min(max(t - grants[k], 0.0), hold_ns)
+               for k, (_, hold_ns) in enumerate(script))
+    waiting = sum(1 for k, (when, _) in enumerate(script)
+                  if when <= t < grants[k])
+    served = [k for k in grants if grants[k] <= t]
+    return (busy, waiting, busy / t, busy / 5.0, len(served),
+            sum(_nbytes(k) for k in served))
+
+
+def _run_link(script, times):
     sim = Simulator()
     link = TorusLink(sim, LinkId((0, 0, 0), "x", 1), (1, 0, 0))
     grants = {}
 
-    def granted(k):
-        grants[k] = sim.now
-
     def arrive(k, hold_ns):
-        grant = link.book(hold_ns, _nbytes(k))
-        if grant == sim.now:
-            granted(k)
-        else:
-            sim.schedule_at(grant, granted, (k,))
+        grants[k] = link.book(hold_ns, _nbytes(k))
 
-    def read():
-        return (link.busy_ns, link.queue_length, link.utilization(),
-                link.utilization(5.0), link.packets_carried,
-                link.bytes_carried, link.peak_queue_length)
-
-    _kick(sim, script, arrive)
-    return grants, _read_between_instants(sim, script, read)
+    for k, (when, hold_ns) in enumerate(script):
+        sim.schedule(when, arrive, k, hold_ns)
+    reads = []
+    for t in times:
+        sim.run(until=t)
+        reads.append((link.busy_ns, link.queue_length, link.utilization(),
+                      link.utilization(5.0), link.packets_carried,
+                      link.bytes_carried, link.peak_queue_length))
+    return grants, reads
 
 
 def _peaks_by_rule(script, grants, times):
@@ -145,11 +108,10 @@ def _peaks_by_rule(script, grants, times):
 @given(st.lists(_arrival, min_size=1, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_link_channel_matches_resource(script):
-    link_grants, link_reads = _run_link(script)
-    res_grants, res_reads = _run_resource(script)
-    assert link_grants == res_grants
-    assert ([r[:-1] for r in link_reads] == [r[:-1] for r in res_reads])
-    times = [r[0] for r in res_reads]
-    link_peaks = [r[-1] for r in link_reads]
-    assert link_peaks == _peaks_by_rule(script, res_grants, times)
-    assert all(lp >= r[-1] for lp, r in zip(link_peaks, res_reads))
+    times = _sample_times(script)
+    grants = _fcfs_grants(script)
+    link_grants, link_reads = _run_link(script, times)
+    assert link_grants == grants
+    assert [r[:-1] for r in link_reads] == [
+        _oracle_reads(script, grants, t) for t in times]
+    assert [r[-1] for r in link_reads] == _peaks_by_rule(script, grants, times)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asic.slice_ import (
-    Join, Steps, accum_step, hold, poll_step, work_step, write_step,
+    Join, Steps, accum_step, poll_step, work_step, write_step,
 )
 from repro.constants import POLL_SUCCESS_NS, SLICE_SEND_NS
 from tests.conftest import run_exchange
@@ -71,17 +71,17 @@ def test_geometry_cores_run_concurrently(sim, machine222):
     s = machine222.node((0, 0, 0)).slice(0)
     done = []
     for core in (0, 1):
-        hold(s.geometry[core], 100.0, lambda c: done.append((c, sim.now)), (core,))
+        s.geometry[core].hold(100.0, lambda c: done.append((c, sim.now)), (core,))
     sim.run()
     assert [t for _, t in done] == [100.0, 100.0]
-    assert [core.total_busy_ns for core in s.geometry] == [100.0, 100.0]
+    assert [core.busy_ns for core in s.geometry] == [100.0, 100.0]
 
 
 def test_same_core_serialises(sim, machine222):
     s = machine222.node((0, 0, 0)).slice(0)
     done = []
     for _ in range(2):
-        hold(s.geometry[0], 100.0, lambda: done.append(sim.now), ())
+        s.geometry[0].hold(100.0, lambda: done.append(sim.now), ())
     sim.run()
     assert done == [100.0, 200.0]
 
@@ -113,7 +113,7 @@ def test_accum_rejects_fifo_and_slices_reject_accum(sim, machine222):
 
 def test_hold_queues_fcfs_behind_a_busy_core(sim, machine222):
     """A hold takes the Tensilica in request order: one that finds the
-    core busy starts when the earlier holder releases it."""
+    core busy is granted when the earlier hold ends."""
     s = machine222.node((0, 0, 0)).slice(0)
     done = {}
 
@@ -126,7 +126,8 @@ def test_hold_queues_fcfs_behind_a_busy_core(sim, machine222):
     sim.run()
     assert done == {"first": 50.0, "second": 70.0, "work": 100.0}
     assert s.tensilica.in_use == 0
-    assert s.tensilica.total_busy_ns == 100.0
+    assert s.tensilica.busy_ns == 100.0
+    assert s.tensilica.peak_queue_length == 2
 
 
 def test_continuation_send_and_poll_time_the_generator_forms(sim, machine222):

@@ -198,8 +198,11 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: Event counts per (component, label) of profiled 2x2x2 runs, in the
 #: ``(run)`` or ``allreduce`` phase.  No run here builds a process: the
 #: ping-pong and incast programs and the all-reduce legs take every
-#: step in the event ending a Tensilica hold (``_end_hold``) or inside
-#: a network delivery, and an all-reduce leg starts in one event of its
+#: step in the continuation that ends a Tensilica hold, which the hold
+#: schedules itself at its end (``ProcessingSlice._sent`` after a
+#: send's packet assembly, ``_poll_done`` after a successful poll, the
+#: all-reduce's ``_Leg._summed`` after a software sum), or inside a
+#: network delivery, and an all-reduce leg starts in one event of its
 #: own.  The network cells do not depend on who sent.  A hop is booked
 #: inside ``_next_hop`` or ``_visit`` and schedules its next step there,
 #: so no grant is an event; the last hop of a unicast packet schedules
@@ -210,18 +213,21 @@ def test_md_experiments_profile_with_step_phases(experiment):
 #: ``_visit`` events are its trees' roots.
 PROFILED_COUNTS_222 = {
     "latency": {
-        "asic": {"_end_hold": 128},
+        "asic": {"ProcessingSlice._poll_done": 64,
+                 "ProcessingSlice._sent": 64},
         "network": {"_UcastTransit._arrive": 64,
                     "_UcastTransit._next_hop": 96},
     },
     "congestion": {
-        "asic": {"_end_hold": 15},
+        "asic": {"ProcessingSlice._poll_done": 1,
+                 "ProcessingSlice._sent": 14},
         "network": {"_UcastTransit._arrive": 14,
                     "_UcastTransit._next_hop": 24},
     },
     "allreduce": {
-        "asic": {"_end_hold": 152},
-        "comm": {"_Leg.start": 8},
+        "asic": {"ProcessingSlice._poll_done": 64,
+                 "ProcessingSlice._sent": 64},
+        "comm": {"_Leg._summed": 24, "_Leg.start": 8},
         "network": {"_McastTransit._finish_local": 24,
                     "_McastTransit._visit": 24,
                     "_UcastTransit._arrive": 40},
@@ -240,3 +246,37 @@ def test_profiled_cells_are_exact(experiment):
     assert counts["events_total"] == sum(
         n for labels in PROFILED_COUNTS_222[experiment].values()
         for n in labels.values())
+
+
+#: The ``md`` cells of a profiled ``mdstep`` 2x2x2 step pair, per step
+#: phase.  Every hold an MD leg makes schedules its own continuation,
+#: so the profiler files it under ``md``: the geometry-core halves'
+#: ``_Leg._joined``, the HTIS pipeline's ``_HtisLeg._spread_sends`` and
+#: ``_interpolated``, and the Tensilica's ``_FftLeg._transfers``,
+#: ``_IntegrateLeg._read`` and ``AntonMD._thermostat_reduce``.  The
+#: rest are leg starts and counter continuations.
+MDSTEP_222_MD_CELLS = {
+    "step:long_range": {
+        "AntonMD._thermostat_reduce": 8, "_BondLeg.start": 8,
+        "_FftLeg._charges": 8, "_FftLeg._transfers": 8, "_FftLeg.start": 8,
+        "_HtisLeg._interpolated": 8, "_HtisLeg._spread_sends": 8,
+        "_HtisLeg.start": 8, "_IntegrateLeg._polled": 8,
+        "_IntegrateLeg._read": 8, "_IntegrateLeg.start": 8,
+        "_Leg._joined": 128, "_PositionLeg.start": 8,
+    },
+    "step:range_limited": {
+        "_BondLeg.start": 8, "_HtisLeg.start": 8,
+        "_IntegrateLeg._polled": 8, "_IntegrateLeg._read": 8,
+        "_IntegrateLeg.start": 8, "_Leg._joined": 32,
+        "_PositionLeg.start": 8,
+    },
+}
+
+
+def test_mdstep_files_md_hold_continuations_under_md():
+    result = run_experiment(
+        ExperimentSpec("mdstep", shape=(2, 2, 2), rounds=2),
+        Captures(profile=True))
+    phases = result.profile.count_profile()["phases"]
+    assert {phase: comps["md"] for phase, comps in phases.items()} == (
+        MDSTEP_222_MD_CELLS)

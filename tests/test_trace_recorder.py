@@ -4,7 +4,6 @@ TorusLink / Resource."""
 import pytest
 
 from repro.engine import Simulator
-from repro.asic.slice_ import hold
 from repro.engine.resource import Resource
 from repro.network.link import LinkId, TorusLink
 
@@ -34,7 +33,7 @@ class TestUtilizationGuards:
 
     def test_nonzero_window_still_measures(self, sim):
         res = Resource(sim, name="r")
-        hold(res, 25.0, lambda: None, ())
+        res.hold(25.0, lambda: None, ())
         sim.run()
         sim.schedule(75.0, lambda: None)
         sim.run()
@@ -44,6 +43,6 @@ class TestUtilizationGuards:
         res = Resource(sim, name="r")
         assert res.peak_queue_length == 0
         for _ in range(3):
-            hold(res, 10.0, lambda: None, ())
+            res.hold(10.0, lambda: None, ())
         sim.run()
         assert res.peak_queue_length == 2  # two behind the holder

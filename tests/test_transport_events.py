@@ -8,8 +8,10 @@ directly (a node-local packet at injection), and on a fault-free network the hop
 (no children, one client) schedules its delivery directly.  An
 ``mdstep`` 2×2×2 step pair pins its exact engine-event count, and every
 scheduler entry point is watched for an event whose function belongs to
-:class:`~repro.network.link.TorusLink`, for a transit grant event and
-for a visit into a leaf, so none can come back unnoticed.
+:class:`~repro.network.link.TorusLink` or to the booking slot it is,
+for a transit grant event and for a visit into a leaf, so none can
+come back unnoticed.  A unit hold books the same slot and schedules
+its continuation at its end, so no hold's start is an event either.
 """
 
 from repro.engine.simulator import Simulator
@@ -20,15 +22,19 @@ from repro.runner import ExperimentSpec, run_experiment
 #: Engine events of the ``mdstep`` 2×2×2 step pair (rounds=2).  A
 #: scheduled link release per hop made it 76,179, a grant event per
 #: queued hop with a visit per leaf and a final ``_next_hop`` per
-#: unicast packet made it 60,666, and a ``_next_hop`` per node-local
-#: packet made it 37,249.
-MDSTEP_222_EVENTS = 35_813
+#: unicast packet made it 60,666, a ``_next_hop`` per node-local
+#: packet made it 37,249, and a start event per hold queued on a busy
+#: unit made it 35,813.
+MDSTEP_222_EVENTS = 35_138
 
 
 def _owned_by_link(fn) -> bool:
+    """A link's function: bound to a link, or defined on it or on the
+    booking slot it is (``Resource``)."""
     owner = getattr(fn, "__self__", None)
     return (isinstance(owner, TorusLink)
-            or getattr(fn, "__qualname__", "").startswith("TorusLink."))
+            or getattr(fn, "__qualname__", "").startswith(
+                ("TorusLink.", "Resource.")))
 
 
 def _is_transit_grant(fn) -> bool:

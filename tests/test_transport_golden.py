@@ -92,7 +92,7 @@ DIGESTS = {
     "monitor_mdstep":
         "10fa647f721c2c3203d8a84224d70536690054a2a10cca834c5fb725393031c4",
     "monitor_mdstep_engine":
-        "30825dcd61d26a2d9534b96ccebed0971b20e8e8d1d46397a5ee60929a9effd5",
+        "74bc0dd2839040e59eed68c6f90572866efb4be2082214631657ffd6190f13e9",
     "monitor_allreduce":
         "11ef2729691cda50e7d99e36eeb5eb2a23f1ef6580db810c5cf9a02674b83101",
     "monitor_allreduce_engine":
@@ -100,7 +100,7 @@ DIGESTS = {
     "xray_analysis":
         "8bd759ddac5c86e8a029d167d8d2c6a737a2e81937fa23160a9ae2e9473b9371",
     "mdstep_analysis":
-        "528938b3a6fac2e78b3d1ad080cd8ea94a7e0a3e56d6b59ccd5a902e5d2bf188",
+        "9e852d3ce4b6d6b13c353d93590f0e0cdae9452db48b1184a195b8641fd41935",
     "flight_metrics":
         "140b31ff92a5a49c1438828e42bc1ea19e07c46720dbbb1cce856bdbc3793726",
 }
