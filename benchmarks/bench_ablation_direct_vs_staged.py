@@ -17,7 +17,7 @@ from repro.analysis import render_table
 from repro.asic import build_machine
 from repro.asic.slice_ import poll_step, run_programs, work_step, write_step
 from repro.baselines import ClusterNetwork
-from repro.baselines.cluster import START, recv_step, send_step, wait_step
+from repro.baselines.cluster import recv_step, send_step, wait_step
 from repro.constants import DDR2_INFINIBAND
 from repro.engine import Simulator
 
@@ -68,12 +68,12 @@ def _cluster(direct: bool):
     (messages per node: 26 direct vs 6 staged)."""
     sim = Simulator()
     net = ClusterNetwork(sim, 27, DDR2_INFINIBAND)
-    steps = [START]
+    steps = []
     if direct:
         steps += [send_step(peer, CHUNK, "d") for peer in range(1, 27)]
         # Done once node 1 has received its chunk, too.
         programs = [(net.node(0), steps),
-                    (net.node(1), [START, recv_step("d", 1)])]
+                    (net.node(1), [recv_step("d", 1)])]
     else:
         for r, mult in ((1, 9), (2, 3), (3, 1)):
             steps += [send_step(peer, mult * CHUNK, f"r{r}") for peer in (1, 2)]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.asic.slice_ import run_programs
-from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step, work_step
+from repro.baselines.cluster import ClusterNetwork, recv_step, send_step, work_step
 from repro.baselines.mpi import MpiContext
 from repro.constants import DDR2_INFINIBAND, DHFR_ATOMS, ClusterParams
 from repro.engine.simulator import Simulator
@@ -177,7 +177,7 @@ class DesmondModel:
         start = sim.now
 
         def node_program(rank: int) -> list:
-            steps = [START]
+            steps = []
             for stage, atoms in enumerate(stage_atoms):
                 nbytes = int(atoms / 2 * record_bytes)  # per direction
                 tag = f"st{stage}"
@@ -210,7 +210,7 @@ class DesmondModel:
         start = sim.now
 
         def node_program(rank: int) -> list:
-            steps = [START]
+            steps = []
             for stage in range(4):
                 tag = f"fft{stage}"
                 steps += [send_step(peer, bytes_per_msg, tag)

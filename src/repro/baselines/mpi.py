@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.asic.slice_ import run_programs
-from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step, wait_step
+from repro.baselines.cluster import ClusterNetwork, recv_step, send_step, wait_step
 
 
 class MpiContext:
@@ -35,8 +35,8 @@ class MpiContext:
         start = self.sim.now
         # The pinger ends last, when the pong has been received.
         end = run_programs(self.sim, [
-            (net.node(src), [START, send_step(dst, nbytes, ping), recv_step(pong, 1)]),
-            (net.node(dst), [START, recv_step(ping, 1), send_step(src, nbytes, pong)]),
+            (net.node(src), [send_step(dst, nbytes, ping), recv_step(pong, 1)]),
+            (net.node(dst), [recv_step(ping, 1), send_step(src, nbytes, pong)]),
         ])
         return (end - start) / 2.0
 
@@ -55,8 +55,8 @@ class MpiContext:
         sends = [send_step(dst, sz, tag) for sz in _split_bytes(total_bytes, num_messages)]
         # The receiver ends last, when the last message has been received.
         end = run_programs(self.sim, [
-            (net.node(dst), [START, recv_step(tag, num_messages)]),
-            (net.node(src), [START] + sends),
+            (net.node(dst), [recv_step(tag, num_messages)]),
+            (net.node(src), sends),
         ])
         return end - start
 
@@ -76,7 +76,7 @@ class MpiContext:
         start = self.sim.now
 
         def node_program(rank: int) -> list:
-            steps = [START]
+            steps = []
             for k in range(rounds):
                 rtag = f"{tag}-r{k}"
                 steps += [send_step(rank ^ (1 << k), nbytes, rtag),

@@ -136,15 +136,15 @@ def cluster_incast_ns(
     (:mod:`repro.baselines.cluster`): the Fig. 7 baseline Anton is
     supposed to beat."""
     from repro.asic.slice_ import run_programs
-    from repro.baselines.cluster import START, ClusterNetwork, recv_step, send_step
+    from repro.baselines.cluster import ClusterNetwork, recv_step, send_step
     from repro.engine.simulator import Simulator
 
     sim = Simulator()
     net = ClusterNetwork(sim, senders + 1)
     sends = [send_step(0, payload_bytes, "sink")] * rounds
     return run_programs(sim, [
-        (net.node(rank), [START] + sends) for rank in range(1, senders + 1)
-    ] + [(net.node(0), [START, recv_step("sink", senders * rounds)])])
+        (net.node(rank), sends) for rank in range(1, senders + 1)
+    ] + [(net.node(0), [recv_step("sink", senders * rounds)])])
 
 
 @dataclass
