@@ -24,6 +24,14 @@ in-order delivery gating) reported as ``UNATTRIBUTED`` rather than
 silently folded into a real component.  The regression tests assert
 that for uncontended sends every category lands within 1 ns of the
 calibration constants in :mod:`repro.constants`.
+
+The calibrated per-hop split exists once, as a column pass:
+:func:`hop_split_columns` splits many hops at once (the congestion
+X-ray's decomposition of a whole run), and :func:`hop_split` is its
+one-hop form.  Its float rule is the flight record's (see
+:mod:`repro.trace.flight`): a hop's explained time adds its parts one
+at a time in path order, an absent part adding 0.0, so a column
+computes bit for bit what a per-hop loop would.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 from repro import instruments
 from repro.constants import (
@@ -132,6 +142,69 @@ def payload_extra_ns(wire_bytes: int) -> float:
     )
 
 
+#: Link dimensions in the order of their codes in :func:`hop_split_columns`.
+DIMS = ("x", "y", "z")
+
+
+def hop_split_columns(
+    dim: np.ndarray,
+    grant_ns: np.ndarray,
+    retry_ns: np.ndarray,
+    first_link: np.ndarray,
+    terminal: np.ndarray,
+    multicast: np.ndarray,
+    payload_extra_ns: np.ndarray,
+    segment_end_ns: np.ndarray,
+) -> list[tuple[Component, np.ndarray]]:
+    """Split many hops' measured ``[grant, segment_end]`` stretches into
+    components at once: one column per component, in path order.
+
+    Every argument is one column with an entry per hop (``dim`` holds
+    codes into :data:`DIMS`; ``first_link``, ``terminal`` and
+    ``multicast`` are booleans).  The structural parts come from the
+    calibrated latency model (the same arithmetic the transport
+    charges); whatever measured time they do not explain is the
+    ``UNATTRIBUTED`` column, so the split still tiles each hop's
+    interval exactly.  A hop has a part exactly where its column is
+    nonzero: every calibrated part is positive, and the residue is
+    dropped (0) when it is within 1e-9 ns of nothing.
+
+    This is the one calibrated hop split: :func:`hop_split` is its
+    one-hop form, which :func:`attribute_path` labels
+    (:func:`hop_components`), and the congestion X-ray's per-packet
+    delay decomposition (:mod:`repro.congestion.decompose`) buckets
+    it for every hop of a run, so the views can never disagree on the
+    arithmetic.  The explained total adds the parts hop by hop in path
+    order, with an absent part adding 0.0 (which changes no float).
+    """
+    zero = np.zeros(len(grant_ns))
+    columns = [
+        # Fault injection: the link-level protocol spent this long on
+        # failed attempts (serialization + CRC detect + NAK + backoff)
+        # before the transmission that went through.
+        (Component.RETRY, np.where(retry_ns > 0.0, retry_ns, zero)),
+        (Component.LINK_ADAPTER, zero + 2 * LINK_ADAPTER_NS),
+        (Component.WIRE, _WIRE_NS[dim]),
+        (Component.MCAST_LOOKUP,
+         np.where(multicast, MULTICAST_LOOKUP_NS, zero)),
+        # Virtual cut-through charges the payload once, at the first
+        # link; a later link crosses a transit node's ring instead.
+        (Component.SERIALIZATION, np.where(
+            first_link & (payload_extra_ns > 0), payload_extra_ns, zero)),
+        (Component.TRANSIT_RING, np.where(first_link, zero, _TRANSIT_NS[dim])),
+        (Component.DST_RING, np.where(terminal, DST_RING_NS, zero)),
+    ]
+    explained = zero
+    for _, ns in columns:
+        explained = explained + ns
+    residue = (segment_end_ns - grant_ns) - explained
+    columns.append((
+        Component.UNATTRIBUTED,
+        np.where(np.abs(residue) > 1e-9, residue, zero),
+    ))
+    return columns
+
+
 def hop_split(
     dim: str,
     grant_ns: float,
@@ -143,55 +216,24 @@ def hop_split(
     payload_extra_ns: float,
     segment_end_ns: float,
 ) -> list[tuple[Component, float]]:
-    """Split one hop's measured ``[grant, segment_end]`` stretch into
-    components, in path order.
-
-    The structural parts come from the calibrated latency model (the
-    same arithmetic the transport charges); whatever measured time they
-    do not explain is returned as ``UNATTRIBUTED`` so the split still
-    tiles the measured interval exactly.  This is the one calibrated
-    hop split: :func:`attribute_path` labels it (:func:`hop_components`)
-    and the congestion X-ray's per-packet delay decomposition
-    (:mod:`repro.congestion.decompose`) buckets it, so the two views
-    can never disagree on the arithmetic.
-    """
-    parts: list[tuple[Component, float]] = []
-    if retry_ns > 0.0:
-        # Fault injection: the link-level protocol spent this long on
-        # failed attempts (serialization + CRC detect + NAK + backoff)
-        # before the transmission that went through.
-        parts.append((Component.RETRY, retry_ns))
-    parts.append(_ADAPTER_PART)
-    wire = _WIRE_PART[dim]
-    if wire is not None:
-        parts.append(wire)
-    if multicast:
-        parts.append(_MCAST_PART)
-    if first_link:
-        if payload_extra_ns > 0:
-            parts.append((Component.SERIALIZATION, payload_extra_ns))
-    else:
-        parts.append(_TRANSIT_PART[dim])
-    if terminal:
-        parts.append(_DST_PART)
-    explained = sum(d for _, d in parts)
-    residue = (segment_end_ns - grant_ns) - explained
-    if abs(residue) > 1e-9:
-        parts.append((Component.UNATTRIBUTED, residue))
-    return parts
+    """:func:`hop_split_columns` of one hop: its parts, in path order."""
+    columns = hop_split_columns(
+        np.array([DIMS.index(dim)]), np.array([grant_ns]),
+        np.array([retry_ns]), np.array([first_link]),
+        np.array([terminal]), np.array([multicast]),
+        np.array([payload_extra_ns]), np.array([segment_end_ns]),
+    )
+    return [
+        (comp, ns)
+        for comp, (ns,) in ((comp, col.tolist()) for comp, col in columns)
+        if ns != 0.0
+    ]
 
 
-#: The parts of a hop split that only the link's dimension decides.
-_ADAPTER_PART = (Component.LINK_ADAPTER, 2 * LINK_ADAPTER_NS)
-_WIRE_PART = {
-    dim: (Component.WIRE, ns - WIRE_NS["x"]) if ns - WIRE_NS["x"] > 0 else None
-    for dim, ns in WIRE_NS.items()
-}
-_MCAST_PART = (Component.MCAST_LOOKUP, MULTICAST_LOOKUP_NS)
-_TRANSIT_PART = {
-    dim: (Component.TRANSIT_RING, ns) for dim, ns in THROUGH_RING_NS.items()
-}
-_DST_PART = (Component.DST_RING, DST_RING_NS)
+#: The parts of a hop split that only the link's dimension decides, by
+#: dimension code (no extra wire on X: its wire is in the adapters).
+_WIRE_NS = np.array([max(WIRE_NS[d] - WIRE_NS["x"], 0.0) for d in DIMS])
+_TRANSIT_NS = np.array([THROUGH_RING_NS[d] for d in DIMS])
 
 
 def hop_components(

@@ -31,6 +31,18 @@ Two profiles come out:
   outside any event (startup, stop checks, teardown) is surfaced as
   its own ``engine/(scheduler)`` row.
 
+An event is filed under the package of its scheduled callable, and
+code that runs inline inside it is filed with it.  So some counter
+continuations land in the delivering transit's ``network`` row: a
+counter's target slot (``SyncCounter.on_target``) runs inside the
+event of the delivery whose increment reaches the target.  Two such
+continuations are a slice's poll, ``ProcessingSlice._poll_hold``,
+which books the Tensilica core for the 42 ns successful poll, and an
+accumulation-counter poll's ``Resource.hold``.  Each books its unit
+inside the delivery's event; the continuation at the hold's end
+(``ProcessingSlice._poll_done``, or the poller's own step) is an event
+of its own, filed under its own package.
+
 Profiling is a passive wall-clock observer: it reads no simulated
 state, schedules nothing, and occupies no queue entry, so a
 profiled run is bit-identical to a bare one (property-tested).
