@@ -83,8 +83,10 @@ class AccumulationMemory(NetworkClient):
                     self._accumulate(("item", key), quantity)
             else:
                 self._accumulate(packet.address, payload)
-        if packet.counter_id is not None:
-            self.counter(packet.counter_id).increment()
+        counter_id = packet.counter_id
+        if counter_id is not None:
+            (self._counters.get(counter_id)
+             or self.counter(counter_id)).increment()
 
     def _accumulate(self, address: Any, payload: Any) -> None:
         current = self._values.get(address)

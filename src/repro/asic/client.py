@@ -28,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
     from repro.network.network import Network
 
+# Aliases: on CPython 3.11 a global reads in ~13 ns, PacketKind.X in ~157.
+_WRITE, _ACCUM = PacketKind.WRITE, PacketKind.ACCUM
+_FIFO = PacketKind.FIFO
+
 
 class NetworkClient:
     """A network client with local memory and synchronization counters."""
@@ -72,20 +76,23 @@ class NetworkClient:
     # -- delivery (called by the network at arrival time) ---------------------
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
-        if packet.kind is PacketKind.WRITE:
+        kind = packet.kind
+        if kind is _WRITE:
             self._receive_write(packet)
-        elif packet.kind is PacketKind.ACCUM:
+        elif kind is _ACCUM:
             self._receive_accum(packet)
-        elif packet.kind is PacketKind.FIFO:
+        elif kind is _FIFO:
             self._receive_fifo(packet)
         else:  # pragma: no cover - enum is closed
-            raise AssertionError(f"unknown packet kind {packet.kind!r}")
+            raise AssertionError(f"unknown packet kind {kind!r}")
 
     def _receive_write(self, packet: Packet) -> None:
         if packet.address is not None:
             self.memory.write(packet.address, packet.payload)
-        if packet.counter_id is not None:
-            self.counter(packet.counter_id).increment()
+        counter_id = packet.counter_id
+        if counter_id is not None:  # ``counter()`` only to create one
+            (self._counters.get(counter_id)
+             or self.counter(counter_id)).increment()
 
     def _receive_accum(self, packet: Packet) -> None:
         raise TypeError(

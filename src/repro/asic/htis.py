@@ -31,12 +31,15 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 from repro.asic.client import NetworkClient
 from repro.asic.sync_counter import SyncCounter
 from repro.engine.resource import Resource
-from repro.network.packet import AccumPacket, Packet
+from repro.network.packet import Packet, PacketKind
 from repro.topology.torus import NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
     from repro.network.network import Network
+
+# An alias: on CPython 3.11 a global reads in ~13 ns, PacketKind.X in ~157.
+_ACCUM = PacketKind.ACCUM
 
 #: Hardware packet formation in the HTIS output stage; cheaper than the
 #: slice's software-driven 36 ns because no core is involved.
@@ -210,11 +213,11 @@ class HTIS(NetworkClient):
             stream.fn(*stream.args)
 
     def _result_sent(self, stream: "_Stream", i: int) -> None:
-        self.inject(AccumPacket(
-            src_node=self.node, src_client=self.name, dst_node=stream.dst,
-            dst_client=stream.accum_name, payload_bytes=stream.payload_bytes,
-            payload=stream.payloads[i] if stream.payloads else None,
-            counter_id=stream.counter_id, address=stream.address + (i,),
+        self.inject(Packet(
+            self.node, self.name, stream.dst, stream.accum_name, _ACCUM,
+            stream.payload_bytes,
+            stream.payloads[i] if stream.payloads else None,
+            stream.counter_id, stream.address + (i,),
         ))
         self._next_result(stream, i + 1)
 

@@ -96,7 +96,11 @@ class LocalMemory:
     def write(self, address: tuple[str, int], value: Any) -> None:
         """Perform a remote write at ``address = (buffer, offset)``."""
         name, offset = address
-        self.buffer(name).write(offset, value)
+        try:
+            buf = self._buffers[name]
+        except KeyError:
+            buf = self.buffer(name)  # raises, naming the buffer
+        buf.write(offset, value)
 
     def read(self, address: tuple[str, int]) -> Any:
         name, offset = address

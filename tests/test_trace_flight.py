@@ -91,6 +91,30 @@ class TestUnicastSpans:
         assert fl.contended_hops() == 0
         assert all(h.queue_depth == 0 for h in flight.hops)
 
+    def test_hop_view_reads_derived_columns_independently_of_hops(
+            self, monkeypatch):
+        """A flight's hop view fetches each derived column once, not
+        once per hop."""
+        sim, machine, fl = traced_machine((4, 4, 4))
+        src = machine.node((0, 0, 0)).slice(0)
+        for dst in ((1, 0, 0), (2, 2, 2)):
+            run_exchange(sim, src, machine.node(dst).slice(0),
+                         buffer=f"rx{dst}")
+        near, far = fl.packets()
+        calls = []
+        derived = FlightRecorder._derived
+
+        def counting(log, key, build):
+            calls.append(key)
+            return derived(log, key, build)
+
+        monkeypatch.setattr(FlightRecorder, "_derived", counting)
+        near_hops = near.hops
+        near_calls = len(calls)
+        far_hops = far.hops
+        assert (len(near_hops), len(far_hops)) == (1, 6)
+        assert len(calls) - near_calls == near_calls
+
     def test_delivery_records_destination(self):
         sim, machine, fl = traced_machine()
         src = machine.node((0, 0, 0)).slice(0)
