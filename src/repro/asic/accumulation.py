@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
-
 from repro.asic.client import NetworkClient
 from repro.network.packet import Packet
 from repro.topology.torus import NodeCoord
@@ -89,17 +87,22 @@ class AccumulationMemory(NetworkClient):
              or self.counter(counter_id)).increment()
 
     def _accumulate(self, address: Any, payload: Any) -> None:
+        # Scalars are summed without numpy, so a run that accumulates
+        # only floats never loads it; an array payload's caller has.
         current = self._values.get(address)
-        if current is None:
-            if isinstance(payload, np.ndarray):
+        if current is None and isinstance(payload, (int, float)):
+            self._values[address] = float(payload)
+        elif isinstance(current, float):
+            self._values[address] = current + float(payload)
+        else:
+            import numpy as np
+
+            if current is not None:
+                np.add(current, payload, out=current)
+            elif isinstance(payload, np.ndarray):
                 self._values[address] = payload.astype(np.float64, copy=True)
             else:
                 self._values[address] = float(payload)
-        else:
-            if isinstance(current, np.ndarray):
-                np.add(current, payload, out=current)
-            else:
-                self._values[address] = current + float(payload)
 
     def _receive_fifo(self, packet: Packet) -> None:
         raise TypeError("accumulation memories have no message FIFO")

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-import numpy as np
-
 
 class Buffer:
     """One pre-allocated receive buffer: a fixed number of slots."""

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
-import numpy as np
-
 from repro import instruments
 from repro.asic.node import Machine
 from repro.asic.slice_ import Join, ProcessingSlice
@@ -62,6 +60,8 @@ def sum_as_numpy(values: list[float]) -> float:
     equality, signed zeros included.
     """
     if len(values) >= 8:
+        import numpy as np
+
         return float(np.sum(values))
     total = 0.0
     for x in values:

@@ -33,20 +33,15 @@ a monitored run is bit-identical to an unmonitored one (enforced by
 ``tests/properties/test_monitor_determinism.py``).
 """
 
-from repro.monitor.series import RingSeries
-from repro.monitor.sampler import TimeSeriesSampler
-from repro.monitor.watchdog import (
-    CheckResult,
-    Diagnostic,
-    DiagnosticLog,
-    HealthVerdict,
-)
-from repro.monitor.health import (
-    HealthMonitor,
-    MonitorSession,
-    use_monitoring,
-)
-from repro.monitor.report import render_html_report, render_prometheus
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "series": ("RingSeries",),
+    "sampler": ("TimeSeriesSampler",),
+    "watchdog": ("CheckResult", "Diagnostic", "DiagnosticLog", "HealthVerdict"),
+    "health": ("HealthMonitor", "MonitorSession", "use_monitoring"),
+    "report": ("render_html_report", "render_prometheus"),
+})
 
 __all__ = [
     "CheckResult",

@@ -22,7 +22,6 @@ from repro.monitor.health import (
     HealthMonitor,
     use_monitoring,
 )
-from repro.monitor.report import render_html_report, render_prometheus
 from repro.monitor.sampler import DEFAULT_INTERVAL_NS
 from repro.monitor.watchdog import HealthVerdict
 from repro.runner.result import Captures, RunResult, run_experiment
@@ -80,6 +79,8 @@ class MonitorCapture:
         )
 
     def html(self, title: str = "Continuous health report") -> str:
+        from repro.monitor.report import render_html_report
+
         result = self.result
         return render_html_report(
             self.verdict,
@@ -92,6 +93,8 @@ class MonitorCapture:
         )
 
     def prometheus(self) -> str:
+        from repro.monitor.report import render_prometheus
+
         return render_prometheus(
             self.verdict, self.monitor.sampler, registry=self.result.registry
         )

@@ -30,8 +30,6 @@ import itertools
 from enum import Enum
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.constants import (
     HEADER_BYTES,
     INLINE_PAYLOAD_BYTES,
@@ -181,12 +179,15 @@ def payload_bytes_of(data: Any) -> int:
     """Payload size of an actual data object (numpy-aware)."""
     if data is None:
         return 0
-    if isinstance(data, np.ndarray):
-        return int(data.nbytes)
     if isinstance(data, (bytes, bytearray)):
         return len(data)
     if isinstance(data, str):
         return min(len(data.encode()), MAX_PAYLOAD_BYTES)
     if isinstance(data, (int, float)):
         return 8
+    # Last, so sizing a scalar loads no numpy.
+    import numpy as np
+
+    if isinstance(data, np.ndarray):
+        return int(data.nbytes)
     raise TypeError(f"cannot infer payload size of {type(data).__name__}")

@@ -18,52 +18,28 @@ report``); :mod:`repro.observatory.report` renders the HTML dashboard
 and Prometheus exposition through the monitor pipeline.
 """
 
-from repro.observatory.diff import (
-    DIFF_SCHEMA,
-    DiffRow,
-    ProfileDiff,
-    RESIDUAL_LABEL,
-    diff_profiles,
-    render_diff,
-)
-from repro.observatory.ledger import (
-    DEFAULT_LEDGER_PATH,
-    GENESIS,
-    Ledger,
-    LedgerRecord,
-    SCHEMA,
-    SkippedLine,
-    build_provenance,
-    default_ledger_path,
-    git_revision,
-    host_facts,
-    log_bench,
-    log_profile,
-    log_sweep,
-    record_id,
-    source_fingerprint,
-)
-from repro.observatory.report import (
-    render_observatory_html,
-    render_observatory_prometheus,
-)
-from repro.observatory.trends import (
-    DEFAULT_MAD_MULT,
-    DEFAULT_MIN_POINTS,
-    DEFAULT_MIN_WORSENING,
-    DEFAULT_WINDOW,
-    MetricSeries,
-    TRAJECTORY_SCHEMA,
-    TRENDS_SCHEMA,
-    TrendReport,
-    TrendVerdict,
-    append_trajectory,
-    detect,
-    read_trajectory,
-    series_from_records,
-    series_from_trajectory,
-    trend_report,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "diff": (
+        "DIFF_SCHEMA", "DiffRow", "ProfileDiff", "RESIDUAL_LABEL",
+        "diff_profiles", "render_diff",
+    ),
+    "ledger": (
+        "DEFAULT_LEDGER_PATH", "GENESIS", "Ledger", "LedgerRecord", "SCHEMA",
+        "SkippedLine", "build_provenance", "default_ledger_path",
+        "git_revision", "host_facts", "log_bench", "log_profile",
+        "log_sweep", "record_id", "source_fingerprint",
+    ),
+    "report": ("render_observatory_html", "render_observatory_prometheus"),
+    "trends": (
+        "DEFAULT_MAD_MULT", "DEFAULT_MIN_POINTS", "DEFAULT_MIN_WORSENING",
+        "DEFAULT_WINDOW", "MetricSeries", "TRAJECTORY_SCHEMA",
+        "TRENDS_SCHEMA", "TrendReport", "TrendVerdict", "append_trajectory",
+        "detect", "read_trajectory", "series_from_records",
+        "series_from_trajectory", "trend_report",
+    ),
+})
 
 __all__ = [
     "DEFAULT_LEDGER_PATH",

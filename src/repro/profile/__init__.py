@@ -19,25 +19,19 @@ Captures(profile=True))`` (:mod:`repro.runner.result`), which hands the
 profiler back on ``result.profile``.
 """
 
-from repro.profile.export import (
-    render_table,
-    to_collapsed,
-    to_json,
-    to_speedscope,
-    write_profile,
-)
-from repro.profile.profiler import (
-    EngineProfiler,
-    ProfileCell,
-    use_profiling,
-)
-from repro.profile.telemetry import (
-    STATUS_SCHEMA,
-    SweepTelemetry,
-    make_event,
-    peak_rss_bytes,
-    read_status,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": (
+        "render_table", "to_collapsed", "to_json", "to_speedscope",
+        "write_profile",
+    ),
+    "profiler": ("EngineProfiler", "ProfileCell", "use_profiling"),
+    "telemetry": (
+        "STATUS_SCHEMA", "SweepTelemetry", "make_event", "peak_rss_bytes",
+        "read_status",
+    ),
+})
 
 __all__ = [
     "EngineProfiler",

@@ -14,30 +14,24 @@ table now goes through:
   parallel, cached, resumable grids of runs (``repro.runner.sweep``).
 """
 
-from repro.runner.cache import ResultCache, code_fingerprint, default_cache_dir
-from repro.runner.result import (
-    Captures,
-    Measurement,
-    Outcome,
-    RunResult,
-    run_experiment,
-)
-from repro.runner.spec import (
-    ExperimentDef,
-    ExperimentSpec,
-    ensure_registered,
-    experiment_names,
-    get_experiment,
-    register_experiment,
-)
-from repro.runner.sweep import (
-    SweepPoint,
-    SweepReport,
-    expand_grid,
-    parse_grid,
-    run_sweep,
-    sweep_key,
-)
+from repro._lazy import lazy_exports
+
+# A run through ``run_experiment`` loads neither the cache nor the
+# sweep machinery (and the monitor verdicts a sweep carries).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "code_fingerprint", "default_cache_dir"),
+    "result": (
+        "Captures", "Measurement", "Outcome", "RunResult", "run_experiment",
+    ),
+    "spec": (
+        "ExperimentDef", "ExperimentSpec", "ensure_registered",
+        "experiment_names", "get_experiment", "register_experiment",
+    ),
+    "sweep": (
+        "SweepPoint", "SweepReport", "expand_grid", "parse_grid",
+        "run_sweep", "sweep_key",
+    ),
+})
 
 __all__ = [
     "Captures",

@@ -31,40 +31,31 @@ A named experiment runs with the flight recorder attached through
 <experiment>``.
 """
 
-from repro.trace.recorder import Activity, ActivityKind, ActivityRecorder
-from repro.trace.stats import (
-    CriticalPathStats,
-    communication_split,
-    per_node_communication_split,
-)
-from repro.trace.timeline import render_timeline, timeline_csv
-from repro.trace.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    use_registry,
-)
-from repro.trace.sketch import QuantileSketch
-from repro.trace.flight import (
-    NULL_FLIGHT,
-    Delivery,
-    FlightRecorder,
-    HopRecord,
-    NullFlightRecorder,
-    PacketFlight,
-    PhaseSpan,
-    PollRecord,
-    use_flight,
-)
-from repro.trace.export import (
-    chrome_trace,
-    dumps_chrome_trace,
-    flight_summary,
-    jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro._lazy import lazy_exports
+
+# Each name's module loads on the name's first read: a bare network run
+# reads only ``NULL_FLIGHT`` and the metrics registry.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "recorder": ("Activity", "ActivityKind", "ActivityRecorder"),
+    "stats": (
+        "CriticalPathStats", "communication_split",
+        "per_node_communication_split",
+    ),
+    "timeline": ("render_timeline", "timeline_csv"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "use_registry",
+    ),
+    "sketch": ("QuantileSketch",),
+    "flight": (
+        "NULL_FLIGHT", "Delivery", "FlightRecorder", "HopRecord",
+        "NullFlightRecorder", "PacketFlight", "PhaseSpan", "PollRecord",
+        "use_flight",
+    ),
+    "export": (
+        "chrome_trace", "dumps_chrome_trace", "flight_summary",
+        "jsonl_lines", "write_chrome_trace", "write_jsonl",
+    ),
+})
 
 __all__ = [
     "Activity",

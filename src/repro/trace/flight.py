@@ -59,9 +59,10 @@ in log order (``np.bincount`` with weights, :func:`sums`), never
 pairwise (``np.sum``, ``np.add.reduceat``), so the analyses' bytes are
 those of a per-hop loop.  The per-packet object views —
 :class:`PacketFlight` with its ``hops``/``deliveries`` — are built
-afresh on each read, for exports, the critical path and tests; the
-recorder keeps none of them, so it holds no object per packet or hop
-even after an analysis.
+afresh on each read, for exports, the critical path and tests, through
+derived indexes that each read pass (:meth:`FlightRecorder.packets`,
+say) fetches once for all its flights; the recorder keeps none of them,
+so it holds no object per packet or hop even after an analysis.
 
 Cheap when on: a hook appends to columns and creates no object beyond
 a queued hop's grant event, so a capture allocates little more than a
@@ -94,11 +95,11 @@ from typing import (
     TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Optional,
 )
 
-import numpy as np
-
 from repro import instruments
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.faults.session import TransmitOutcome
     from repro.network.link import LinkId, TorusLink
     from repro.network.packet import Packet, PacketKind
@@ -203,16 +204,17 @@ class PacketFlight:
 
     A flight read from a :class:`FlightRecorder` is a view of one row of
     its packet log: each read of its ``hops`` or ``deliveries`` builds
-    them from the recorder's hop and delivery logs.  A flight
-    constructed directly (``PacketFlight(..., hops=[...])``) holds plain
-    lists instead.
+    them from the recorder's hop and delivery logs, through the indexes
+    its read pass bound (:class:`_Views`).  A flight constructed
+    directly (``PacketFlight(..., hops=[...])``) holds plain lists
+    instead.
     """
 
     __slots__ = (
         "packet_id", "kind", "src_node", "src_client", "dst_node",
         "dst_client", "payload_bytes", "wire_bytes", "multicast",
         "in_order", "inject_ns", "counter_id", "send_begin_ns",
-        "_log", "_index", "_hops", "_deliveries",
+        "_views", "_index", "_hops", "_deliveries",
     )
 
     def __init__(
@@ -248,9 +250,9 @@ class PacketFlight:
         #: When the sending client began packet assembly (software send);
         #: ``None`` for packets injected without the slice-side hook.
         self.send_begin_ns = send_begin_ns
-        #: The recorder whose packet-log row ``_index`` this flight is
-        #: (``None`` for a standalone flight).
-        self._log: Optional[FlightRecorder] = None
+        #: The read pass whose recorder's packet-log row ``_index`` this
+        #: flight is (``None`` for a standalone flight).
+        self._views: Optional[_Views] = None
         self._index = -1
         #: A standalone flight's own lists (made on first read when not
         #: given).
@@ -283,18 +285,18 @@ class PacketFlight:
 
     @property
     def hops(self) -> list[HopRecord]:
-        log = self._log
-        if log is not None:
-            return log._hop_view(self._index)
+        views = self._views
+        if views is not None:
+            return views.hops(self._index)
         if self._hops is None:
             self._hops = []
         return self._hops
 
     @property
     def deliveries(self) -> list[Delivery]:
-        log = self._log
-        if log is not None:
-            return log._delivery_view(self._index)
+        views = self._views
+        if views is not None:
+            return views.deliveries(self._index)
         if self._deliveries is None:
             self._deliveries = []
         return self._deliveries
@@ -302,11 +304,10 @@ class PacketFlight:
     @property
     def delivered_ns(self) -> Optional[float]:
         """Time of the last delivery (``None`` while in flight)."""
-        log = self._log
-        if log is None:
+        views = self._views
+        if views is None:
             return self.deliveries[-1].time_ns if self.deliveries else None
-        row = log.last_delivery_rows()[self._index]
-        return None if row < 0 else log.delivery_ns[row]
+        return views.delivered_ns(self._index)
 
     @property
     def latency_ns(self) -> Optional[float]:
@@ -317,6 +318,51 @@ class PacketFlight:
     def queue_wait_ns(self) -> float:
         """Total time this packet spent blocked on busy links."""
         return sum(h.wait_ns for h in self.hops)
+
+
+class _Views:
+    """One read pass's handle on a recorder, shared by every flight
+    view the pass makes.  Each derived index a view reads is fetched
+    from the recorder on the pass's first read of it and bound here, so
+    a pass fetches each once however many flights it reads.  It binds
+    ``array``s, never numpy, so the logs stay growable, and its flights
+    read the logs as they stood at those fetches: read the flights
+    again after more recording."""
+
+    __slots__ = ("log", "_hops", "_deliveries", "_last")
+
+    def __init__(self, log: "FlightRecorder") -> None:
+        self.log = log
+        self._hops: Optional[tuple] = None
+        self._deliveries: Optional[tuple[array, array]] = None
+        self._last: Optional[array] = None
+
+    def hops(self, fi: int) -> list[HopRecord]:
+        bound = self._hops
+        if bound is None:
+            log = self.log
+            bound = self._hops = (
+                *log.hop_rows(), log.hop_enqueue_ns, log.hop_release_ns,
+                log.hop_depth,
+            )
+        rows, starts, enqueue, release, depth = bound
+        return self.log._hop_records(
+            rows[starts[fi]:starts[fi + 1]], enqueue, release, depth)
+
+    def deliveries(self, fi: int) -> list[Delivery]:
+        bound = self._deliveries
+        if bound is None:
+            bound = self._deliveries = self.log.delivery_rows()
+        rows, starts = bound
+        delivery = self.log.delivery
+        return [delivery(row) for row in rows[starts[fi]:starts[fi + 1]]]
+
+    def delivered_ns(self, fi: int) -> Optional[float]:
+        last = self._last
+        if last is None:
+            last = self._last = self.log.last_delivery_rows()
+        row = last[fi]
+        return None if row < 0 else self.log.delivery_ns[row]
 
 
 @dataclass(slots=True)
@@ -686,6 +732,8 @@ class FlightRecorder:
     def hop_depth(self) -> array:
         """Waiters ahead of the packet at enqueue time, per hop row."""
         def build() -> array:
+            import numpy as np
+
             rows = column(self.hop_enqueue_row)
             depth = np.zeros(len(rows), np.int64)
             queued = rows >= 0
@@ -711,6 +759,8 @@ class FlightRecorder:
         """The rows of a log whose flight-index column is ``log``,
         grouped by flight: flight ``fi``'s rows, in log order, are
         ``rows[starts[fi]:starts[fi + 1]]``."""
+        import numpy as np
+
         flights = column(log)
         starts = np.zeros(len(self.flight_packet_id) + 1, np.int64)
         np.cumsum(
@@ -735,6 +785,8 @@ class FlightRecorder:
         then client name.  The log holds same-time deliveries in engine
         event order, which is no property of the model."""
         def build() -> tuple[array, array]:
+            import numpy as np
+
             rows, starts = self._by_flight(self.delivery_flight)
             flights = column(self.delivery_flight)[rows]
             shared = np.bincount(flights)[flights] > 1
@@ -761,6 +813,8 @@ class FlightRecorder:
         of :meth:`delivery_rows` (-1 while in flight), by flight
         index."""
         def build() -> array:
+            import numpy as np
+
             rows, starts = self.delivery_rows()
             rows, starts = column(rows), column(starts)
             last = np.full(len(starts) - 1, -1, np.int64)
@@ -800,6 +854,8 @@ class FlightRecorder:
         """Link index → its sampled queue depths, sorted (links that
         were never sampled are absent)."""
         def build() -> dict[int, list[int]]:
+            import numpy as np
+
             links = column(self.sample_link)
             depths = column(self.sample_depth)
             order = np.lexsort((depths, links))
@@ -807,11 +863,14 @@ class FlightRecorder:
         return self._derived("link_depths", build)
 
     # ------------------------------------------------------------------
-    # object views, built afresh on every read (the logs stay the one
-    # record; a view held past more recording reads the logs again)
+    # object views, built afresh on every read through one pass's
+    # bound indexes (the logs stay the one record)
     # ------------------------------------------------------------------
-    def packet_flight(self, fi: int) -> PacketFlight:
-        """The packet log's row ``fi`` as a :class:`PacketFlight`."""
+    def packet_flight(
+        self, fi: int, views: Optional[_Views] = None
+    ) -> PacketFlight:
+        """The packet log's row ``fi`` as a :class:`PacketFlight`, read
+        through ``views`` (a pass of its own by default)."""
         flight = PacketFlight(
             self.flight_packet_id[fi],
             self.flight_kind[fi].value,
@@ -827,7 +886,7 @@ class FlightRecorder:
             self.flight_counter_id[fi],
             self.flight_send_begin_ns.get(fi),
         )
-        flight._log = self
+        flight._views = _Views(self) if views is None else views
         flight._index = fi
         return flight
 
@@ -839,13 +898,14 @@ class FlightRecorder:
 
     def hop_record(self, row: int) -> HopRecord:
         """The hop log's row ``row`` as a :class:`HopRecord`."""
-        return self._hop_records((row,))[0]
+        return self._hop_records(
+            (row,), self.hop_enqueue_ns, self.hop_release_ns, self.hop_depth
+        )[0]
 
-    def _hop_records(self, rows: Iterable[int]) -> list[HopRecord]:
-        """A :class:`HopRecord` per hop-log row of ``rows``, with each
-        derived column fetched once for all of them."""
-        enqueue, release, depth = (
-            self.hop_enqueue_ns, self.hop_release_ns, self.hop_depth)
+    def _hop_records(self, rows: Iterable[int], enqueue: array,
+                     release: array, depth: array) -> list[HopRecord]:
+        """A :class:`HopRecord` per hop-log row of ``rows``, given the
+        derived columns."""
         table, links, grant = self.link_table, self.hop_link, self.hop_grant_ns
         faults = self.hop_faults
         records = []
@@ -866,14 +926,6 @@ class FlightRecorder:
             time_ns=self.delivery_ns[row],
         )
 
-    def _hop_view(self, fi: int) -> list[HopRecord]:
-        rows, starts = self.hop_rows()
-        return self._hop_records(rows[starts[fi]:starts[fi + 1]])
-
-    def _delivery_view(self, fi: int) -> list[Delivery]:
-        rows, starts = self.delivery_rows()
-        return [self.delivery(row) for row in rows[starts[fi]:starts[fi + 1]]]
-
     def _by_link(
         self, links: np.ndarray, values: list
     ) -> "MappingProxyType[str, tuple]":
@@ -881,6 +933,8 @@ class FlightRecorder:
         ``links``) grouped by link name, each group in log order, the
         links in order of their first row; read-only and immutable, so
         one build serves every reader."""
+        import numpy as np
+
         order = np.argsort(links, kind="stable")
         keys = links[order]
         heads = runs(keys)
@@ -921,14 +975,17 @@ class FlightRecorder:
     # queries
     # ------------------------------------------------------------------
     def packets(self) -> list[PacketFlight]:
-        """All recorded flights, in injection order."""
-        return [self.packet_flight(fi) for fi in range(len(self))]
+        """All recorded flights, in injection order: one read pass."""
+        views = _Views(self)
+        return [self.packet_flight(fi, views) for fi in range(len(self))]
 
     def flight(self, packet_id: int) -> PacketFlight:
         return self.packet_flight(self._index_of[packet_id])
 
     def links(self) -> list[str]:
         """All link directions that saw traffic or queueing, sorted."""
+        import numpy as np
+
         seen = np.bincount(
             np.concatenate((column(self.hop_link), column(self.sample_link))),
             minlength=len(self.link_table),
@@ -953,6 +1010,8 @@ class FlightRecorder:
 
     def contended_hops(self) -> int:
         """Number of recorded hops that had to queue."""
+        import numpy as np
+
         return int(np.count_nonzero(
             column(self.hop_grant_ns) - column(self.hop_enqueue_ns) > 0
         ))
@@ -970,8 +1029,9 @@ class FlightRecorder:
     def delivered_flights(self) -> list[PacketFlight]:
         """Flights that reached at least one destination, in injection
         order."""
+        views = _Views(self)
         return [
-            self.packet_flight(fi)
+            self.packet_flight(fi, views)
             for fi, row in enumerate(self.last_delivery_rows())
             if row >= 0
         ]
@@ -984,8 +1044,9 @@ class FlightRecorder:
         window's start (in-flight packets count as extending forever).
         """
         delivered = self.delivery_ns
+        views = _Views(self)
         return [
-            self.packet_flight(fi)
+            self.packet_flight(fi, views)
             for fi, (inject_ns, last) in enumerate(
                 zip(self.flight_inject_ns, self.last_delivery_rows())
             )
@@ -1143,20 +1204,24 @@ class FlightRecorder:
 # Column-pass helpers
 # ---------------------------------------------------------------------------
 
-_DTYPES = {"q": np.int64, "d": np.float64, "b": np.int8}
-_TYPECODES = {np.dtype(np.int64): "q", np.dtype(np.float64): "d"}
+# The helpers import numpy where they run: only a read loads it, never
+# a capture or a bare run.  Dtypes are named, so these tables need none.
+_DTYPES = {"q": "int64", "d": "float64", "b": "int8"}
+_TYPECODES = {"int64": "q", "float64": "d"}
 
 
 def column(log: array) -> np.ndarray:
     """A numpy copy of one log column.  A copy, not a view: an
     ``array`` cannot grow while a view of its buffer is alive, and a
     pass's frame can outlive the pass in a traceback."""
+    import numpy as np
+
     return np.array(log, dtype=_DTYPES[log.typecode])
 
 
 def _array(values: np.ndarray) -> array:
     """A numpy result as the ``array`` the recorder hands out."""
-    return array(_TYPECODES[values.dtype], values.tobytes())
+    return array(_TYPECODES[values.dtype.name], values.tobytes())
 
 
 def sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -1164,6 +1229,8 @@ def sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     adds the weights one at a time in array order, so each slot holds
     the float a Python loop over the log would; ``np.sum`` and
     ``np.add.reduceat`` sum pairwise and would not."""
+    import numpy as np
+
     return np.bincount(index, weights=weights, minlength=n).astype(
         np.float64, copy=False
     )
@@ -1174,6 +1241,8 @@ def _or_int_zero(
 ) -> tuple[float, ...]:
     """``totals`` as Python floats, with the integer 0 a ``sum()`` over
     no rows gives in each slot that ``index`` never names."""
+    import numpy as np
+
     counts = np.bincount(index, minlength=n).tolist()
     return tuple(
         total if count else 0
@@ -1184,6 +1253,8 @@ def _or_int_zero(
 def runs(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in ``keys`` starts.  (``np.unique``
     would do, but its first call imports ``numpy.ma``, 1.5 MB.)"""
+    import numpy as np
+
     starts = np.ones(len(keys), bool)
     starts[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(starts)

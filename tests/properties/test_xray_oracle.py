@@ -13,7 +13,7 @@ contended exchanges here add link-level retries, which stretch hop
 releases and carry retry spans.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.critical_path import branch_hops
@@ -217,10 +217,16 @@ def _assert_matches_reference(fl, torus, min_episode_ns=0.0):
     min_episode_ns=st.sampled_from([0.0, 40.0]),
 )
 @settings(max_examples=14, deadline=None)
+# A draw in which no hop queues (18 in a scan of 2,128 points) is
+# discarded; this is one, so the discarding runs on every run.
+@example(fan_in=8, payload=0, rounds=1, ber=0.0001, seed=3,
+         min_episode_ns=0.0)
 def test_contended_exchange_matches_reference(
     fan_in, payload, rounds, ber, seed, min_episode_ns
 ):
-    """Contended 3×3×3 incasts, with and without link-level retries."""
+    """Contended 3×3×3 incasts, with and without link-level retries.
+    A draw whose retries spread the senders so that no hop queues is
+    not a contended exchange, and is discarded."""
     spec = ExperimentSpec(
         "congestion", shape=(3, 3, 3), rounds=rounds, payload=payload,
     ).with_extras(senders=fan_in)
@@ -234,7 +240,7 @@ def test_contended_exchange_matches_reference(
             fl = run_experiment(spec, Captures(flight=True)).flight
     else:
         fl = run_experiment(spec, Captures(flight=True)).flight
-    assert fl.contended_hops() > 0
+    assume(fl.contended_hops() > 0)
     _assert_matches_reference(fl, Torus3D(3, 3, 3), min_episode_ns)
 
 

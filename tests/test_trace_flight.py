@@ -93,8 +93,8 @@ class TestUnicastSpans:
 
     def test_hop_view_reads_derived_columns_independently_of_hops(
             self, monkeypatch):
-        """A flight's hop view fetches each derived column once, not
-        once per hop."""
+        """A read pass fetches each derived column once, on its first
+        hop view, not once per hop or per flight."""
         sim, machine, fl = traced_machine((4, 4, 4))
         src = machine.node((0, 0, 0)).slice(0)
         for dst in ((1, 0, 0), (2, 2, 2)):
@@ -113,7 +113,7 @@ class TestUnicastSpans:
         near_calls = len(calls)
         far_hops = far.hops
         assert (len(near_hops), len(far_hops)) == (1, 6)
-        assert len(calls) - near_calls == near_calls
+        assert len(set(calls)) == len(calls) == near_calls > 0
 
     def test_delivery_records_destination(self):
         sim, machine, fl = traced_machine()
@@ -501,3 +501,59 @@ class TestPerLinkViews:
                      buffer="rx3")
         assert fl.link_occupancy is not occupancy
         assert sum(map(len, fl.link_occupancy.values())) == len(fl.hop_link)
+
+
+def _derived_fetches(rounds, analysis, monkeypatch):
+    """``_derived`` calls ``analysis`` makes on a capture of the 7-to-1
+    incast on 2×2×2 over ``rounds`` rounds, and the capture's flights."""
+    from repro.runner import Captures, ExperimentSpec, run_experiment
+
+    fl = run_experiment(
+        ExperimentSpec("congestion", shape=(2, 2, 2), rounds=rounds,
+                       payload=64).with_extras(senders=7),
+        Captures(flight=True),
+    ).flight
+    calls = []
+    derived = FlightRecorder._derived
+
+    def counting(log, key, build):
+        calls.append(key)
+        return derived(log, key, build)
+
+    monkeypatch.setattr(FlightRecorder, "_derived", counting)
+    analysis(fl)
+    monkeypatch.undo()
+    return len(calls), len(fl)
+
+
+def _read_every_flight(fl):
+    for f in fl.packets():
+        f.hops, f.deliveries, f.delivered_ns
+
+
+class TestViewPasses:
+    """A pass of flight views (``packets()``, an export) fetches each
+    derived index once for all its flights, not once per flight."""
+
+    #: Fetches of a pass that reads every view of every flight: hop
+    #: rows and their enqueue, release and depth columns, delivery rows,
+    #: and last deliveries, whose build fetches the delivery rows again.
+    PASS_FETCHES = 7
+
+    @pytest.mark.parametrize("analysis", [
+        _read_every_flight,
+        lambda fl: list(jsonl_lines(fl)),
+        dumps_chrome_trace,
+        flight_summary,
+    ], ids=["packets", "jsonl_lines", "dumps_chrome_trace",
+            "flight_summary"])
+    def test_fetches_do_not_grow_with_flights(self, analysis, monkeypatch):
+        few, few_flights = _derived_fetches(2, analysis, monkeypatch)
+        many, many_flights = _derived_fetches(8, analysis, monkeypatch)
+        assert many_flights == 4 * few_flights
+        assert many == few
+
+    def test_packets_pass_fetches_each_view_index_once(self, monkeypatch):
+        fetches, flights = _derived_fetches(8, _read_every_flight,
+                                            monkeypatch)
+        assert flights == 56 and fetches <= self.PASS_FETCHES

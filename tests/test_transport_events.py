@@ -103,8 +103,10 @@ def test_mdstep_pair_runs_no_link_event(monkeypatch):
 #: ``__post_init__``, a call to ``is_multicast`` and to
 #: ``_inorder_gate`` per injection, and a counted write looked up
 #: through ``counter()`` and ``buffer()`` made it 2,613 (37.3 a
-#: packet); 2,270 is 32.4 a packet.
-INCAST_222_CALLS = 2_270
+#: packet).  Resolving each send's destination through the torus,
+#: though the step already held a ``NodeCoord``, made it 2,270 (32.4 a
+#: packet); 2,207 is 31.5 a packet.
+INCAST_222_CALLS = 2_207
 
 
 def test_incast_calls_per_packet_do_not_creep_back(monkeypatch):
